@@ -23,6 +23,7 @@ from .simpipe import (
     RunConfig,
     collect_metrics,
     generate_trace,
+    load_dataset,
     load_trace,
     run_simulation,
     save_trace,
@@ -142,14 +143,16 @@ def cmd_profile(args) -> int:
 
 
 def cmd_run(args) -> int:
+    # every input is read and checked before the output directory exists
     cfg = _load_config(args)
     trace = load_trace(args.trace)
+    dataset = load_dataset(cfg)
     _make_out_dir(args.out, args.force)
     manifest = RunManifest(config=args.config or "<defaults>", trace=args.trace,
                            policy=cfg.policy, out_dir=args.out, seed=cfg.seed,
                            version=version_string())
     manifest.write(os.path.join(args.out, "manifest.json"))
-    result = run_simulation(trace, cfg)
+    result = run_simulation(trace, cfg, dataset)
     summary = collect_metrics(result)
     summary["version"] = manifest.version
     write_frame_csv(os.path.join(args.out, "frames.csv"), result.rows)

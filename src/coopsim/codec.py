@@ -15,6 +15,7 @@ treats that dataset as its sampling oracle.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -23,6 +24,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import (
     CalibrationError,
+    ConfigError,
     DatasetMissError,
     DecodeError,
     ProfileIncompleteError,
@@ -211,13 +213,20 @@ class MeasurementDataset:
             header = fh.readline().strip()
             if header != "rf,bucket,loss,t_enc_ms,t_dec_ms":
                 raise CalibrationError(f"unrecognized dataset header: {header!r}")
-            for line in fh:
-                rf, bucket, lo, te, td = line.strip().split(",")
-                key = (int(rf), int(bucket))
+            for line_no, line in enumerate(fh, start=2):
+                try:
+                    rf, bucket, *values = line.strip().split(",")
+                    key = (int(rf), int(bucket))
+                    lo, te, td = (float(v) for v in values)
+                    if not all(math.isfinite(v) for v in (lo, te, td)):
+                        raise ValueError("values must be finite")
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{line_no}: bad dataset row "
+                                      f"{line.strip()!r} ({exc})") from exc
                 cell = ds._rows.setdefault(key, ([], [], []))
-                cell[0].append(float(lo))
-                cell[1].append(float(te))
-                cell[2].append(float(td))
+                cell[0].append(lo)
+                cell[1].append(te)
+                cell[2].append(td)
         return ds
 
 

@@ -5,7 +5,14 @@ predicted point contributions, one ground-plane quadrant at a time.  The RF
 optimizer then picks one compression level per kept object by approximated
 gradient ascent on a Lagrangian of expected fidelity and the probability that
 frame latency stays under the bound, with a dual multiplier enforcing the
-percentile constraint.
+percentile constraint.  Gradients come from least-squares planes fitted to
+randomly perturbed RF vectors under common random numbers, in the manner of
+SPSA (Spall 1992, IEEE TAC 37(3)).
+
+Once each CAV has its rate prediction its RF subproblem is independent of the
+others, so ``optimize_rf_batch`` solves a frame's subproblems in lockstep:
+CAVs with the same task count share every numpy call of every step, while
+each keeps its own seeded random streams and the arithmetic of a lone solve.
 
 Everything here is a pure function of broadcast state plus a seed, so every
 CAV reaches the same decision independently and runs can replay exactly.
@@ -13,12 +20,17 @@ CAV reaches the same decision independently and runs can replay exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import DESCRIPTOR_OVERHEAD_BYTES, MeasurementDataset, RF_SET, bucket_index
+from .codec import (
+    DESCRIPTOR_OVERHEAD_BYTES,
+    MeasurementDataset,
+    N_BUCKETS,
+    RF_SET,
+    bucket_index,
+)
 from .errors import ConfigError
 from .geometry import Bbox3, facing_quadrants, projected_area
 from .netsim import MODULE_TIMES_MS
@@ -179,59 +191,65 @@ def expected_fidelity(decision: ControlDecision, model: FidelityModel,
     return total
 
 
-def _pick(samples: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.minimum((u * len(samples)).astype(np.int64), len(samples) - 1)
-    return samples[idx]
-
-
 class _Scenarios:
-    """Common-random-number draws shared by every candidate RF vector.
+    """Common-random-number draws for C subproblems of k tasks each.
 
-    Per-object streams are keyed by object id, so adding objects never
-    disturbs the draws of existing ones; that makes the latency probability
-    exactly monotone under superset selections with the same seed.  Losses
-    come from the fidelity dataset, times from the latency one (normally the
-    same object).
+    Row c holds CAV c's draws; every array is indexed (row, task, level,
+    sample) in that order.  Per-object streams are keyed by (seed, object
+    id), so adding objects never disturbs the draws of existing ones; that
+    makes the latency probability exactly monotone under superset selections
+    with the same seed.  Fidelity is the dataset's sampled mean per level; only
+    times are drawn per scenario, since the latency tail is what the
+    percentile constraint cares about.
     """
 
-    def __init__(self, tasks, inputs: LatencyInputs, levels, s: int, seed: int,
-                 loss_dataset: MeasurementDataset | None = None):
-        self.inputs = inputs
-        self.levels = np.asarray(sorted(levels), dtype=np.int64)
-        self.log_levels = np.log2(self.levels)
-        self.s = s
-        time_ds = inputs.dataset
-        loss_ds = loss_dataset or inputs.dataset
-        k = len(tasks)
-        nl = len(self.levels)
-        # fidelity is the dataset's sampled mean (deterministic per level);
-        # only times are drawn per scenario, since the latency tail is what
-        # the percentile constraint cares about
-        self.mean_loss = np.empty((k, nl))
-        self.enc_ms = np.empty((k, nl, s))
-        self.dec_ms = np.empty((k, nl, s))
-        for i, task in enumerate(tasks):
-            rng = np.random.default_rng([seed, task.obj_id])
-            u = rng.random((2, s))
-            for j, rf in enumerate(self.levels):
-                self.mean_loss[i, j] = loss_ds.mean_loss(rf, task.bucket)
-                self.enc_ms[i, j] = _pick(time_ds.enc_time_samples(rf, task.bucket), u[0])
-                self.dec_ms[i, j] = _pick(time_ds.dec_time_samples(rf, task.bucket), u[1])
-        ub = np.random.default_rng([seed, _TAG_B]).random((len(inputs.b_modules_ms), s))
-        self.b_ms = sum(
-            TruncatedNormal.cached(m, sd).ppf(ub[i])
-            for i, (m, sd) in enumerate(inputs.b_modules_ms)
-        )
-        z = np.random.default_rng([seed, _TAG_FADING]).standard_normal(s)
-        self.rate = inputs.rate_bps * np.exp(inputs.rate_sigma * z)
-        self._task_idx = np.arange(k)
+    def __init__(self, log_levels, mean_loss, times_ms, base_s, rate,
+                 r_v, r_e, overhead_bytes):
+        self.log_levels = log_levels  # (L,)
+        self.mean_loss = mean_loss  # (C, k, L)
+        self.times_ms = times_ms  # (C, k, L, 2, S): encode, decode
+        self.base_s = base_s  # (C, S) baseline module time
+        self.rate = rate  # (C, S) sampled uplink rate
+        self.r_v, self.r_e, self.overhead_bytes = r_v, r_e, overhead_bytes
+        c, k, nl = mean_loss.shape
+        # flat index of (row, task, level 0) in the (C * k * L, ...) views
+        self._first = (np.arange(c)[:, None, None] * k + np.arange(k)) * nl
 
-    def evaluate_batch(self, x: np.ndarray):
-        """Sampled fidelity and latency for a batch of log2-RF rows.
+    @classmethod
+    def draw(cls, problems, tables, s: int) -> "_Scenarios":
+        """Scenarios for ``problems``: the same task count and latency inputs
+        apart from the rate.  ``tables`` comes from ``_sample_tables``."""
+        levels, mean_tab, time_tab, count_tab = tables
+        inputs = problems[0].inputs
+        buckets = np.array([[t.bucket for t in p.tasks] for p in problems])
+        u = np.array([[np.random.default_rng([p.seed, t.obj_id]).random((2, s))
+                       for t in p.tasks] for p in problems])  # (C, k, 2, S)
+        n = count_tab[buckets][..., None, None]  # (C, k, L, 1, 1)
+        idx = np.minimum((u[:, :, None] * n).astype(np.int64), n - 1)
+        ub = np.array([np.random.default_rng([p.seed, _TAG_B])
+                       .random((len(inputs.b_modules_ms), s)) for p in problems])
+        base_ms = sum(TruncatedNormal.cached(m, sd).ppf(ub[:, i])
+                      for i, (m, sd) in enumerate(inputs.b_modules_ms))
+        z = np.array([np.random.default_rng([p.seed, _TAG_FADING]).standard_normal(s)
+                      for p in problems])
+        rate_bps = np.array([p.inputs.rate_bps for p in problems])[:, None]
+        times = time_tab[buckets[..., None, None, None], np.arange(len(levels))[:, None, None],
+                         np.arange(2)[:, None], idx]
+        return cls(np.log2(np.asarray(levels, dtype=np.float64)), mean_tab[buckets],
+                   times, base_ms / 1e3, rate_bps * np.exp(inputs.rate_sigma * z),
+                   inputs.r_v, inputs.r_e, inputs.overhead_bytes)
 
-        ``x`` has shape (D, K).  Returns (fidelity (D,), latency_s (D, S)).
-        Values between discrete levels blend the two bracketing levels'
-        samples linearly, reusing the same draws, so the surface the
+    def take(self, rows) -> "_Scenarios":
+        return _Scenarios(self.log_levels, self.mean_loss[rows], self.times_ms[rows],
+                          self.base_s[rows], self.rate[rows],
+                          self.r_v, self.r_e, self.overhead_bytes)
+
+    def evaluate(self, x: np.ndarray):
+        """Sampled fidelity and latency for D log2-RF rows per subproblem.
+
+        ``x`` has shape (C, D, k).  Returns (fidelity (C, D), latency_s
+        (C, D, S)).  Values between discrete levels blend the two bracketing
+        levels' samples linearly, reusing the same draws, so the surface the
         regression sees is continuous in x.
         """
         lx = self.log_levels
@@ -242,27 +260,55 @@ class _Scenarios:
             j = np.clip(np.searchsorted(lx, x, side="right") - 1, 0, len(lx) - 2)
             w = np.clip((x - lx[j]) / (lx[j + 1] - lx[j]), 0.0, 1.0)
         jn = np.minimum(j + 1, len(lx) - 1)
-        ti = self._task_idx[None, :]
-        w3 = w[:, :, None]
-        loss = (1.0 - w) * self.mean_loss[ti, j] + w * self.mean_loss[ti, jn]
-        enc = (1.0 - w3) * self.enc_ms[ti, j] + w3 * self.enc_ms[ti, jn]
-        dec = (1.0 - w3) * self.dec_ms[ti, j] + w3 * self.dec_ms[ti, jn]
-        fidelity = -loss.sum(axis=1)
-        payload = (1024.0 / np.exp2(x)) * 4.0 + self.inputs.overhead_bytes
-        compute_s = (enc.sum(axis=1) / self.inputs.r_v
-                     + dec.sum(axis=1) / self.inputs.r_e) / 1e3
+        at, an = self._first + j, self._first + jn
+        ml = self.mean_loss.reshape(-1)
+        times = self.times_ms.reshape(-1, *self.times_ms.shape[-2:])
+        # (1 - w) a + w b, summed over tasks in task order: the arithmetic of
+        # a single subproblem, so a CAV's result does not depend on its batch
+        loss = (1.0 - w) * ml[at] + w * ml[an]
+        w5 = w[..., None, None]
+        t = times[at]
+        t *= 1.0 - w5
+        t_next = times[an]
+        t_next *= w5
+        t += t_next
+        spent = t.sum(axis=2)  # (C, D, 2, S)
+        fidelity = -loss.sum(axis=-1)
+        payload = (1024.0 / np.exp2(x)) * 4.0 + self.overhead_bytes
+        compute_s = (spent[:, :, 0] / self.r_v + spent[:, :, 1] / self.r_e) / 1e3
         with np.errstate(divide="ignore"):
-            uplink_s = payload.sum(axis=1)[:, None] * 8.0 / self.rate[None, :]
-        latency = compute_s + uplink_s + self.b_ms[None, :] / 1e3
+            uplink_s = payload.sum(axis=-1)[..., None] * 8.0 / self.rate[:, None, :]
+        latency = compute_s + uplink_s + self.base_s[:, None, :]
         return fidelity, latency
 
-    def evaluate(self, x: np.ndarray):
-        fid, latency = self.evaluate_batch(np.asarray(x)[None, :])
-        return float(fid[0]), latency[0]
+    def at(self, x: np.ndarray, h_s: float):
+        """Fidelity (C,) and Prob(latency <= h_s) (C,) at one point per row."""
+        fid, latency = self.evaluate(x[:, None, :])
+        return fid[:, 0], np.mean(latency[:, 0] <= h_s, axis=-1)
 
-    def prob_within(self, x: np.ndarray, h_s: float) -> float:
-        _, latency = self.evaluate(x)
-        return float(np.mean(latency <= h_s))
+
+def _sample_tables(loss_ds: MeasurementDataset, time_ds: MeasurementDataset,
+                   levels, buckets):
+    """Per-(bucket, level) mean loss and zero-padded encode/decode samples.
+
+    Returns (levels, mean loss (B, L), encode and decode ms (B, L, 2, N),
+    sample counts (B, L)).  Rows of buckets outside ``buckets``
+    stay empty; a used key that a dataset lacks raises DatasetMissError.
+    """
+    nl = len(levels)
+    mean_tab = np.zeros((N_BUCKETS, nl))
+    count_tab = np.ones((N_BUCKETS, nl), dtype=np.int64)
+    cells = {}
+    for b in buckets:
+        for j, rf in enumerate(levels):
+            mean_tab[b, j] = loss_ds.mean_loss(rf, b)
+            cells[b, j] = (time_ds.enc_time_samples(rf, b), time_ds.dec_time_samples(rf, b))
+            count_tab[b, j] = len(cells[b, j][0])
+    time_tab = np.zeros((N_BUCKETS, nl, 2, int(count_tab.max())))
+    for (b, j), (enc, dec) in cells.items():
+        time_tab[b, j, 0, :len(enc)] = enc
+        time_tab[b, j, 1, :len(dec)] = dec
+    return levels, mean_tab, time_tab, count_tab
 
 
 def estimate_latency_prob(decision: ControlDecision, inputs: LatencyInputs,
@@ -273,8 +319,11 @@ def estimate_latency_prob(decision: ControlDecision, inputs: LatencyInputs,
         return 1.0
     tasks = [t for t, _ in chosen]
     rfs = np.array([r for _, r in chosen], dtype=np.float64)
-    sc = _Scenarios(tasks, inputs, sorted(set(int(r) for r in rfs)), s, seed)
-    return sc.prob_within(np.log2(rfs), h_s)
+    levels = sorted(set(int(r) for r in rfs))
+    tables = _sample_tables(inputs.dataset, inputs.dataset, levels,
+                            sorted({t.bucket for t in tasks}))
+    sc = _Scenarios.draw([RFProblem(tasks, inputs, seed)], tables, s)
+    return float(sc.at(np.log2(rfs)[None, :], h_s)[1][0])
 
 
 @dataclass
@@ -289,103 +338,147 @@ class OptimizeResult:
     g_trace: list = field(default_factory=list)
 
 
+@dataclass
+class RFProblem:
+    """One CAV's RF subproblem in a frame: its kept objects, latency inputs
+    (predicted rate included) and optimizer seed."""
+
+    tasks: list
+    inputs: LatencyInputs
+    seed: int
+
+
 def optimize_rf(tasks, fidelity: FidelityModel, inputs: LatencyInputs,
                 cfg: OptimizerConfig) -> OptimizeResult:
     """Approximated gradient ascent over continuous log2 RFs, dual on latency.
 
-    Outer loop updates the multiplier from the constraint residual; the inner
-    loop perturbs the RF vector, fits a least-squares plane to the sampled
-    Lagrangian, and steps along its gradient.  The continuous solution is
-    discretized upward (more compression) to preserve feasibility.  When the
-    constraint cannot be met even at maximum compression the result carries
-    every object at r_max and an infeasible flag.
+    A batch of one for ``optimize_rf_batch``, seeded with ``cfg.seed``.
     """
-    if not tasks:
+    return optimize_rf_batch([RFProblem(list(tasks), inputs, cfg.seed)],
+                             fidelity, cfg)[0]
+
+
+def optimize_rf_batch(problems, fidelity: FidelityModel,
+                      cfg: OptimizerConfig) -> list:
+    """Solve a frame's per-CAV RF subproblems in lockstep.
+
+    For each subproblem the outer loop updates the multiplier from the
+    constraint residual; the inner loop perturbs the RF vector, fits a
+    least-squares plane to the sampled Lagrangian, and steps along its
+    gradient.  The continuous solution is discretized upward (more
+    compression) to preserve feasibility.  When the constraint cannot be met
+    even at maximum compression the result carries every object at r_max and
+    an infeasible flag.
+
+    Subproblems with the same task count and latency model step together, one
+    numpy call per step for the whole group.  Each keeps its own random
+    streams, seeded by ``RFProblem.seed`` in place of ``cfg.seed``, and the
+    per-row arithmetic of a group is that of a group of one, so every result
+    is a pure function of its own subproblem.  Results come back in the order
+    of ``problems``.
+    """
+    if any(not p.tasks for p in problems):
         raise ConfigError("optimize_rf needs at least one task")
     levels = sorted(cfg.rf_set)
-    sc = _Scenarios(tasks, inputs, levels, cfg.mc_samples, cfg.seed,
-                    loss_dataset=fidelity.dataset)
+    groups: dict = {}
+    for i, p in enumerate(problems):
+        inp = p.inputs
+        key = (len(p.tasks), id(inp.dataset), inp.r_v, inp.r_e, inp.rate_sigma,
+               inp.overhead_bytes, tuple(inp.b_modules_ms))
+        groups.setdefault(key, []).append(i)
+    buckets = sorted({t.bucket for p in problems for t in p.tasks})
+    tables: dict = {}  # per time dataset
+    results = [None] * len(problems)
+    for idx in groups.values():
+        group = [problems[i] for i in idx]
+        time_ds = group[0].inputs.dataset
+        if id(time_ds) not in tables:
+            tables[id(time_ds)] = _sample_tables(fidelity.dataset, time_ds, levels, buckets)
+        sc = _Scenarios.draw(group, tables[id(time_ds)], cfg.mc_samples)
+        for i, res in zip(idx, _solve_group(group, sc, levels, cfg)):
+            results[i] = res
+    return results
+
+
+def _solve_group(problems, sc: _Scenarios, levels, cfg: OptimizerConfig) -> list:
     lx = sc.log_levels
     lo, hi = lx[0], lx[-1]
-    k = len(tasks)
-    rng = np.random.default_rng([cfg.seed, 1 << 21])
-
-    x_max = np.full(k, hi)
-    prob_at_max = sc.prob_within(x_max, cfg.h_s)
-    if prob_at_max < cfg.p:
-        return OptimizeResult(
+    c, k = len(problems), len(problems[0].tasks)
+    x_max = np.full((c, k), hi)
+    fid_max, prob_max = sc.at(x_max, cfg.h_s)
+    results = [None] * c
+    for r in np.flatnonzero(prob_max < cfg.p):
+        results[r] = OptimizeResult(
             rfs=np.full(k, levels[-1], dtype=np.int64), lam=cfg.lam0,
-            prob=prob_at_max, fidelity=sc.evaluate(x_max)[0], infeasible=True,
-            lam_trace=[cfg.lam0], prob_trace=[prob_at_max])
+            prob=float(prob_max[r]), fidelity=float(fid_max[r]), infeasible=True,
+            lam_trace=[cfg.lam0], prob_trace=[float(prob_max[r])])
+    rows = np.flatnonzero(prob_max >= cfg.p)
+    if not rows.size:
+        return results
+    sc = sc.take(rows)
+    m = len(rows)
+    steps = cfg.outer_iters * cfg.inner_iters
+    # one draw per CAV covers every step: the same numbers as a draw per step
+    noise = np.array([
+        np.random.default_rng([problems[r].seed, 1 << 21]).normal(
+            0.0, cfg.deviation_sd, size=(steps, cfg.deviations, k))
+        for r in rows])
 
     # start mid-range: the loss surface is flattest near maximum compression,
     # so starting there wastes most of the budget crawling out of the plateau
-    x = np.full(k, 0.5 * (lo + hi))
-    x_best, fid_best = x_max, sc.evaluate(x_max)[0]  # feasible incumbent
-    lam = cfg.lam0
+    x = np.full((m, k), 0.5 * (lo + hi))
+    x_best, fid_best = x_max[rows], fid_max[rows]  # feasible incumbents
+    lam = np.full(m, float(cfg.lam0))
     lam_trace, prob_trace, g_trace = [], [], []
-    design = np.ones((cfg.deviations, k + 1))
+    design = np.ones((m, cfg.deviations, k + 1))
+    step = 0
     for _ in range(cfg.outer_iters):
         for _ in range(cfg.inner_iters):
-            dev = x[None, :] + rng.normal(0.0, cfg.deviation_sd, size=(cfg.deviations, k))
-            dev = np.clip(dev, lo, hi)
-            fid, latency = sc.evaluate_batch(dev)
-            probs = np.mean(latency <= cfg.h_s, axis=1)
-            g = fid + lam * (probs - cfg.p)
-            design[:, 1:] = dev
-            coef, *_ = np.linalg.lstsq(design, g, rcond=None)
-            x = np.clip(x + cfg.primal_step * coef[1:], lo, hi)
+            dev = np.clip(x[:, None, :] + noise[:, step], lo, hi)
+            step += 1
+            fid, latency = sc.evaluate(dev)
+            probs = np.mean(latency <= cfg.h_s, axis=-1)
+            g = fid + lam[:, None] * (probs - cfg.p)
+            design[:, :, 1:] = dev
+            if k + 1 > cfg.deviations:
+                # with more unknowns than samples the plane interpolates them,
+                # and its minimum-norm slope amplifies roundoff along the
+                # path: any solver but lstsq ends at other iterates.  Such
+                # CAVs are rare, so they keep lstsq, one at a time
+                coef = np.array([np.linalg.lstsq(d, gi, rcond=None)[0]
+                                 for d, gi in zip(design, g)])
+            else:
+                # least squares with lstsq's cutoff, one stacked SVD per step
+                pinv = np.linalg.pinv(design, rcond=np.finfo(np.float64).eps * cfg.deviations)
+                coef = (pinv @ g[:, :, None])[:, :, 0]
+            x = np.clip(x + cfg.primal_step * coef[:, 1:], lo, hi)
             if cfg.diagnostics:
-                f_cur, lat_cur = sc.evaluate(x)
-                g_trace.append(f_cur + lam * (np.mean(lat_cur <= cfg.h_s) - cfg.p))
-        prob = sc.prob_within(x, cfg.h_s)
-        if prob >= cfg.p:
-            f_cur = sc.evaluate(x)[0]
-            if f_cur > fid_best:
-                x_best, fid_best = x.copy(), f_cur
-        else:
-            # where Prob is locally flat at 0 the regression sees only the
-            # fidelity slope and walks away from feasibility; bisect toward
-            # the best feasible point instead of waiting for the dual
-            x = 0.5 * (x + x_best)
-        lam = max(0.0, lam - cfg.dual_step * (prob - cfg.p))
+                f_cur, p_cur = sc.at(x, cfg.h_s)
+                g_trace.append(f_cur + lam * (p_cur - cfg.p))
+        f_cur, prob = sc.at(x, cfg.h_s)
+        feasible = prob >= cfg.p
+        better = feasible & (f_cur > fid_best)
+        x_best[better], fid_best[better] = x[better], f_cur[better]
+        # where Prob is locally flat at 0 the regression sees only the
+        # fidelity slope and walks away from feasibility; bisect toward
+        # the best feasible point instead of waiting for the dual
+        x[~feasible] = 0.5 * (x[~feasible] + x_best[~feasible])
+        lam = np.maximum(0.0, lam - cfg.dual_step * (prob - cfg.p))
         lam_trace.append(lam)
         prob_trace.append(prob)
 
     # never return an infeasible relaxed point when a feasible one is known
-    if sc.prob_within(x, cfg.h_s) < cfg.p:
-        x = x_best
+    x = np.where((sc.at(x, cfg.h_s)[1] >= cfg.p)[:, None], x, x_best)
 
     # round up to the next discrete level: more compression, never less
     idx = np.searchsorted(lx, x - 1e-9, side="left")
     rfs = np.asarray(levels, dtype=np.int64)[np.minimum(idx, len(levels) - 1)]
-    xq = np.log2(rfs)
-    prob = sc.prob_within(xq, cfg.h_s)
-    fid = sc.evaluate(xq)[0]
-    return OptimizeResult(rfs=rfs, lam=lam, prob=prob, fidelity=fid,
-                          infeasible=False, lam_trace=lam_trace,
-                          prob_trace=prob_trace, g_trace=g_trace)
-
-
-@dataclass
-class Subproblem:
-    cav_id: int
-    tasks: list
-    inputs: LatencyInputs
-
-
-def decompose(tasks_by_cav: dict, rates_by_cav: dict, dataset: MeasurementDataset,
-              r_v: float = 1.0, r_e: float = 1.0, rate_sigma: float = 0.0) -> list:
-    """Split the frame into independent per-CAV instances.
-
-    The only coupling between CAVs is the experienced rate, so once each CAV
-    carries its own rate prediction the subproblems solve independently and
-    concatenating their decisions reproduces the joint one.
-    """
-    out = []
-    for cav_id in sorted(tasks_by_cav):
-        inputs = LatencyInputs(rate_bps=float(rates_by_cav[cav_id]), dataset=dataset,
-                               r_v=r_v, r_e=r_e, rate_sigma=rate_sigma)
-        out.append(Subproblem(cav_id=cav_id, tasks=list(tasks_by_cav[cav_id]),
-                              inputs=inputs))
-    return out
+    fid, prob = sc.at(np.log2(rfs), cfg.h_s)
+    for i, r in enumerate(rows):
+        results[r] = OptimizeResult(
+            rfs=rfs[i], lam=float(lam[i]), prob=float(prob[i]),
+            fidelity=float(fid[i]), infeasible=False,
+            lam_trace=[float(v[i]) for v in lam_trace],
+            prob_trace=[float(v[i]) for v in prob_trace],
+            g_trace=[float(v[i]) for v in g_trace])
+    return results

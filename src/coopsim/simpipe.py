@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -46,7 +47,8 @@ from .control import (
     LatencyInputs,
     ObjectTask,
     OptimizerConfig,
-    optimize_rf,
+    RFProblem,
+    optimize_rf_batch,
     predict_subspace_counts,
     predict_visible_points,
     select_objects,
@@ -474,6 +476,16 @@ _CONFIG_KEYS = {
 }
 
 
+def _is_number(value, kind) -> bool:
+    """A finite ``kind`` (numbers.Real or numbers.Integral) that is not a bool."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _are_numbers(values, kind) -> bool:
+    return isinstance(values, (list, tuple)) and all(_is_number(v, kind) for v in values)
+
+
 @dataclass
 class RunConfig:
     bandwidth_hz: float = 200e3
@@ -508,6 +520,18 @@ class RunConfig:
     dataset_path: str = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not _is_number(value, numbers.Real):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+            if f.type == "int" and not _is_number(value, numbers.Integral):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        if self.dataset_path is not None and not isinstance(self.dataset_path, str):
+            raise ConfigError(f"dataset_path must be a string, got {self.dataset_path!r}")
+        if self.base_station is not None and not (
+                _are_numbers(self.base_station, numbers.Real)
+                and len(self.base_station) == 3):
+            raise ConfigError(f"base_station must be three numbers, got {self.base_station!r}")
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}, pick from {POLICIES}")
         if self.dataset_mode not in ("codec", "surrogate"):
@@ -520,6 +544,8 @@ class RunConfig:
             raise ConfigError("H_ms must be positive and p in (0, 1)")
         if self.h_margin_ms < 0 or self.h_margin_ms >= self.H_ms:
             raise ConfigError("h_margin_ms must lie in [0, H_ms)")
+        if not (_are_numbers(self.rf_set, numbers.Integral) and self.rf_set):
+            raise ConfigError(f"rf_set must be a non-empty list of integers, got {self.rf_set!r}")
         self.rf_set = tuple(sorted(int(r) for r in self.rf_set))
         for rf in self.rf_set:
             try:
@@ -534,6 +560,8 @@ class RunConfig:
                 raw = json.load(fh)
             except ValueError as exc:
                 raise ConfigError(f"config {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path}: expected a JSON object")
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
@@ -623,9 +651,17 @@ def _derive_radio(config: RunConfig, frame0: TraceFrame) -> RadioConfig:
     )
 
 
-def _load_dataset(config: RunConfig) -> MeasurementDataset:
+def load_dataset(config: RunConfig) -> MeasurementDataset:
+    """The profile at ``dataset_path``, or the built-in surrogate.
+
+    A profile must hold samples for every (rf, bucket) key the run can look
+    up, or ProfileIncompleteError lists the missing ones.
+    """
     if config.dataset_path is not None:
-        return MeasurementDataset.load(config.dataset_path)
+        dataset = MeasurementDataset.load(config.dataset_path)
+        # lossless and raw uploads charge the encode time of the largest RF
+        dataset.validate(sorted(set(config.rf_set) | {max(RF_SET)}), min_samples=1)
+        return dataset
     return surrogate_dataset(rf_set=tuple(sorted(set(config.rf_set) | set(RF_SET))))
 
 
@@ -703,15 +739,15 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
             transmit[cav_id] = sorted(obs)
     selected_pairs = sum(len(v) for v in transmit.values())
 
-    # --- per-CAV RF decisions ---
+    # --- per-CAV RF decisions, solved for the whole frame at once ---
     rf_choice: dict = {}  # (cav_id, obj_id) -> rf
     infeasible_cavs = 0
     if cfg.policy in ("adamap", "adamap-reuse"):
-        fidelity = FidelityModel(dataset, beta=cfg.beta)
         # frame-0 fallback estimate: assume every CAV shares its sector
         all_counts = np.bincount(
             [sector_index(positions[c.cav_id], state.radio) for c in cavs],
             minlength=state.radio.sectors)
+        problems, owners = [], []
         for cav in cavs:
             chosen = transmit[cav.cav_id]
             if not chosen:
@@ -726,19 +762,22 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
                      for o in chosen]
             opt_seed = int(np.random.SeedSequence(
                 (cfg.seed, fidx, cav.cav_id, 7)).generate_state(1)[0])
-            opt = OptimizerConfig(
-                h_s=(cfg.H_ms - cfg.h_margin_ms) / 1e3, p=cfg.p,
-                outer_iters=cfg.outer_iters, inner_iters=cfg.inner_iters,
-                deviations=cfg.deviations, mc_samples=cfg.mc_samples,
-                seed=opt_seed, rf_set=cfg.rf_set)
             inputs = LatencyInputs(rate_bps=rate, dataset=dataset,
                                    r_v=cfg.r_v, r_e=cfg.r_e,
                                    rate_sigma=cfg.rate_sigma)
-            res = optimize_rf(tasks, fidelity, inputs, opt)
+            problems.append(RFProblem(tasks=tasks, inputs=inputs, seed=opt_seed))
+            owners.append(cav.cav_id)
+        opt = OptimizerConfig(
+            h_s=(cfg.H_ms - cfg.h_margin_ms) / 1e3, p=cfg.p,
+            outer_iters=cfg.outer_iters, inner_iters=cfg.inner_iters,
+            deviations=cfg.deviations, mc_samples=cfg.mc_samples,
+            rf_set=cfg.rf_set)
+        results = optimize_rf_batch(problems, FidelityModel(dataset, beta=cfg.beta), opt)
+        for cav_id, res in zip(owners, results):
             if res.infeasible:
                 infeasible_cavs += 1
-            for obj_id, rf in zip(chosen, res.rfs):
-                rf_choice[(cav.cav_id, obj_id)] = int(rf)
+            for obj_id, rf in zip(transmit[cav_id], res.rfs):
+                rf_choice[(cav_id, obj_id)] = int(rf)
     elif cfg.policy == "adamap-lite":
         for cav_id, chosen in transmit.items():
             for obj_id in chosen:
@@ -882,10 +921,13 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
     return rows, object_records, stats, loc_errors
 
 
-def run_simulation(trace, config: RunConfig) -> RunResult:
+def run_simulation(trace, config: RunConfig,
+                   dataset: MeasurementDataset | None = None) -> RunResult:
+    """Run every frame of ``trace``; ``dataset`` defaults to ``load_dataset``."""
     validate_trace(trace)
     radio = _derive_radio(config, trace[0])
-    dataset = _load_dataset(config)
+    if dataset is None:
+        dataset = load_dataset(config)
     server = ServerConfig(servers=config.servers)
     state = RunState(config, radio)
     rows, objects, stats, loc_errors = [], [], [], []
@@ -925,6 +967,10 @@ def collect_metrics(result: RunResult) -> dict:
     selected = sum(s.selected_pairs for s in result.frame_stats)
     frames = len(result.frame_stats)
     total_bytes = sum(s.bytes_total for s in result.frame_stats)
+
+    def percentile(values, p):
+        return nearest_rank(values, p) if values else None
+
     summary = {
         "policy": cfg.policy,
         "seed": cfg.seed,
@@ -932,12 +978,12 @@ def collect_metrics(result: RunResult) -> dict:
         "cavs": len({r.cav_id for r in result.rows}),
         "bandwidth_hz": cfg.bandwidth_hz,
         "H_ms": cfg.H_ms,
-        "latency_ms_p50": nearest_rank(totals, 50),
-        "latency_ms_p90": nearest_rank(totals, 90),
-        "latency_ms_p95": nearest_rank(totals, 95),
-        "latency_ms_p99": nearest_rank(totals, 99),
+        "latency_ms_p50": percentile(totals, 50),
+        "latency_ms_p90": percentile(totals, 90),
+        "latency_ms_p95": percentile(totals, 95),
+        "latency_ms_p99": percentile(totals, 99),
         "frac_within_h": (float(np.mean([v <= cfg.H_ms for v in totals]))
-                          if totals else float("nan")),
+                          if totals else None),
         "mean_loss": float(np.mean(losses)) if losses else 0.0,
         "selected_fraction": (selected / detected) if detected else 0.0,
         "mean_rf": (float(np.mean([r.rf for r in result.objects if r.rf > 0]))
@@ -948,8 +994,8 @@ def collect_metrics(result: RunResult) -> dict:
         "reused_objects": sum(1 for r in result.objects if r.reused),
         "objects_sent": len(result.objects),
         "infeasible_cav_frames": sum(s.infeasible_cavs for s in result.frame_stats),
-        "loc_error_p50": nearest_rank(result.loc_errors, 50),
-        "loc_error_p95": nearest_rank(result.loc_errors, 95),
+        "loc_error_p50": percentile(result.loc_errors, 50),
+        "loc_error_p95": percentile(result.loc_errors, 95),
         "finite_latency_rows": len(finite),
     }
     return summary
@@ -966,6 +1012,7 @@ def write_frame_csv(path, rows) -> None:
 
 
 def write_summary(path, summary: dict) -> None:
+    """Strict JSON: a statistic over no values is null, never NaN."""
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

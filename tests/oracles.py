@@ -2,12 +2,22 @@
 
 Everything here is deliberately written from first principles (plain loops,
 exhaustive enumeration) and does not share code with the package under test.
+The one exception is the RF optimizer reference at the end: it is the
+per-CAV loop that the lockstep solver replaced, kept as it was, and it shares
+the dataset, the truncated-normal sampler, the random-stream tags and the
+result type with the package.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
+
+from coopsim.control import _TAG_B, _TAG_FADING, OptimizeResult
+from coopsim.errors import ConfigError
+from coopsim.sampling import TruncatedNormal
 
 
 def brute_chamfer(a, b) -> float:
@@ -133,3 +143,142 @@ def min_feasible_suffix_sum(values, threshold) -> float:
         if s >= threshold and (best is None or s < best):
             best = s
     return sum(ordered) if best is None else best
+
+
+# ---------------------------------------------------------------------------
+# RF optimizer, one CAV at a time
+
+
+def _pick(samples: np.ndarray, u: np.ndarray) -> np.ndarray:
+    idx = np.minimum((u * len(samples)).astype(np.int64), len(samples) - 1)
+    return samples[idx]
+
+
+class LoopScenarios:
+    """Common-random-number draws for one CAV, built task by task."""
+
+    def __init__(self, tasks, inputs, levels, s: int, seed: int, loss_dataset=None):
+        self.inputs = inputs
+        self.levels = np.asarray(sorted(levels), dtype=np.int64)
+        self.log_levels = np.log2(self.levels)
+        self.s = s
+        time_ds = inputs.dataset
+        loss_ds = loss_dataset or inputs.dataset
+        k = len(tasks)
+        nl = len(self.levels)
+        self.mean_loss = np.empty((k, nl))
+        self.enc_ms = np.empty((k, nl, s))
+        self.dec_ms = np.empty((k, nl, s))
+        for i, task in enumerate(tasks):
+            rng = np.random.default_rng([seed, task.obj_id])
+            u = rng.random((2, s))
+            for j, rf in enumerate(self.levels):
+                self.mean_loss[i, j] = loss_ds.mean_loss(rf, task.bucket)
+                self.enc_ms[i, j] = _pick(time_ds.enc_time_samples(rf, task.bucket), u[0])
+                self.dec_ms[i, j] = _pick(time_ds.dec_time_samples(rf, task.bucket), u[1])
+        ub = np.random.default_rng([seed, _TAG_B]).random((len(inputs.b_modules_ms), s))
+        self.b_ms = sum(
+            TruncatedNormal.cached(m, sd).ppf(ub[i])
+            for i, (m, sd) in enumerate(inputs.b_modules_ms)
+        )
+        z = np.random.default_rng([seed, _TAG_FADING]).standard_normal(s)
+        self.rate = inputs.rate_bps * np.exp(inputs.rate_sigma * z)
+        self._task_idx = np.arange(k)
+
+    def evaluate_batch(self, x: np.ndarray):
+        """(fidelity (D,), latency_s (D, S)) for log2-RF rows ``x`` of shape (D, K)."""
+        lx = self.log_levels
+        if len(lx) == 1:
+            j = np.zeros(x.shape, dtype=np.int64)
+            w = np.zeros(x.shape)
+        else:
+            j = np.clip(np.searchsorted(lx, x, side="right") - 1, 0, len(lx) - 2)
+            w = np.clip((x - lx[j]) / (lx[j + 1] - lx[j]), 0.0, 1.0)
+        jn = np.minimum(j + 1, len(lx) - 1)
+        ti = self._task_idx[None, :]
+        w3 = w[:, :, None]
+        loss = (1.0 - w) * self.mean_loss[ti, j] + w * self.mean_loss[ti, jn]
+        enc = (1.0 - w3) * self.enc_ms[ti, j] + w3 * self.enc_ms[ti, jn]
+        dec = (1.0 - w3) * self.dec_ms[ti, j] + w3 * self.dec_ms[ti, jn]
+        fidelity = -loss.sum(axis=1)
+        payload = (1024.0 / np.exp2(x)) * 4.0 + self.inputs.overhead_bytes
+        compute_s = (enc.sum(axis=1) / self.inputs.r_v
+                     + dec.sum(axis=1) / self.inputs.r_e) / 1e3
+        with np.errstate(divide="ignore"):
+            uplink_s = payload.sum(axis=1)[:, None] * 8.0 / self.rate[None, :]
+        latency = compute_s + uplink_s + self.b_ms[None, :] / 1e3
+        return fidelity, latency
+
+    def evaluate(self, x: np.ndarray):
+        fid, latency = self.evaluate_batch(np.asarray(x)[None, :])
+        return float(fid[0]), latency[0]
+
+    def prob_within(self, x: np.ndarray, h_s: float) -> float:
+        _, latency = self.evaluate(x)
+        return float(np.mean(latency <= h_s))
+
+
+def loop_optimize_rf(tasks, fidelity, inputs, cfg) -> OptimizeResult:
+    """Primal-dual RF search for one CAV, one numpy call per step.
+
+    Same method as ``coopsim.control.optimize_rf``; the plane fit here is
+    ``np.linalg.lstsq`` on one design matrix at a time.
+    """
+    if not tasks:
+        raise ConfigError("optimize_rf needs at least one task")
+    levels = sorted(cfg.rf_set)
+    sc = LoopScenarios(tasks, inputs, levels, cfg.mc_samples, cfg.seed,
+                       loss_dataset=fidelity.dataset)
+    lx = sc.log_levels
+    lo, hi = lx[0], lx[-1]
+    k = len(tasks)
+    rng = np.random.default_rng([cfg.seed, 1 << 21])
+
+    x_max = np.full(k, hi)
+    prob_at_max = sc.prob_within(x_max, cfg.h_s)
+    if prob_at_max < cfg.p:
+        return OptimizeResult(
+            rfs=np.full(k, levels[-1], dtype=np.int64), lam=cfg.lam0,
+            prob=prob_at_max, fidelity=sc.evaluate(x_max)[0], infeasible=True,
+            lam_trace=[cfg.lam0], prob_trace=[prob_at_max])
+
+    x = np.full(k, 0.5 * (lo + hi))
+    x_best, fid_best = x_max, sc.evaluate(x_max)[0]
+    lam = cfg.lam0
+    lam_trace, prob_trace, g_trace = [], [], []
+    design = np.ones((cfg.deviations, k + 1))
+    for _ in range(cfg.outer_iters):
+        for _ in range(cfg.inner_iters):
+            dev = x[None, :] + rng.normal(0.0, cfg.deviation_sd, size=(cfg.deviations, k))
+            dev = np.clip(dev, lo, hi)
+            fid, latency = sc.evaluate_batch(dev)
+            probs = np.mean(latency <= cfg.h_s, axis=1)
+            g = fid + lam * (probs - cfg.p)
+            design[:, 1:] = dev
+            coef, *_ = np.linalg.lstsq(design, g, rcond=None)
+            x = np.clip(x + cfg.primal_step * coef[1:], lo, hi)
+            if cfg.diagnostics:
+                f_cur, lat_cur = sc.evaluate(x)
+                g_trace.append(f_cur + lam * (np.mean(lat_cur <= cfg.h_s) - cfg.p))
+        prob = sc.prob_within(x, cfg.h_s)
+        if prob >= cfg.p:
+            f_cur = sc.evaluate(x)[0]
+            if f_cur > fid_best:
+                x_best, fid_best = x.copy(), f_cur
+        else:
+            x = 0.5 * (x + x_best)
+        lam = max(0.0, lam - cfg.dual_step * (prob - cfg.p))
+        lam_trace.append(lam)
+        prob_trace.append(prob)
+
+    if sc.prob_within(x, cfg.h_s) < cfg.p:
+        x = x_best
+
+    idx = np.searchsorted(lx, x - 1e-9, side="left")
+    rfs = np.asarray(levels, dtype=np.int64)[np.minimum(idx, len(levels) - 1)]
+    xq = np.log2(rfs)
+    prob = sc.prob_within(xq, cfg.h_s)
+    fid = sc.evaluate(xq)[0]
+    return OptimizeResult(rfs=rfs, lam=lam, prob=prob, fidelity=fid,
+                          infeasible=False, lam_trace=lam_trace,
+                          prob_trace=prob_trace, g_trace=g_trace)

@@ -199,6 +199,66 @@ def test_run_corrupt_trace(tmp_path):
                  "--out", str(tmp_path / "run")]) == EXIT_INPUT
 
 
+def test_run_single_cav_summary_is_strict_json(tmp_path):
+    trace = tmp_path / "one.jsonl"
+    assert main(["gen-trace", "--cavs", "1", "--frames", "2",
+                 "--out", str(trace)]) == EXIT_OK
+    out = tmp_path / "run"
+    assert main(["run", "--trace", str(trace), "--out", str(out)]) == EXIT_OK
+
+    def reject(constant):
+        raise ValueError(f"summary.json holds {constant}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    # a lone CAV localizes nothing, so its error percentiles have no values
+    assert summary["loc_error_p50"] is None
+    assert summary["loc_error_p95"] is None
+
+
+def write_profile(path, rf_set=RF_SET, extra_rows=()):
+    """A dataset_path profile with one sample per (rf, bucket) key."""
+    rows = [f"{rf},{b},0.3,1.5,1.5" for rf in rf_set for b in range(N_BUCKETS)]
+    path.write_text("\n".join(["rf,bucket,loss,t_enc_ms,t_dec_ms", *rows, *extra_rows])
+                    + "\n")
+
+
+def run_with_profile(tmp_path, trace_path, profile):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset_path": str(profile)}))
+    return main(["run", "--trace", str(trace_path), "--config", str(cfg),
+                 "--out", str(tmp_path / "run")])
+
+
+def test_run_incomplete_profile_exits_3_before_output(tmp_path, trace_path, capsys):
+    profile = tmp_path / "ds.csv"
+    write_profile(profile, rf_set=(4, 8, 16, 32))
+    assert run_with_profile(tmp_path, trace_path, profile) == EXIT_PROFILE
+    err = capsys.readouterr().err
+    assert all(f"(64, {b})" in err for b in range(N_BUCKETS))
+    assert not (tmp_path / "run").exists()
+    write_profile(profile)
+    assert run_with_profile(tmp_path, trace_path, profile) == EXIT_OK
+
+
+@pytest.mark.parametrize("row", ["4,0,abc,1,1", "4,0,0.3,1.5"])
+def test_run_malformed_profile_row_exits_2(tmp_path, trace_path, capsys, row):
+    profile = tmp_path / "ds.csv"
+    write_profile(profile, extra_rows=[row])
+    assert run_with_profile(tmp_path, trace_path, profile) == EXIT_INPUT
+    # the header is line 1, then one row per key
+    assert f"{profile}:{len(RF_SET) * N_BUCKETS + 2}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_mistyped_config_value_exits_2(tmp_path, trace_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"H_ms": "100"}\n')
+    assert main(["run", "--trace", str(trace_path), "--config", str(cfg_path),
+                 "--out", str(tmp_path / "run")]) == EXIT_INPUT
+    assert "H_ms" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

@@ -1,5 +1,7 @@
 """Selection graph thinning and the percentile-constrained RF optimizer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,11 @@ from coopsim.control import (
     LatencyInputs,
     ObjectTask,
     OptimizerConfig,
-    decompose,
+    RFProblem,
     estimate_latency_prob,
     expected_fidelity,
     optimize_rf,
+    optimize_rf_batch,
     predict_subspace_counts,
     predict_visible_points,
     select_objects,
@@ -29,7 +32,7 @@ from coopsim.control import (
 from coopsim.errors import ConfigError, InvalidViewpointError
 from coopsim.geometry import Bbox3
 from coopsim.netsim import RadioConfig, uplink_rate
-from oracles import min_feasible_suffix_sum
+from oracles import loop_optimize_rf, min_feasible_suffix_sum
 
 CAR = dict(center=[0.0, 0.0, 0.0], extent=[4.5, 1.8, 1.5])
 
@@ -341,44 +344,109 @@ def test_optimizer_requires_tasks(surrogate):
 
 
 # ---------------------------------------------------------------------------
-# decomposition
+# lockstep batch against the per-CAV loop
+
+# the run's optimizer settings: k >= 12 tasks gives an underdetermined plane fit
+RUN_OPTIMIZER = dict(h_s=0.075, outer_iters=6, inner_iters=12, deviations=12,
+                     mc_samples=32)
 
 
-def test_decompose_structure(surrogate):
-    tasks = {
-        2: [ObjectTask(20, 500), ObjectTask(21, 900)],
-        0: [ObjectTask(0, 400)],
-        1: [ObjectTask(10, 700), ObjectTask(11, 1200), ObjectTask(12, 300)],
-    }
-    rates = {0: 200e3, 1: 300e3, 2: 400e3}
-    subs = decompose(tasks, rates, surrogate)
-    assert [s.cav_id for s in subs] == [0, 1, 2]
-    assert [len(s.tasks) for s in subs] == [1, 3, 2]
-    assert [s.inputs.rate_bps for s in subs] == [200e3, 300e3, 400e3]
+def random_problems(dataset, n, seed):
+    """Seeded subproblems with k = 1..14 tasks; every seventh has zero rate."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for i in range(n):
+        k = 1 + i % 14
+        ids = rng.choice(500, size=k, replace=False)
+        counts = rng.integers(50, 5000, size=k)
+        rate = 0.0 if i % 7 == 3 else float(np.exp(rng.uniform(np.log(80e3), np.log(2e6))))
+        inputs = LatencyInputs(rate_bps=rate, dataset=dataset, rate_sigma=0.1)
+        problems.append(RFProblem(
+            tasks=[ObjectTask(int(o), int(c)) for o, c in zip(ids, counts)],
+            inputs=inputs, seed=int(rng.integers(1 << 31))))
+    return problems
 
 
-def test_decompose_single_cav_matches_global(surrogate):
-    tasks = five_tasks()
-    subs = decompose({5: tasks}, {5: 240e3}, surrogate)
-    assert len(subs) == 1
-    res_sub = optimize_rf(subs[0].tasks, FidelityModel(surrogate),
-                          subs[0].inputs, OptimizerConfig())
-    res_glob = optimize_rf(tasks, FidelityModel(surrogate),
-                           LatencyInputs(rate_bps=240e3, dataset=surrogate),
-                           OptimizerConfig())
-    assert res_sub.rfs.tolist() == res_glob.rfs.tolist()
+def assert_same_result(res, ref):
+    assert res.rfs.tolist() == ref.rfs.tolist()
+    assert res.infeasible == ref.infeasible
+    assert res.prob == ref.prob
+    assert res.lam == ref.lam
+    assert res.fidelity == ref.fidelity
+    assert res.lam_trace == ref.lam_trace
+    assert res.prob_trace == ref.prob_trace
 
 
-def test_decompose_order_invariant(surrogate):
-    a = {3: [ObjectTask(30, 600)], 1: [ObjectTask(10, 900)]}
-    b = {1: [ObjectTask(10, 900)], 3: [ObjectTask(30, 600)]}
-    rates = {1: 250e3, 3: 350e3}
+@pytest.mark.parametrize("rf_set", [RF_SET, (8, 32), (64,)])
+def test_batch_matches_loop_oracle(surrogate, rf_set):
+    problems = random_problems(surrogate, 112, seed=len(rf_set))
+    cfg = OptimizerConfig(rf_set=rf_set, **RUN_OPTIMIZER)
     model = FidelityModel(surrogate)
-    for sa, sb in zip(decompose(a, rates, surrogate), decompose(b, rates, surrogate)):
-        assert sa.cav_id == sb.cav_id
-        ra = optimize_rf(sa.tasks, model, sa.inputs, OptimizerConfig())
-        rb = optimize_rf(sb.tasks, model, sb.inputs, OptimizerConfig())
-        assert ra.rfs.tolist() == rb.rfs.tolist()
+    results = optimize_rf_batch(problems, model, cfg)
+    flags_by_k: dict = {}
+    for prob, res in zip(problems, results):
+        ref = loop_optimize_rf(prob.tasks, model, prob.inputs, replace(cfg, seed=prob.seed))
+        assert_same_result(res, ref)
+        assert set(res.rfs.tolist()) <= set(rf_set)
+        flags_by_k.setdefault(len(prob.tasks), set()).add(res.infeasible)
+    assert sorted(flags_by_k) == list(range(1, 15))
+    # some lockstep groups mix feasible and infeasible CAVs
+    assert any(flags == {True, False} for flags in flags_by_k.values())
+
+
+def test_batch_diagnostics_match_loop_oracle(surrogate):
+    problems = [p for p in random_problems(surrogate, 28, seed=5) if p.inputs.rate_bps > 0]
+    cfg = OptimizerConfig(diagnostics=True, **RUN_OPTIMIZER)
+    model = FidelityModel(surrogate)
+    for prob, res in zip(problems, optimize_rf_batch(problems, model, cfg)):
+        ref = loop_optimize_rf(prob.tasks, model, prob.inputs, replace(cfg, seed=prob.seed))
+        assert_same_result(res, ref)
+        # the plane fit differs from lstsq in roundoff only
+        np.testing.assert_allclose(res.g_trace, ref.g_trace, rtol=1e-9, atol=1e-12)
+
+
+def test_batch_result_same_alone_and_in_batch(surrogate):
+    problems = random_problems(surrogate, 42, seed=11)
+    cfg = OptimizerConfig(**RUN_OPTIMIZER)
+    model = FidelityModel(surrogate)
+    together = optimize_rf_batch(problems, model, cfg)
+    for prob, res in zip(problems, together):
+        assert_same_result(res, optimize_rf_batch([prob], model, cfg)[0])
+    # optimize_rf is the batch of one seeded by the config
+    prob = problems[20]
+    single = optimize_rf(prob.tasks, model, prob.inputs, replace(cfg, seed=prob.seed))
+    assert_same_result(single, together[20])
+
+
+def test_batch_result_independent_of_order(surrogate):
+    problems = random_problems(surrogate, 42, seed=12)
+    cfg = OptimizerConfig(**RUN_OPTIMIZER)
+    model = FidelityModel(surrogate)
+    forward = optimize_rf_batch(problems, model, cfg)
+    perm = np.random.default_rng(3).permutation(len(problems))
+    shuffled = optimize_rf_batch([problems[i] for i in perm], model, cfg)
+    for j, i in enumerate(perm):
+        assert_same_result(shuffled[j], forward[i])
+
+
+def test_batch_groups_by_latency_model(surrogate):
+    """CAVs with the same task count but different capacity factors never
+    share a lockstep group, so each still gets its own model."""
+    problems = random_problems(surrogate, 14, seed=13)
+    slow = [replace(p, inputs=replace(p.inputs, r_v=0.05)) for p in problems]
+    cfg = OptimizerConfig(**RUN_OPTIMIZER)
+    model = FidelityModel(surrogate)
+    mixed = optimize_rf_batch(problems + slow, model, cfg)
+    for prob, res in zip(problems + slow, mixed):
+        ref = loop_optimize_rf(prob.tasks, model, prob.inputs, replace(cfg, seed=prob.seed))
+        assert_same_result(res, ref)
+
+
+def test_batch_rejects_empty_subproblem(surrogate):
+    problems = random_problems(surrogate, 3, seed=14)
+    problems[1] = replace(problems[1], tasks=[])
+    with pytest.raises(ConfigError):
+        optimize_rf_batch(problems, FidelityModel(surrogate), OptimizerConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,12 @@ def test_config_rejects_bad_values():
         RunConfig(h_margin_ms=100.0, H_ms=100.0)
     with pytest.raises(ConfigError):
         RunConfig(rf_set=(3, 4))
+    # wrongly typed values, as a JSON config can spell them
+    for bad in (dict(H_ms="100"), dict(seed=1.5), dict(outer_iters=True),
+                dict(p=float("nan")), dict(rf_set=["4"]), dict(rf_set=[]),
+                dict(base_station=[0.0, 0.0]), dict(dataset_path=5)):
+        with pytest.raises(ConfigError):
+            RunConfig(**bad)
 
 
 def test_config_sorts_rf_set():
