@@ -168,7 +168,7 @@ def cmd_run(args) -> int:
 
 
 def _sweep_worker(payload) -> dict:
-    cfg, trace_spec, out_dir, param, value = payload
+    cfg, trace_spec, out_dir, param, value, dataset = payload
     if trace_spec[0] == "path":
         trace = load_trace(trace_spec[1])
         trace_name = trace_spec[1]
@@ -181,7 +181,7 @@ def _sweep_worker(payload) -> dict:
                            out_dir=out_dir, seed=cfg.seed,
                            version=version_string())
     manifest.write(os.path.join(out_dir, "manifest.json"))
-    result = run_simulation(trace, cfg)
+    result = run_simulation(trace, cfg, dataset)
     summary = collect_metrics(result)
     summary["version"] = manifest.version
     write_frame_csv(os.path.join(out_dir, "frames.csv"), result.rows)
@@ -205,6 +205,8 @@ def cmd_sweep(args) -> int:
             values.append(int(float(v)))
     else:
         values = [float(v) for v in args.values]
+    # the swept values leave rf_set and dataset_path alone: one check, one load
+    dataset = load_dataset(base)
 
     _make_out_dir(args.out, args.force)
     if args.param == "cavs":
@@ -227,7 +229,7 @@ def cmd_sweep(args) -> int:
         else:
             cfg = base
         sub = os.path.join(args.out, f"{args.param}-{value:g}")
-        jobs.append((cfg, spec, sub, args.param, value))
+        jobs.append((cfg, spec, sub, args.param, value, dataset))
 
     workers = max(1, int(os.environ.get(WORKERS_ENV, "1")))
     if workers == 1:

@@ -212,7 +212,7 @@ class MeasurementDataset:
         with open(path) as fh:
             header = fh.readline().strip()
             if header != "rf,bucket,loss,t_enc_ms,t_dec_ms":
-                raise CalibrationError(f"unrecognized dataset header: {header!r}")
+                raise ConfigError(f"{path}:1: unrecognized dataset header {header!r}")
             for line_no, line in enumerate(fh, start=2):
                 try:
                     rf, bucket, *values = line.strip().split(",")

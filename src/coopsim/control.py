@@ -32,7 +32,7 @@ from .codec import (
     bucket_index,
 )
 from .errors import ConfigError
-from .geometry import Bbox3, facing_quadrants, projected_area
+from .geometry import box_frame_offsets, facing_quadrant_mask, projected_areas
 from .netsim import MODULE_TIMES_MS
 from .sampling import TruncatedNormal
 
@@ -47,32 +47,30 @@ _TAG_B = 1 << 20
 _TAG_FADING = (1 << 20) + 1
 
 
-def predict_visible_points(bbox: Bbox3, viewer, k: float = POINT_DENSITY_K,
-                           cap: int = POINT_CAP,
-                           max_range_m: float = LIDAR_RANGE_M) -> int:
-    """Expected LiDAR return count from a viewer: k * projected_area / d^2.
+def predict_counts(centers, extents, yaws, viewers, k: float = POINT_DENSITY_K,
+                   cap: int = POINT_CAP, max_range_m: float = LIDAR_RANGE_M):
+    """Expected LiDAR return counts for N (box, viewer) pairs, whole and per quadrant.
 
-    A uniformly scanning sensor spreads returns over solid angle, so counts
-    fall with the inverse square of range; beyond the sensing range the
-    object contributes nothing.
+    A uniformly scanning sensor spreads returns over solid angle, so a count
+    is k * projected_area / d^2, truncated to an integer and capped; beyond
+    the sensing range the object contributes nothing.  Each count is split
+    equally across the quadrants facing its viewer.
+
+    Boxes come as (N, 3) centers and full extents and (N,) yaws normalized as
+    Bbox3 normalizes them; viewers are (N, 3).  Returns the (N,) int64 counts
+    and the (N, 4) per-quadrant split.
     """
-    vp = np.asarray(viewer, dtype=np.float64).reshape(3)
-    d = float(np.linalg.norm(vp - bbox.center))
-    if d > max_range_m:
-        return 0
-    area = projected_area(bbox, vp)
-    return int(np.clip(k * area / (d * d), 0.0, float(cap)))
-
-
-def predict_subspace_counts(bbox: Bbox3, viewer, **kwargs) -> np.ndarray:
-    """Predicted count split equally across the quadrants facing the viewer."""
-    total = predict_visible_points(bbox, viewer, **kwargs)
-    out = np.zeros(N_SUBSPACES)
-    if total <= 0:
-        return out
-    quads = facing_quadrants(bbox, viewer)
-    out[quads] = total / len(quads)
-    return out
+    centers, extents, viewers = (np.asarray(a, dtype=np.float64).reshape(-1, 3)
+                                 for a in (centers, extents, viewers))
+    local, dist = box_frame_offsets(centers, np.asarray(yaws, dtype=np.float64), viewers)
+    near = dist <= max_range_m
+    area = projected_areas(local[near], dist[near], extents[near])
+    totals = np.zeros(len(dist), dtype=np.int64)
+    d = dist[near]
+    totals[near] = np.clip(k * area / (d * d), 0.0, float(cap)).astype(np.int64)
+    facing = facing_quadrant_mask(local) & (totals > 0)[:, None]
+    quadrants = np.where(facing, totals[:, None] / np.maximum(facing.sum(axis=1), 1)[:, None], 0.0)
+    return totals, quadrants
 
 
 def thin_edges(edges, threshold: float = DENSITY_THRESHOLD):

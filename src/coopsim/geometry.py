@@ -368,18 +368,52 @@ def subspace_index(bbox: Bbox3, points: np.ndarray) -> np.ndarray:
     return np.where(ge_l, np.where(ge_w, 0, 1), np.where(ge_w, 2, 3)).astype(np.int64)
 
 
-def facing_quadrants(bbox: Bbox3, viewpoint) -> list[int]:
-    """Quadrants whose outward corner direction faces the viewer.
+# ---------------------------------------------------------------------------
+# many (box, viewer) pairs at once: closed forms of the per-box routines above
+
+
+def box_frame_offsets(centers, yaws, viewers):
+    """Viewer offsets in each box's frame, and their ranges, for N pairs.
+
+    ``centers`` and ``viewers`` are (N, 3), ``yaws`` is (N,), normalized as
+    Bbox3 normalizes it.  Returns the (N, 3) offsets along each box's
+    length, width and height axes (what Bbox3.to_box gives) and the (N,)
+    center-to-viewer distances.
+    """
+    v = viewers - centers
+    c, s = np.cos(yaws), np.sin(yaws)
+    local = np.stack([v[:, 0] * c + v[:, 1] * s, v[:, 1] * c - v[:, 0] * s, v[:, 2]], axis=1)
+    dist = np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2])
+    return local, dist
+
+
+def projected_areas(local, dist, extents) -> np.ndarray:
+    """projected_area over N pairs, from their box-frame offsets and ranges.
+
+    A viewer sees at most one face per axis, the one whose plane it lies
+    beyond; that face weighs its area times the cosine |offset| / range.
+    Raises InvalidViewpointError if any viewer lies inside its box.
+    """
+    half = extents / 2.0
+    inside = (np.abs(local) <= half + 1e-12).all(axis=1)
+    if inside.any():
+        raise InvalidViewpointError(
+            f"viewpoint {local[inside][0]} (box frame) lies inside the box")
+    face_area = extents[:, [1, 0, 0]] * extents[:, [2, 2, 1]]
+    beyond = np.abs(local) > half
+    return np.where(beyond, face_area * np.abs(local) / dist[:, None], 0.0).sum(axis=1)
+
+
+def facing_quadrant_mask(local) -> np.ndarray:
+    """(N, 4) mask of the quadrants whose outward corner direction faces the viewer.
 
     Opposite quadrants have negated scores, so generically exactly two face
     the viewer and exactly one does on a diagonal.  A viewpoint straight
     above or below the center is degenerate and maps to all four.
     """
-    vp = np.asarray(viewpoint, dtype=np.float64).reshape(3)
-    local = bbox.to_box(vp[None, :])[0][:2]
-    scores = _QUADRANT_SIGNS @ local
-    facing = [i for i, s in enumerate(scores) if s > 1e-12]
-    return facing if facing else list(range(4))
+    facing = local[:, :2] @ _QUADRANT_SIGNS.T > 1e-12
+    facing[~facing.any(axis=1)] = True
+    return facing
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,7 @@ from .control import (
     OptimizerConfig,
     RFProblem,
     optimize_rf_batch,
-    predict_subspace_counts,
-    predict_visible_points,
+    predict_counts,
     select_objects,
 )
 from .errors import ConfigError, FrameError
@@ -71,12 +70,12 @@ from .netsim import (
     uplink_rate,
 )
 from .tracking import (
-    DetectionOracleConfig,
     HybridLocalizer,
     kalman_correct,
     kalman_init,
     kalman_predict,
-    predictive_match,
+    nearest_rows,
+    transition_matrix,
 )
 
 POLICIES = ("adamap", "adamap-lite", "adamap-reuse",
@@ -203,6 +202,8 @@ def validate_trace(frames) -> None:
         if abs(frame.time_s - expected) > 1e-6:
             raise FrameError(f"frame {frame.index}: time {frame.time_s} "
                              f"breaks the {FRAME_PERIOD_S} s cadence")
+        if not frame.cavs:
+            raise FrameError(f"frame {frame.index}: no CAVs")
         ids = [c.cav_id for c in frame.cavs]
         if len(set(ids)) != len(ids):
             raise FrameError(f"frame {frame.index}: duplicate CAV ids")
@@ -249,23 +250,24 @@ def generate_trace(cav_count: int, frames: int, extent_m: float = 200.0,
         dy = ys[:, None] - ys[None, :]
         dist = np.sqrt(dx * dx + dy * dy)
 
-        cavs = []
-        for i in range(cav_count):
-            viewer = np.array([xs[i], ys[i], LIDAR_Z])
-            objects = []
-            for j in range(cav_count):
-                if j == i or not (MIN_NEIGHBOR_M < dist[i, j] <= VISIBLE_RANGE_M):
-                    continue
-                base = predict_visible_points(boxes[j], viewer)
-                noisy = base * math.exp(rng.normal(0.0, count_sigma))
-                objects.append(TraceObject(
-                    obj_id=j, bbox=boxes[j],
-                    true_count=int(np.clip(noisy, 1, 240000))))
-            cavs.append(CavSnapshot(
-                cav_id=i,
-                pose=Pose(x=float(xs[i]), y=float(ys[i]), z=LIDAR_Z,
-                          yaw=float(yaws[i])),
-                objects=objects))
+        # every (viewer i, object j) pair in (i, j) order; i == j is 0 m apart
+        vi, vj = np.nonzero((dist > MIN_NEIGHBOR_M) & (dist <= VISIBLE_RANGE_M))
+        base, _ = predict_counts(
+            np.column_stack([xs[vj], ys[vj], np.full(len(vj), half_z)]),
+            np.broadcast_to(CAR_EXTENT, (len(vj), 3)),
+            np.array([b.yaw for b in boxes])[vj],
+            np.column_stack([xs[vi], ys[vi], np.full(len(vi), LIDAR_Z)]))
+        noise = rng.normal(0.0, count_sigma, size=len(vi))
+        noisy = [b * math.exp(z) for b, z in zip(base.tolist(), noise.tolist())]
+        counts = np.clip(noisy, 1, 240000).astype(np.int64).tolist()
+        objects = [[] for _ in range(cav_count)]
+        for i, j, count in zip(vi.tolist(), vj.tolist(), counts):
+            objects[i].append(TraceObject(obj_id=j, bbox=boxes[j], true_count=count))
+        cavs = [CavSnapshot(cav_id=i,
+                            pose=Pose(x=float(xs[i]), y=float(ys[i]), z=LIDAR_Z,
+                                      yaw=float(yaws[i])),
+                            objects=objects[i])
+                for i in range(cav_count)]
         out.append(TraceFrame(index=f, time_s=round(f * FRAME_PERIOD_S, 6), cavs=cavs))
 
         # advance along the grid; turns happen on line crossings
@@ -394,11 +396,12 @@ class GlobalMap:
         self._next_id = 0
 
     def predicted_positions(self, t: float) -> dict:
+        """Each entry's Kalman-predicted position at ``t``, in global id order."""
         out = {}
         for gid, entry in self.entries.items():
             dt = t - entry.kalman.time
-            state = kalman_predict(entry.kalman, dt) if dt > 0 else entry.kalman
-            out[gid] = state.position
+            out[gid] = (transition_matrix(dt) @ entry.kalman.x)[:2] if dt > 0 \
+                else entry.kalman.position
         return out
 
     def commit_frame(self, items, t: float):
@@ -406,20 +409,29 @@ class GlobalMap:
 
         ``items`` is a list of (descriptor, carries_geometry, loss).  Returns
         the global id assigned to each descriptor.  Matching always runs
-        against the freshest predictions, so two CAVs reporting the same new
-        object within one frame land on a single entry.
+        against the freshest predictions: a matched row takes the corrected
+        position and a new entry appends its row, so two CAVs reporting the
+        same new object within one frame land on a single entry.
         """
         preds = self.predicted_positions(t)
+        rows = len(preds)
+        # room for one appended row per item
+        ids = np.array(list(preds) + [-1] * len(items), dtype=np.int64)
+        points = np.zeros((len(ids), 2))
+        points[:rows] = np.reshape(list(preds.values()), (rows, 2))
         gids = []
         for desc, has_geom, loss in items:
             pos = desc.location[:2]
-            gid = predictive_match(pos, preds, self.gate)
-            if gid is None:
+            row = int(nearest_rows(points[:rows], pos, self.gate)[0])
+            if row < 0:
                 gid = self._next_id
                 self._next_id += 1
-                self.entries[gid] = MapEntry(
+                entry = self.entries[gid] = MapEntry(
                     kalman=kalman_init(pos, t), descriptor=desc, last_seen=t)
+                row, rows = rows, rows + 1
+                ids[row] = gid
             else:
+                gid = int(ids[row])
                 entry = self.entries[gid]
                 dt = t - entry.kalman.time
                 if dt > 0:
@@ -427,31 +439,32 @@ class GlobalMap:
                 entry.kalman = kalman_correct(entry.kalman, pos)
                 entry.descriptor = desc
                 entry.last_seen = t
-            entry = self.entries[gid]
             if has_geom:
                 entry.has_geometry = True
                 entry.last_loss = loss
             desc.global_id = gid
-            preds[gid] = entry.kalman.position
+            points[row] = entry.kalman.position
             gids.append(gid)
         self._dedup()
         self._retire(t)
         return gids
 
     def _dedup(self):
-        gids = sorted(self.entries)
+        """Drop entries closer than dedup_m to a surviving entry with a smaller id."""
+        if len(self.entries) < 2:
+            return
+        gids = list(self.entries)
+        pos = np.array([e.kalman.position for e in self.entries.values()])
+        dx = pos[:, 0, None] - pos[None, :, 0]
+        dy = pos[:, 1, None] - pos[None, :, 1]
+        close = np.triu(np.sqrt(dx * dx + dy * dy) < self.dedup_m, k=1)
+        rows_a, rows_b = np.nonzero(close)  # row-major, the greedy scan's order
         drop = set()
-        for i, a in enumerate(gids):
-            if a in drop:
-                continue
-            pa = self.entries[a].kalman.position
-            for b in gids[i + 1:]:
-                if b in drop:
-                    continue
-                if float(np.linalg.norm(pa - self.entries[b].kalman.position)) < self.dedup_m:
-                    drop.add(b)
-        for gid in drop:
-            del self.entries[gid]
+        for a, b in zip(rows_a.tolist(), rows_b.tolist()):
+            if a not in drop and b not in drop:
+                drop.add(b)
+        for row in drop:
+            del self.entries[gids[row]]
 
     def _retire(self, t: float):
         for gid in [g for g, e in self.entries.items()
@@ -718,11 +731,18 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
 
     transmit: dict = {c.cav_id: [] for c in cavs}  # cav -> [obj_id]
     if cfg.policy in ("adamap", "adamap-reuse"):
+        # every detection pair, grouped by object, through one count kernel
+        pairs = [(obj_id, cav_id) for obj_id in sorted(detectors)
+                 for cav_id in detectors[obj_id]]
+        boxes = [obj_lookup[cav_id][obj_id].bbox for obj_id, cav_id in pairs]
+        _, quadrants = predict_counts(
+            [b.center for b in boxes], [b.extent for b in boxes],
+            [b.yaw for b in boxes], [positions[cav_id] for _, cav_id in pairs])
+        start = 0
         for obj_id in sorted(detectors):
-            counts = {}
-            for cav_id in detectors[obj_id]:
-                bbox = obj_lookup[cav_id][obj_id].bbox
-                counts[cav_id] = predict_subspace_counts(bbox, positions[cav_id])
+            seen_by = detectors[obj_id]
+            counts = dict(zip(seen_by, quadrants[start:start + len(seen_by)]))
+            start += len(seen_by)
             for cav_id in select_objects(counts, cfg.density_threshold):
                 transmit[cav_id].append(obj_id)
         for cav_id in transmit:
@@ -787,14 +807,18 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
     reuse: dict = {}  # (cav_id, obj_id) -> matched global id
     if cfg.policy == "adamap-reuse":
         broadcast = state.global_map.predicted_positions(t)
-        for cav in cavs:
-            for obj_id in transmit[cav.cav_id]:
-                obs = detected[cav.cav_id][obj_id]
-                gid = predictive_match(obs, broadcast, MATCH_GATE_M)
-                if gid is None or not state.global_map.entries[gid].has_geometry:
-                    continue
-                if float(np.linalg.norm(broadcast[gid] - obs)) < REUSE_POSE_ERROR_M:
-                    reuse[(cav.cav_id, obj_id)] = gid
+        gids = list(broadcast)
+        points = np.reshape(list(broadcast.values()), (-1, 2))
+        sent = [(cav.cav_id, obj_id) for cav in cavs for obj_id in transmit[cav.cav_id]]
+        obs = np.reshape([detected[cav_id][obj_id] for cav_id, obj_id in sent], (-1, 2))
+        rows = nearest_rows(points, obs, MATCH_GATE_M)
+        hit = np.flatnonzero(rows >= 0)
+        off = points[rows[hit]] - obs[hit]
+        close = np.sqrt(off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1]) < REUSE_POSE_ERROR_M
+        for k in hit[close].tolist():
+            gid = gids[rows[k]]
+            if state.global_map.entries[gid].has_geometry:
+                reuse[sent[k]] = gid
 
     # --- byte accounting, encode charges, losses ---
     payloads = np.zeros(n)

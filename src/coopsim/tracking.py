@@ -107,16 +107,22 @@ def kalman_correct(state: KalmanState, z, r_obs: float = DEFAULT_OBS_NOISE_VAR) 
     return KalmanState(x=x, p=0.5 * (p + p.T), time=state.time)
 
 
-def predictive_match(position, predicted: dict, gate: float = 3.0):
-    """Nearest predicted track within the gate; ties go to the smallest id."""
-    pos = np.asarray(position, dtype=np.float64).reshape(2)
-    best_id, best_d2 = None, gate * gate
-    for track_id in sorted(predicted):
-        p = np.asarray(predicted[track_id], dtype=np.float64).reshape(2)
-        d2 = float(((p - pos) ** 2).sum())
-        if d2 < best_d2:
-            best_id, best_d2 = track_id, d2
-    return best_id
+def nearest_rows(points, queries, gate: float = 3.0) -> np.ndarray:
+    """Per query, the row of the nearest point strictly within the gate, else -1.
+
+    ``points`` is (rows, 2) and ``queries`` (Q, 2).  Squared distances are
+    dx*dx + dy*dy; ties go to the first row, so points held in id order
+    break ties toward the smallest id.
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    q = np.asarray(queries, dtype=np.float64).reshape(-1, 2)
+    if not len(pts):
+        return np.full(len(q), -1, dtype=np.int64)
+    dx = pts[None, :, 0] - q[:, 0, None]
+    dy = pts[None, :, 1] - q[:, 1, None]
+    d2 = dx * dx + dy * dy
+    best = d2.argmin(axis=1)
+    return np.where(d2[np.arange(len(q)), best] < gate * gate, best, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +173,6 @@ class LocalizeResult:
     charged_ms: float
     detection_charged: bool
     rle_max: float
-
-
-_SAMPLER_CACHE: dict = {}
-
-
-def _time_sampler(mean: float, sd: float) -> TruncatedNormal:
-    key = (mean, sd)
-    if key not in _SAMPLER_CACHE:
-        _SAMPLER_CACHE[key] = TruncatedNormal(mean, sd)
-    return _SAMPLER_CACHE[key]
 
 
 def hybrid_localize(
@@ -234,12 +230,12 @@ def hybrid_localize(
             if obj_id not in observations:  # no track yet: ride on the detector
                 observations[obj_id] = pos
                 sources[obj_id] = "detector"
-        charged = _time_sampler(cfg.trk_time_mean_ms, cfg.trk_time_sd_ms).sample(rng)
+        charged = TruncatedNormal.cached(cfg.trk_time_mean_ms, cfg.trk_time_sd_ms).sample(rng)
         detection_charged = False
     else:
         observations = dict(det_out)
         sources = {obj_id: "detector" for obj_id in det_out}
-        charged = _time_sampler(cfg.det_time_mean_ms, cfg.det_time_sd_ms).sample(rng)
+        charged = TruncatedNormal.cached(cfg.det_time_mean_ms, cfg.det_time_sd_ms).sample(rng)
         detection_charged = True
 
     # advance and correct tracks with whatever was published

@@ -2,10 +2,11 @@
 
 Everything here is deliberately written from first principles (plain loops,
 exhaustive enumeration) and does not share code with the package under test.
-The one exception is the RF optimizer reference at the end: it is the
-per-CAV loop that the lockstep solver replaced, kept as it was, and it shares
-the dataset, the truncated-normal sampler, the random-stream tags and the
-result type with the package.
+The exceptions are the routines that array code replaced, kept as they were:
+the per-pair point-count predictor (it shares Bbox3 and projected_area), the
+dict-based predictive match and greedy map dedup, and the per-CAV RF
+optimizer loop (it shares the dataset, the truncated-normal sampler, the
+random-stream tags and the result type).
 """
 
 from __future__ import annotations
@@ -15,9 +16,20 @@ import math
 
 import numpy as np
 
-from coopsim.control import _TAG_B, _TAG_FADING, OptimizeResult
+from coopsim.control import (
+    _TAG_B,
+    _TAG_FADING,
+    LIDAR_RANGE_M,
+    N_SUBSPACES,
+    POINT_CAP,
+    POINT_DENSITY_K,
+    OptimizeResult,
+)
 from coopsim.errors import ConfigError
+from coopsim.geometry import Bbox3, projected_area
 from coopsim.sampling import TruncatedNormal
+from coopsim.simpipe import GlobalMap, MapEntry
+from coopsim.tracking import kalman_correct, kalman_init, kalman_predict
 
 
 def brute_chamfer(a, b) -> float:
@@ -282,3 +294,117 @@ def loop_optimize_rf(tasks, fidelity, inputs, cfg) -> OptimizeResult:
     return OptimizeResult(rfs=rfs, lam=lam, prob=prob, fidelity=fid,
                           infeasible=False, lam_trace=lam_trace,
                           prob_trace=prob_trace, g_trace=g_trace)
+
+
+# ---------------------------------------------------------------------------
+# per-pair point counts and dict-based map matching, replaced by array code
+
+_QUADRANT_SIGNS = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.float64)
+
+
+def facing_quadrants(bbox: Bbox3, viewpoint) -> list:
+    """Quadrants whose outward corner direction faces the viewer; all four
+    when the viewpoint is straight above or below the center."""
+    vp = np.asarray(viewpoint, dtype=np.float64).reshape(3)
+    local = bbox.to_box(vp[None, :])[0][:2]
+    scores = _QUADRANT_SIGNS @ local
+    facing = [i for i, s in enumerate(scores) if s > 1e-12]
+    return facing if facing else list(range(4))
+
+
+def predict_visible_points(bbox: Bbox3, viewer, k: float = POINT_DENSITY_K,
+                           cap: int = POINT_CAP,
+                           max_range_m: float = LIDAR_RANGE_M) -> int:
+    """Expected LiDAR return count from a viewer: k * projected_area / d^2."""
+    vp = np.asarray(viewer, dtype=np.float64).reshape(3)
+    d = float(np.linalg.norm(vp - bbox.center))
+    if d > max_range_m:
+        return 0
+    area = projected_area(bbox, vp)
+    return int(np.clip(k * area / (d * d), 0.0, float(cap)))
+
+
+def predict_subspace_counts(bbox: Bbox3, viewer, **kwargs) -> np.ndarray:
+    """Predicted count split equally across the quadrants facing the viewer."""
+    total = predict_visible_points(bbox, viewer, **kwargs)
+    out = np.zeros(N_SUBSPACES)
+    if total <= 0:
+        return out
+    quads = facing_quadrants(bbox, viewer)
+    out[quads] = total / len(quads)
+    return out
+
+
+def predictive_match(position, predicted: dict, gate: float = 3.0):
+    """Nearest predicted track within the gate; ties go to the smallest id."""
+    pos = np.asarray(position, dtype=np.float64).reshape(2)
+    best_id, best_d2 = None, gate * gate
+    for track_id in sorted(predicted):
+        p = np.asarray(predicted[track_id], dtype=np.float64).reshape(2)
+        d2 = float(((p - pos) ** 2).sum())
+        if d2 < best_d2:
+            best_id, best_d2 = track_id, d2
+    return best_id
+
+
+def greedy_dedup(positions: dict, dedup_m: float) -> set:
+    """Ids dropped by scanning ids in order: each surviving id drops every
+    later surviving id closer than dedup_m."""
+    gids = sorted(positions)
+    drop = set()
+    for i, a in enumerate(gids):
+        if a in drop:
+            continue
+        pa = np.asarray(positions[a], dtype=np.float64)
+        for b in gids[i + 1:]:
+            if b in drop:
+                continue
+            if float(np.linalg.norm(pa - np.asarray(positions[b]))) < dedup_m:
+                drop.add(b)
+    return drop
+
+
+class DictGlobalMap(GlobalMap):
+    """The global map as it matched before: per-entry dict scans, greedy
+    pairwise dedup, full Kalman predictions for the match positions."""
+
+    def predicted_positions(self, t: float) -> dict:
+        out = {}
+        for gid, entry in self.entries.items():
+            dt = t - entry.kalman.time
+            state = kalman_predict(entry.kalman, dt) if dt > 0 else entry.kalman
+            out[gid] = state.position
+        return out
+
+    def commit_frame(self, items, t: float):
+        preds = self.predicted_positions(t)
+        gids = []
+        for desc, has_geom, loss in items:
+            pos = desc.location[:2]
+            gid = predictive_match(pos, preds, self.gate)
+            if gid is None:
+                gid = self._next_id
+                self._next_id += 1
+                self.entries[gid] = MapEntry(
+                    kalman=kalman_init(pos, t), descriptor=desc, last_seen=t)
+            else:
+                entry = self.entries[gid]
+                dt = t - entry.kalman.time
+                if dt > 0:
+                    entry.kalman = kalman_predict(entry.kalman, dt)
+                entry.kalman = kalman_correct(entry.kalman, pos)
+                entry.descriptor = desc
+                entry.last_seen = t
+            entry = self.entries[gid]
+            if has_geom:
+                entry.has_geometry = True
+                entry.last_loss = loss
+            desc.global_id = gid
+            preds[gid] = entry.kalman.position
+            gids.append(gid)
+        positions = {gid: e.kalman.position for gid, e in self.entries.items()}
+        for gid in greedy_dedup(positions, self.dedup_m):
+            del self.entries[gid]
+        self._retire(t)
+        return gids
+

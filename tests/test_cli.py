@@ -250,6 +250,22 @@ def test_run_malformed_profile_row_exits_2(tmp_path, trace_path, capsys, row):
     assert not (tmp_path / "run").exists()
 
 
+def test_run_bad_profile_header_exits_2(tmp_path, trace_path, capsys):
+    profile = tmp_path / "ds.csv"
+    profile.write_text("rf,loss\n4,0.3\n")
+    assert run_with_profile(tmp_path, trace_path, profile) == EXIT_INPUT
+    assert f"{profile}:1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_empty_frame_exits_2_before_output(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text('{"frame":0,"time_s":0.0,"cavs":[]}\n')
+    assert main(["run", "--trace", str(trace), "--out", str(tmp_path / "run")]) == EXIT_INPUT
+    assert "no CAVs" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_run_mistyped_config_value_exits_2(tmp_path, trace_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"H_ms": "100"}\n')
@@ -319,6 +335,18 @@ def test_sweep_worker_pool_matches_serial(tmp_path, trace_path, monkeypatch):
     monkeypatch.setenv("COOPSIM_WORKERS", "2")
     assert main(args + ["--out", str(pooled)]) == EXIT_OK
     assert (serial / "sweep.csv").read_bytes() == (pooled / "sweep.csv").read_bytes()
+
+
+def test_sweep_incomplete_profile_exits_3_before_output(tmp_path, trace_path, capsys):
+    profile = tmp_path / "ds.csv"
+    write_profile(profile, rf_set=(4, 8, 16, 32))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset_path": str(profile)}))
+    out = tmp_path / "sw"
+    assert main(["sweep", "--param", "H", "--values", "80", "90", "--trace", str(trace_path),
+                 "--config", str(cfg), "--out", str(out)]) == EXIT_PROFILE
+    assert "(64, 0)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_refuses_overwrite(tmp_path, trace_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from coopsim.codec import (
 )
 from coopsim.errors import (
     CalibrationError,
+    ConfigError,
     DatasetMissError,
     DecodeError,
     ProfileIncompleteError,
@@ -232,7 +235,7 @@ def test_dataset_roundtrip(tmp_path):
 def test_dataset_load_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("rf,loss\n4,0.3\n")
-    with pytest.raises(CalibrationError):
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:1")):
         MeasurementDataset.load(path)
 
 

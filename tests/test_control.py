@@ -14,6 +14,7 @@ from coopsim.codec import (
     surrogate_dataset,
 )
 from coopsim.control import (
+    POINT_CAP,
     ControlDecision,
     FidelityModel,
     LatencyInputs,
@@ -24,15 +25,19 @@ from coopsim.control import (
     expected_fidelity,
     optimize_rf,
     optimize_rf_batch,
-    predict_subspace_counts,
-    predict_visible_points,
+    predict_counts,
     select_objects,
     thin_edges,
 )
 from coopsim.errors import ConfigError, InvalidViewpointError
 from coopsim.geometry import Bbox3
 from coopsim.netsim import RadioConfig, uplink_rate
-from oracles import loop_optimize_rf, min_feasible_suffix_sum
+from oracles import (
+    loop_optimize_rf,
+    min_feasible_suffix_sum,
+    predict_subspace_counts,
+    predict_visible_points,
+)
 
 CAR = dict(center=[0.0, 0.0, 0.0], extent=[4.5, 1.8, 1.5])
 
@@ -57,37 +62,45 @@ def constant_dataset(loss_by_rf=None, enc_ms=1e-6, dec_ms=1e-6):
 # point-count prediction
 
 
+def count(box, viewer) -> int:
+    return int(predict_counts([box.center], [box.extent], [box.yaw], [viewer])[0][0])
+
+
+def quadrant_counts(box, viewer) -> np.ndarray:
+    return predict_counts([box.center], [box.extent], [box.yaw], [viewer])[1][0]
+
+
 def test_predicted_count_broadside():
     # side face 4.5 x 1.5 = 6.75 m^2 seen square-on at 20 m
     box = Bbox3(**CAR)
-    assert predict_visible_points(box, [0.0, 20.0, 0.0]) == 1012
+    assert count(box, [0.0, 20.0, 0.0]) == 1012
 
 
 def test_predicted_count_inverse_square():
     box = Bbox3(**CAR)
-    assert predict_visible_points(box, [0.0, 40.0, 0.0]) == 253
-    assert predict_visible_points(box, [0.0, 50.0, 0.0]) == 162
+    assert count(box, [0.0, 40.0, 0.0]) == 253
+    assert count(box, [0.0, 50.0, 0.0]) == 162
 
 
 def test_predicted_count_out_of_range():
     box = Bbox3(**CAR)
-    assert predict_visible_points(box, [0.0, 60.0, 0.0]) == 0
+    assert count(box, [0.0, 60.0, 0.0]) == 0
 
 
 def test_predicted_count_capped():
     box = Bbox3(**CAR)
-    assert predict_visible_points(box, [0.0, 1.2, 0.0]) == 240000
+    assert count(box, [0.0, 1.2, 0.0]) == 240000
 
 
 def test_predicted_count_viewer_inside_raises():
     box = Bbox3(**CAR)
     with pytest.raises(InvalidViewpointError):
-        predict_visible_points(box, [0.5, 0.2, 0.1])
+        count(box, [0.5, 0.2, 0.1])
 
 
 def test_subspace_counts_split_between_facing_quadrants():
     box = Bbox3(**CAR)
-    counts = predict_subspace_counts(box, [0.0, 20.0, 0.0])
+    counts = quadrant_counts(box, [0.0, 20.0, 0.0])
     assert counts.sum() == 1012
     assert counts[0] == counts[2] == 506
     assert counts[1] == counts[3] == 0
@@ -96,14 +109,69 @@ def test_subspace_counts_split_between_facing_quadrants():
 def test_subspace_counts_diagonal_single_quadrant():
     box = Bbox3(**CAR)
     viewer = [20.0, 20.0, 0.0]
-    counts = predict_subspace_counts(box, viewer)
+    counts = quadrant_counts(box, viewer)
     assert np.count_nonzero(counts) == 1
-    assert counts[0] == predict_visible_points(box, viewer)
+    assert counts[0] == count(box, viewer)
 
 
 def test_subspace_counts_out_of_range_all_zero():
     box = Bbox3(**CAR)
-    assert predict_subspace_counts(box, [0.0, 60.0, 0.0]).tolist() == [0] * 4
+    assert quadrant_counts(box, [0.0, 60.0, 0.0]).tolist() == [0] * 4
+
+
+def test_counts_empty_batch():
+    totals, quadrants = predict_counts(np.empty((0, 3)), np.empty((0, 3)), [], np.empty((0, 3)))
+    assert totals.shape == (0,) and quadrants.shape == (0, 4)
+
+
+def test_counts_match_per_pair_oracle():
+    """Seeded scan: the batch equals the per-pair predictor on every pair."""
+    rng = np.random.default_rng(2024)
+    n = 60000
+    centers = rng.uniform(-30.0, 30.0, size=(n, 3))
+    extents = rng.uniform(0.3, 6.0, size=(n, 3))
+    yaws = rng.uniform(-4.0, 4.0, size=n)
+    direction = rng.normal(size=(n, 3))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    viewers = centers + direction * rng.uniform(0.5, 70.0, size=(n, 1))
+    kind = np.arange(n) % 6
+    # diagonal in the frame of an unrotated box: exactly one facing quadrant
+    s = rng.uniform(5.0, 40.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+    t = rng.choice([-1.0, 1.0], size=n)
+    viewers[kind == 1] = (centers + np.column_stack([s, t * s, rng.uniform(-3, 3, n)]))[kind == 1]
+    yaws[kind == 1] = 0.0
+    # straight above the center: all four quadrants
+    viewers[kind == 2] = (centers + np.column_stack([np.zeros(n), np.zeros(n),
+                                                     rng.uniform(3.5, 30.0, n)]))[kind == 2]
+    # beyond the sensing range
+    viewers[kind == 3] = (centers + direction * rng.uniform(50.5, 90.0, (n, 1)))[kind == 3]
+    # just outside a face, so the count hits POINT_CAP
+    viewers[kind == 4] = (centers + np.column_stack([np.zeros(n), extents[:, 1] / 2 + 0.05,
+                                                     np.zeros(n)]))[kind == 4]
+    yaws[kind == 4] = 0.0
+    boxes = [Bbox3(center=c, extent=e, yaw=y) for c, e, y in zip(centers, extents, yaws)]
+    outside = np.array([not (b.contains(v)[0]) for b, v in zip(boxes, viewers)])
+    keep = np.flatnonzero(outside)
+    assert len(keep) >= 50000
+    totals, quadrants = predict_counts(
+        centers[keep], extents[keep], [boxes[i].yaw for i in keep], viewers[keep])
+    want_totals = [predict_visible_points(boxes[i], viewers[i]) for i in keep]
+    want_quadrants = np.array([predict_subspace_counts(boxes[i], viewers[i]) for i in keep])
+    assert totals.tolist() == want_totals
+    assert np.array_equal(quadrants, want_quadrants)
+    # every special case is represented
+    facing = np.count_nonzero(quadrants, axis=1)
+    assert (facing[kind[keep] == 1] == 1).sum() > 5000
+    assert (facing[kind[keep] == 2] == 4).sum() > 5000
+    assert (totals[kind[keep] == 3] == 0).all()
+    assert (totals == POINT_CAP).sum() > 2000
+    # a viewer inside a box fails the whole batch, as it fails the oracle
+    inside = np.flatnonzero(~outside)[0]
+    with pytest.raises(InvalidViewpointError):
+        predict_visible_points(boxes[inside], viewers[inside])
+    with pytest.raises(InvalidViewpointError):
+        predict_counts(centers[[keep[0], inside]], extents[[keep[0], inside]],
+                       [boxes[keep[0]].yaw, boxes[inside].yaw], viewers[[keep[0], inside]])
 
 
 # ---------------------------------------------------------------------------

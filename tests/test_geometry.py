@@ -367,15 +367,58 @@ def test_subspace_partition_covers_box():
     assert vol == pytest.approx(float(np.prod(box.extent)))
 
 
+def _facing(box, viewer):
+    local, _ = geo.box_frame_offsets(box.center[None, :], np.array([box.yaw]),
+                                     np.asarray(viewer, dtype=np.float64)[None, :])
+    return np.flatnonzero(geo.facing_quadrant_mask(local)[0]).tolist()
+
+
 def test_facing_quadrants_hand_cases():
     box = _car_box()
     # dead ahead along +length: the two front quadrants
-    assert geo.facing_quadrants(box, [30.0, 0.0, 0.0]) == [0, 1]
+    assert _facing(box, [30.0, 0.0, 0.0]) == [0, 1]
     # from the +width side: the two +w quadrants
-    assert geo.facing_quadrants(box, [0.0, 30.0, 0.0]) == [0, 2]
+    assert _facing(box, [0.0, 30.0, 0.0]) == [0, 2]
     # diagonal: the single corner quadrant
-    assert geo.facing_quadrants(box, [30.0, 30.0, 0.0]) == [0]
-    assert len(geo.facing_quadrants(box, [-30.0, -10.0, 0.0])) <= 2
+    assert _facing(box, [30.0, 30.0, 0.0]) == [0]
+    assert len(_facing(box, [-30.0, -10.0, 0.0])) <= 2
+    # straight above the center: degenerate, all four
+    assert _facing(box, [0.0, 0.0, 30.0]) == [0, 1, 2, 3]
+
+
+def test_box_frame_offsets_match_to_box():
+    rng = np.random.default_rng(8)
+    boxes = [_car_box(center=tuple(rng.uniform(-30, 30, 3)), yaw=float(rng.uniform(-4, 4)))
+             for _ in range(200)]
+    viewers = rng.uniform(-60, 60, size=(200, 3))
+    local, dist = geo.box_frame_offsets(np.array([b.center for b in boxes]),
+                                        np.array([b.yaw for b in boxes]), viewers)
+    for b, v, lo, d in zip(boxes, viewers, local, dist):
+        assert np.allclose(lo, b.to_box(v[None, :])[0], rtol=0, atol=1e-12)
+        assert d == pytest.approx(np.linalg.norm(v - b.center), rel=1e-15)
+
+
+def test_projected_areas_match_per_box_routine():
+    rng = np.random.default_rng(9)
+    boxes = [geo.Bbox3(center=rng.uniform(-10, 10, 3), extent=rng.uniform(0.2, 5, 3),
+                       yaw=float(rng.uniform(-4, 4))) for _ in range(300)]
+    pairs = [(b, b.center + rng.normal(size=3) * 20) for b in boxes]
+    boxes, viewers = zip(*[(b, v) for b, v in pairs if not b.contains(v)[0]])
+    viewers = np.array(viewers)
+    centers = np.array([b.center for b in boxes])
+    extents = np.array([b.extent for b in boxes])
+    local, dist = geo.box_frame_offsets(centers, np.array([b.yaw for b in boxes]), viewers)
+    got = geo.projected_areas(local, dist, extents)
+    want = [geo.projected_area(b, v) for b, v in zip(boxes, viewers)]
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_projected_areas_viewer_inside_raises():
+    box = _car_box()
+    local, dist = geo.box_frame_offsets(box.center[None, :], np.array([box.yaw]),
+                                        np.array([[0.5, 0.2, 0.1]]))
+    with pytest.raises(InvalidViewpointError):
+        geo.projected_areas(local, dist, box.extent[None, :])
 
 
 # ---------------------------------------------------------------------------

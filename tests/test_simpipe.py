@@ -47,6 +47,7 @@ from coopsim.simpipe import (
     write_frame_csv,
 )
 from coopsim.tracking import kalman_init
+from oracles import DictGlobalMap, greedy_dedup
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +310,78 @@ def test_map_dedup_keeps_smaller_gid():
     gmap._next_id = 10
     gmap.commit_frame([], t=0.1)
     assert sorted(gmap.entries) == [4]
+
+
+def test_map_gate_distance_is_not_a_match():
+    gmap = GlobalMap()
+    gids = gmap.commit_frame(
+        [(_desc_at(0.0, 0.0), True, 0.0), (_desc_at(3.0, 0.0, obj_id=1), True, 0.0)], t=0.0)
+    assert gids == [0, 1]
+
+
+def test_map_equal_distances_go_to_smallest_id():
+    gmap = GlobalMap(gate=1.5)
+    gids = gmap.commit_frame([(_desc_at(1.0, 0.0, obj_id=1), True, 0.0),
+                              (_desc_at(-1.0, 0.0), True, 0.0),
+                              (_desc_at(0.0, 0.0, obj_id=2), True, 0.0)], t=0.0)
+    assert gids == [0, 1, 0]
+
+
+def test_map_same_new_object_from_two_cavs_matches_oracle():
+    items = [(_desc_at(10.0, 5.0, obj_id=3), True, 0.1),
+             (_desc_at(20.0, 5.0, obj_id=4), True, 0.1),
+             (_desc_at(10.3, 5.1, obj_id=3), False, 0.0)]
+    gmap, oracle = GlobalMap(), DictGlobalMap()
+    gids = gmap.commit_frame(items, t=0.0)
+    assert gids == oracle.commit_frame(items, t=0.0) == [0, 1, 0]
+    assert len(gmap) == len(oracle) == 2
+
+
+def test_map_dedup_chain_matches_oracle():
+    # a-b and b-c are closer than dedup_m, a-c is not: a drops b, so c survives
+    gmap = GlobalMap()
+    positions = {2: [0.0, 0.0], 5: [0.08, 0.0], 7: [0.16, 0.0], 8: [0.2, 0.05]}
+    for gid, pos in positions.items():
+        gmap.entries[gid] = MapEntry(kalman=kalman_init(np.array(pos), 0.0),
+                                     descriptor=_desc_at(*pos), last_seen=0.0)
+    gmap._next_id = 9
+    gmap.commit_frame([], t=0.1)
+    assert sorted(gmap.entries) == [2, 7]
+    assert sorted(set(positions) - greedy_dedup(positions, gmap.dedup_m)) == [2, 7]
+
+
+def test_map_matches_dict_oracle_over_frames():
+    """Random frames, with near-duplicate reports and entries coming and going:
+    the array map assigns the same ids and keeps the same states as the oracle."""
+    rng = np.random.default_rng(44)
+    for _ in range(20):
+        gmap, oracle = GlobalMap(), DictGlobalMap()
+        objects = rng.uniform(0.0, 20.0, size=(12, 2))
+        velocity = rng.normal(0.0, 5.0, size=(12, 2))
+        visible = rng.uniform(0.1, 0.9, size=12)
+        for k in range(30):
+            t = round(k * FRAME_PERIOD_S, 6)
+            seen = np.flatnonzero(rng.uniform(size=12) < visible)
+            reports = [(int(j), objects[j] + velocity[j] * t + rng.normal(0.0, 0.08, 2))
+                       for j in seen for _ in range(int(rng.integers(1, 4)))]
+            order = rng.permutation(len(reports))
+            items, copies = [], []
+            for i in order:
+                j, (x, y) = reports[i]
+                geom, loss = bool(rng.uniform() < 0.7), float(rng.uniform())
+                items.append((_desc_at(x, y, obj_id=j), geom, loss))
+                copies.append((_desc_at(x, y, obj_id=j), geom, loss))
+            assert gmap.commit_frame(items, t) == oracle.commit_frame(copies, t)
+            assert list(gmap.entries) == list(oracle.entries)
+            for gid, entry in gmap.entries.items():
+                want = oracle.entries[gid]
+                assert np.array_equal(entry.kalman.x, want.kalman.x)
+                assert np.array_equal(entry.kalman.p, want.kalman.p)
+                assert (entry.has_geometry, entry.last_loss, entry.last_seen) == \
+                    (want.has_geometry, want.last_loss, want.last_seen)
+            pred, want = gmap.predicted_positions(t + 0.05), oracle.predicted_positions(t + 0.05)
+            assert list(pred) == list(want)
+            assert all(np.array_equal(pred[g], want[g]) for g in pred)
 
 
 def test_map_retires_stale_entries():

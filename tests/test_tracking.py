@@ -11,8 +11,9 @@ from coopsim.tracking import (
     kalman_correct,
     kalman_init,
     kalman_predict,
-    predictive_match,
+    nearest_rows,
 )
+from oracles import predictive_match
 
 
 # ---------------------------------------------------------------------------
@@ -88,29 +89,60 @@ def test_predict_rejects_negative_dt():
 # predictive matching
 
 
+def match(position, predicted: dict, gate: float = 3.0):
+    """nearest_rows over the predictions held in id order, mapped back to an id."""
+    ids = sorted(predicted)
+    row = int(nearest_rows([predicted[i] for i in ids], position, gate)[0])
+    return None if row < 0 else ids[row]
+
+
 def test_match_prefers_nearer_predicted_track():
     predicted = {1: (0.0, 0.0), 2: (1.0, 0.0)}
-    assert predictive_match((0.9, 0.0), predicted) == 2
-    assert predictive_match((0.1, 0.0), predicted) == 1
+    assert match((0.9, 0.0), predicted) == 2
+    assert match((0.1, 0.0), predicted) == 1
 
 
 def test_match_crossing_tracks():
     # two tracks heading through the same point; the observation sits just
     # past the crossing on track 5's side
     predicted = {5: (1.0, 1.0), 9: (1.0, -1.0)}
-    assert predictive_match((1.0, 0.4), predicted) == 5
+    assert match((1.0, 0.4), predicted) == 5
 
 
 def test_match_gate_rejects_far_observation():
-    assert predictive_match((10.0, 10.0), {1: (0.0, 0.0)}, gate=3.0) is None
+    assert match((10.0, 10.0), {1: (0.0, 0.0)}, gate=3.0) is None
     # boundary: exactly at the gate is rejected (strict inequality)
-    assert predictive_match((3.0, 0.0), {1: (0.0, 0.0)}, gate=3.0) is None
+    assert match((3.0, 0.0), {1: (0.0, 0.0)}, gate=3.0) is None
+    assert match((0.0, 1.5), {1: (0.0, 0.0)}, gate=1.5) is None
+    assert match((0.0, 1.4999), {1: (0.0, 0.0)}, gate=1.5) == 1
 
 
 def test_match_tie_breaks_to_smallest_id():
     predicted = {4: (0.0, 0.0), 2: (2.0, 0.0)}
-    assert predictive_match((1.0, 0.0), predicted) == 2
+    assert match((1.0, 0.0), predicted) == 2
+    # four tracks at equal distance around the observation
+    ring = {7: (1.0, 0.0), 3: (0.0, 1.0), 5: (-1.0, 0.0), 6: (0.0, -1.0)}
+    assert match((0.0, 0.0), ring) == 3
 
+
+def test_match_empty_map():
+    assert nearest_rows(np.empty((0, 2)), [[1.0, 2.0], [3.0, 4.0]]).tolist() == [-1, -1]
+
+
+def test_nearest_rows_matches_dict_oracle():
+    # coarse grid coordinates make exact ties and exact-gate distances common
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        n = int(rng.integers(0, 12))
+        ids = sorted(rng.choice(1000, size=n, replace=False).tolist())
+        points = rng.integers(-6, 7, size=(n, 2)) * 0.5
+        queries = rng.integers(-6, 7, size=(20, 2)) * 0.5
+        gate = float(rng.choice([0.5, 1.0, 3.0]))
+        rows = nearest_rows(points, queries, gate)
+        predicted = dict(zip(ids, points))
+        for q, row in zip(queries, rows):
+            want = predictive_match(q, predicted, gate)
+            assert (None if row < 0 else ids[row]) == want
 
 # ---------------------------------------------------------------------------
 # hybrid localization
