@@ -12,7 +12,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -59,21 +59,21 @@ def version_string() -> str:
     return __version__
 
 
-@dataclass
-class RunManifest:
-    config: str
-    trace: str
-    policy: str
-    out_dir: str
-    seed: int
-    version: str
+def _write_json(path, rec: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(rec, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
-    def write(self, path) -> None:
-        rec = {"config": self.config, "trace": self.trace, "policy": self.policy,
-               "out_dir": self.out_dir, "seed": self.seed, "version": self.version}
-        with open(path, "w") as fh:
-            json.dump(rec, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+
+def _write_atomic(path: str, write, *args) -> None:
+    """``write(tmp_path, *args)``, then move the finished file into place."""
+    tmp = path + ".tmp"
+    try:
+        write(tmp, *args)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _require_fresh(path: str, force: bool) -> None:
@@ -114,9 +114,7 @@ def cmd_gen_trace(args) -> int:
         "visible_per_cav_hist": {str(i): int(n) for i, n in enumerate(hist) if n},
         "visible_per_cav_mean": float(np.mean(per_cav)) if per_cav else 0.0,
     }
-    with open(args.out + ".stats.json", "w") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out + ".stats.json", stats)
     print(f"wrote {args.out} ({args.cavs} cavs x {args.frames} frames, "
           f"mean visible {stats['visible_per_cav_mean']:.1f})")
     return EXIT_OK
@@ -135,11 +133,39 @@ def cmd_profile(args) -> int:
     ds.save(args.out)
     meta = {"mode": args.mode, "samples": samples, "seed": 0,
             "version": version_string()}
-    with open(args.out + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out + ".meta.json", meta)
     print(f"wrote {args.out} ({len(ds.keys())} keys, {samples} samples each)")
     return EXIT_OK
+
+
+def run_to_dir(cfg: RunConfig, trace, dataset, out_dir: str, config_name: str,
+               trace_name: str) -> dict:
+    """Run ``trace`` into the existing ``out_dir``; returns the summary.
+
+    ``manifest.json`` reads "running" until ``frames.csv`` and
+    ``summary.json`` are in place, then "complete".  A run that raises is
+    marked "failed" with its error, leaves neither output file, and the
+    exception propagates.
+    """
+    manifest = {"config": config_name, "trace": trace_name, "policy": cfg.policy,
+                "out_dir": out_dir, "seed": cfg.seed, "version": version_string()}
+    path = os.path.join(out_dir, "manifest.json")
+
+    def mark(status: str, **extra) -> None:
+        _write_atomic(path, _write_json, {**manifest, "status": status, **extra})
+
+    mark("running")
+    try:
+        result = run_simulation(trace, cfg, dataset)
+        summary = collect_metrics(result)
+        summary["version"] = manifest["version"]
+        _write_atomic(os.path.join(out_dir, "frames.csv"), write_frame_csv, result.rows)
+        _write_atomic(os.path.join(out_dir, "summary.json"), write_summary, summary)
+    except Exception as exc:
+        mark("failed", error=f"{type(exc).__name__}: {exc}")
+        raise
+    mark("complete")
+    return summary
 
 
 def cmd_run(args) -> int:
@@ -148,15 +174,8 @@ def cmd_run(args) -> int:
     trace = load_trace(args.trace)
     dataset = load_dataset(cfg)
     _make_out_dir(args.out, args.force)
-    manifest = RunManifest(config=args.config or "<defaults>", trace=args.trace,
-                           policy=cfg.policy, out_dir=args.out, seed=cfg.seed,
-                           version=version_string())
-    manifest.write(os.path.join(args.out, "manifest.json"))
-    result = run_simulation(trace, cfg, dataset)
-    summary = collect_metrics(result)
-    summary["version"] = manifest.version
-    write_frame_csv(os.path.join(args.out, "frames.csv"), result.rows)
-    write_summary(os.path.join(args.out, "summary.json"), summary)
+    summary = run_to_dir(cfg, trace, dataset, args.out,
+                         config_name=args.config or "<defaults>", trace_name=args.trace)
     infeasible = summary["infeasible_cav_frames"]
     if infeasible:
         print(f"note: {infeasible} CAV-frames had no feasible compression point",
@@ -167,27 +186,15 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _sweep_worker(payload) -> dict:
-    cfg, trace_spec, out_dir, param, value, dataset = payload
-    if trace_spec[0] == "path":
-        trace = load_trace(trace_spec[1])
-        trace_name = trace_spec[1]
-    else:
-        _, cavs, frames, seed = trace_spec
-        trace = generate_trace(cavs, frames, seed=seed)
-        trace_name = f"<generated cavs={cavs} frames={frames} seed={seed}>"
+def _sweep_worker(job) -> dict:
+    cfg, trace, trace_name, dataset, out_dir, param, value, frames = job
+    if trace is None:  # a cavs sweep generates each fleet's trace in its own job
+        trace = generate_trace(value, frames, seed=cfg.seed)
     os.makedirs(out_dir, exist_ok=True)
-    manifest = RunManifest(config="<sweep>", trace=trace_name, policy=cfg.policy,
-                           out_dir=out_dir, seed=cfg.seed,
-                           version=version_string())
-    manifest.write(os.path.join(out_dir, "manifest.json"))
-    result = run_simulation(trace, cfg, dataset)
-    summary = collect_metrics(result)
-    summary["version"] = manifest.version
-    write_frame_csv(os.path.join(out_dir, "frames.csv"), result.rows)
-    write_summary(os.path.join(out_dir, "summary.json"), summary)
+    summary = run_to_dir(cfg, trace, dataset, out_dir, config_name="<sweep>",
+                         trace_name=trace_name)
     row = {"param": param, "value": value, "policy": cfg.policy,
-           "seed": cfg.seed, "version": manifest.version}
+           "seed": cfg.seed, "version": summary["version"]}
     for key in SWEEP_COLUMNS[5:]:
         row[key] = summary[key]
     return row
@@ -196,40 +203,40 @@ def _sweep_worker(payload) -> dict:
 def cmd_sweep(args) -> int:
     if len(args.values) < 2:
         raise ConfigError("sweep needs at least two --values")
+    if args.frames < 1 or args.cavs < 1:
+        raise ConfigError("--cavs and --frames must be >= 1")
     base = _load_config(args)
     if args.param == "cavs":
         values = []
         for v in args.values:
-            if float(v) != int(float(v)):
-                raise ConfigError(f"cavs values must be integers, got {v}")
+            if float(v) != int(float(v)) or int(float(v)) < 1:
+                raise ConfigError(f"cavs values must be integers >= 1, got {v}")
             values.append(int(float(v)))
     else:
         values = [float(v) for v in args.values]
     # the swept values leave rf_set and dataset_path alone: one check, one load
     dataset = load_dataset(base)
+    # a trace file is read and checked before the sweep directory exists
+    base_trace = load_trace(args.trace) if args.trace and args.param != "cavs" else None
 
     _make_out_dir(args.out, args.force)
-    if args.param == "cavs":
-        trace_specs = [("gen", v, args.frames, base.seed) for v in values]
-    else:
-        if args.trace:
-            spec = ("path", args.trace)
-        else:
-            path = os.path.join(args.out, "base_trace.jsonl")
-            save_trace(path, generate_trace(args.cavs, args.frames, seed=base.seed))
-            spec = ("path", path)
-        trace_specs = [spec] * len(values)
+    trace_name = args.trace
+    if args.param != "cavs" and base_trace is None:
+        trace_name = os.path.join(args.out, "base_trace.jsonl")
+        save_trace(trace_name, generate_trace(args.cavs, args.frames, seed=base.seed))
+        base_trace = load_trace(trace_name)
 
     jobs = []
-    for value, spec in zip(values, trace_specs):
+    for value in values:
+        cfg, trace = base, base_trace
         if args.param == "bandwidth":
             cfg = replace(base, bandwidth_hz=value)
         elif args.param == "H":
             cfg = replace(base, H_ms=value)
         else:
-            cfg = base
+            trace_name = f"<generated cavs={value} frames={args.frames} seed={base.seed}>"
         sub = os.path.join(args.out, f"{args.param}-{value:g}")
-        jobs.append((cfg, spec, sub, args.param, value, dataset))
+        jobs.append((cfg, trace, trace_name, dataset, sub, args.param, value, args.frames))
 
     workers = max(1, int(os.environ.get(WORKERS_ENV, "1")))
     if workers == 1:

@@ -109,7 +109,7 @@ def select_objects(counts_by_cav: dict, threshold: float = DENSITY_THRESHOLD) ->
 
 
 # ---------------------------------------------------------------------------
-# fidelity / latency models
+# optimizer inputs and the lockstep RF search
 
 
 @dataclass
@@ -122,22 +122,6 @@ class ObjectTask:
     @property
     def bucket(self) -> int:
         return bucket_index(self.raw_count)
-
-
-@dataclass
-class ControlDecision:
-    tasks: list
-    alpha: np.ndarray  # selection indicator per task
-    rfs: np.ndarray  # representation factor per task, meaningful where alpha
-
-    def selected(self):
-        return [(t, int(r)) for t, a, r in zip(self.tasks, self.alpha, self.rfs) if a]
-
-
-@dataclass
-class FidelityModel:
-    dataset: MeasurementDataset
-    beta: float = 1e-4  # informational; the stored losses already include it
 
 
 @dataclass
@@ -167,7 +151,6 @@ class OptimizerConfig:
     dual_step: float = 5.0
     lam0: float = 1.0
     mc_samples: int = 64
-    seed: int = 0
     rf_set: tuple = RF_SET
     diagnostics: bool = False  # also record the Lagrangian after every step
 
@@ -178,15 +161,6 @@ class OptimizerConfig:
             raise ConfigError("H and step sizes must be positive")
         if self.mc_samples < 1 or self.deviations < 1:
             raise ConfigError("sample counts must be >= 1")
-
-
-def expected_fidelity(decision: ControlDecision, model: FidelityModel,
-                      ) -> float:
-    """Sum of mean negative loss over the selected objects."""
-    total = 0.0
-    for task, rf in decision.selected():
-        total -= model.dataset.mean_loss(rf, task.bucket)
-    return total
 
 
 class _Scenarios:
@@ -309,21 +283,6 @@ def _sample_tables(loss_ds: MeasurementDataset, time_ds: MeasurementDataset,
     return levels, mean_tab, time_tab, count_tab
 
 
-def estimate_latency_prob(decision: ControlDecision, inputs: LatencyInputs,
-                          h_s: float, s: int = 64, seed: int = 0) -> float:
-    """Monte Carlo Prob(frame latency <= H) for a discrete decision."""
-    chosen = decision.selected()
-    if not chosen:
-        return 1.0
-    tasks = [t for t, _ in chosen]
-    rfs = np.array([r for _, r in chosen], dtype=np.float64)
-    levels = sorted(set(int(r) for r in rfs))
-    tables = _sample_tables(inputs.dataset, inputs.dataset, levels,
-                            sorted({t.bucket for t in tasks}))
-    sc = _Scenarios.draw([RFProblem(tasks, inputs, seed)], tables, s)
-    return float(sc.at(np.log2(rfs)[None, :], h_s)[1][0])
-
-
 @dataclass
 class OptimizeResult:
     rfs: np.ndarray
@@ -346,17 +305,7 @@ class RFProblem:
     seed: int
 
 
-def optimize_rf(tasks, fidelity: FidelityModel, inputs: LatencyInputs,
-                cfg: OptimizerConfig) -> OptimizeResult:
-    """Approximated gradient ascent over continuous log2 RFs, dual on latency.
-
-    A batch of one for ``optimize_rf_batch``, seeded with ``cfg.seed``.
-    """
-    return optimize_rf_batch([RFProblem(list(tasks), inputs, cfg.seed)],
-                             fidelity, cfg)[0]
-
-
-def optimize_rf_batch(problems, fidelity: FidelityModel,
+def optimize_rf_batch(problems, loss_dataset: MeasurementDataset,
                       cfg: OptimizerConfig) -> list:
     """Solve a frame's per-CAV RF subproblems in lockstep.
 
@@ -368,15 +317,16 @@ def optimize_rf_batch(problems, fidelity: FidelityModel,
     even at maximum compression the result carries every object at r_max and
     an infeasible flag.
 
-    Subproblems with the same task count and latency model step together, one
-    numpy call per step for the whole group.  Each keeps its own random
-    streams, seeded by ``RFProblem.seed`` in place of ``cfg.seed``, and the
-    per-row arithmetic of a group is that of a group of one, so every result
-    is a pure function of its own subproblem.  Results come back in the order
-    of ``problems``.
+    Mean losses per (rf, bucket) come from ``loss_dataset``, encode and
+    decode times from each subproblem's ``inputs.dataset``.  Subproblems with
+    the same task count and latency model step together, one numpy call per
+    step for the whole group.  Each keeps its own random streams, seeded by
+    ``RFProblem.seed``, and the per-row arithmetic of a group is that of a
+    group of one, so every result is a pure function of its own subproblem.
+    Results come back in the order of ``problems``.
     """
     if any(not p.tasks for p in problems):
-        raise ConfigError("optimize_rf needs at least one task")
+        raise ConfigError("every RF subproblem needs at least one task")
     levels = sorted(cfg.rf_set)
     groups: dict = {}
     for i, p in enumerate(problems):
@@ -391,7 +341,7 @@ def optimize_rf_batch(problems, fidelity: FidelityModel,
         group = [problems[i] for i in idx]
         time_ds = group[0].inputs.dataset
         if id(time_ds) not in tables:
-            tables[id(time_ds)] = _sample_tables(fidelity.dataset, time_ds, levels, buckets)
+            tables[id(time_ds)] = _sample_tables(loss_dataset, time_ds, levels, buckets)
         sc = _Scenarios.draw(group, tables[id(time_ds)], cfg.mc_samples)
         for i, res in zip(idx, _solve_group(group, sc, levels, cfg)):
             results[i] = res

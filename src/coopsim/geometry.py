@@ -1,19 +1,15 @@
-"""Geometric core: frames and transforms, boxes, cloud metrics, surface sampling.
+"""Geometric core: boxes, cloud metrics, surface sampling, box/viewer kernels.
 
 Conventions used throughout the package:
 
 * Points are float64 arrays of shape (N, 3).
-* Homogeneous transforms are 4x4 and act on column vectors,
-  ``p_global = T @ [x, y, z, 1]``.
-* The local->global rotation composes yaw about Z, then pitch about Y, then
-  roll about X (applied right to left), i.e. ``R = Rz(yaw) @ Ry(pitch) @ Rx(roll)``.
 * Box yaw rotates the length axis away from +X in the ground plane.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -27,10 +23,6 @@ GLOBAL_FRAME = "global"
 EMD_EXACT_LIMIT = 256  # auto switches to the approximation above this size
 EMD_DENSE_LIMIT = 2048  # approximation solves the full problem up to this size
 EMD_SUBSAMPLE = 512  # representatives matched beyond the dense limit
-
-
-def local_frame(cav_id: int) -> str:
-    return f"local:{cav_id}"
 
 
 @dataclass
@@ -98,57 +90,6 @@ class Bbox3:
     def contains(self, points: np.ndarray) -> np.ndarray:
         local = self.to_box(np.atleast_2d(points))
         return (np.abs(local) <= self.extent / 2.0 + 1e-12).all(axis=1)
-
-    def corners(self) -> np.ndarray:
-        signs = np.array(
-            [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-            dtype=np.float64,
-        )
-        return self.center + (signs * self.extent / 2.0) @ self.axes()
-
-
-# ---------------------------------------------------------------------------
-# transforms
-
-
-def build_transform(pose: Pose) -> np.ndarray:
-    """Local-to-global homogeneous transform for a vehicle pose."""
-    cp, sp = math.cos(pose.pitch), math.sin(pose.pitch)
-    cr, sr = math.cos(pose.roll), math.sin(pose.roll)
-    cy, sy = math.cos(pose.yaw), math.sin(pose.yaw)
-    return np.array(
-        [
-            [cp * cy, -cr * sy + cy * sp * sr, cr * cy * sp + sr * sy, pose.x],
-            [cp * sy, cr * cy + sp * sr * sy, cr * sp * sy - cy * sr, pose.y],
-            [-sp, cp * sr, cp * cr, pose.z],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-
-
-def invert_transform(t: np.ndarray) -> np.ndarray:
-    r = t[:3, :3]
-    out = np.eye(4)
-    out[:3, :3] = r.T
-    out[:3, 3] = -r.T @ t[:3, 3]
-    return out
-
-
-def apply_transform(t: np.ndarray, points: np.ndarray) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    out = pts @ t[:3, :3].T + t[:3, 3]
-    return out[0] if single else out
-
-
-def to_global(cloud: PointCloud, t: np.ndarray) -> PointCloud:
-    return PointCloud(apply_transform(t, cloud.points), frame=GLOBAL_FRAME)
-
-
-def to_local(cloud: PointCloud, t: np.ndarray, frame: str = "local") -> PointCloud:
-    """Inverse of :func:`to_global` for the same vehicle transform."""
-    return PointCloud(apply_transform(invert_transform(t), cloud.points), frame=frame)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +237,6 @@ def visible_face_weights(bbox: Bbox3, viewpoint: np.ndarray) -> np.ndarray:
     return weights
 
 
-def projected_area(bbox: Bbox3, viewpoint: np.ndarray) -> float:
-    """Viewer-facing projected area of the box, in square meters."""
-    return float(visible_face_weights(bbox, viewpoint).sum())
-
-
 def sample_visible_surface(bbox: Bbox3, viewpoint, n: int, seed: int) -> PointCloud:
     """Sample n points on the faces of the box visible from the viewpoint.
 
@@ -337,39 +273,10 @@ def sample_visible_surface(bbox: Bbox3, viewpoint, n: int, seed: int) -> PointCl
 
 
 # ---------------------------------------------------------------------------
-# sub-space partition (ground-plane quadrants, full height)
+# many (box, viewer) pairs at once: projected areas and facing quadrants
 
-# quadrant order: (+l,+w), (+l,-w), (-l,+w), (-l,-w)
+# ground-plane quadrants of a box, full height: (+l,+w), (+l,-w), (-l,+w), (-l,-w)
 _QUADRANT_SIGNS = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.float64)
-
-
-def subspace_partition(bbox: Bbox3) -> list[Bbox3]:
-    """Split the box into 4 yaw-aligned ground-plane quadrants, full height."""
-    axes = bbox.axes()
-    half = bbox.extent / 2.0
-    out = []
-    for sx, sy in _QUADRANT_SIGNS:
-        offset = (sx * half[0] / 2.0) * axes[0] + (sy * half[1] / 2.0) * axes[1]
-        out.append(
-            Bbox3(
-                center=bbox.center + offset,
-                extent=np.array([half[0], half[1], bbox.extent[2]]),
-                yaw=bbox.yaw,
-            )
-        )
-    return out
-
-
-def subspace_index(bbox: Bbox3, points: np.ndarray) -> np.ndarray:
-    """Quadrant id (0..3) per point; boundaries belong to the positive side."""
-    local = bbox.to_box(np.atleast_2d(points))
-    ge_l = local[:, 0] >= 0
-    ge_w = local[:, 1] >= 0
-    return np.where(ge_l, np.where(ge_w, 0, 1), np.where(ge_w, 2, 3)).astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
-# many (box, viewer) pairs at once: closed forms of the per-box routines above
 
 
 def box_frame_offsets(centers, yaws, viewers):
@@ -388,7 +295,8 @@ def box_frame_offsets(centers, yaws, viewers):
 
 
 def projected_areas(local, dist, extents) -> np.ndarray:
-    """projected_area over N pairs, from their box-frame offsets and ranges.
+    """Viewer-facing projected area of N boxes, in m^2, from their box-frame
+    offsets and ranges (visible_face_weights summed, in closed form).
 
     A viewer sees at most one face per axis, the one whose plane it lies
     beyond; that face weighs its area times the cosine |offset| / range.
@@ -414,18 +322,3 @@ def facing_quadrant_mask(local) -> np.ndarray:
     facing = local[:, :2] @ _QUADRANT_SIGNS.T > 1e-12
     facing[~facing.any(axis=1)] = True
     return facing
-
-
-# ---------------------------------------------------------------------------
-# flat binary serialization: little-endian float32 xyz triplets
-
-
-def save_cloud_bin(path, cloud: PointCloud) -> None:
-    np.asarray(cloud.points, dtype="<f4").tofile(path)
-
-
-def load_cloud_bin(path, frame: str = GLOBAL_FRAME) -> PointCloud:
-    raw = np.fromfile(path, dtype="<f4")
-    if raw.size % 3 != 0:
-        raise ValueError(f"file length {raw.size} not a multiple of 3 floats")
-    return PointCloud(raw.reshape(-1, 3).astype(np.float64), frame=frame)

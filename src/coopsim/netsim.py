@@ -129,13 +129,6 @@ def sector_index(position, radio: RadioConfig) -> int:
     return int(az // (2.0 * math.pi / radio.sectors)) % radio.sectors
 
 
-def sector_sharers(positions, radio: RadioConfig) -> np.ndarray:
-    """Per-CAV count of active CAVs assigned to the same sector (incl. itself)."""
-    ids = np.array([sector_index(p, radio) for p in positions], dtype=np.int64)
-    counts = np.bincount(ids, minlength=radio.sectors)
-    return counts[ids]
-
-
 def uplink_ms(payload_bytes: float, rate_bps: float) -> float:
     if payload_bytes <= 0:
         return 0.0

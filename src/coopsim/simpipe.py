@@ -4,16 +4,17 @@ A trace lists, per 0.1 s frame, every vehicle's pose and the other vehicles
 it can see.  For each frame the pipeline runs, per CAV: hybrid localization,
 object selection, RF optimization (policy dependent), byte accounting and
 encode-time charges; then the shared radio and the FCFS edge queue produce a
-latency breakdown, and the decoded descriptors are matched into the global
-map.  Everything derives from the run seed through named child streams, so a
-run is reproducible byte for byte.
+latency breakdown, and each uploaded object's observed position is matched
+into the global map.  Everything derives from the run seed through named
+child streams, so a run is reproducible byte for byte.
 
-Policies
-  adamap              selection + optimized RF per object
-  adamap-lite         all detected objects at the maximum RF
+Policies are the rows of ``_POLICY``; each names what it does at each step
+(selection, RF choice, reuse, upload size):
+  adamap              density-thinned selection, optimized RF per object
+  adamap-lite         every detection, at the maximum RF
   adamap-reuse        adamap, but a 32-byte delta replaces the latent when
                       the map's predicted pose is within 0.5 m
-  select-all-lossless all objects, entropy-coded raw clouds, zero loss
+  select-all-lossless every detection as an entropy-coded raw cloud, zero loss
   blindspot-all       full raw cloud for every object missing from at least
                       one other CAV's view (transmission-size stand-in)
 """
@@ -23,13 +24,12 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .codec import (
     DESCRIPTOR_OVERHEAD_BYTES,
-    Latent,
     MeasurementDataset,
     RAW_OBJECT_BYTES,
     RF_SET,
@@ -42,8 +42,6 @@ from .codec import (
     surrogate_dataset,
 )
 from .control import (
-    N_SUBSPACES,
-    FidelityModel,
     LatencyInputs,
     ObjectTask,
     OptimizerConfig,
@@ -61,7 +59,6 @@ from .geometry import (
     sample_visible_surface,
 )
 from .netsim import (
-    MODULE_TIMES_MS,
     RadioConfig,
     ServerConfig,
     draw_fading,
@@ -78,8 +75,35 @@ from .tracking import (
     transition_matrix,
 )
 
-POLICIES = ("adamap", "adamap-lite", "adamap-reuse",
-            "select-all-lossless", "blindspot-all")
+
+@dataclass(frozen=True)
+class Policy:
+    """What a policy does at each step of ``run_frame``.
+
+    ``select`` is "thin" (density thinning), "all" (every detection) or
+    "blindspot" (every detection that some CAV lacks).  ``rf`` is "optimize"
+    (the per-CAV RF search), "max" (the largest RF of the run) or None (no
+    latent is sent).  ``reuse`` lets a delta replace the upload of an object
+    the map already holds.  ``upload_bytes`` is a fixed per-object payload,
+    or None for a latent at the chosen RF.
+    """
+
+    select: str
+    rf: str | None
+    reuse: bool
+    upload_bytes: int | None
+
+
+_POLICY = {
+    "adamap": Policy(select="thin", rf="optimize", reuse=False, upload_bytes=None),
+    "adamap-lite": Policy(select="all", rf="max", reuse=False, upload_bytes=None),
+    "adamap-reuse": Policy(select="thin", rf="optimize", reuse=True, upload_bytes=None),
+    "select-all-lossless": Policy(select="all", rf=None, reuse=False,
+                                  upload_bytes=lossless_bytes()),
+    "blindspot-all": Policy(select="blindspot", rf=None, reuse=False,
+                            upload_bytes=RAW_OBJECT_BYTES),
+}
+POLICIES = tuple(_POLICY)
 
 FRAME_PERIOD_S = 0.1
 CAR_EXTENT = (4.5, 1.8, 1.5)
@@ -289,96 +313,12 @@ def generate_trace(cav_count: int, frames: int, extent_m: float = 200.0,
 
 
 # ---------------------------------------------------------------------------
-# object descriptors
-
-
-@dataclass
-class ObjectDescriptor:
-    """Wire record for one observed object."""
-
-    obj_id: int  # ground-truth-local id as reported by the CAV
-    location: np.ndarray  # global frame, m
-    yaw: float
-    bbox: Bbox3
-    label: str = "car"
-    confidence: float = 1.0
-    speed: float = 0.0
-    trajectory: np.ndarray = None  # Kalman state [x, y, vx, vy]
-    latent: Latent = None
-    raw_count: int = 0
-    timestamp: float = 0.0
-    global_id: int = None  # filled after server-side matching
-
-    def __post_init__(self):
-        self.location = np.asarray(self.location, dtype=np.float64).reshape(3)
-        if self.trajectory is None:
-            self.trajectory = np.array([self.location[0], self.location[1], 0.0, 0.0])
-        self.trajectory = np.asarray(self.trajectory, dtype=np.float64).reshape(4)
-
-
-def descriptor_to_record(desc: ObjectDescriptor) -> dict:
-    latent = None
-    if desc.latent is not None:
-        latent = {
-            "rf": int(desc.latent.rf),
-            "payload": [float(v) for v in desc.latent.payload],
-            "source_count": int(desc.latent.source_count),
-            "frame": desc.latent.frame,
-        }
-    return {
-        "obj_id": desc.obj_id,
-        "location": [float(v) for v in desc.location],
-        "yaw": desc.yaw,
-        "bbox": {
-            "center": [float(v) for v in desc.bbox.center],
-            "extent": [float(v) for v in desc.bbox.extent],
-            "yaw": desc.bbox.yaw,
-        },
-        "label": desc.label,
-        "confidence": desc.confidence,
-        "speed": desc.speed,
-        "trajectory": [float(v) for v in desc.trajectory],
-        "latent": latent,
-        "raw_count": desc.raw_count,
-        "timestamp": desc.timestamp,
-        "global_id": desc.global_id,
-    }
-
-
-def record_to_descriptor(rec: dict) -> ObjectDescriptor:
-    latent = None
-    if rec["latent"] is not None:
-        latent = Latent(
-            rf=int(rec["latent"]["rf"]),
-            payload=np.asarray(rec["latent"]["payload"], dtype=np.float32),
-            source_count=int(rec["latent"]["source_count"]),
-            frame=rec["latent"]["frame"],
-        )
-    return ObjectDescriptor(
-        obj_id=int(rec["obj_id"]),
-        location=rec["location"],
-        yaw=float(rec["yaw"]),
-        bbox=Bbox3(center=rec["bbox"]["center"], extent=rec["bbox"]["extent"],
-                   yaw=rec["bbox"]["yaw"]),
-        label=rec["label"],
-        confidence=float(rec["confidence"]),
-        speed=float(rec["speed"]),
-        trajectory=rec["trajectory"],
-        latent=latent,
-        raw_count=int(rec["raw_count"]),
-        timestamp=float(rec["timestamp"]),
-        global_id=rec["global_id"],
-    )
-
-
-# ---------------------------------------------------------------------------
 # edge global map
 
 
 @dataclass
 class MapEntry:
     kalman: object
-    descriptor: ObjectDescriptor
     last_seen: float
     has_geometry: bool = False
     last_loss: float = 0.0
@@ -405,13 +345,14 @@ class GlobalMap:
         return out
 
     def commit_frame(self, items, t: float):
-        """Match and fold a frame's descriptors, in the given order.
+        """Match and fold a frame's uploads, in the given order.
 
-        ``items`` is a list of (descriptor, carries_geometry, loss).  Returns
-        the global id assigned to each descriptor.  Matching always runs
-        against the freshest predictions: a matched row takes the corrected
-        position and a new entry appends its row, so two CAVs reporting the
-        same new object within one frame land on a single entry.
+        ``items`` is a list of (observed (2,) position, carries_geometry,
+        loss), one per uploaded object.  Returns the global id assigned to
+        each item.  Matching always runs against the freshest predictions: a
+        matched row takes the corrected position and a new entry appends its
+        row, so two CAVs reporting the same new object within one frame land
+        on a single entry.
         """
         preds = self.predicted_positions(t)
         rows = len(preds)
@@ -420,14 +361,12 @@ class GlobalMap:
         points = np.zeros((len(ids), 2))
         points[:rows] = np.reshape(list(preds.values()), (rows, 2))
         gids = []
-        for desc, has_geom, loss in items:
-            pos = desc.location[:2]
+        for pos, has_geom, loss in items:
             row = int(nearest_rows(points[:rows], pos, self.gate)[0])
             if row < 0:
                 gid = self._next_id
                 self._next_id += 1
-                entry = self.entries[gid] = MapEntry(
-                    kalman=kalman_init(pos, t), descriptor=desc, last_seen=t)
+                entry = self.entries[gid] = MapEntry(kalman=kalman_init(pos, t), last_seen=t)
                 row, rows = rows, rows + 1
                 ids[row] = gid
             else:
@@ -437,12 +376,10 @@ class GlobalMap:
                 if dt > 0:
                     entry.kalman = kalman_predict(entry.kalman, dt)
                 entry.kalman = kalman_correct(entry.kalman, pos)
-                entry.descriptor = desc
                 entry.last_seen = t
             if has_geom:
                 entry.has_geometry = True
                 entry.last_loss = loss
-            desc.global_id = gid
             points[row] = entry.kalman.position
             gids.append(gid)
         self._dedup()
@@ -479,16 +416,6 @@ class GlobalMap:
 # run configuration
 
 
-_CONFIG_KEYS = {
-    "bandwidth_hz", "H_ms", "p", "beta", "rle_threshold_m", "density_threshold",
-    "partitions", "rf_set", "share_mode", "policy", "seed", "dataset_mode",
-    "servers", "sectors", "fading_sigma", "rate_sigma", "carrier_ghz",
-    "tx_power_dbm", "noise_figure_db", "base_station", "h_margin_ms",
-    "outer_iters", "inner_iters", "deviations", "mc_samples", "r_v", "r_e",
-    "dataset_path",
-}
-
-
 def _is_number(value, kind) -> bool:
     """A finite ``kind`` (numbers.Real or numbers.Integral) that is not a bool."""
     return (isinstance(value, kind) and not isinstance(value, bool)
@@ -507,7 +434,6 @@ class RunConfig:
     beta: float = 1e-4
     rle_threshold_m: float = 0.5
     density_threshold: float = 1024.0
-    partitions: int = 4
     rf_set: tuple = RF_SET
     share_mode: str = "fdma"
     policy: str = "adamap"
@@ -550,9 +476,6 @@ class RunConfig:
         if self.dataset_mode not in ("codec", "surrogate"):
             raise ConfigError(f"dataset_mode must be codec or surrogate, "
                               f"got {self.dataset_mode!r}")
-        if self.partitions != N_SUBSPACES:
-            raise ConfigError(f"only {N_SUBSPACES} sub-spaces are supported, "
-                              f"got partitions={self.partitions}")
         if self.H_ms <= 0 or not (0.0 < self.p < 1.0):
             raise ConfigError("H_ms must be positive and p in (0, 1)")
         if self.h_margin_ms < 0 or self.h_margin_ms >= self.H_ms:
@@ -575,19 +498,10 @@ class RunConfig:
                 raise ConfigError(f"config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path}: expected a JSON object")
-        unknown = set(raw) - _CONFIG_KEYS
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
         return cls(**raw)
-
-    def to_json(self, path) -> None:
-        rec = {k: getattr(self, k) for k in sorted(_CONFIG_KEYS)}
-        rec["rf_set"] = list(self.rf_set)
-        if self.base_station is not None:
-            rec["base_station"] = list(self.base_station)
-        with open(path, "w") as fh:
-            json.dump(rec, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +612,7 @@ def _pick_sample(samples: np.ndarray, rng: np.random.Generator) -> float:
 def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
               server: ServerConfig):
     cfg = state.config
+    policy = _POLICY[cfg.policy]
     t = frame.time_s
     fidx = frame.index
     cavs = sorted(frame.cavs, key=lambda c: c.cav_id)
@@ -730,7 +645,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
     detected_pairs = sum(len(v) for v in detectors.values())
 
     transmit: dict = {c.cav_id: [] for c in cavs}  # cav -> [obj_id]
-    if cfg.policy in ("adamap", "adamap-reuse"):
+    if policy.select == "thin":
         # every detection pair, grouped by object, through one count kernel
         pairs = [(obj_id, cav_id) for obj_id in sorted(detectors)
                  for cav_id in detectors[obj_id]]
@@ -747,14 +662,14 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
                 transmit[cav_id].append(obj_id)
         for cav_id in transmit:
             transmit[cav_id].sort()
-    elif cfg.policy == "blindspot-all":
+    elif policy.select == "blindspot":
         for obj_id, seen_by in sorted(detectors.items()):
             if len(seen_by) < n:  # someone lacks this object
                 for cav_id in seen_by:
                     transmit[cav_id].append(obj_id)
         for cav_id in transmit:
             transmit[cav_id].sort()
-    else:  # adamap-lite, select-all-lossless: every detection goes out
+    else:  # "all": every detection goes out
         for cav_id, obs in detected.items():
             transmit[cav_id] = sorted(obs)
     selected_pairs = sum(len(v) for v in transmit.values())
@@ -762,7 +677,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
     # --- per-CAV RF decisions, solved for the whole frame at once ---
     rf_choice: dict = {}  # (cav_id, obj_id) -> rf
     infeasible_cavs = 0
-    if cfg.policy in ("adamap", "adamap-reuse"):
+    if policy.rf == "optimize":
         # frame-0 fallback estimate: assume every CAV shares its sector
         all_counts = np.bincount(
             [sector_index(positions[c.cav_id], state.radio) for c in cavs],
@@ -792,20 +707,20 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
             outer_iters=cfg.outer_iters, inner_iters=cfg.inner_iters,
             deviations=cfg.deviations, mc_samples=cfg.mc_samples,
             rf_set=cfg.rf_set)
-        results = optimize_rf_batch(problems, FidelityModel(dataset, beta=cfg.beta), opt)
+        results = optimize_rf_batch(problems, dataset, opt)
         for cav_id, res in zip(owners, results):
             if res.infeasible:
                 infeasible_cavs += 1
             for obj_id, rf in zip(transmit[cav_id], res.rfs):
                 rf_choice[(cav_id, obj_id)] = int(rf)
-    elif cfg.policy == "adamap-lite":
+    elif policy.rf == "max":
         for cav_id, chosen in transmit.items():
             for obj_id in chosen:
                 rf_choice[(cav_id, obj_id)] = max(cfg.rf_set)
 
     # --- reuse decisions against the broadcast map ---
     reuse: dict = {}  # (cav_id, obj_id) -> matched global id
-    if cfg.policy == "adamap-reuse":
+    if policy.reuse:
         broadcast = state.global_map.predicted_positions(t)
         gids = list(broadcast)
         points = np.reshape(list(broadcast.values()), (-1, 2))
@@ -825,74 +740,44 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
     vehicle_ms = np.zeros(n)
     decode_counts = np.zeros(n, dtype=np.int64)
     object_records = []
-    commit_items: dict = {c.cav_id: [] for c in cavs}
+    commit_items = []  # (observed position, carries geometry, loss), in CAV order
     for idx, cav in enumerate(cavs):
         cav_id = cav.cav_id
         rng_time = np.random.default_rng([cfg.seed, fidx, cav_id, _S_TIME])
         rng_loss = np.random.default_rng([cfg.seed, fidx, cav_id, _S_LOSS])
         for obj_id in transmit[cav_id]:
             tro = obj_lookup[cav_id][obj_id]
-            bucket_count = tro.true_count
-            obs = detected[cav_id][obj_id]
-            reused = (cav_id, obj_id) in reuse
-            rf = rf_choice.get((cav_id, obj_id), 0)
-
-            if reused:
+            bucket = bucket_index(tro.true_count)
+            gid = reuse.get((cav_id, obj_id))
+            rf = 0  # as recorded: 0 unless a latent goes out
+            if gid is not None:
                 nbytes = REUSE_DELTA_BYTES
-                loss = state.global_map.entries[reuse[(cav_id, obj_id)]].last_loss
-                has_geom = False
-                latent = None
-            elif cfg.policy == "select-all-lossless":
-                nbytes = lossless_bytes() + DESCRIPTOR_OVERHEAD_BYTES
+                loss = state.global_map.entries[gid].last_loss
+            elif policy.upload_bytes is not None:
+                nbytes = policy.upload_bytes + DESCRIPTOR_OVERHEAD_BYTES
                 vehicle_ms[idx] += _pick_sample(
-                    dataset.enc_time_samples(max(RF_SET), bucket_index(bucket_count)),
-                    rng_time)
+                    dataset.enc_time_samples(max(RF_SET), bucket), rng_time)
                 decode_counts[idx] += 1
                 loss = 0.0
-                has_geom = True
-                latent = None
-            elif cfg.policy == "blindspot-all":
-                nbytes = RAW_OBJECT_BYTES + DESCRIPTOR_OVERHEAD_BYTES
-                vehicle_ms[idx] += _pick_sample(
-                    dataset.enc_time_samples(max(RF_SET), bucket_index(bucket_count)),
-                    rng_time)
-                decode_counts[idx] += 1
-                loss = 0.0
-                has_geom = True
-                latent = None
             else:
+                rf = rf_choice[(cav_id, obj_id)]
                 nbytes = payload_bytes(rf) + DESCRIPTOR_OVERHEAD_BYTES
-                bucket = bucket_index(bucket_count)
                 vehicle_ms[idx] += _pick_sample(
                     dataset.enc_time_samples(rf, bucket), rng_time)
                 decode_counts[idx] += 1
-                has_geom = True
                 if cfg.dataset_mode == "codec":
                     rng_codec = np.random.default_rng(
                         [cfg.seed, fidx, cav_id, obj_id, _S_CODEC])
                     loss = _codec_loss(tro.bbox, positions[cav_id],
-                                       bucket_count, rf, cfg.beta, rng_codec)
+                                       tro.true_count, rf, cfg.beta, rng_codec)
                 else:
                     loss = _pick_sample(dataset.loss_samples(rf, bucket), rng_loss)
-                latent = Latent(rf=rf,
-                                payload=np.zeros(latent_dim(rf), dtype=np.float32),
-                                source_count=bucket_count)
 
             payloads[idx] += nbytes
-            track = state.localizers[cav_id].tracks.get(obj_id)
-            speed = float(np.linalg.norm(track.kalman.velocity)) if track else 0.0
-            trajectory = track.kalman.x.copy() if track else None
-            desc = ObjectDescriptor(
-                obj_id=obj_id,
-                location=np.array([obs[0], obs[1], tro.bbox.center[2]]),
-                yaw=tro.bbox.yaw, bbox=tro.bbox, speed=speed,
-                trajectory=trajectory, latent=latent,
-                raw_count=bucket_count, timestamp=t)
-            commit_items[cav_id].append((desc, has_geom, loss))
+            commit_items.append((detected[cav_id][obj_id], gid is None, loss))
             object_records.append(ObjectRecord(
-                frame=fidx, cav_id=cav_id, obj_id=obj_id,
-                rf=rf if (has_geom and latent is not None) else 0,
-                bytes=nbytes, loss=loss, reused=reused))
+                frame=fidx, cav_id=cav_id, obj_id=obj_id, rf=rf,
+                bytes=nbytes, loss=loss, reused=gid is not None))
 
     # --- radio: realized rates with fading, shared per sector ---
     # only CAVs with data on air occupy their sector's band this frame
@@ -918,10 +803,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
         cav_ids=[c.cav_id for c in cavs])
 
     # --- server-side matching into the global map ---
-    all_items = []
-    for cav in cavs:
-        all_items.extend(commit_items[cav.cav_id])
-    state.global_map.commit_frame(all_items, t)
+    state.global_map.commit_frame(commit_items, t)
 
     by_cav: dict = {}
     for rec in object_records:

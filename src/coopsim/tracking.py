@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -285,10 +285,3 @@ class HybridLocalizer:
         )
         self.mode = result.next_mode
         return result
-
-    def predicted_positions(self, t: float) -> dict:
-        out = {}
-        for obj_id, entry in self.tracks.items():
-            dt = max(0.0, t - entry.kalman.time)
-            out[obj_id] = kalman_predict(entry.kalman, dt, self.q).position if dt > 0 else entry.kalman.position
-        return out

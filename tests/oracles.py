@@ -3,10 +3,10 @@
 Everything here is deliberately written from first principles (plain loops,
 exhaustive enumeration) and does not share code with the package under test.
 The exceptions are the routines that array code replaced, kept as they were:
-the per-pair point-count predictor (it shares Bbox3 and projected_area), the
-dict-based predictive match and greedy map dedup, and the per-CAV RF
-optimizer loop (it shares the dataset, the truncated-normal sampler, the
-random-stream tags and the result type).
+the per-pair point-count predictor with its projected_area (it shares Bbox3
+and visible_face_weights), the dict-based predictive match and greedy map
+dedup, and the per-CAV RF optimizer loop (it shares the dataset, the
+truncated-normal sampler, the random-stream tags and the result type).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from coopsim.control import (
     OptimizeResult,
 )
 from coopsim.errors import ConfigError
-from coopsim.geometry import Bbox3, projected_area
+from coopsim.geometry import Bbox3, visible_face_weights
 from coopsim.sampling import TruncatedNormal
 from coopsim.simpipe import GlobalMap, MapEntry
 from coopsim.tracking import kalman_correct, kalman_init, kalman_predict
@@ -230,21 +230,22 @@ class LoopScenarios:
         return float(np.mean(latency <= h_s))
 
 
-def loop_optimize_rf(tasks, fidelity, inputs, cfg) -> OptimizeResult:
+def loop_optimize_rf(tasks, loss_dataset, inputs, cfg, seed: int) -> OptimizeResult:
     """Primal-dual RF search for one CAV, one numpy call per step.
 
-    Same method as ``coopsim.control.optimize_rf``; the plane fit here is
-    ``np.linalg.lstsq`` on one design matrix at a time.
+    Same method as ``coopsim.control.optimize_rf_batch`` for one subproblem
+    seeded with ``seed``; the plane fit here is ``np.linalg.lstsq`` on one
+    design matrix at a time.
     """
     if not tasks:
         raise ConfigError("optimize_rf needs at least one task")
     levels = sorted(cfg.rf_set)
-    sc = LoopScenarios(tasks, inputs, levels, cfg.mc_samples, cfg.seed,
-                       loss_dataset=fidelity.dataset)
+    sc = LoopScenarios(tasks, inputs, levels, cfg.mc_samples, seed,
+                       loss_dataset=loss_dataset)
     lx = sc.log_levels
     lo, hi = lx[0], lx[-1]
     k = len(tasks)
-    rng = np.random.default_rng([cfg.seed, 1 << 21])
+    rng = np.random.default_rng([seed, 1 << 21])
 
     x_max = np.full(k, hi)
     prob_at_max = sc.prob_within(x_max, cfg.h_s)
@@ -300,6 +301,11 @@ def loop_optimize_rf(tasks, fidelity, inputs, cfg) -> OptimizeResult:
 # per-pair point counts and dict-based map matching, replaced by array code
 
 _QUADRANT_SIGNS = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.float64)
+
+
+def projected_area(bbox: Bbox3, viewpoint: np.ndarray) -> float:
+    """Viewer-facing projected area of the box, in square meters."""
+    return float(visible_face_weights(bbox, viewpoint).sum())
 
 
 def facing_quadrants(bbox: Bbox3, viewpoint) -> list:
@@ -379,27 +385,23 @@ class DictGlobalMap(GlobalMap):
     def commit_frame(self, items, t: float):
         preds = self.predicted_positions(t)
         gids = []
-        for desc, has_geom, loss in items:
-            pos = desc.location[:2]
+        for pos, has_geom, loss in items:
             gid = predictive_match(pos, preds, self.gate)
             if gid is None:
                 gid = self._next_id
                 self._next_id += 1
-                self.entries[gid] = MapEntry(
-                    kalman=kalman_init(pos, t), descriptor=desc, last_seen=t)
+                self.entries[gid] = MapEntry(kalman=kalman_init(pos, t), last_seen=t)
             else:
                 entry = self.entries[gid]
                 dt = t - entry.kalman.time
                 if dt > 0:
                     entry.kalman = kalman_predict(entry.kalman, dt)
                 entry.kalman = kalman_correct(entry.kalman, pos)
-                entry.descriptor = desc
                 entry.last_seen = t
             entry = self.entries[gid]
             if has_geom:
                 entry.has_geometry = True
                 entry.last_loss = loss
-            desc.global_id = gid
             preds[gid] = entry.kalman.position
             gids.append(gid)
         positions = {gid: e.kalman.position for gid, e in self.entries.items()}

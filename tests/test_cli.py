@@ -6,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
+from coopsim import cli
 from coopsim.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PROFILE,
     SWEEP_COLUMNS,
@@ -131,6 +133,7 @@ def test_run_writes_artifacts(tmp_path, trace_path):
     assert manifest["seed"] == 1
     assert manifest["version"] == version_string()
     assert manifest["trace"] == str(trace_path)
+    assert manifest["status"] == "complete"
     summary = json.loads((out / "summary.json").read_text())
     for key in ("latency_ms_p99", "mean_loss", "frac_within_h", "seed", "version"):
         assert key in summary
@@ -213,6 +216,20 @@ def test_run_single_cav_summary_is_strict_json(tmp_path):
     # a lone CAV localizes nothing, so its error percentiles have no values
     assert summary["loc_error_p50"] is None
     assert summary["loc_error_p95"] is None
+
+
+def test_run_failure_is_marked_failed(tmp_path, trace_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr(cli, "run_simulation", broken)
+    out = tmp_path / "run"
+    assert main(["run", "--trace", str(trace_path), "--out", str(out)]) == EXIT_INTERNAL
+    assert "simulated fault" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert "simulated fault" in manifest["error"]
+    assert sorted(os.listdir(out)) == ["manifest.json"]
 
 
 def write_profile(path, rf_set=RF_SET, extra_rows=()):
@@ -346,6 +363,24 @@ def test_sweep_incomplete_profile_exits_3_before_output(tmp_path, trace_path, ca
     assert main(["sweep", "--param", "H", "--values", "80", "90", "--trace", str(trace_path),
                  "--config", str(cfg), "--out", str(out)]) == EXIT_PROFILE
     assert "(64, 0)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_bad_trace_exits_2_before_output(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("garbage\n")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--param", "H", "--values", "80", "90", "--trace", str(bad),
+                 "--out", str(out)]) == EXIT_INPUT
+    assert "trace line 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--values", "0", "3", "--frames", "2"],
+                                  ["--values", "3", "6", "--frames", "0"]])
+def test_sweep_cavs_bad_counts_exit_2_before_output(tmp_path, args):
+    out = tmp_path / "sw"
+    assert main(["sweep", "--param", "cavs", *args, "--out", str(out)]) == EXIT_INPUT
     assert not out.exists()
 
 

@@ -15,15 +15,10 @@ from coopsim.codec import (
 )
 from coopsim.control import (
     POINT_CAP,
-    ControlDecision,
-    FidelityModel,
     LatencyInputs,
     ObjectTask,
     OptimizerConfig,
     RFProblem,
-    estimate_latency_prob,
-    expected_fidelity,
-    optimize_rf,
     optimize_rf_batch,
     predict_counts,
     select_objects,
@@ -237,49 +232,37 @@ def test_thinning_matches_suffix_oracle():
 
 
 # ---------------------------------------------------------------------------
-# fidelity / latency models
+# latency probability
 
 
-def test_expected_fidelity_empty_is_zero(surrogate):
-    decision = ControlDecision([], np.array([]), np.array([]))
-    assert expected_fidelity(decision, FidelityModel(surrogate)) == 0.0
+def solve(tasks, loss_dataset, inputs, cfg, seed=0):
+    """One CAV's RF subproblem, solved as a batch of one."""
+    return optimize_rf_batch([RFProblem(list(tasks), inputs, seed)], loss_dataset, cfg)[0]
 
 
-def test_expected_fidelity_single_and_additive(surrogate):
-    t0, t1 = ObjectTask(0, 800), ObjectTask(1, 300)
-    one = ControlDecision([t0, t1], np.array([1, 0]), np.array([4, 64]))
-    both = ControlDecision([t0, t1], np.array([1, 1]), np.array([4, 64]))
-    model = FidelityModel(surrogate)
-    f1 = expected_fidelity(one, model)
-    assert f1 == pytest.approx(-surrogate.mean_loss(4, t0.bucket))
-    assert f1 == pytest.approx(-0.26, abs=0.02)
-    assert expected_fidelity(both, model) == pytest.approx(
-        f1 - surrogate.mean_loss(64, t1.bucket)
-    )
-
-
-def test_latency_prob_empty_decision_is_one(surrogate):
-    decision = ControlDecision([], np.array([]), np.array([]))
-    inputs = LatencyInputs(rate_bps=1e6, dataset=surrogate)
-    assert estimate_latency_prob(decision, inputs, 0.1) == 1.0
+def latency_prob(tasks, inputs, rf, h_s, seed=0):
+    """Monte Carlo Prob(latency <= h_s) with every task at ``rf``: with one
+    level the optimizer can only return that decision and its estimate."""
+    cfg = OptimizerConfig(h_s=h_s, rf_set=(rf,))
+    res = solve(tasks, inputs.dataset, inputs, cfg, seed)
+    assert res.rfs.tolist() == [rf] * len(tasks)
+    return res.prob
 
 
 def test_latency_prob_deterministic_fast_path():
     ds = constant_dataset()
     tasks = [ObjectTask(0, 800), ObjectTask(1, 300)]
-    decision = ControlDecision(tasks, np.ones(2), np.array([64, 64]))
     inputs = LatencyInputs(rate_bps=1e12, dataset=ds, b_modules_ms=((0.0, 0.0),))
-    assert estimate_latency_prob(decision, inputs, 0.1) == 1.0
+    assert latency_prob(tasks, inputs, 64, 0.1) == 1.0
 
 
 def test_latency_prob_mid_range():
     # everything negligible except one baseline module ~ N(100, 10) ms,
     # so Prob(total <= 100 ms) should sit near one half
     ds = constant_dataset()
-    decision = ControlDecision([ObjectTask(0, 800)], np.ones(1), np.array([64]))
     inputs = LatencyInputs(rate_bps=1e12, dataset=ds, b_modules_ms=((100.0, 10.0),))
     for seed in range(4):
-        prob = estimate_latency_prob(decision, inputs, 0.100, seed=seed)
+        prob = latency_prob([ObjectTask(0, 800)], inputs, 64, 0.100, seed=seed)
         assert 0.25 <= prob <= 0.75
 
 
@@ -290,10 +273,8 @@ def test_latency_prob_superset_monotone(surrogate):
     extra = base + [ObjectTask(i, 800) for i in range(10, 13)]
     inputs = LatencyInputs(rate_bps=600e3, dataset=surrogate)
     for seed in range(10):
-        small = ControlDecision(base, np.ones(3), np.full(3, 16))
-        large = ControlDecision(extra, np.ones(6), np.full(6, 16))
-        p_small = estimate_latency_prob(small, inputs, 0.060, seed=seed)
-        p_large = estimate_latency_prob(large, inputs, 0.060, seed=seed)
+        p_small = latency_prob(base, inputs, 16, 0.060, seed=seed)
+        p_large = latency_prob(extra, inputs, 16, 0.060, seed=seed)
         assert p_large <= p_small
 
 
@@ -308,8 +289,7 @@ def five_tasks(seed=11):
 
 def test_optimizer_unconstrained_goes_to_min_rf(surrogate):
     inputs = LatencyInputs(rate_bps=1e9, dataset=surrogate)
-    res = optimize_rf(five_tasks(), FidelityModel(surrogate), inputs,
-                      OptimizerConfig(h_s=10.0))
+    res = solve(five_tasks(), surrogate, inputs, OptimizerConfig(h_s=10.0))
     assert res.rfs.tolist() == [4] * 5
     assert not res.infeasible
     assert all(l >= 0 for l in res.lam_trace)
@@ -318,40 +298,36 @@ def test_optimizer_unconstrained_goes_to_min_rf(surrogate):
 def test_optimizer_multiplier_decays_to_zero(surrogate):
     # slack constraint: each outer iteration bleeds the multiplier down
     inputs = LatencyInputs(rate_bps=1e9, dataset=surrogate)
-    res = optimize_rf(five_tasks(), FidelityModel(surrogate), inputs,
-                      OptimizerConfig(h_s=10.0, outer_iters=30))
+    res = solve(five_tasks(), surrogate, inputs, OptimizerConfig(h_s=10.0, outer_iters=30))
     assert res.lam == 0.0
     assert res.rfs.tolist() == [4] * 5
 
 
 def test_optimizer_zero_rate_infeasible(surrogate):
     inputs = LatencyInputs(rate_bps=0.0, dataset=surrogate)
-    res = optimize_rf(five_tasks(), FidelityModel(surrogate), inputs,
-                      OptimizerConfig())
+    res = solve(five_tasks(), surrogate, inputs, OptimizerConfig())
     assert res.infeasible
     assert res.rfs.tolist() == [64] * 5
     assert res.prob < 0.99
 
 
 def test_optimizer_output_in_rf_set(surrogate):
-    model = FidelityModel(surrogate)
     for seed, rate in ((0, 150e3), (1, 300e3), (2, 500e3)):
         inputs = LatencyInputs(rate_bps=rate, dataset=surrogate)
-        res = optimize_rf(five_tasks(), model, inputs, OptimizerConfig(seed=seed))
+        res = solve(five_tasks(), surrogate, inputs, OptimizerConfig(), seed=seed)
         assert set(res.rfs.tolist()) <= set(RF_SET)
-    narrowed = optimize_rf(five_tasks(), model,
-                           LatencyInputs(rate_bps=300e3, dataset=surrogate),
-                           OptimizerConfig(rf_set=(8, 32)))
+    narrowed = solve(five_tasks(), surrogate,
+                     LatencyInputs(rate_bps=300e3, dataset=surrogate),
+                     OptimizerConfig(rf_set=(8, 32)))
     assert set(narrowed.rfs.tolist()) <= {8, 32}
 
 
 def test_optimizer_rate_sweep_monotone(surrogate):
     """More bandwidth, less compression; feasible runs meet the target."""
-    model = FidelityModel(surrogate)
     prev = None
     for rate in (60e3, 120e3, 240e3, 480e3):
         inputs = LatencyInputs(rate_bps=rate, dataset=surrogate)
-        res = optimize_rf(five_tasks(), model, inputs, OptimizerConfig())
+        res = solve(five_tasks(), surrogate, inputs, OptimizerConfig())
         if not res.infeasible:
             assert res.prob >= 0.99
         mean_rf = res.rfs.mean()
@@ -364,25 +340,21 @@ def test_optimizer_bandwidth_contrast(surrogate):
     # single-user Shannon rates at 100 m for 200 kHz vs 300 kHz carriers
     rng = np.random.default_rng(7)
     tasks = [ObjectTask(i, int(c)) for i, c in enumerate(rng.integers(200, 3000, 20))]
-    model = FidelityModel(surrogate)
     means = []
     for bw in (200e3, 300e3):
         rate = uplink_rate([100.0, 0.0, 0.0], 1, RadioConfig(bandwidth_hz=bw))
-        res = optimize_rf(tasks, model,
-                          LatencyInputs(rate_bps=rate, dataset=surrogate),
-                          OptimizerConfig())
+        res = solve(tasks, surrogate, LatencyInputs(rate_bps=rate, dataset=surrogate),
+                    OptimizerConfig())
         assert not res.infeasible
         means.append(res.rfs.mean())
     assert means[0] > means[1]
 
 
 def test_optimizer_relaxing_deadline_never_raises_rf(surrogate):
-    model = FidelityModel(surrogate)
     inputs = LatencyInputs(rate_bps=120e3, dataset=surrogate)
     prev = None
     for h_s in (0.06, 0.1, 0.2, 0.3):
-        res = optimize_rf(five_tasks(), model, inputs,
-                          OptimizerConfig(h_s=h_s, seed=11))
+        res = solve(five_tasks(), surrogate, inputs, OptimizerConfig(h_s=h_s), seed=11)
         if prev is not None:
             assert np.all(res.rfs <= prev)
         prev = res.rfs
@@ -395,9 +367,8 @@ def test_optimizer_lagrangian_monotone_on_deterministic_instance():
     ds = constant_dataset(loss_by_rf=means, enc_ms=0.5, dec_ms=0.5)
     tasks = [ObjectTask(i, 800) for i in range(3)]
     inputs = LatencyInputs(rate_bps=1e12, dataset=ds, b_modules_ms=((0.0, 0.0),))
-    res = optimize_rf(tasks, FidelityModel(ds), inputs,
-                      OptimizerConfig(h_s=10.0, outer_iters=1, inner_iters=80,
-                                      diagnostics=True))
+    res = solve(tasks, ds, inputs,
+                OptimizerConfig(h_s=10.0, outer_iters=1, inner_iters=80, diagnostics=True))
     trace = np.array(res.g_trace)
     assert len(trace) == 80
     assert np.all(np.diff(trace) >= -1e-12)
@@ -406,9 +377,8 @@ def test_optimizer_lagrangian_monotone_on_deterministic_instance():
 
 def test_optimizer_requires_tasks(surrogate):
     with pytest.raises(ConfigError):
-        optimize_rf([], FidelityModel(surrogate),
-                    LatencyInputs(rate_bps=1e6, dataset=surrogate),
-                    OptimizerConfig())
+        solve([], surrogate, LatencyInputs(rate_bps=1e6, dataset=surrogate),
+              OptimizerConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +419,10 @@ def assert_same_result(res, ref):
 def test_batch_matches_loop_oracle(surrogate, rf_set):
     problems = random_problems(surrogate, 112, seed=len(rf_set))
     cfg = OptimizerConfig(rf_set=rf_set, **RUN_OPTIMIZER)
-    model = FidelityModel(surrogate)
-    results = optimize_rf_batch(problems, model, cfg)
+    results = optimize_rf_batch(problems, surrogate, cfg)
     flags_by_k: dict = {}
     for prob, res in zip(problems, results):
-        ref = loop_optimize_rf(prob.tasks, model, prob.inputs, replace(cfg, seed=prob.seed))
+        ref = loop_optimize_rf(prob.tasks, surrogate, prob.inputs, cfg, prob.seed)
         assert_same_result(res, ref)
         assert set(res.rfs.tolist()) <= set(rf_set)
         flags_by_k.setdefault(len(prob.tasks), set()).add(res.infeasible)
@@ -465,9 +434,8 @@ def test_batch_matches_loop_oracle(surrogate, rf_set):
 def test_batch_diagnostics_match_loop_oracle(surrogate):
     problems = [p for p in random_problems(surrogate, 28, seed=5) if p.inputs.rate_bps > 0]
     cfg = OptimizerConfig(diagnostics=True, **RUN_OPTIMIZER)
-    model = FidelityModel(surrogate)
-    for prob, res in zip(problems, optimize_rf_batch(problems, model, cfg)):
-        ref = loop_optimize_rf(prob.tasks, model, prob.inputs, replace(cfg, seed=prob.seed))
+    for prob, res in zip(problems, optimize_rf_batch(problems, surrogate, cfg)):
+        ref = loop_optimize_rf(prob.tasks, surrogate, prob.inputs, cfg, prob.seed)
         assert_same_result(res, ref)
         # the plane fit differs from lstsq in roundoff only
         np.testing.assert_allclose(res.g_trace, ref.g_trace, rtol=1e-9, atol=1e-12)
@@ -476,23 +444,17 @@ def test_batch_diagnostics_match_loop_oracle(surrogate):
 def test_batch_result_same_alone_and_in_batch(surrogate):
     problems = random_problems(surrogate, 42, seed=11)
     cfg = OptimizerConfig(**RUN_OPTIMIZER)
-    model = FidelityModel(surrogate)
-    together = optimize_rf_batch(problems, model, cfg)
+    together = optimize_rf_batch(problems, surrogate, cfg)
     for prob, res in zip(problems, together):
-        assert_same_result(res, optimize_rf_batch([prob], model, cfg)[0])
-    # optimize_rf is the batch of one seeded by the config
-    prob = problems[20]
-    single = optimize_rf(prob.tasks, model, prob.inputs, replace(cfg, seed=prob.seed))
-    assert_same_result(single, together[20])
+        assert_same_result(res, optimize_rf_batch([prob], surrogate, cfg)[0])
 
 
 def test_batch_result_independent_of_order(surrogate):
     problems = random_problems(surrogate, 42, seed=12)
     cfg = OptimizerConfig(**RUN_OPTIMIZER)
-    model = FidelityModel(surrogate)
-    forward = optimize_rf_batch(problems, model, cfg)
+    forward = optimize_rf_batch(problems, surrogate, cfg)
     perm = np.random.default_rng(3).permutation(len(problems))
-    shuffled = optimize_rf_batch([problems[i] for i in perm], model, cfg)
+    shuffled = optimize_rf_batch([problems[i] for i in perm], surrogate, cfg)
     for j, i in enumerate(perm):
         assert_same_result(shuffled[j], forward[i])
 
@@ -503,10 +465,9 @@ def test_batch_groups_by_latency_model(surrogate):
     problems = random_problems(surrogate, 14, seed=13)
     slow = [replace(p, inputs=replace(p.inputs, r_v=0.05)) for p in problems]
     cfg = OptimizerConfig(**RUN_OPTIMIZER)
-    model = FidelityModel(surrogate)
-    mixed = optimize_rf_batch(problems + slow, model, cfg)
+    mixed = optimize_rf_batch(problems + slow, surrogate, cfg)
     for prob, res in zip(problems + slow, mixed):
-        ref = loop_optimize_rf(prob.tasks, model, prob.inputs, replace(cfg, seed=prob.seed))
+        ref = loop_optimize_rf(prob.tasks, surrogate, prob.inputs, cfg, prob.seed)
         assert_same_result(res, ref)
 
 
@@ -514,7 +475,7 @@ def test_batch_rejects_empty_subproblem(surrogate):
     problems = random_problems(surrogate, 3, seed=14)
     problems[1] = replace(problems[1], tasks=[])
     with pytest.raises(ConfigError):
-        optimize_rf_batch(problems, FidelityModel(surrogate), OptimizerConfig())
+        optimize_rf_batch(problems, surrogate, OptimizerConfig())
 
 
 # ---------------------------------------------------------------------------

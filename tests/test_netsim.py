@@ -13,7 +13,6 @@ from coopsim.netsim import (
     path_loss_db,
     sample_module_times_ms,
     sector_index,
-    sector_sharers,
     simulate_frame_latency,
     snr_db,
     uplink_ms,
@@ -99,10 +98,8 @@ def test_sector_assignment():
     radio = RadioConfig(sectors=4)
     quadrant_points = [[10, 1, 0], [-1, 10, 0], [-10, -1, 0], [1, -10, 0]]
     assert [sector_index(p, radio) for p in quadrant_points] == [0, 1, 2, 3]
-    sharers = sector_sharers(quadrant_points + [[20, 2, 0]], radio)
-    assert sharers.tolist() == [2, 1, 1, 1, 2]
     single = RadioConfig(sectors=1)
-    assert sector_sharers(quadrant_points, single).tolist() == [4, 4, 4, 4]
+    assert [sector_index(p, single) for p in quadrant_points] == [0, 0, 0, 0]
 
 
 def test_uplink_ms_edge_cases():

@@ -10,11 +10,9 @@ from coopsim.codec import (
     DESCRIPTOR_OVERHEAD_BYTES,
     RAW_OBJECT_BYTES,
     RF_SET,
-    Latent,
     bucket_index,
     decode,
     encode,
-    latent_dim,
     lossless_bytes,
     payload_bytes,
     reconstruction_loss,
@@ -29,18 +27,15 @@ from coopsim.simpipe import (
     CavSnapshot,
     GlobalMap,
     MapEntry,
-    ObjectDescriptor,
     RunConfig,
     TraceFrame,
     TraceObject,
     _derive_radio,
     _S_CODEC,
     collect_metrics,
-    descriptor_to_record,
     generate_trace,
     load_trace,
     nearest_rank,
-    record_to_descriptor,
     run_simulation,
     save_trace,
     validate_trace,
@@ -187,86 +182,21 @@ def test_validate_accepts_nonzero_start():
 
 
 # ---------------------------------------------------------------------------
-# descriptor serialization
-
-
-def _random_descriptor(rng):
-    latent = None
-    if rng.random() < 0.5:
-        rf = int(rng.choice(RF_SET))
-        latent = Latent(rf=rf,
-                        payload=rng.normal(size=latent_dim(rf)).astype(np.float32),
-                        source_count=int(rng.integers(1, 5000)))
-    return ObjectDescriptor(
-        obj_id=int(rng.integers(0, 1000)),
-        location=rng.normal(scale=100.0, size=3),
-        yaw=float(rng.uniform(-math.pi, math.pi)),
-        bbox=Bbox3(center=rng.normal(scale=100.0, size=3),
-                   extent=rng.uniform(0.5, 5.0, size=3),
-                   yaw=float(rng.uniform(-math.pi, math.pi))),
-        confidence=float(rng.random()),
-        speed=float(rng.uniform(0, 30)),
-        trajectory=rng.normal(scale=10.0, size=4),
-        latent=latent,
-        raw_count=int(rng.integers(0, 5000)),
-        timestamp=float(rng.uniform(0, 100)),
-        global_id=int(rng.integers(0, 500)) if rng.random() < 0.5 else None,
-    )
-
-
-def test_descriptor_record_roundtrip_bulk():
-    rng = np.random.default_rng(11)
-    for _ in range(10_000):
-        desc = _random_descriptor(rng)
-        # force a real serialization boundary, not just dict identity
-        rec = json.loads(json.dumps(descriptor_to_record(desc)))
-        back = record_to_descriptor(rec)
-        assert back.obj_id == desc.obj_id
-        np.testing.assert_array_equal(back.location, desc.location)
-        assert back.yaw == desc.yaw
-        np.testing.assert_array_equal(back.bbox.center, desc.bbox.center)
-        np.testing.assert_array_equal(back.bbox.extent, desc.bbox.extent)
-        assert back.bbox.yaw == desc.bbox.yaw
-        assert back.label == desc.label
-        assert back.confidence == desc.confidence
-        assert back.speed == desc.speed
-        np.testing.assert_array_equal(back.trajectory, desc.trajectory)
-        assert back.raw_count == desc.raw_count
-        assert back.timestamp == desc.timestamp
-        assert back.global_id == desc.global_id
-        if desc.latent is None:
-            assert back.latent is None
-        else:
-            assert back.latent.rf == desc.latent.rf
-            assert back.latent.source_count == desc.latent.source_count
-            np.testing.assert_array_equal(back.latent.payload, desc.latent.payload)
-            assert back.latent.payload.dtype == np.float32
-
-
-def test_descriptor_fills_default_trajectory():
-    d = ObjectDescriptor(obj_id=1, location=[3.0, 4.0, 0.5], yaw=0.0,
-                         bbox=Bbox3(center=[3, 4, 0.5], extent=[4, 2, 1.5], yaw=0.0))
-    np.testing.assert_array_equal(d.trajectory, [3.0, 4.0, 0.0, 0.0])
-
-
-# ---------------------------------------------------------------------------
 # global map
 
 
-def _desc_at(x, y, obj_id=0):
-    return ObjectDescriptor(
-        obj_id=obj_id, location=[x, y, 0.75], yaw=0.0,
-        bbox=Bbox3(center=[x, y, 0.75], extent=list(CAR_EXTENT), yaw=0.0))
+def _at(x, y):
+    """An uploaded object's observed ground-plane position."""
+    return np.array([x, y], dtype=np.float64)
 
 
 def test_map_same_frame_reports_merge():
     gmap = GlobalMap()
-    a = _desc_at(10.0, 5.0, obj_id=3)
-    b = _desc_at(10.4, 5.0, obj_id=3)  # second CAV, within gate
+    a = _at(10.0, 5.0)
+    b = _at(10.4, 5.0)  # second CAV, within gate
     gids = gmap.commit_frame([(a, True, 0.1), (b, True, 0.2)], t=0.0)
     assert gids[0] == gids[1]
     assert len(gmap) == 1
-    assert a.global_id == b.global_id == gids[0]
     entry = gmap.entries[gids[0]]
     assert entry.has_geometry and entry.last_loss == 0.2
 
@@ -274,7 +204,7 @@ def test_map_same_frame_reports_merge():
 def test_map_distinct_objects_get_distinct_ids():
     gmap = GlobalMap()
     gids = gmap.commit_frame(
-        [(_desc_at(0.0, 0.0), True, 0.0), (_desc_at(30.0, 0.0), True, 0.0)], t=0.0)
+        [(_at(0.0, 0.0), True, 0.0), (_at(30.0, 0.0), True, 0.0)], t=0.0)
     assert gids[0] != gids[1]
     assert len(gmap) == 2
 
@@ -285,7 +215,7 @@ def test_map_no_spurious_births_over_time():
     for k in range(12):
         t = 0.1 * k
         x = 10.0 + 8.0 * t + float(rng.normal(0, 0.05))  # fast mover, tiny noise
-        gmap.commit_frame([(_desc_at(x, 0.0), True, 0.0)], t=t)
+        gmap.commit_frame([(_at(x, 0.0), True, 0.0)], t=t)
     assert len(gmap) == 1
     assert gmap._next_id == 1
 
@@ -294,7 +224,7 @@ def test_map_prediction_tracks_motion():
     gmap = GlobalMap()
     for k in range(10):
         t = 0.1 * k
-        gmap.commit_frame([(_desc_at(5.0 * t, 0.0), True, 0.0)], t=t)
+        gmap.commit_frame([(_at(5.0 * t, 0.0), True, 0.0)], t=t)
     pred = gmap.predicted_positions(1.0)
     (pos,) = pred.values()
     assert abs(pos[0] - 5.0) < 0.5
@@ -303,10 +233,8 @@ def test_map_prediction_tracks_motion():
 
 def test_map_dedup_keeps_smaller_gid():
     gmap = GlobalMap()
-    gmap.entries[4] = MapEntry(kalman=kalman_init(np.array([1.0, 1.0]), 0.0),
-                               descriptor=_desc_at(1.0, 1.0), last_seen=0.0)
-    gmap.entries[9] = MapEntry(kalman=kalman_init(np.array([1.05, 1.0]), 0.0),
-                               descriptor=_desc_at(1.05, 1.0), last_seen=0.0)
+    gmap.entries[4] = MapEntry(kalman=kalman_init(np.array([1.0, 1.0]), 0.0), last_seen=0.0)
+    gmap.entries[9] = MapEntry(kalman=kalman_init(np.array([1.05, 1.0]), 0.0), last_seen=0.0)
     gmap._next_id = 10
     gmap.commit_frame([], t=0.1)
     assert sorted(gmap.entries) == [4]
@@ -315,22 +243,22 @@ def test_map_dedup_keeps_smaller_gid():
 def test_map_gate_distance_is_not_a_match():
     gmap = GlobalMap()
     gids = gmap.commit_frame(
-        [(_desc_at(0.0, 0.0), True, 0.0), (_desc_at(3.0, 0.0, obj_id=1), True, 0.0)], t=0.0)
+        [(_at(0.0, 0.0), True, 0.0), (_at(3.0, 0.0), True, 0.0)], t=0.0)
     assert gids == [0, 1]
 
 
 def test_map_equal_distances_go_to_smallest_id():
     gmap = GlobalMap(gate=1.5)
-    gids = gmap.commit_frame([(_desc_at(1.0, 0.0, obj_id=1), True, 0.0),
-                              (_desc_at(-1.0, 0.0), True, 0.0),
-                              (_desc_at(0.0, 0.0, obj_id=2), True, 0.0)], t=0.0)
+    gids = gmap.commit_frame([(_at(1.0, 0.0), True, 0.0),
+                              (_at(-1.0, 0.0), True, 0.0),
+                              (_at(0.0, 0.0), True, 0.0)], t=0.0)
     assert gids == [0, 1, 0]
 
 
 def test_map_same_new_object_from_two_cavs_matches_oracle():
-    items = [(_desc_at(10.0, 5.0, obj_id=3), True, 0.1),
-             (_desc_at(20.0, 5.0, obj_id=4), True, 0.1),
-             (_desc_at(10.3, 5.1, obj_id=3), False, 0.0)]
+    items = [(_at(10.0, 5.0), True, 0.1),
+             (_at(20.0, 5.0), True, 0.1),
+             (_at(10.3, 5.1), False, 0.0)]
     gmap, oracle = GlobalMap(), DictGlobalMap()
     gids = gmap.commit_frame(items, t=0.0)
     assert gids == oracle.commit_frame(items, t=0.0) == [0, 1, 0]
@@ -342,8 +270,7 @@ def test_map_dedup_chain_matches_oracle():
     gmap = GlobalMap()
     positions = {2: [0.0, 0.0], 5: [0.08, 0.0], 7: [0.16, 0.0], 8: [0.2, 0.05]}
     for gid, pos in positions.items():
-        gmap.entries[gid] = MapEntry(kalman=kalman_init(np.array(pos), 0.0),
-                                     descriptor=_desc_at(*pos), last_seen=0.0)
+        gmap.entries[gid] = MapEntry(kalman=kalman_init(np.array(pos), 0.0), last_seen=0.0)
     gmap._next_id = 9
     gmap.commit_frame([], t=0.1)
     assert sorted(gmap.entries) == [2, 7]
@@ -365,13 +292,11 @@ def test_map_matches_dict_oracle_over_frames():
             reports = [(int(j), objects[j] + velocity[j] * t + rng.normal(0.0, 0.08, 2))
                        for j in seen for _ in range(int(rng.integers(1, 4)))]
             order = rng.permutation(len(reports))
-            items, copies = [], []
+            items = []
             for i in order:
-                j, (x, y) = reports[i]
-                geom, loss = bool(rng.uniform() < 0.7), float(rng.uniform())
-                items.append((_desc_at(x, y, obj_id=j), geom, loss))
-                copies.append((_desc_at(x, y, obj_id=j), geom, loss))
-            assert gmap.commit_frame(items, t) == oracle.commit_frame(copies, t)
+                _, (x, y) = reports[i]
+                items.append((_at(x, y), bool(rng.uniform() < 0.7), float(rng.uniform())))
+            assert gmap.commit_frame(items, t) == oracle.commit_frame(items, t)
             assert list(gmap.entries) == list(oracle.entries)
             for gid, entry in gmap.entries.items():
                 want = oracle.entries[gid]
@@ -386,10 +311,10 @@ def test_map_matches_dict_oracle_over_frames():
 
 def test_map_retires_stale_entries():
     gmap = GlobalMap()
-    gmap.commit_frame([(_desc_at(0.0, 0.0), True, 0.0)], t=0.0)
-    gmap.commit_frame([(_desc_at(40.0, 0.0, obj_id=1), True, 0.0)], t=1.9)
+    gmap.commit_frame([(_at(0.0, 0.0), True, 0.0)], t=0.0)
+    gmap.commit_frame([(_at(40.0, 0.0), True, 0.0)], t=1.9)
     assert len(gmap) == 2  # first entry is 1.9 s old, still under the horizon
-    gmap.commit_frame([(_desc_at(40.2, 0.0, obj_id=1), True, 0.0)], t=2.1)
+    gmap.commit_frame([(_at(40.2, 0.0), True, 0.0)], t=2.1)
     assert len(gmap) == 1  # first entry passed 2.0 s unseen
 
 
@@ -399,23 +324,22 @@ def test_map_retires_stale_entries():
 
 def test_config_json_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
-    cfg = RunConfig(policy="adamap-reuse", bandwidth_hz=300e3, seed=9,
-                    rf_set=(8, 32), base_station=(1.0, 2.0, 10.0))
-    cfg.to_json(path)
+    path.write_text(json.dumps({"policy": "adamap-reuse", "bandwidth_hz": 300e3, "seed": 9,
+                                "rf_set": [32, 8], "base_station": [1.0, 2.0, 10.0]}))
     back = RunConfig.from_json(path)
-    assert back.policy == cfg.policy
-    assert back.bandwidth_hz == cfg.bandwidth_hz
-    assert back.seed == cfg.seed
+    assert back == RunConfig(policy="adamap-reuse", bandwidth_hz=300e3, seed=9,
+                             rf_set=(8, 32), base_station=[1.0, 2.0, 10.0])
     assert back.rf_set == (8, 32)
-    assert tuple(back.base_station) == (1.0, 2.0, 10.0)
-    assert back.h_margin_ms == cfg.h_margin_ms
+    assert back.h_margin_ms == RunConfig().h_margin_ms
 
 
 def test_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text('{"policy": "adamap", "turbo": true}\n')
-    with pytest.raises(ConfigError):
-        RunConfig.from_json(path)
+    # partitions was a knob that only accepted 4; it is gone, so it is unknown
+    for text in ('{"policy": "adamap", "turbo": true}\n', '{"partitions": 4}\n'):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="unknown keys"):
+            RunConfig.from_json(path)
 
 
 def test_config_rejects_bad_values():
@@ -423,8 +347,6 @@ def test_config_rejects_bad_values():
         RunConfig(policy="warp")
     with pytest.raises(ConfigError):
         RunConfig(dataset_mode="synthetic")
-    with pytest.raises(ConfigError):
-        RunConfig(partitions=8)
     with pytest.raises(ConfigError):
         RunConfig(H_ms=0.0)
     with pytest.raises(ConfigError):
