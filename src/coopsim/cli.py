@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -82,8 +83,16 @@ def _require_fresh(path: str, force: bool) -> None:
 
 
 def _make_out_dir(path: str, force: bool) -> None:
+    """Create ``path``; with ``force``, first delete an earlier run or sweep
+    there, so that none of its files survive next to the new ones."""
     _require_fresh(path, force)
-    os.makedirs(path, exist_ok=True)
+    if os.path.lexists(path):
+        if not any(os.path.isfile(os.path.join(path, name))
+                   for name in ("manifest.json", "sweep.csv")):
+            raise ConfigError(f"{path} holds no manifest.json or sweep.csv; "
+                              "refusing to replace it")
+        shutil.rmtree(path)
+    os.makedirs(path)
 
 
 def _load_config(args) -> RunConfig:
@@ -103,16 +112,17 @@ def cmd_gen_trace(args) -> int:
     _require_fresh(args.out, args.force)
     trace = generate_trace(args.cavs, args.frames, seed=args.seed)
     save_trace(args.out, trace)
-    per_cav = [len(c.objects) for f in trace for c in f.cavs]
-    hist = np.bincount(per_cav) if per_cav else np.zeros(1, dtype=np.int64)
+    per_cav = np.concatenate([np.bincount(f.pair_cav, minlength=len(f.cav_ids))
+                              for f in trace])
     stats = {
         "seed": args.seed,
         "version": version_string(),
         "cavs": args.cavs,
         "frames": args.frames,
-        "objects_per_frame": [sum(len(c.objects) for c in f.cavs) for f in trace],
-        "visible_per_cav_hist": {str(i): int(n) for i, n in enumerate(hist) if n},
-        "visible_per_cav_mean": float(np.mean(per_cav)) if per_cav else 0.0,
+        "objects_per_frame": [len(f.obj_ids) for f in trace],
+        "visible_per_cav_hist": {str(i): int(n) for i, n in enumerate(np.bincount(per_cav))
+                                 if n},
+        "visible_per_cav_mean": float(np.mean(per_cav)),
     }
     _write_json(args.out + ".stats.json", stats)
     print(f"wrote {args.out} ({args.cavs} cavs x {args.frames} frames, "
@@ -200,6 +210,13 @@ def _sweep_worker(job) -> dict:
     return row
 
 
+def _write_sweep_csv(path: str, rows: list) -> None:
+    with open(path, "w") as fh:
+        fh.write(",".join(SWEEP_COLUMNS) + "\n")
+        for row in rows:
+            fh.write(",".join(str(row[c]) for c in SWEEP_COLUMNS) + "\n")
+
+
 def cmd_sweep(args) -> int:
     if len(args.values) < 2:
         raise ConfigError("sweep needs at least two --values")
@@ -245,11 +262,7 @@ def cmd_sweep(args) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, jobs))
 
-    csv_path = os.path.join(args.out, "sweep.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in SWEEP_COLUMNS) + "\n")
+    _write_atomic(os.path.join(args.out, "sweep.csv"), _write_sweep_csv, rows)
     for row in rows:
         print(f"{args.param}={row['value']:g}: mean loss {row['mean_loss']:.4f}, "
               f"p99 {row['latency_ms_p99']:.1f} ms")

@@ -90,7 +90,6 @@ def bucket_index(raw_count: int) -> int:
 class Latent:
     rf: int
     payload: np.ndarray  # float32, length 1024 // rf
-    source_count: int  # raw points before resampling
     frame: str = "global"
 
 
@@ -113,7 +112,7 @@ def encode(cloud: PointCloud, rf: int, seed: int = 0) -> Latent:
     payload = np.zeros(dim, dtype=np.float32)
     payload[: 3 * k] = anchors.astype(np.float32).ravel()
     payload[3 * k] = spread
-    return Latent(rf=rf, payload=payload, source_count=len(cloud), frame=cloud.frame)
+    return Latent(rf=rf, payload=payload, frame=cloud.frame)
 
 
 def decode(latent: Latent, seed: int = 0) -> PointCloud:

@@ -56,8 +56,8 @@ def predict_counts(centers, extents, yaws, viewers, k: float = POINT_DENSITY_K,
     the sensing range the object contributes nothing.  Each count is split
     equally across the quadrants facing its viewer.
 
-    Boxes come as (N, 3) centers and full extents and (N,) yaws normalized as
-    Bbox3 normalizes them; viewers are (N, 3).  Returns the (N,) int64 counts
+    Boxes come as (N, 3) centers and full extents and (N,) yaws wrapped by
+    wrap_yaw, as in Bbox3; viewers are (N, 3).  Returns the (N,) int64 counts
     and the (N, 4) per-quadrant split.
     """
     centers, extents, viewers = (np.asarray(a, dtype=np.float64).reshape(-1, 3)

@@ -46,20 +46,9 @@ class PointCloud:
         return self.points.shape[0]
 
 
-@dataclass
-class Pose:
-    """Vehicle pose: translation plus roll/pitch/yaw in radians."""
-
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
-    pitch: float = 0.0
-    roll: float = 0.0
-    yaw: float = 0.0
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
+def wrap_yaw(yaw):
+    """Yaw (a float or an array) wrapped to [-pi, pi)."""
+    return (yaw + math.pi) % (2.0 * math.pi) - math.pi
 
 
 @dataclass
@@ -75,8 +64,7 @@ class Bbox3:
         self.extent = np.asarray(self.extent, dtype=np.float64).reshape(3)
         if not (self.extent > 0).all():
             raise ValueError(f"box extents must be positive, got {self.extent}")
-        # normalize to [-pi, pi)
-        self.yaw = float((self.yaw + math.pi) % (2.0 * math.pi) - math.pi)
+        self.yaw = float(wrap_yaw(self.yaw))
 
     def axes(self) -> np.ndarray:
         """Rows are the unit length/width/height axes in the parent frame."""
@@ -282,8 +270,8 @@ _QUADRANT_SIGNS = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.float6
 def box_frame_offsets(centers, yaws, viewers):
     """Viewer offsets in each box's frame, and their ranges, for N pairs.
 
-    ``centers`` and ``viewers`` are (N, 3), ``yaws`` is (N,), normalized as
-    Bbox3 normalizes it.  Returns the (N, 3) offsets along each box's
+    ``centers`` and ``viewers`` are (N, 3), ``yaws`` is (N,), wrapped by
+    wrap_yaw as in Bbox3.  Returns the (N, 3) offsets along each box's
     length, width and height axes (what Bbox3.to_box gives) and the (N,)
     center-to-viewer distances.
     """

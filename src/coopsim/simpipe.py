@@ -25,6 +25,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -53,10 +54,10 @@ from .control import (
 from .errors import ConfigError, FrameError
 from .geometry import (
     Bbox3,
-    Pose,
     reconstruction_loss,
     resample,
     sample_visible_surface,
+    wrap_yaw,
 )
 from .netsim import (
     RadioConfig,
@@ -132,67 +133,77 @@ CSV_HEADER = "cav_id,frame,vehicle_ms,uplink_ms,queue_ms,server_ms,total_ms,byte
 
 
 @dataclass
-class TraceObject:
-    obj_id: int
-    bbox: Bbox3
-    true_count: int
-
-
-@dataclass
-class CavSnapshot:
-    cav_id: int
-    pose: Pose
-    objects: list
-
-
-@dataclass
 class TraceFrame:
+    """One frame of a trace, as flat arrays.
+
+    Per CAV, in trace order: ``cav_ids`` (C,) and ``poses`` (C, 6) as x, y,
+    z, pitch, roll, yaw.  Per (viewer, object) pair, grouped by viewer in
+    trace order: ``pair_cav`` (P,), the viewer's row in the CAV arrays;
+    ``obj_ids`` (P,); box ``centers`` and full ``extents`` (P, 3); box
+    ``yaws`` (P,), wrapped as Bbox3 wraps them; and true point ``counts``
+    (P,).
+    """
+
     index: int
     time_s: float
-    cavs: list
+    cav_ids: np.ndarray
+    poses: np.ndarray
+    pair_cav: np.ndarray
+    obj_ids: np.ndarray
+    centers: np.ndarray
+    extents: np.ndarray
+    yaws: np.ndarray
+    counts: np.ndarray
+
+    @property
+    def cavs(self) -> list:
+        """One record with a ``cav_id`` per CAV, in trace order (the
+        benchmark's output checks key CAV-frames by it)."""
+        return [SimpleNamespace(cav_id=c) for c in self.cav_ids.tolist()]
 
 
 def _frame_record(frame: TraceFrame) -> dict:
+    bounds = np.searchsorted(frame.pair_cav, np.arange(len(frame.cav_ids) + 1)).tolist()
+    ids, counts = frame.obj_ids.tolist(), frame.counts.tolist()
+    centers, extents, yaws = frame.centers.tolist(), frame.extents.tolist(), frame.yaws.tolist()
     return {
         "frame": frame.index,
         "time_s": frame.time_s,
         "cavs": [
             {
-                "id": c.cav_id,
-                "pose": [c.pose.x, c.pose.y, c.pose.z,
-                         c.pose.pitch, c.pose.roll, c.pose.yaw],
+                "id": cav_id,
+                "pose": pose,
                 "objects": [
-                    {
-                        "id": o.obj_id,
-                        "center": [float(v) for v in o.bbox.center],
-                        "extent": [float(v) for v in o.bbox.extent],
-                        "yaw": o.bbox.yaw,
-                        "count": o.true_count,
-                    }
-                    for o in c.objects
+                    {"id": ids[k], "center": centers[k], "extent": extents[k],
+                     "yaw": yaws[k], "count": counts[k]}
+                    for k in range(lo, hi)
                 ],
             }
-            for c in frame.cavs
+            for cav_id, pose, lo, hi in zip(frame.cav_ids.tolist(), frame.poses.tolist(),
+                                            bounds, bounds[1:])
         ],
     }
 
 
 def _record_frame(rec: dict) -> TraceFrame:
-    cavs = []
-    for c in rec["cavs"]:
-        x, y, z, pitch, roll, yaw = c["pose"]
-        objects = [
-            TraceObject(
-                obj_id=int(o["id"]),
-                bbox=Bbox3(center=o["center"], extent=o["extent"], yaw=o["yaw"]),
-                true_count=int(o["count"]),
-            )
-            for o in c["objects"]
-        ]
-        cavs.append(CavSnapshot(cav_id=int(c["id"]),
-                                pose=Pose(x, y, z, pitch, roll, yaw),
-                                objects=objects))
-    return TraceFrame(index=int(rec["frame"]), time_s=float(rec["time_s"]), cavs=cavs)
+    cavs = rec["cavs"]
+    objects = [c["objects"] for c in cavs]
+    pairs = [o for objs in objects for o in objs]
+    counts = [o["count"] for o in pairs]
+    if any(type(c) is not int for c in counts):
+        raise ValueError("object counts must be integers")
+    return TraceFrame(
+        index=int(rec["frame"]),
+        time_s=float(rec["time_s"]),
+        cav_ids=np.array([int(c["id"]) for c in cavs], dtype=np.int64),
+        poses=np.array([c["pose"] for c in cavs], dtype=np.float64).reshape(len(cavs), 6),
+        pair_cav=np.repeat(np.arange(len(cavs)), [len(objs) for objs in objects]),
+        obj_ids=np.array([int(o["id"]) for o in pairs], dtype=np.int64),
+        centers=np.array([o["center"] for o in pairs], dtype=np.float64).reshape(len(pairs), 3),
+        extents=np.array([o["extent"] for o in pairs], dtype=np.float64).reshape(len(pairs), 3),
+        yaws=wrap_yaw(np.array([o["yaw"] for o in pairs], dtype=np.float64).reshape(len(pairs))),
+        counts=np.array(counts, dtype=np.int64),
+    )
 
 
 def save_trace(path, frames) -> None:
@@ -212,30 +223,44 @@ def load_trace(path):
                 continue
             try:
                 frames.append(_record_frame(json.loads(line)))
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, OverflowError) as exc:
                 raise FrameError(f"trace line {line_no}: {exc}") from exc
     validate_trace(frames)
     return frames
 
 
 def validate_trace(frames) -> None:
+    """Raise FrameError unless every frame keeps the cadence, lists each CAV
+    and each of a CAV's objects once, and holds finite poses and boxes,
+    positive extents and point counts of at least 1."""
     if not frames:
         raise FrameError("trace is empty")
     for i, frame in enumerate(frames):
+        where = f"frame {frame.index}"
+        if not math.isfinite(frame.time_s):
+            raise FrameError(f"{where}: time_s {frame.time_s} is not finite")
         expected = frames[0].time_s + i * FRAME_PERIOD_S
         if abs(frame.time_s - expected) > 1e-6:
-            raise FrameError(f"frame {frame.index}: time {frame.time_s} "
+            raise FrameError(f"{where}: time {frame.time_s} "
                              f"breaks the {FRAME_PERIOD_S} s cadence")
-        if not frame.cavs:
-            raise FrameError(f"frame {frame.index}: no CAVs")
-        ids = [c.cav_id for c in frame.cavs]
-        if len(set(ids)) != len(ids):
-            raise FrameError(f"frame {frame.index}: duplicate CAV ids")
-        for cav in frame.cavs:
-            objs = [o.obj_id for o in cav.objects]
-            if len(set(objs)) != len(objs):
-                raise FrameError(f"frame {frame.index}: CAV {cav.cav_id} "
-                                 "lists an object twice")
+        if not len(frame.cav_ids):
+            raise FrameError(f"{where}: no CAVs")
+        if len(np.unique(frame.cav_ids)) != len(frame.cav_ids):
+            raise FrameError(f"{where}: duplicate CAV ids")
+        order = np.lexsort((frame.obj_ids, frame.pair_cav))
+        cav, obj = frame.pair_cav[order], frame.obj_ids[order]
+        twice = np.flatnonzero((cav[1:] == cav[:-1]) & (obj[1:] == obj[:-1]))
+        if len(twice):
+            raise FrameError(f"{where}: CAV {frame.cav_ids[cav[twice[0]]]} "
+                             "lists an object twice")
+        for name, values in (("pose", frame.poses), ("center", frame.centers),
+                             ("extent", frame.extents), ("yaw", frame.yaws)):
+            if not np.isfinite(values).all():
+                raise FrameError(f"{where}: non-finite {name}")
+        if not (frame.extents > 0).all():
+            raise FrameError(f"{where}: box extents must be positive")
+        if not (frame.counts >= 1).all():
+            raise FrameError(f"{where}: point counts must be at least 1")
 
 
 def generate_trace(cav_count: int, frames: int, extent_m: float = 200.0,
@@ -268,31 +293,26 @@ def generate_trace(cav_count: int, frames: int, extent_m: float = 200.0,
             np.where(dirn > 0, 0.0, math.pi),
             np.where(dirn > 0, math.pi / 2.0, -math.pi / 2.0),
         )
-        boxes = [Bbox3(center=[xs[i], ys[i], half_z], extent=CAR_EXTENT,
-                       yaw=float(yaws[i])) for i in range(cav_count)]
         dx = xs[:, None] - xs[None, :]
         dy = ys[:, None] - ys[None, :]
         dist = np.sqrt(dx * dx + dy * dy)
 
         # every (viewer i, object j) pair in (i, j) order; i == j is 0 m apart
         vi, vj = np.nonzero((dist > MIN_NEIGHBOR_M) & (dist <= VISIBLE_RANGE_M))
+        centers = np.column_stack([xs[vj], ys[vj], np.full(len(vj), half_z)])
+        extents = np.tile(CAR_EXTENT, (len(vj), 1))
+        box_yaws = wrap_yaw(yaws)[vj]
         base, _ = predict_counts(
-            np.column_stack([xs[vj], ys[vj], np.full(len(vj), half_z)]),
-            np.broadcast_to(CAR_EXTENT, (len(vj), 3)),
-            np.array([b.yaw for b in boxes])[vj],
+            centers, extents, box_yaws,
             np.column_stack([xs[vi], ys[vi], np.full(len(vi), LIDAR_Z)]))
         noise = rng.normal(0.0, count_sigma, size=len(vi))
         noisy = [b * math.exp(z) for b, z in zip(base.tolist(), noise.tolist())]
-        counts = np.clip(noisy, 1, 240000).astype(np.int64).tolist()
-        objects = [[] for _ in range(cav_count)]
-        for i, j, count in zip(vi.tolist(), vj.tolist(), counts):
-            objects[i].append(TraceObject(obj_id=j, bbox=boxes[j], true_count=count))
-        cavs = [CavSnapshot(cav_id=i,
-                            pose=Pose(x=float(xs[i]), y=float(ys[i]), z=LIDAR_Z,
-                                      yaw=float(yaws[i])),
-                            objects=objects[i])
-                for i in range(cav_count)]
-        out.append(TraceFrame(index=f, time_s=round(f * FRAME_PERIOD_S, 6), cavs=cavs))
+        zeros = np.zeros(cav_count)
+        out.append(TraceFrame(
+            index=f, time_s=round(f * FRAME_PERIOD_S, 6), cav_ids=np.arange(cav_count),
+            poses=np.column_stack([xs, ys, np.full(cav_count, LIDAR_Z), zeros, zeros, yaws]),
+            pair_cav=vi, obj_ids=vj, centers=centers, extents=extents, yaws=box_yaws,
+            counts=np.clip(noisy, 1, 240000).astype(np.int64)))
 
         # advance along the grid; turns happen on line crossings
         for i in range(cav_count):
@@ -564,8 +584,7 @@ class RunState:
 def _derive_radio(config: RunConfig, frame0: TraceFrame) -> RadioConfig:
     base = config.base_station
     if base is None:
-        centers = np.array([[c.pose.x, c.pose.y] for c in frame0.cavs])
-        base = (float(centers[:, 0].mean()), float(centers[:, 1].mean()), 10.0)
+        base = (float(frame0.poses[:, 0].mean()), float(frame0.poses[:, 1].mean()), 10.0)
     return RadioConfig(
         bandwidth_hz=config.bandwidth_hz,
         carrier_ghz=config.carrier_ghz,
@@ -611,220 +630,211 @@ def _pick_sample(samples: np.ndarray, rng: np.random.Generator) -> float:
 
 def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
               server: ServerConfig):
+    """Simulate one frame; returns (rows, objects, stats, loc_errors).
+
+    The frame works on one table of detection pairs ordered by (CAV id,
+    object id), held as columns: the CAV's index in id order, the object id,
+    the pair's row in the trace frame and the observed position.  Selection
+    keeps the rows that go out; rf, the reused map gid (-1 if none), bytes
+    and loss are columns of those.  Loops whose order fixes a random stream
+    or a result stay per object: localization, the accounting draws and the
+    per-object edge thinning.
+    """
     cfg = state.config
     policy = _POLICY[cfg.policy]
     t = frame.time_s
     fidx = frame.index
-    cavs = sorted(frame.cavs, key=lambda c: c.cav_id)
-    n = len(cavs)
-    positions = {c.cav_id: c.pose.position for c in cavs}
+    cav_order = np.argsort(frame.cav_ids, kind="stable")
+    cav_ids = frame.cav_ids[cav_order].tolist()
+    positions = frame.poses[cav_order, :3]
+    n = len(cav_ids)
+    # every trace pair, sorted by (CAV index, object id)
+    rank = np.empty(n, dtype=np.int64)
+    rank[cav_order] = np.arange(n)
+    pair_rank = rank[frame.pair_cav]
+    by_pair = np.lexsort((frame.obj_ids, pair_rank))
+    bounds = np.searchsorted(pair_rank[by_pair], np.arange(n + 1)).tolist()
 
-    # --- localization (vehicle side) ---
-    detected: dict = {}  # cav_id -> {obj_id: observed 2d position}
-    charges: dict = {}
-    obj_lookup: dict = {}  # cav_id -> {obj_id: TraceObject}
-    loc_errors = []
-    for cav in cavs:
+    # --- localization (vehicle side) builds the detection table ---
+    cav, src, observed = [], [], []
+    charges, loc_errors = [], []
+    for c, cav_id in enumerate(cav_ids):
+        rows = by_pair[bounds[c]:bounds[c + 1]].tolist()
+        truth = dict(zip(frame.obj_ids[rows].tolist(), frame.centers[rows, :2]))
         loc = state.localizers.setdefault(
-            cav.cav_id,
-            HybridLocalizer(rle_threshold=cfg.rle_threshold_m))
-        truth = {o.obj_id: o.bbox.center[:2] for o in cav.objects}
-        obj_lookup[cav.cav_id] = {o.obj_id: o for o in cav.objects}
-        rng_loc = np.random.default_rng([cfg.seed, fidx, cav.cav_id, _S_LOC])
+            cav_id, HybridLocalizer(rle_threshold=cfg.rle_threshold_m))
+        rng_loc = np.random.default_rng([cfg.seed, fidx, cav_id, _S_LOC])
         res = loc.step(t, truth, rng_loc)
-        detected[cav.cav_id] = res.observations
-        charges[cav.cav_id] = res.charged_ms
-        for obj_id, obs in res.observations.items():
-            loc_errors.append(float(np.linalg.norm(obs - truth[obj_id])))
+        charges.append(res.charged_ms)
+        for row, (obj_id, pos) in zip(rows, truth.items()):
+            obs = res.observations.get(obj_id)
+            if obs is not None:
+                loc_errors.append(float(np.linalg.norm(obs - pos)))
+                cav.append(c)
+                src.append(row)
+                observed.append(obs)
+    cav = np.array(cav, dtype=np.int64)
+    src = np.array(src, dtype=np.int64)
+    obj = frame.obj_ids[src]
+    observed = np.reshape(observed, (-1, 2))
+    detected_pairs = len(cav)
 
     # --- selection over the shared view ---
-    detectors: dict = {}
-    for cav_id, obs in detected.items():
-        for obj_id in obs:
-            detectors.setdefault(obj_id, []).append(cav_id)
-    detected_pairs = sum(len(v) for v in detectors.values())
-
-    transmit: dict = {c.cav_id: [] for c in cavs}  # cav -> [obj_id]
-    if policy.select == "thin":
-        # every detection pair, grouped by object, through one count kernel
-        pairs = [(obj_id, cav_id) for obj_id in sorted(detectors)
-                 for cav_id in detectors[obj_id]]
-        boxes = [obj_lookup[cav_id][obj_id].bbox for obj_id, cav_id in pairs]
-        _, quadrants = predict_counts(
-            [b.center for b in boxes], [b.extent for b in boxes],
-            [b.yaw for b in boxes], [positions[cav_id] for _, cav_id in pairs])
-        start = 0
-        for obj_id in sorted(detectors):
-            seen_by = detectors[obj_id]
-            counts = dict(zip(seen_by, quadrants[start:start + len(seen_by)]))
-            start += len(seen_by)
-            for cav_id in select_objects(counts, cfg.density_threshold):
-                transmit[cav_id].append(obj_id)
-        for cav_id in transmit:
-            transmit[cav_id].sort()
-    elif policy.select == "blindspot":
-        for obj_id, seen_by in sorted(detectors.items()):
-            if len(seen_by) < n:  # someone lacks this object
-                for cav_id in seen_by:
-                    transmit[cav_id].append(obj_id)
-        for cav_id in transmit:
-            transmit[cav_id].sort()
-    else:  # "all": every detection goes out
-        for cav_id, obs in detected.items():
-            transmit[cav_id] = sorted(obs)
-    selected_pairs = sum(len(v) for v in transmit.values())
+    if policy.select == "all":
+        selected = np.ones(len(cav), dtype=bool)
+    elif policy.select == "blindspot":  # objects some CAV lacks
+        _, inverse, viewers = np.unique(obj, return_inverse=True, return_counts=True)
+        selected = viewers[inverse] < n
+    else:  # "thin": each object's viewers, in CAV order, through one count kernel
+        by_obj = np.argsort(obj, kind="stable")
+        boxes = src[by_obj]
+        _, quadrants = predict_counts(frame.centers[boxes], frame.extents[boxes],
+                                      frame.yaws[boxes], positions[cav[by_obj]])
+        selected = np.zeros(len(cav), dtype=bool)
+        viewer_ids = [cav_ids[c] for c in cav[by_obj].tolist()]
+        starts = np.flatnonzero(np.diff(obj[by_obj], prepend=-1, append=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:]):
+            kept = select_objects(dict(zip(viewer_ids[lo:hi], quadrants[lo:hi])),
+                                  cfg.density_threshold)
+            selected[by_obj[lo:hi]] = [v in kept for v in viewer_ids[lo:hi]]
+    # from here on the table holds the pairs that go out
+    cav, obj, src, observed = cav[selected], obj[selected], src[selected], observed[selected]
+    counts = frame.counts[src]
+    bounds = np.searchsorted(cav, np.arange(n + 1)).tolist()
+    by_cav = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
     # --- per-CAV RF decisions, solved for the whole frame at once ---
-    rf_choice: dict = {}  # (cav_id, obj_id) -> rf
+    rf = np.zeros(len(cav), dtype=np.int64)
     infeasible_cavs = 0
+    sectors = [sector_index(p, state.radio) for p in positions]
     if policy.rf == "optimize":
         # frame-0 fallback estimate: assume every CAV shares its sector
-        all_counts = np.bincount(
-            [sector_index(positions[c.cav_id], state.radio) for c in cavs],
-            minlength=state.radio.sectors)
+        all_counts = np.bincount(sectors, minlength=state.radio.sectors)
         problems, owners = [], []
-        for cav in cavs:
-            chosen = transmit[cav.cav_id]
-            if not chosen:
+        for c, cav_id in enumerate(cav_ids):
+            mine = by_cav[c]
+            if mine.start == mine.stop:
                 continue
-            rate = state.prev_rates.get(cav.cav_id)
+            rate = state.prev_rates.get(cav_id)
             if rate is None:
-                sector = sector_index(positions[cav.cav_id], state.radio)
-                rate = uplink_rate(positions[cav.cav_id],
-                                   max(1, int(all_counts[sector])), state.radio)
-            tasks = [ObjectTask(obj_id=o,
-                                raw_count=obj_lookup[cav.cav_id][o].true_count)
-                     for o in chosen]
+                rate = uplink_rate(positions[c], max(1, int(all_counts[sectors[c]])),
+                                   state.radio)
+            tasks = [ObjectTask(obj_id=o, raw_count=k)
+                     for o, k in zip(obj[mine].tolist(), counts[mine].tolist())]
             opt_seed = int(np.random.SeedSequence(
-                (cfg.seed, fidx, cav.cav_id, 7)).generate_state(1)[0])
+                (cfg.seed, fidx, cav_id, 7)).generate_state(1)[0])
             inputs = LatencyInputs(rate_bps=rate, dataset=dataset,
                                    r_v=cfg.r_v, r_e=cfg.r_e,
                                    rate_sigma=cfg.rate_sigma)
             problems.append(RFProblem(tasks=tasks, inputs=inputs, seed=opt_seed))
-            owners.append(cav.cav_id)
+            owners.append(mine)
         opt = OptimizerConfig(
             h_s=(cfg.H_ms - cfg.h_margin_ms) / 1e3, p=cfg.p,
             outer_iters=cfg.outer_iters, inner_iters=cfg.inner_iters,
             deviations=cfg.deviations, mc_samples=cfg.mc_samples,
             rf_set=cfg.rf_set)
         results = optimize_rf_batch(problems, dataset, opt)
-        for cav_id, res in zip(owners, results):
-            if res.infeasible:
-                infeasible_cavs += 1
-            for obj_id, rf in zip(transmit[cav_id], res.rfs):
-                rf_choice[(cav_id, obj_id)] = int(rf)
+        for mine, res in zip(owners, results):
+            infeasible_cavs += bool(res.infeasible)
+            rf[mine] = res.rfs
     elif policy.rf == "max":
-        for cav_id, chosen in transmit.items():
-            for obj_id in chosen:
-                rf_choice[(cav_id, obj_id)] = max(cfg.rf_set)
+        rf[:] = max(cfg.rf_set)
 
     # --- reuse decisions against the broadcast map ---
-    reuse: dict = {}  # (cav_id, obj_id) -> matched global id
+    gid = np.full(len(cav), -1, dtype=np.int64)
+    entries = state.global_map.entries
     if policy.reuse:
         broadcast = state.global_map.predicted_positions(t)
-        gids = list(broadcast)
+        gids = np.array(list(broadcast), dtype=np.int64)
         points = np.reshape(list(broadcast.values()), (-1, 2))
-        sent = [(cav.cav_id, obj_id) for cav in cavs for obj_id in transmit[cav.cav_id]]
-        obs = np.reshape([detected[cav_id][obj_id] for cav_id, obj_id in sent], (-1, 2))
-        rows = nearest_rows(points, obs, MATCH_GATE_M)
-        hit = np.flatnonzero(rows >= 0)
-        off = points[rows[hit]] - obs[hit]
-        close = np.sqrt(off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1]) < REUSE_POSE_ERROR_M
-        for k in hit[close].tolist():
-            gid = gids[rows[k]]
-            if state.global_map.entries[gid].has_geometry:
-                reuse[sent[k]] = gid
+        nearest = nearest_rows(points, observed, MATCH_GATE_M)
+        hit = np.flatnonzero(nearest >= 0)
+        off = points[nearest[hit]] - observed[hit]
+        close = hit[np.sqrt(off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1]) < REUSE_POSE_ERROR_M]
+        matched = gids[nearest[close]]
+        geometry = np.array([entries[g].has_geometry for g in matched.tolist()], dtype=bool)
+        gid[close[geometry]] = matched[geometry]
+    reused = gid >= 0
+    rf[reused] = 0  # as recorded: 0 unless a latent goes out
 
     # --- byte accounting, encode charges, losses ---
-    payloads = np.zeros(n)
+    nbytes = np.where(reused, REUSE_DELTA_BYTES, 0)
+    if policy.upload_bytes is not None:
+        nbytes[~reused] = policy.upload_bytes + DESCRIPTOR_OVERHEAD_BYTES
+    else:
+        nbytes[~reused] = [payload_bytes(r) + DESCRIPTOR_OVERHEAD_BYTES
+                           for r in rf[~reused].tolist()]
+    payloads = np.bincount(cav, weights=nbytes, minlength=n)
+    decode_counts = np.bincount(cav[~reused], minlength=n)
+    loss = np.zeros(len(cav))
     vehicle_ms = np.zeros(n)
-    decode_counts = np.zeros(n, dtype=np.int64)
-    object_records = []
-    commit_items = []  # (observed position, carries geometry, loss), in CAV order
-    for idx, cav in enumerate(cavs):
-        cav_id = cav.cav_id
+    for c, cav_id in enumerate(cav_ids):
+        mine = by_cav[c]
+        if mine.start == mine.stop:
+            continue
         rng_time = np.random.default_rng([cfg.seed, fidx, cav_id, _S_TIME])
         rng_loss = np.random.default_rng([cfg.seed, fidx, cav_id, _S_LOSS])
-        for obj_id in transmit[cav_id]:
-            tro = obj_lookup[cav_id][obj_id]
-            bucket = bucket_index(tro.true_count)
-            gid = reuse.get((cav_id, obj_id))
-            rf = 0  # as recorded: 0 unless a latent goes out
-            if gid is not None:
-                nbytes = REUSE_DELTA_BYTES
-                loss = state.global_map.entries[gid].last_loss
-            elif policy.upload_bytes is not None:
-                nbytes = policy.upload_bytes + DESCRIPTOR_OVERHEAD_BYTES
-                vehicle_ms[idx] += _pick_sample(
-                    dataset.enc_time_samples(max(RF_SET), bucket), rng_time)
-                decode_counts[idx] += 1
-                loss = 0.0
+        encode_ms = 0.0
+        for r in range(mine.start, mine.stop):
+            if reused[r]:
+                loss[r] = entries[int(gid[r])].last_loss
+                continue
+            bucket = bucket_index(int(counts[r]))
+            if policy.upload_bytes is not None:
+                encode_ms += _pick_sample(dataset.enc_time_samples(max(RF_SET), bucket), rng_time)
+                continue
+            rf_r = int(rf[r])
+            encode_ms += _pick_sample(dataset.enc_time_samples(rf_r, bucket), rng_time)
+            if cfg.dataset_mode == "codec":
+                rng_codec = np.random.default_rng([cfg.seed, fidx, cav_id, int(obj[r]), _S_CODEC])
+                box = Bbox3(center=frame.centers[src[r]], extent=frame.extents[src[r]])
+                box.yaw = float(frame.yaws[src[r]])  # wrapped already; a second wrap can move it
+                loss[r] = _codec_loss(box, positions[c], int(counts[r]), rf_r, cfg.beta,
+                                      rng_codec)
             else:
-                rf = rf_choice[(cav_id, obj_id)]
-                nbytes = payload_bytes(rf) + DESCRIPTOR_OVERHEAD_BYTES
-                vehicle_ms[idx] += _pick_sample(
-                    dataset.enc_time_samples(rf, bucket), rng_time)
-                decode_counts[idx] += 1
-                if cfg.dataset_mode == "codec":
-                    rng_codec = np.random.default_rng(
-                        [cfg.seed, fidx, cav_id, obj_id, _S_CODEC])
-                    loss = _codec_loss(tro.bbox, positions[cav_id],
-                                       tro.true_count, rf, cfg.beta, rng_codec)
-                else:
-                    loss = _pick_sample(dataset.loss_samples(rf, bucket), rng_loss)
-
-            payloads[idx] += nbytes
-            commit_items.append((detected[cav_id][obj_id], gid is None, loss))
-            object_records.append(ObjectRecord(
-                frame=fidx, cav_id=cav_id, obj_id=obj_id, rf=rf,
-                bytes=nbytes, loss=loss, reused=gid is not None))
+                loss[r] = _pick_sample(dataset.loss_samples(rf_r, bucket), rng_loss)
+        vehicle_ms[c] = encode_ms
 
     # --- radio: realized rates with fading, shared per sector ---
     # only CAVs with data on air occupy their sector's band this frame
-    tx_sectors = [sector_index(positions[cav.cav_id], state.radio)
-                  for idx, cav in enumerate(cavs) if payloads[idx] > 0]
-    sector_counts = np.bincount(tx_sectors, minlength=state.radio.sectors) \
-        if tx_sectors else np.zeros(state.radio.sectors, dtype=np.int64)
+    sector_counts = np.bincount(np.array(sectors)[payloads > 0], minlength=state.radio.sectors)
     rng_net = np.random.default_rng([cfg.seed, fidx, _S_NET])
     rates = np.zeros(n)
-    for idx, cav in enumerate(cavs):
+    for c, cav_id in enumerate(cav_ids):
         fading = draw_fading(rng_net, cfg.fading_sigma)
-        sector = sector_index(positions[cav.cav_id], state.radio)
-        share = max(1, int(sector_counts[sector]))
-        rates[idx] = uplink_rate(positions[cav.cav_id], share, state.radio,
-                                 fading=float(fading))
-        state.prev_rates[cav.cav_id] = float(rates[idx])
+        share = max(1, int(sector_counts[sectors[c]]))
+        rates[c] = uplink_rate(positions[c], share, state.radio, fading=float(fading))
+        state.prev_rates[cav_id] = float(rates[c])
 
     # --- edge latency ---
     rng_queue = np.random.default_rng([cfg.seed, fidx, _S_QUEUE])
-    breakdowns = simulate_frame_latency(
-        payloads, vehicle_ms, rates, decode_counts, server, rng_queue,
-        extra_b_ms=[charges[c.cav_id] for c in cavs],
-        cav_ids=[c.cav_id for c in cavs])
+    breakdowns = simulate_frame_latency(payloads, vehicle_ms, rates, decode_counts, server,
+                                        rng_queue, extra_b_ms=charges, cav_ids=cav_ids)
 
-    # --- server-side matching into the global map ---
-    state.global_map.commit_frame(commit_items, t)
+    # --- server-side matching into the global map, in table order ---
+    state.global_map.commit_frame(list(zip(observed, (~reused).tolist(), loss.tolist())), t)
 
-    by_cav: dict = {}
-    for rec in object_records:
-        by_cav.setdefault(rec.cav_id, []).append(rec)
     rows = []
-    for idx, (cav, br) in enumerate(zip(cavs, breakdowns)):
-        sent = by_cav.get(cav.cav_id, [])
-        mean_loss = float(np.mean([r.loss for r in sent])) if sent else 0.0
+    for c, (cav_id, br) in enumerate(zip(cav_ids, breakdowns)):
+        mine = by_cav[c]
+        rfs = rf[mine]
         rows.append(FrameRow(
-            cav_id=cav.cav_id, frame=fidx,
+            cav_id=cav_id, frame=fidx,
             vehicle_ms=br.vehicle_ms + br.b_ms,  # encode plus baseline charge
             uplink_ms=br.uplink_ms,
             queue_ms=br.queue_ms, server_ms=br.server_ms,
-            total_ms=br.total_ms, bytes=int(payloads[idx]),
-            loss=mean_loss,
-            rfs=tuple(r.rf for r in sent if r.rf > 0)))
+            total_ms=br.total_ms, bytes=int(payloads[c]),
+            loss=float(np.mean(loss[mine])) if len(rfs) else 0.0,
+            rfs=tuple(rfs[rfs > 0].tolist())))
+    objects = [ObjectRecord(frame=fidx, cav_id=cav_ids[c], obj_id=o, rf=r, bytes=b,
+                            loss=v, reused=u)
+               for c, o, r, b, v, u in zip(cav.tolist(), obj.tolist(), rf.tolist(),
+                                           nbytes.tolist(), loss.tolist(), reused.tolist())]
     stats = FrameStats(
-        frame=fidx, detected_pairs=detected_pairs, selected_pairs=selected_pairs,
+        frame=fidx, detected_pairs=detected_pairs, selected_pairs=len(cav),
         bytes_total=int(payloads.sum()), infeasible_cavs=infeasible_cavs,
         map_size=len(state.global_map))
-    return rows, object_records, stats, loc_errors
+    return rows, objects, stats, loc_errors
 
 
 def run_simulation(trace, config: RunConfig,

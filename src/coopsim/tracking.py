@@ -1,8 +1,8 @@
 """Trajectory filtering and the detector/tracker localization hybrid.
 
-The Kalman filter tracks ground-plane position and velocity [X, Y, dX, dY]
-under a constant-velocity model.  Height is not filtered; object z comes from
-the box geometry.
+The Kalman filter, used by the edge map, tracks ground-plane position and
+velocity [X, Y, dX, dY] under a constant-velocity model.  Height is not
+filtered; object z comes from the box geometry.
 
 Localization runs both an oracle detector (ground truth plus configured
 noise) and a tracker.  Per slot the gap between the two, the relative
@@ -16,7 +16,9 @@ The tracker's published positions are modeled as an error process with a
 nominal state and a short-lived degraded state (hard maneuvers break the
 constant-velocity assumption in bursts).  ``sigma_trk`` sets the tracker's
 overall mean Euclidean error across both states; the split between the states
-is controlled by the maneuver fields.
+is controlled by the maneuver fields.  A vehicle's track of an object
+therefore holds only that it exists, its maneuver state and when the object
+was last published.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ _AXIS_FROM_MEAN = math.sqrt(2.0 / math.pi)
 
 DEFAULT_OBS_NOISE_VAR = 0.05  # m^2, measurement noise on each position axis
 DEFAULT_PROCESS_NOISE = 1.0  # m^2/s^3, white-acceleration intensity
+TRACK_RETIRE_S = 2.0  # a vehicle drops a track unpublished for longer
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +163,6 @@ class DetectionOracleConfig:
 
 @dataclass
 class TrackEntry:
-    kalman: KalmanState
     maneuver: bool = False
     last_seen: float = 0.0
 
@@ -168,11 +170,9 @@ class TrackEntry:
 @dataclass
 class LocalizeResult:
     observations: dict  # object id -> np.ndarray (2,)
-    sources: dict  # object id -> "detector" | "tracker"
     next_mode: LocalizerMode
     charged_ms: float
     detection_charged: bool
-    rle_max: float
 
 
 def hybrid_localize(
@@ -182,17 +182,14 @@ def hybrid_localize(
     cfg: DetectionOracleConfig,
     rng: np.random.Generator,
     t: float,
-    r_obs: float = DEFAULT_OBS_NOISE_VAR,
-    q: float = DEFAULT_PROCESS_NOISE,
     rle_threshold: float = 0.5,
-    retire_after: float = 2.0,
 ) -> LocalizeResult:
     """One localization slot over the currently visible objects.
 
     ``truth`` maps object id to the true ground-plane position.  ``tracks``
-    is mutated: Kalman states advance and correct with the published
-    observation, new ids get fresh tracks, stale ids retire.  Objects with no
-    prior track always publish the detector output regardless of mode.
+    is mutated: each published id is marked seen at ``t`` (new ids get a
+    track), and ids unpublished for over TRACK_RETIRE_S retire.  Objects with
+    no prior track always publish the detector output regardless of mode.
     """
     det_axis = cfg.sigma_det * _AXIS_FROM_MEAN
     base_err = cfg.tracker_base_error()
@@ -220,48 +217,28 @@ def hybrid_localize(
 
     next_mode = LocalizerMode.TRACKING if rle_max < rle_threshold else LocalizerMode.DETECTION
 
-    observations: dict = {}
-    sources: dict = {}
     if mode is LocalizerMode.TRACKING:
-        for obj_id, pos in trk_out.items():
-            observations[obj_id] = pos
-            sources[obj_id] = "tracker"
+        observations = dict(trk_out)
         for obj_id, pos in det_out.items():
-            if obj_id not in observations:  # no track yet: ride on the detector
-                observations[obj_id] = pos
-                sources[obj_id] = "detector"
+            # no track yet: ride on the detector
+            observations.setdefault(obj_id, pos)
         charged = TruncatedNormal.cached(cfg.trk_time_mean_ms, cfg.trk_time_sd_ms).sample(rng)
         detection_charged = False
     else:
-        observations = dict(det_out)
-        sources = {obj_id: "detector" for obj_id in det_out}
+        observations = det_out
         charged = TruncatedNormal.cached(cfg.det_time_mean_ms, cfg.det_time_sd_ms).sample(rng)
         detection_charged = True
 
-    # advance and correct tracks with whatever was published
-    for obj_id in sorted(truth):
-        obs = observations.get(obj_id)
-        entry = tracks.get(obj_id)
-        if entry is None:
-            if obs is not None:
-                tracks[obj_id] = TrackEntry(kalman=kalman_init(obs, t), last_seen=t)
-            continue
-        dt = t - entry.kalman.time
-        if dt > 0:
-            entry.kalman = kalman_predict(entry.kalman, dt, q)
-        if obs is not None:
-            entry.kalman = kalman_correct(entry.kalman, obs, r_obs)
-            entry.last_seen = t
-    for obj_id in [k for k, e in tracks.items() if t - e.last_seen > retire_after]:
+    for obj_id in observations:
+        tracks.setdefault(obj_id, TrackEntry()).last_seen = t
+    for obj_id in [k for k, e in tracks.items() if t - e.last_seen > TRACK_RETIRE_S]:
         del tracks[obj_id]
 
     return LocalizeResult(
         observations=observations,
-        sources=sources,
         next_mode=next_mode,
         charged_ms=float(charged),
         detection_charged=detection_charged,
-        rle_max=rle_max,
     )
 
 
@@ -269,19 +246,14 @@ class HybridLocalizer:
     """Per-vehicle wrapper holding the mode latch and the local tracks."""
 
     def __init__(self, cfg: DetectionOracleConfig | None = None,
-                 rle_threshold: float = 0.5, r_obs: float = DEFAULT_OBS_NOISE_VAR,
-                 q: float = DEFAULT_PROCESS_NOISE):
+                 rle_threshold: float = 0.5):
         self.cfg = cfg or DetectionOracleConfig()
         self.rle_threshold = rle_threshold
-        self.r_obs = r_obs
-        self.q = q
         self.mode = LocalizerMode.DETECTION  # nothing to track before the first slot
         self.tracks: dict = {}
 
     def step(self, t: float, truth: dict, rng: np.random.Generator) -> LocalizeResult:
-        result = hybrid_localize(
-            truth, self.mode, self.tracks, self.cfg, rng, t,
-            r_obs=self.r_obs, q=self.q, rle_threshold=self.rle_threshold,
-        )
+        result = hybrid_localize(truth, self.mode, self.tracks, self.cfg, rng, t,
+                                 rle_threshold=self.rle_threshold)
         self.mode = result.next_mode
         return result

@@ -195,6 +195,69 @@ def test_run_refuses_overwrite(tmp_path, trace_path):
     assert main(args + ["--force"]) == EXIT_OK
 
 
+def test_run_force_replaces_earlier_run(tmp_path, trace_path, monkeypatch):
+    out = tmp_path / "run"
+    args = ["run", "--trace", str(trace_path), "--out", str(out)]
+    assert main(args) == EXIT_OK
+    (out / "notes.txt").write_text("left by hand\n")
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr(cli, "run_simulation", broken)
+    assert main(args + ["--force"]) == EXIT_INTERNAL
+    # nothing of the earlier run reads as this run's result
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
+def test_run_force_refuses_a_foreign_directory(tmp_path, trace_path, capsys):
+    out = tmp_path / "mine"
+    out.mkdir()
+    (out / "keep.txt").write_text("not a run\n")
+    assert main(["run", "--trace", str(trace_path), "--out", str(out),
+                 "--force"]) == EXIT_INPUT
+    assert "refusing" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["keep.txt"]
+
+
+def _set_trace_value(records, field, value):
+    """Put ``value`` into one ``field`` of the trace's first frames."""
+    obj = next(o for c in records[0]["cavs"] for o in c["objects"])
+    if field == "pose":
+        records[0]["cavs"][0]["pose"][0] = value
+    elif field == "time_s":
+        records[1]["time_s"] = value
+    elif field in ("center", "extent"):
+        obj[field][1] = value
+    else:
+        obj[field] = value
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("pose", float("nan"), "non-finite pose"),
+    ("center", float("nan"), "non-finite center"),
+    ("extent", float("inf"), "non-finite extent"),
+    ("extent", 0.0, "extents must be positive"),
+    ("yaw", float("nan"), "non-finite yaw"),
+    ("time_s", float("nan"), "time_s nan is not finite"),
+    ("count", -5, "counts must be at least 1"),
+    ("count", 0, "counts must be at least 1"),
+    ("count", 2.5, "counts must be integers"),
+])
+def test_run_bad_trace_value_exits_2_before_output(tmp_path, trace_path, capsys,
+                                                   field, value, message):
+    records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    _set_trace_value(records, field, value)
+    bad = tmp_path / "bad.jsonl"
+    # json writes NaN and Infinity, and json.loads reads them back
+    bad.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    out = tmp_path / "run"
+    assert main(["run", "--trace", str(bad), "--out", str(out)]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_corrupt_trace(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("not json\n")
@@ -390,6 +453,16 @@ def test_sweep_refuses_overwrite(tmp_path, trace_path):
             "--trace", str(trace_path), "--out", str(out)]
     assert main(args) == EXIT_OK
     assert main(args) == EXIT_INPUT
+
+
+def test_sweep_force_drops_earlier_values(tmp_path, trace_path):
+    out = tmp_path / "sw"
+    base = ["sweep", "--param", "H", "--trace", str(trace_path), "--out", str(out)]
+    assert main(base + ["--values", "80", "90"]) == EXIT_OK
+    assert main(base + ["--values", "100", "110", "--force"]) == EXIT_OK
+    assert sorted(os.listdir(out)) == ["H-100", "H-110", "sweep.csv"]
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["100.0", "110.0"]
 
 
 # ---------------------------------------------------------------------------

@@ -123,15 +123,15 @@ def test_decode_rejects_malformed():
     lat = encode(box_cloud(6), 64)
     bad_len = lat.payload[:-1]
     with pytest.raises(DecodeError):
-        decode(type(lat)(rf=64, payload=bad_len, source_count=lat.source_count))
+        decode(type(lat)(rf=64, payload=bad_len))
     nonfinite = lat.payload.copy()
     nonfinite[0] = np.nan
     with pytest.raises(DecodeError):
-        decode(type(lat)(rf=64, payload=nonfinite, source_count=lat.source_count))
+        decode(type(lat)(rf=64, payload=nonfinite))
     neg = lat.payload.copy()
     neg[3 * anchor_count(64)] = -0.5
     with pytest.raises(DecodeError):
-        decode(type(lat)(rf=64, payload=neg, source_count=lat.source_count))
+        decode(type(lat)(rf=64, payload=neg))
 
 
 def test_roundtrip_centroid_preserved():

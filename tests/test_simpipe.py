@@ -18,18 +18,15 @@ from coopsim.codec import (
     reconstruction_loss,
 )
 from coopsim.errors import ConfigError, FrameError
-from coopsim.geometry import Bbox3, Pose, resample, sample_visible_surface
+from coopsim.geometry import Bbox3, resample, sample_visible_surface
 from coopsim.simpipe import (
     CAR_EXTENT,
     FRAME_PERIOD_S,
     LIDAR_Z,
     REUSE_DELTA_BYTES,
-    CavSnapshot,
     GlobalMap,
     MapEntry,
     RunConfig,
-    TraceFrame,
-    TraceObject,
     _derive_radio,
     _S_CODEC,
     collect_metrics,
@@ -69,35 +66,35 @@ def test_generate_trace_shape():
     for i, frame in enumerate(trace):
         assert frame.index == i
         assert frame.time_s == pytest.approx(i * FRAME_PERIOD_S)
-        assert len(frame.cavs) == 150
-        assert sorted(c.cav_id for c in frame.cavs) == list(range(150))
+        assert sorted(frame.cav_ids.tolist()) == list(range(150))
+        assert frame.poses.shape == (150, 6)
+        pairs = len(frame.obj_ids)
+        assert frame.pair_cav.shape == frame.yaws.shape == frame.counts.shape == (pairs,)
+        assert frame.centers.shape == frame.extents.shape == (pairs, 3)
+        assert (np.diff(frame.pair_cav) >= 0).all()  # grouped by viewer
 
 
 def test_generate_trace_density_band():
     # the dense default layout should stay in a workable visibility band
     trace = generate_trace(150, 4, seed=0)
-    counts = [len(c.objects) for f in trace for c in f.cavs]
+    counts = [n for f in trace for n in np.bincount(f.pair_cav, minlength=len(f.cav_ids))]
     assert 3.0 <= float(np.mean(counts)) <= 30.0
 
 
 def test_generate_trace_visibility_window():
     trace = generate_trace(40, 3, seed=1)
     for frame in trace:
-        for cav in frame.cavs:
-            eye = np.array([cav.pose.x, cav.pose.y])
-            for obj in cav.objects:
-                assert obj.obj_id != cav.cav_id
-                d = float(np.linalg.norm(np.asarray(obj.bbox.center[:2]) - eye))
-                assert 3.0 < d <= 50.0 + max(CAR_EXTENT)
+        assert (frame.obj_ids != frame.cav_ids[frame.pair_cav]).all()
+        eyes = frame.poses[frame.pair_cav, :2]
+        d = np.linalg.norm(frame.centers[:, :2] - eyes, axis=1)
+        assert ((3.0 < d) & (d <= 50.0 + max(CAR_EXTENT))).all()
 
 
 def test_generate_trace_counts_positive():
     trace = generate_trace(30, 2, seed=2)
     for frame in trace:
-        for cav in frame.cavs:
-            for obj in cav.objects:
-                assert obj.true_count >= 1
-                assert tuple(obj.bbox.extent) == CAR_EXTENT
+        assert len(frame.counts) and (frame.counts >= 1).all()
+        assert (frame.extents == CAR_EXTENT).all()
 
 
 def test_generate_trace_rejects_bad_args():
@@ -122,15 +119,34 @@ def test_save_load_roundtrip(tmp_path):
     back = load_trace(path)
     assert len(back) == len(trace)
     for fa, fb in zip(trace, back):
-        assert fb.index == fa.index and fb.time_s == pytest.approx(fa.time_s)
-        for ca, cb in zip(fa.cavs, fb.cavs):
-            assert cb.cav_id == ca.cav_id
-            assert cb.pose.x == pytest.approx(ca.pose.x)
-            assert cb.pose.yaw == pytest.approx(ca.pose.yaw)
-            assert [o.obj_id for o in cb.objects] == [o.obj_id for o in ca.objects]
-            for oa, ob in zip(ca.objects, cb.objects):
-                assert ob.true_count == oa.true_count
-                np.testing.assert_allclose(ob.bbox.center, oa.bbox.center)
+        assert fb.index == fa.index and fb.time_s == fa.time_s
+        for name in ("cav_ids", "poses", "pair_cav", "obj_ids", "centers", "extents",
+                     "yaws", "counts"):
+            want, got = getattr(fa, name), getattr(fb, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
+def _records(tmp_path, trace):
+    """``trace`` as the JSON records of its file."""
+    path = tmp_path / "records.jsonl"
+    save_trace(path, trace)
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _load_records(tmp_path, records):
+    path = tmp_path / "edited.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    return load_trace(path)
+
+
+def _cav(cav_id, x, y, yaw, objects):
+    return {"id": cav_id, "pose": [x, y, LIDAR_Z, 0.0, 0.0, yaw], "objects": objects}
+
+
+def _car(obj_id, center, yaw, count=900):
+    return {"id": obj_id, "center": center, "extent": list(CAR_EXTENT), "yaw": yaw,
+            "count": count}
 
 
 def test_load_rejects_broken_json(tmp_path):
@@ -154,19 +170,19 @@ def test_validate_rejects_bad_cadence():
         validate_trace(trace)
 
 
-def test_validate_rejects_duplicate_cav_ids():
-    trace = _tiny_trace()
-    trace[0].cavs[1].cav_id = trace[0].cavs[0].cav_id
-    with pytest.raises(FrameError):
-        validate_trace(trace)
+def test_validate_rejects_duplicate_cav_ids(tmp_path):
+    records = _records(tmp_path, _tiny_trace())
+    records[0]["cavs"][1]["id"] = records[0]["cavs"][0]["id"]
+    with pytest.raises(FrameError, match="duplicate CAV ids"):
+        _load_records(tmp_path, records)
 
 
-def test_validate_rejects_duplicate_object_ids():
-    trace = _tiny_trace()
-    cav = next(c for c in trace[0].cavs if len(c.objects) >= 1)
-    cav.objects.append(cav.objects[0])
-    with pytest.raises(FrameError):
-        validate_trace(trace)
+def test_validate_rejects_duplicate_object_ids(tmp_path):
+    records = _records(tmp_path, _tiny_trace())
+    cav = next(c for c in records[0]["cavs"] if c["objects"])
+    cav["objects"].append(cav["objects"][0])
+    with pytest.raises(FrameError, match=f"CAV {cav['id']} lists an object twice"):
+        _load_records(tmp_path, records)
 
 
 def test_validate_rejects_empty():
@@ -409,16 +425,13 @@ def test_blindspot_policy_sends_raw(small_trace):
         assert rec.bytes == per_obj
 
 
-def test_blindspot_skips_universally_seen_objects():
+def test_blindspot_skips_universally_seen_objects(tmp_path):
     # two CAVs staring at the same third object: each of the two CAVs sees it,
     # but with only those two CAVs in the scene n == 2 and both see it, so the
     # pair count under blindspot-all drops to zero
-    bbox = Bbox3(center=[10.0, 0.0, 0.75], extent=list(CAR_EXTENT), yaw=0.0)
-    cav_a = CavSnapshot(0, Pose(0.0, 0.0, LIDAR_Z, 0, 0, 0.0),
-                        [TraceObject(5, bbox, 900)])
-    cav_b = CavSnapshot(1, Pose(20.0, 0.0, LIDAR_Z, 0, 0, math.pi),
-                        [TraceObject(5, bbox, 900)])
-    trace = [TraceFrame(0, 0.0, [cav_a, cav_b])]
+    car = _car(5, [10.0, 0.0, 0.75], 0.0)
+    trace = _load_records(tmp_path, [{"frame": 0, "time_s": 0.0, "cavs": [
+        _cav(0, 0.0, 0.0, 0.0, [car]), _cav(1, 20.0, 0.0, math.pi, [car])]}])
     res = run_simulation(trace, RunConfig(policy="blindspot-all", seed=0))
     assert res.objects == []
     assert res.frame_stats[0].selected_pairs == 0
@@ -471,12 +484,11 @@ def test_map_size_reported(small_trace):
 # codec-mode loss equals the measured chain
 
 
-def test_codec_mode_matches_manual_chain():
+def test_codec_mode_matches_manual_chain(tmp_path):
     bbox_b = Bbox3(center=[20.0, 2.0, 0.75], extent=list(CAR_EXTENT), yaw=0.4)
-    cav_a = CavSnapshot(0, Pose(0.0, 0.0, LIDAR_Z, 0, 0, 0.0),
-                        [TraceObject(1, bbox_b, 900)])
-    cav_b = CavSnapshot(1, Pose(20.0, 2.0, LIDAR_Z, 0, 0, 0.0), [])
-    trace = [TraceFrame(0, 0.0, [cav_a, cav_b])]
+    trace = _load_records(tmp_path, [{"frame": 0, "time_s": 0.0, "cavs": [
+        _cav(0, 0.0, 0.0, 0.0, [_car(1, [20.0, 2.0, 0.75], 0.4)]),
+        _cav(1, 20.0, 2.0, 0.0, [])]}])
     cfg = RunConfig(policy="adamap", dataset_mode="codec", rf_set=(4,), seed=5)
     res = run_simulation(trace, cfg)
     assert len(res.objects) == 1
@@ -562,7 +574,7 @@ def test_write_frame_csv_layout(tmp_path):
 def test_derive_radio_default_base_is_centroid():
     trace = generate_trace(10, 1, seed=0)
     radio = _derive_radio(RunConfig(), trace[0])
-    centers = np.array([[c.pose.x, c.pose.y] for c in trace[0].cavs])
+    centers = trace[0].poses[:, :2]
     np.testing.assert_allclose(radio.base_station[:2], centers.mean(axis=0))
     assert radio.base_station[2] == 10.0
 

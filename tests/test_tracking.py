@@ -178,21 +178,27 @@ def test_large_gap_forces_detection_next_slot():
     loc = HybridLocalizer(cfg)
     truths = [{1: (0.0, 0.0)} for _ in range(200)]
     results = _run_slots(loc, truths, rng)
-    for prev, nxt in zip(results, results[1:]):
-        if prev.rle_max >= loc.rle_threshold:
-            assert nxt.detection_charged
-            assert prev.next_mode is LocalizerMode.DETECTION
+    flips = [k for k, r in enumerate(results[:-1])
+             if r.next_mode is LocalizerMode.DETECTION]
+    # slot 0 has no track, so no gap; the tracker's 5 m error opens one later
+    assert flips and flips[0] > 0
+    assert all(results[k + 1].detection_charged for k in flips)
+    # a detection slot follows nothing but a flip
+    assert all(k - 1 in flips for k, r in enumerate(results)
+               if k > 0 and r.detection_charged)
 
 
 def test_new_object_rides_on_detector_in_tracking_mode():
+    # an exact detector and a noisy tracker tell the sources apart by value
+    cfg = DetectionOracleConfig(sigma_det=0.0, miss_prob=0.0, sigma_trk=1e-4)
     rng = np.random.default_rng(2)
-    loc = HybridLocalizer(_noise_free_cfg())
+    loc = HybridLocalizer(cfg)
     loc.step(0.0, {1: (0.0, 0.0)}, rng)
     res = loc.step(0.1, {1: (0.0, 0.0), 7: (3.0, 3.0)}, rng)
     assert not res.detection_charged
-    assert res.sources[1] == "tracker"
-    assert res.sources[7] == "detector"
-    assert 7 in loc.tracks
+    assert 0.0 < float(np.linalg.norm(res.observations[1])) < 0.01  # tracker
+    assert np.array_equal(res.observations[7], [3.0, 3.0])  # detector
+    assert sorted(loc.tracks) == [1, 7]
 
 
 def test_all_missed_detection_mode_publishes_nothing():
