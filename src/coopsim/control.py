@@ -11,8 +11,9 @@ SPSA (Spall 1992, IEEE TAC 37(3)).
 
 Once each CAV has its rate prediction its RF subproblem is independent of the
 others, so ``optimize_rf_batch`` solves a frame's subproblems in lockstep:
-CAVs with the same task count share every numpy call of every step, while
-each keeps its own seeded random streams and the arithmetic of a lone solve.
+CAVs with the same task count share every numpy call of every step (one matmul
+blends compute times, one solve of centred normal equations fits the planes),
+while each keeps its own seeded random streams and the arithmetic of a lone solve.
 
 Everything here is a pure function of broadcast state plus a seed, so every
 CAV reaches the same decision independently and runs can replay exactly.
@@ -175,17 +176,13 @@ class _Scenarios:
     percentile constraint cares about.
     """
 
-    def __init__(self, log_levels, mean_loss, times_ms, base_s, rate,
-                 r_v, r_e, overhead_bytes):
+    def __init__(self, log_levels, mean_loss, compute_s, base_s, rate, overhead_bytes):
         self.log_levels = log_levels  # (L,)
         self.mean_loss = mean_loss  # (C, k, L)
-        self.times_ms = times_ms  # (C, k, L, 2, S): encode, decode
+        self.compute_s = compute_s  # (C, k * L, S): enc / r_v + dec / r_e, in s
         self.base_s = base_s  # (C, S) baseline module time
         self.rate = rate  # (C, S) sampled uplink rate
-        self.r_v, self.r_e, self.overhead_bytes = r_v, r_e, overhead_bytes
-        c, k, nl = mean_loss.shape
-        # flat index of (row, task, level 0) in the (C * k * L, ...) views
-        self._first = (np.arange(c)[:, None, None] * k + np.arange(k)) * nl
+        self.overhead_bytes = overhead_bytes
 
     @classmethod
     def draw(cls, problems, tables, s: int) -> "_Scenarios":
@@ -206,15 +203,15 @@ class _Scenarios:
                       for p in problems])
         rate_bps = np.array([p.inputs.rate_bps for p in problems])[:, None]
         times = time_tab[buckets[..., None, None, None], np.arange(len(levels))[:, None, None],
-                         np.arange(2)[:, None], idx]
+                         np.arange(2)[:, None], idx]  # (C, k, L, 2, S): encode, decode
+        compute_s = (times[..., 0, :] / inputs.r_v + times[..., 1, :] / inputs.r_e) / 1e3
         return cls(np.log2(np.asarray(levels, dtype=np.float64)), mean_tab[buckets],
-                   times, base_ms / 1e3, rate_bps * np.exp(inputs.rate_sigma * z),
-                   inputs.r_v, inputs.r_e, inputs.overhead_bytes)
+                   compute_s.reshape(len(problems), -1, s), base_ms / 1e3,
+                   rate_bps * np.exp(inputs.rate_sigma * z), inputs.overhead_bytes)
 
     def take(self, rows) -> "_Scenarios":
-        return _Scenarios(self.log_levels, self.mean_loss[rows], self.times_ms[rows],
-                          self.base_s[rows], self.rate[rows],
-                          self.r_v, self.r_e, self.overhead_bytes)
+        return _Scenarios(self.log_levels, self.mean_loss[rows], self.compute_s[rows],
+                          self.base_s[rows], self.rate[rows], self.overhead_bytes)
 
     def evaluate(self, x: np.ndarray):
         """Sampled fidelity and latency for D log2-RF rows per subproblem.
@@ -222,7 +219,8 @@ class _Scenarios:
         ``x`` has shape (C, D, k).  Returns (fidelity (C, D), latency_s
         (C, D, S)).  Values between discrete levels blend the two bracketing
         levels' samples linearly, reusing the same draws, so the surface the
-        regression sees is continuous in x.
+        regression sees is continuous in x: compute time as a matmul of the
+        blend weights with ``compute_s``, fidelity summed task by task.
         """
         lx = self.log_levels
         if len(lx) == 1:
@@ -232,22 +230,15 @@ class _Scenarios:
             j = np.clip(np.searchsorted(lx, x, side="right") - 1, 0, len(lx) - 2)
             w = np.clip((x - lx[j]) / (lx[j + 1] - lx[j]), 0.0, 1.0)
         jn = np.minimum(j + 1, len(lx) - 1)
-        at, an = self._first + j, self._first + jn
-        ml = self.mean_loss.reshape(-1)
-        times = self.times_ms.reshape(-1, *self.times_ms.shape[-2:])
-        # (1 - w) a + w b, summed over tasks in task order: the arithmetic of
-        # a single subproblem, so a CAV's result does not depend on its batch
-        loss = (1.0 - w) * ml[at] + w * ml[an]
-        w5 = w[..., None, None]
-        t = times[at]
-        t *= 1.0 - w5
-        t_next = times[an]
-        t_next *= w5
-        t += t_next
-        spent = t.sum(axis=2)  # (C, D, 2, S)
-        fidelity = -loss.sum(axis=-1)
+        # flat offsets of level 0 per (row, dev, task); one level: j == jn, 1 - w wins
+        first = np.arange(x.size).reshape(x.shape) * len(lx)
+        weights = np.zeros((*x.shape, len(lx)))
+        weights.reshape(-1)[first + jn] = w
+        weights.reshape(-1)[first + j] = 1.0 - w
+        # zero weights add exact zeros: (1 - w) a + w b per task, then the task sum
+        fidelity = -(weights * self.mean_loss[:, None]).sum(axis=-1).sum(axis=-1)
+        compute_s = weights.reshape(*x.shape[:2], -1) @ self.compute_s
         payload = (1024.0 / np.exp2(x)) * 4.0 + self.overhead_bytes
-        compute_s = (spent[:, :, 0] / self.r_v + spent[:, :, 1] / self.r_e) / 1e3
         with np.errstate(divide="ignore"):
             uplink_s = payload.sum(axis=-1)[..., None] * 8.0 / self.rate[:, None, :]
         latency = compute_s + uplink_s + self.base_s[:, None, :]
@@ -348,7 +339,30 @@ def optimize_rf_batch(problems, loss_dataset: MeasurementDataset,
     return results
 
 
+def _plane_slopes(design, g):
+    """Slopes (C, k) of the least-squares planes of g (C, D) over design
+    (C, D, 1 + k), whose column 0 is ones: one batched solve of the centred
+    normal equations.  Clipping can make a column constant or columns
+    dependent; the Gram matrix's correlation determinant is then roundoff, so
+    below sqrt(eps) a row takes lstsq's fit, pinv with its cutoff.  Rows never mix."""
+    eps = np.finfo(np.float64).eps
+    xc = design[:, :, 1:] - design[:, :, 1:].mean(axis=1, keepdims=True)
+    xt, gc = xc.transpose(0, 2, 1), g - g.mean(axis=1, keepdims=True)
+    gram, rhs = xt @ xc, xt @ gc[:, :, None]
+    flat = np.linalg.det(gram) <= np.sqrt(eps) * np.diagonal(gram, 0, 1, 2).prod(axis=-1)
+    if not flat.any():
+        return np.linalg.solve(gram, rhs)[:, :, 0]
+    slopes = np.empty(rhs.shape[:2])
+    slopes[~flat] = np.linalg.solve(gram[~flat], rhs[~flat])[:, :, 0]
+    slopes[flat] = (np.linalg.pinv(design[flat], eps * g.shape[1]) @ g[flat, :, None])[:, 1:, 0]
+    return slopes
+
+
 def _solve_group(problems, sc: _Scenarios, levels, cfg: OptimizerConfig) -> list:
+    """One group's lockstep search: each step is one ``sc.evaluate`` and one
+    ``_plane_slopes`` for every row.  With k + 1 > deviations a plane interpolates
+    its samples and any solver but lstsq amplifies roundoff into other iterates;
+    such rows are rare and keep lstsq, one at a time."""
     lx = sc.log_levels
     lo, hi = lx[0], lx[-1]
     c, k = len(problems), len(problems[0].tasks)
@@ -389,17 +403,11 @@ def _solve_group(problems, sc: _Scenarios, levels, cfg: OptimizerConfig) -> list
             g = fid + lam[:, None] * (probs - cfg.p)
             design[:, :, 1:] = dev
             if k + 1 > cfg.deviations:
-                # with more unknowns than samples the plane interpolates them,
-                # and its minimum-norm slope amplifies roundoff along the
-                # path: any solver but lstsq ends at other iterates.  Such
-                # CAVs are rare, so they keep lstsq, one at a time
-                coef = np.array([np.linalg.lstsq(d, gi, rcond=None)[0]
-                                 for d, gi in zip(design, g)])
+                slopes = np.array([np.linalg.lstsq(d, gi, rcond=None)[0][1:]
+                                   for d, gi in zip(design, g)])
             else:
-                # least squares with lstsq's cutoff, one stacked SVD per step
-                pinv = np.linalg.pinv(design, rcond=np.finfo(np.float64).eps * cfg.deviations)
-                coef = (pinv @ g[:, :, None])[:, :, 0]
-            x = np.clip(x + cfg.primal_step * coef[:, 1:], lo, hi)
+                slopes = _plane_slopes(design, g)
+            x = np.clip(x + cfg.primal_step * slopes, lo, hi)
             if cfg.diagnostics:
                 f_cur, p_cur = sc.at(x, cfg.h_s)
                 g_trace.append(f_cur + lam * (p_cur - cfg.p))

@@ -189,20 +189,22 @@ def _record_frame(rec: dict) -> TraceFrame:
     cavs = rec["cavs"]
     objects = [c["objects"] for c in cavs]
     pairs = [o for objs in objects for o in objs]
-    counts = [o["count"] for o in pairs]
-    if any(type(c) is not int for c in counts):
-        raise ValueError("object counts must be integers")
+    ints = {"frame number": [rec["frame"]], "CAV id": [c["id"] for c in cavs],
+            "object id": [o["id"] for o in pairs], "object count": [o["count"] for o in pairs]}
+    for name, values in ints.items():  # not int(): it reads 3.7 and "3" as 3, true as 1
+        if any(type(v) is not int for v in values):
+            raise ValueError(f"{name}s must be integers")
     return TraceFrame(
-        index=int(rec["frame"]),
+        index=rec["frame"],
         time_s=float(rec["time_s"]),
-        cav_ids=np.array([int(c["id"]) for c in cavs], dtype=np.int64),
+        cav_ids=np.array(ints["CAV id"], dtype=np.int64),
         poses=np.array([c["pose"] for c in cavs], dtype=np.float64).reshape(len(cavs), 6),
         pair_cav=np.repeat(np.arange(len(cavs)), [len(objs) for objs in objects]),
-        obj_ids=np.array([int(o["id"]) for o in pairs], dtype=np.int64),
+        obj_ids=np.array(ints["object id"], dtype=np.int64),
         centers=np.array([o["center"] for o in pairs], dtype=np.float64).reshape(len(pairs), 3),
         extents=np.array([o["extent"] for o in pairs], dtype=np.float64).reshape(len(pairs), 3),
         yaws=wrap_yaw(np.array([o["yaw"] for o in pairs], dtype=np.float64).reshape(len(pairs))),
-        counts=np.array(counts, dtype=np.int64),
+        counts=np.array(ints["object count"], dtype=np.int64),
     )
 
 

@@ -258,6 +258,32 @@ def test_run_bad_trace_value_exits_2_before_output(tmp_path, trace_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [3.7, "3", True])
+@pytest.mark.parametrize("field, message", [
+    ("frame", "frame numbers must be integers"),
+    ("cav id", "CAV ids must be integers"),
+    ("object id", "object ids must be integers"),
+])
+def test_run_non_integer_trace_id_exits_2_before_output(tmp_path, trace_path, capsys,
+                                                       field, message, value):
+    """int() would read 3.7 and "3" as 3 and true as 1, silently merging
+    distinct CAVs or objects; such a trace is bad input."""
+    records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    cav = next(c for c in records[0]["cavs"] if c["objects"])
+    if field == "frame":
+        records[0]["frame"] = value
+    elif field == "cav id":
+        cav["id"] = value
+    else:
+        cav["objects"][0]["id"] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    out = tmp_path / "run"
+    assert main(["run", "--trace", str(bad), "--out", str(out)]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_corrupt_trace(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("not json\n")

@@ -19,6 +19,8 @@ from coopsim.control import (
     ObjectTask,
     OptimizerConfig,
     RFProblem,
+    _sample_tables,
+    _Scenarios,
     optimize_rf_batch,
     predict_counts,
     select_objects,
@@ -28,6 +30,7 @@ from coopsim.errors import ConfigError, InvalidViewpointError
 from coopsim.geometry import Bbox3
 from coopsim.netsim import RadioConfig, uplink_rate
 from oracles import (
+    LoopScenarios,
     loop_optimize_rf,
     min_feasible_suffix_sum,
     predict_subspace_counts,
@@ -439,6 +442,47 @@ def test_batch_diagnostics_match_loop_oracle(surrogate):
         assert_same_result(res, ref)
         # the plane fit differs from lstsq in roundoff only
         np.testing.assert_allclose(res.g_trace, ref.g_trace, rtol=1e-9, atol=1e-12)
+
+
+def test_batch_rank_deficient_plane_fit_matches_loop_oracle(surrogate):
+    """Deviations this wide clip almost every entry to an RF bound, so many
+    designs have a constant column or two equal ones and singular normal
+    equations; those rows fall back to lstsq's minimum-norm plane."""
+    problems = random_problems(surrogate, 140, seed=15)
+    cfg = OptimizerConfig(**dict(RUN_OPTIMIZER, deviations=4, deviation_sd=50.0))
+    for prob, res in zip(problems, optimize_rf_batch(problems, surrogate, cfg)):
+        ref = loop_optimize_rf(prob.tasks, surrogate, prob.inputs, cfg, prob.seed)
+        assert res.rfs.tolist() == ref.rfs.tolist()
+        assert res.infeasible == ref.infeasible
+
+
+@pytest.mark.parametrize("rf_set", [RF_SET, (8, 32), (64,)])
+def test_scenario_blend_matches_loop_oracle(surrogate, rf_set):
+    """The lockstep latency blend is one matmul over a folded compute-time
+    table: it may differ from the per-task loop in roundoff, fidelity not."""
+    levels, k, s = sorted(rf_set), 5, 32
+    rng = np.random.default_rng(16)
+    problems = [RFProblem([ObjectTask(int(o), int(c)) for o, c in
+                           zip(rng.choice(500, k, replace=False), rng.integers(50, 5000, k))],
+                          LatencyInputs(rate_bps=rate, dataset=surrogate, rate_sigma=0.1,
+                                        r_v=0.7, r_e=1.3), seed=seed)
+                for seed, rate in enumerate((80e3, 300e3, 2e6))]
+    buckets = sorted({t.bucket for p in problems for t in p.tasks})
+    sc = _Scenarios.draw(problems, _sample_tables(surrogate, surrogate, levels, buckets), s)
+    lx = np.log2(levels)
+    x = np.concatenate([
+        rng.uniform(lx[0], lx[-1], (len(problems), 6, k)),
+        rng.choice(lx, (len(problems), 6, k)),  # exactly on levels
+        np.full((len(problems), 1, k), lx[0]),
+        np.full((len(problems), 1, k), lx[-1]),
+    ], axis=1)
+    fidelity, latency = sc.evaluate(x)
+    for c, prob in enumerate(problems):
+        loop = LoopScenarios(prob.tasks, prob.inputs, levels, s, prob.seed,
+                             loss_dataset=surrogate)
+        fid_ref, lat_ref = loop.evaluate_batch(x[c])
+        assert fidelity[c].tolist() == fid_ref.tolist()
+        np.testing.assert_allclose(latency[c], lat_ref, rtol=1e-12, atol=0)
 
 
 def test_batch_result_same_alone_and_in_batch(surrogate):
