@@ -50,6 +50,7 @@ DEFAULT_BETA = 1e-4
 # raw point-count bucket boundaries; the last bucket is open-ended
 BUCKET_EDGES = (0, 128, 256, 512, 1024, 2048, 4096)
 N_BUCKETS = len(BUCKET_EDGES)
+_BUCKET_UPPER = np.array(BUCKET_EDGES[1:])
 
 # per-RF reconstruction loss calibration: rf -> (mean, sd)
 DEFAULT_LOSS_CALIBRATION = {
@@ -82,8 +83,10 @@ def lossless_bytes() -> int:
     return int(np.ceil(RAW_OBJECT_BYTES / LOSSLESS_RATIO))
 
 
-def bucket_index(raw_count: int) -> int:
-    return int(np.searchsorted(np.asarray(BUCKET_EDGES[1:]), raw_count, side="right"))
+def bucket_index(raw_count):
+    """Count bucket of a raw point count; an array of counts gives an array."""
+    b = _BUCKET_UPPER.searchsorted(raw_count, side="right")
+    return b if isinstance(b, np.ndarray) else int(b)
 
 
 @dataclass

@@ -120,10 +120,6 @@ class ObjectTask:
     obj_id: int
     raw_count: int
 
-    @property
-    def bucket(self) -> int:
-        return bucket_index(self.raw_count)
-
 
 @dataclass
 class LatencyInputs:
@@ -185,12 +181,12 @@ class _Scenarios:
         self.overhead_bytes = overhead_bytes
 
     @classmethod
-    def draw(cls, problems, tables, s: int) -> "_Scenarios":
+    def draw(cls, problems, buckets, tables, s: int) -> "_Scenarios":
         """Scenarios for ``problems``: the same task count and latency inputs
-        apart from the rate.  ``tables`` comes from ``_sample_tables``."""
+        apart from the rate.  ``buckets`` holds the tasks' count buckets
+        (C, k); ``tables`` comes from ``_sample_tables``."""
         levels, mean_tab, time_tab, count_tab = tables
         inputs = problems[0].inputs
-        buckets = np.array([[t.bucket for t in p.tasks] for p in problems])
         u = np.array([[np.random.default_rng([p.seed, t.obj_id]).random((2, s))
                        for t in p.tasks] for p in problems])  # (C, k, 2, S)
         n = count_tab[buckets][..., None, None]  # (C, k, L, 1, 1)
@@ -325,15 +321,18 @@ def optimize_rf_batch(problems, loss_dataset: MeasurementDataset,
         key = (len(p.tasks), id(inp.dataset), inp.r_v, inp.r_e, inp.rate_sigma,
                inp.overhead_bytes, tuple(inp.b_modules_ms))
         groups.setdefault(key, []).append(i)
-    buckets = sorted({t.bucket for p in problems for t in p.tasks})
+    group_buckets = [bucket_index(np.array([[t.raw_count for t in problems[i].tasks]
+                                            for i in idx]))
+                     for idx in groups.values()]  # (C, k) per group
+    buckets = sorted({b for gb in group_buckets for b in np.unique(gb).tolist()})
     tables: dict = {}  # per time dataset
     results = [None] * len(problems)
-    for idx in groups.values():
+    for idx, group_bucket in zip(groups.values(), group_buckets):
         group = [problems[i] for i in idx]
         time_ds = group[0].inputs.dataset
         if id(time_ds) not in tables:
             tables[id(time_ds)] = _sample_tables(loss_dataset, time_ds, levels, buckets)
-        sc = _Scenarios.draw(group, tables[id(time_ds)], cfg.mc_samples)
+        sc = _Scenarios.draw(group, group_bucket, tables[id(time_ds)], cfg.mc_samples)
         for i, res in zip(idx, _solve_group(group, sc, levels, cfg)):
             results[i] = res
     return results

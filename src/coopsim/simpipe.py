@@ -770,6 +770,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
     decode_counts = np.bincount(cav[~reused], minlength=n)
     loss = np.zeros(len(cav))
     vehicle_ms = np.zeros(n)
+    buckets = bucket_index(counts)
     for c, cav_id in enumerate(cav_ids):
         mine = by_cav[c]
         if mine.start == mine.stop:
@@ -781,7 +782,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
             if reused[r]:
                 loss[r] = entries[int(gid[r])].last_loss
                 continue
-            bucket = bucket_index(int(counts[r]))
+            bucket = int(buckets[r])
             if policy.upload_bytes is not None:
                 encode_ms += _pick_sample(dataset.enc_time_samples(max(RF_SET), bucket), rng_time)
                 continue

@@ -4,9 +4,10 @@ Everything here is deliberately written from first principles (plain loops,
 exhaustive enumeration) and does not share code with the package under test.
 The exceptions are the routines that array code replaced, kept as they were:
 the per-pair point-count predictor with its projected_area (it shares Bbox3
-and visible_face_weights), the dict-based predictive match and greedy map
-dedup, and the per-CAV RF optimizer loop (it shares the dataset, the
-truncated-normal sampler, the random-stream tags and the result type).
+and visible_face_weights), the farthest-point walk with one temporary per
+step, the dict-based predictive match and greedy map dedup, and the per-CAV
+RF optimizer loop (it shares the dataset, the truncated-normal sampler, the
+random-stream tags and the result type).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 
 import numpy as np
 
+from coopsim.codec import bucket_index
 from coopsim.control import (
     _TAG_B,
     _TAG_FADING,
@@ -119,6 +121,20 @@ def hungarian_emd(a, b) -> float:
     return hungarian_min_cost(cost) / n
 
 
+def loop_farthest_point_indices(points: np.ndarray, k: int) -> np.ndarray:
+    """Greedy farthest-point walk, one (n, 3) temporary and reduction per step."""
+    start = int(np.argmin(((points - points.mean(axis=0)) ** 2).sum(axis=1)))
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = start
+    best = ((points - points[start]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        nxt = int(np.argmax(best))
+        chosen[i] = nxt
+        d = ((points - points[nxt]) ** 2).sum(axis=1)
+        np.minimum(best, d, out=best)
+    return chosen
+
+
 def fcfs_waits(arrivals, services, servers: int = 1):
     """Queue waits by stepping through a literal event timeline.
 
@@ -184,10 +200,11 @@ class LoopScenarios:
         for i, task in enumerate(tasks):
             rng = np.random.default_rng([seed, task.obj_id])
             u = rng.random((2, s))
+            bucket = bucket_index(task.raw_count)
             for j, rf in enumerate(self.levels):
-                self.mean_loss[i, j] = loss_ds.mean_loss(rf, task.bucket)
-                self.enc_ms[i, j] = _pick(time_ds.enc_time_samples(rf, task.bucket), u[0])
-                self.dec_ms[i, j] = _pick(time_ds.dec_time_samples(rf, task.bucket), u[1])
+                self.mean_loss[i, j] = loss_ds.mean_loss(rf, bucket)
+                self.enc_ms[i, j] = _pick(time_ds.enc_time_samples(rf, bucket), u[0])
+                self.dec_ms[i, j] = _pick(time_ds.dec_time_samples(rf, bucket), u[1])
         ub = np.random.default_rng([seed, _TAG_B]).random((len(inputs.b_modules_ms), s))
         self.b_ms = sum(
             TruncatedNormal.cached(m, sd).ppf(ub[i])

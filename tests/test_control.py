@@ -11,6 +11,7 @@ from coopsim.codec import (
     MeasurementDataset,
     N_BUCKETS,
     RF_SET,
+    bucket_index,
     surrogate_dataset,
 )
 from coopsim.control import (
@@ -467,8 +468,9 @@ def test_scenario_blend_matches_loop_oracle(surrogate, rf_set):
                           LatencyInputs(rate_bps=rate, dataset=surrogate, rate_sigma=0.1,
                                         r_v=0.7, r_e=1.3), seed=seed)
                 for seed, rate in enumerate((80e3, 300e3, 2e6))]
-    buckets = sorted({t.bucket for p in problems for t in p.tasks})
-    sc = _Scenarios.draw(problems, _sample_tables(surrogate, surrogate, levels, buckets), s)
+    buckets = bucket_index(np.array([[t.raw_count for t in p.tasks] for p in problems]))
+    sc = _Scenarios.draw(problems, buckets,
+                         _sample_tables(surrogate, surrogate, levels, np.unique(buckets)), s)
     lx = np.log2(levels)
     x = np.concatenate([
         rng.uniform(lx[0], lx[-1], (len(problems), 6, k)),

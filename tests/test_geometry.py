@@ -2,11 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from coopsim import geometry as geo
+from coopsim.codec import RF_SET, anchor_count, decode, default_profile_clouds, encode
 from coopsim.errors import EmptyCloudError, InvalidViewpointError, SizeMismatchError
 
-from oracles import brute_chamfer, enumerate_emd, hungarian_emd, projected_area
+from oracles import (
+    brute_chamfer,
+    enumerate_emd,
+    hungarian_emd,
+    loop_farthest_point_indices,
+    projected_area,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +113,30 @@ def test_emd_approximation_close_to_exact():
     for _ in range(25):
         a = rng.uniform(-5, 5, size=(64, 3))
         b = a + rng.normal(scale=0.7, size=(64, 3))
-        exact = geo.earth_movers_distance(a, b, method="exact")
-        approx = geo.earth_movers_distance(a, b, method="approx")
+        exact = hungarian_emd(a.tolist(), b.tolist())
+        approx = geo.earth_movers_distance(a, b)
         assert approx >= exact - 1e-12
         assert approx <= exact * 1.05
+
+
+def test_emd_subsample_path_close_to_exact_on_codec_clouds():
+    """Above EMD_SUBSAMPLE points EMD matches fixed-seed subsets: beta times
+    its error stays within 1e-4, and it stays above the nearest-neighbour
+    lower bound of the full clouds."""
+    beta = 1e-4
+    clouds = [cloud for _, cloud in default_profile_clouds(seed=0, per_bucket=1)]
+    assert len(clouds[0]) > geo.EMD_SUBSAMPLE
+    for i, cloud in enumerate(clouds):
+        for rf in (4, 64):
+            a, b = cloud.points, decode(encode(cloud, rf), seed=i).points
+            d = cdist(a, b)
+            rows, cols = linear_sum_assignment(d)
+            exact = float(d[rows, cols].mean())
+            lower = max(float(d.min(axis=1).mean()), float(d.min(axis=0).mean()))
+            emd = geo.earth_movers_distance(a, b)
+            assert beta * abs(emd - exact) <= 1e-4
+            assert abs(emd - exact) <= 0.25  # at most 0.22 m seen in a codec profile
+            assert emd >= lower - 1e-9
 
 
 def test_emd_bounded_by_max_pairwise_distance():
@@ -185,6 +214,42 @@ def test_farthest_point_walk_on_a_line():
     idx = geo.farthest_point_indices(pts, 3)
     # start nearest the centroid (x=4.5 -> index 4), then the extremes
     assert idx.tolist() == [4, 9, 0]
+
+
+def _surface_cloud(seed, n):
+    rng = np.random.default_rng(seed)
+    box = geo.Bbox3(center=rng.uniform(-20, 20, size=3),
+                    extent=np.array([4.5, 1.8, 1.5]) * rng.uniform(0.8, 1.2, size=3),
+                    yaw=rng.uniform(-math.pi, math.pi))
+    az = rng.uniform(-math.pi, math.pi)
+    vp = box.center + np.array([25 * math.cos(az), 25 * math.sin(az), 1.5])
+    return geo.sample_visible_surface(box, vp, n, seed=seed).points
+
+
+@pytest.mark.parametrize("n", [1025, 1500, 2048, 2049, 3000, 4096])
+def test_farthest_point_walk_matches_loop_oracle(n):
+    pts = _surface_cloud(n, n)
+    assert np.array_equal(geo.farthest_point_indices(pts, 1024),
+                          loop_farthest_point_indices(pts, 1024))
+
+
+def test_farthest_point_walk_matches_loop_oracle_at_anchor_counts():
+    for seed in range(3):
+        pts = geo.resample(geo.PointCloud(_surface_cloud(seed, 1800)), 1024).points
+        for rf in RF_SET:
+            k = anchor_count(rf)
+            assert np.array_equal(geo.farthest_point_indices(pts, k),
+                                  loop_farthest_point_indices(pts, k))
+
+
+def test_farthest_point_walk_ties_go_to_first_index():
+    base = _surface_cloud(7, 40)
+    pts = np.concatenate([base, base, base])  # copy c of point i at c * 40 + i
+    idx = geo.farthest_point_indices(pts, 60)
+    assert np.array_equal(idx, loop_farthest_point_indices(pts, 60))
+    # every distinct point is taken at its first copy; then all ties are 0
+    assert sorted(idx[:40].tolist()) == list(range(40))
+    assert idx[40:].tolist() == [0] * 20
 
 
 # ---------------------------------------------------------------------------
