@@ -231,6 +231,9 @@ def cmd_sweep(args) -> int:
             values.append(int(float(v)))
     else:
         values = [float(v) for v in args.values]
+    # every swept config is built, and so checked, before the sweep directory exists
+    field = {"bandwidth": "bandwidth_hz", "H": "H_ms"}.get(args.param)
+    configs = [replace(base, **{field: v}) if field else base for v in values]
     # the swept values leave rf_set and dataset_path alone: one check, one load
     dataset = load_dataset(base)
     # a trace file is read and checked before the sweep directory exists
@@ -244,16 +247,11 @@ def cmd_sweep(args) -> int:
         base_trace = load_trace(trace_name)
 
     jobs = []
-    for value in values:
-        cfg, trace = base, base_trace
-        if args.param == "bandwidth":
-            cfg = replace(base, bandwidth_hz=value)
-        elif args.param == "H":
-            cfg = replace(base, H_ms=value)
-        else:
+    for cfg, value in zip(configs, values):
+        if args.param == "cavs":
             trace_name = f"<generated cavs={value} frames={args.frames} seed={base.seed}>"
         sub = os.path.join(args.out, f"{args.param}-{value:g}")
-        jobs.append((cfg, trace, trace_name, dataset, sub, args.param, value, args.frames))
+        jobs.append((cfg, base_trace, trace_name, dataset, sub, args.param, value, args.frames))
 
     workers = max(1, int(os.environ.get(WORKERS_ENV, "1")))
     if workers == 1:

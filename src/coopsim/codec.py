@@ -45,7 +45,6 @@ CODEC_INPUT_POINTS = 1024
 DESCRIPTOR_OVERHEAD_BYTES = 128
 RAW_OBJECT_BYTES = CODEC_INPUT_POINTS * 3 * 4  # uncompressed float32 xyz
 LOSSLESS_RATIO = 1.91  # entropy-coder ratio applied to raw uploads
-DEFAULT_BETA = 1e-4
 
 # raw point-count bucket boundaries; the last bucket is open-ended
 BUCKET_EDGES = (0, 128, 256, 512, 1024, 2048, 4096)
@@ -93,15 +92,11 @@ def bucket_index(raw_count):
 class Latent:
     rf: int
     payload: np.ndarray  # float32, length 1024 // rf
-    frame: str = "global"
 
 
-def encode(cloud: PointCloud, rf: int, seed: int = 0) -> Latent:
-    """Compress a 1024-point cloud into a ``1024/rf``-scalar latent.
-
-    The seed is part of the interface for codec variants with stochastic
-    encoders; this scheme is fully deterministic.
-    """
+def encode(cloud: PointCloud, rf: int) -> Latent:
+    """Compress a 1024-point cloud into a ``1024/rf``-scalar latent,
+    deterministically."""
     dim = latent_dim(rf)
     if len(cloud) != CODEC_INPUT_POINTS:
         raise SizeMismatchError(
@@ -115,7 +110,7 @@ def encode(cloud: PointCloud, rf: int, seed: int = 0) -> Latent:
     payload = np.zeros(dim, dtype=np.float32)
     payload[: 3 * k] = anchors.astype(np.float32).ravel()
     payload[3 * k] = spread
-    return Latent(rf=rf, payload=payload, frame=cloud.frame)
+    return Latent(rf=rf, payload=payload)
 
 
 def decode(latent: Latent, seed: int = 0) -> PointCloud:
@@ -136,100 +131,90 @@ def decode(latent: Latent, seed: int = 0) -> PointCloud:
     base = np.repeat(anchors, counts, axis=0)
     rng = np.random.default_rng(seed)
     pts = base + rng.normal(scale=spread, size=base.shape)
-    return PointCloud(pts, frame=latent.frame)
+    return PointCloud(pts)
 
 
 # ---------------------------------------------------------------------------
 # measurement dataset
 
 
+HEADER = "rf,bucket,loss,t_enc_ms,t_dec_ms"
+
+
 class MeasurementDataset:
-    """Samples of (loss, encode ms, decode ms) keyed by (rf, count bucket)."""
+    """Samples of (loss, encode ms, decode ms) keyed by (rf, count bucket).
 
-    COLUMNS = ("loss", "t_enc_ms", "t_dec_ms")
+    ``cells`` maps each key to a (3, n) float64 array whose rows are the
+    losses, encode times and decode times of its n samples.
+    """
 
-    def __init__(self):
-        self._rows: dict = {}  # (rf, bucket) -> [losses, encs, decs]
-        self._cache: dict = {}
+    def __init__(self, cells: dict):
+        self._cells = cells
 
-    def add(self, rf: int, raw_count: int, loss: float, t_enc_ms: float, t_dec_ms: float):
-        key = (int(rf), bucket_index(raw_count))
-        cell = self._rows.setdefault(key, ([], [], []))
-        cell[0].append(float(loss))
-        cell[1].append(float(t_enc_ms))
-        cell[2].append(float(t_dec_ms))
-        self._cache.pop(key, None)
+    @classmethod
+    def from_rows(cls, rows) -> "MeasurementDataset":
+        """From (rf, bucket, loss, t_enc_ms, t_dec_ms) rows, in sample order."""
+        lists: dict = {}
+        for rf, bucket, *values in rows:
+            lists.setdefault((int(rf), int(bucket)), []).append(values)
+        return cls({key: np.array(v, dtype=np.float64).T.copy() for key, v in lists.items()})
 
     def keys(self):
-        return sorted(self._rows)
+        return sorted(self._cells)
 
     def count(self, rf: int, bucket: int) -> int:
-        cell = self._rows.get((rf, bucket))
-        return len(cell[0]) if cell else 0
+        cell = self._cells.get((rf, bucket))
+        return cell.shape[1] if cell is not None else 0
 
-    def _arrays(self, rf: int, bucket: int):
-        key = (rf, bucket)
-        if key not in self._cache:
-            cell = self._rows.get(key)
-            if not cell or not cell[0]:
-                raise DatasetMissError(f"no samples for rf={rf} bucket={bucket}")
-            self._cache[key] = tuple(np.asarray(c, dtype=np.float64) for c in cell)
-        return self._cache[key]
+    def _cell(self, rf: int, bucket: int) -> np.ndarray:
+        cell = self._cells.get((rf, bucket))
+        if cell is None:
+            raise DatasetMissError(f"no samples for rf={rf} bucket={bucket}")
+        return cell
 
     def loss_samples(self, rf: int, bucket: int) -> np.ndarray:
-        return self._arrays(rf, bucket)[0]
+        return self._cell(rf, bucket)[0]
 
     def enc_time_samples(self, rf: int, bucket: int) -> np.ndarray:
-        return self._arrays(rf, bucket)[1]
+        return self._cell(rf, bucket)[1]
 
     def dec_time_samples(self, rf: int, bucket: int) -> np.ndarray:
-        return self._arrays(rf, bucket)[2]
+        return self._cell(rf, bucket)[2]
 
     def mean_loss(self, rf: int, bucket: int) -> float:
         return float(self.loss_samples(rf, bucket).mean())
 
-    def missing_keys(self, rf_set=RF_SET, min_samples: int = 30):
-        return [
-            (rf, b)
-            for rf in rf_set
-            for b in range(N_BUCKETS)
-            if self.count(rf, b) < min_samples
-        ]
-
     def validate(self, rf_set=RF_SET, min_samples: int = 30):
-        missing = self.missing_keys(rf_set, min_samples)
+        missing = [(rf, b) for rf in rf_set for b in range(N_BUCKETS)
+                   if self.count(rf, b) < min_samples]
         if missing:
             raise ProfileIncompleteError(missing)
 
     def save(self, path):
         with open(path, "w") as fh:
-            fh.write("rf,bucket,loss,t_enc_ms,t_dec_ms\n")
-            for (rf, bucket), (losses, encs, decs) in sorted(self._rows.items()):
-                for lo, te, td in zip(losses, encs, decs):
+            fh.write(HEADER + "\n")
+            for (rf, bucket), cell in sorted(self._cells.items()):
+                for lo, te, td in cell.T.tolist():
                     fh.write(f"{rf},{bucket},{lo!r},{te!r},{td!r}\n")
 
     @classmethod
     def load(cls, path) -> "MeasurementDataset":
-        ds = cls()
+        rows = []
         with open(path) as fh:
             header = fh.readline().strip()
-            if header != "rf,bucket,loss,t_enc_ms,t_dec_ms":
+            if header != HEADER:
                 raise ConfigError(f"{path}:1: unrecognized dataset header {header!r}")
             for line_no, line in enumerate(fh, start=2):
                 try:
                     rf, bucket, *values = line.strip().split(",")
-                    key = (int(rf), int(bucket))
                     lo, te, td = (float(v) for v in values)
                     if not all(math.isfinite(v) for v in (lo, te, td)):
                         raise ValueError("values must be finite")
+                    rows.append((int(rf), int(bucket), lo, te, td))
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{line_no}: bad dataset row "
                                       f"{line.strip()!r} ({exc})") from exc
-                cell = ds._rows.setdefault(key, ([], [], []))
-                cell[0].append(lo)
-                cell[1].append(te)
-                cell[2].append(td)
-        return ds
+        return cls.from_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +240,13 @@ def default_profile_clouds(seed: int = 0, per_bucket: int = 30):
             yield count, resample(cloud, CODEC_INPUT_POINTS)
 
 
-def profile(clouds, rf_set=RF_SET, beta: float = DEFAULT_BETA,
-            dataset: MeasurementDataset | None = None, min_samples: int = 30,
-            validate: bool = True) -> MeasurementDataset:
+def profile(clouds, rf_set=RF_SET, min_samples: int = 30) -> MeasurementDataset:
     """Measure codec loss and wall-clock timings over an input cloud stream.
 
     Raises ProfileIncompleteError when any (rf, bucket) key ends up with fewer
-    than ``min_samples`` entries, unless validation is disabled.
+    than ``min_samples`` entries.
     """
-    ds = dataset or MeasurementDataset()
+    rows = []
     for i, (raw_count, cloud) in enumerate(clouds):
         for rf in rf_set:
             t0 = time.perf_counter()
@@ -271,10 +254,10 @@ def profile(clouds, rf_set=RF_SET, beta: float = DEFAULT_BETA,
             t1 = time.perf_counter()
             rec = decode(lat, seed=i)
             t2 = time.perf_counter()
-            loss = reconstruction_loss(cloud, rec, beta=beta)
-            ds.add(rf, raw_count, loss, (t1 - t0) * 1e3, (t2 - t1) * 1e3)
-    if validate:
-        ds.validate(rf_set, min_samples)
+            rows.append((rf, bucket_index(raw_count), reconstruction_loss(cloud, rec),
+                         (t1 - t0) * 1e3, (t2 - t1) * 1e3))
+    ds = MeasurementDataset.from_rows(rows)
+    ds.validate(rf_set, min_samples)
     return ds
 
 
@@ -312,16 +295,12 @@ def surrogate_dataset(loss_calibration: dict | None = None,
         raise CalibrationError(f"time calibration must be positive, got {time_ms}")
     scale = rf_time_scale or {}
     rng = np.random.default_rng(seed)
-    ds = MeasurementDataset()
+    cells = {}
     for rf in rf_set:
         loss_tn = TruncatedNormal(*calib[rf])
         s = float(scale.get(rf, 1.0))
         time_tn = TruncatedNormal(t_mean * s, t_sd * s)
         for bucket in range(N_BUCKETS):
-            losses = _stratified(loss_tn, rng, samples_per_key)
-            encs = _stratified(time_tn, rng, samples_per_key)
-            decs = _stratified(time_tn, rng, samples_per_key)
-            rep = BUCKET_EDGES[bucket]  # representative count for the bucket key
-            for lo, te, td in zip(losses, encs, decs):
-                ds.add(rf, rep, lo, te, td)
-    return ds
+            cells[rf, bucket] = np.stack([_stratified(tn, rng, samples_per_key)
+                                          for tn in (loss_tn, time_tn, time_tn)])
+    return MeasurementDataset(cells)

@@ -21,7 +21,7 @@ CAV reaches the same decision independently and runs can replay exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,15 +47,20 @@ N_SUBSPACES = 4
 _TAG_B = 1 << 20
 _TAG_FADING = (1 << 20) + 1
 
+# the RF search's primal and dual step sizes and starting multiplier
+PRIMAL_STEP = 0.5
+DUAL_STEP = 5.0
+LAM0 = 1.0
 
-def predict_counts(centers, extents, yaws, viewers, k: float = POINT_DENSITY_K,
-                   cap: int = POINT_CAP, max_range_m: float = LIDAR_RANGE_M):
+
+def predict_counts(centers, extents, yaws, viewers):
     """Expected LiDAR return counts for N (box, viewer) pairs, whole and per quadrant.
 
     A uniformly scanning sensor spreads returns over solid angle, so a count
-    is k * projected_area / d^2, truncated to an integer and capped; beyond
-    the sensing range the object contributes nothing.  Each count is split
-    equally across the quadrants facing its viewer.
+    is POINT_DENSITY_K * projected_area / d^2, truncated to an integer and
+    capped at POINT_CAP; beyond LIDAR_RANGE_M the object contributes
+    nothing.  Each count is split equally across the quadrants facing its
+    viewer.
 
     Boxes come as (N, 3) centers and full extents and (N,) yaws wrapped by
     wrap_yaw, as in Bbox3; viewers are (N, 3).  Returns the (N,) int64 counts
@@ -64,11 +69,12 @@ def predict_counts(centers, extents, yaws, viewers, k: float = POINT_DENSITY_K,
     centers, extents, viewers = (np.asarray(a, dtype=np.float64).reshape(-1, 3)
                                  for a in (centers, extents, viewers))
     local, dist = box_frame_offsets(centers, np.asarray(yaws, dtype=np.float64), viewers)
-    near = dist <= max_range_m
+    near = dist <= LIDAR_RANGE_M
     area = projected_areas(local[near], dist[near], extents[near])
     totals = np.zeros(len(dist), dtype=np.int64)
     d = dist[near]
-    totals[near] = np.clip(k * area / (d * d), 0.0, float(cap)).astype(np.int64)
+    totals[near] = np.clip(POINT_DENSITY_K * area / (d * d), 0.0,
+                           float(POINT_CAP)).astype(np.int64)
     facing = facing_quadrant_mask(local) & (totals > 0)[:, None]
     quadrants = np.where(facing, totals[:, None] / np.maximum(facing.sum(axis=1), 1)[:, None], 0.0)
     return totals, quadrants
@@ -114,26 +120,19 @@ def select_objects(counts_by_cav: dict, threshold: float = DENSITY_THRESHOLD) ->
 
 
 @dataclass
-class ObjectTask:
-    """One detected object as the optimizer sees it."""
-
-    obj_id: int
-    raw_count: int
-
-
-@dataclass
 class LatencyInputs:
-    rate_bps: float  # predicted wireless rate R_w
-    dataset: MeasurementDataset  # encode/decode time samples per (rf, bucket)
+    """The frame's latency model, shared by every CAV's subproblem; only the
+    predicted rate (``RFProblem.rate_bps``) differs between CAVs."""
+
+    dataset: MeasurementDataset  # loss, encode and decode samples per (rf, bucket)
     r_v: float = 1.0  # vehicle capacity factor
     r_e: float = 1.0  # server capacity factor
     rate_sigma: float = 0.0  # log-domain rate uncertainty in the MC draws
-    overhead_bytes: int = DESCRIPTOR_OVERHEAD_BYTES
     b_modules_ms: tuple = tuple(MODULE_TIMES_MS.values())
 
     def __post_init__(self):
-        if self.rate_bps < 0 or self.r_v <= 0 or self.r_e <= 0:
-            raise ConfigError("rates and capacity factors must be positive")
+        if self.r_v <= 0 or self.r_e <= 0:
+            raise ConfigError("capacity factors must be positive")
 
 
 @dataclass
@@ -144,18 +143,14 @@ class OptimizerConfig:
     inner_iters: int = 20
     deviations: int = 16
     deviation_sd: float = 0.25  # in log2-RF units
-    primal_step: float = 0.5
-    dual_step: float = 5.0
-    lam0: float = 1.0
     mc_samples: int = 64
     rf_set: tuple = RF_SET
-    diagnostics: bool = False  # also record the Lagrangian after every step
 
     def __post_init__(self):
         if not (0.0 < self.p < 1.0):
             raise ConfigError(f"p must be in (0, 1), got {self.p}")
-        if self.h_s <= 0 or self.primal_step <= 0 or self.dual_step <= 0:
-            raise ConfigError("H and step sizes must be positive")
+        if self.h_s <= 0:
+            raise ConfigError("H must be positive")
         if self.mc_samples < 1 or self.deviations < 1:
             raise ConfigError("sample counts must be >= 1")
 
@@ -172,23 +167,21 @@ class _Scenarios:
     percentile constraint cares about.
     """
 
-    def __init__(self, log_levels, mean_loss, compute_s, base_s, rate, overhead_bytes):
+    def __init__(self, log_levels, mean_loss, compute_s, base_s, rate):
         self.log_levels = log_levels  # (L,)
         self.mean_loss = mean_loss  # (C, k, L)
         self.compute_s = compute_s  # (C, k * L, S): enc / r_v + dec / r_e, in s
         self.base_s = base_s  # (C, S) baseline module time
         self.rate = rate  # (C, S) sampled uplink rate
-        self.overhead_bytes = overhead_bytes
 
     @classmethod
-    def draw(cls, problems, buckets, tables, s: int) -> "_Scenarios":
-        """Scenarios for ``problems``: the same task count and latency inputs
-        apart from the rate.  ``buckets`` holds the tasks' count buckets
+    def draw(cls, problems, buckets, tables, inputs, s: int) -> "_Scenarios":
+        """Scenarios for ``problems``, which share a task count, under the
+        frame's ``inputs``.  ``buckets`` holds the tasks' count buckets
         (C, k); ``tables`` comes from ``_sample_tables``."""
         levels, mean_tab, time_tab, count_tab = tables
-        inputs = problems[0].inputs
-        u = np.array([[np.random.default_rng([p.seed, t.obj_id]).random((2, s))
-                       for t in p.tasks] for p in problems])  # (C, k, 2, S)
+        u = np.array([[np.random.default_rng([p.seed, o]).random((2, s))
+                       for o in p.obj_ids] for p in problems])  # (C, k, 2, S)
         n = count_tab[buckets][..., None, None]  # (C, k, L, 1, 1)
         idx = np.minimum((u[:, :, None] * n).astype(np.int64), n - 1)
         ub = np.array([np.random.default_rng([p.seed, _TAG_B])
@@ -197,17 +190,17 @@ class _Scenarios:
                       for i, (m, sd) in enumerate(inputs.b_modules_ms))
         z = np.array([np.random.default_rng([p.seed, _TAG_FADING]).standard_normal(s)
                       for p in problems])
-        rate_bps = np.array([p.inputs.rate_bps for p in problems])[:, None]
+        rate_bps = np.array([p.rate_bps for p in problems])[:, None]
         times = time_tab[buckets[..., None, None, None], np.arange(len(levels))[:, None, None],
                          np.arange(2)[:, None], idx]  # (C, k, L, 2, S): encode, decode
         compute_s = (times[..., 0, :] / inputs.r_v + times[..., 1, :] / inputs.r_e) / 1e3
         return cls(np.log2(np.asarray(levels, dtype=np.float64)), mean_tab[buckets],
                    compute_s.reshape(len(problems), -1, s), base_ms / 1e3,
-                   rate_bps * np.exp(inputs.rate_sigma * z), inputs.overhead_bytes)
+                   rate_bps * np.exp(inputs.rate_sigma * z))
 
     def take(self, rows) -> "_Scenarios":
         return _Scenarios(self.log_levels, self.mean_loss[rows], self.compute_s[rows],
-                          self.base_s[rows], self.rate[rows], self.overhead_bytes)
+                          self.base_s[rows], self.rate[rows])
 
     def evaluate(self, x: np.ndarray):
         """Sampled fidelity and latency for D log2-RF rows per subproblem.
@@ -234,7 +227,7 @@ class _Scenarios:
         # zero weights add exact zeros: (1 - w) a + w b per task, then the task sum
         fidelity = -(weights * self.mean_loss[:, None]).sum(axis=-1).sum(axis=-1)
         compute_s = weights.reshape(*x.shape[:2], -1) @ self.compute_s
-        payload = (1024.0 / np.exp2(x)) * 4.0 + self.overhead_bytes
+        payload = (1024.0 / np.exp2(x)) * 4.0 + DESCRIPTOR_OVERHEAD_BYTES
         with np.errstate(divide="ignore"):
             uplink_s = payload.sum(axis=-1)[..., None] * 8.0 / self.rate[:, None, :]
         latency = compute_s + uplink_s + self.base_s[:, None, :]
@@ -246,13 +239,12 @@ class _Scenarios:
         return fid[:, 0], np.mean(latency[:, 0] <= h_s, axis=-1)
 
 
-def _sample_tables(loss_ds: MeasurementDataset, time_ds: MeasurementDataset,
-                   levels, buckets):
+def _sample_tables(dataset: MeasurementDataset, levels, buckets):
     """Per-(bucket, level) mean loss and zero-padded encode/decode samples.
 
     Returns (levels, mean loss (B, L), encode and decode ms (B, L, 2, N),
-    sample counts (B, L)).  Rows of buckets outside ``buckets``
-    stay empty; a used key that a dataset lacks raises DatasetMissError.
+    sample counts (B, L)).  Rows of buckets outside ``buckets`` stay empty;
+    a used key the dataset lacks raises DatasetMissError.
     """
     nl = len(levels)
     mean_tab = np.zeros((N_BUCKETS, nl))
@@ -260,8 +252,8 @@ def _sample_tables(loss_ds: MeasurementDataset, time_ds: MeasurementDataset,
     cells = {}
     for b in buckets:
         for j, rf in enumerate(levels):
-            mean_tab[b, j] = loss_ds.mean_loss(rf, b)
-            cells[b, j] = (time_ds.enc_time_samples(rf, b), time_ds.dec_time_samples(rf, b))
+            mean_tab[b, j] = dataset.mean_loss(rf, b)
+            cells[b, j] = (dataset.enc_time_samples(rf, b), dataset.dec_time_samples(rf, b))
             count_tab[b, j] = len(cells[b, j][0])
     time_tab = np.zeros((N_BUCKETS, nl, 2, int(count_tab.max())))
     for (b, j), (enc, dec) in cells.items():
@@ -277,23 +269,20 @@ class OptimizeResult:
     prob: float
     fidelity: float
     infeasible: bool
-    lam_trace: list = field(default_factory=list)
-    prob_trace: list = field(default_factory=list)
-    g_trace: list = field(default_factory=list)
 
 
 @dataclass
 class RFProblem:
-    """One CAV's RF subproblem in a frame: its kept objects, latency inputs
-    (predicted rate included) and optimizer seed."""
+    """One CAV's RF subproblem in a frame: its kept objects' ids and raw
+    point counts, its predicted uplink rate and its optimizer seed."""
 
-    tasks: list
-    inputs: LatencyInputs
+    obj_ids: list
+    raw_counts: list
+    rate_bps: float
     seed: int
 
 
-def optimize_rf_batch(problems, loss_dataset: MeasurementDataset,
-                      cfg: OptimizerConfig) -> list:
+def optimize_rf_batch(problems, inputs: LatencyInputs, cfg: OptimizerConfig) -> list:
     """Solve a frame's per-CAV RF subproblems in lockstep.
 
     For each subproblem the outer loop updates the multiplier from the
@@ -304,35 +293,27 @@ def optimize_rf_batch(problems, loss_dataset: MeasurementDataset,
     even at maximum compression the result carries every object at r_max and
     an infeasible flag.
 
-    Mean losses per (rf, bucket) come from ``loss_dataset``, encode and
-    decode times from each subproblem's ``inputs.dataset``.  Subproblems with
-    the same task count and latency model step together, one numpy call per
-    step for the whole group.  Each keeps its own random streams, seeded by
-    ``RFProblem.seed``, and the per-row arithmetic of a group is that of a
-    group of one, so every result is a pure function of its own subproblem.
-    Results come back in the order of ``problems``.
+    Every subproblem samples the frame's one latency model ``inputs`` at its
+    own predicted rate.  Subproblems with the same task count step together,
+    one numpy call per step for the whole group.  Each keeps its own random
+    streams, seeded by ``RFProblem.seed``, and the per-row arithmetic of a
+    group is that of a group of one, so every result is a pure function of
+    its own subproblem.  Results come back in the order of ``problems``.
     """
-    if any(not p.tasks for p in problems):
+    if any(not p.obj_ids for p in problems):
         raise ConfigError("every RF subproblem needs at least one task")
     levels = sorted(cfg.rf_set)
     groups: dict = {}
     for i, p in enumerate(problems):
-        inp = p.inputs
-        key = (len(p.tasks), id(inp.dataset), inp.r_v, inp.r_e, inp.rate_sigma,
-               inp.overhead_bytes, tuple(inp.b_modules_ms))
-        groups.setdefault(key, []).append(i)
-    group_buckets = [bucket_index(np.array([[t.raw_count for t in problems[i].tasks]
-                                            for i in idx]))
+        groups.setdefault(len(p.obj_ids), []).append(i)
+    group_buckets = [bucket_index(np.array([problems[i].raw_counts for i in idx]))
                      for idx in groups.values()]  # (C, k) per group
     buckets = sorted({b for gb in group_buckets for b in np.unique(gb).tolist()})
-    tables: dict = {}  # per time dataset
+    tables = _sample_tables(inputs.dataset, levels, buckets)
     results = [None] * len(problems)
     for idx, group_bucket in zip(groups.values(), group_buckets):
         group = [problems[i] for i in idx]
-        time_ds = group[0].inputs.dataset
-        if id(time_ds) not in tables:
-            tables[id(time_ds)] = _sample_tables(loss_dataset, time_ds, levels, buckets)
-        sc = _Scenarios.draw(group, group_bucket, tables[id(time_ds)], cfg.mc_samples)
+        sc = _Scenarios.draw(group, group_bucket, tables, inputs, cfg.mc_samples)
         for i, res in zip(idx, _solve_group(group, sc, levels, cfg)):
             results[i] = res
     return results
@@ -364,15 +345,14 @@ def _solve_group(problems, sc: _Scenarios, levels, cfg: OptimizerConfig) -> list
     such rows are rare and keep lstsq, one at a time."""
     lx = sc.log_levels
     lo, hi = lx[0], lx[-1]
-    c, k = len(problems), len(problems[0].tasks)
+    c, k = len(problems), len(problems[0].obj_ids)
     x_max = np.full((c, k), hi)
     fid_max, prob_max = sc.at(x_max, cfg.h_s)
     results = [None] * c
     for r in np.flatnonzero(prob_max < cfg.p):
         results[r] = OptimizeResult(
-            rfs=np.full(k, levels[-1], dtype=np.int64), lam=cfg.lam0,
-            prob=float(prob_max[r]), fidelity=float(fid_max[r]), infeasible=True,
-            lam_trace=[cfg.lam0], prob_trace=[float(prob_max[r])])
+            rfs=np.full(k, levels[-1], dtype=np.int64), lam=LAM0,
+            prob=float(prob_max[r]), fidelity=float(fid_max[r]), infeasible=True)
     rows = np.flatnonzero(prob_max >= cfg.p)
     if not rows.size:
         return results
@@ -389,8 +369,7 @@ def _solve_group(problems, sc: _Scenarios, levels, cfg: OptimizerConfig) -> list
     # so starting there wastes most of the budget crawling out of the plateau
     x = np.full((m, k), 0.5 * (lo + hi))
     x_best, fid_best = x_max[rows], fid_max[rows]  # feasible incumbents
-    lam = np.full(m, float(cfg.lam0))
-    lam_trace, prob_trace, g_trace = [], [], []
+    lam = np.full(m, LAM0)
     design = np.ones((m, cfg.deviations, k + 1))
     step = 0
     for _ in range(cfg.outer_iters):
@@ -406,10 +385,7 @@ def _solve_group(problems, sc: _Scenarios, levels, cfg: OptimizerConfig) -> list
                                    for d, gi in zip(design, g)])
             else:
                 slopes = _plane_slopes(design, g)
-            x = np.clip(x + cfg.primal_step * slopes, lo, hi)
-            if cfg.diagnostics:
-                f_cur, p_cur = sc.at(x, cfg.h_s)
-                g_trace.append(f_cur + lam * (p_cur - cfg.p))
+            x = np.clip(x + PRIMAL_STEP * slopes, lo, hi)
         f_cur, prob = sc.at(x, cfg.h_s)
         feasible = prob >= cfg.p
         better = feasible & (f_cur > fid_best)
@@ -418,9 +394,7 @@ def _solve_group(problems, sc: _Scenarios, levels, cfg: OptimizerConfig) -> list
         # fidelity slope and walks away from feasibility; bisect toward
         # the best feasible point instead of waiting for the dual
         x[~feasible] = 0.5 * (x[~feasible] + x_best[~feasible])
-        lam = np.maximum(0.0, lam - cfg.dual_step * (prob - cfg.p))
-        lam_trace.append(lam)
-        prob_trace.append(prob)
+        lam = np.maximum(0.0, lam - DUAL_STEP * (prob - cfg.p))
 
     # never return an infeasible relaxed point when a feasible one is known
     x = np.where((sc.at(x, cfg.h_s)[1] >= cfg.p)[:, None], x, x_best)
@@ -432,8 +406,5 @@ def _solve_group(problems, sc: _Scenarios, levels, cfg: OptimizerConfig) -> list
     for i, r in enumerate(rows):
         results[r] = OptimizeResult(
             rfs=rfs[i], lam=float(lam[i]), prob=float(prob[i]),
-            fidelity=float(fid[i]), infeasible=False,
-            lam_trace=[float(v[i]) for v in lam_trace],
-            prob_trace=[float(v[i]) for v in prob_trace],
-            g_trace=[float(v[i]) for v in g_trace])
+            fidelity=float(fid[i]), infeasible=False)
     return results

@@ -17,18 +17,15 @@ from scipy.spatial.distance import cdist
 
 from .errors import EmptyCloudError, InvalidViewpointError, SizeMismatchError
 
-GLOBAL_FRAME = "global"
-
 # EMD is exact up to this many points; larger clouds match a subset this size
 EMD_SUBSAMPLE = 512
 
 
 @dataclass
 class PointCloud:
-    """A point set tagged with the frame its coordinates are expressed in."""
+    """A finite (N, 3) point set in world coordinates."""
 
     points: np.ndarray
-    frame: str = GLOBAL_FRAME
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -117,12 +114,12 @@ def resample(cloud: PointCloud, n: int) -> PointCloud:
         raise ValueError(f"target size must be positive, got {n}")
     m = len(cloud)
     if m == n:
-        return PointCloud(cloud.points.copy(), frame=cloud.frame)
+        return PointCloud(cloud.points.copy())
     if m > n:
         idx = farthest_point_indices(cloud.points, n)
     else:
         idx = np.resize(np.arange(m, dtype=np.int64), n)
-    return PointCloud(cloud.points[idx], frame=cloud.frame)
+    return PointCloud(cloud.points[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +244,7 @@ def sample_visible_surface(bbox: Bbox3, viewpoint, n: int, seed: int) -> PointCl
             + np.outer(uv[:, 1] * bbox.extent[others[1]], axes[others[1]])
         )
         chunks.append(pts)
-    return PointCloud(np.concatenate(chunks, axis=0), frame=GLOBAL_FRAME)
+    return PointCloud(np.concatenate(chunks, axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Uplink radio model, FCFS edge queue, and per-frame latency assembly.
 
 The radio side is a closed-form street-canyon path-loss plus Shannon capacity
-over the shared band, with optional log-normal fading.  The server side is an
-exact first-come-first-serve multi-server queue advanced per frame.  Every
-stochastic quantity is drawn from a caller-supplied generator so whole runs
-replay bit-exactly.
+over equal FDMA slices of the shared band, with optional log-normal fading.
+The server side is an exact first-come-first-serve multi-server queue
+advanced per frame.  Every stochastic quantity is drawn from a
+caller-supplied generator so whole runs replay bit-exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError
 from .sampling import TruncatedNormal
 
-SHARE_MODES = ("fdma", "tdma")
+NOISE_DBM_PER_HZ = -174.0  # thermal noise density
 
 # per-frame vehicle-side module times, ms: (mean, sd), truncated at zero
 MODULE_TIMES_MS = {
@@ -34,10 +34,7 @@ class RadioConfig:
     bandwidth_hz: float = 200e3
     carrier_ghz: float = 3.5
     tx_power_dbm: float = 23.0
-    noise_dbm_per_hz: float = -174.0
     noise_figure_db: float = 9.0
-    share_mode: str = "fdma"  # equal-FDMA split or round-robin TDMA duty
-    fading_sigma: float = 0.2  # log-domain sd; 0 disables fading
     base_station: np.ndarray = field(default_factory=lambda: np.zeros(3))
     # antenna sectors at the base station; each sector reuses the full band
     # for the CAVs it covers, so sectors=1 is plain single-cell sharing
@@ -46,12 +43,8 @@ class RadioConfig:
     def __post_init__(self):
         if self.bandwidth_hz <= 0 or self.carrier_ghz <= 0:
             raise ConfigError("bandwidth and carrier must be positive")
-        if self.share_mode not in SHARE_MODES:
-            raise ConfigError(f"share_mode must be one of {SHARE_MODES}")
         if self.sectors < 1:
             raise ConfigError(f"sectors must be >= 1, got {self.sectors}")
-        if self.fading_sigma < 0:
-            raise ConfigError("fading sigma must be >= 0")
         self.base_station = np.asarray(self.base_station, dtype=np.float64).reshape(3)
 
 
@@ -80,10 +73,6 @@ class LatencyBreakdown:
     def total_ms(self) -> float:
         return self.vehicle_ms + self.uplink_ms + self.queue_ms + self.server_ms + self.b_ms
 
-    @property
-    def feasible(self) -> bool:
-        return math.isfinite(self.total_ms)
-
 
 def path_loss_db(distance_m: float, carrier_ghz: float) -> float:
     """Street-canyon line-of-sight form; distances under 1 m clamp to 1 m."""
@@ -92,34 +81,28 @@ def path_loss_db(distance_m: float, carrier_ghz: float) -> float:
 
 
 def snr_db(distance_m: float, band_hz: float, radio: RadioConfig) -> float:
-    noise_dbm = radio.noise_dbm_per_hz + 10.0 * math.log10(band_hz) + radio.noise_figure_db
+    noise_dbm = NOISE_DBM_PER_HZ + 10.0 * math.log10(band_hz) + radio.noise_figure_db
     return radio.tx_power_dbm - path_loss_db(distance_m, radio.carrier_ghz) - noise_dbm
 
 
 def uplink_rate(position, sharers: int, radio: RadioConfig, fading: float = 1.0) -> float:
     """Shannon rate in bits/s for one CAV sharing its sector with ``sharers``.
 
-    Equal-FDMA gives each CAV a band slice with proportionally less noise;
-    TDMA gives the full band at a 1/sharers duty cycle.  The fading factor is
-    drawn by the caller (see draw_fading) so frames stay replayable.
+    Equal FDMA gives each CAV a band slice with proportionally less noise.
+    The fading factor is drawn by the caller (see draw_fading) so frames stay
+    replayable.
     """
     if sharers < 1:
         raise ConfigError(f"sharers must be >= 1, got {sharers}")
     d = float(np.linalg.norm(np.asarray(position, dtype=np.float64).reshape(-1)[:3]
                              - radio.base_station))
-    if radio.share_mode == "fdma":
-        band = radio.bandwidth_hz / sharers
-        rate = band * math.log2(1.0 + 10.0 ** (snr_db(d, band, radio) / 10.0))
-    else:
-        full = radio.bandwidth_hz
-        rate = full * math.log2(1.0 + 10.0 ** (snr_db(d, full, radio) / 10.0)) / sharers
-    return rate * float(fading)
+    band = radio.bandwidth_hz / sharers
+    return band * math.log2(1.0 + 10.0 ** (snr_db(d, band, radio) / 10.0)) * float(fading)
 
 
-def draw_fading(rng: np.random.Generator, sigma: float, size=None):
-    if sigma == 0:
-        return 1.0 if size is None else np.ones(size)
-    return np.exp(sigma * rng.standard_normal(size))
+def draw_fading(rng: np.random.Generator, sigma: float) -> float:
+    """One log-normal fading factor; sigma 0 disables fading."""
+    return float(np.exp(sigma * rng.standard_normal())) if sigma else 1.0
 
 
 def sector_index(position, radio: RadioConfig) -> int:

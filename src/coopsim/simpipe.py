@@ -44,7 +44,6 @@ from .codec import (
 )
 from .control import (
     LatencyInputs,
-    ObjectTask,
     OptimizerConfig,
     RFProblem,
     optimize_rf_batch,
@@ -116,6 +115,15 @@ REUSE_POSE_ERROR_M = 0.5
 MATCH_GATE_M = 3.0
 DEDUP_DISTANCE_M = 0.1
 RETIRE_AFTER_S = 2.0
+
+# synthetic traces: a toroidal grid of roads EXTENT_M on a side, ROAD_SPACING_M
+# apart; speeds uniform in SPEED_RANGE m/s; a vehicle turns with TURN_PROB at
+# each crossing; point counts carry log-normal noise of sd COUNT_SIGMA
+EXTENT_M = 200.0
+ROAD_SPACING_M = 50.0
+SPEED_RANGE = (6.0, 14.0)
+TURN_PROB = 0.3
+COUNT_SIGMA = 0.3
 
 # child-stream tags, per (seed, frame, cav) unless noted
 _S_LOC = 0
@@ -265,10 +273,7 @@ def validate_trace(frames) -> None:
             raise FrameError(f"{where}: point counts must be at least 1")
 
 
-def generate_trace(cav_count: int, frames: int, extent_m: float = 200.0,
-                   seed: int = 0, road_spacing_m: float = 50.0,
-                   speed_range=(6.0, 14.0), turn_prob: float = 0.3,
-                   count_sigma: float = 0.3):
+def generate_trace(cav_count: int, frames: int, seed: int = 0):
     """Vehicles on a toroidal grid-road network, all of them CAVs.
 
     Every vehicle is also a detectable object for its neighbors within 50 m.
@@ -277,13 +282,13 @@ def generate_trace(cav_count: int, frames: int, extent_m: float = 200.0,
     """
     if cav_count < 1 or frames < 1:
         raise ConfigError("cav_count and frames must be >= 1")
-    n_lines = max(1, int(extent_m // road_spacing_m))
+    n_lines = max(1, int(EXTENT_M // ROAD_SPACING_M))
     rng = np.random.default_rng(seed)
     axis = rng.integers(0, 2, cav_count)  # 0: travels along x, 1: along y
-    line = rng.integers(0, n_lines, cav_count) * road_spacing_m
-    m = rng.uniform(0.0, extent_m, cav_count)
+    line = rng.integers(0, n_lines, cav_count) * ROAD_SPACING_M
+    m = rng.uniform(0.0, EXTENT_M, cav_count)
     dirn = rng.choice(np.array([-1.0, 1.0]), cav_count)
-    speed = rng.uniform(speed_range[0], speed_range[1], cav_count)
+    speed = rng.uniform(SPEED_RANGE[0], SPEED_RANGE[1], cav_count)
 
     half_z = CAR_EXTENT[2] / 2.0
     out = []
@@ -307,7 +312,7 @@ def generate_trace(cav_count: int, frames: int, extent_m: float = 200.0,
         base, _ = predict_counts(
             centers, extents, box_yaws,
             np.column_stack([xs[vi], ys[vi], np.full(len(vi), LIDAR_Z)]))
-        noise = rng.normal(0.0, count_sigma, size=len(vi))
+        noise = rng.normal(0.0, COUNT_SIGMA, size=len(vi))
         noisy = [b * math.exp(z) for b, z in zip(base.tolist(), noise.tolist())]
         zeros = np.zeros(cav_count)
         out.append(TraceFrame(
@@ -320,17 +325,17 @@ def generate_trace(cav_count: int, frames: int, extent_m: float = 200.0,
         for i in range(cav_count):
             old = m[i]
             new = old + dirn[i] * speed[i] * FRAME_PERIOD_S
-            k_old, k_new = math.floor(old / road_spacing_m), math.floor(new / road_spacing_m)
-            if k_old != k_new and rng.uniform() < turn_prob:
-                cross = road_spacing_m * max(k_old, k_new)
+            k_old, k_new = math.floor(old / ROAD_SPACING_M), math.floor(new / ROAD_SPACING_M)
+            if k_old != k_new and rng.uniform() < TURN_PROB:
+                cross = ROAD_SPACING_M * max(k_old, k_new)
                 overshoot = abs(new - cross)
                 new_dir = float(rng.choice(np.array([-1.0, 1.0])))
-                m[i] = (line[i] + new_dir * overshoot) % extent_m
-                line[i] = cross % extent_m
+                m[i] = (line[i] + new_dir * overshoot) % EXTENT_M
+                line[i] = cross % EXTENT_M
                 axis[i] = 1 - axis[i]
                 dirn[i] = new_dir
             else:
-                m[i] = new % extent_m
+                m[i] = new % EXTENT_M
     return out
 
 
@@ -349,11 +354,8 @@ class MapEntry:
 class GlobalMap:
     """Server-side registry of matched objects, keyed by global id."""
 
-    def __init__(self, gate: float = MATCH_GATE_M, dedup_m: float = DEDUP_DISTANCE_M,
-                 retire_s: float = RETIRE_AFTER_S):
+    def __init__(self, gate: float = MATCH_GATE_M):
         self.gate = gate
-        self.dedup_m = dedup_m
-        self.retire_s = retire_s
         self.entries: dict = {}
         self._next_id = 0
 
@@ -409,14 +411,15 @@ class GlobalMap:
         return gids
 
     def _dedup(self):
-        """Drop entries closer than dedup_m to a surviving entry with a smaller id."""
+        """Drop entries closer than DEDUP_DISTANCE_M to a surviving entry with a
+        smaller id."""
         if len(self.entries) < 2:
             return
         gids = list(self.entries)
         pos = np.array([e.kalman.position for e in self.entries.values()])
         dx = pos[:, 0, None] - pos[None, :, 0]
         dy = pos[:, 1, None] - pos[None, :, 1]
-        close = np.triu(np.sqrt(dx * dx + dy * dy) < self.dedup_m, k=1)
+        close = np.triu(np.sqrt(dx * dx + dy * dy) < DEDUP_DISTANCE_M, k=1)
         rows_a, rows_b = np.nonzero(close)  # row-major, the greedy scan's order
         drop = set()
         for a, b in zip(rows_a.tolist(), rows_b.tolist()):
@@ -427,7 +430,7 @@ class GlobalMap:
 
     def _retire(self, t: float):
         for gid in [g for g, e in self.entries.items()
-                    if t - e.last_seen > self.retire_s]:
+                    if t - e.last_seen > RETIRE_AFTER_S]:
             del self.entries[gid]
 
     def __len__(self):
@@ -448,6 +451,16 @@ def _are_numbers(values, kind) -> bool:
     return isinstance(values, (list, tuple)) and all(_is_number(v, kind) for v in values)
 
 
+# value ranges a run needs, checked before it starts: (fields, test, wording)
+_RANGES = (
+    (("bandwidth_hz", "carrier_ghz", "density_threshold", "r_v", "r_e"),
+     lambda v: v > 0, "positive"),
+    (("servers", "sectors", "outer_iters", "inner_iters", "deviations", "mc_samples"),
+     lambda v: v >= 1, ">= 1"),
+    (("beta", "fading_sigma", "rate_sigma"), lambda v: v >= 0, ">= 0"),
+)
+
+
 @dataclass
 class RunConfig:
     bandwidth_hz: float = 200e3
@@ -457,7 +470,6 @@ class RunConfig:
     rle_threshold_m: float = 0.5
     density_threshold: float = 1024.0
     rf_set: tuple = RF_SET
-    share_mode: str = "fdma"
     policy: str = "adamap"
     seed: int = 0
     dataset_mode: str = "surrogate"
@@ -487,6 +499,10 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
             if f.type == "int" and not _is_number(value, numbers.Integral):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        for names, ok, wording in _RANGES:
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ConfigError(f"{name} must be {wording}, got {getattr(self, name)!r}")
         if self.dataset_path is not None and not isinstance(self.dataset_path, str):
             raise ConfigError(f"dataset_path must be a string, got {self.dataset_path!r}")
         if self.base_station is not None and not (
@@ -592,8 +608,6 @@ def _derive_radio(config: RunConfig, frame0: TraceFrame) -> RadioConfig:
         carrier_ghz=config.carrier_ghz,
         tx_power_dbm=config.tx_power_dbm,
         noise_figure_db=config.noise_figure_db,
-        share_mode=config.share_mode,
-        fading_sigma=config.fading_sigma,
         base_station=np.asarray(base, dtype=np.float64),
         sectors=config.sectors,
     )
@@ -721,21 +735,20 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
             if rate is None:
                 rate = uplink_rate(positions[c], max(1, int(all_counts[sectors[c]])),
                                    state.radio)
-            tasks = [ObjectTask(obj_id=o, raw_count=k)
-                     for o, k in zip(obj[mine].tolist(), counts[mine].tolist())]
             opt_seed = int(np.random.SeedSequence(
                 (cfg.seed, fidx, cav_id, 7)).generate_state(1)[0])
-            inputs = LatencyInputs(rate_bps=rate, dataset=dataset,
-                                   r_v=cfg.r_v, r_e=cfg.r_e,
-                                   rate_sigma=cfg.rate_sigma)
-            problems.append(RFProblem(tasks=tasks, inputs=inputs, seed=opt_seed))
+            problems.append(RFProblem(obj_ids=obj[mine].tolist(),
+                                      raw_counts=counts[mine].tolist(),
+                                      rate_bps=rate, seed=opt_seed))
             owners.append(mine)
+        inputs = LatencyInputs(dataset=dataset, r_v=cfg.r_v, r_e=cfg.r_e,
+                               rate_sigma=cfg.rate_sigma)
         opt = OptimizerConfig(
             h_s=(cfg.H_ms - cfg.h_margin_ms) / 1e3, p=cfg.p,
             outer_iters=cfg.outer_iters, inner_iters=cfg.inner_iters,
             deviations=cfg.deviations, mc_samples=cfg.mc_samples,
             rf_set=cfg.rf_set)
-        results = optimize_rf_batch(problems, dataset, opt)
+        results = optimize_rf_batch(problems, inputs, opt)
         for mine, res in zip(owners, results):
             infeasible_cavs += bool(res.infeasible)
             rf[mine] = res.rfs

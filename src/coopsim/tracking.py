@@ -36,6 +36,7 @@ _AXIS_FROM_MEAN = math.sqrt(2.0 / math.pi)
 
 DEFAULT_OBS_NOISE_VAR = 0.05  # m^2, measurement noise on each position axis
 DEFAULT_PROCESS_NOISE = 1.0  # m^2/s^3, white-acceleration intensity
+INIT_VEL_VAR = 25.0  # (m/s)^2, a fresh track's velocity prior
 TRACK_RETIRE_S = 2.0  # a vehicle drops a track unpublished for longer
 
 
@@ -60,12 +61,12 @@ class KalmanState:
         return self.x[2:]
 
 
-def kalman_init(position, t: float, pos_var: float = DEFAULT_OBS_NOISE_VAR,
-                vel_var: float = 25.0) -> KalmanState:
+def kalman_init(position, t: float) -> KalmanState:
     """Fresh track: measured position, zero velocity, loose velocity prior."""
     pos = np.asarray(position, dtype=np.float64).reshape(2)
     x = np.array([pos[0], pos[1], 0.0, 0.0])
-    p = np.diag([pos_var, pos_var, vel_var, vel_var]).astype(np.float64)
+    p = np.diag([DEFAULT_OBS_NOISE_VAR, DEFAULT_OBS_NOISE_VAR,
+                 INIT_VEL_VAR, INIT_VEL_VAR]).astype(np.float64)
     return KalmanState(x=x, p=p, time=float(t))
 
 
@@ -89,12 +90,12 @@ def process_noise(dt: float, q: float = DEFAULT_PROCESS_NOISE) -> np.ndarray:
     )
 
 
-def kalman_predict(state: KalmanState, dt: float, q: float = DEFAULT_PROCESS_NOISE) -> KalmanState:
+def kalman_predict(state: KalmanState, dt: float) -> KalmanState:
     if dt < 0:
         raise ValueError(f"cannot predict backwards, dt={dt}")
     f = transition_matrix(dt)
     x = f @ state.x
-    p = f @ state.p @ f.T + process_noise(dt, q)
+    p = f @ state.p @ f.T + process_noise(dt)
     return KalmanState(x=x, p=p, time=state.time + dt)
 
 
@@ -170,80 +171,12 @@ class TrackEntry:
 @dataclass
 class LocalizeResult:
     observations: dict  # object id -> np.ndarray (2,)
-    next_mode: LocalizerMode
     charged_ms: float
     detection_charged: bool
 
 
-def hybrid_localize(
-    truth: dict,
-    mode: LocalizerMode,
-    tracks: dict,
-    cfg: DetectionOracleConfig,
-    rng: np.random.Generator,
-    t: float,
-    rle_threshold: float = 0.5,
-) -> LocalizeResult:
-    """One localization slot over the currently visible objects.
-
-    ``truth`` maps object id to the true ground-plane position.  ``tracks``
-    is mutated: each published id is marked seen at ``t`` (new ids get a
-    track), and ids unpublished for over TRACK_RETIRE_S retire.  Objects with
-    no prior track always publish the detector output regardless of mode.
-    """
-    det_axis = cfg.sigma_det * _AXIS_FROM_MEAN
-    base_err = cfg.tracker_base_error()
-
-    det_out: dict = {}
-    trk_out: dict = {}
-    rle_max = 0.0
-    for obj_id in sorted(truth):
-        pos = np.asarray(truth[obj_id], dtype=np.float64).reshape(2)
-        missed = rng.uniform() < cfg.miss_prob
-        noise = rng.normal(scale=det_axis, size=2) if det_axis > 0 else np.zeros(2)
-        if not missed:
-            det_out[obj_id] = pos + noise
-        entry = tracks.get(obj_id)
-        if entry is not None:
-            u = rng.uniform()
-            entry.maneuver = u < (cfg.maneuver_persist if entry.maneuver else cfg.maneuver_enter)
-            err_mean = base_err * (cfg.maneuver_error_ratio if entry.maneuver else 1.0)
-            axis = err_mean * _AXIS_FROM_MEAN
-            tnoise = rng.normal(scale=axis, size=2) if axis > 0 else np.zeros(2)
-            trk_out[obj_id] = pos + tnoise
-            if obj_id in det_out:
-                rle = float(np.linalg.norm(det_out[obj_id] - trk_out[obj_id]))
-                rle_max = max(rle_max, rle)
-
-    next_mode = LocalizerMode.TRACKING if rle_max < rle_threshold else LocalizerMode.DETECTION
-
-    if mode is LocalizerMode.TRACKING:
-        observations = dict(trk_out)
-        for obj_id, pos in det_out.items():
-            # no track yet: ride on the detector
-            observations.setdefault(obj_id, pos)
-        charged = TruncatedNormal.cached(cfg.trk_time_mean_ms, cfg.trk_time_sd_ms).sample(rng)
-        detection_charged = False
-    else:
-        observations = det_out
-        charged = TruncatedNormal.cached(cfg.det_time_mean_ms, cfg.det_time_sd_ms).sample(rng)
-        detection_charged = True
-
-    for obj_id in observations:
-        tracks.setdefault(obj_id, TrackEntry()).last_seen = t
-    for obj_id in [k for k, e in tracks.items() if t - e.last_seen > TRACK_RETIRE_S]:
-        del tracks[obj_id]
-
-    return LocalizeResult(
-        observations=observations,
-        next_mode=next_mode,
-        charged_ms=float(charged),
-        detection_charged=detection_charged,
-    )
-
-
 class HybridLocalizer:
-    """Per-vehicle wrapper holding the mode latch and the local tracks."""
+    """Per-vehicle localizer: the mode latch and the local tracks."""
 
     def __init__(self, cfg: DetectionOracleConfig | None = None,
                  rle_threshold: float = 0.5):
@@ -253,7 +186,57 @@ class HybridLocalizer:
         self.tracks: dict = {}
 
     def step(self, t: float, truth: dict, rng: np.random.Generator) -> LocalizeResult:
-        result = hybrid_localize(truth, self.mode, self.tracks, self.cfg, rng, t,
-                                 rle_threshold=self.rle_threshold)
-        self.mode = result.next_mode
-        return result
+        """One localization slot over the currently visible objects.
+
+        ``truth`` maps object id to the true ground-plane position.  The
+        slot publishes and charges the module of the current mode, then
+        latches the mode for the next slot from this slot's RLE.  Each
+        published id is marked seen at ``t`` (new ids get a track), and ids
+        unpublished for over TRACK_RETIRE_S retire.  Objects with no prior
+        track always publish the detector output regardless of mode.
+        """
+        cfg, tracks = self.cfg, self.tracks
+        det_axis = cfg.sigma_det * _AXIS_FROM_MEAN
+        base_err = cfg.tracker_base_error()
+
+        det_out: dict = {}
+        trk_out: dict = {}
+        rle_max = 0.0
+        for obj_id in sorted(truth):
+            pos = np.asarray(truth[obj_id], dtype=np.float64).reshape(2)
+            missed = rng.uniform() < cfg.miss_prob
+            noise = rng.normal(scale=det_axis, size=2) if det_axis > 0 else np.zeros(2)
+            if not missed:
+                det_out[obj_id] = pos + noise
+            entry = tracks.get(obj_id)
+            if entry is not None:
+                u = rng.uniform()
+                entry.maneuver = u < (cfg.maneuver_persist if entry.maneuver
+                                      else cfg.maneuver_enter)
+                err_mean = base_err * (cfg.maneuver_error_ratio if entry.maneuver else 1.0)
+                axis = err_mean * _AXIS_FROM_MEAN
+                tnoise = rng.normal(scale=axis, size=2) if axis > 0 else np.zeros(2)
+                trk_out[obj_id] = pos + tnoise
+                if obj_id in det_out:
+                    rle = float(np.linalg.norm(det_out[obj_id] - trk_out[obj_id]))
+                    rle_max = max(rle_max, rle)
+
+        if self.mode is LocalizerMode.TRACKING:
+            observations = dict(trk_out)
+            for obj_id, pos in det_out.items():
+                # no track yet: ride on the detector
+                observations.setdefault(obj_id, pos)
+            charged = TruncatedNormal.cached(cfg.trk_time_mean_ms, cfg.trk_time_sd_ms).sample(rng)
+        else:
+            observations = det_out
+            charged = TruncatedNormal.cached(cfg.det_time_mean_ms, cfg.det_time_sd_ms).sample(rng)
+        detection_charged = self.mode is LocalizerMode.DETECTION
+        self.mode = (LocalizerMode.TRACKING if rle_max < self.rle_threshold
+                     else LocalizerMode.DETECTION)
+
+        for obj_id in observations:
+            tracks.setdefault(obj_id, TrackEntry()).last_seen = t
+        for obj_id in [k for k, e in tracks.items() if t - e.last_seen > TRACK_RETIRE_S]:
+            del tracks[obj_id]
+        return LocalizeResult(observations=observations, charged_ms=float(charged),
+                              detection_charged=detection_charged)

@@ -14,23 +14,27 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from coopsim.codec import bucket_index
+from coopsim.codec import DESCRIPTOR_OVERHEAD_BYTES, bucket_index
 from coopsim.control import (
     _TAG_B,
     _TAG_FADING,
+    DUAL_STEP,
+    LAM0,
     LIDAR_RANGE_M,
     N_SUBSPACES,
     POINT_CAP,
     POINT_DENSITY_K,
+    PRIMAL_STEP,
     OptimizeResult,
 )
 from coopsim.errors import ConfigError
 from coopsim.geometry import Bbox3, visible_face_weights
 from coopsim.sampling import TruncatedNormal
-from coopsim.simpipe import GlobalMap, MapEntry
+from coopsim.simpipe import DEDUP_DISTANCE_M, GlobalMap, MapEntry
 from coopsim.tracking import kalman_correct, kalman_init, kalman_predict
 
 
@@ -183,35 +187,34 @@ def _pick(samples: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 class LoopScenarios:
-    """Common-random-number draws for one CAV, built task by task."""
+    """Common-random-number draws for one CAV's RFProblem, built task by task."""
 
-    def __init__(self, tasks, inputs, levels, s: int, seed: int, loss_dataset=None):
+    def __init__(self, problem, inputs, levels, s: int):
         self.inputs = inputs
         self.levels = np.asarray(sorted(levels), dtype=np.int64)
         self.log_levels = np.log2(self.levels)
         self.s = s
-        time_ds = inputs.dataset
-        loss_ds = loss_dataset or inputs.dataset
-        k = len(tasks)
+        seed, ds = problem.seed, inputs.dataset
+        k = len(problem.obj_ids)
         nl = len(self.levels)
         self.mean_loss = np.empty((k, nl))
         self.enc_ms = np.empty((k, nl, s))
         self.dec_ms = np.empty((k, nl, s))
-        for i, task in enumerate(tasks):
-            rng = np.random.default_rng([seed, task.obj_id])
+        for i, (obj_id, raw_count) in enumerate(zip(problem.obj_ids, problem.raw_counts)):
+            rng = np.random.default_rng([seed, obj_id])
             u = rng.random((2, s))
-            bucket = bucket_index(task.raw_count)
+            bucket = bucket_index(raw_count)
             for j, rf in enumerate(self.levels):
-                self.mean_loss[i, j] = loss_ds.mean_loss(rf, bucket)
-                self.enc_ms[i, j] = _pick(time_ds.enc_time_samples(rf, bucket), u[0])
-                self.dec_ms[i, j] = _pick(time_ds.dec_time_samples(rf, bucket), u[1])
+                self.mean_loss[i, j] = ds.mean_loss(rf, bucket)
+                self.enc_ms[i, j] = _pick(ds.enc_time_samples(rf, bucket), u[0])
+                self.dec_ms[i, j] = _pick(ds.dec_time_samples(rf, bucket), u[1])
         ub = np.random.default_rng([seed, _TAG_B]).random((len(inputs.b_modules_ms), s))
         self.b_ms = sum(
             TruncatedNormal.cached(m, sd).ppf(ub[i])
             for i, (m, sd) in enumerate(inputs.b_modules_ms)
         )
         z = np.random.default_rng([seed, _TAG_FADING]).standard_normal(s)
-        self.rate = inputs.rate_bps * np.exp(inputs.rate_sigma * z)
+        self.rate = problem.rate_bps * np.exp(inputs.rate_sigma * z)
         self._task_idx = np.arange(k)
 
     def evaluate_batch(self, x: np.ndarray):
@@ -230,7 +233,7 @@ class LoopScenarios:
         enc = (1.0 - w3) * self.enc_ms[ti, j] + w3 * self.enc_ms[ti, jn]
         dec = (1.0 - w3) * self.dec_ms[ti, j] + w3 * self.dec_ms[ti, jn]
         fidelity = -loss.sum(axis=1)
-        payload = (1024.0 / np.exp2(x)) * 4.0 + self.inputs.overhead_bytes
+        payload = (1024.0 / np.exp2(x)) * 4.0 + DESCRIPTOR_OVERHEAD_BYTES
         compute_s = (enc.sum(axis=1) / self.inputs.r_v
                      + dec.sum(axis=1) / self.inputs.r_e) / 1e3
         with np.errstate(divide="ignore"):
@@ -247,34 +250,44 @@ class LoopScenarios:
         return float(np.mean(latency <= h_s))
 
 
-def loop_optimize_rf(tasks, loss_dataset, inputs, cfg, seed: int) -> OptimizeResult:
+@dataclass
+class LoopResult(OptimizeResult):
+    """The batch's result plus the loop's per-step traces: the multiplier and
+    Prob(latency <= H) after each outer iteration, and the Lagrangian after
+    each inner step (only when asked for)."""
+
+    lam_trace: list = field(default_factory=list)
+    prob_trace: list = field(default_factory=list)
+    g_trace: list = field(default_factory=list)
+
+
+def loop_optimize_rf(problem, inputs, cfg, record_g: bool = False) -> LoopResult:
     """Primal-dual RF search for one CAV, one numpy call per step.
 
-    Same method as ``coopsim.control.optimize_rf_batch`` for one subproblem
-    seeded with ``seed``; the plane fit here is ``np.linalg.lstsq`` on one
-    design matrix at a time.
+    Same method as ``coopsim.control.optimize_rf_batch`` for one RFProblem
+    under the frame's ``inputs``; the plane fit here is ``np.linalg.lstsq``
+    on one design matrix at a time.
     """
-    if not tasks:
+    if not problem.obj_ids:
         raise ConfigError("optimize_rf needs at least one task")
     levels = sorted(cfg.rf_set)
-    sc = LoopScenarios(tasks, inputs, levels, cfg.mc_samples, seed,
-                       loss_dataset=loss_dataset)
+    sc = LoopScenarios(problem, inputs, levels, cfg.mc_samples)
     lx = sc.log_levels
     lo, hi = lx[0], lx[-1]
-    k = len(tasks)
-    rng = np.random.default_rng([seed, 1 << 21])
+    k = len(problem.obj_ids)
+    rng = np.random.default_rng([problem.seed, 1 << 21])
 
     x_max = np.full(k, hi)
     prob_at_max = sc.prob_within(x_max, cfg.h_s)
     if prob_at_max < cfg.p:
-        return OptimizeResult(
-            rfs=np.full(k, levels[-1], dtype=np.int64), lam=cfg.lam0,
+        return LoopResult(
+            rfs=np.full(k, levels[-1], dtype=np.int64), lam=LAM0,
             prob=prob_at_max, fidelity=sc.evaluate(x_max)[0], infeasible=True,
-            lam_trace=[cfg.lam0], prob_trace=[prob_at_max])
+            lam_trace=[LAM0], prob_trace=[prob_at_max])
 
     x = np.full(k, 0.5 * (lo + hi))
     x_best, fid_best = x_max, sc.evaluate(x_max)[0]
-    lam = cfg.lam0
+    lam = LAM0
     lam_trace, prob_trace, g_trace = [], [], []
     design = np.ones((cfg.deviations, k + 1))
     for _ in range(cfg.outer_iters):
@@ -286,8 +299,8 @@ def loop_optimize_rf(tasks, loss_dataset, inputs, cfg, seed: int) -> OptimizeRes
             g = fid + lam * (probs - cfg.p)
             design[:, 1:] = dev
             coef, *_ = np.linalg.lstsq(design, g, rcond=None)
-            x = np.clip(x + cfg.primal_step * coef[1:], lo, hi)
-            if cfg.diagnostics:
+            x = np.clip(x + PRIMAL_STEP * coef[1:], lo, hi)
+            if record_g:
                 f_cur, lat_cur = sc.evaluate(x)
                 g_trace.append(f_cur + lam * (np.mean(lat_cur <= cfg.h_s) - cfg.p))
         prob = sc.prob_within(x, cfg.h_s)
@@ -297,7 +310,7 @@ def loop_optimize_rf(tasks, loss_dataset, inputs, cfg, seed: int) -> OptimizeRes
                 x_best, fid_best = x.copy(), f_cur
         else:
             x = 0.5 * (x + x_best)
-        lam = max(0.0, lam - cfg.dual_step * (prob - cfg.p))
+        lam = max(0.0, lam - DUAL_STEP * (prob - cfg.p))
         lam_trace.append(lam)
         prob_trace.append(prob)
 
@@ -309,9 +322,9 @@ def loop_optimize_rf(tasks, loss_dataset, inputs, cfg, seed: int) -> OptimizeRes
     xq = np.log2(rfs)
     prob = sc.prob_within(xq, cfg.h_s)
     fid = sc.evaluate(xq)[0]
-    return OptimizeResult(rfs=rfs, lam=lam, prob=prob, fidelity=fid,
-                          infeasible=False, lam_trace=lam_trace,
-                          prob_trace=prob_trace, g_trace=g_trace)
+    return LoopResult(rfs=rfs, lam=lam, prob=prob, fidelity=fid,
+                      infeasible=False, lam_trace=lam_trace,
+                      prob_trace=prob_trace, g_trace=g_trace)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +383,7 @@ def predictive_match(position, predicted: dict, gate: float = 3.0):
     return best_id
 
 
-def greedy_dedup(positions: dict, dedup_m: float) -> set:
+def greedy_dedup(positions: dict, dedup_m: float = DEDUP_DISTANCE_M) -> set:
     """Ids dropped by scanning ids in order: each surviving id drops every
     later surviving id closer than dedup_m."""
     gids = sorted(positions)
@@ -422,7 +435,7 @@ class DictGlobalMap(GlobalMap):
             preds[gid] = entry.kalman.position
             gids.append(gid)
         positions = {gid: e.kalman.position for gid, e in self.entries.items()}
-        for gid in greedy_dedup(positions, self.dedup_m):
+        for gid in greedy_dedup(positions):
             del self.entries[gid]
         self._retire(t)
         return gids

@@ -87,13 +87,11 @@ FIELDS_READ_ELSEWHERE = {
     "tracking.py:LocalizeResult.detection_charged":
         "acceptance test 03 and perfbench/tracer.py",
     "simpipe.py:FrameStats.map_size": "perfbench/tracer.py",
-    # the optimizer's diagnostics, until a per-CAV control record writes them
+    "simpipe.py:ObjectRecord.obj_id": "perfbench/tracer.py",
+    # the optimizer's outcome, until a per-CAV control record writes it
     "control.py:OptimizeResult.lam": "tests",
     "control.py:OptimizeResult.prob": "tests",
     "control.py:OptimizeResult.fidelity": "tests",
-    "control.py:OptimizeResult.lam_trace": "tests",
-    "control.py:OptimizeResult.prob_trace": "tests",
-    "control.py:OptimizeResult.g_trace": "tests",
 }
 
 
@@ -157,3 +155,98 @@ def test_guard_sees_an_unread_field(tmp_path):
     # stores and keyword arguments are not reads
     assert sorted(unread_dataclass_fields(tmp_path)) == [
         "a.py:Config.unused", "a.py:Result.passed_only", "a.py:Result.written_only"]
+
+
+# callers whose calls count as passing an option: the package, its tests, the benchmark
+CALLERS = (SRC, SRC.parents[1] / "tests", SRC.parents[1] / "perfbench")
+
+
+def _functions(tree):
+    """(qualified name, call name, function, leading bound parameters) per def."""
+    methods = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    methods.add(item)
+                    static = any(getattr(d, "id", "") == "staticmethod"
+                                 for d in item.decorator_list)
+                    # a class name calls its __init__
+                    called = node.name if item.name == "__init__" else item.name
+                    yield f"{node.name}.{item.name}", called, item, 0 if static else 1
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node not in methods:
+            yield node.name, node.name, node, 0
+
+
+def _passed(callers) -> dict:
+    """Per called name: the keywords passed, the most positional arguments
+    passed, and whether a call spreads *args or **kwargs."""
+    out: dict = {}
+    for root in callers:
+        for path in sorted(pathlib.Path(root).glob("*.py")):
+            for call in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                keywords, most, spread = out.setdefault(name, (set(), 0, False))
+                keywords |= {k.arg for k in call.keywords if k.arg}
+                spread = spread or any(k.arg is None for k in call.keywords) or any(
+                    isinstance(a, ast.Starred) for a in call.args)
+                out[name] = (keywords, max(most, len(call.args)), spread)
+    return out
+
+
+def unpassed_options(src=SRC, callers=CALLERS) -> list:
+    """Defaulted parameters of functions and methods in ``src`` that no call
+    in ``callers`` passes, matched by name: a call passes a parameter by its
+    keyword or by its place, and *args or **kwargs pass every parameter."""
+    passed = _passed(callers)
+    unpassed = []
+    for path in sorted(pathlib.Path(src).glob("*.py")):
+        for qualname, called, fn, bound in _functions(ast.parse(path.read_text(), str(path))):
+            keywords, most, spread = passed.get(called, (set(), 0, False))
+            if spread:
+                continue
+            positional = [a.arg for a in fn.args.posonlyargs + fn.args.args][bound:]
+            defaulted = positional[len(positional) - len(fn.args.defaults):]
+            defaulted += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d]
+            for arg in defaulted:
+                if arg not in keywords and not (arg in positional
+                                                and positional.index(arg) < most):
+                    unpassed.append(f"{path.name}:{qualname}({arg}=)")
+    return unpassed
+
+
+def test_every_option_is_passed_somewhere():
+    assert unpassed_options() == []
+
+
+def test_guard_sees_an_option_nobody_passes(tmp_path):
+    src, callers = tmp_path / "src", tmp_path / "callers"
+    src.mkdir()
+    callers.mkdir()
+    (src / "a.py").write_text(
+        "def f(x, by_place=1, by_keyword=2, never=3, *, kw_only=4, kw_never=5):\n"
+        "    return x\n"
+        "\n"
+        "def g(y, spread=6):\n"
+        "    return y\n"
+        "\n"
+        "class Box:\n"
+        "    def __init__(self, size=7, unused=8):\n"
+        "        self.size = size\n"
+        "\n"
+        "    def grow(self, by=9):\n"
+        "        return self.size + by\n")
+    (callers / "b.py").write_text(
+        "from a import Box, f, g\n"
+        "\n"
+        "f(0, 1, by_keyword=2, kw_only=4)\n"
+        "g(*[1, 2])\n"
+        "Box(3).grow()\n")
+    # a call in src itself does not count unless src is among the callers
+    assert sorted(unpassed_options(src, (callers,))) == [
+        "a.py:Box.__init__(unused=)", "a.py:Box.grow(by=)", "a.py:f(kw_never=)",
+        "a.py:f(never=)"]

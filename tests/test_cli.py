@@ -381,6 +381,34 @@ def test_run_mistyped_config_value_exits_2(tmp_path, trace_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command, config, extra", [
+    *[("run", {key: value}, []) for key, value in (
+        ("servers", 0), ("sectors", 0), ("bandwidth_hz", -1.0), ("r_v", 0.0),
+        ("mc_samples", 0), ("density_threshold", 0.0), ("fading_sigma", -0.1),
+        ("rate_sigma", -1.0), ("beta", -1.0), ("outer_iters", 0))],
+    ("sweep", {}, ["--param", "H", "--values", "100", "-5"]),
+    ("sweep", {}, ["--param", "bandwidth", "--values", "200000", "0"]),
+    ("sweep", {"r_e": 0.0}, ["--param", "H", "--values", "80", "90"]),
+])
+def test_out_of_range_config_exits_2_before_output(tmp_path, trace_path, capsys,
+                                                   command, config, extra):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    args = [command, "--trace", str(trace_path), "--config", str(cfg), *extra]
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == EXIT_INPUT
+    assert "must be" in capsys.readouterr().err
+    assert not out.exists()
+    # an earlier result at the target survives a --force that fails
+    done = tmp_path / "done"
+    done.mkdir()
+    marker = done / ("sweep.csv" if command == "sweep" else "manifest.json")
+    marker.write_text("earlier\n")
+    assert main(args + ["--out", str(done), "--force"]) == EXIT_INPUT
+    assert os.listdir(done) == [marker.name]
+    assert marker.read_text() == "earlier\n"
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

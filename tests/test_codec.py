@@ -113,12 +113,6 @@ def test_decode_shape_and_determinism():
     assert not np.array_equal(a.points, c.points)
 
 
-def test_decode_frame_carried():
-    cloud = PointCloud(box_cloud(5).points, frame="local:3")
-    lat = encode(cloud, 64)
-    assert decode(lat, seed=0).frame == "local:3"
-
-
 def test_decode_rejects_malformed():
     lat = encode(box_cloud(6), 64)
     bad_len = lat.payload[:-1]
@@ -196,10 +190,8 @@ def test_bucket_index():
     assert len(BUCKET_EDGES) == 7
 
 
-def test_dataset_add_and_stats():
-    ds = MeasurementDataset()
-    ds.add(4, 300, 0.2, 1.0, 1.1)
-    ds.add(4, 300, 0.4, 1.2, 1.3)
+def test_dataset_rows_and_stats():
+    ds = MeasurementDataset.from_rows([(4, 2, 0.2, 1.0, 1.1), (4, 2, 0.4, 1.2, 1.3)])
     assert ds.count(4, 2) == 2
     assert ds.mean_loss(4, 2) == pytest.approx(0.3)
     assert ds.enc_time_samples(4, 2).tolist() == [1.0, 1.2]
@@ -210,11 +202,8 @@ def test_dataset_add_and_stats():
 
 
 def test_dataset_validate_reports_missing():
-    ds = MeasurementDataset()
-    for b_edge in BUCKET_EDGES:
-        for rf in RF_SET:
-            for _ in range(2):
-                ds.add(rf, b_edge, 0.3, 1.0, 1.0)
+    ds = MeasurementDataset.from_rows((rf, b, 0.3, 1.0, 1.0) for b in range(N_BUCKETS)
+                                      for rf in RF_SET for _ in range(2))
     ds.validate(min_samples=2)
     with pytest.raises(ProfileIncompleteError) as exc:
         ds.validate(min_samples=3)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from coopsim.codec import (
-    BUCKET_EDGES,
     DEFAULT_LOSS_CALIBRATION,
     MeasurementDataset,
     N_BUCKETS,
@@ -17,7 +16,6 @@ from coopsim.codec import (
 from coopsim.control import (
     POINT_CAP,
     LatencyInputs,
-    ObjectTask,
     OptimizerConfig,
     RFProblem,
     _sample_tables,
@@ -48,13 +46,9 @@ def surrogate():
 
 def constant_dataset(loss_by_rf=None, enc_ms=1e-6, dec_ms=1e-6):
     """Dataset whose samples are all identical, for deterministic latency."""
-    ds = MeasurementDataset()
-    for rf in RF_SET:
-        loss = 0.3 if loss_by_rf is None else loss_by_rf[rf]
-        for bucket in range(N_BUCKETS):
-            for _ in range(4):
-                ds.add(rf, BUCKET_EDGES[bucket], loss, enc_ms, dec_ms)
-    return ds
+    return MeasurementDataset.from_rows(
+        (rf, bucket, 0.3 if loss_by_rf is None else loss_by_rf[rf], enc_ms, dec_ms)
+        for rf in RF_SET for bucket in range(N_BUCKETS) for _ in range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -239,46 +233,50 @@ def test_thinning_matches_suffix_oracle():
 # latency probability
 
 
-def solve(tasks, loss_dataset, inputs, cfg, seed=0):
+def problem(tasks, rate, seed=0):
+    """One CAV's RFProblem from (object id, raw count) pairs."""
+    return RFProblem([o for o, _ in tasks], [k for _, k in tasks], rate, seed)
+
+
+def solve(tasks, rate, inputs, cfg, seed=0):
     """One CAV's RF subproblem, solved as a batch of one."""
-    return optimize_rf_batch([RFProblem(list(tasks), inputs, seed)], loss_dataset, cfg)[0]
+    return optimize_rf_batch([problem(tasks, rate, seed)], inputs, cfg)[0]
 
 
-def latency_prob(tasks, inputs, rf, h_s, seed=0):
+def latency_prob(tasks, rate, inputs, rf, h_s, seed=0):
     """Monte Carlo Prob(latency <= h_s) with every task at ``rf``: with one
     level the optimizer can only return that decision and its estimate."""
     cfg = OptimizerConfig(h_s=h_s, rf_set=(rf,))
-    res = solve(tasks, inputs.dataset, inputs, cfg, seed)
+    res = solve(tasks, rate, inputs, cfg, seed)
     assert res.rfs.tolist() == [rf] * len(tasks)
     return res.prob
 
 
 def test_latency_prob_deterministic_fast_path():
     ds = constant_dataset()
-    tasks = [ObjectTask(0, 800), ObjectTask(1, 300)]
-    inputs = LatencyInputs(rate_bps=1e12, dataset=ds, b_modules_ms=((0.0, 0.0),))
-    assert latency_prob(tasks, inputs, 64, 0.1) == 1.0
+    inputs = LatencyInputs(dataset=ds, b_modules_ms=((0.0, 0.0),))
+    assert latency_prob([(0, 800), (1, 300)], 1e12, inputs, 64, 0.1) == 1.0
 
 
 def test_latency_prob_mid_range():
     # everything negligible except one baseline module ~ N(100, 10) ms,
     # so Prob(total <= 100 ms) should sit near one half
     ds = constant_dataset()
-    inputs = LatencyInputs(rate_bps=1e12, dataset=ds, b_modules_ms=((100.0, 10.0),))
+    inputs = LatencyInputs(dataset=ds, b_modules_ms=((100.0, 10.0),))
     for seed in range(4):
-        prob = latency_prob([ObjectTask(0, 800)], inputs, 64, 0.100, seed=seed)
+        prob = latency_prob([(0, 800)], 1e12, inputs, 64, 0.100, seed=seed)
         assert 0.25 <= prob <= 0.75
 
 
 def test_latency_prob_superset_monotone(surrogate):
     """Adding objects can only hurt: per-object CRN streams keep the shared
     draws identical, so the superset's latency dominates pointwise."""
-    base = [ObjectTask(i, 800) for i in range(3)]
-    extra = base + [ObjectTask(i, 800) for i in range(10, 13)]
-    inputs = LatencyInputs(rate_bps=600e3, dataset=surrogate)
+    base = [(i, 800) for i in range(3)]
+    extra = base + [(i, 800) for i in range(10, 13)]
+    inputs = LatencyInputs(dataset=surrogate)
     for seed in range(10):
-        p_small = latency_prob(base, inputs, 16, 0.060, seed=seed)
-        p_large = latency_prob(extra, inputs, 16, 0.060, seed=seed)
+        p_small = latency_prob(base, 600e3, inputs, 16, 0.060, seed=seed)
+        p_large = latency_prob(extra, 600e3, inputs, 16, 0.060, seed=seed)
         assert p_large <= p_small
 
 
@@ -288,41 +286,37 @@ def test_latency_prob_superset_monotone(surrogate):
 
 def five_tasks(seed=11):
     rng = np.random.default_rng(seed)
-    return [ObjectTask(i, int(c)) for i, c in enumerate(rng.integers(200, 3000, 5))]
+    return [(i, int(c)) for i, c in enumerate(rng.integers(200, 3000, 5))]
 
 
 def test_optimizer_unconstrained_goes_to_min_rf(surrogate):
-    inputs = LatencyInputs(rate_bps=1e9, dataset=surrogate)
-    res = solve(five_tasks(), surrogate, inputs, OptimizerConfig(h_s=10.0))
+    res = solve(five_tasks(), 1e9, LatencyInputs(dataset=surrogate), OptimizerConfig(h_s=10.0))
     assert res.rfs.tolist() == [4] * 5
     assert not res.infeasible
-    assert all(l >= 0 for l in res.lam_trace)
+    assert res.lam >= 0
 
 
 def test_optimizer_multiplier_decays_to_zero(surrogate):
     # slack constraint: each outer iteration bleeds the multiplier down
-    inputs = LatencyInputs(rate_bps=1e9, dataset=surrogate)
-    res = solve(five_tasks(), surrogate, inputs, OptimizerConfig(h_s=10.0, outer_iters=30))
+    res = solve(five_tasks(), 1e9, LatencyInputs(dataset=surrogate),
+                OptimizerConfig(h_s=10.0, outer_iters=30))
     assert res.lam == 0.0
     assert res.rfs.tolist() == [4] * 5
 
 
 def test_optimizer_zero_rate_infeasible(surrogate):
-    inputs = LatencyInputs(rate_bps=0.0, dataset=surrogate)
-    res = solve(five_tasks(), surrogate, inputs, OptimizerConfig())
+    res = solve(five_tasks(), 0.0, LatencyInputs(dataset=surrogate), OptimizerConfig())
     assert res.infeasible
     assert res.rfs.tolist() == [64] * 5
     assert res.prob < 0.99
 
 
 def test_optimizer_output_in_rf_set(surrogate):
+    inputs = LatencyInputs(dataset=surrogate)
     for seed, rate in ((0, 150e3), (1, 300e3), (2, 500e3)):
-        inputs = LatencyInputs(rate_bps=rate, dataset=surrogate)
-        res = solve(five_tasks(), surrogate, inputs, OptimizerConfig(), seed=seed)
+        res = solve(five_tasks(), rate, inputs, OptimizerConfig(), seed=seed)
         assert set(res.rfs.tolist()) <= set(RF_SET)
-    narrowed = solve(five_tasks(), surrogate,
-                     LatencyInputs(rate_bps=300e3, dataset=surrogate),
-                     OptimizerConfig(rf_set=(8, 32)))
+    narrowed = solve(five_tasks(), 300e3, inputs, OptimizerConfig(rf_set=(8, 32)))
     assert set(narrowed.rfs.tolist()) <= {8, 32}
 
 
@@ -330,8 +324,7 @@ def test_optimizer_rate_sweep_monotone(surrogate):
     """More bandwidth, less compression; feasible runs meet the target."""
     prev = None
     for rate in (60e3, 120e3, 240e3, 480e3):
-        inputs = LatencyInputs(rate_bps=rate, dataset=surrogate)
-        res = solve(five_tasks(), surrogate, inputs, OptimizerConfig())
+        res = solve(five_tasks(), rate, LatencyInputs(dataset=surrogate), OptimizerConfig())
         if not res.infeasible:
             assert res.prob >= 0.99
         mean_rf = res.rfs.mean()
@@ -343,22 +336,21 @@ def test_optimizer_rate_sweep_monotone(surrogate):
 def test_optimizer_bandwidth_contrast(surrogate):
     # single-user Shannon rates at 100 m for 200 kHz vs 300 kHz carriers
     rng = np.random.default_rng(7)
-    tasks = [ObjectTask(i, int(c)) for i, c in enumerate(rng.integers(200, 3000, 20))]
+    tasks = [(i, int(c)) for i, c in enumerate(rng.integers(200, 3000, 20))]
     means = []
     for bw in (200e3, 300e3):
         rate = uplink_rate([100.0, 0.0, 0.0], 1, RadioConfig(bandwidth_hz=bw))
-        res = solve(tasks, surrogate, LatencyInputs(rate_bps=rate, dataset=surrogate),
-                    OptimizerConfig())
+        res = solve(tasks, rate, LatencyInputs(dataset=surrogate), OptimizerConfig())
         assert not res.infeasible
         means.append(res.rfs.mean())
     assert means[0] > means[1]
 
 
 def test_optimizer_relaxing_deadline_never_raises_rf(surrogate):
-    inputs = LatencyInputs(rate_bps=120e3, dataset=surrogate)
+    inputs = LatencyInputs(dataset=surrogate)
     prev = None
     for h_s in (0.06, 0.1, 0.2, 0.3):
-        res = solve(five_tasks(), surrogate, inputs, OptimizerConfig(h_s=h_s), seed=11)
+        res = solve(five_tasks(), 120e3, inputs, OptimizerConfig(h_s=h_s), seed=11)
         if prev is not None:
             assert np.all(res.rfs <= prev)
         prev = res.rfs
@@ -366,23 +358,24 @@ def test_optimizer_relaxing_deadline_never_raises_rf(surrogate):
 
 def test_optimizer_lagrangian_monotone_on_deterministic_instance():
     """With constant samples and no baseline noise the sampled surface is
-    exact, so every ascent step must improve the Lagrangian."""
+    exact, so every ascent step must improve the Lagrangian.  The loop
+    oracle records it after each step; the batch must end where it does."""
     means = {rf: m for rf, (m, _) in DEFAULT_LOSS_CALIBRATION.items()}
     ds = constant_dataset(loss_by_rf=means, enc_ms=0.5, dec_ms=0.5)
-    tasks = [ObjectTask(i, 800) for i in range(3)]
-    inputs = LatencyInputs(rate_bps=1e12, dataset=ds, b_modules_ms=((0.0, 0.0),))
-    res = solve(tasks, ds, inputs,
-                OptimizerConfig(h_s=10.0, outer_iters=1, inner_iters=80, diagnostics=True))
-    trace = np.array(res.g_trace)
+    prob = problem([(i, 800) for i in range(3)], 1e12)
+    inputs = LatencyInputs(dataset=ds, b_modules_ms=((0.0, 0.0),))
+    cfg = OptimizerConfig(h_s=10.0, outer_iters=1, inner_iters=80)
+    ref = loop_optimize_rf(prob, inputs, cfg, record_g=True)
+    trace = np.array(ref.g_trace)
     assert len(trace) == 80
     assert np.all(np.diff(trace) >= -1e-12)
-    assert res.rfs.tolist() == [4, 4, 4]
+    assert ref.rfs.tolist() == [4, 4, 4]
+    assert_same_result(optimize_rf_batch([prob], inputs, cfg)[0], ref)
 
 
 def test_optimizer_requires_tasks(surrogate):
     with pytest.raises(ConfigError):
-        solve([], surrogate, LatencyInputs(rate_bps=1e6, dataset=surrogate),
-              OptimizerConfig())
+        solve([], 1e6, LatencyInputs(dataset=surrogate), OptimizerConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +386,7 @@ RUN_OPTIMIZER = dict(h_s=0.075, outer_iters=6, inner_iters=12, deviations=12,
                      mc_samples=32)
 
 
-def random_problems(dataset, n, seed):
+def random_problems(n, seed):
     """Seeded subproblems with k = 1..14 tasks; every seventh has zero rate."""
     rng = np.random.default_rng(seed)
     problems = []
@@ -402,11 +395,15 @@ def random_problems(dataset, n, seed):
         ids = rng.choice(500, size=k, replace=False)
         counts = rng.integers(50, 5000, size=k)
         rate = 0.0 if i % 7 == 3 else float(np.exp(rng.uniform(np.log(80e3), np.log(2e6))))
-        inputs = LatencyInputs(rate_bps=rate, dataset=dataset, rate_sigma=0.1)
-        problems.append(RFProblem(
-            tasks=[ObjectTask(int(o), int(c)) for o, c in zip(ids, counts)],
-            inputs=inputs, seed=int(rng.integers(1 << 31))))
+        problems.append(RFProblem(obj_ids=ids.tolist(), raw_counts=counts.tolist(),
+                                  rate_bps=rate, seed=int(rng.integers(1 << 31))))
     return problems
+
+
+@pytest.fixture(scope="module")
+def run_inputs(surrogate):
+    """The latency model run_frame builds for a frame at the default config."""
+    return LatencyInputs(dataset=surrogate, rate_sigma=0.1)
 
 
 def assert_same_result(res, ref):
@@ -415,44 +412,31 @@ def assert_same_result(res, ref):
     assert res.prob == ref.prob
     assert res.lam == ref.lam
     assert res.fidelity == ref.fidelity
-    assert res.lam_trace == ref.lam_trace
-    assert res.prob_trace == ref.prob_trace
 
 
 @pytest.mark.parametrize("rf_set", [RF_SET, (8, 32), (64,)])
-def test_batch_matches_loop_oracle(surrogate, rf_set):
-    problems = random_problems(surrogate, 112, seed=len(rf_set))
+def test_batch_matches_loop_oracle(run_inputs, rf_set):
+    problems = random_problems(112, seed=len(rf_set))
     cfg = OptimizerConfig(rf_set=rf_set, **RUN_OPTIMIZER)
-    results = optimize_rf_batch(problems, surrogate, cfg)
+    results = optimize_rf_batch(problems, run_inputs, cfg)
     flags_by_k: dict = {}
     for prob, res in zip(problems, results):
-        ref = loop_optimize_rf(prob.tasks, surrogate, prob.inputs, cfg, prob.seed)
-        assert_same_result(res, ref)
+        assert_same_result(res, loop_optimize_rf(prob, run_inputs, cfg))
         assert set(res.rfs.tolist()) <= set(rf_set)
-        flags_by_k.setdefault(len(prob.tasks), set()).add(res.infeasible)
+        flags_by_k.setdefault(len(prob.obj_ids), set()).add(res.infeasible)
     assert sorted(flags_by_k) == list(range(1, 15))
     # some lockstep groups mix feasible and infeasible CAVs
     assert any(flags == {True, False} for flags in flags_by_k.values())
 
 
-def test_batch_diagnostics_match_loop_oracle(surrogate):
-    problems = [p for p in random_problems(surrogate, 28, seed=5) if p.inputs.rate_bps > 0]
-    cfg = OptimizerConfig(diagnostics=True, **RUN_OPTIMIZER)
-    for prob, res in zip(problems, optimize_rf_batch(problems, surrogate, cfg)):
-        ref = loop_optimize_rf(prob.tasks, surrogate, prob.inputs, cfg, prob.seed)
-        assert_same_result(res, ref)
-        # the plane fit differs from lstsq in roundoff only
-        np.testing.assert_allclose(res.g_trace, ref.g_trace, rtol=1e-9, atol=1e-12)
-
-
-def test_batch_rank_deficient_plane_fit_matches_loop_oracle(surrogate):
+def test_batch_rank_deficient_plane_fit_matches_loop_oracle(run_inputs):
     """Deviations this wide clip almost every entry to an RF bound, so many
     designs have a constant column or two equal ones and singular normal
     equations; those rows fall back to lstsq's minimum-norm plane."""
-    problems = random_problems(surrogate, 140, seed=15)
+    problems = random_problems(140, seed=15)
     cfg = OptimizerConfig(**dict(RUN_OPTIMIZER, deviations=4, deviation_sd=50.0))
-    for prob, res in zip(problems, optimize_rf_batch(problems, surrogate, cfg)):
-        ref = loop_optimize_rf(prob.tasks, surrogate, prob.inputs, cfg, prob.seed)
+    for prob, res in zip(problems, optimize_rf_batch(problems, run_inputs, cfg)):
+        ref = loop_optimize_rf(prob, run_inputs, cfg)
         assert res.rfs.tolist() == ref.rfs.tolist()
         assert res.infeasible == ref.infeasible
 
@@ -463,14 +447,13 @@ def test_scenario_blend_matches_loop_oracle(surrogate, rf_set):
     table: it may differ from the per-task loop in roundoff, fidelity not."""
     levels, k, s = sorted(rf_set), 5, 32
     rng = np.random.default_rng(16)
-    problems = [RFProblem([ObjectTask(int(o), int(c)) for o, c in
-                           zip(rng.choice(500, k, replace=False), rng.integers(50, 5000, k))],
-                          LatencyInputs(rate_bps=rate, dataset=surrogate, rate_sigma=0.1,
-                                        r_v=0.7, r_e=1.3), seed=seed)
+    inputs = LatencyInputs(dataset=surrogate, rate_sigma=0.1, r_v=0.7, r_e=1.3)
+    problems = [RFProblem(rng.choice(500, k, replace=False).tolist(),
+                          rng.integers(50, 5000, k).tolist(), rate, seed)
                 for seed, rate in enumerate((80e3, 300e3, 2e6))]
-    buckets = bucket_index(np.array([[t.raw_count for t in p.tasks] for p in problems]))
+    buckets = bucket_index(np.array([p.raw_counts for p in problems]))
     sc = _Scenarios.draw(problems, buckets,
-                         _sample_tables(surrogate, surrogate, levels, np.unique(buckets)), s)
+                         _sample_tables(surrogate, levels, np.unique(buckets)), inputs, s)
     lx = np.log2(levels)
     x = np.concatenate([
         rng.uniform(lx[0], lx[-1], (len(problems), 6, k)),
@@ -480,48 +463,34 @@ def test_scenario_blend_matches_loop_oracle(surrogate, rf_set):
     ], axis=1)
     fidelity, latency = sc.evaluate(x)
     for c, prob in enumerate(problems):
-        loop = LoopScenarios(prob.tasks, prob.inputs, levels, s, prob.seed,
-                             loss_dataset=surrogate)
-        fid_ref, lat_ref = loop.evaluate_batch(x[c])
+        fid_ref, lat_ref = LoopScenarios(prob, inputs, levels, s).evaluate_batch(x[c])
         assert fidelity[c].tolist() == fid_ref.tolist()
         np.testing.assert_allclose(latency[c], lat_ref, rtol=1e-12, atol=0)
 
 
-def test_batch_result_same_alone_and_in_batch(surrogate):
-    problems = random_problems(surrogate, 42, seed=11)
+def test_batch_result_same_alone_and_in_batch(run_inputs):
+    problems = random_problems(42, seed=11)
     cfg = OptimizerConfig(**RUN_OPTIMIZER)
-    together = optimize_rf_batch(problems, surrogate, cfg)
+    together = optimize_rf_batch(problems, run_inputs, cfg)
     for prob, res in zip(problems, together):
-        assert_same_result(res, optimize_rf_batch([prob], surrogate, cfg)[0])
+        assert_same_result(res, optimize_rf_batch([prob], run_inputs, cfg)[0])
 
 
-def test_batch_result_independent_of_order(surrogate):
-    problems = random_problems(surrogate, 42, seed=12)
+def test_batch_result_independent_of_order(run_inputs):
+    problems = random_problems(42, seed=12)
     cfg = OptimizerConfig(**RUN_OPTIMIZER)
-    forward = optimize_rf_batch(problems, surrogate, cfg)
+    forward = optimize_rf_batch(problems, run_inputs, cfg)
     perm = np.random.default_rng(3).permutation(len(problems))
-    shuffled = optimize_rf_batch([problems[i] for i in perm], surrogate, cfg)
+    shuffled = optimize_rf_batch([problems[i] for i in perm], run_inputs, cfg)
     for j, i in enumerate(perm):
         assert_same_result(shuffled[j], forward[i])
 
 
-def test_batch_groups_by_latency_model(surrogate):
-    """CAVs with the same task count but different capacity factors never
-    share a lockstep group, so each still gets its own model."""
-    problems = random_problems(surrogate, 14, seed=13)
-    slow = [replace(p, inputs=replace(p.inputs, r_v=0.05)) for p in problems]
-    cfg = OptimizerConfig(**RUN_OPTIMIZER)
-    mixed = optimize_rf_batch(problems + slow, surrogate, cfg)
-    for prob, res in zip(problems + slow, mixed):
-        ref = loop_optimize_rf(prob.tasks, surrogate, prob.inputs, cfg, prob.seed)
-        assert_same_result(res, ref)
-
-
-def test_batch_rejects_empty_subproblem(surrogate):
-    problems = random_problems(surrogate, 3, seed=14)
-    problems[1] = replace(problems[1], tasks=[])
+def test_batch_rejects_empty_subproblem(run_inputs):
+    problems = random_problems(3, seed=14)
+    problems[1] = replace(problems[1], obj_ids=[], raw_counts=[])
     with pytest.raises(ConfigError):
-        optimize_rf_batch(problems, surrogate, OptimizerConfig())
+        optimize_rf_batch(problems, run_inputs, OptimizerConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +498,13 @@ def test_batch_rejects_empty_subproblem(surrogate):
 
 
 def test_optimizer_config_validation():
-    for bad in (dict(p=0.0), dict(p=1.0), dict(h_s=0.0), dict(primal_step=0.0),
-                dict(dual_step=0.0), dict(mc_samples=0), dict(deviations=0)):
+    for bad in (dict(p=0.0), dict(p=1.0), dict(h_s=0.0), dict(mc_samples=0),
+                dict(deviations=0)):
         with pytest.raises(ConfigError):
             OptimizerConfig(**bad)
 
 
 def test_latency_inputs_validation(surrogate):
-    for bad in (dict(rate_bps=-1.0), dict(rate_bps=1e6, r_v=0.0),
-                dict(rate_bps=1e6, r_e=0.0)):
+    for bad in (dict(r_v=0.0), dict(r_e=0.0)):
         with pytest.raises(ConfigError):
             LatencyInputs(dataset=surrogate, **bad)

@@ -65,19 +65,9 @@ def test_rate_vanishes_at_extreme_range():
     assert uplink_rate([1e9, 0.0, 0.0], 1, radio) < 1.0
 
 
-def test_tdma_not_faster_than_fdma():
-    for d in (20.0, 100.0, 400.0):
-        fd = uplink_rate([d, 0.0, 0.0], 30, RadioConfig(share_mode="fdma"))
-        td = uplink_rate([d, 0.0, 0.0], 30, RadioConfig(share_mode="tdma"))
-        assert td <= fd
-        assert td > 0
-
-
 def test_config_validation():
     with pytest.raises(ConfigError):
         RadioConfig(bandwidth_hz=0)
-    with pytest.raises(ConfigError):
-        RadioConfig(share_mode="cdma")
     with pytest.raises(ConfigError):
         RadioConfig(sectors=0)
     with pytest.raises(ConfigError):
@@ -87,10 +77,11 @@ def test_config_validation():
 
 
 def test_fading_seeded_and_degenerate():
-    a = draw_fading(np.random.default_rng(5), 0.2, size=100)
-    b = draw_fading(np.random.default_rng(5), 0.2, size=100)
-    assert np.array_equal(a, b)
-    assert np.all(a > 0)
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    a = [draw_fading(rng_a, 0.2) for _ in range(100)]
+    b = [draw_fading(rng_b, 0.2) for _ in range(100)]
+    assert a == b
+    assert min(a) > 0 and len(set(a)) == 100
     assert draw_fading(np.random.default_rng(5), 0.0) == 1.0
 
 
@@ -144,7 +135,7 @@ def test_frame_single_cav_baseline_only():
     assert b.server_ms == 0.0
     assert b.total_ms == b.b_ms
     assert 0 < b.b_ms < 1.0
-    assert b.feasible
+    assert math.isfinite(b.total_ms)
 
 
 def test_frame_breakdown_sums_and_orders():
@@ -165,9 +156,8 @@ def test_frame_breakdown_sums_and_orders():
 def test_frame_zero_rate_is_infeasible_flagged():
     out = simulate_frame_latency([500, 500], [0.5, 0.5], [0.0, 1e6], [1, 1],
                                  ServerConfig(), np.random.default_rng(1))
-    assert not out[0].feasible
     assert out[0].total_ms == math.inf
-    assert out[1].feasible  # the dead uplink must not block the live one
+    assert math.isfinite(out[1].total_ms)  # the dead uplink must not block the live one
     assert out[1].queue_ms == 0.0
 
 

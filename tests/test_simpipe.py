@@ -290,7 +290,7 @@ def test_map_dedup_chain_matches_oracle():
     gmap._next_id = 9
     gmap.commit_frame([], t=0.1)
     assert sorted(gmap.entries) == [2, 7]
-    assert sorted(set(positions) - greedy_dedup(positions, gmap.dedup_m)) == [2, 7]
+    assert sorted(set(positions) - greedy_dedup(positions)) == [2, 7]
 
 
 def test_map_matches_dict_oracle_over_frames():

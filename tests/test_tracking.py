@@ -7,7 +7,6 @@ from coopsim.tracking import (
     HybridLocalizer,
     KalmanState,
     LocalizerMode,
-    hybrid_localize,
     kalman_correct,
     kalman_init,
     kalman_predict,
@@ -153,19 +152,21 @@ def _noise_free_cfg() -> DetectionOracleConfig:
 
 
 def _run_slots(loc, truths, rng):
-    results = []
+    """Each slot's result, and the mode it latched for the next slot."""
+    results, modes = [], []
     for k, truth in enumerate(truths):
         results.append(loc.step(k * 0.1, truth, rng))
-    return results
+        modes.append(loc.mode)
+    return results, modes
 
 
 def test_zero_rle_switches_to_tracking_and_charges_tracker_time():
     rng = np.random.default_rng(0)
     loc = HybridLocalizer(_noise_free_cfg())
     truths = [{1: (0.1 * k, 0.0), 2: (5.0, 0.1 * k)} for k in range(400)]
-    results = _run_slots(loc, truths, rng)
+    results, modes = _run_slots(loc, truths, rng)
     assert results[0].detection_charged  # boots in detection
-    assert all(r.next_mode is LocalizerMode.TRACKING for r in results)
+    assert all(m is LocalizerMode.TRACKING for m in modes)
     tracked = [r.charged_ms for r in results[1:]]
     assert all(not r.detection_charged for r in results[1:])
     # charged time follows the tracker distribution (mean 0.73 ms)
@@ -177,9 +178,8 @@ def test_large_gap_forces_detection_next_slot():
     rng = np.random.default_rng(1)
     loc = HybridLocalizer(cfg)
     truths = [{1: (0.0, 0.0)} for _ in range(200)]
-    results = _run_slots(loc, truths, rng)
-    flips = [k for k, r in enumerate(results[:-1])
-             if r.next_mode is LocalizerMode.DETECTION]
+    results, modes = _run_slots(loc, truths, rng)
+    flips = [k for k, m in enumerate(modes[:-1]) if m is LocalizerMode.DETECTION]
     # slot 0 has no track, so no gap; the tracker's 5 m error opens one later
     assert flips and flips[0] > 0
     assert all(results[k + 1].detection_charged for k in flips)
@@ -203,9 +203,9 @@ def test_new_object_rides_on_detector_in_tracking_mode():
 
 def test_all_missed_detection_mode_publishes_nothing():
     cfg = DetectionOracleConfig(sigma_det=0.0, miss_prob=1.0, sigma_trk=0.0)
-    rng = np.random.default_rng(3)
-    tracks = {}
-    res = hybrid_localize({1: (0.0, 0.0)}, LocalizerMode.DETECTION, tracks, cfg, rng, 0.0)
+    loc = HybridLocalizer(cfg)
+    assert loc.mode is LocalizerMode.DETECTION
+    res = loc.step(0.0, {1: (0.0, 0.0)}, np.random.default_rng(3))
     assert res.observations == {}
     assert res.detection_charged
 
