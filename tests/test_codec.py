@@ -190,7 +190,7 @@ def test_bucket_index():
     assert len(BUCKET_EDGES) == 7
 
 
-def test_dataset_rows_and_stats():
+def test_dataset_add_and_stats():
     ds = MeasurementDataset.from_rows([(4, 2, 0.2, 1.0, 1.1), (4, 2, 0.4, 1.2, 1.3)])
     assert ds.count(4, 2) == 2
     assert ds.mean_loss(4, 2) == pytest.approx(0.3)
