@@ -222,6 +222,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs at least two --values")
     if args.frames < 1 or args.cavs < 1:
         raise ConfigError("--cavs and --frames must be >= 1")
+    if args.param == "cavs" and args.trace:
+        raise ConfigError("--trace cannot be combined with --param cavs, "
+                          "which generates a trace per value")
     base = _load_config(args)
     if args.param == "cavs":
         values = []
@@ -237,7 +240,7 @@ def cmd_sweep(args) -> int:
     # the swept values leave rf_set and dataset_path alone: one check, one load
     dataset = load_dataset(base)
     # a trace file is read and checked before the sweep directory exists
-    base_trace = load_trace(args.trace) if args.trace and args.param != "cavs" else None
+    base_trace = load_trace(args.trace) if args.trace else None
 
     _make_out_dir(args.out, args.force)
     trace_name = args.trace

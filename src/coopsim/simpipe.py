@@ -72,7 +72,7 @@ from .tracking import (
     kalman_init,
     kalman_predict,
     nearest_rows,
-    transition_matrix,
+    row_norms,
 )
 
 
@@ -359,14 +359,16 @@ class GlobalMap:
         self.entries: dict = {}
         self._next_id = 0
 
-    def predicted_positions(self, t: float) -> dict:
-        """Each entry's Kalman-predicted position at ``t``, in global id order."""
-        out = {}
-        for gid, entry in self.entries.items():
-            dt = t - entry.kalman.time
-            out[gid] = (transition_matrix(dt) @ entry.kalman.x)[:2] if dt > 0 \
-                else entry.kalman.position
-        return out
+    def predicted_positions(self, t: float):
+        """Each entry's Kalman-predicted position at ``t``: the global ids
+        (n,) and positions (n, 2), in global id order."""
+        gids = np.fromiter(self.entries, dtype=np.int64, count=len(self.entries))
+        states = [e.kalman for e in self.entries.values()]
+        x = np.reshape([s.x for s in states], (-1, 4))
+        dt = t - np.array([s.time for s in states], dtype=np.float64)
+        # position + dt * velocity, as kalman_predict computes it
+        moved = x[:, :2] + dt[:, None] * x[:, 2:]
+        return gids, np.where(dt[:, None] > 0, moved, x[:, :2])
 
     def commit_frame(self, items, t: float):
         """Match and fold a frame's uploads, in the given order.
@@ -376,25 +378,36 @@ class GlobalMap:
         each item.  Matching always runs against the freshest predictions: a
         matched row takes the corrected position and a new entry appends its
         row, so two CAVs reporting the same new object within one frame land
-        on a single entry.
+        on a single entry.  The nearest row is found as ``nearest_rows``
+        finds it: the first smallest dx*dx + dy*dy strictly within the gate.
         """
-        preds = self.predicted_positions(t)
-        rows = len(preds)
-        # room for one appended row per item
-        ids = np.array(list(preds) + [-1] * len(items), dtype=np.int64)
-        points = np.zeros((len(ids), 2))
-        points[:rows] = np.reshape(list(preds.values()), (rows, 2))
+        ids, points = self.predicted_positions(t)
+        ids = ids.tolist()
+        rows = len(ids)
+        # coordinate columns with room for one appended row per item
+        px = np.empty(rows + len(items))
+        py = np.empty(rows + len(items))
+        px[:rows], py[:rows] = points[:, 0], points[:, 1]
+        gate2 = self.gate * self.gate
         gids = []
         for pos, has_geom, loss in items:
-            row = int(nearest_rows(points[:rows], pos, self.gate)[0])
+            x, y = pos
+            row = -1
+            if rows:
+                dx = px[:rows] - x
+                dy = py[:rows] - y
+                d2 = dx * dx + dy * dy
+                best = int(d2.argmin())
+                if d2[best] < gate2:
+                    row = best
             if row < 0:
                 gid = self._next_id
                 self._next_id += 1
                 entry = self.entries[gid] = MapEntry(kalman=kalman_init(pos, t), last_seen=t)
                 row, rows = rows, rows + 1
-                ids[row] = gid
+                ids.append(gid)
             else:
-                gid = int(ids[row])
+                gid = ids[row]
                 entry = self.entries[gid]
                 dt = t - entry.kalman.time
                 if dt > 0:
@@ -404,7 +417,7 @@ class GlobalMap:
             if has_geom:
                 entry.has_geometry = True
                 entry.last_loss = loss
-            points[row] = entry.kalman.position
+            px[row], py[row] = entry.kalman.position
             gids.append(gid)
         self._dedup()
         self._retire(t)
@@ -640,8 +653,11 @@ def _codec_loss(bbox: Bbox3, viewer, raw_count: int, rf: int, beta: float,
     return reconstruction_loss(cloud.points, recon.points, beta=beta)
 
 
-def _pick_sample(samples: np.ndarray, rng: np.random.Generator) -> float:
-    return float(samples[int(rng.integers(len(samples)))])
+def _draw_samples(cells: list, rng: np.random.Generator) -> list:
+    """One uniformly drawn sample from each cell, in order.  The single
+    array-bounded draw gives the same indices as one scalar draw per cell."""
+    picks = rng.integers(0, [len(cell) for cell in cells]).tolist()
+    return [float(cell[i]) for cell, i in zip(cells, picks)]
 
 
 def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
@@ -653,8 +669,10 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
     the pair's row in the trace frame and the observed position.  Selection
     keeps the rows that go out; rf, the reused map gid (-1 if none), bytes
     and loss are columns of those.  Loops whose order fixes a random stream
-    or a result stay per object: localization, the accounting draws and the
-    per-object edge thinning.
+    or a result stay per object: localization, the left-to-right encode-time
+    sum and the per-object edge thinning.  The accounting draws take one
+    array-bounded call per CAV and stream, which yields the per-object
+    draws' indices.
     """
     cfg = state.config
     policy = _POLICY[cfg.policy]
@@ -673,7 +691,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
 
     # --- localization (vehicle side) builds the detection table ---
     cav, src, observed = [], [], []
-    charges, loc_errors = [], []
+    charges = []
     for c, cav_id in enumerate(cav_ids):
         rows = by_pair[bounds[c]:bounds[c + 1]].tolist()
         truth = dict(zip(frame.obj_ids[rows].tolist(), frame.centers[rows, :2]))
@@ -682,10 +700,9 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
         rng_loc = np.random.default_rng([cfg.seed, fidx, cav_id, _S_LOC])
         res = loc.step(t, truth, rng_loc)
         charges.append(res.charged_ms)
-        for row, (obj_id, pos) in zip(rows, truth.items()):
+        for row, obj_id in zip(rows, truth):
             obs = res.observations.get(obj_id)
             if obs is not None:
-                loc_errors.append(float(np.linalg.norm(obs - pos)))
                 cav.append(c)
                 src.append(row)
                 observed.append(obs)
@@ -693,6 +710,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
     src = np.array(src, dtype=np.int64)
     obj = frame.obj_ids[src]
     observed = np.reshape(observed, (-1, 2))
+    loc_errors = row_norms(observed - frame.centers[src, :2]).tolist()
     detected_pairs = len(cav)
 
     # --- selection over the shared view ---
@@ -759,9 +777,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
     gid = np.full(len(cav), -1, dtype=np.int64)
     entries = state.global_map.entries
     if policy.reuse:
-        broadcast = state.global_map.predicted_positions(t)
-        gids = np.array(list(broadcast), dtype=np.int64)
-        points = np.reshape(list(broadcast.values()), (-1, 2))
+        gids, points = state.global_map.predicted_positions(t)
         nearest = nearest_rows(points, observed, MATCH_GATE_M)
         hit = np.flatnonzero(nearest >= 0)
         off = points[nearest[hit]] - observed[hit]
@@ -782,34 +798,37 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
     payloads = np.bincount(cav, weights=nbytes, minlength=n)
     decode_counts = np.bincount(cav[~reused], minlength=n)
     loss = np.zeros(len(cav))
+    loss[reused] = [entries[g].last_loss for g in gid[reused].tolist()]
     vehicle_ms = np.zeros(n)
-    buckets = bucket_index(counts)
+    buckets = bucket_index(counts).tolist()
+    rf_rows = rf.tolist()
+    # lossless and raw uploads charge the encode time of the largest RF
+    enc_rf = rf_rows if policy.upload_bytes is None else [max(RF_SET)] * len(rf_rows)
+    reused_rows = reused.tolist()
     for c, cav_id in enumerate(cav_ids):
         mine = by_cav[c]
-        if mine.start == mine.stop:
+        sent = [r for r in range(mine.start, mine.stop) if not reused_rows[r]]
+        if not sent:
             continue
         rng_time = np.random.default_rng([cfg.seed, fidx, cav_id, _S_TIME])
-        rng_loss = np.random.default_rng([cfg.seed, fidx, cav_id, _S_LOSS])
-        encode_ms = 0.0
-        for r in range(mine.start, mine.stop):
-            if reused[r]:
-                loss[r] = entries[int(gid[r])].last_loss
-                continue
-            bucket = int(buckets[r])
-            if policy.upload_bytes is not None:
-                encode_ms += _pick_sample(dataset.enc_time_samples(max(RF_SET), bucket), rng_time)
-                continue
-            rf_r = int(rf[r])
-            encode_ms += _pick_sample(dataset.enc_time_samples(rf_r, bucket), rng_time)
-            if cfg.dataset_mode == "codec":
+        encode_ms = 0.0  # summed left to right, one charge per object
+        for ms in _draw_samples([dataset.enc_time_samples(enc_rf[r], buckets[r])
+                                 for r in sent], rng_time):
+            encode_ms += ms
+        vehicle_ms[c] = encode_ms
+        if policy.upload_bytes is not None:
+            continue
+        if cfg.dataset_mode == "codec":
+            for r in sent:
                 rng_codec = np.random.default_rng([cfg.seed, fidx, cav_id, int(obj[r]), _S_CODEC])
                 box = Bbox3(center=frame.centers[src[r]], extent=frame.extents[src[r]])
                 box.yaw = float(frame.yaws[src[r]])  # wrapped already; a second wrap can move it
-                loss[r] = _codec_loss(box, positions[c], int(counts[r]), rf_r, cfg.beta,
+                loss[r] = _codec_loss(box, positions[c], int(counts[r]), rf_rows[r], cfg.beta,
                                       rng_codec)
-            else:
-                loss[r] = _pick_sample(dataset.loss_samples(rf_r, bucket), rng_loss)
-        vehicle_ms[c] = encode_ms
+        else:
+            rng_loss = np.random.default_rng([cfg.seed, fidx, cav_id, _S_LOSS])
+            loss[sent] = _draw_samples([dataset.loss_samples(rf_rows[r], buckets[r])
+                                        for r in sent], rng_loss)
 
     # --- radio: realized rates with fading, shared per sector ---
     # only CAVs with data on air occupy their sector's band this frame

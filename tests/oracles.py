@@ -5,9 +5,10 @@ exhaustive enumeration) and does not share code with the package under test.
 The exceptions are the routines that array code replaced, kept as they were:
 the per-pair point-count predictor with its projected_area (it shares Bbox3
 and visible_face_weights), the farthest-point walk with one temporary per
-step, the dict-based predictive match and greedy map dedup, and the per-CAV
-RF optimizer loop (it shares the dataset, the truncated-normal sampler, the
-random-stream tags and the result type).
+step, the dict-based predictive match and greedy map dedup, the matrix-form
+Kalman filter (it shares KalmanState and the noise constants), and the
+per-CAV RF optimizer loop (it shares the dataset, the truncated-normal
+sampler, the random-stream tags and the result type).
 """
 
 from __future__ import annotations
@@ -35,7 +36,14 @@ from coopsim.errors import ConfigError
 from coopsim.geometry import Bbox3, visible_face_weights
 from coopsim.sampling import TruncatedNormal
 from coopsim.simpipe import DEDUP_DISTANCE_M, GlobalMap, MapEntry
-from coopsim.tracking import kalman_correct, kalman_init, kalman_predict
+from coopsim.tracking import (
+    DEFAULT_OBS_NOISE_VAR,
+    DEFAULT_PROCESS_NOISE,
+    KalmanState,
+    kalman_correct,
+    kalman_init,
+    kalman_predict,
+)
 
 
 def brute_chamfer(a, b) -> float:
@@ -328,6 +336,54 @@ def loop_optimize_rf(problem, inputs, cfg, record_g: bool = False) -> LoopResult
 
 
 # ---------------------------------------------------------------------------
+# the Kalman filter in matrix form, replaced by scalar updates of one block
+
+_H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+
+
+def transition_matrix(dt: float) -> np.ndarray:
+    f = np.eye(4)
+    f[0, 2] = f[1, 3] = dt
+    return f
+
+
+def process_noise(dt: float, q: float = DEFAULT_PROCESS_NOISE) -> np.ndarray:
+    """White-acceleration noise integrated over dt."""
+    a = dt**3 / 3.0
+    b = dt**2 / 2.0
+    return q * np.array(
+        [
+            [a, 0.0, b, 0.0],
+            [0.0, a, 0.0, b],
+            [b, 0.0, dt, 0.0],
+            [0.0, b, 0.0, dt],
+        ]
+    )
+
+
+def matrix_kalman_predict(state: KalmanState, dt: float) -> KalmanState:
+    if dt < 0:
+        raise ValueError(f"cannot predict backwards, dt={dt}")
+    f = transition_matrix(dt)
+    x = f @ state.x
+    p = f @ state.p @ f.T + process_noise(dt)
+    return KalmanState(x=x, p=p, time=state.time + dt)
+
+
+def matrix_kalman_correct(state: KalmanState, z,
+                          r_obs: float = DEFAULT_OBS_NOISE_VAR) -> KalmanState:
+    z = np.asarray(z, dtype=np.float64).reshape(2)
+    r = r_obs * np.eye(2)
+    s = _H @ state.p @ _H.T + r
+    k = state.p @ _H.T @ np.linalg.inv(s)
+    x = state.x + k @ (z - _H @ state.x)
+    # Joseph form keeps the covariance symmetric PSD under roundoff
+    ikh = np.eye(4) - k @ _H
+    p = ikh @ state.p @ ikh.T + k @ r @ k.T
+    return KalmanState(x=x, p=0.5 * (p + p.T), time=state.time)
+
+
+# ---------------------------------------------------------------------------
 # per-pair point counts and dict-based map matching, replaced by array code
 
 _QUADRANT_SIGNS = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.float64)
@@ -402,18 +458,27 @@ def greedy_dedup(positions: dict, dedup_m: float = DEDUP_DISTANCE_M) -> set:
 
 class DictGlobalMap(GlobalMap):
     """The global map as it matched before: per-entry dict scans, greedy
-    pairwise dedup, full Kalman predictions for the match positions."""
+    pairwise dedup, one Kalman prediction per entry for the match positions.
+    ``predict`` and ``correct`` are the filter steps it runs."""
 
-    def predicted_positions(self, t: float) -> dict:
+    predict = staticmethod(kalman_predict)
+    correct = staticmethod(kalman_correct)
+
+    def _predictions(self, t: float) -> dict:
         out = {}
         for gid, entry in self.entries.items():
             dt = t - entry.kalman.time
-            state = kalman_predict(entry.kalman, dt) if dt > 0 else entry.kalman
+            state = self.predict(entry.kalman, dt) if dt > 0 else entry.kalman
             out[gid] = state.position
         return out
 
+    def predicted_positions(self, t: float):
+        preds = self._predictions(t)
+        return (np.array(list(preds), dtype=np.int64),
+                np.reshape(list(preds.values()), (-1, 2)))
+
     def commit_frame(self, items, t: float):
-        preds = self.predicted_positions(t)
+        preds = self._predictions(t)
         gids = []
         for pos, has_geom, loss in items:
             gid = predictive_match(pos, preds, self.gate)
@@ -425,8 +490,8 @@ class DictGlobalMap(GlobalMap):
                 entry = self.entries[gid]
                 dt = t - entry.kalman.time
                 if dt > 0:
-                    entry.kalman = kalman_predict(entry.kalman, dt)
-                entry.kalman = kalman_correct(entry.kalman, pos)
+                    entry.kalman = self.predict(entry.kalman, dt)
+                entry.kalman = self.correct(entry.kalman, pos)
                 entry.last_seen = t
             entry = self.entries[gid]
             if has_geom:
@@ -440,3 +505,9 @@ class DictGlobalMap(GlobalMap):
         self._retire(t)
         return gids
 
+
+class MatrixFilterMap(DictGlobalMap):
+    """The dict map on the matrix-form Kalman filter."""
+
+    predict = staticmethod(matrix_kalman_predict)
+    correct = staticmethod(matrix_kalman_correct)

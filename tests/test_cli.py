@@ -493,6 +493,14 @@ def test_sweep_bad_trace_exits_2_before_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_cavs_with_trace_exits_2_before_output(tmp_path, trace_path, capsys):
+    out = tmp_path / "sw"
+    assert main(["sweep", "--param", "cavs", "--values", "2", "3", "--frames", "1",
+                 "--trace", str(trace_path), "--out", str(out)]) == EXIT_INPUT
+    assert "--param cavs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [["--values", "0", "3", "--frames", "2"],
                                   ["--values", "3", "6", "--frames", "0"]])
 def test_sweep_cavs_bad_counts_exit_2_before_output(tmp_path, args):

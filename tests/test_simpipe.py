@@ -28,6 +28,7 @@ from coopsim.simpipe import (
     MapEntry,
     RunConfig,
     _derive_radio,
+    _draw_samples,
     _S_CODEC,
     collect_metrics,
     generate_trace,
@@ -39,7 +40,7 @@ from coopsim.simpipe import (
     write_frame_csv,
 )
 from coopsim.tracking import kalman_init
-from oracles import DictGlobalMap, greedy_dedup
+from oracles import DictGlobalMap, MatrixFilterMap, greedy_dedup
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +242,9 @@ def test_map_prediction_tracks_motion():
     for k in range(10):
         t = 0.1 * k
         gmap.commit_frame([(_at(5.0 * t, 0.0), True, 0.0)], t=t)
-    pred = gmap.predicted_positions(1.0)
-    (pos,) = pred.values()
+    gids, points = gmap.predicted_positions(1.0)
+    assert gids.tolist() == [0]
+    pos = points[0]
     assert abs(pos[0] - 5.0) < 0.5
     assert abs(pos[1]) < 0.1
 
@@ -293,36 +295,59 @@ def test_map_dedup_chain_matches_oracle():
     assert sorted(set(positions) - greedy_dedup(positions)) == [2, 7]
 
 
+def _random_frames(rng):
+    """30 frames of uploads: 12 moving objects, each seen by a random number
+    of CAVs with small noise, the reports in random order."""
+    objects = rng.uniform(0.0, 20.0, size=(12, 2))
+    velocity = rng.normal(0.0, 5.0, size=(12, 2))
+    visible = rng.uniform(0.1, 0.9, size=12)
+    for k in range(30):
+        t = round(k * FRAME_PERIOD_S, 6)
+        seen = np.flatnonzero(rng.uniform(size=12) < visible)
+        reports = [(int(j), objects[j] + velocity[j] * t + rng.normal(0.0, 0.08, 2))
+                   for j in seen for _ in range(int(rng.integers(1, 4)))]
+        order = rng.permutation(len(reports))
+        items = []
+        for i in order:
+            _, (x, y) = reports[i]
+            items.append((_at(x, y), bool(rng.uniform() < 0.7), float(rng.uniform())))
+        yield t, items
+
+
+def _assert_maps_agree(gmap, oracle, t, tol):
+    assert list(gmap.entries) == list(oracle.entries)
+    for gid, entry in gmap.entries.items():
+        want = oracle.entries[gid]
+        for got, ref in ((entry.kalman.x, want.kalman.x), (entry.kalman.p, want.kalman.p)):
+            assert np.abs(got - ref).max() <= tol
+        assert (entry.has_geometry, entry.last_loss, entry.last_seen) == \
+            (want.has_geometry, want.last_loss, want.last_seen)
+    (gids, pred), (want_gids, want) = (gmap.predicted_positions(t + 0.05),
+                                       oracle.predicted_positions(t + 0.05))
+    assert gids.tolist() == want_gids.tolist()
+    assert np.abs(pred - want).max(initial=0.0) <= tol
+
+
 def test_map_matches_dict_oracle_over_frames():
     """Random frames, with near-duplicate reports and entries coming and going:
     the array map assigns the same ids and keeps the same states as the oracle."""
     rng = np.random.default_rng(44)
     for _ in range(20):
         gmap, oracle = GlobalMap(), DictGlobalMap()
-        objects = rng.uniform(0.0, 20.0, size=(12, 2))
-        velocity = rng.normal(0.0, 5.0, size=(12, 2))
-        visible = rng.uniform(0.1, 0.9, size=12)
-        for k in range(30):
-            t = round(k * FRAME_PERIOD_S, 6)
-            seen = np.flatnonzero(rng.uniform(size=12) < visible)
-            reports = [(int(j), objects[j] + velocity[j] * t + rng.normal(0.0, 0.08, 2))
-                       for j in seen for _ in range(int(rng.integers(1, 4)))]
-            order = rng.permutation(len(reports))
-            items = []
-            for i in order:
-                _, (x, y) = reports[i]
-                items.append((_at(x, y), bool(rng.uniform() < 0.7), float(rng.uniform())))
+        for t, items in _random_frames(rng):
             assert gmap.commit_frame(items, t) == oracle.commit_frame(items, t)
-            assert list(gmap.entries) == list(oracle.entries)
-            for gid, entry in gmap.entries.items():
-                want = oracle.entries[gid]
-                assert np.array_equal(entry.kalman.x, want.kalman.x)
-                assert np.array_equal(entry.kalman.p, want.kalman.p)
-                assert (entry.has_geometry, entry.last_loss, entry.last_seen) == \
-                    (want.has_geometry, want.last_loss, want.last_seen)
-            pred, want = gmap.predicted_positions(t + 0.05), oracle.predicted_positions(t + 0.05)
-            assert list(pred) == list(want)
-            assert all(np.array_equal(pred[g], want[g]) for g in pred)
+            _assert_maps_agree(gmap, oracle, t, tol=0.0)
+
+
+def test_map_matches_matrix_filter_oracle_over_frames():
+    """The same frames against the dict map on the matrix-form filter: equal
+    ids, and states equal up to the closed form's roundoff."""
+    rng = np.random.default_rng(44)
+    for _ in range(20):
+        gmap, oracle = GlobalMap(), MatrixFilterMap()
+        for t, items in _random_frames(rng):
+            assert gmap.commit_frame(items, t) == oracle.commit_frame(items, t)
+            _assert_maps_agree(gmap, oracle, t, tol=1e-9)
 
 
 def test_map_retires_stale_entries():
@@ -478,6 +503,24 @@ def test_reuse_policy_cuts_bytes():
 def test_map_size_reported(small_trace):
     res = run_simulation(small_trace, RunConfig(policy="adamap", seed=1))
     assert res.frame_stats[-1].map_size >= 1
+
+
+def test_one_array_draw_equals_a_scalar_draw_per_cell():
+    # cells as ranges: each sample is its own index; sizes mix 1, equal
+    # sizes, small and large bounds, and one past 2**32
+    rng = np.random.default_rng(9)
+    for seed in range(200):
+        sizes = rng.integers(1, 5000, size=int(rng.integers(1, 40))).tolist()
+        if seed % 3 == 0:
+            sizes = [30] * len(sizes)
+        if seed % 5 == 0:
+            sizes = [1, *sizes]
+        if seed % 7 == 0:
+            sizes = [2**33, *sizes]
+        cells = [range(n) for n in sizes]
+        got = _draw_samples(cells, np.random.default_rng([seed, 0, 3, 1]))
+        scalar = np.random.default_rng([seed, 0, 3, 1])
+        assert got == [float(cell[int(scalar.integers(len(cell)))]) for cell in cells]
 
 
 # ---------------------------------------------------------------------------

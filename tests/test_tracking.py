@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from coopsim import tracking as trk
 from coopsim.tracking import (
     DetectionOracleConfig,
     HybridLocalizer,
@@ -11,8 +10,14 @@ from coopsim.tracking import (
     kalman_init,
     kalman_predict,
     nearest_rows,
+    row_norms,
 )
-from oracles import predictive_match
+from oracles import (
+    matrix_kalman_correct,
+    matrix_kalman_predict,
+    predictive_match,
+    process_noise,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +32,6 @@ def test_predict_moves_with_velocity():
 
 
 def test_process_noise_hand_matrix():
-    got = trk.process_noise(1.0, q=1.0)
     want = np.array(
         [
             [1 / 3, 0, 1 / 2, 0],
@@ -36,10 +40,35 @@ def test_process_noise_hand_matrix():
             [0, 1 / 2, 0, 1],
         ]
     )
-    assert np.allclose(got, want, atol=1e-15)
+    assert np.allclose(process_noise(1.0, q=1.0), want, atol=1e-15)
+    # from a certain state, one unit step adds exactly the process noise
+    s = KalmanState(x=np.array([1.0, 2.0, 3.0, 4.0]), p=np.zeros((4, 4)), time=0.0)
+    assert np.allclose(kalman_predict(s, 1.0).p, want, atol=1e-15)
     # scales linearly in q and keeps PSD
-    assert np.allclose(trk.process_noise(0.1, q=2.0), 2.0 * trk.process_noise(0.1, q=1.0))
-    assert np.linalg.eigvalsh(trk.process_noise(0.25)).min() >= -1e-15
+    assert np.allclose(process_noise(0.1, q=2.0), 2.0 * process_noise(0.1, q=1.0))
+    assert np.linalg.eigvalsh(process_noise(0.25)).min() >= -1e-15
+
+
+def test_closed_form_matches_matrix_form():
+    rng = np.random.default_rng(78)
+    axis = np.array([0, 1, 0, 1])  # the axis of X, Y, dX, dY
+    cross = axis[:, None] != axis[None, :]
+    for _ in range(500):
+        s = m = kalman_init(rng.normal(size=2), 0.0)
+        for _ in range(20):
+            if rng.uniform() < 0.5:
+                dt = float(rng.uniform(0.01, 0.5))
+                s, m = kalman_predict(s, dt), matrix_kalman_predict(m, dt)
+            else:
+                z = rng.normal(scale=5.0, size=2)
+                r_obs = float(rng.uniform(1e-6, 1.0))
+                s, m = kalman_correct(s, z, r_obs=r_obs), matrix_kalman_correct(m, z, r_obs=r_obs)
+            # relative to each array's largest entry: an entry near 0 after
+            # cancellation carries the roundoff of its larger terms
+            for got, want in ((s.x, m.x), (s.p, m.p)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert s.time == m.time
+            assert not s.p[cross].any()
 
 
 def test_scalar_gain_is_half_with_equal_variances():
@@ -142,6 +171,14 @@ def test_nearest_rows_matches_dict_oracle():
         for q, row in zip(queries, rows):
             want = predictive_match(q, predicted, gate)
             assert (None if row < 0 else ids[row]) == want
+
+def test_row_norms_match_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(13)
+    d = rng.normal(size=(20000, 2)) * rng.uniform(0.0, 10.0, size=(20000, 1))
+    want = np.array([np.linalg.norm(row) for row in d])
+    assert np.array_equal(row_norms(d), want)
+    assert row_norms(np.empty((0, 2))).shape == (0,)
+
 
 # ---------------------------------------------------------------------------
 # hybrid localization
