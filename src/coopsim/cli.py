@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -82,9 +83,12 @@ def _require_fresh(path: str, force: bool) -> None:
         raise ConfigError(f"{path} exists; pass --force to overwrite")
 
 
-def _make_out_dir(path: str, force: bool) -> None:
-    """Create ``path``; with ``force``, first delete an earlier run or sweep
-    there, so that none of its files survive next to the new ones."""
+@contextmanager
+def _output_dir(path: str, force: bool):
+    """Create ``path`` for the body to write in; with ``force``, first delete
+    an earlier run or sweep there, so that none of its files survive next to
+    the new ones.  Every input is checked before this, so whatever the body
+    raises, even an OSError, is an internal failure (exit 4), not bad input."""
     _require_fresh(path, force)
     if os.path.lexists(path):
         if not any(os.path.isfile(os.path.join(path, name))
@@ -93,6 +97,10 @@ def _make_out_dir(path: str, force: bool) -> None:
                               "refusing to replace it")
         shutil.rmtree(path)
     os.makedirs(path)
+    try:
+        yield
+    except Exception as exc:
+        raise CoopsimError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def _load_config(args) -> RunConfig:
@@ -183,9 +191,9 @@ def cmd_run(args) -> int:
     cfg = _load_config(args)
     trace = load_trace(args.trace)
     dataset = load_dataset(cfg)
-    _make_out_dir(args.out, args.force)
-    summary = run_to_dir(cfg, trace, dataset, args.out,
-                         config_name=args.config or "<defaults>", trace_name=args.trace)
+    with _output_dir(args.out, args.force):
+        summary = run_to_dir(cfg, trace, dataset, args.out,
+                             config_name=args.config or "<defaults>", trace_name=args.trace)
     infeasible = summary["infeasible_cav_frames"]
     if infeasible:
         print(f"note: {infeasible} CAV-frames had no feasible compression point",
@@ -220,11 +228,18 @@ def _write_sweep_csv(path: str, rows: list) -> None:
 def cmd_sweep(args) -> int:
     if len(args.values) < 2:
         raise ConfigError("sweep needs at least two --values")
-    if args.frames < 1 or args.cavs < 1:
+    # a flag the sweep would not use is refused rather than dropped
+    if args.param == "cavs":
+        unused, why = ("trace", "cavs"), "--param cavs, which generates a trace per value"
+    else:
+        unused, why = ("cavs", "frames") if args.trace else (), "--trace"
+    for flag in unused:
+        if getattr(args, flag) is not None:
+            raise ConfigError(f"--{flag} has no use with {why}")
+    cavs = 150 if args.cavs is None else args.cavs
+    frames = 10 if args.frames is None else args.frames
+    if frames < 1 or cavs < 1:
         raise ConfigError("--cavs and --frames must be >= 1")
-    if args.param == "cavs" and args.trace:
-        raise ConfigError("--trace cannot be combined with --param cavs, "
-                          "which generates a trace per value")
     base = _load_config(args)
     if args.param == "cavs":
         values = []
@@ -242,28 +257,29 @@ def cmd_sweep(args) -> int:
     # a trace file is read and checked before the sweep directory exists
     base_trace = load_trace(args.trace) if args.trace else None
 
-    _make_out_dir(args.out, args.force)
-    trace_name = args.trace
-    if args.param != "cavs" and base_trace is None:
-        trace_name = os.path.join(args.out, "base_trace.jsonl")
-        save_trace(trace_name, generate_trace(args.cavs, args.frames, seed=base.seed))
-        base_trace = load_trace(trace_name)
-
-    jobs = []
-    for cfg, value in zip(configs, values):
-        if args.param == "cavs":
-            trace_name = f"<generated cavs={value} frames={args.frames} seed={base.seed}>"
-        sub = os.path.join(args.out, f"{args.param}-{value:g}")
-        jobs.append((cfg, base_trace, trace_name, dataset, sub, args.param, value, args.frames))
-
     workers = max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    if workers == 1:
-        rows = [_sweep_worker(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_worker, jobs))
 
-    _write_atomic(os.path.join(args.out, "sweep.csv"), _write_sweep_csv, rows)
+    with _output_dir(args.out, args.force):
+        trace_name = args.trace
+        if args.param != "cavs" and base_trace is None:
+            trace_name = os.path.join(args.out, "base_trace.jsonl")
+            save_trace(trace_name, generate_trace(cavs, frames, seed=base.seed))
+            base_trace = load_trace(trace_name)
+
+        jobs = []
+        for cfg, value in zip(configs, values):
+            if args.param == "cavs":
+                trace_name = f"<generated cavs={value} frames={frames} seed={base.seed}>"
+            sub = os.path.join(args.out, f"{args.param}-{value:g}")
+            jobs.append((cfg, base_trace, trace_name, dataset, sub, args.param, value, frames))
+
+        if workers == 1:
+            rows = [_sweep_worker(j) for j in jobs]
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(_sweep_worker, jobs))
+
+        _write_atomic(os.path.join(args.out, "sweep.csv"), _write_sweep_csv, rows)
     for row in rows:
         print(f"{args.param}={row['value']:g}: mean loss {row['mean_loss']:.4f}, "
               f"p99 {row['latency_ms_p99']:.1f} ms")
@@ -307,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", choices=SWEEP_PARAMS, required=True)
     p.add_argument("--values", nargs="+", required=True)
     p.add_argument("--trace", default=None)
-    p.add_argument("--cavs", type=int, default=150)
-    p.add_argument("--frames", type=int, default=10)
+    # defaults 150 and 10, for a generated trace; refused where unused
+    p.add_argument("--cavs", type=int, default=None)
+    p.add_argument("--frames", type=int, default=None)
     p.add_argument("--config", default=None)
     p.add_argument("--policy", default=None)
     p.add_argument("--seed", type=int, default=None)

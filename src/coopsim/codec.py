@@ -23,7 +23,6 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import (
-    CalibrationError,
     ConfigError,
     DatasetMissError,
     DecodeError,
@@ -272,34 +271,19 @@ def _stratified(tn: TruncatedNormal, rng: np.random.Generator, n: int) -> np.nda
     return tn.ppf(rng.permutation(u))
 
 
-def surrogate_dataset(loss_calibration: dict | None = None,
-                      time_ms=DEFAULT_TIME_MS, rf_time_scale: dict | None = None,
-                      samples_per_key: int = 120, seed: int = 0,
-                      rf_set=RF_SET) -> MeasurementDataset:
+def surrogate_dataset(samples_per_key: int = 120, seed: int = 0) -> MeasurementDataset:
     """Dataset drawn from calibrated truncated normals instead of the codec.
 
-    Loss samples per RF come from a lower-truncated normal whose realized
-    mean equals the calibrated mean; all count buckets share the per-RF
-    distribution.  Encode/decode times share one distribution, optionally
-    scaled per RF.
+    Its RFs are those of DEFAULT_LOSS_CALIBRATION.  Loss samples per RF come
+    from a lower-truncated normal whose realized mean equals the calibrated
+    mean; all count buckets share the per-RF distribution.  Encode and
+    decode times share one distribution, DEFAULT_TIME_MS.
     """
-    calib = dict(DEFAULT_LOSS_CALIBRATION if loss_calibration is None else loss_calibration)
-    for rf in rf_set:
-        if rf not in calib:
-            raise CalibrationError(f"no loss calibration for rf={rf}")
-        mean, sd = calib[rf]
-        if sd <= 0 or mean <= 0:
-            raise CalibrationError(f"calibration for rf={rf} must be positive, got {calib[rf]}")
-    t_mean, t_sd = time_ms
-    if t_sd <= 0 or t_mean <= 0:
-        raise CalibrationError(f"time calibration must be positive, got {time_ms}")
-    scale = rf_time_scale or {}
     rng = np.random.default_rng(seed)
+    time_tn = TruncatedNormal(*DEFAULT_TIME_MS)
     cells = {}
-    for rf in rf_set:
-        loss_tn = TruncatedNormal(*calib[rf])
-        s = float(scale.get(rf, 1.0))
-        time_tn = TruncatedNormal(t_mean * s, t_sd * s)
+    for rf, calibration in DEFAULT_LOSS_CALIBRATION.items():
+        loss_tn = TruncatedNormal(*calibration)
         for bucket in range(N_BUCKETS):
             cells[rf, bucket] = np.stack([_stratified(tn, rng, samples_per_key)
                                           for tn in (loss_tn, time_tn, time_tn)])

@@ -40,7 +40,6 @@ from .sampling import TruncatedNormal
 POINT_DENSITY_K = 60000.0  # points * m^2 at 1 m, calibrated to car faces
 POINT_CAP = 240000
 LIDAR_RANGE_M = 50.0
-DENSITY_THRESHOLD = 1024.0  # per sub-space
 N_SUBSPACES = 4
 
 # fixed child-seed tags for the common-random-number streams
@@ -80,15 +79,13 @@ def predict_counts(centers, extents, yaws, viewers):
     return totals, quadrants
 
 
-def thin_edges(edges, threshold: float = DENSITY_THRESHOLD):
+def thin_edges(edges, threshold: float):
     """Drop smallest edges while the remaining sum stays at or above threshold.
 
     ``edges`` is a list of (value, cav_id).  Equal values are removed larger
     CAV id first, so the outcome is identical on every CAV.  Returns the
     retained list.
     """
-    if threshold <= 0:
-        raise ConfigError(f"threshold must be positive, got {threshold}")
     keep = sorted(edges, key=lambda e: (e[0], -e[1]))
     total = sum(e[0] for e in keep)
     while keep and total - keep[0][0] >= threshold:
@@ -97,7 +94,7 @@ def thin_edges(edges, threshold: float = DENSITY_THRESHOLD):
     return keep
 
 
-def select_objects(counts_by_cav: dict, threshold: float = DENSITY_THRESHOLD) -> set:
+def select_objects(counts_by_cav: dict, threshold: float) -> set:
     """Viewer CAVs retained for one object.
 
     ``counts_by_cav`` maps cav_id -> per-quadrant predicted counts (length 4).
@@ -130,10 +127,6 @@ class LatencyInputs:
     rate_sigma: float = 0.0  # log-domain rate uncertainty in the MC draws
     b_modules_ms: tuple = tuple(MODULE_TIMES_MS.values())
 
-    def __post_init__(self):
-        if self.r_v <= 0 or self.r_e <= 0:
-            raise ConfigError("capacity factors must be positive")
-
 
 @dataclass
 class OptimizerConfig:
@@ -145,14 +138,6 @@ class OptimizerConfig:
     deviation_sd: float = 0.25  # in log2-RF units
     mc_samples: int = 64
     rf_set: tuple = RF_SET
-
-    def __post_init__(self):
-        if not (0.0 < self.p < 1.0):
-            raise ConfigError(f"p must be in (0, 1), got {self.p}")
-        if self.h_s <= 0:
-            raise ConfigError("H must be positive")
-        if self.mc_samples < 1 or self.deviations < 1:
-            raise ConfigError("sample counts must be >= 1")
 
 
 class _Scenarios:

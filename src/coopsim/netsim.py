@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import DEFAULT_TIME_MS
 from .errors import ConfigError
 from .sampling import TruncatedNormal
 
@@ -26,7 +27,6 @@ MODULE_TIMES_MS = {
     "transform": (0.006, 0.012),
     "matching": (0.014, 0.023),
 }
-DEFAULT_DECODE_MS = (1.72, 0.53)
 
 
 @dataclass
@@ -40,29 +40,9 @@ class RadioConfig:
     # for the CAVs it covers, so sectors=1 is plain single-cell sharing
     sectors: int = 1
 
-    def __post_init__(self):
-        if self.bandwidth_hz <= 0 or self.carrier_ghz <= 0:
-            raise ConfigError("bandwidth and carrier must be positive")
-        if self.sectors < 1:
-            raise ConfigError(f"sectors must be >= 1, got {self.sectors}")
-        self.base_station = np.asarray(self.base_station, dtype=np.float64).reshape(3)
-
-
-@dataclass
-class ServerConfig:
-    decode_ms: tuple = DEFAULT_DECODE_MS  # per-object (mean, sd)
-    servers: int = 1
-
-    def __post_init__(self):
-        if self.servers < 1:
-            raise ConfigError(f"servers must be >= 1, got {self.servers}")
-        if self.decode_ms[0] < 0 or self.decode_ms[1] < 0:
-            raise ConfigError("decode time parameters must be >= 0")
-
 
 @dataclass
 class LatencyBreakdown:
-    cav_id: int
     vehicle_ms: float
     uplink_ms: float
     queue_ms: float
@@ -142,14 +122,15 @@ def sample_module_times_ms(rng: np.random.Generator) -> float:
 
 
 def simulate_frame_latency(payload_bytes, vehicle_ms, rates_bps, object_counts,
-                           server: ServerConfig, rng: np.random.Generator,
+                           servers: int, rng: np.random.Generator,
                            extra_b_ms=None, cav_ids=None) -> list[LatencyBreakdown]:
     """Assemble per-CAV latency for one frame.
 
     Arrival order at the server is ascending vehicle + uplink completion time,
-    ties broken by CAV id.  Server time per CAV is the sum of per-object
-    decode draws.  ``extra_b_ms`` carries charges outside the module table,
-    e.g. the detector when the hybrid localizer ran detection this frame.
+    ties broken by CAV id, over ``servers`` FCFS servers.  Server time per
+    CAV is the sum of per-object decode draws.  ``extra_b_ms`` carries
+    charges outside the module table, e.g. the detector when the hybrid
+    localizer ran detection this frame.
     A zero rate with a nonzero payload yields an infinite, infeasible total.
     """
     n = len(payload_bytes)
@@ -157,7 +138,7 @@ def simulate_frame_latency(payload_bytes, vehicle_ms, rates_bps, object_counts,
         raise ConfigError("per-CAV input lengths differ")
     ids = list(range(n)) if cav_ids is None else list(cav_ids)
     extra = [0.0] * n if extra_b_ms is None else list(extra_b_ms)
-    decode_tn = TruncatedNormal.cached(*server.decode_ms)
+    decode_tn = TruncatedNormal.cached(*DEFAULT_TIME_MS)
 
     up = np.array([uplink_ms(b, r) for b, r in zip(payload_bytes, rates_bps)])
     b_base = np.array([sample_module_times_ms(rng) + extra[i] for i in range(n)])
@@ -170,18 +151,11 @@ def simulate_frame_latency(payload_bytes, vehicle_ms, rates_bps, object_counts,
     order = sorted(range(n), key=lambda i: (not math.isfinite(arrival[i]), arrival[i], ids[i]))
     finite = [i for i in order if math.isfinite(arrival[i])]
     waits = np.full(n, math.inf)
-    w = _fcfs_waits(arrival[finite], service[finite], server.servers)
+    w = _fcfs_waits(arrival[finite], service[finite], servers)
     for j, i in enumerate(finite):
         waits[i] = w[j]
 
-    out = []
-    for i in range(n):
-        out.append(LatencyBreakdown(
-            cav_id=ids[i],
-            vehicle_ms=float(vehicle_ms[i]),
-            uplink_ms=float(up[i]),
-            queue_ms=float(waits[i]),
-            server_ms=float(service[i]),
-            b_ms=float(b_base[i]),
-        ))
-    return out
+    return [LatencyBreakdown(vehicle_ms=float(vehicle_ms[i]), uplink_ms=float(up[i]),
+                             queue_ms=float(waits[i]), server_ms=float(service[i]),
+                             b_ms=float(b_base[i]))
+            for i in range(n)]

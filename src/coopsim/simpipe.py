@@ -30,6 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .codec import (
+    DEFAULT_LOSS_CALIBRATION,
     DESCRIPTOR_OVERHEAD_BYTES,
     MeasurementDataset,
     RAW_OBJECT_BYTES,
@@ -60,7 +61,6 @@ from .geometry import (
 )
 from .netsim import (
     RadioConfig,
-    ServerConfig,
     draw_fading,
     sector_index,
     simulate_frame_latency,
@@ -354,8 +354,7 @@ class MapEntry:
 class GlobalMap:
     """Server-side registry of matched objects, keyed by global id."""
 
-    def __init__(self, gate: float = MATCH_GATE_M):
-        self.gate = gate
+    def __init__(self):
         self.entries: dict = {}
         self._next_id = 0
 
@@ -388,7 +387,7 @@ class GlobalMap:
         px = np.empty(rows + len(items))
         py = np.empty(rows + len(items))
         px[:rows], py[:rows] = points[:, 0], points[:, 1]
-        gate2 = self.gate * self.gate
+        gate2 = MATCH_GATE_M * MATCH_GATE_M
         gids = []
         for pos, has_geom, loss in items:
             x, y = pos
@@ -630,14 +629,19 @@ def load_dataset(config: RunConfig) -> MeasurementDataset:
     """The profile at ``dataset_path``, or the built-in surrogate.
 
     A profile must hold samples for every (rf, bucket) key the run can look
-    up, or ProfileIncompleteError lists the missing ones.
+    up, or ProfileIncompleteError lists the missing ones.  The surrogate
+    holds the RFs of DEFAULT_LOSS_CALIBRATION; any other RF needs a profile.
     """
     if config.dataset_path is not None:
         dataset = MeasurementDataset.load(config.dataset_path)
         # lossless and raw uploads charge the encode time of the largest RF
         dataset.validate(sorted(set(config.rf_set) | {max(RF_SET)}), min_samples=1)
         return dataset
-    return surrogate_dataset(rf_set=tuple(sorted(set(config.rf_set) | set(RF_SET))))
+    uncalibrated = sorted(set(config.rf_set) - set(DEFAULT_LOSS_CALIBRATION))
+    if uncalibrated:
+        raise ConfigError(f"rf_set values {uncalibrated} must be profiled in a dataset_path; "
+                          f"the surrogate calibrates only {sorted(DEFAULT_LOSS_CALIBRATION)}")
+    return surrogate_dataset()
 
 
 def _codec_loss(bbox: Bbox3, viewer, raw_count: int, rf: int, beta: float,
@@ -660,8 +664,7 @@ def _draw_samples(cells: list, rng: np.random.Generator) -> list:
     return [float(cell[i]) for cell, i in zip(cells, picks)]
 
 
-def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
-              server: ServerConfig):
+def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     """Simulate one frame; returns (rows, objects, stats, loc_errors).
 
     The frame works on one table of detection pairs ordered by (CAV id,
@@ -843,7 +846,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
 
     # --- edge latency ---
     rng_queue = np.random.default_rng([cfg.seed, fidx, _S_QUEUE])
-    breakdowns = simulate_frame_latency(payloads, vehicle_ms, rates, decode_counts, server,
+    breakdowns = simulate_frame_latency(payloads, vehicle_ms, rates, decode_counts, cfg.servers,
                                         rng_queue, extra_b_ms=charges, cav_ids=cav_ids)
 
     # --- server-side matching into the global map, in table order ---
@@ -874,16 +877,15 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset,
 
 def run_simulation(trace, config: RunConfig,
                    dataset: MeasurementDataset | None = None) -> RunResult:
-    """Run every frame of ``trace``; ``dataset`` defaults to ``load_dataset``."""
-    validate_trace(trace)
+    """Run every frame of ``trace``, a valid one as ``load_trace`` or
+    ``generate_trace`` returns it; ``dataset`` defaults to ``load_dataset``."""
     radio = _derive_radio(config, trace[0])
     if dataset is None:
         dataset = load_dataset(config)
-    server = ServerConfig(servers=config.servers)
     state = RunState(config, radio)
     rows, objects, stats, loc_errors = [], [], [], []
     for frame in trace:
-        r, o, s, e = run_frame(frame, state, dataset, server)
+        r, o, s, e = run_frame(frame, state, dataset)
         rows.extend(r)
         objects.extend(o)
         stats.append(s)

@@ -64,10 +64,6 @@ class KalmanState:
     def position(self) -> np.ndarray:
         return self.x[:2]
 
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.x[2:]
-
 
 def _covariance(a: float, b: float, c: float) -> np.ndarray:
     """The 4x4 covariance whose per-axis block is [[a, b], [b, c]]."""
@@ -134,7 +130,7 @@ def row_norms(d: np.ndarray) -> np.ndarray:
     return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
-def nearest_rows(points, queries, gate: float = 3.0) -> np.ndarray:
+def nearest_rows(points, queries, gate: float) -> np.ndarray:
     """Per query, the row of the nearest point strictly within the gate, else -1.
 
     ``points`` is (rows, 2) and ``queries`` (Q, 2).  Squared distances are

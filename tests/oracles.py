@@ -35,7 +35,7 @@ from coopsim.control import (
 from coopsim.errors import ConfigError
 from coopsim.geometry import Bbox3, visible_face_weights
 from coopsim.sampling import TruncatedNormal
-from coopsim.simpipe import DEDUP_DISTANCE_M, GlobalMap, MapEntry
+from coopsim.simpipe import DEDUP_DISTANCE_M, MATCH_GATE_M, GlobalMap, MapEntry
 from coopsim.tracking import (
     DEFAULT_OBS_NOISE_VAR,
     DEFAULT_PROCESS_NOISE,
@@ -481,7 +481,7 @@ class DictGlobalMap(GlobalMap):
         preds = self._predictions(t)
         gids = []
         for pos, has_geom, loss in items:
-            gid = predictive_match(pos, preds, self.gate)
+            gid = predictive_match(pos, preds, MATCH_GATE_M)
             if gid is None:
                 gid = self._next_id
                 self._next_id += 1

@@ -1,5 +1,6 @@
 """CLI behavior: artifacts, exit codes, overwrite refusal, sweeps."""
 
+import errno
 import json
 import os
 
@@ -321,6 +322,27 @@ def test_run_failure_is_marked_failed(tmp_path, trace_path, monkeypatch, capsys)
     assert sorted(os.listdir(out)) == ["manifest.json"]
 
 
+@pytest.mark.parametrize("command, extra, out_name", [
+    ("run", [], "run"),
+    ("sweep", ["--param", "H", "--values", "80", "90"], "sw/H-80"),
+])
+def test_failed_output_write_exits_4(tmp_path, trace_path, monkeypatch, capsys,
+                                     command, extra, out_name):
+    """Once the output directory exists every input has been checked, so
+    even an OSError, such as a full disk, is an internal failure."""
+    def full_disk(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "write_frame_csv", full_disk)
+    out = tmp_path / out_name.split("/")[0]
+    assert main([command, "--trace", str(trace_path), *extra,
+                 "--out", str(out)]) == EXIT_INTERNAL
+    assert "internal error: OSError" in capsys.readouterr().err
+    run_dir = tmp_path / out_name
+    assert json.loads((run_dir / "manifest.json").read_text())["status"] == "failed"
+    assert not (run_dir / "frames.csv").exists()
+
+
 def write_profile(path, rf_set=RF_SET, extra_rows=()):
     """A dataset_path profile with one sample per (rf, bucket) key."""
     rows = [f"{rf},{b},0.3,1.5,1.5" for rf in rf_set for b in range(N_BUCKETS)]
@@ -385,7 +407,8 @@ def test_run_mistyped_config_value_exits_2(tmp_path, trace_path, capsys):
     *[("run", {key: value}, []) for key, value in (
         ("servers", 0), ("sectors", 0), ("bandwidth_hz", -1.0), ("r_v", 0.0),
         ("mc_samples", 0), ("density_threshold", 0.0), ("fading_sigma", -0.1),
-        ("rate_sigma", -1.0), ("beta", -1.0), ("outer_iters", 0))],
+        ("rate_sigma", -1.0), ("beta", -1.0), ("outer_iters", 0), ("carrier_ghz", 0.0),
+        ("deviations", 0), ("inner_iters", 0), ("rf_set", [2, 4]))],
     ("sweep", {}, ["--param", "H", "--values", "100", "-5"]),
     ("sweep", {}, ["--param", "bandwidth", "--values", "200000", "0"]),
     ("sweep", {"r_e": 0.0}, ["--param", "H", "--values", "80", "90"]),
@@ -498,6 +521,21 @@ def test_sweep_cavs_with_trace_exits_2_before_output(tmp_path, trace_path, capsy
     assert main(["sweep", "--param", "cavs", "--values", "2", "3", "--frames", "1",
                  "--trace", str(trace_path), "--out", str(out)]) == EXIT_INPUT
     assert "--param cavs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--param", "cavs", "--values", "2", "3", "--frames", "1", "--cavs", "80"],
+     "--param cavs"),
+    (["--param", "H", "--values", "80", "90", "--trace", "TRACE", "--cavs", "80"], "--trace"),
+    (["--param", "H", "--values", "80", "90", "--trace", "TRACE", "--frames", "9"], "--trace"),
+])
+def test_sweep_unused_cavs_or_frames_exits_2_before_output(tmp_path, trace_path, capsys,
+                                                           args, message):
+    out = tmp_path / "sw"
+    args = [str(trace_path) if a == "TRACE" else a for a in args]
+    assert main(["sweep", *args, "--out", str(out)]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

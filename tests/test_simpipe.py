@@ -23,6 +23,7 @@ from coopsim.simpipe import (
     CAR_EXTENT,
     FRAME_PERIOD_S,
     LIDAR_Z,
+    MATCH_GATE_M,
     REUSE_DELTA_BYTES,
     GlobalMap,
     MapEntry,
@@ -261,14 +262,16 @@ def test_map_dedup_keeps_smaller_gid():
 def test_map_gate_distance_is_not_a_match():
     gmap = GlobalMap()
     gids = gmap.commit_frame(
-        [(_at(0.0, 0.0), True, 0.0), (_at(3.0, 0.0), True, 0.0)], t=0.0)
+        [(_at(0.0, 0.0), True, 0.0), (_at(MATCH_GATE_M, 0.0), True, 0.0)], t=0.0)
     assert gids == [0, 1]
 
 
 def test_map_equal_distances_go_to_smallest_id():
-    gmap = GlobalMap(gate=1.5)
-    gids = gmap.commit_frame([(_at(1.0, 0.0), True, 0.0),
-                              (_at(-1.0, 0.0), True, 0.0),
+    # two entries farther apart than the gate, the third report midway
+    x = 0.6 * MATCH_GATE_M
+    gmap = GlobalMap()
+    gids = gmap.commit_frame([(_at(x, 0.0), True, 0.0),
+                              (_at(-x, 0.0), True, 0.0),
                               (_at(0.0, 0.0), True, 0.0)], t=0.0)
     assert gids == [0, 1, 0]
 

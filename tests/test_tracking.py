@@ -154,7 +154,7 @@ def test_match_tie_breaks_to_smallest_id():
 
 
 def test_match_empty_map():
-    assert nearest_rows(np.empty((0, 2)), [[1.0, 2.0], [3.0, 4.0]]).tolist() == [-1, -1]
+    assert nearest_rows(np.empty((0, 2)), [[1.0, 2.0], [3.0, 4.0]], 3.0).tolist() == [-1, -1]
 
 
 def test_nearest_rows_matches_dict_oracle():
