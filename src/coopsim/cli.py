@@ -257,7 +257,10 @@ def cmd_sweep(args) -> int:
     # a trace file is read and checked before the sweep directory exists
     base_trace = load_trace(args.trace) if args.trace else None
 
-    workers = max(1, int(os.environ.get(WORKERS_ENV, "1")))
+    env_workers = os.environ.get(WORKERS_ENV, "1")
+    workers = int(env_workers) if env_workers.isdecimal() else 0
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer >= 1, got {env_workers!r}")
 
     with _output_dir(args.out, args.force):
         trace_name = args.trace
@@ -342,16 +345,10 @@ def main(argv=None) -> int:
     except ProfileIncompleteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROFILE
-    except (ConfigError, FrameError) as exc:
+    except (ConfigError, FrameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CoopsimError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except Exception as exc:  # pragma: no cover - last-resort guard
+    except Exception as exc:  # any other CoopsimError, or anything else, is a fault
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

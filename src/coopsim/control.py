@@ -29,7 +29,6 @@ from .codec import (
     DESCRIPTOR_OVERHEAD_BYTES,
     MeasurementDataset,
     N_BUCKETS,
-    RF_SET,
     bucket_index,
 )
 from .errors import ConfigError
@@ -50,6 +49,7 @@ _TAG_FADING = (1 << 20) + 1
 PRIMAL_STEP = 0.5
 DUAL_STEP = 5.0
 LAM0 = 1.0
+DEVIATION_SD = 0.25  # spread of the search's perturbations, in log2-RF units
 
 
 def predict_counts(centers, extents, yaws, viewers):
@@ -113,31 +113,7 @@ def select_objects(counts_by_cav: dict, threshold: float) -> set:
 
 
 # ---------------------------------------------------------------------------
-# optimizer inputs and the lockstep RF search
-
-
-@dataclass
-class LatencyInputs:
-    """The frame's latency model, shared by every CAV's subproblem; only the
-    predicted rate (``RFProblem.rate_bps``) differs between CAVs."""
-
-    dataset: MeasurementDataset  # loss, encode and decode samples per (rf, bucket)
-    r_v: float = 1.0  # vehicle capacity factor
-    r_e: float = 1.0  # server capacity factor
-    rate_sigma: float = 0.0  # log-domain rate uncertainty in the MC draws
-    b_modules_ms: tuple = tuple(MODULE_TIMES_MS.values())
-
-
-@dataclass
-class OptimizerConfig:
-    h_s: float = 0.100
-    p: float = 0.99
-    outer_iters: int = 10
-    inner_iters: int = 20
-    deviations: int = 16
-    deviation_sd: float = 0.25  # in log2-RF units
-    mc_samples: int = 64
-    rf_set: tuple = RF_SET
+# the lockstep RF search
 
 
 class _Scenarios:
@@ -160,28 +136,31 @@ class _Scenarios:
         self.rate = rate  # (C, S) sampled uplink rate
 
     @classmethod
-    def draw(cls, problems, buckets, tables, inputs, s: int) -> "_Scenarios":
-        """Scenarios for ``problems``, which share a task count, under the
-        frame's ``inputs``.  ``buckets`` holds the tasks' count buckets
-        (C, k); ``tables`` comes from ``_sample_tables``."""
+    def draw(cls, problems, buckets, tables, cfg) -> "_Scenarios":
+        """``cfg.mc_samples`` scenarios for ``problems``, which share a task
+        count, under the run config ``cfg``'s capacity factors and rate
+        spread.  ``buckets`` holds the tasks' count buckets (C, k);
+        ``tables`` comes from ``_sample_tables``."""
         levels, mean_tab, time_tab, count_tab = tables
+        s = cfg.mc_samples
         u = np.array([[np.random.default_rng([p.seed, o]).random((2, s))
                        for o in p.obj_ids] for p in problems])  # (C, k, 2, S)
         n = count_tab[buckets][..., None, None]  # (C, k, L, 1, 1)
         idx = np.minimum((u[:, :, None] * n).astype(np.int64), n - 1)
-        ub = np.array([np.random.default_rng([p.seed, _TAG_B])
-                       .random((len(inputs.b_modules_ms), s)) for p in problems])
+        modules = tuple(MODULE_TIMES_MS.values())
+        ub = np.array([np.random.default_rng([p.seed, _TAG_B]).random((len(modules), s))
+                       for p in problems])
         base_ms = sum(TruncatedNormal.cached(m, sd).ppf(ub[:, i])
-                      for i, (m, sd) in enumerate(inputs.b_modules_ms))
+                      for i, (m, sd) in enumerate(modules))
         z = np.array([np.random.default_rng([p.seed, _TAG_FADING]).standard_normal(s)
                       for p in problems])
         rate_bps = np.array([p.rate_bps for p in problems])[:, None]
         times = time_tab[buckets[..., None, None, None], np.arange(len(levels))[:, None, None],
                          np.arange(2)[:, None], idx]  # (C, k, L, 2, S): encode, decode
-        compute_s = (times[..., 0, :] / inputs.r_v + times[..., 1, :] / inputs.r_e) / 1e3
+        compute_s = (times[..., 0, :] / cfg.r_v + times[..., 1, :] / cfg.r_e) / 1e3
         return cls(np.log2(np.asarray(levels, dtype=np.float64)), mean_tab[buckets],
                    compute_s.reshape(len(problems), -1, s), base_ms / 1e3,
-                   rate_bps * np.exp(inputs.rate_sigma * z))
+                   rate_bps * np.exp(cfg.rate_sigma * z))
 
     def take(self, rows) -> "_Scenarios":
         return _Scenarios(self.log_levels, self.mean_loss[rows], self.compute_s[rows],
@@ -267,7 +246,7 @@ class RFProblem:
     seed: int
 
 
-def optimize_rf_batch(problems, inputs: LatencyInputs, cfg: OptimizerConfig) -> list:
+def optimize_rf_batch(problems, dataset: MeasurementDataset, cfg) -> list:
     """Solve a frame's per-CAV RF subproblems in lockstep.
 
     For each subproblem the outer loop updates the multiplier from the
@@ -278,28 +257,30 @@ def optimize_rf_batch(problems, inputs: LatencyInputs, cfg: OptimizerConfig) -> 
     even at maximum compression the result carries every object at r_max and
     an infeasible flag.
 
-    Every subproblem samples the frame's one latency model ``inputs`` at its
-    own predicted rate.  Subproblems with the same task count step together,
-    one numpy call per step for the whole group.  Each keeps its own random
-    streams, seeded by ``RFProblem.seed``, and the per-row arithmetic of a
-    group is that of a group of one, so every result is a pure function of
-    its own subproblem.  Results come back in the order of ``problems``.
+    Every subproblem samples one latency model, ``dataset``'s loss, encode
+    and decode samples under the run config ``cfg``, at its own predicted
+    rate; ``cfg`` also sets the RF set, the bound Prob(latency <= H_ms -
+    h_margin_ms) >= p and the search's budget.  Subproblems with the same
+    task count step together, one numpy call per step for the whole group.
+    Each keeps its own random streams, seeded by ``RFProblem.seed``, and the
+    per-row arithmetic of a group is that of a group of one, so every result
+    is a pure function of its own subproblem.  Results come back in the order
+    of ``problems``.
     """
     if any(not p.obj_ids for p in problems):
         raise ConfigError("every RF subproblem needs at least one task")
-    levels = sorted(cfg.rf_set)
     groups: dict = {}
     for i, p in enumerate(problems):
         groups.setdefault(len(p.obj_ids), []).append(i)
     group_buckets = [bucket_index(np.array([problems[i].raw_counts for i in idx]))
                      for idx in groups.values()]  # (C, k) per group
     buckets = sorted({b for gb in group_buckets for b in np.unique(gb).tolist()})
-    tables = _sample_tables(inputs.dataset, levels, buckets)
+    tables = _sample_tables(dataset, cfg.rf_set, buckets)
     results = [None] * len(problems)
     for idx, group_bucket in zip(groups.values(), group_buckets):
         group = [problems[i] for i in idx]
-        sc = _Scenarios.draw(group, group_bucket, tables, inputs, cfg.mc_samples)
-        for i, res in zip(idx, _solve_group(group, sc, levels, cfg)):
+        sc = _Scenarios.draw(group, group_bucket, tables, cfg)
+        for i, res in zip(idx, _solve_group(group, sc, cfg)):
             results[i] = res
     return results
 
@@ -323,16 +304,17 @@ def _plane_slopes(design, g):
     return slopes
 
 
-def _solve_group(problems, sc: _Scenarios, levels, cfg: OptimizerConfig) -> list:
+def _solve_group(problems, sc: _Scenarios, cfg) -> list:
     """One group's lockstep search: each step is one ``sc.evaluate`` and one
     ``_plane_slopes`` for every row.  With k + 1 > deviations a plane interpolates
     its samples and any solver but lstsq amplifies roundoff into other iterates;
     such rows are rare and keep lstsq, one at a time."""
+    levels, h_s = cfg.rf_set, (cfg.H_ms - cfg.h_margin_ms) / 1e3
     lx = sc.log_levels
     lo, hi = lx[0], lx[-1]
     c, k = len(problems), len(problems[0].obj_ids)
     x_max = np.full((c, k), hi)
-    fid_max, prob_max = sc.at(x_max, cfg.h_s)
+    fid_max, prob_max = sc.at(x_max, h_s)
     results = [None] * c
     for r in np.flatnonzero(prob_max < cfg.p):
         results[r] = OptimizeResult(
@@ -347,7 +329,7 @@ def _solve_group(problems, sc: _Scenarios, levels, cfg: OptimizerConfig) -> list
     # one draw per CAV covers every step: the same numbers as a draw per step
     noise = np.array([
         np.random.default_rng([problems[r].seed, 1 << 21]).normal(
-            0.0, cfg.deviation_sd, size=(steps, cfg.deviations, k))
+            0.0, DEVIATION_SD, size=(steps, cfg.deviations, k))
         for r in rows])
 
     # start mid-range: the loss surface is flattest near maximum compression,
@@ -362,7 +344,7 @@ def _solve_group(problems, sc: _Scenarios, levels, cfg: OptimizerConfig) -> list
             dev = np.clip(x[:, None, :] + noise[:, step], lo, hi)
             step += 1
             fid, latency = sc.evaluate(dev)
-            probs = np.mean(latency <= cfg.h_s, axis=-1)
+            probs = np.mean(latency <= h_s, axis=-1)
             g = fid + lam[:, None] * (probs - cfg.p)
             design[:, :, 1:] = dev
             if k + 1 > cfg.deviations:
@@ -371,7 +353,7 @@ def _solve_group(problems, sc: _Scenarios, levels, cfg: OptimizerConfig) -> list
             else:
                 slopes = _plane_slopes(design, g)
             x = np.clip(x + PRIMAL_STEP * slopes, lo, hi)
-        f_cur, prob = sc.at(x, cfg.h_s)
+        f_cur, prob = sc.at(x, h_s)
         feasible = prob >= cfg.p
         better = feasible & (f_cur > fid_best)
         x_best[better], fid_best[better] = x[better], f_cur[better]
@@ -382,12 +364,12 @@ def _solve_group(problems, sc: _Scenarios, levels, cfg: OptimizerConfig) -> list
         lam = np.maximum(0.0, lam - DUAL_STEP * (prob - cfg.p))
 
     # never return an infeasible relaxed point when a feasible one is known
-    x = np.where((sc.at(x, cfg.h_s)[1] >= cfg.p)[:, None], x, x_best)
+    x = np.where((sc.at(x, h_s)[1] >= cfg.p)[:, None], x, x_best)
 
     # round up to the next discrete level: more compression, never less
     idx = np.searchsorted(lx, x - 1e-9, side="left")
     rfs = np.asarray(levels, dtype=np.int64)[np.minimum(idx, len(levels) - 1)]
-    fid, prob = sc.at(np.log2(rfs), cfg.h_s)
+    fid, prob = sc.at(np.log2(rfs), h_s)
     for i, r in enumerate(rows):
         results[r] = OptimizeResult(
             rfs=rfs[i], lam=float(lam[i]), prob=float(prob[i]),

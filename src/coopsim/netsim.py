@@ -2,6 +2,10 @@
 
 The radio side is a closed-form street-canyon path-loss plus Shannon capacity
 over equal FDMA slices of the shared band, with optional log-normal fading.
+Its parameters are the radio fields of the run's RunConfig: bandwidth_hz,
+carrier_ghz, tx_power_dbm, noise_figure_db, base_station (x, y, z) and
+sectors, the antenna sectors at the base station, each of which reuses the
+full band for the CAVs it covers.
 The server side is an exact first-come-first-serve multi-server queue
 advanced per frame.  Every stochastic quantity is drawn from a
 caller-supplied generator so whole runs replay bit-exactly.
@@ -11,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,18 +31,6 @@ MODULE_TIMES_MS = {
     "transform": (0.006, 0.012),
     "matching": (0.014, 0.023),
 }
-
-
-@dataclass
-class RadioConfig:
-    bandwidth_hz: float = 200e3
-    carrier_ghz: float = 3.5
-    tx_power_dbm: float = 23.0
-    noise_figure_db: float = 9.0
-    base_station: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    # antenna sectors at the base station; each sector reuses the full band
-    # for the CAVs it covers, so sectors=1 is plain single-cell sharing
-    sectors: int = 1
 
 
 @dataclass
@@ -60,12 +52,12 @@ def path_loss_db(distance_m: float, carrier_ghz: float) -> float:
     return 32.4 + 21.0 * math.log10(d) + 20.0 * math.log10(carrier_ghz)
 
 
-def snr_db(distance_m: float, band_hz: float, radio: RadioConfig) -> float:
-    noise_dbm = NOISE_DBM_PER_HZ + 10.0 * math.log10(band_hz) + radio.noise_figure_db
-    return radio.tx_power_dbm - path_loss_db(distance_m, radio.carrier_ghz) - noise_dbm
+def snr_db(distance_m: float, band_hz: float, cfg) -> float:
+    noise_dbm = NOISE_DBM_PER_HZ + 10.0 * math.log10(band_hz) + cfg.noise_figure_db
+    return cfg.tx_power_dbm - path_loss_db(distance_m, cfg.carrier_ghz) - noise_dbm
 
 
-def uplink_rate(position, sharers: int, radio: RadioConfig, fading: float = 1.0) -> float:
+def uplink_rate(position, sharers: int, cfg, fading: float = 1.0) -> float:
     """Shannon rate in bits/s for one CAV sharing its sector with ``sharers``.
 
     Equal FDMA gives each CAV a band slice with proportionally less noise.
@@ -75,9 +67,9 @@ def uplink_rate(position, sharers: int, radio: RadioConfig, fading: float = 1.0)
     if sharers < 1:
         raise ConfigError(f"sharers must be >= 1, got {sharers}")
     d = float(np.linalg.norm(np.asarray(position, dtype=np.float64).reshape(-1)[:3]
-                             - radio.base_station))
-    band = radio.bandwidth_hz / sharers
-    return band * math.log2(1.0 + 10.0 ** (snr_db(d, band, radio) / 10.0)) * float(fading)
+                             - cfg.base_station))
+    band = cfg.bandwidth_hz / sharers
+    return band * math.log2(1.0 + 10.0 ** (snr_db(d, band, cfg) / 10.0)) * float(fading)
 
 
 def draw_fading(rng: np.random.Generator, sigma: float) -> float:
@@ -85,11 +77,11 @@ def draw_fading(rng: np.random.Generator, sigma: float) -> float:
     return float(np.exp(sigma * rng.standard_normal())) if sigma else 1.0
 
 
-def sector_index(position, radio: RadioConfig) -> int:
+def sector_index(position, cfg) -> int:
     """Sector id by azimuth around the base station, 0 at +x, counterclockwise."""
-    rel = np.asarray(position, dtype=np.float64).reshape(-1)[:2] - radio.base_station[:2]
+    rel = np.asarray(position, dtype=np.float64).reshape(-1)[:2] - cfg.base_station[:2]
     az = math.atan2(rel[1], rel[0]) % (2.0 * math.pi)
-    return int(az // (2.0 * math.pi / radio.sectors)) % radio.sectors
+    return int(az // (2.0 * math.pi / cfg.sectors)) % cfg.sectors
 
 
 def uplink_ms(payload_bytes: float, rate_bps: float) -> float:
@@ -123,11 +115,11 @@ def sample_module_times_ms(rng: np.random.Generator) -> float:
 
 def simulate_frame_latency(payload_bytes, vehicle_ms, rates_bps, object_counts,
                            servers: int, rng: np.random.Generator,
-                           extra_b_ms=None, cav_ids=None) -> list[LatencyBreakdown]:
+                           extra_b_ms, cav_ids) -> list[LatencyBreakdown]:
     """Assemble per-CAV latency for one frame.
 
     Arrival order at the server is ascending vehicle + uplink completion time,
-    ties broken by CAV id, over ``servers`` FCFS servers.  Server time per
+    ties broken by ``cav_ids``, over ``servers`` FCFS servers.  Server time per
     CAV is the sum of per-object decode draws.  ``extra_b_ms`` carries
     charges outside the module table, e.g. the detector when the hybrid
     localizer ran detection this frame.
@@ -136,19 +128,17 @@ def simulate_frame_latency(payload_bytes, vehicle_ms, rates_bps, object_counts,
     n = len(payload_bytes)
     if not (len(vehicle_ms) == len(rates_bps) == len(object_counts) == n):
         raise ConfigError("per-CAV input lengths differ")
-    ids = list(range(n)) if cav_ids is None else list(cav_ids)
-    extra = [0.0] * n if extra_b_ms is None else list(extra_b_ms)
     decode_tn = TruncatedNormal.cached(*DEFAULT_TIME_MS)
 
     up = np.array([uplink_ms(b, r) for b, r in zip(payload_bytes, rates_bps)])
-    b_base = np.array([sample_module_times_ms(rng) + extra[i] for i in range(n)])
+    b_base = np.array([sample_module_times_ms(rng) + extra_b_ms[i] for i in range(n)])
     service = np.array([
         float(decode_tn.sample(rng, size=k).sum()) if k > 0 else 0.0
         for k in object_counts
     ])
 
     arrival = np.asarray(vehicle_ms, dtype=np.float64) + up
-    order = sorted(range(n), key=lambda i: (not math.isfinite(arrival[i]), arrival[i], ids[i]))
+    order = sorted(range(n), key=lambda i: (not math.isfinite(arrival[i]), arrival[i], cav_ids[i]))
     finite = [i for i in order if math.isfinite(arrival[i])]
     waits = np.full(n, math.inf)
     w = _fcfs_waits(arrival[finite], service[finite], servers)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,8 +44,6 @@ from .codec import (
     surrogate_dataset,
 )
 from .control import (
-    LatencyInputs,
-    OptimizerConfig,
     RFProblem,
     optimize_rf_batch,
     predict_counts,
@@ -60,7 +58,6 @@ from .geometry import (
     wrap_yaw,
 )
 from .netsim import (
-    RadioConfig,
     draw_fading,
     sector_index,
     simulate_frame_latency,
@@ -603,26 +600,11 @@ class RunResult:
 
 
 class RunState:
-    def __init__(self, config: RunConfig, radio: RadioConfig):
+    def __init__(self, config: RunConfig):
         self.config = config
-        self.radio = radio
         self.localizers: dict = {}
         self.prev_rates: dict = {}
         self.global_map = GlobalMap()
-
-
-def _derive_radio(config: RunConfig, frame0: TraceFrame) -> RadioConfig:
-    base = config.base_station
-    if base is None:
-        base = (float(frame0.poses[:, 0].mean()), float(frame0.poses[:, 1].mean()), 10.0)
-    return RadioConfig(
-        bandwidth_hz=config.bandwidth_hz,
-        carrier_ghz=config.carrier_ghz,
-        tx_power_dbm=config.tx_power_dbm,
-        noise_figure_db=config.noise_figure_db,
-        base_station=np.asarray(base, dtype=np.float64),
-        sectors=config.sectors,
-    )
 
 
 def load_dataset(config: RunConfig) -> MeasurementDataset:
@@ -743,10 +725,10 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     # --- per-CAV RF decisions, solved for the whole frame at once ---
     rf = np.zeros(len(cav), dtype=np.int64)
     infeasible_cavs = 0
-    sectors = [sector_index(p, state.radio) for p in positions]
+    sectors = [sector_index(p, cfg) for p in positions]
     if policy.rf == "optimize":
         # frame-0 fallback estimate: assume every CAV shares its sector
-        all_counts = np.bincount(sectors, minlength=state.radio.sectors)
+        all_counts = np.bincount(sectors, minlength=cfg.sectors)
         problems, owners = [], []
         for c, cav_id in enumerate(cav_ids):
             mine = by_cav[c]
@@ -754,22 +736,14 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
                 continue
             rate = state.prev_rates.get(cav_id)
             if rate is None:
-                rate = uplink_rate(positions[c], max(1, int(all_counts[sectors[c]])),
-                                   state.radio)
+                rate = uplink_rate(positions[c], max(1, int(all_counts[sectors[c]])), cfg)
             opt_seed = int(np.random.SeedSequence(
                 (cfg.seed, fidx, cav_id, 7)).generate_state(1)[0])
             problems.append(RFProblem(obj_ids=obj[mine].tolist(),
                                       raw_counts=counts[mine].tolist(),
                                       rate_bps=rate, seed=opt_seed))
             owners.append(mine)
-        inputs = LatencyInputs(dataset=dataset, r_v=cfg.r_v, r_e=cfg.r_e,
-                               rate_sigma=cfg.rate_sigma)
-        opt = OptimizerConfig(
-            h_s=(cfg.H_ms - cfg.h_margin_ms) / 1e3, p=cfg.p,
-            outer_iters=cfg.outer_iters, inner_iters=cfg.inner_iters,
-            deviations=cfg.deviations, mc_samples=cfg.mc_samples,
-            rf_set=cfg.rf_set)
-        results = optimize_rf_batch(problems, inputs, opt)
+        results = optimize_rf_batch(problems, dataset, cfg)
         for mine, res in zip(owners, results):
             infeasible_cavs += bool(res.infeasible)
             rf[mine] = res.rfs
@@ -835,13 +809,13 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
 
     # --- radio: realized rates with fading, shared per sector ---
     # only CAVs with data on air occupy their sector's band this frame
-    sector_counts = np.bincount(np.array(sectors)[payloads > 0], minlength=state.radio.sectors)
+    sector_counts = np.bincount(np.array(sectors)[payloads > 0], minlength=cfg.sectors)
     rng_net = np.random.default_rng([cfg.seed, fidx, _S_NET])
     rates = np.zeros(n)
     for c, cav_id in enumerate(cav_ids):
         fading = draw_fading(rng_net, cfg.fading_sigma)
         share = max(1, int(sector_counts[sectors[c]]))
-        rates[c] = uplink_rate(positions[c], share, state.radio, fading=float(fading))
+        rates[c] = uplink_rate(positions[c], share, cfg, fading=float(fading))
         state.prev_rates[cav_id] = float(rates[c])
 
     # --- edge latency ---
@@ -878,11 +852,16 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
 def run_simulation(trace, config: RunConfig,
                    dataset: MeasurementDataset | None = None) -> RunResult:
     """Run every frame of ``trace``, a valid one as ``load_trace`` or
-    ``generate_trace`` returns it; ``dataset`` defaults to ``load_dataset``."""
-    radio = _derive_radio(config, trace[0])
+    ``generate_trace`` returns it; ``dataset`` defaults to ``load_dataset``.
+    An unset ``base_station`` becomes the frame-0 CAV centroid at 10 m
+    height, and the result's config holds it."""
+    if config.base_station is None:
+        poses = trace[0].poses
+        config = replace(config, base_station=(float(poses[:, 0].mean()),
+                                                float(poses[:, 1].mean()), 10.0))
     if dataset is None:
         dataset = load_dataset(config)
-    state = RunState(config, radio)
+    state = RunState(config)
     rows, objects, stats, loc_errors = [], [], [], []
     for frame in trace:
         r, o, s, e = run_frame(frame, state, dataset)
@@ -898,11 +877,12 @@ def run_simulation(trace, config: RunConfig,
 # metrics
 
 
-def nearest_rank(values, pct: float) -> float:
-    """Nearest-rank percentile: rank = ceil(p/100 * n) on the sorted values."""
+def nearest_rank(values, pct: float) -> float | None:
+    """Nearest-rank percentile: rank = ceil(p/100 * n) on the sorted values;
+    None, a null in summary.json, for no values."""
     ordered = sorted(values)
     if not ordered:
-        return float("nan")
+        return None
     rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
     return float(ordered[rank - 1])
 
@@ -921,9 +901,6 @@ def collect_metrics(result: RunResult) -> dict:
     frames = len(result.frame_stats)
     total_bytes = sum(s.bytes_total for s in result.frame_stats)
 
-    def percentile(values, p):
-        return nearest_rank(values, p) if values else None
-
     summary = {
         "policy": cfg.policy,
         "seed": cfg.seed,
@@ -931,10 +908,10 @@ def collect_metrics(result: RunResult) -> dict:
         "cavs": len({r.cav_id for r in result.rows}),
         "bandwidth_hz": cfg.bandwidth_hz,
         "H_ms": cfg.H_ms,
-        "latency_ms_p50": percentile(totals, 50),
-        "latency_ms_p90": percentile(totals, 90),
-        "latency_ms_p95": percentile(totals, 95),
-        "latency_ms_p99": percentile(totals, 99),
+        "latency_ms_p50": nearest_rank(totals, 50),
+        "latency_ms_p90": nearest_rank(totals, 90),
+        "latency_ms_p95": nearest_rank(totals, 95),
+        "latency_ms_p99": nearest_rank(totals, 99),
         "frac_within_h": (float(np.mean([v <= cfg.H_ms for v in totals]))
                           if totals else None),
         "mean_loss": float(np.mean(losses)) if losses else 0.0,
@@ -947,8 +924,8 @@ def collect_metrics(result: RunResult) -> dict:
         "reused_objects": sum(1 for r in result.objects if r.reused),
         "objects_sent": len(result.objects),
         "infeasible_cav_frames": sum(s.infeasible_cavs for s in result.frame_stats),
-        "loc_error_p50": percentile(result.loc_errors, 50),
-        "loc_error_p95": percentile(result.loc_errors, 95),
+        "loc_error_p50": nearest_rank(result.loc_errors, 50),
+        "loc_error_p95": nearest_rank(result.loc_errors, 95),
         "finite_latency_rows": len(finite),
     }
     return summary

@@ -8,7 +8,9 @@ and visible_face_weights), the farthest-point walk with one temporary per
 step, the dict-based predictive match and greedy map dedup, the matrix-form
 Kalman filter (it shares KalmanState and the noise constants), and the
 per-CAV RF optimizer loop (it shares the dataset, the truncated-normal
-sampler, the random-stream tags and the result type).
+sampler, the random-stream tags, the module-time table, the perturbation
+spread and the result type; it reads the last two at call time, as the
+batch does, so a test that patches one sets both).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from coopsim import control
 from coopsim.codec import DESCRIPTOR_OVERHEAD_BYTES, bucket_index
 from coopsim.control import (
     _TAG_B,
@@ -195,14 +198,15 @@ def _pick(samples: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 class LoopScenarios:
-    """Common-random-number draws for one CAV's RFProblem, built task by task."""
+    """Common-random-number draws for one CAV's RFProblem, built task by task
+    from ``dataset`` under the run config ``cfg``."""
 
-    def __init__(self, problem, inputs, levels, s: int):
-        self.inputs = inputs
-        self.levels = np.asarray(sorted(levels), dtype=np.int64)
+    def __init__(self, problem, dataset, cfg):
+        self.cfg = cfg
+        self.levels = np.asarray(sorted(cfg.rf_set), dtype=np.int64)
         self.log_levels = np.log2(self.levels)
-        self.s = s
-        seed, ds = problem.seed, inputs.dataset
+        s = cfg.mc_samples
+        seed, ds = problem.seed, dataset
         k = len(problem.obj_ids)
         nl = len(self.levels)
         self.mean_loss = np.empty((k, nl))
@@ -216,13 +220,14 @@ class LoopScenarios:
                 self.mean_loss[i, j] = ds.mean_loss(rf, bucket)
                 self.enc_ms[i, j] = _pick(ds.enc_time_samples(rf, bucket), u[0])
                 self.dec_ms[i, j] = _pick(ds.dec_time_samples(rf, bucket), u[1])
-        ub = np.random.default_rng([seed, _TAG_B]).random((len(inputs.b_modules_ms), s))
+        modules = list(control.MODULE_TIMES_MS.values())
+        ub = np.random.default_rng([seed, _TAG_B]).random((len(modules), s))
         self.b_ms = sum(
             TruncatedNormal.cached(m, sd).ppf(ub[i])
-            for i, (m, sd) in enumerate(inputs.b_modules_ms)
+            for i, (m, sd) in enumerate(modules)
         )
         z = np.random.default_rng([seed, _TAG_FADING]).standard_normal(s)
-        self.rate = problem.rate_bps * np.exp(inputs.rate_sigma * z)
+        self.rate = problem.rate_bps * np.exp(cfg.rate_sigma * z)
         self._task_idx = np.arange(k)
 
     def evaluate_batch(self, x: np.ndarray):
@@ -242,8 +247,8 @@ class LoopScenarios:
         dec = (1.0 - w3) * self.dec_ms[ti, j] + w3 * self.dec_ms[ti, jn]
         fidelity = -loss.sum(axis=1)
         payload = (1024.0 / np.exp2(x)) * 4.0 + DESCRIPTOR_OVERHEAD_BYTES
-        compute_s = (enc.sum(axis=1) / self.inputs.r_v
-                     + dec.sum(axis=1) / self.inputs.r_e) / 1e3
+        compute_s = (enc.sum(axis=1) / self.cfg.r_v
+                     + dec.sum(axis=1) / self.cfg.r_e) / 1e3
         with np.errstate(divide="ignore"):
             uplink_s = payload.sum(axis=1)[:, None] * 8.0 / self.rate[None, :]
         latency = compute_s + uplink_s + self.b_ms[None, :] / 1e3
@@ -269,24 +274,25 @@ class LoopResult(OptimizeResult):
     g_trace: list = field(default_factory=list)
 
 
-def loop_optimize_rf(problem, inputs, cfg, record_g: bool = False) -> LoopResult:
+def loop_optimize_rf(problem, dataset, cfg, record_g: bool = False) -> LoopResult:
     """Primal-dual RF search for one CAV, one numpy call per step.
 
     Same method as ``coopsim.control.optimize_rf_batch`` for one RFProblem
-    under the frame's ``inputs``; the plane fit here is ``np.linalg.lstsq``
-    on one design matrix at a time.
+    under ``dataset`` and the run config ``cfg``; the plane fit here is
+    ``np.linalg.lstsq`` on one design matrix at a time.
     """
     if not problem.obj_ids:
         raise ConfigError("optimize_rf needs at least one task")
     levels = sorted(cfg.rf_set)
-    sc = LoopScenarios(problem, inputs, levels, cfg.mc_samples)
+    h_s = (cfg.H_ms - cfg.h_margin_ms) / 1e3
+    sc = LoopScenarios(problem, dataset, cfg)
     lx = sc.log_levels
     lo, hi = lx[0], lx[-1]
     k = len(problem.obj_ids)
     rng = np.random.default_rng([problem.seed, 1 << 21])
 
     x_max = np.full(k, hi)
-    prob_at_max = sc.prob_within(x_max, cfg.h_s)
+    prob_at_max = sc.prob_within(x_max, h_s)
     if prob_at_max < cfg.p:
         return LoopResult(
             rfs=np.full(k, levels[-1], dtype=np.int64), lam=LAM0,
@@ -300,18 +306,18 @@ def loop_optimize_rf(problem, inputs, cfg, record_g: bool = False) -> LoopResult
     design = np.ones((cfg.deviations, k + 1))
     for _ in range(cfg.outer_iters):
         for _ in range(cfg.inner_iters):
-            dev = x[None, :] + rng.normal(0.0, cfg.deviation_sd, size=(cfg.deviations, k))
+            dev = x[None, :] + rng.normal(0.0, control.DEVIATION_SD, size=(cfg.deviations, k))
             dev = np.clip(dev, lo, hi)
             fid, latency = sc.evaluate_batch(dev)
-            probs = np.mean(latency <= cfg.h_s, axis=1)
+            probs = np.mean(latency <= h_s, axis=1)
             g = fid + lam * (probs - cfg.p)
             design[:, 1:] = dev
             coef, *_ = np.linalg.lstsq(design, g, rcond=None)
             x = np.clip(x + PRIMAL_STEP * coef[1:], lo, hi)
             if record_g:
                 f_cur, lat_cur = sc.evaluate(x)
-                g_trace.append(f_cur + lam * (np.mean(lat_cur <= cfg.h_s) - cfg.p))
-        prob = sc.prob_within(x, cfg.h_s)
+                g_trace.append(f_cur + lam * (np.mean(lat_cur <= h_s) - cfg.p))
+        prob = sc.prob_within(x, h_s)
         if prob >= cfg.p:
             f_cur = sc.evaluate(x)[0]
             if f_cur > fid_best:
@@ -322,13 +328,13 @@ def loop_optimize_rf(problem, inputs, cfg, record_g: bool = False) -> LoopResult
         lam_trace.append(lam)
         prob_trace.append(prob)
 
-    if sc.prob_within(x, cfg.h_s) < cfg.p:
+    if sc.prob_within(x, h_s) < cfg.p:
         x = x_best
 
     idx = np.searchsorted(lx, x - 1e-9, side="left")
     rfs = np.asarray(levels, dtype=np.int64)[np.minimum(idx, len(levels) - 1)]
     xq = np.log2(rfs)
-    prob = sc.prob_within(xq, cfg.h_s)
+    prob = sc.prob_within(xq, h_s)
     fid = sc.evaluate(xq)[0]
     return LoopResult(rfs=rfs, lam=lam, prob=prob, fidelity=fid,
                       infeasible=False, lam_trace=lam_trace,

@@ -5,7 +5,8 @@ be loaded, as a name or an attribute, somewhere in ``src/`` outside its own
 definition.  Import lines do not count as uses.  Every field of a
 ``@dataclass`` there must be loaded as an attribute somewhere in ``src/``;
 the match is by name, so a field shares a read with any attribute of its
-name.
+name.  No dataclass but ``RunConfig`` may declare a field named like one of
+``RunConfig``'s: a run value has one home, and code reads it there.
 """
 
 import ast
@@ -13,6 +14,12 @@ import pathlib
 from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "coopsim"
+
+
+def _parse(src) -> dict:
+    """Module file name -> syntax tree, for each module in ``src``."""
+    return {path.name: ast.parse(path.read_text(), str(path))
+            for path in sorted(pathlib.Path(src).glob("*.py"))}
 
 
 def _definitions(tree):
@@ -40,8 +47,7 @@ def _loads(node) -> Counter:
 
 
 def unused_public_names(src=SRC) -> list:
-    trees = {path.name: ast.parse(path.read_text(), str(path))
-             for path in sorted(pathlib.Path(src).glob("*.py"))}
+    trees = _parse(src)
     total = sum((_loads(tree) for tree in trees.values()), Counter())
     unused = []
     for module, tree in trees.items():
@@ -104,21 +110,22 @@ def _is_dataclass(node) -> bool:
     return False
 
 
-def unread_dataclass_fields(src=SRC) -> list:
-    trees = {path.name: ast.parse(path.read_text(), str(path))
-             for path in sorted(pathlib.Path(src).glob("*.py"))}
-    read = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
-            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
-    unread = []
+def _dataclass_fields(trees):
+    """(module, class name, field name) for each field of each top-level dataclass."""
     for module, tree in trees.items():
         for cls in tree.body:
-            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
-                continue
-            for stmt in cls.body:
-                if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-                        and stmt.target.id not in read):
-                    unread.append(f"{module}:{cls.name}.{stmt.target.id}")
-    return unread
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                for stmt in cls.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        yield module, cls.name, stmt.target.id
+
+
+def unread_dataclass_fields(src=SRC) -> list:
+    trees = _parse(src)
+    read = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    return [f"{module}:{cls}.{name}" for module, cls, name in _dataclass_fields(trees)
+            if name not in read]
 
 
 def test_every_dataclass_field_is_read():
@@ -155,6 +162,50 @@ def test_guard_sees_an_unread_field(tmp_path):
     # stores and keyword arguments are not reads
     assert sorted(unread_dataclass_fields(tmp_path)) == [
         "a.py:Config.unused", "a.py:Result.passed_only", "a.py:Result.written_only"]
+
+
+# fields that share a RunConfig field's name but hold another value, each with its meaning
+SHARED_NAMES = {
+    "control.py:RFProblem.seed": "the CAV's optimizer seed, derived from the run seed per frame",
+    "tracking.py:KalmanState.p": "the filter's covariance matrix, not the percentile",
+}
+
+
+def run_config_copies(src=SRC) -> list:
+    """Fields of dataclasses other than RunConfig that are named like a
+    RunConfig field, as a copy of a run value would be."""
+    fields = list(_dataclass_fields(_parse(src)))
+    run_fields = {name for _, cls, name in fields if cls == "RunConfig"}
+    return [f"{module}:{cls}.{name}" for module, cls, name in fields
+            if cls != "RunConfig" and name in run_fields]
+
+
+def test_no_dataclass_copies_a_run_config_field():
+    assert sorted(set(run_config_copies()) - set(SHARED_NAMES)) == []
+    # an exemption whose field is gone or renamed leaves the list
+    assert sorted(set(SHARED_NAMES) - set(run_config_copies())) == []
+
+
+def test_guard_sees_a_run_config_copy(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass\n"
+        "\n"
+        "@dataclass\n"
+        "class RunConfig:\n"
+        "    bandwidth_hz: float = 200e3\n"
+        "    seed: int = 0\n")
+    (tmp_path / "b.py").write_text(
+        "import dataclasses\n"
+        "\n"
+        "@dataclasses.dataclass\n"
+        "class RadioCopy:\n"
+        "    bandwidth_hz: float = 200e3\n"
+        "    gain_db: float = 0.0\n"
+        "\n"
+        "class Plain:\n"
+        "    seed: int = 0\n")
+    # only dataclasses count, and RunConfig itself does not
+    assert run_config_copies(tmp_path) == ["b.py:RadioCopy.bandwidth_hz"]
 
 
 # callers whose calls count as passing an option: the package, its tests, the benchmark

@@ -494,6 +494,17 @@ def test_sweep_worker_pool_matches_serial(tmp_path, trace_path, monkeypatch):
     assert (serial / "sweep.csv").read_bytes() == (pooled / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["abc", "0", "-3"])
+def test_sweep_bad_workers_exits_2_before_output(tmp_path, trace_path, monkeypatch, capsys,
+                                                 workers):
+    monkeypatch.setenv("COOPSIM_WORKERS", workers)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--param", "H", "--values", "80", "90", "--trace", str(trace_path),
+                 "--out", str(out)]) == EXIT_INPUT
+    assert "COOPSIM_WORKERS must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_incomplete_profile_exits_3_before_output(tmp_path, trace_path, capsys):
     profile = tmp_path / "ds.csv"
     write_profile(profile, rf_set=(4, 8, 16, 32))

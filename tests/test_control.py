@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from coopsim import control
 from coopsim.codec import (
     DEFAULT_LOSS_CALIBRATION,
     MeasurementDataset,
@@ -15,8 +16,6 @@ from coopsim.codec import (
 )
 from coopsim.control import (
     POINT_CAP,
-    LatencyInputs,
-    OptimizerConfig,
     RFProblem,
     _sample_tables,
     _Scenarios,
@@ -27,7 +26,8 @@ from coopsim.control import (
 )
 from coopsim.errors import ConfigError, InvalidViewpointError
 from coopsim.geometry import Bbox3
-from coopsim.netsim import RadioConfig, uplink_rate
+from coopsim.netsim import uplink_rate
+from coopsim.simpipe import RunConfig
 from oracles import (
     LoopScenarios,
     loop_optimize_rf,
@@ -233,33 +233,39 @@ def problem(tasks, rate, seed=0):
     return RFProblem([o for o, _ in tasks], [k for _, k in tasks], rate, seed)
 
 
-def solve(tasks, rate, inputs, cfg, seed=0):
+def wide_search(**overrides) -> RunConfig:
+    """A wider search than a run's: 10 x 20 steps, 16 deviations and 64
+    samples for Prob(latency <= 100 ms) >= 0.99, with no margin and no rate
+    spread; ``overrides`` set other RunConfig fields."""
+    return RunConfig(**{"H_ms": 100.0, "h_margin_ms": 0.0, "outer_iters": 10,
+                        "inner_iters": 20, "deviations": 16, "mc_samples": 64,
+                        "rate_sigma": 0.0, **overrides})
+
+
+def solve(tasks, rate, dataset, cfg, seed=0):
     """One CAV's RF subproblem, solved as a batch of one."""
-    return optimize_rf_batch([problem(tasks, rate, seed)], inputs, cfg)[0]
+    return optimize_rf_batch([problem(tasks, rate, seed)], dataset, cfg)[0]
 
 
-def latency_prob(tasks, rate, inputs, rf, h_s, seed=0):
-    """Monte Carlo Prob(latency <= h_s) with every task at ``rf``: with one
+def latency_prob(tasks, rate, dataset, rf, H_ms, seed=0):
+    """Monte Carlo Prob(latency <= H_ms) with every task at ``rf``: with one
     level the optimizer can only return that decision and its estimate."""
-    cfg = OptimizerConfig(h_s=h_s, rf_set=(rf,))
-    res = solve(tasks, rate, inputs, cfg, seed)
+    res = solve(tasks, rate, dataset, wide_search(H_ms=H_ms, rf_set=(rf,)), seed)
     assert res.rfs.tolist() == [rf] * len(tasks)
     return res.prob
 
 
-def test_latency_prob_deterministic_fast_path():
-    ds = constant_dataset()
-    inputs = LatencyInputs(dataset=ds, b_modules_ms=((0.0, 0.0),))
-    assert latency_prob([(0, 800), (1, 300)], 1e12, inputs, 64, 0.1) == 1.0
+def test_latency_prob_deterministic_fast_path(monkeypatch):
+    monkeypatch.setattr(control, "MODULE_TIMES_MS", {"baseline": (0.0, 0.0)})
+    assert latency_prob([(0, 800), (1, 300)], 1e12, constant_dataset(), 64, 100.0) == 1.0
 
 
-def test_latency_prob_mid_range():
+def test_latency_prob_mid_range(monkeypatch):
     # everything negligible except one baseline module ~ N(100, 10) ms,
     # so Prob(total <= 100 ms) should sit near one half
-    ds = constant_dataset()
-    inputs = LatencyInputs(dataset=ds, b_modules_ms=((100.0, 10.0),))
+    monkeypatch.setattr(control, "MODULE_TIMES_MS", {"baseline": (100.0, 10.0)})
     for seed in range(4):
-        prob = latency_prob([(0, 800)], 1e12, inputs, 64, 0.100, seed=seed)
+        prob = latency_prob([(0, 800)], 1e12, constant_dataset(), 64, 100.0, seed=seed)
         assert 0.25 <= prob <= 0.75
 
 
@@ -268,10 +274,9 @@ def test_latency_prob_superset_monotone(surrogate):
     draws identical, so the superset's latency dominates pointwise."""
     base = [(i, 800) for i in range(3)]
     extra = base + [(i, 800) for i in range(10, 13)]
-    inputs = LatencyInputs(dataset=surrogate)
     for seed in range(10):
-        p_small = latency_prob(base, 600e3, inputs, 16, 0.060, seed=seed)
-        p_large = latency_prob(extra, 600e3, inputs, 16, 0.060, seed=seed)
+        p_small = latency_prob(base, 600e3, surrogate, 16, 60.0, seed=seed)
+        p_large = latency_prob(extra, 600e3, surrogate, 16, 60.0, seed=seed)
         assert p_large <= p_small
 
 
@@ -285,7 +290,7 @@ def five_tasks(seed=11):
 
 
 def test_optimizer_unconstrained_goes_to_min_rf(surrogate):
-    res = solve(five_tasks(), 1e9, LatencyInputs(dataset=surrogate), OptimizerConfig(h_s=10.0))
+    res = solve(five_tasks(), 1e9, surrogate, wide_search(H_ms=10000.0))
     assert res.rfs.tolist() == [4] * 5
     assert not res.infeasible
     assert res.lam >= 0
@@ -293,25 +298,23 @@ def test_optimizer_unconstrained_goes_to_min_rf(surrogate):
 
 def test_optimizer_multiplier_decays_to_zero(surrogate):
     # slack constraint: each outer iteration bleeds the multiplier down
-    res = solve(five_tasks(), 1e9, LatencyInputs(dataset=surrogate),
-                OptimizerConfig(h_s=10.0, outer_iters=30))
+    res = solve(five_tasks(), 1e9, surrogate, wide_search(H_ms=10000.0, outer_iters=30))
     assert res.lam == 0.0
     assert res.rfs.tolist() == [4] * 5
 
 
 def test_optimizer_zero_rate_infeasible(surrogate):
-    res = solve(five_tasks(), 0.0, LatencyInputs(dataset=surrogate), OptimizerConfig())
+    res = solve(five_tasks(), 0.0, surrogate, wide_search())
     assert res.infeasible
     assert res.rfs.tolist() == [64] * 5
     assert res.prob < 0.99
 
 
 def test_optimizer_output_in_rf_set(surrogate):
-    inputs = LatencyInputs(dataset=surrogate)
     for seed, rate in ((0, 150e3), (1, 300e3), (2, 500e3)):
-        res = solve(five_tasks(), rate, inputs, OptimizerConfig(), seed=seed)
+        res = solve(five_tasks(), rate, surrogate, wide_search(), seed=seed)
         assert set(res.rfs.tolist()) <= set(RF_SET)
-    narrowed = solve(five_tasks(), 300e3, inputs, OptimizerConfig(rf_set=(8, 32)))
+    narrowed = solve(five_tasks(), 300e3, surrogate, wide_search(rf_set=(8, 32)))
     assert set(narrowed.rfs.tolist()) <= {8, 32}
 
 
@@ -319,7 +322,7 @@ def test_optimizer_rate_sweep_monotone(surrogate):
     """More bandwidth, less compression; feasible runs meet the target."""
     prev = None
     for rate in (60e3, 120e3, 240e3, 480e3):
-        res = solve(five_tasks(), rate, LatencyInputs(dataset=surrogate), OptimizerConfig())
+        res = solve(five_tasks(), rate, surrogate, wide_search())
         if not res.infeasible:
             assert res.prob >= 0.99
         mean_rf = res.rfs.mean()
@@ -334,55 +337,52 @@ def test_optimizer_bandwidth_contrast(surrogate):
     tasks = [(i, int(c)) for i, c in enumerate(rng.integers(200, 3000, 20))]
     means = []
     for bw in (200e3, 300e3):
-        rate = uplink_rate([100.0, 0.0, 0.0], 1, RadioConfig(bandwidth_hz=bw))
-        res = solve(tasks, rate, LatencyInputs(dataset=surrogate), OptimizerConfig())
+        rate = uplink_rate([100.0, 0.0, 0.0], 1,
+                           RunConfig(bandwidth_hz=bw, base_station=(0.0, 0.0, 0.0), sectors=1))
+        res = solve(tasks, rate, surrogate, wide_search())
         assert not res.infeasible
         means.append(res.rfs.mean())
     assert means[0] > means[1]
 
 
 def test_optimizer_relaxing_deadline_never_raises_rf(surrogate):
-    inputs = LatencyInputs(dataset=surrogate)
     prev = None
-    for h_s in (0.06, 0.1, 0.2, 0.3):
-        res = solve(five_tasks(), 120e3, inputs, OptimizerConfig(h_s=h_s), seed=11)
+    for H_ms in (60.0, 100.0, 200.0, 300.0):
+        res = solve(five_tasks(), 120e3, surrogate, wide_search(H_ms=H_ms), seed=11)
         if prev is not None:
             assert np.all(res.rfs <= prev)
         prev = res.rfs
 
 
-def test_optimizer_lagrangian_monotone_on_deterministic_instance():
+def test_optimizer_lagrangian_monotone_on_deterministic_instance(monkeypatch):
     """With constant samples and no baseline noise the sampled surface is
     exact, so every ascent step must improve the Lagrangian.  The loop
     oracle records it after each step; the batch must end where it does."""
     means = {rf: m for rf, (m, _) in DEFAULT_LOSS_CALIBRATION.items()}
     ds = constant_dataset(loss_by_rf=means, enc_ms=0.5, dec_ms=0.5)
     prob = problem([(i, 800) for i in range(3)], 1e12)
-    inputs = LatencyInputs(dataset=ds, b_modules_ms=((0.0, 0.0),))
-    cfg = OptimizerConfig(h_s=10.0, outer_iters=1, inner_iters=80)
-    ref = loop_optimize_rf(prob, inputs, cfg, record_g=True)
+    monkeypatch.setattr(control, "MODULE_TIMES_MS", {"baseline": (0.0, 0.0)})
+    cfg = wide_search(H_ms=10000.0, outer_iters=1, inner_iters=80)
+    ref = loop_optimize_rf(prob, ds, cfg, record_g=True)
     trace = np.array(ref.g_trace)
     assert len(trace) == 80
     assert np.all(np.diff(trace) >= -1e-12)
     assert ref.rfs.tolist() == [4, 4, 4]
-    assert_same_result(optimize_rf_batch([prob], inputs, cfg)[0], ref)
+    assert_same_result(optimize_rf_batch([prob], ds, cfg)[0], ref)
 
 
 def test_optimizer_requires_tasks(surrogate):
     with pytest.raises(ConfigError):
-        solve([], 1e6, LatencyInputs(dataset=surrogate), OptimizerConfig())
+        solve([], 1e6, surrogate, wide_search())
 
 
 # ---------------------------------------------------------------------------
-# lockstep batch against the per-CAV loop
-
-# the run's optimizer settings: k >= 12 tasks gives an underdetermined plane fit
-RUN_OPTIMIZER = dict(h_s=0.075, outer_iters=6, inner_iters=12, deviations=12,
-                     mc_samples=32)
+# lockstep batch against the per-CAV loop, at a run's settings (RunConfig())
 
 
 def random_problems(n, seed):
-    """Seeded subproblems with k = 1..14 tasks; every seventh has zero rate."""
+    """Seeded subproblems with k = 1..14 tasks; every seventh has zero rate.
+    With a run's 12 deviations, k >= 12 tasks give an underdetermined plane fit."""
     rng = np.random.default_rng(seed)
     problems = []
     for i in range(n):
@@ -395,12 +395,6 @@ def random_problems(n, seed):
     return problems
 
 
-@pytest.fixture(scope="module")
-def run_inputs(surrogate):
-    """The latency model run_frame builds for a frame at the default config."""
-    return LatencyInputs(dataset=surrogate, rate_sigma=0.1)
-
-
 def assert_same_result(res, ref):
     assert res.rfs.tolist() == ref.rfs.tolist()
     assert res.infeasible == ref.infeasible
@@ -410,13 +404,13 @@ def assert_same_result(res, ref):
 
 
 @pytest.mark.parametrize("rf_set", [RF_SET, (8, 32), (64,)])
-def test_batch_matches_loop_oracle(run_inputs, rf_set):
+def test_batch_matches_loop_oracle(surrogate, rf_set):
     problems = random_problems(112, seed=len(rf_set))
-    cfg = OptimizerConfig(rf_set=rf_set, **RUN_OPTIMIZER)
-    results = optimize_rf_batch(problems, run_inputs, cfg)
+    cfg = RunConfig(rf_set=rf_set)
+    results = optimize_rf_batch(problems, surrogate, cfg)
     flags_by_k: dict = {}
     for prob, res in zip(problems, results):
-        assert_same_result(res, loop_optimize_rf(prob, run_inputs, cfg))
+        assert_same_result(res, loop_optimize_rf(prob, surrogate, cfg))
         assert set(res.rfs.tolist()) <= set(rf_set)
         flags_by_k.setdefault(len(prob.obj_ids), set()).add(res.infeasible)
     assert sorted(flags_by_k) == list(range(1, 15))
@@ -424,14 +418,15 @@ def test_batch_matches_loop_oracle(run_inputs, rf_set):
     assert any(flags == {True, False} for flags in flags_by_k.values())
 
 
-def test_batch_rank_deficient_plane_fit_matches_loop_oracle(run_inputs):
+def test_batch_rank_deficient_plane_fit_matches_loop_oracle(surrogate, monkeypatch):
     """Deviations this wide clip almost every entry to an RF bound, so many
     designs have a constant column or two equal ones and singular normal
     equations; those rows fall back to lstsq's minimum-norm plane."""
     problems = random_problems(140, seed=15)
-    cfg = OptimizerConfig(**dict(RUN_OPTIMIZER, deviations=4, deviation_sd=50.0))
-    for prob, res in zip(problems, optimize_rf_batch(problems, run_inputs, cfg)):
-        ref = loop_optimize_rf(prob, run_inputs, cfg)
+    monkeypatch.setattr(control, "DEVIATION_SD", 50.0)
+    cfg = RunConfig(deviations=4)
+    for prob, res in zip(problems, optimize_rf_batch(problems, surrogate, cfg)):
+        ref = loop_optimize_rf(prob, surrogate, cfg)
         assert res.rfs.tolist() == ref.rfs.tolist()
         assert res.infeasible == ref.infeasible
 
@@ -440,15 +435,15 @@ def test_batch_rank_deficient_plane_fit_matches_loop_oracle(run_inputs):
 def test_scenario_blend_matches_loop_oracle(surrogate, rf_set):
     """The lockstep latency blend is one matmul over a folded compute-time
     table: it may differ from the per-task loop in roundoff, fidelity not."""
-    levels, k, s = sorted(rf_set), 5, 32
+    cfg = RunConfig(rf_set=rf_set, rate_sigma=0.1, r_v=0.7, r_e=1.3, mc_samples=32)
+    levels, k = cfg.rf_set, 5
     rng = np.random.default_rng(16)
-    inputs = LatencyInputs(dataset=surrogate, rate_sigma=0.1, r_v=0.7, r_e=1.3)
     problems = [RFProblem(rng.choice(500, k, replace=False).tolist(),
                           rng.integers(50, 5000, k).tolist(), rate, seed)
                 for seed, rate in enumerate((80e3, 300e3, 2e6))]
     buckets = bucket_index(np.array([p.raw_counts for p in problems]))
     sc = _Scenarios.draw(problems, buckets,
-                         _sample_tables(surrogate, levels, np.unique(buckets)), inputs, s)
+                         _sample_tables(surrogate, levels, np.unique(buckets)), cfg)
     lx = np.log2(levels)
     x = np.concatenate([
         rng.uniform(lx[0], lx[-1], (len(problems), 6, k)),
@@ -458,31 +453,31 @@ def test_scenario_blend_matches_loop_oracle(surrogate, rf_set):
     ], axis=1)
     fidelity, latency = sc.evaluate(x)
     for c, prob in enumerate(problems):
-        fid_ref, lat_ref = LoopScenarios(prob, inputs, levels, s).evaluate_batch(x[c])
+        fid_ref, lat_ref = LoopScenarios(prob, surrogate, cfg).evaluate_batch(x[c])
         assert fidelity[c].tolist() == fid_ref.tolist()
         np.testing.assert_allclose(latency[c], lat_ref, rtol=1e-12, atol=0)
 
 
-def test_batch_result_same_alone_and_in_batch(run_inputs):
+def test_batch_result_same_alone_and_in_batch(surrogate):
     problems = random_problems(42, seed=11)
-    cfg = OptimizerConfig(**RUN_OPTIMIZER)
-    together = optimize_rf_batch(problems, run_inputs, cfg)
+    cfg = RunConfig()
+    together = optimize_rf_batch(problems, surrogate, cfg)
     for prob, res in zip(problems, together):
-        assert_same_result(res, optimize_rf_batch([prob], run_inputs, cfg)[0])
+        assert_same_result(res, optimize_rf_batch([prob], surrogate, cfg)[0])
 
 
-def test_batch_result_independent_of_order(run_inputs):
+def test_batch_result_independent_of_order(surrogate):
     problems = random_problems(42, seed=12)
-    cfg = OptimizerConfig(**RUN_OPTIMIZER)
-    forward = optimize_rf_batch(problems, run_inputs, cfg)
+    cfg = RunConfig()
+    forward = optimize_rf_batch(problems, surrogate, cfg)
     perm = np.random.default_rng(3).permutation(len(problems))
-    shuffled = optimize_rf_batch([problems[i] for i in perm], run_inputs, cfg)
+    shuffled = optimize_rf_batch([problems[i] for i in perm], surrogate, cfg)
     for j, i in enumerate(perm):
         assert_same_result(shuffled[j], forward[i])
 
 
-def test_batch_rejects_empty_subproblem(run_inputs):
+def test_batch_rejects_empty_subproblem(surrogate):
     problems = random_problems(3, seed=14)
     problems[1] = replace(problems[1], obj_ids=[], raw_counts=[])
     with pytest.raises(ConfigError):
-        optimize_rf_batch(problems, run_inputs, OptimizerConfig())
+        optimize_rf_batch(problems, surrogate, wide_search(rate_sigma=0.1))

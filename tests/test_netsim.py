@@ -7,7 +7,6 @@ from coopsim.errors import ConfigError
 from coopsim.netsim import (
     LatencyBreakdown,
     MODULE_TIMES_MS,
-    RadioConfig,
     draw_fading,
     path_loss_db,
     sample_module_times_ms,
@@ -18,7 +17,13 @@ from coopsim.netsim import (
     uplink_rate,
     _fcfs_waits,
 )
+from coopsim.simpipe import RunConfig
 from oracles import fcfs_waits as oracle_fcfs
+
+
+def cell(**overrides) -> RunConfig:
+    """A run config whose radio is one sector at the origin, defaults otherwise."""
+    return RunConfig(**{"base_station": (0.0, 0.0, 0.0), "sectors": 1, **overrides})
 
 
 def test_path_loss_hand_values():
@@ -33,7 +38,7 @@ def test_path_loss_clamps_below_one_meter():
 
 def test_reference_rate_chain():
     # 100 m, 150 CAVs on the default 200 kHz cell, no fading
-    radio = RadioConfig()
+    radio = cell()
     band = radio.bandwidth_hz / 150
     assert band == pytest.approx(1333.33, abs=0.01)
     assert snr_db(100.0, band, radio) == pytest.approx(71.5, abs=0.1)
@@ -42,7 +47,7 @@ def test_reference_rate_chain():
 
 
 def test_band_halves_when_sharers_double():
-    radio = RadioConfig()
+    radio = cell()
     r1 = uplink_rate([50.0, 0.0, 0.0], 10, radio)
     r2 = uplink_rate([50.0, 0.0, 0.0], 20, radio)
     # rate is slightly better than half because the narrower slice sees
@@ -52,21 +57,21 @@ def test_band_halves_when_sharers_double():
 
 
 def test_rate_monotone_in_distance_and_bandwidth():
-    radio = RadioConfig()
+    radio = cell()
     rates = [uplink_rate([d, 0.0, 0.0], 50, radio) for d in (10, 50, 100, 300, 800)]
     assert all(a > b for a, b in zip(rates, rates[1:]))
-    wide = RadioConfig(bandwidth_hz=400e3)
+    wide = cell(bandwidth_hz=400e3)
     assert uplink_rate([100.0, 0.0, 0.0], 50, wide) > uplink_rate([100.0, 0.0, 0.0], 50, radio)
 
 
 def test_rate_vanishes_at_extreme_range():
-    radio = RadioConfig()
+    radio = cell()
     assert uplink_rate([1e9, 0.0, 0.0], 1, radio) < 1.0
 
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        uplink_rate([1.0, 0.0, 0.0], 0, RadioConfig())
+        uplink_rate([1.0, 0.0, 0.0], 0, cell())
 
 
 def test_fading_seeded_and_degenerate():
@@ -79,10 +84,10 @@ def test_fading_seeded_and_degenerate():
 
 
 def test_sector_assignment():
-    radio = RadioConfig(sectors=4)
+    radio = cell(sectors=4)
     quadrant_points = [[10, 1, 0], [-1, 10, 0], [-10, -1, 0], [1, -10, 0]]
     assert [sector_index(p, radio) for p in quadrant_points] == [0, 1, 2, 3]
-    single = RadioConfig(sectors=1)
+    single = cell()
     assert [sector_index(p, single) for p in quadrant_points] == [0, 0, 0, 0]
 
 
@@ -120,7 +125,8 @@ def test_fcfs_matches_brute_force_oracle():
 
 
 def test_frame_single_cav_baseline_only():
-    out = simulate_frame_latency([0], [0.0], [1e6], [0], 1, np.random.default_rng(0))
+    out = simulate_frame_latency([0], [0.0], [1e6], [0], 1, np.random.default_rng(0),
+                                 extra_b_ms=[0.0], cav_ids=[0])
     (b,) = out
     assert b.uplink_ms == 0.0
     assert b.queue_ms == 0.0
@@ -134,7 +140,8 @@ def test_frame_breakdown_sums_and_orders():
     # one server, tie on arrival broken by cav id: the second waits out the first
     out = simulate_frame_latency(
         payload_bytes=[1000, 1000], vehicle_ms=[1.0, 1.0], rates_bps=[8e6, 8e6],
-        object_counts=[1, 1], servers=1, rng=np.random.default_rng(3))
+        object_counts=[1, 1], servers=1, rng=np.random.default_rng(3),
+        extra_b_ms=[0.0, 0.0], cav_ids=[0, 1])
     first, second = out
     assert first.queue_ms == 0.0
     assert second.queue_ms == pytest.approx(first.server_ms)
@@ -146,7 +153,8 @@ def test_frame_breakdown_sums_and_orders():
 
 def test_frame_zero_rate_is_infeasible_flagged():
     out = simulate_frame_latency([500, 500], [0.5, 0.5], [0.0, 1e6], [1, 1],
-                                 1, np.random.default_rng(1))
+                                 1, np.random.default_rng(1), extra_b_ms=[0.0, 0.0],
+                                 cav_ids=[0, 1])
     assert out[0].total_ms == math.inf
     assert math.isfinite(out[1].total_ms)  # the dead uplink must not block the live one
     assert out[1].queue_ms == 0.0
@@ -155,7 +163,7 @@ def test_frame_zero_rate_is_infeasible_flagged():
 def test_frame_bit_exact_replay():
     args = dict(payload_bytes=[100, 400, 900], vehicle_ms=[0.3, 0.2, 0.9],
                 rates_bps=[1e5, 2e5, 3e5], object_counts=[2, 0, 5],
-                servers=1)
+                servers=1, extra_b_ms=[0.0, 0.0, 0.0], cav_ids=[0, 1, 2])
     a = simulate_frame_latency(rng=np.random.default_rng(42), **args)
     b = simulate_frame_latency(rng=np.random.default_rng(42), **args)
     assert [x.total_ms for x in a] == [x.total_ms for x in b]
@@ -163,7 +171,7 @@ def test_frame_bit_exact_replay():
 
 def test_frame_extra_b_charge():
     out = simulate_frame_latency([0], [0.0], [1e6], [0], 1, np.random.default_rng(0),
-                                 extra_b_ms=[26.4])
+                                 extra_b_ms=[26.4], cav_ids=[0])
     assert out[0].b_ms > 26.4
 
 

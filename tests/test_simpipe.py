@@ -28,7 +28,6 @@ from coopsim.simpipe import (
     GlobalMap,
     MapEntry,
     RunConfig,
-    _derive_radio,
     _draw_samples,
     _S_CODEC,
     collect_metrics,
@@ -597,8 +596,8 @@ def test_nearest_rank_against_counting_oracle():
             assert got == want
 
 
-def test_nearest_rank_empty_is_nan():
-    assert math.isnan(nearest_rank([], 50.0))
+def test_nearest_rank_empty_is_none():
+    assert nearest_rank([], 50.0) is None
 
 
 def test_write_frame_csv_layout(tmp_path):
@@ -617,15 +616,15 @@ def test_write_frame_csv_layout(tmp_path):
     assert lines[2] == "1,1,1.000000,2.000000,0.500000,1.500000,5.000000,100,0.250000,4;8"
 
 
-def test_derive_radio_default_base_is_centroid():
+def test_run_base_station_defaults_to_centroid():
     trace = generate_trace(10, 1, seed=0)
-    radio = _derive_radio(RunConfig(), trace[0])
+    base = run_simulation(trace, RunConfig()).config.base_station
     centers = trace[0].poses[:, :2]
-    np.testing.assert_allclose(radio.base_station[:2], centers.mean(axis=0))
-    assert radio.base_station[2] == 10.0
+    np.testing.assert_allclose(base[:2], centers.mean(axis=0))
+    assert base[2] == 10.0
 
 
-def test_derive_radio_explicit_base():
+def test_run_base_station_explicit():
     trace = generate_trace(4, 1, seed=0)
-    radio = _derive_radio(RunConfig(base_station=(5.0, 6.0, 12.0)), trace[0])
-    np.testing.assert_allclose(radio.base_station, [5.0, 6.0, 12.0])
+    base = run_simulation(trace, RunConfig(base_station=(5.0, 6.0, 12.0))).config.base_station
+    np.testing.assert_allclose(base, [5.0, 6.0, 12.0])
