@@ -11,12 +11,14 @@ SPSA (Spall 1992, IEEE TAC 37(3)).
 
 Once each CAV has its rate prediction its RF subproblem is independent of the
 others, so ``optimize_rf_batch`` solves a frame's subproblems in lockstep:
-CAVs with the same task count share every numpy call of every step (one matmul
-blends compute times, one solve of centred normal equations fits the planes),
-while each keeps its own seeded random streams and the arithmetic of a lone solve.
+CAVs with 1-7 tasks, and with 8-15, share every numpy call of every step (one
+matmul blends compute times, one solve of centred normal equations fits the
+planes), shorter rows padded with zero-weight tasks.  numpy adds fewer than 8
+numbers in order and 8-15 through 8 running sums, so a padded row's sampled
+fidelity and latency are bit-exact; only its plane fit may round differently.
 
-Everything here is a pure function of broadcast state plus a seed, so every
-CAV reaches the same decision independently and runs can replay exactly.
+Everything here is a pure function of broadcast state plus a seed, so runs
+replay exactly; through that roundoff a CAV's decision can depend on its group.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def select_objects(counts_by_cav: dict, threshold: float) -> set:
 
 
 class _Scenarios:
-    """Common-random-number draws for C subproblems of k tasks each.
+    """Common-random-number draws for C subproblems of up to K tasks each.
 
     Row c holds CAV c's draws; every array is indexed (row, task, level,
     sample) in that order.  Per-object streams are keyed by (seed, object
@@ -128,25 +130,32 @@ class _Scenarios:
     percentile constraint cares about.
     """
 
-    def __init__(self, log_levels, mean_loss, compute_s, base_s, rate):
+    def __init__(self, log_levels, mean_loss, compute_s, base_s, rate, tasks):
         self.log_levels = log_levels  # (L,)
-        self.mean_loss = mean_loss  # (C, k, L)
-        self.compute_s = compute_s  # (C, k * L, S): enc / r_v + dec / r_e, in s
+        self.mean_loss = mean_loss  # (C, K, L), zero on padded tasks
+        self.compute_s = compute_s  # (C, K * L, S): enc / r_v + dec / r_e, in s; zero padded
         self.base_s = base_s  # (C, S) baseline module time
         self.rate = rate  # (C, S) sampled uplink rate
+        self.tasks = tasks  # (C, K) bool: real, not padded
+        self._first_loss = np.arange(tasks.size).reshape(len(tasks), 1, -1) * mean_loss.shape[2]
 
     @classmethod
     def draw(cls, problems, buckets, tables, cfg) -> "_Scenarios":
-        """``cfg.mc_samples`` scenarios for ``problems``, which share a task
-        count, under the run config ``cfg``'s capacity factors and rate
-        spread.  ``buckets`` holds the tasks' count buckets (C, k);
-        ``tables`` comes from ``_sample_tables``."""
+        """``cfg.mc_samples`` scenarios for ``problems`` under the run config
+        ``cfg``'s capacity factors and rate spread, rows padded with zero tasks.
+        Draws and gathers run over the real tasks alone, whose count buckets
+        (T,) ``buckets`` holds row by row; ``tables`` comes from ``_sample_tables``."""
         levels, mean_tab, time_tab, count_tab = tables
-        s = cfg.mc_samples
-        u = np.array([[np.random.default_rng([p.seed, o]).random((2, s))
-                       for o in p.obj_ids] for p in problems])  # (C, k, 2, S)
-        n = count_tab[buckets][..., None, None]  # (C, k, L, 1, 1)
-        idx = np.minimum((u[:, :, None] * n).astype(np.int64), n - 1)
+        s, nl = cfg.mc_samples, len(levels)
+        counts = [len(p.obj_ids) for p in problems]
+        tasks = np.arange(max(counts)) < np.array(counts)[:, None]
+        u = np.array([np.random.default_rng([p.seed, o]).random((2, s))
+                      for p in problems for o in p.obj_ids])  # (T, 2, S)
+        n = count_tab[buckets][..., None]  # (T, L, 1)
+
+        def ms(e):  # encode (0) or decode (1) times (T, L, S), one at a time to save memory
+            idx = np.minimum((u[:, None, e] * n).astype(np.int64), n - 1)
+            return time_tab[buckets[:, None, None], np.arange(nl)[:, None], e, idx]
         modules = tuple(MODULE_TIMES_MS.values())
         ub = np.array([np.random.default_rng([p.seed, _TAG_B]).random((len(modules), s))
                        for p in problems])
@@ -155,52 +164,55 @@ class _Scenarios:
         z = np.array([np.random.default_rng([p.seed, _TAG_FADING]).standard_normal(s)
                       for p in problems])
         rate_bps = np.array([p.rate_bps for p in problems])[:, None]
-        times = time_tab[buckets[..., None, None, None], np.arange(len(levels))[:, None, None],
-                         np.arange(2)[:, None], idx]  # (C, k, L, 2, S): encode, decode
-        compute_s = (times[..., 0, :] / cfg.r_v + times[..., 1, :] / cfg.r_e) / 1e3
-        return cls(np.log2(np.asarray(levels, dtype=np.float64)), mean_tab[buckets],
+        real = (ms(0) / cfg.r_v + ms(1) / cfg.r_e) / 1e3  # before the padded table
+        mean_loss, compute_s = np.zeros((*tasks.shape, nl)), np.zeros((*tasks.shape, nl, s))
+        mean_loss[tasks] = mean_tab[buckets]
+        compute_s[tasks] = real
+        return cls(np.log2(np.asarray(levels, dtype=np.float64)), mean_loss,
                    compute_s.reshape(len(problems), -1, s), base_ms / 1e3,
-                   rate_bps * np.exp(cfg.rate_sigma * z))
+                   rate_bps * np.exp(cfg.rate_sigma * z), tasks)
 
     def take(self, rows) -> "_Scenarios":
         return _Scenarios(self.log_levels, self.mean_loss[rows], self.compute_s[rows],
-                          self.base_s[rows], self.rate[rows])
+                          self.base_s[rows], self.rate[rows], self.tasks[rows])
 
     def evaluate(self, x: np.ndarray):
         """Sampled fidelity and latency for D log2-RF rows per subproblem.
 
-        ``x`` has shape (C, D, k).  Returns (fidelity (C, D), latency_s
+        ``x`` has shape (C, D, K).  Returns (fidelity (C, D), latency_s
         (C, D, S)).  Values between discrete levels blend the two bracketing
         levels' samples linearly, reusing the same draws, so the surface the
         regression sees is continuous in x: compute time as a matmul of the
         blend weights with ``compute_s``, fidelity summed task by task.
         """
         lx = self.log_levels
-        if len(lx) == 1:
-            j = np.zeros(x.shape, dtype=np.int64)
-            w = np.zeros(x.shape)
-        else:
-            j = np.clip(np.searchsorted(lx, x, side="right") - 1, 0, len(lx) - 2)
-            w = np.clip((x - lx[j]) / (lx[j + 1] - lx[j]), 0.0, 1.0)
+        j = np.zeros(x.shape, dtype=np.int64)
+        for level in lx[1:-1]:  # the bracket: interior levels at or below x
+            j += x >= level
+        w = np.clip((x - lx[j]) / np.diff(lx)[j], 0.0, 1.0) if len(lx) > 1 else np.zeros(x.shape)
         jn = np.minimum(j + 1, len(lx) - 1)
         # flat offsets of level 0 per (row, dev, task); one level: j == jn, 1 - w wins
         first = np.arange(x.size).reshape(x.shape) * len(lx)
         weights = np.zeros((*x.shape, len(lx)))
         weights.reshape(-1)[first + jn] = w
         weights.reshape(-1)[first + j] = 1.0 - w
-        # zero weights add exact zeros: (1 - w) a + w b per task, then the task sum
-        fidelity = -(weights * self.mean_loss[:, None]).sum(axis=-1).sum(axis=-1)
+        # the weights' other levels would add exact zeros: (1 - w) a + w b per task
+        loss = self.mean_loss.reshape(-1)
+        fidelity = -((1.0 - w) * loss[self._first_loss + j]
+                     + w * loss[self._first_loss + jn]).sum(axis=-1)
         compute_s = weights.reshape(*x.shape[:2], -1) @ self.compute_s
-        payload = (1024.0 / np.exp2(x)) * 4.0 + DESCRIPTOR_OVERHEAD_BYTES
+        del weights  # before the uplink term, for the search's peak memory
+        payload = ((1024.0 / np.exp2(x)) * 4.0 + DESCRIPTOR_OVERHEAD_BYTES) * self.tasks[:, None]
         with np.errstate(divide="ignore"):
-            uplink_s = payload.sum(axis=-1)[..., None] * 8.0 / self.rate[:, None, :]
-        latency = compute_s + uplink_s + self.base_s[:, None, :]
-        return fidelity, latency
+            compute_s += payload.sum(axis=-1)[..., None] * 8.0 / self.rate[:, None, :]
+        compute_s += self.base_s[:, None, :]  # latency: compute + uplink + baseline
+        return fidelity, compute_s
 
     def at(self, x: np.ndarray, h_s: float):
-        """Fidelity (C,) and Prob(latency <= h_s) (C,) at one point per row."""
-        fid, latency = self.evaluate(x[:, None, :])
-        return fid[:, 0], np.mean(latency[:, 0] <= h_s, axis=-1)
+        """Fidelity and Prob(latency <= h_s) at one point (C, K) or D points (C, D, K) per row."""
+        fid, latency = self.evaluate(x.reshape(len(x), -1, x.shape[-1]))
+        prob = (latency <= h_s).sum(axis=-1) / latency.shape[-1]  # np.mean's arithmetic
+        return fid.reshape(x.shape[:-1]), prob.reshape(x.shape[:-1])
 
 
 def _sample_tables(dataset: MeasurementDataset, levels, buckets):
@@ -260,47 +272,60 @@ def optimize_rf_batch(problems, dataset: MeasurementDataset, cfg) -> list:
     Every subproblem samples one latency model, ``dataset``'s loss, encode
     and decode samples under the run config ``cfg``, at its own predicted
     rate; ``cfg`` also sets the RF set, the bound Prob(latency <= H_ms -
-    h_margin_ms) >= p and the search's budget.  Subproblems with the same
-    task count step together, one numpy call per step for the whole group.
-    Each keeps its own random streams, seeded by ``RFProblem.seed``, and the
-    per-row arithmetic of a group is that of a group of one, so every result
-    is a pure function of its own subproblem.  Results come back in the order
-    of ``problems``.
+    h_margin_ms) >= p and the search's budget.  The subproblems of a
+    ``_lockstep_group`` step together, one numpy call per step for all.
+    Each subproblem draws its random streams, seeded by ``RFProblem.seed``, at
+    its own task count, so a result depends on its own subproblem alone, up
+    to last-bit roundoff in a padded row's plane fit.  Results come back in
+    the order of ``problems``.
     """
     if any(not p.obj_ids for p in problems):
         raise ConfigError("every RF subproblem needs at least one task")
+    buckets = bucket_index(np.array([n for p in problems for n in p.raw_counts]))
+    tables = _sample_tables(dataset, cfg.rf_set, np.unique(buckets).tolist())
+    by_problem = np.split(buckets, np.cumsum([len(p.obj_ids) for p in problems])[:-1])
     groups: dict = {}
     for i, p in enumerate(problems):
-        groups.setdefault(len(p.obj_ids), []).append(i)
-    group_buckets = [bucket_index(np.array([problems[i].raw_counts for i in idx]))
-                     for idx in groups.values()]  # (C, k) per group
-    buckets = sorted({b for gb in group_buckets for b in np.unique(gb).tolist()})
-    tables = _sample_tables(dataset, cfg.rf_set, buckets)
+        groups.setdefault(_lockstep_group(len(p.obj_ids), cfg.deviations), []).append(i)
     results = [None] * len(problems)
-    for idx, group_bucket in zip(groups.values(), group_buckets):
+    for idx in groups.values():
         group = [problems[i] for i in idx]
-        sc = _Scenarios.draw(group, group_bucket, tables, cfg)
-        for i, res in zip(idx, _solve_group(group, sc, cfg)):
+        # no reference kept here: the search frees the infeasible rows' draws
+        for i, res in zip(idx, _solve_group(group, _Scenarios.draw(
+                group, np.concatenate([by_problem[j] for j in idx]), tables, cfg), cfg)):
             results[i] = res
     return results
 
 
-def _plane_slopes(design, g):
-    """Slopes (C, k) of the least-squares planes of g (C, D) over design
-    (C, D, 1 + k), whose column 0 is ones: one batched solve of the centred
-    normal equations.  Clipping can make a column constant or columns
-    dependent; the Gram matrix's correlation determinant is then roundoff, so
-    below sqrt(eps) a row takes lstsq's fit, pinv with its cutoff.  Rows never mix."""
+def _lockstep_group(k: int, deviations: int):
+    """Group of a k-task subproblem: 1-7 or 8-15 tasks, within which zero tasks
+    leave numpy's task sums exact; k + 1 > deviations or k > 15 stays alone."""
+    return k if k + 1 > deviations or k > 15 else "1-7" if k < 8 else "8-15"
+
+
+def _plane_slopes(design, g, tasks):
+    """Slopes (C, K) of the least-squares planes of g (C, D) over design
+    (C, D, 1 + K), whose column 0 is ones: one batched solve of the centred
+    normal equations.  A padded task (``tasks`` False) gets a zero column and a
+    1 on the Gram diagonal, so its slope is 0.  Clipping can make a column
+    constant or columns dependent; the Gram matrix's correlation determinant
+    is then roundoff, so below sqrt(eps) a row takes lstsq's fit of its real
+    columns, pinv with its cutoff.  Rows never mix."""
     eps = np.finfo(np.float64).eps
-    xc = design[:, :, 1:] - design[:, :, 1:].mean(axis=1, keepdims=True)
-    xt, gc = xc.transpose(0, 2, 1), g - g.mean(axis=1, keepdims=True)
+    d = g.shape[1]  # means as np.mean takes them: a sum, then / d
+    xc = design[:, :, 1:] - design[:, :, 1:].sum(axis=1, keepdims=True) / d
+    xc = np.where(tasks[:, None], xc, 0.0)
+    xt, gc = xc.transpose(0, 2, 1), g - g.sum(axis=1, keepdims=True) / d
     gram, rhs = xt @ xc, xt @ gc[:, :, None]
+    gram.reshape(len(gram), -1)[:, ::tasks.shape[1] + 1] += ~tasks  # on the diagonal
     flat = np.linalg.det(gram) <= np.sqrt(eps) * np.diagonal(gram, 0, 1, 2).prod(axis=-1)
     if not flat.any():
         return np.linalg.solve(gram, rhs)[:, :, 0]
-    slopes = np.empty(rhs.shape[:2])
+    slopes = np.zeros(rhs.shape[:2])
     slopes[~flat] = np.linalg.solve(gram[~flat], rhs[~flat])[:, :, 0]
-    slopes[flat] = (np.linalg.pinv(design[flat], eps * g.shape[1]) @ g[flat, :, None])[:, 1:, 0]
+    for r in np.flatnonzero(flat):
+        k = int(tasks[r].sum())
+        slopes[r, :k] = (np.linalg.pinv(design[r, :, :1 + k], eps * d) @ g[r])[1:]
     return slopes
 
 
@@ -312,25 +337,23 @@ def _solve_group(problems, sc: _Scenarios, cfg) -> list:
     levels, h_s = cfg.rf_set, (cfg.H_ms - cfg.h_margin_ms) / 1e3
     lx = sc.log_levels
     lo, hi = lx[0], lx[-1]
-    c, k = len(problems), len(problems[0].obj_ids)
+    c, k = sc.tasks.shape
     x_max = np.full((c, k), hi)
     fid_max, prob_max = sc.at(x_max, h_s)
     results = [None] * c
     for r in np.flatnonzero(prob_max < cfg.p):
         results[r] = OptimizeResult(
-            rfs=np.full(k, levels[-1], dtype=np.int64), lam=LAM0,
+            rfs=np.full(len(problems[r].obj_ids), levels[-1], dtype=np.int64), lam=LAM0,
             prob=float(prob_max[r]), fidelity=float(fid_max[r]), infeasible=True)
     rows = np.flatnonzero(prob_max >= cfg.p)
     if not rows.size:
         return results
     sc = sc.take(rows)
     m = len(rows)
-    steps = cfg.outer_iters * cfg.inner_iters
-    # one draw per CAV covers every step: the same numbers as a draw per step
-    noise = np.array([
-        np.random.default_rng([problems[r].seed, 1 << 21]).normal(
-            0.0, DEVIATION_SD, size=(steps, cfg.deviations, k))
-        for r in rows])
+    # one stream per row at its own task count: drawn per outer iteration as a whole
+    streams = [(np.random.default_rng([problems[r].seed, 1 << 21]), len(problems[r].obj_ids))
+               for r in rows]
+    noise = np.zeros((m, cfg.inner_iters, cfg.deviations, k))
 
     # start mid-range: the loss surface is flattest near maximum compression,
     # so starting there wastes most of the budget crawling out of the plateau
@@ -338,20 +361,19 @@ def _solve_group(problems, sc: _Scenarios, cfg) -> list:
     x_best, fid_best = x_max[rows], fid_max[rows]  # feasible incumbents
     lam = np.full(m, LAM0)
     design = np.ones((m, cfg.deviations, k + 1))
-    step = 0
     for _ in range(cfg.outer_iters):
-        for _ in range(cfg.inner_iters):
+        for i, (stream, kr) in enumerate(streams):
+            noise[i, ..., :kr] = stream.normal(0.0, DEVIATION_SD, noise[i, ..., :kr].shape)
+        for step in range(cfg.inner_iters):
             dev = np.clip(x[:, None, :] + noise[:, step], lo, hi)
-            step += 1
-            fid, latency = sc.evaluate(dev)
-            probs = np.mean(latency <= h_s, axis=-1)
+            fid, probs = sc.at(dev, h_s)
             g = fid + lam[:, None] * (probs - cfg.p)
             design[:, :, 1:] = dev
             if k + 1 > cfg.deviations:
                 slopes = np.array([np.linalg.lstsq(d, gi, rcond=None)[0][1:]
                                    for d, gi in zip(design, g)])
             else:
-                slopes = _plane_slopes(design, g)
+                slopes = _plane_slopes(design, g, sc.tasks)
             x = np.clip(x + PRIMAL_STEP * slopes, lo, hi)
         f_cur, prob = sc.at(x, h_s)
         feasible = prob >= cfg.p
@@ -372,6 +394,6 @@ def _solve_group(problems, sc: _Scenarios, cfg) -> list:
     fid, prob = sc.at(np.log2(rfs), h_s)
     for i, r in enumerate(rows):
         results[r] = OptimizeResult(
-            rfs=rfs[i], lam=float(lam[i]), prob=float(prob[i]),
+            rfs=rfs[i, :len(problems[r].obj_ids)], lam=float(lam[i]), prob=float(prob[i]),
             fidelity=float(fid[i]), infeasible=False)
     return results

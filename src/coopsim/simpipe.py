@@ -366,18 +366,19 @@ class GlobalMap:
         moved = x[:, :2] + dt[:, None] * x[:, 2:]
         return gids, np.where(dt[:, None] > 0, moved, x[:, :2])
 
-    def commit_frame(self, items, t: float):
+    def commit_frame(self, items, t: float, predicted):
         """Match and fold a frame's uploads, in the given order.
 
         ``items`` is a list of (observed (2,) position, carries_geometry,
-        loss), one per uploaded object.  Returns the global id assigned to
-        each item.  Matching always runs against the freshest predictions: a
+        loss), one per uploaded object, and ``predicted`` the map's
+        ``predicted_positions(t)``.  Returns the global id assigned to each
+        item.  Matching always runs against the freshest predictions: a
         matched row takes the corrected position and a new entry appends its
         row, so two CAVs reporting the same new object within one frame land
         on a single entry.  The nearest row is found as ``nearest_rows``
         finds it: the first smallest dx*dx + dy*dy strictly within the gate.
         """
-        ids, points = self.predicted_positions(t)
+        ids, points = predicted
         ids = ids.tolist()
         rows = len(ids)
         # coordinate columns with room for one appended row per item
@@ -753,8 +754,9 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     # --- reuse decisions against the broadcast map ---
     gid = np.full(len(cav), -1, dtype=np.int64)
     entries = state.global_map.entries
+    predicted = state.global_map.predicted_positions(t)  # only the commit changes the map
     if policy.reuse:
-        gids, points = state.global_map.predicted_positions(t)
+        gids, points = predicted
         nearest = nearest_rows(points, observed, MATCH_GATE_M)
         hit = np.flatnonzero(nearest >= 0)
         off = points[nearest[hit]] - observed[hit]
@@ -824,7 +826,8 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
                                         rng_queue, extra_b_ms=charges, cav_ids=cav_ids)
 
     # --- server-side matching into the global map, in table order ---
-    state.global_map.commit_frame(list(zip(observed, (~reused).tolist(), loss.tolist())), t)
+    state.global_map.commit_frame(list(zip(observed, (~reused).tolist(), loss.tolist())), t,
+                                  predicted)
 
     rows = []
     for c, (cav_id, br) in enumerate(zip(cav_ids, breakdowns)):

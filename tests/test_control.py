@@ -17,6 +17,7 @@ from coopsim.codec import (
 from coopsim.control import (
     POINT_CAP,
     RFProblem,
+    _lockstep_group,
     _sample_tables,
     _Scenarios,
     optimize_rf_batch,
@@ -442,7 +443,7 @@ def test_scenario_blend_matches_loop_oracle(surrogate, rf_set):
                           rng.integers(50, 5000, k).tolist(), rate, seed)
                 for seed, rate in enumerate((80e3, 300e3, 2e6))]
     buckets = bucket_index(np.array([p.raw_counts for p in problems]))
-    sc = _Scenarios.draw(problems, buckets,
+    sc = _Scenarios.draw(problems, buckets.ravel(),
                          _sample_tables(surrogate, levels, np.unique(buckets)), cfg)
     lx = np.log2(levels)
     x = np.concatenate([
@@ -458,12 +459,16 @@ def test_scenario_blend_matches_loop_oracle(surrogate, rf_set):
         np.testing.assert_allclose(latency[c], lat_ref, rtol=1e-12, atol=0)
 
 
-def test_batch_result_same_alone_and_in_batch(surrogate):
-    problems = random_problems(42, seed=11)
-    cfg = RunConfig()
-    together = optimize_rf_batch(problems, surrogate, cfg)
-    for prob, res in zip(problems, together):
-        assert_same_result(res, optimize_rf_batch([prob], surrogate, cfg)[0])
+@pytest.mark.parametrize("rf_set", [RF_SET, (8, 32), (64,)])
+def test_batch_result_same_alone_and_in_batch(surrogate, rf_set):
+    """In a batch a row of k tasks is padded to its group's widest row (1-7 or
+    8-11 tasks here), and its plane fit solves that larger system; alone it is
+    not padded.  The roundoff of the two fits must not move any result."""
+    cfg = RunConfig(rf_set=rf_set)
+    for n, seed in ((42, 11), (112, 20), (112, 21)):
+        problems = random_problems(n, seed)
+        for prob, res in zip(problems, optimize_rf_batch(problems, surrogate, cfg)):
+            assert_same_result(res, optimize_rf_batch([prob], surrogate, cfg)[0])
 
 
 def test_batch_result_independent_of_order(surrogate):
@@ -474,6 +479,57 @@ def test_batch_result_independent_of_order(surrogate):
     shuffled = optimize_rf_batch([problems[i] for i in perm], surrogate, cfg)
     for j, i in enumerate(perm):
         assert_same_result(shuffled[j], forward[i])
+
+
+@pytest.mark.parametrize("rf_set", [RF_SET, (8, 32), (64,)])
+def test_padded_regime_matches_each_row_alone(surrogate, rf_set):
+    """A lockstep group pads its rows with zero tasks to its widest row.
+    Within a group numpy sums each row's task terms in the order of the row
+    alone, so sampled fidelity and latency are bit-exact, padded or not."""
+    cfg = RunConfig(rf_set=rf_set)
+    rng = np.random.default_rng(17)
+    problems = [RFProblem(rng.choice(500, k, replace=False).tolist(),
+                          rng.integers(50, 5000, k).tolist(),
+                          float(rng.uniform(80e3, 2e6)), int(rng.integers(1 << 31)))
+                for _ in range(2) for k in range(1, 12)]
+    buckets = {id(p): bucket_index(np.array(p.raw_counts)) for p in problems}
+    tables = _sample_tables(surrogate, rf_set,
+                            np.unique(np.concatenate(list(buckets.values()))).tolist())
+    groups: dict = {}
+    for p in problems:
+        groups.setdefault(_lockstep_group(len(p.obj_ids), cfg.deviations), []).append(p)
+    lx = np.log2(rf_set)
+    for group in groups.values():
+        sc = _Scenarios.draw(group, np.concatenate([buckets[id(p)] for p in group]), tables, cfg)
+        width = max(len(p.obj_ids) for p in group)
+        # one point per row, as the search's checks take it, and one step's deviations
+        for d in (1, cfg.deviations):
+            x = rng.uniform(lx[0], lx[-1], (len(group), d, width))
+            x[:, 0] = rng.choice(lx, x[:, 0].shape)  # exactly on levels
+            fidelity, latency = sc.evaluate(x)
+            for row, p in enumerate(group):
+                k = len(p.obj_ids)
+                alone = _Scenarios.draw([p], buckets[id(p)], tables, cfg)
+                fid, lat = alone.evaluate(x[row:row + 1, :, :k])
+                assert fidelity[row].tolist() == fid[0].tolist(), (k, d)
+                assert latency[row].tolist() == lat[0].tolist(), (k, d)
+
+
+def test_padded_groups_fit_two_planes_per_step(surrogate, monkeypatch):
+    """Subproblems of 1-7 and of 8-11 tasks step in two padded groups, so a
+    step fits planes twice, not once per task count; rows with k + 1 >
+    deviations take lstsq instead."""
+    calls = []
+    fit = control._plane_slopes
+
+    def counted(*args):
+        calls.append(1)
+        return fit(*args)
+
+    monkeypatch.setattr(control, "_plane_slopes", counted)
+    cfg = RunConfig()
+    optimize_rf_batch(random_problems(112, seed=13), surrogate, cfg)
+    assert len(calls) == 2 * cfg.outer_iters * cfg.inner_iters
 
 
 def test_batch_rejects_empty_subproblem(surrogate):

@@ -24,6 +24,7 @@ from coopsim.simpipe import (
     FRAME_PERIOD_S,
     LIDAR_Z,
     MATCH_GATE_M,
+    POLICIES,
     REUSE_DELTA_BYTES,
     GlobalMap,
     MapEntry,
@@ -207,11 +208,16 @@ def _at(x, y):
     return np.array([x, y], dtype=np.float64)
 
 
+def _commit(gmap, items, t):
+    """Commit one frame's uploads against the map's predictions at ``t``."""
+    return gmap.commit_frame(items, t, gmap.predicted_positions(t))
+
+
 def test_map_same_frame_reports_merge():
     gmap = GlobalMap()
     a = _at(10.0, 5.0)
     b = _at(10.4, 5.0)  # second CAV, within gate
-    gids = gmap.commit_frame([(a, True, 0.1), (b, True, 0.2)], t=0.0)
+    gids = _commit(gmap, [(a, True, 0.1), (b, True, 0.2)], 0.0)
     assert gids[0] == gids[1]
     assert len(gmap) == 1
     entry = gmap.entries[gids[0]]
@@ -220,8 +226,7 @@ def test_map_same_frame_reports_merge():
 
 def test_map_distinct_objects_get_distinct_ids():
     gmap = GlobalMap()
-    gids = gmap.commit_frame(
-        [(_at(0.0, 0.0), True, 0.0), (_at(30.0, 0.0), True, 0.0)], t=0.0)
+    gids = _commit(gmap, [(_at(0.0, 0.0), True, 0.0), (_at(30.0, 0.0), True, 0.0)], 0.0)
     assert gids[0] != gids[1]
     assert len(gmap) == 2
 
@@ -232,7 +237,7 @@ def test_map_no_spurious_births_over_time():
     for k in range(12):
         t = 0.1 * k
         x = 10.0 + 8.0 * t + float(rng.normal(0, 0.05))  # fast mover, tiny noise
-        gmap.commit_frame([(_at(x, 0.0), True, 0.0)], t=t)
+        _commit(gmap, [(_at(x, 0.0), True, 0.0)], t)
     assert len(gmap) == 1
     assert gmap._next_id == 1
 
@@ -241,7 +246,7 @@ def test_map_prediction_tracks_motion():
     gmap = GlobalMap()
     for k in range(10):
         t = 0.1 * k
-        gmap.commit_frame([(_at(5.0 * t, 0.0), True, 0.0)], t=t)
+        _commit(gmap, [(_at(5.0 * t, 0.0), True, 0.0)], t)
     gids, points = gmap.predicted_positions(1.0)
     assert gids.tolist() == [0]
     pos = points[0]
@@ -254,14 +259,14 @@ def test_map_dedup_keeps_smaller_gid():
     gmap.entries[4] = MapEntry(kalman=kalman_init(np.array([1.0, 1.0]), 0.0), last_seen=0.0)
     gmap.entries[9] = MapEntry(kalman=kalman_init(np.array([1.05, 1.0]), 0.0), last_seen=0.0)
     gmap._next_id = 10
-    gmap.commit_frame([], t=0.1)
+    _commit(gmap, [], 0.1)
     assert sorted(gmap.entries) == [4]
 
 
 def test_map_gate_distance_is_not_a_match():
     gmap = GlobalMap()
-    gids = gmap.commit_frame(
-        [(_at(0.0, 0.0), True, 0.0), (_at(MATCH_GATE_M, 0.0), True, 0.0)], t=0.0)
+    gids = _commit(gmap, [(_at(0.0, 0.0), True, 0.0),
+                          (_at(MATCH_GATE_M, 0.0), True, 0.0)], 0.0)
     assert gids == [0, 1]
 
 
@@ -269,9 +274,9 @@ def test_map_equal_distances_go_to_smallest_id():
     # two entries farther apart than the gate, the third report midway
     x = 0.6 * MATCH_GATE_M
     gmap = GlobalMap()
-    gids = gmap.commit_frame([(_at(x, 0.0), True, 0.0),
-                              (_at(-x, 0.0), True, 0.0),
-                              (_at(0.0, 0.0), True, 0.0)], t=0.0)
+    gids = _commit(gmap, [(_at(x, 0.0), True, 0.0),
+                          (_at(-x, 0.0), True, 0.0),
+                          (_at(0.0, 0.0), True, 0.0)], 0.0)
     assert gids == [0, 1, 0]
 
 
@@ -280,7 +285,7 @@ def test_map_same_new_object_from_two_cavs_matches_oracle():
              (_at(20.0, 5.0), True, 0.1),
              (_at(10.3, 5.1), False, 0.0)]
     gmap, oracle = GlobalMap(), DictGlobalMap()
-    gids = gmap.commit_frame(items, t=0.0)
+    gids = _commit(gmap, items, 0.0)
     assert gids == oracle.commit_frame(items, t=0.0) == [0, 1, 0]
     assert len(gmap) == len(oracle) == 2
 
@@ -292,7 +297,7 @@ def test_map_dedup_chain_matches_oracle():
     for gid, pos in positions.items():
         gmap.entries[gid] = MapEntry(kalman=kalman_init(np.array(pos), 0.0), last_seen=0.0)
     gmap._next_id = 9
-    gmap.commit_frame([], t=0.1)
+    _commit(gmap, [], 0.1)
     assert sorted(gmap.entries) == [2, 7]
     assert sorted(set(positions) - greedy_dedup(positions)) == [2, 7]
 
@@ -337,7 +342,7 @@ def test_map_matches_dict_oracle_over_frames():
     for _ in range(20):
         gmap, oracle = GlobalMap(), DictGlobalMap()
         for t, items in _random_frames(rng):
-            assert gmap.commit_frame(items, t) == oracle.commit_frame(items, t)
+            assert _commit(gmap, items, t) == oracle.commit_frame(items, t)
             _assert_maps_agree(gmap, oracle, t, tol=0.0)
 
 
@@ -348,17 +353,33 @@ def test_map_matches_matrix_filter_oracle_over_frames():
     for _ in range(20):
         gmap, oracle = GlobalMap(), MatrixFilterMap()
         for t, items in _random_frames(rng):
-            assert gmap.commit_frame(items, t) == oracle.commit_frame(items, t)
+            assert _commit(gmap, items, t) == oracle.commit_frame(items, t)
             _assert_maps_agree(gmap, oracle, t, tol=1e-9)
 
 
 def test_map_retires_stale_entries():
     gmap = GlobalMap()
-    gmap.commit_frame([(_at(0.0, 0.0), True, 0.0)], t=0.0)
-    gmap.commit_frame([(_at(40.0, 0.0), True, 0.0)], t=1.9)
+    _commit(gmap, [(_at(0.0, 0.0), True, 0.0)], 0.0)
+    _commit(gmap, [(_at(40.0, 0.0), True, 0.0)], 1.9)
     assert len(gmap) == 2  # first entry is 1.9 s old, still under the horizon
-    gmap.commit_frame([(_at(40.2, 0.0), True, 0.0)], t=2.1)
+    _commit(gmap, [(_at(40.2, 0.0), True, 0.0)], 2.1)
     assert len(gmap) == 1  # first entry passed 2.0 s unseen
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_map_predicted_once_per_frame(policy, monkeypatch):
+    """The reuse match and the commit share one prediction of the map."""
+    calls = []
+    predict = GlobalMap.predicted_positions
+
+    def counted(self, t):
+        calls.append(t)
+        return predict(self, t)
+
+    monkeypatch.setattr(GlobalMap, "predicted_positions", counted)
+    trace = _tiny_trace()
+    run_simulation(trace, RunConfig(policy=policy))
+    assert calls == [f.time_s for f in trace]
 
 
 # ---------------------------------------------------------------------------
