@@ -139,12 +139,14 @@ def cmd_gen_trace(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    if args.samples is not None and args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     _require_fresh(args.out, args.force)
     if args.mode == "surrogate":
-        samples = args.samples if args.samples else 120
+        samples = 120 if args.samples is None else args.samples
         ds = surrogate_dataset(samples_per_key=samples)
     else:
-        samples = args.samples if args.samples else 30
+        samples = 30 if args.samples is None else args.samples
         # collection itself is allowed to finish; validation reports shortfalls
         ds = profile(default_profile_clouds(seed=0, per_bucket=samples),
                      min_samples=30)

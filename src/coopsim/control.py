@@ -133,7 +133,7 @@ class _Scenarios:
     def __init__(self, log_levels, mean_loss, compute_s, base_s, rate, tasks):
         self.log_levels = log_levels  # (L,)
         self.mean_loss = mean_loss  # (C, K, L), zero on padded tasks
-        self.compute_s = compute_s  # (C, K * L, S): enc / r_v + dec / r_e, in s; zero padded
+        self.compute_s = compute_s  # (C, K * L, S): encode + decode, in s; zero padded
         self.base_s = base_s  # (C, S) baseline module time
         self.rate = rate  # (C, S) sampled uplink rate
         self.tasks = tasks  # (C, K) bool: real, not padded
@@ -142,7 +142,7 @@ class _Scenarios:
     @classmethod
     def draw(cls, problems, buckets, tables, cfg) -> "_Scenarios":
         """``cfg.mc_samples`` scenarios for ``problems`` under the run config
-        ``cfg``'s capacity factors and rate spread, rows padded with zero tasks.
+        ``cfg``'s rate spread, rows padded with zero tasks.
         Draws and gathers run over the real tasks alone, whose count buckets
         (T,) ``buckets`` holds row by row; ``tables`` comes from ``_sample_tables``."""
         levels, mean_tab, time_tab, count_tab = tables
@@ -164,7 +164,7 @@ class _Scenarios:
         z = np.array([np.random.default_rng([p.seed, _TAG_FADING]).standard_normal(s)
                       for p in problems])
         rate_bps = np.array([p.rate_bps for p in problems])[:, None]
-        real = (ms(0) / cfg.r_v + ms(1) / cfg.r_e) / 1e3  # before the padded table
+        real = (ms(0) + ms(1)) / 1e3  # before the padded table
         mean_loss, compute_s = np.zeros((*tasks.shape, nl)), np.zeros((*tasks.shape, nl, s))
         mean_loss[tasks] = mean_tab[buckets]
         compute_s[tasks] = real
@@ -203,8 +203,8 @@ class _Scenarios:
         compute_s = weights.reshape(*x.shape[:2], -1) @ self.compute_s
         del weights  # before the uplink term, for the search's peak memory
         payload = ((1024.0 / np.exp2(x)) * 4.0 + DESCRIPTOR_OVERHEAD_BYTES) * self.tasks[:, None]
-        with np.errstate(divide="ignore"):
-            compute_s += payload.sum(axis=-1)[..., None] * 8.0 / self.rate[:, None, :]
+        # a zero rate divides by zero: latency inf, never within the bound
+        compute_s += payload.sum(axis=-1)[..., None] * 8.0 / self.rate[:, None, :]
         compute_s += self.base_s[:, None, :]  # latency: compute + uplink + baseline
         return fidelity, compute_s
 
@@ -288,12 +288,13 @@ def optimize_rf_batch(problems, dataset: MeasurementDataset, cfg) -> list:
     for i, p in enumerate(problems):
         groups.setdefault(_lockstep_group(len(p.obj_ids), cfg.deviations), []).append(i)
     results = [None] * len(problems)
-    for idx in groups.values():
-        group = [problems[i] for i in idx]
-        # no reference kept here: the search frees the infeasible rows' draws
-        for i, res in zip(idx, _solve_group(group, _Scenarios.draw(
-                group, np.concatenate([by_problem[j] for j in idx]), tables, cfg), cfg)):
-            results[i] = res
+    with np.errstate(divide="ignore"):  # a zero-rate row's uplink in _Scenarios.evaluate
+        for idx in groups.values():
+            group = [problems[i] for i in idx]
+            # no reference kept here: the search frees the infeasible rows' draws
+            for i, res in zip(idx, _solve_group(group, _Scenarios.draw(
+                    group, np.concatenate([by_problem[j] for j in idx]), tables, cfg), cfg)):
+                results[i] = res
     return results
 
 

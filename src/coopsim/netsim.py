@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .codec import DEFAULT_TIME_MS
@@ -31,19 +29,6 @@ MODULE_TIMES_MS = {
     "transform": (0.006, 0.012),
     "matching": (0.014, 0.023),
 }
-
-
-@dataclass
-class LatencyBreakdown:
-    vehicle_ms: float
-    uplink_ms: float
-    queue_ms: float
-    server_ms: float
-    b_ms: float  # aggregated baseline: module table plus any detection charge
-
-    @property
-    def total_ms(self) -> float:
-        return self.vehicle_ms + self.uplink_ms + self.queue_ms + self.server_ms + self.b_ms
 
 
 def path_loss_db(distance_m: float, carrier_ghz: float) -> float:
@@ -114,16 +99,17 @@ def sample_module_times_ms(rng: np.random.Generator) -> float:
 
 
 def simulate_frame_latency(payload_bytes, vehicle_ms, rates_bps, object_counts,
-                           servers: int, rng: np.random.Generator,
-                           extra_b_ms, cav_ids) -> list[LatencyBreakdown]:
-    """Assemble per-CAV latency for one frame.
+                           servers: int, rng: np.random.Generator, extra_b_ms):
+    """Per-CAV latency columns of one frame, for CAVs given in id order.
 
-    Arrival order at the server is ascending vehicle + uplink completion time,
-    ties broken by ``cav_ids``, over ``servers`` FCFS servers.  Server time per
-    CAV is the sum of per-object decode draws.  ``extra_b_ms`` carries
-    charges outside the module table, e.g. the detector when the hybrid
-    localizer ran detection this frame.
-    A zero rate with a nonzero payload yields an infinite, infeasible total.
+    Returns (baseline, uplink, queue, server) arrays in ms.  The baseline is
+    a module-table draw plus ``extra_b_ms``, charges outside the table such
+    as the detector when the hybrid localizer ran detection this frame.
+    Arrival at the server is vehicle + uplink completion time; the baseline
+    is not part of it.  CAVs are served in ascending arrival order, ties by
+    id, over ``servers`` FCFS servers.  Server time per CAV is the sum of
+    per-object decode draws.
+    A zero rate with a nonzero payload yields an infinite uplink and queue.
     """
     n = len(payload_bytes)
     if not (len(vehicle_ms) == len(rates_bps) == len(object_counts) == n):
@@ -138,14 +124,8 @@ def simulate_frame_latency(payload_bytes, vehicle_ms, rates_bps, object_counts,
     ])
 
     arrival = np.asarray(vehicle_ms, dtype=np.float64) + up
-    order = sorted(range(n), key=lambda i: (not math.isfinite(arrival[i]), arrival[i], cav_ids[i]))
-    finite = [i for i in order if math.isfinite(arrival[i])]
+    order = np.argsort(arrival, kind="stable")  # an infinite arrival sorts last
+    finite = order[np.isfinite(arrival[order])]
     waits = np.full(n, math.inf)
-    w = _fcfs_waits(arrival[finite], service[finite], servers)
-    for j, i in enumerate(finite):
-        waits[i] = w[j]
-
-    return [LatencyBreakdown(vehicle_ms=float(vehicle_ms[i]), uplink_ms=float(up[i]),
-                             queue_ms=float(waits[i]), server_ms=float(service[i]),
-                             b_ms=float(b_base[i]))
-            for i in range(n)]
+    waits[finite] = _fcfs_waits(arrival[finite], service[finite], servers)
+    return b_base, up, waits, service

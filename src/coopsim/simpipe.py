@@ -101,6 +101,8 @@ _POLICY = {
                             upload_bytes=RAW_OBJECT_BYTES),
 }
 POLICIES = tuple(_POLICY)
+# raw and lossless uploads are charged the codec times of the largest RF
+FULL_UPLOAD_RF = max(RF_SET)
 
 FRAME_PERIOD_S = 0.1
 CAR_EXTENT = (4.5, 1.8, 1.5)
@@ -463,8 +465,7 @@ def _are_numbers(values, kind) -> bool:
 
 # value ranges a run needs, checked before it starts: (fields, test, wording)
 _RANGES = (
-    (("bandwidth_hz", "carrier_ghz", "density_threshold", "r_v", "r_e"),
-     lambda v: v > 0, "positive"),
+    (("bandwidth_hz", "carrier_ghz", "density_threshold"), lambda v: v > 0, "positive"),
     (("servers", "sectors", "outer_iters", "inner_iters", "deviations", "mc_samples"),
      lambda v: v >= 1, ">= 1"),
     (("beta", "fading_sigma", "rate_sigma"), lambda v: v >= 0, ">= 0"),
@@ -498,8 +499,6 @@ class RunConfig:
     inner_iters: int = 12
     deviations: int = 12
     mc_samples: int = 32
-    r_v: float = 1.0
-    r_e: float = 1.0
     dataset_path: str = None
 
     def __post_init__(self):
@@ -617,8 +616,7 @@ def load_dataset(config: RunConfig) -> MeasurementDataset:
     """
     if config.dataset_path is not None:
         dataset = MeasurementDataset.load(config.dataset_path)
-        # lossless and raw uploads charge the encode time of the largest RF
-        dataset.validate(sorted(set(config.rf_set) | {max(RF_SET)}), min_samples=1)
+        dataset.validate(sorted(set(config.rf_set) | {FULL_UPLOAD_RF}), min_samples=1)
         return dataset
     uncalibrated = sorted(set(config.rf_set) - set(DEFAULT_LOSS_CALIBRATION))
     if uncalibrated:
@@ -781,8 +779,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     vehicle_ms = np.zeros(n)
     buckets = bucket_index(counts).tolist()
     rf_rows = rf.tolist()
-    # lossless and raw uploads charge the encode time of the largest RF
-    enc_rf = rf_rows if policy.upload_bytes is None else [max(RF_SET)] * len(rf_rows)
+    enc_rf = rf_rows if policy.upload_bytes is None else [FULL_UPLOAD_RF] * len(rf_rows)
     reused_rows = reused.tolist()
     for c, cav_id in enumerate(cav_ids):
         mine = by_cav[c]
@@ -822,23 +819,24 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
 
     # --- edge latency ---
     rng_queue = np.random.default_rng([cfg.seed, fidx, _S_QUEUE])
-    breakdowns = simulate_frame_latency(payloads, vehicle_ms, rates, decode_counts, cfg.servers,
-                                        rng_queue, extra_b_ms=charges, cav_ids=cav_ids)
+    b_ms, up_ms, queue_ms, server_ms = simulate_frame_latency(
+        payloads, vehicle_ms, rates, decode_counts, cfg.servers, rng_queue, extra_b_ms=charges)
+    # total: encode, uplink, queue, server, baseline, added in that order
+    total_ms = (vehicle_ms + up_ms + queue_ms + server_ms + b_ms).tolist()
+    vehicle_ms = (vehicle_ms + b_ms).tolist()  # encode plus baseline charge
 
     # --- server-side matching into the global map, in table order ---
     state.global_map.commit_frame(list(zip(observed, (~reused).tolist(), loss.tolist())), t,
                                   predicted)
 
     rows = []
-    for c, (cav_id, br) in enumerate(zip(cav_ids, breakdowns)):
+    for c, cav_id in enumerate(cav_ids):
         mine = by_cav[c]
         rfs = rf[mine]
         rows.append(FrameRow(
-            cav_id=cav_id, frame=fidx,
-            vehicle_ms=br.vehicle_ms + br.b_ms,  # encode plus baseline charge
-            uplink_ms=br.uplink_ms,
-            queue_ms=br.queue_ms, server_ms=br.server_ms,
-            total_ms=br.total_ms, bytes=int(payloads[c]),
+            cav_id=cav_id, frame=fidx, vehicle_ms=vehicle_ms[c], uplink_ms=float(up_ms[c]),
+            queue_ms=float(queue_ms[c]), server_ms=float(server_ms[c]),
+            total_ms=total_ms[c], bytes=int(payloads[c]),
             loss=float(np.mean(loss[mine])) if len(rfs) else 0.0,
             rfs=tuple(rfs[rfs > 0].tolist())))
     objects = [ObjectRecord(frame=fidx, cav_id=cav_ids[c], obj_id=o, rf=r, bytes=b,

@@ -202,7 +202,6 @@ class LoopScenarios:
     from ``dataset`` under the run config ``cfg``."""
 
     def __init__(self, problem, dataset, cfg):
-        self.cfg = cfg
         self.levels = np.asarray(sorted(cfg.rf_set), dtype=np.int64)
         self.log_levels = np.log2(self.levels)
         s = cfg.mc_samples
@@ -247,8 +246,7 @@ class LoopScenarios:
         dec = (1.0 - w3) * self.dec_ms[ti, j] + w3 * self.dec_ms[ti, jn]
         fidelity = -loss.sum(axis=1)
         payload = (1024.0 / np.exp2(x)) * 4.0 + DESCRIPTOR_OVERHEAD_BYTES
-        compute_s = (enc.sum(axis=1) / self.cfg.r_v
-                     + dec.sum(axis=1) / self.cfg.r_e) / 1e3
+        compute_s = (enc.sum(axis=1) + dec.sum(axis=1)) / 1e3
         with np.errstate(divide="ignore"):
             uplink_s = payload.sum(axis=1)[:, None] * 8.0 / self.rate[None, :]
         latency = compute_s + uplink_s + self.b_ms[None, :] / 1e3

@@ -106,6 +106,16 @@ def test_profile_codec_insufficient_samples(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["surrogate", "codec"])
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_profile_samples_below_one_exits_2_before_output(tmp_path, capsys, mode, samples):
+    out = tmp_path / "ds.csv"
+    assert main(["profile", "--mode", mode, f"--samples={samples}",
+                 "--out", str(out)]) == EXIT_INPUT
+    assert "--samples must be >= 1" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_profile_refuses_overwrite(tmp_path):
     out = tmp_path / "ds.csv"
     args = ["profile", "--mode", "surrogate", "--samples", "40", "--out", str(out)]
@@ -405,13 +415,13 @@ def test_run_mistyped_config_value_exits_2(tmp_path, trace_path, capsys):
 
 @pytest.mark.parametrize("command, config, extra", [
     *[("run", {key: value}, []) for key, value in (
-        ("servers", 0), ("sectors", 0), ("bandwidth_hz", -1.0), ("r_v", 0.0),
+        ("servers", 0), ("sectors", 0), ("bandwidth_hz", -1.0), ("p", 1.5),
         ("mc_samples", 0), ("density_threshold", 0.0), ("fading_sigma", -0.1),
         ("rate_sigma", -1.0), ("beta", -1.0), ("outer_iters", 0), ("carrier_ghz", 0.0),
         ("deviations", 0), ("inner_iters", 0), ("rf_set", [2, 4]))],
     ("sweep", {}, ["--param", "H", "--values", "100", "-5"]),
     ("sweep", {}, ["--param", "bandwidth", "--values", "200000", "0"]),
-    ("sweep", {"r_e": 0.0}, ["--param", "H", "--values", "80", "90"]),
+    ("sweep", {"beta": -1.0}, ["--param", "H", "--values", "80", "90"]),
 ])
 def test_out_of_range_config_exits_2_before_output(tmp_path, trace_path, capsys,
                                                    command, config, extra):
@@ -430,6 +440,18 @@ def test_out_of_range_config_exits_2_before_output(tmp_path, trace_path, capsys,
     assert main(args + ["--out", str(done), "--force"]) == EXIT_INPUT
     assert os.listdir(done) == [marker.name]
     assert marker.read_text() == "earlier\n"
+
+
+@pytest.mark.parametrize("key", ["r_v", "r_e"])
+def test_run_capacity_factor_keys_exit_2(tmp_path, trace_path, capsys, key):
+    # r_v and r_e divided only the optimizer's codec-time samples; they are gone
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1.0}))
+    out = tmp_path / "out"
+    assert main(["run", "--trace", str(trace_path), "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_INPUT
+    assert f"unknown keys ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -436,7 +436,7 @@ def test_batch_rank_deficient_plane_fit_matches_loop_oracle(surrogate, monkeypat
 def test_scenario_blend_matches_loop_oracle(surrogate, rf_set):
     """The lockstep latency blend is one matmul over a folded compute-time
     table: it may differ from the per-task loop in roundoff, fidelity not."""
-    cfg = RunConfig(rf_set=rf_set, rate_sigma=0.1, r_v=0.7, r_e=1.3, mc_samples=32)
+    cfg = RunConfig(rf_set=rf_set, rate_sigma=0.1, mc_samples=32)
     levels, k = cfg.rf_set, 5
     rng = np.random.default_rng(16)
     problems = [RFProblem(rng.choice(500, k, replace=False).tolist(),

@@ -5,7 +5,6 @@ import pytest
 
 from coopsim.errors import ConfigError
 from coopsim.netsim import (
-    LatencyBreakdown,
     MODULE_TIMES_MS,
     draw_fading,
     path_loss_db,
@@ -125,54 +124,49 @@ def test_fcfs_matches_brute_force_oracle():
 
 
 def test_frame_single_cav_baseline_only():
-    out = simulate_frame_latency([0], [0.0], [1e6], [0], 1, np.random.default_rng(0),
-                                 extra_b_ms=[0.0], cav_ids=[0])
-    (b,) = out
-    assert b.uplink_ms == 0.0
-    assert b.queue_ms == 0.0
-    assert b.server_ms == 0.0
-    assert b.total_ms == b.b_ms
-    assert 0 < b.b_ms < 1.0
-    assert math.isfinite(b.total_ms)
+    b_ms, up, queue, server = simulate_frame_latency([0], [0.0], [1e6], [0], 1,
+                                                     np.random.default_rng(0), extra_b_ms=[0.0])
+    assert up.tolist() == [0.0]
+    assert queue.tolist() == [0.0]
+    assert server.tolist() == [0.0]
+    assert 0 < b_ms[0] < 1.0
 
 
 def test_frame_breakdown_sums_and_orders():
-    # one server, tie on arrival broken by cav id: the second waits out the first
-    out = simulate_frame_latency(
+    # one server, tie on arrival broken by id order: the second waits out the first
+    b_ms, up, queue, server = simulate_frame_latency(
         payload_bytes=[1000, 1000], vehicle_ms=[1.0, 1.0], rates_bps=[8e6, 8e6],
-        object_counts=[1, 1], servers=1, rng=np.random.default_rng(3),
-        extra_b_ms=[0.0, 0.0], cav_ids=[0, 1])
-    first, second = out
-    assert first.queue_ms == 0.0
-    assert second.queue_ms == pytest.approx(first.server_ms)
-    for b in out:
-        assert b.total_ms == pytest.approx(
-            b.vehicle_ms + b.uplink_ms + b.queue_ms + b.server_ms + b.b_ms)
-        assert b.server_ms > 0.0
+        object_counts=[1, 1], servers=1, rng=np.random.default_rng(3), extra_b_ms=[0.0, 0.0])
+    assert up.tolist() == [1.0, 1.0]
+    assert queue[0] == 0.0
+    assert queue[1] == pytest.approx(server[0])
+    assert (server > 0.0).all()
+    assert (b_ms > 0.0).all()
 
 
 def test_frame_zero_rate_is_infeasible_flagged():
-    out = simulate_frame_latency([500, 500], [0.5, 0.5], [0.0, 1e6], [1, 1],
-                                 1, np.random.default_rng(1), extra_b_ms=[0.0, 0.0],
-                                 cav_ids=[0, 1])
-    assert out[0].total_ms == math.inf
-    assert math.isfinite(out[1].total_ms)  # the dead uplink must not block the live one
-    assert out[1].queue_ms == 0.0
+    b_ms, up, queue, server = simulate_frame_latency(
+        [500, 500], [0.5, 0.5], [0.0, 1e6], [1, 1], 1, np.random.default_rng(1),
+        extra_b_ms=[0.0, 0.0])
+    total = 0.5 + up + queue + server + b_ms
+    assert total[0] == math.inf
+    assert math.isfinite(total[1])  # the dead uplink must not block the live one
+    assert queue[1] == 0.0
 
 
 def test_frame_bit_exact_replay():
     args = dict(payload_bytes=[100, 400, 900], vehicle_ms=[0.3, 0.2, 0.9],
                 rates_bps=[1e5, 2e5, 3e5], object_counts=[2, 0, 5],
-                servers=1, extra_b_ms=[0.0, 0.0, 0.0], cav_ids=[0, 1, 2])
+                servers=1, extra_b_ms=[0.0, 0.0, 0.0])
     a = simulate_frame_latency(rng=np.random.default_rng(42), **args)
     b = simulate_frame_latency(rng=np.random.default_rng(42), **args)
-    assert [x.total_ms for x in a] == [x.total_ms for x in b]
+    assert [col.tolist() for col in a] == [col.tolist() for col in b]
 
 
 def test_frame_extra_b_charge():
-    out = simulate_frame_latency([0], [0.0], [1e6], [0], 1, np.random.default_rng(0),
-                                 extra_b_ms=[26.4], cav_ids=[0])
-    assert out[0].b_ms > 26.4
+    b_ms, *_ = simulate_frame_latency([0], [0.0], [1e6], [0], 1, np.random.default_rng(0),
+                                      extra_b_ms=[26.4])
+    assert b_ms[0] > 26.4
 
 
 def test_module_time_means():
