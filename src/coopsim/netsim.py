@@ -7,17 +7,19 @@ carrier_ghz, tx_power_dbm, noise_figure_db, base_station (x, y, z) and
 sectors, the antenna sectors at the base station, each of which reuses the
 full band for the CAVs it covers.
 The server side is an exact first-come-first-serve multi-server queue
-advanced per frame.  Every stochastic quantity is drawn from a
-caller-supplied generator so whole runs replay bit-exactly.
+advanced per frame.  Each CAV's server time is the caller's: the decode
+samples it drew from the run's measurement dataset.  Every stochastic
+quantity here is drawn from a caller-supplied generator so whole runs replay
+bit-exactly.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+
 import numpy as np
 
-from .codec import DEFAULT_TIME_MS
 from .errors import ConfigError
 from .sampling import TruncatedNormal
 
@@ -98,34 +100,26 @@ def sample_module_times_ms(rng: np.random.Generator) -> float:
     return total
 
 
-def simulate_frame_latency(payload_bytes, vehicle_ms, rates_bps, object_counts,
+def simulate_frame_latency(payload_bytes, vehicle_ms, rates_bps, server_ms,
                            servers: int, rng: np.random.Generator, extra_b_ms):
     """Per-CAV latency columns of one frame, for CAVs given in id order.
 
-    Returns (baseline, uplink, queue, server) arrays in ms.  The baseline is
-    a module-table draw plus ``extra_b_ms``, charges outside the table such
-    as the detector when the hybrid localizer ran detection this frame.
+    Returns (baseline, uplink, queue) arrays in ms.  The baseline is a
+    module-table draw plus ``extra_b_ms``, charges outside the table such as
+    the detector when the hybrid localizer ran detection this frame.
     Arrival at the server is vehicle + uplink completion time; the baseline
     is not part of it.  CAVs are served in ascending arrival order, ties by
-    id, over ``servers`` FCFS servers.  Server time per CAV is the sum of
-    per-object decode draws.
+    id, over ``servers`` FCFS servers, each for its ``server_ms``.
     A zero rate with a nonzero payload yields an infinite uplink and queue.
     """
     n = len(payload_bytes)
-    if not (len(vehicle_ms) == len(rates_bps) == len(object_counts) == n):
+    if not (len(vehicle_ms) == len(rates_bps) == len(server_ms) == n):
         raise ConfigError("per-CAV input lengths differ")
-    decode_tn = TruncatedNormal.cached(*DEFAULT_TIME_MS)
-
     up = np.array([uplink_ms(b, r) for b, r in zip(payload_bytes, rates_bps)])
     b_base = np.array([sample_module_times_ms(rng) + extra_b_ms[i] for i in range(n)])
-    service = np.array([
-        float(decode_tn.sample(rng, size=k).sum()) if k > 0 else 0.0
-        for k in object_counts
-    ])
-
     arrival = np.asarray(vehicle_ms, dtype=np.float64) + up
     order = np.argsort(arrival, kind="stable")  # an infinite arrival sorts last
     finite = order[np.isfinite(arrival[order])]
     waits = np.full(n, math.inf)
-    waits[finite] = _fcfs_waits(arrival[finite], service[finite], servers)
-    return b_base, up, waits, service
+    waits[finite] = _fcfs_waits(arrival[finite], np.asarray(server_ms)[finite], servers)
+    return b_base, up, waits

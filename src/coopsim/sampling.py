@@ -77,7 +77,5 @@ class TruncatedNormal:
         out = self._loc + self.sd * ndtri(q)
         return out if out.shape else float(out)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        if self.sd == 0.0:
-            return np.full(size, self.mean) if size is not None else self.mean
-        return self.ppf(rng.random(size=size))
+    def sample(self, rng: np.random.Generator) -> float:
+        return self.mean if self.sd == 0.0 else self.ppf(rng.random())

@@ -3,10 +3,10 @@
 A trace lists, per 0.1 s frame, every vehicle's pose and the other vehicles
 it can see.  For each frame the pipeline runs, per CAV: hybrid localization,
 object selection, RF optimization (policy dependent), byte accounting and
-encode-time charges; then the shared radio and the FCFS edge queue produce a
-latency breakdown, and each uploaded object's observed position is matched
-into the global map.  Everything derives from the run seed through named
-child streams, so a run is reproducible byte for byte.
+encode and decode time charges; then the shared radio and the FCFS edge queue
+produce a latency breakdown, and each uploaded object's observed position is
+matched into the global map.  Everything derives from the run seed through
+named child streams, so a run is reproducible byte for byte.
 
 Policies are the rows of ``_POLICY``; each names what it does at each step
 (selection, RF choice, reuse, upload size):
@@ -653,10 +653,12 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     the pair's row in the trace frame and the observed position.  Selection
     keeps the rows that go out; rf, the reused map gid (-1 if none), bytes
     and loss are columns of those.  Loops whose order fixes a random stream
-    or a result stay per object: localization, the left-to-right encode-time
-    sum and the per-object edge thinning.  The accounting draws take one
-    array-bounded call per CAV and stream, which yields the per-object
-    draws' indices.
+    or a result stay per object: localization, the left-to-right encode- and
+    decode-time sums and the per-object edge thinning.  The accounting draws
+    take one array-bounded call per CAV and stream, which yields the
+    per-object draws' indices.  Each object that carries geometry charges one
+    encode sample to its CAV and one decode sample to the server, from the
+    dataset cells the optimizer samples.
     """
     cfg = state.config
     policy = _POLICY[cfg.policy]
@@ -765,7 +767,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     reused = gid >= 0
     rf[reused] = 0  # as recorded: 0 unless a latent goes out
 
-    # --- byte accounting, encode charges, losses ---
+    # --- byte accounting, encode and decode charges, losses ---
     nbytes = np.where(reused, REUSE_DELTA_BYTES, 0)
     if policy.upload_bytes is not None:
         nbytes[~reused] = policy.upload_bytes + DESCRIPTOR_OVERHEAD_BYTES
@@ -773,13 +775,12 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
         nbytes[~reused] = [payload_bytes(r) + DESCRIPTOR_OVERHEAD_BYTES
                            for r in rf[~reused].tolist()]
     payloads = np.bincount(cav, weights=nbytes, minlength=n)
-    decode_counts = np.bincount(cav[~reused], minlength=n)
     loss = np.zeros(len(cav))
     loss[reused] = [entries[g].last_loss for g in gid[reused].tolist()]
-    vehicle_ms = np.zeros(n)
+    vehicle_ms, server_ms = np.zeros(n), np.zeros(n)  # encode and decode charges
     buckets = bucket_index(counts).tolist()
     rf_rows = rf.tolist()
-    enc_rf = rf_rows if policy.upload_bytes is None else [FULL_UPLOAD_RF] * len(rf_rows)
+    codec_rf = rf_rows if policy.upload_bytes is None else [FULL_UPLOAD_RF] * len(rf_rows)
     reused_rows = reused.tolist()
     for c, cav_id in enumerate(cav_ids):
         mine = by_cav[c]
@@ -787,11 +788,14 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
         if not sent:
             continue
         rng_time = np.random.default_rng([cfg.seed, fidx, cav_id, _S_TIME])
-        encode_ms = 0.0  # summed left to right, one charge per object
-        for ms in _draw_samples([dataset.enc_time_samples(enc_rf[r], buckets[r])
-                                 for r in sent], rng_time):
-            encode_ms += ms
-        vehicle_ms[c] = encode_ms
+        # one encode then one decode sample per object, each summed left to right
+        cells = ([dataset.enc_time_samples(codec_rf[r], buckets[r]) for r in sent]
+                 + [dataset.dec_time_samples(codec_rf[r], buckets[r]) for r in sent])
+        draws = _draw_samples(cells, rng_time)
+        for ms in draws[:len(sent)]:
+            vehicle_ms[c] += ms
+        for ms in draws[len(sent):]:
+            server_ms[c] += ms
         if policy.upload_bytes is not None:
             continue
         if cfg.dataset_mode == "codec":
@@ -819,8 +823,8 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
 
     # --- edge latency ---
     rng_queue = np.random.default_rng([cfg.seed, fidx, _S_QUEUE])
-    b_ms, up_ms, queue_ms, server_ms = simulate_frame_latency(
-        payloads, vehicle_ms, rates, decode_counts, cfg.servers, rng_queue, extra_b_ms=charges)
+    b_ms, up_ms, queue_ms = simulate_frame_latency(payloads, vehicle_ms, rates, server_ms,
+                                                   cfg.servers, rng_queue, extra_b_ms=charges)
     # total: encode, uplink, queue, server, baseline, added in that order
     total_ms = (vehicle_ms + up_ms + queue_ms + server_ms + b_ms).tolist()
     vehicle_ms = (vehicle_ms + b_ms).tolist()  # encode plus baseline charge

@@ -442,11 +442,13 @@ def test_out_of_range_config_exits_2_before_output(tmp_path, trace_path, capsys,
     assert marker.read_text() == "earlier\n"
 
 
-@pytest.mark.parametrize("key", ["r_v", "r_e"])
-def test_run_capacity_factor_keys_exit_2(tmp_path, trace_path, capsys, key):
-    # r_v and r_e divided only the optimizer's codec-time samples; they are gone
+@pytest.mark.parametrize("key, value", [
+    ("partitions", 4), ("share_mode", "fdma"),
+    # capacity factors that divided only the optimizer's codec-time samples
+    ("r_v", 1.0), ("r_e", 1.0)])
+def test_run_retired_config_key_exits_2(tmp_path, trace_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: 1.0}))
+    cfg.write_text(json.dumps({key: value}))
     out = tmp_path / "out"
     assert main(["run", "--trace", str(trace_path), "--config", str(cfg),
                  "--out", str(out)]) == EXIT_INPUT

@@ -124,31 +124,32 @@ def test_fcfs_matches_brute_force_oracle():
 
 
 def test_frame_single_cav_baseline_only():
-    b_ms, up, queue, server = simulate_frame_latency([0], [0.0], [1e6], [0], 1,
-                                                     np.random.default_rng(0), extra_b_ms=[0.0])
+    b_ms, up, queue = simulate_frame_latency([0], [0.0], [1e6], [0.0], 1,
+                                             np.random.default_rng(0), extra_b_ms=[0.0])
     assert up.tolist() == [0.0]
     assert queue.tolist() == [0.0]
-    assert server.tolist() == [0.0]
     assert 0 < b_ms[0] < 1.0
 
 
 def test_frame_breakdown_sums_and_orders():
     # one server, tie on arrival broken by id order: the second waits out the first
-    b_ms, up, queue, server = simulate_frame_latency(
+    b_ms, up, queue = simulate_frame_latency(
         payload_bytes=[1000, 1000], vehicle_ms=[1.0, 1.0], rates_bps=[8e6, 8e6],
-        object_counts=[1, 1], servers=1, rng=np.random.default_rng(3), extra_b_ms=[0.0, 0.0])
+        server_ms=[1.5, 2.0], servers=1, rng=np.random.default_rng(3), extra_b_ms=[0.0, 0.0])
     assert up.tolist() == [1.0, 1.0]
-    assert queue[0] == 0.0
-    assert queue[1] == pytest.approx(server[0])
-    assert (server > 0.0).all()
+    assert queue.tolist() == [0.0, 1.5]
     assert (b_ms > 0.0).all()
+    # the second arrives first once it uploads faster, and then the first waits
+    _, up, queue = simulate_frame_latency([1000, 500], [1.0, 1.0], [8e6, 8e6], [1.5, 2.0], 1,
+                                          np.random.default_rng(3), extra_b_ms=[0.0, 0.0])
+    assert queue.tolist() == [1.5, 0.0]
 
 
 def test_frame_zero_rate_is_infeasible_flagged():
-    b_ms, up, queue, server = simulate_frame_latency(
-        [500, 500], [0.5, 0.5], [0.0, 1e6], [1, 1], 1, np.random.default_rng(1),
+    b_ms, up, queue = simulate_frame_latency(
+        [500, 500], [0.5, 0.5], [0.0, 1e6], [1.0, 1.0], 1, np.random.default_rng(1),
         extra_b_ms=[0.0, 0.0])
-    total = 0.5 + up + queue + server + b_ms
+    total = 0.5 + up + queue + 1.0 + b_ms
     assert total[0] == math.inf
     assert math.isfinite(total[1])  # the dead uplink must not block the live one
     assert queue[1] == 0.0
@@ -156,7 +157,7 @@ def test_frame_zero_rate_is_infeasible_flagged():
 
 def test_frame_bit_exact_replay():
     args = dict(payload_bytes=[100, 400, 900], vehicle_ms=[0.3, 0.2, 0.9],
-                rates_bps=[1e5, 2e5, 3e5], object_counts=[2, 0, 5],
+                rates_bps=[1e5, 2e5, 3e5], server_ms=[3.1, 0.0, 8.4],
                 servers=1, extra_b_ms=[0.0, 0.0, 0.0])
     a = simulate_frame_latency(rng=np.random.default_rng(42), **args)
     b = simulate_frame_latency(rng=np.random.default_rng(42), **args)
@@ -164,8 +165,8 @@ def test_frame_bit_exact_replay():
 
 
 def test_frame_extra_b_charge():
-    b_ms, *_ = simulate_frame_latency([0], [0.0], [1e6], [0], 1, np.random.default_rng(0),
-                                      extra_b_ms=[26.4])
+    b_ms, _, _ = simulate_frame_latency([0], [0.0], [1e6], [0.0], 1, np.random.default_rng(0),
+                                        extra_b_ms=[26.4])
     assert b_ms[0] > 26.4
 
 

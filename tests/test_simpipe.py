@@ -8,6 +8,8 @@ import pytest
 
 from coopsim.codec import (
     DESCRIPTOR_OVERHEAD_BYTES,
+    MeasurementDataset,
+    N_BUCKETS,
     RAW_OBJECT_BYTES,
     RF_SET,
     bucket_index,
@@ -521,6 +523,25 @@ def test_reuse_policy_cuts_bytes():
     total_base = sum(s.bytes_total for s in base.frame_stats)
     total_reuse = sum(s.bytes_total for s in reuse.frame_stats)
     assert total_reuse < total_base
+
+
+@pytest.mark.parametrize("policy", ["adamap", "adamap-reuse", "select-all-lossless"])
+def test_server_charges_the_datasets_decode_samples(policy):
+    # every encode sample is 1.25 ms and every decode sample rf / 8 ms, all exact
+    # in binary; raw and lossless uploads decode at the largest RF
+    cells = {(rf, b): np.array([[rf / 100.0] * 4, [1.25] * 4, [rf / 8.0] * 4])
+             for rf in RF_SET for b in range(N_BUCKETS)}
+    res = run_simulation(generate_trace(6, 6, seed=2), RunConfig(policy=policy, seed=2),
+                         MeasurementDataset(cells))
+    expected = {}
+    for rec in res.objects:
+        if not rec.reused:
+            rf = max(RF_SET) if policy == "select-all-lossless" else rec.rf
+            expected[rec.frame, rec.cav_id] = expected.get((rec.frame, rec.cav_id), 0.0) + rf / 8.0
+    assert any(r.reused for r in res.objects) == (policy == "adamap-reuse")
+    assert expected
+    for row in res.rows:
+        assert row.server_ms == expected.get((row.frame, row.cav_id), 0.0)
 
 
 def test_map_size_reported(small_trace):
