@@ -130,14 +130,17 @@ class _Scenarios:
     percentile constraint cares about.
     """
 
-    def __init__(self, log_levels, mean_loss, compute_s, base_s, rate, tasks):
+    def __init__(self, log_levels, mean_loss, compute_s, base_s, rate, fixed_bytes, tasks):
         self.log_levels = log_levels  # (L,)
         self.mean_loss = mean_loss  # (C, K, L), zero on padded tasks
         self.compute_s = compute_s  # (C, K * L, S): encode + decode, in s; zero padded
         self.base_s = base_s  # (C, S) baseline module time
         self.rate = rate  # (C, S) sampled uplink rate
+        self.fixed_bytes = fixed_bytes  # (C,) payload that does not depend on x
         self.tasks = tasks  # (C, K) bool: real, not padded
         self._first_loss = np.arange(tasks.size).reshape(len(tasks), 1, -1) * mean_loss.shape[2]
+        # the bracket's interior levels and level widths, the same for every call
+        self._interior, self._widths = log_levels[1:-1], np.diff(log_levels)
 
     @classmethod
     def draw(cls, problems, buckets, tables, cfg) -> "_Scenarios":
@@ -170,11 +173,13 @@ class _Scenarios:
         compute_s[tasks] = real
         return cls(np.log2(np.asarray(levels, dtype=np.float64)), mean_loss,
                    compute_s.reshape(len(problems), -1, s), base_ms / 1e3,
-                   rate_bps * np.exp(cfg.rate_sigma * z), tasks)
+                   rate_bps * np.exp(cfg.rate_sigma * z),
+                   np.array([p.fixed_bytes for p in problems], dtype=np.float64), tasks)
 
     def take(self, rows) -> "_Scenarios":
         return _Scenarios(self.log_levels, self.mean_loss[rows], self.compute_s[rows],
-                          self.base_s[rows], self.rate[rows], self.tasks[rows])
+                          self.base_s[rows], self.rate[rows], self.fixed_bytes[rows],
+                          self.tasks[rows])
 
     def evaluate(self, x: np.ndarray):
         """Sampled fidelity and latency for D log2-RF rows per subproblem.
@@ -187,9 +192,9 @@ class _Scenarios:
         """
         lx = self.log_levels
         j = np.zeros(x.shape, dtype=np.int64)
-        for level in lx[1:-1]:  # the bracket: interior levels at or below x
+        for level in self._interior:  # the bracket: interior levels at or below x
             j += x >= level
-        w = np.clip((x - lx[j]) / np.diff(lx)[j], 0.0, 1.0) if len(lx) > 1 else np.zeros(x.shape)
+        w = np.clip((x - lx[j]) / self._widths[j], 0.0, 1.0) if len(lx) > 1 else np.zeros(x.shape)
         jn = np.minimum(j + 1, len(lx) - 1)
         # flat offsets of level 0 per (row, dev, task); one level: j == jn, 1 - w wins
         first = np.arange(x.size).reshape(x.shape) * len(lx)
@@ -203,8 +208,9 @@ class _Scenarios:
         compute_s = weights.reshape(*x.shape[:2], -1) @ self.compute_s
         del weights  # before the uplink term, for the search's peak memory
         payload = ((1024.0 / np.exp2(x)) * 4.0 + DESCRIPTOR_OVERHEAD_BYTES) * self.tasks[:, None]
+        payload = payload.sum(axis=-1) + self.fixed_bytes[:, None]  # + 0.0 is exact
         # a zero rate divides by zero: latency inf, never within the bound
-        compute_s += payload.sum(axis=-1)[..., None] * 8.0 / self.rate[:, None, :]
+        compute_s += payload[..., None] * 8.0 / self.rate[:, None, :]
         compute_s += self.base_s[:, None, :]  # latency: compute + uplink + baseline
         return fidelity, compute_s
 
@@ -249,13 +255,16 @@ class OptimizeResult:
 
 @dataclass
 class RFProblem:
-    """One CAV's RF subproblem in a frame: its kept objects' ids and raw
-    point counts, its predicted uplink rate and its optimizer seed."""
+    """One CAV's RF subproblem in a frame: the ids and raw point counts of
+    the objects whose latents it sends, its predicted uplink rate, its
+    optimizer seed, and the bytes it uploads whatever the RFs (its reuse
+    deltas), which the plan adds to every sampled payload."""
 
     obj_ids: list
     raw_counts: list
     rate_bps: float
     seed: int
+    fixed_bytes: float
 
 
 def optimize_rf_batch(problems, dataset: MeasurementDataset, cfg) -> list:

@@ -2,18 +2,21 @@
 
 A trace lists, per 0.1 s frame, every vehicle's pose and the other vehicles
 it can see.  For each frame the pipeline runs, per CAV: hybrid localization,
-object selection, RF optimization (policy dependent), byte accounting and
-encode and decode time charges; then the shared radio and the FCFS edge queue
-produce a latency breakdown, and each uploaded object's observed position is
-matched into the global map.  Everything derives from the run seed through
-named child streams, so a run is reproducible byte for byte.
+object selection, the reuse match against the broadcast map and RF
+optimization of the objects that carry geometry (both policy dependent),
+byte accounting and encode and decode time charges; then the shared radio
+and the FCFS edge queue produce a latency breakdown, and each uploaded
+object's observed position is matched into the global map.  Everything
+derives from the run seed through named child streams, so a run is
+reproducible byte for byte.
 
 Policies are the rows of ``_POLICY``; each names what it does at each step
 (selection, RF choice, reuse, upload size):
   adamap              density-thinned selection, optimized RF per object
   adamap-lite         every detection, at the maximum RF
   adamap-reuse        adamap, but a 32-byte delta replaces the latent when
-                      the map's predicted pose is within 0.5 m
+                      the map's predicted pose is within 0.5 m; decided before
+                      the RF search, which counts the deltas as fixed bytes
   select-all-lossless every detection as an entropy-coded raw cloud, zero loss
   blindspot-all       full raw cloud for every object missing from at least
                       one other CAV's view (transmission-size stand-in)
@@ -651,8 +654,12 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     The frame works on one table of detection pairs ordered by (CAV id,
     object id), held as columns: the CAV's index in id order, the object id,
     the pair's row in the trace frame and the observed position.  Selection
-    keeps the rows that go out; rf, the reused map gid (-1 if none), bytes
-    and loss are columns of those.  Loops whose order fixes a random stream
+    keeps the rows that go out; the reused map gid (-1 if none), rf, bytes
+    and loss are columns of those, decided in that order.  Reuse reads only
+    the map, so the RF search plans only the rows that carry geometry, with
+    a CAV's 32-byte deltas as fixed bytes of its uplink; a CAV with deltas
+    alone has no subproblem, so ``FrameStats.infeasible_cavs`` counts only
+    CAVs with geometry to send.  Loops whose order fixes a random stream
     or a result stay per object: localization, the left-to-right encode- and
     decode-time sums and the per-object edge thinning.  The accounting draws
     take one array-bounded call per CAV and stream, which yields the
@@ -723,35 +730,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     bounds = np.searchsorted(cav, np.arange(n + 1)).tolist()
     by_cav = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
-    # --- per-CAV RF decisions, solved for the whole frame at once ---
-    rf = np.zeros(len(cav), dtype=np.int64)
-    infeasible_cavs = 0
-    sectors = [sector_index(p, cfg) for p in positions]
-    if policy.rf == "optimize":
-        # frame-0 fallback estimate: assume every CAV shares its sector
-        all_counts = np.bincount(sectors, minlength=cfg.sectors)
-        problems, owners = [], []
-        for c, cav_id in enumerate(cav_ids):
-            mine = by_cav[c]
-            if mine.start == mine.stop:
-                continue
-            rate = state.prev_rates.get(cav_id)
-            if rate is None:
-                rate = uplink_rate(positions[c], max(1, int(all_counts[sectors[c]])), cfg)
-            opt_seed = int(np.random.SeedSequence(
-                (cfg.seed, fidx, cav_id, 7)).generate_state(1)[0])
-            problems.append(RFProblem(obj_ids=obj[mine].tolist(),
-                                      raw_counts=counts[mine].tolist(),
-                                      rate_bps=rate, seed=opt_seed))
-            owners.append(mine)
-        results = optimize_rf_batch(problems, dataset, cfg)
-        for mine, res in zip(owners, results):
-            infeasible_cavs += bool(res.infeasible)
-            rf[mine] = res.rfs
-    elif policy.rf == "max":
-        rf[:] = max(cfg.rf_set)
-
-    # --- reuse decisions against the broadcast map ---
+    # --- reuse decisions against the broadcast map; none reads an RF ---
     gid = np.full(len(cav), -1, dtype=np.int64)
     entries = state.global_map.entries
     predicted = state.global_map.predicted_positions(t)  # only the commit changes the map
@@ -765,6 +744,40 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
         geometry = np.array([entries[g].has_geometry for g in matched.tolist()], dtype=bool)
         gid[close[geometry]] = matched[geometry]
     reused = gid >= 0
+    reused_rows = reused.tolist()
+    # each CAV's rows that carry geometry
+    sent_by_cav = [[r for r in range(mine.start, mine.stop) if not reused_rows[r]]
+                   for mine in by_cav]
+
+    # --- per-CAV RF decisions for those rows, solved for the whole frame at once ---
+    rf = np.zeros(len(cav), dtype=np.int64)
+    infeasible_cavs = 0
+    sectors = [sector_index(p, cfg) for p in positions]
+    if policy.rf == "optimize":
+        # frame-0 fallback estimate: assume every CAV shares its sector
+        all_counts = np.bincount(sectors, minlength=cfg.sectors)
+        problems, owners = [], []
+        for c, cav_id in enumerate(cav_ids):
+            sent = sent_by_cav[c]
+            if not sent:
+                continue
+            rate = state.prev_rates.get(cav_id)
+            if rate is None:
+                rate = uplink_rate(positions[c], max(1, int(all_counts[sectors[c]])), cfg)
+            opt_seed = int(np.random.SeedSequence(
+                (cfg.seed, fidx, cav_id, 7)).generate_state(1)[0])
+            deltas = by_cav[c].stop - by_cav[c].start - len(sent)
+            problems.append(RFProblem(obj_ids=obj[sent].tolist(),
+                                      raw_counts=counts[sent].tolist(), rate_bps=rate,
+                                      seed=opt_seed,
+                                      fixed_bytes=float(REUSE_DELTA_BYTES * deltas)))
+            owners.append(sent)
+        results = optimize_rf_batch(problems, dataset, cfg)
+        for sent, res in zip(owners, results):
+            infeasible_cavs += bool(res.infeasible)
+            rf[sent] = res.rfs
+    elif policy.rf == "max":
+        rf[:] = max(cfg.rf_set)
     rf[reused] = 0  # as recorded: 0 unless a latent goes out
 
     # --- byte accounting, encode and decode charges, losses ---
@@ -781,10 +794,8 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     buckets = bucket_index(counts).tolist()
     rf_rows = rf.tolist()
     codec_rf = rf_rows if policy.upload_bytes is None else [FULL_UPLOAD_RF] * len(rf_rows)
-    reused_rows = reused.tolist()
     for c, cav_id in enumerate(cav_ids):
-        mine = by_cav[c]
-        sent = [r for r in range(mine.start, mine.stop) if not reused_rows[r]]
+        sent = sent_by_cav[c]
         if not sent:
             continue
         rng_time = np.random.default_rng([cfg.seed, fidx, cav_id, _S_TIME])

@@ -227,6 +227,7 @@ class LoopScenarios:
         )
         z = np.random.default_rng([seed, _TAG_FADING]).standard_normal(s)
         self.rate = problem.rate_bps * np.exp(cfg.rate_sigma * z)
+        self.fixed_bytes = problem.fixed_bytes
         self._task_idx = np.arange(k)
 
     def evaluate_batch(self, x: np.ndarray):
@@ -248,7 +249,7 @@ class LoopScenarios:
         payload = (1024.0 / np.exp2(x)) * 4.0 + DESCRIPTOR_OVERHEAD_BYTES
         compute_s = (enc.sum(axis=1) + dec.sum(axis=1)) / 1e3
         with np.errstate(divide="ignore"):
-            uplink_s = payload.sum(axis=1)[:, None] * 8.0 / self.rate[None, :]
+            uplink_s = (payload.sum(axis=1) + self.fixed_bytes)[:, None] * 8.0 / self.rate[None, :]
         latency = compute_s + uplink_s + self.b_ms[None, :] / 1e3
         return fidelity, latency
 

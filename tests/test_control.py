@@ -229,9 +229,9 @@ def test_thinning_matches_suffix_oracle():
 # latency probability
 
 
-def problem(tasks, rate, seed=0):
+def problem(tasks, rate, seed=0, fixed_bytes=0.0):
     """One CAV's RFProblem from (object id, raw count) pairs."""
-    return RFProblem([o for o, _ in tasks], [k for _, k in tasks], rate, seed)
+    return RFProblem([o for o, _ in tasks], [k for _, k in tasks], rate, seed, fixed_bytes)
 
 
 def wide_search(**overrides) -> RunConfig:
@@ -392,7 +392,8 @@ def random_problems(n, seed):
         counts = rng.integers(50, 5000, size=k)
         rate = 0.0 if i % 7 == 3 else float(np.exp(rng.uniform(np.log(80e3), np.log(2e6))))
         problems.append(RFProblem(obj_ids=ids.tolist(), raw_counts=counts.tolist(),
-                                  rate_bps=rate, seed=int(rng.integers(1 << 31))))
+                                  rate_bps=rate, seed=int(rng.integers(1 << 31)),
+                                  fixed_bytes=0.0))
     return problems
 
 
@@ -404,9 +405,17 @@ def assert_same_result(res, ref):
     assert res.fidelity == ref.fidelity
 
 
+def with_deltas(problems, seed):
+    """``problems`` with 32 B reuse deltas, 0-5 of them, as fixed bytes on every
+    third subproblem."""
+    rng = np.random.default_rng(seed)
+    return [replace(p, fixed_bytes=32.0 * int(rng.integers(1, 6))) if i % 3 == 1 else p
+            for i, p in enumerate(problems)]
+
+
 @pytest.mark.parametrize("rf_set", [RF_SET, (8, 32), (64,)])
 def test_batch_matches_loop_oracle(surrogate, rf_set):
-    problems = random_problems(112, seed=len(rf_set))
+    problems = with_deltas(random_problems(112, seed=len(rf_set)), seed=len(rf_set))
     cfg = RunConfig(rf_set=rf_set)
     results = optimize_rf_batch(problems, surrogate, cfg)
     flags_by_k: dict = {}
@@ -440,8 +449,8 @@ def test_scenario_blend_matches_loop_oracle(surrogate, rf_set):
     levels, k = cfg.rf_set, 5
     rng = np.random.default_rng(16)
     problems = [RFProblem(rng.choice(500, k, replace=False).tolist(),
-                          rng.integers(50, 5000, k).tolist(), rate, seed)
-                for seed, rate in enumerate((80e3, 300e3, 2e6))]
+                          rng.integers(50, 5000, k).tolist(), rate, seed, fixed)
+                for seed, (rate, fixed) in enumerate(((80e3, 0.0), (300e3, 96.0), (2e6, 480.0)))]
     buckets = bucket_index(np.array([p.raw_counts for p in problems]))
     sc = _Scenarios.draw(problems, buckets.ravel(),
                          _sample_tables(surrogate, levels, np.unique(buckets)), cfg)
@@ -457,6 +466,38 @@ def test_scenario_blend_matches_loop_oracle(surrogate, rf_set):
         fid_ref, lat_ref = LoopScenarios(prob, surrogate, cfg).evaluate_batch(x[c])
         assert fidelity[c].tolist() == fid_ref.tolist()
         np.testing.assert_allclose(latency[c], lat_ref, rtol=1e-12, atol=0)
+
+
+def test_fixed_bytes_never_raise_the_latency_probability(surrogate):
+    """Reuse deltas are uplink bytes whatever the RFs: at a fixed x more of
+    them can only lower Prob(latency <= h).  They change no draw, and a row
+    without them is bit-identical to the same row drawn alone."""
+    cfg = RunConfig(rate_sigma=0.1)
+    rng = np.random.default_rng(18)
+    k = 4
+    base = RFProblem(rng.choice(500, k, replace=False).tolist(),
+                     rng.integers(50, 5000, k).tolist(), 150e3, 5, 0.0)
+    # one row per fixed payload, 0 to 40 deltas, on the same draws
+    rows = [replace(base, fixed_bytes=32.0 * d) for d in range(0, 41, 4)]
+    buckets = bucket_index(np.array(base.raw_counts))
+    tables = _sample_tables(surrogate, cfg.rf_set, np.unique(buckets).tolist())
+    sc = _Scenarios.draw(rows, np.tile(buckets, len(rows)), tables, cfg)
+    alone = _Scenarios.draw([base], buckets, tables, cfg)
+    lx = np.log2(cfg.rf_set)
+    x = rng.uniform(lx[0], lx[-1], (20, k))
+    fid, latency = sc.evaluate(np.broadcast_to(x, (len(rows), *x.shape)))
+    fid0, latency0 = alone.evaluate(x[None])
+    assert fid[0].tolist() == fid0[0].tolist() and latency[0].tolist() == latency0[0].tolist()
+    assert (fid == fid[0]).all()
+    np.testing.assert_allclose(latency[-1] - latency[0],
+                               np.broadcast_to(32.0 * 40 * 8.0 / sc.rate[0], latency[0].shape),
+                               rtol=1e-9)
+    dropped = False
+    for h_s in (0.04, 0.06, 0.075, 0.1):
+        _, prob = sc.at(np.broadcast_to(x, (len(rows), *x.shape)), h_s)
+        assert (np.diff(prob, axis=0) <= 0).all()
+        dropped |= bool((prob[-1] < prob[0]).any())
+    assert dropped
 
 
 @pytest.mark.parametrize("rf_set", [RF_SET, (8, 32), (64,)])
@@ -490,7 +531,7 @@ def test_padded_regime_matches_each_row_alone(surrogate, rf_set):
     rng = np.random.default_rng(17)
     problems = [RFProblem(rng.choice(500, k, replace=False).tolist(),
                           rng.integers(50, 5000, k).tolist(),
-                          float(rng.uniform(80e3, 2e6)), int(rng.integers(1 << 31)))
+                          float(rng.uniform(80e3, 2e6)), int(rng.integers(1 << 31)), 0.0)
                 for _ in range(2) for k in range(1, 12)]
     buckets = {id(p): bucket_index(np.array(p.raw_counts)) for p in problems}
     tables = _sample_tables(surrogate, rf_set,

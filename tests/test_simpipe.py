@@ -19,6 +19,7 @@ from coopsim.codec import (
     payload_bytes,
     reconstruction_loss,
 )
+from coopsim import simpipe
 from coopsim.errors import ConfigError, FrameError
 from coopsim.geometry import Bbox3, resample, sample_visible_surface
 from coopsim.simpipe import (
@@ -542,6 +543,67 @@ def test_server_charges_the_datasets_decode_samples(policy):
     assert expected
     for row in res.rows:
         assert row.server_ms == expected.get((row.frame, row.cav_id), 0.0)
+
+
+@pytest.fixture(scope="module")
+def reuse_run():
+    """The 40 x 8 ``adamap-reuse`` scene (trace and run seed 0), with every
+    frame's RF subproblems and results taken from ``optimize_rf_batch``."""
+    calls = []
+    solve = simpipe.optimize_rf_batch
+
+    def recorded(problems, dataset, cfg):
+        results = solve(problems, dataset, cfg)
+        calls.append((problems, results))
+        return results
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simpipe, "optimize_rf_batch", recorded)
+        res = run_simulation(generate_trace(40, 8, seed=0), RunConfig(policy="adamap-reuse"))
+    return res, calls
+
+
+def _by_cav(objects):
+    """Each (frame, CAV)'s objects: the ids sent as latents, in table order,
+    and the count sent as reuse deltas."""
+    sent: dict = {}
+    for rec in objects:
+        ids, deltas = sent.setdefault((rec.frame, rec.cav_id), ([], [0]))
+        if rec.reused:
+            deltas[0] += 1
+        else:
+            ids.append(rec.obj_id)
+    return {key: (ids, deltas[0]) for key, (ids, deltas) in sent.items()}
+
+
+def test_reuse_is_decided_before_the_rf_search(reuse_run):
+    """The search sees only the objects that carry geometry; a CAV's deltas
+    enter its subproblem as 32 B each of fixed payload."""
+    res, calls = reuse_run
+    assert len(calls) == len(res.frame_stats)
+    sent = _by_cav(res.objects)
+    for frame, (problems, _) in enumerate(calls):
+        expected = [(ids, REUSE_DELTA_BYTES * deltas)
+                    for (f, _), (ids, deltas) in sorted(sent.items()) if f == frame and ids]
+        assert [(p.obj_ids, p.fixed_bytes) for p in problems] == expected
+    reused = {(r.frame, r.cav_id, r.obj_id) for r in res.objects if r.reused}
+    assert len(reused) == 997
+    tasks = [(frame, p.obj_ids) for frame, (problems, _) in enumerate(calls) for p in problems]
+    assert sum(len(ids) for _, ids in tasks) == sum(not r.reused for r in res.objects) == 427
+
+
+def test_cav_with_only_deltas_has_no_subproblem(reuse_run):
+    res, calls = reuse_run
+    sent = _by_cav(res.objects)
+    only_deltas = {key for key, (ids, deltas) in sent.items() if deltas and not ids}
+    assert only_deltas, "the scene should have a CAV whose every object is reused"
+    for frame, (problems, results) in enumerate(calls):
+        assert len(problems) == sum(bool(ids) for (f, _), (ids, _) in sent.items() if f == frame)
+        assert res.frame_stats[frame].infeasible_cavs == sum(r.infeasible for r in results)
+    for row in res.rows:
+        if (row.frame, row.cav_id) in only_deltas:
+            assert row.bytes == REUSE_DELTA_BYTES * sent[row.frame, row.cav_id][1]
+            assert row.rfs == ()
 
 
 def test_map_size_reported(small_trace):
