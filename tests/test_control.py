@@ -229,9 +229,9 @@ def test_thinning_matches_suffix_oracle():
 # latency probability
 
 
-def problem(tasks, rate, seed=0, fixed_bytes=0.0):
-    """One CAV's RFProblem from (object id, raw count) pairs."""
-    return RFProblem([o for o, _ in tasks], [k for _, k in tasks], rate, seed, fixed_bytes)
+def problem(tasks, rate, seed=0):
+    """One CAV's RFProblem from (object id, raw count) pairs, with no reuse deltas."""
+    return RFProblem([o for o, _ in tasks], [k for _, k in tasks], rate, seed, 0.0)
 
 
 def wide_search(**overrides) -> RunConfig:
@@ -406,7 +406,7 @@ def assert_same_result(res, ref):
 
 
 def with_deltas(problems, seed):
-    """``problems`` with 32 B reuse deltas, 0-5 of them, as fixed bytes on every
+    """``problems`` with 1-5 reuse deltas of 32 B, as fixed bytes, on every
     third subproblem."""
     rng = np.random.default_rng(seed)
     return [replace(p, fixed_bytes=32.0 * int(rng.integers(1, 6))) if i % 3 == 1 else p
