@@ -7,7 +7,7 @@ Exit codes: 0 ok, 2 bad input, 3 incomplete profile, 4 internal failure.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import shutil
 import subprocess
@@ -59,12 +59,6 @@ def version_string() -> str:
     except OSError:
         pass
     return __version__
-
-
-def _write_json(path, rec: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(rec, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _write_atomic(path: str, write, *args) -> None:
@@ -119,7 +113,7 @@ def _load_config(args) -> RunConfig:
 def cmd_gen_trace(args) -> int:
     _require_fresh(args.out, args.force)
     trace = generate_trace(args.cavs, args.frames, seed=args.seed)
-    save_trace(args.out, trace)
+    _write_atomic(args.out, save_trace, trace)
     per_cav = np.concatenate([np.bincount(f.pair_cav, minlength=len(f.cav_ids))
                               for f in trace])
     stats = {
@@ -132,7 +126,7 @@ def cmd_gen_trace(args) -> int:
                                  if n},
         "visible_per_cav_mean": float(np.mean(per_cav)),
     }
-    _write_json(args.out + ".stats.json", stats)
+    _write_atomic(args.out + ".stats.json", write_summary, stats)
     print(f"wrote {args.out} ({args.cavs} cavs x {args.frames} frames, "
           f"mean visible {stats['visible_per_cav_mean']:.1f})")
     return EXIT_OK
@@ -150,10 +144,10 @@ def cmd_profile(args) -> int:
         # collection itself is allowed to finish; validation reports shortfalls
         ds = profile(default_profile_clouds(seed=0, per_bucket=samples),
                      min_samples=30)
-    ds.save(args.out)
+    _write_atomic(args.out, ds.save)
     meta = {"mode": args.mode, "samples": samples, "seed": 0,
             "version": version_string()}
-    _write_json(args.out + ".meta.json", meta)
+    _write_atomic(args.out + ".meta.json", write_summary, meta)
     print(f"wrote {args.out} ({len(ds.keys())} keys, {samples} samples each)")
     return EXIT_OK
 
@@ -172,7 +166,7 @@ def run_to_dir(cfg: RunConfig, trace, dataset, out_dir: str, config_name: str,
     path = os.path.join(out_dir, "manifest.json")
 
     def mark(status: str, **extra) -> None:
-        _write_atomic(path, _write_json, {**manifest, "status": status, **extra})
+        _write_atomic(path, write_summary, {**manifest, "status": status, **extra})
 
     mark("running")
     try:
@@ -243,14 +237,19 @@ def cmd_sweep(args) -> int:
     if frames < 1 or cavs < 1:
         raise ConfigError("--cavs and --frames must be >= 1")
     base = _load_config(args)
-    if args.param == "cavs":
-        values = []
-        for v in args.values:
-            if float(v) != int(float(v)) or int(float(v)) < 1:
+    values = []
+    for v in args.values:
+        try:
+            x = float(v)
+        except ValueError:
+            x = math.nan
+        if not math.isfinite(x):
+            raise ConfigError(f"--values entries must be finite numbers, got {v!r}")
+        if args.param == "cavs":
+            if x != int(x) or x < 1:
                 raise ConfigError(f"cavs values must be integers >= 1, got {v}")
-            values.append(int(float(v)))
-    else:
-        values = [float(v) for v in args.values]
+            x = int(x)
+        values.append(x)
     # every swept config is built, and so checked, before the sweep directory exists
     field = {"bandwidth": "bandwidth_hz", "H": "H_ms"}.get(args.param)
     configs = [replace(base, **{field: v}) if field else base for v in values]
@@ -268,7 +267,7 @@ def cmd_sweep(args) -> int:
         trace_name = args.trace
         if args.param != "cavs" and base_trace is None:
             trace_name = os.path.join(args.out, "base_trace.jsonl")
-            save_trace(trace_name, generate_trace(cavs, frames, seed=base.seed))
+            _write_atomic(trace_name, save_trace, generate_trace(cavs, frames, seed=base.seed))
             base_trace = load_trace(trace_name)
 
         jobs = []

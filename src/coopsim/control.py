@@ -35,8 +35,7 @@ from .codec import (
 )
 from .errors import ConfigError
 from .geometry import box_frame_offsets, facing_quadrant_mask, projected_areas
-from .netsim import MODULE_TIMES_MS
-from .sampling import TruncatedNormal
+from . import netsim
 
 POINT_DENSITY_K = 60000.0  # points * m^2 at 1 m, calibrated to car faces
 POINT_CAP = 240000
@@ -159,11 +158,9 @@ class _Scenarios:
         def ms(e):  # encode (0) or decode (1) times (T, L, S), one at a time to save memory
             idx = np.minimum((u[:, None, e] * n).astype(np.int64), n - 1)
             return time_tab[buckets[:, None, None], np.arange(nl)[:, None], e, idx]
-        modules = tuple(MODULE_TIMES_MS.values())
-        ub = np.array([np.random.default_rng([p.seed, _TAG_B]).random((len(modules), s))
-                       for p in problems])
-        base_ms = sum(TruncatedNormal.cached(m, sd).ppf(ub[:, i])
-                      for i, (m, sd) in enumerate(modules))
+        ub = np.array([np.random.default_rng([p.seed, _TAG_B])
+                       .random((len(netsim.MODULE_TIMES_MS), s)) for p in problems])
+        base_ms = netsim.module_times_ms(np.moveaxis(ub, 1, -1))  # (C, S)
         z = np.array([np.random.default_rng([p.seed, _TAG_FADING]).standard_normal(s)
                       for p in problems])
         rate_bps = np.array([p.rate_bps for p in problems])[:, None]

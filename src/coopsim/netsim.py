@@ -8,9 +8,11 @@ sectors, the antenna sectors at the base station, each of which reuses the
 full band for the CAVs it covers.
 The server side is an exact first-come-first-serve multi-server queue
 advanced per frame.  Each CAV's server time is the caller's: the decode
-samples it drew from the run's measurement dataset.  Every stochastic
-quantity here is drawn from a caller-supplied generator so whole runs replay
-bit-exactly.
+samples it drew from the run's measurement dataset.
+netsim also owns the vehicle's baseline module-time model, MODULE_TIMES_MS,
+which the simulator charges and the RF optimizer samples, both through
+module_times_ms.  Every stochastic quantity here comes from caller-supplied
+uniforms or a caller-supplied generator, so whole runs replay bit-exactly.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ def uplink_rate(position, sharers: int, cfg, fading: float = 1.0) -> float:
     """Shannon rate in bits/s for one CAV sharing its sector with ``sharers``.
 
     Equal FDMA gives each CAV a band slice with proportionally less noise.
-    The fading factor is drawn by the caller (see draw_fading) so frames stay
-    replayable.
+    The log-normal fading factor is drawn by the caller, run_frame, from the
+    frame's network stream, so frames stay replayable.
     """
     if sharers < 1:
         raise ConfigError(f"sharers must be >= 1, got {sharers}")
@@ -59,24 +61,11 @@ def uplink_rate(position, sharers: int, cfg, fading: float = 1.0) -> float:
     return band * math.log2(1.0 + 10.0 ** (snr_db(d, band, cfg) / 10.0)) * float(fading)
 
 
-def draw_fading(rng: np.random.Generator, sigma: float) -> float:
-    """One log-normal fading factor; sigma 0 disables fading."""
-    return float(np.exp(sigma * rng.standard_normal())) if sigma else 1.0
-
-
 def sector_index(position, cfg) -> int:
     """Sector id by azimuth around the base station, 0 at +x, counterclockwise."""
     rel = np.asarray(position, dtype=np.float64).reshape(-1)[:2] - cfg.base_station[:2]
     az = math.atan2(rel[1], rel[0]) % (2.0 * math.pi)
     return int(az // (2.0 * math.pi / cfg.sectors)) % cfg.sectors
-
-
-def uplink_ms(payload_bytes: float, rate_bps: float) -> float:
-    if payload_bytes <= 0:
-        return 0.0
-    if rate_bps <= 0:
-        return math.inf
-    return payload_bytes * 8.0 / rate_bps * 1e3
 
 
 def _fcfs_waits(arrivals: np.ndarray, services: np.ndarray, servers: int) -> np.ndarray:
@@ -92,12 +81,15 @@ def _fcfs_waits(arrivals: np.ndarray, services: np.ndarray, servers: int) -> np.
     return waits
 
 
-def sample_module_times_ms(rng: np.random.Generator) -> float:
-    """One draw of the per-frame baseline: localization + transform + matching."""
-    total = 0.0
-    for mean, sd in MODULE_TIMES_MS.values():
-        total += float(TruncatedNormal.cached(mean, sd).sample(rng))
-    return total
+def module_times_ms(u: np.ndarray) -> np.ndarray:
+    """Per-frame baseline in ms, localization + transform + matching, by inverse CDF.
+
+    ``u`` holds uniforms, one per module of MODULE_TIMES_MS on the last
+    axis in table order; the result drops that axis.  The table is read at
+    the call.
+    """
+    return sum(TruncatedNormal.cached(mean, sd).ppf(u[..., k])
+               for k, (mean, sd) in enumerate(MODULE_TIMES_MS.values()))
 
 
 def simulate_frame_latency(payload_bytes, vehicle_ms, rates_bps, server_ms,
@@ -115,8 +107,10 @@ def simulate_frame_latency(payload_bytes, vehicle_ms, rates_bps, server_ms,
     n = len(payload_bytes)
     if not (len(vehicle_ms) == len(rates_bps) == len(server_ms) == n):
         raise ConfigError("per-CAV input lengths differ")
-    up = np.array([uplink_ms(b, r) for b, r in zip(payload_bytes, rates_bps)])
-    b_base = np.array([sample_module_times_ms(rng) + extra_b_ms[i] for i in range(n)])
+    payload = np.asarray(payload_bytes, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):  # no payload: 0; a zero rate: inf
+        up = np.where(payload > 0, payload * 8.0 / np.asarray(rates_bps, np.float64) * 1e3, 0.0)
+    b_base = module_times_ms(rng.random((n, len(MODULE_TIMES_MS)))) + np.asarray(extra_b_ms)
     arrival = np.asarray(vehicle_ms, dtype=np.float64) + up
     order = np.argsort(arrival, kind="stable")  # an infinite arrival sorts last
     finite = order[np.isfinite(arrival[order])]

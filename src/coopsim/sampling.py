@@ -69,13 +69,10 @@ class TruncatedNormal:
         self._tail0 = float(ndtr(-self._loc / sd))
 
     def ppf(self, u):
-        """Inverse CDF; lets callers reuse common uniform draws."""
+        """Inverse CDF, the only way to draw: pass uniforms in [0, 1)."""
         if self.sd == 0.0:
             u = np.asarray(u, dtype=float)
             return np.full(u.shape, self.mean) if u.shape else float(self.mean)
         q = self._tail0 + np.asarray(u, dtype=float) * (1.0 - self._tail0)
         out = self._loc + self.sd * ndtri(q)
         return out if out.shape else float(out)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.mean if self.sd == 0.0 else self.ppf(rng.random())

@@ -61,7 +61,6 @@ from .geometry import (
     wrap_yaw,
 )
 from .netsim import (
-    draw_fading,
     sector_index,
     simulate_frame_latency,
     uplink_rate,
@@ -824,12 +823,13 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     # --- radio: realized rates with fading, shared per sector ---
     # only CAVs with data on air occupy their sector's band this frame
     sector_counts = np.bincount(np.array(sectors)[payloads > 0], minlength=cfg.sectors)
-    rng_net = np.random.default_rng([cfg.seed, fidx, _S_NET])
+    # log-normal fading, one factor per CAV; sigma 0 gives exp(0) = 1 exactly
+    fading = np.exp(cfg.fading_sigma * np.random.default_rng([cfg.seed, fidx, _S_NET])
+                    .standard_normal(n)).tolist()
     rates = np.zeros(n)
     for c, cav_id in enumerate(cav_ids):
-        fading = draw_fading(rng_net, cfg.fading_sigma)
         share = max(1, int(sector_counts[sectors[c]]))
-        rates[c] = uplink_rate(positions[c], share, cfg, fading=float(fading))
+        rates[c] = uplink_rate(positions[c], share, cfg, fading=fading[c])
         state.prev_rates[cav_id] = float(rates[c])
 
     # --- edge latency ---
@@ -958,7 +958,8 @@ def write_frame_csv(path, rows) -> None:
 
 
 def write_summary(path, summary: dict) -> None:
-    """Strict JSON: a statistic over no values is null, never NaN."""
+    """Strict JSON, the form of every JSON file the CLI writes: a statistic
+    over no values is null, never NaN, and a NaN or infinity raises."""
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

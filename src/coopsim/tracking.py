@@ -14,16 +14,15 @@ is charged.
 
 The tracker's published positions are modeled as an error process with a
 nominal state and a short-lived degraded state (hard maneuvers break the
-constant-velocity assumption in bursts).  ``sigma_trk`` sets the tracker's
+constant-velocity assumption in bursts).  SIGMA_TRK sets the tracker's
 overall mean Euclidean error across both states; the split between the states
-is controlled by the maneuver fields.  A vehicle's track of an object
+is controlled by the MANEUVER_* constants.  A vehicle's track of an object
 therefore holds only that it exists, its maneuver state and when the object
 was last published.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -152,33 +151,28 @@ def nearest_rows(points, queries, gate: float) -> np.ndarray:
 # hybrid localization
 
 
-class LocalizerMode(enum.Enum):
-    DETECTION = "detection"
-    TRACKING = "tracking"
+# the oracle detector and the tracker; module constants, read at each step
+SIGMA_DET = 0.07  # mean Euclidean detector error, m
+MISS_PROB = 0.02
+DET_TIME_MEAN_MS = 26.41
+DET_TIME_SD_MS = 4.73
+SIGMA_TRK = 0.12  # mean Euclidean tracker error across states, m
+TRK_TIME_MEAN_MS = 0.73
+TRK_TIME_SD_MS = 0.71
+# degraded-state (maneuver) process for the tracker error
+MANEUVER_ENTER = 0.0105
+MANEUVER_PERSIST = 0.8
+MANEUVER_ERROR_RATIO = 8.0
 
 
-@dataclass
-class DetectionOracleConfig:
-    sigma_det: float = 0.07  # mean Euclidean detector error, m
-    miss_prob: float = 0.02
-    det_time_mean_ms: float = 26.41
-    det_time_sd_ms: float = 4.73
-    sigma_trk: float = 0.12  # mean Euclidean tracker error across states, m
-    trk_time_mean_ms: float = 0.73
-    trk_time_sd_ms: float = 0.71
-    # degraded-state (maneuver) process for the tracker error
-    maneuver_enter: float = 0.0105
-    maneuver_persist: float = 0.8
-    maneuver_error_ratio: float = 8.0
+def tracker_base_error() -> float:
+    """Nominal-state mean error such that the mixture mean is SIGMA_TRK.
 
-    def maneuver_stationary(self) -> float:
-        leave = 1.0 - self.maneuver_persist
-        return self.maneuver_enter / (self.maneuver_enter + leave)
-
-    def tracker_base_error(self) -> float:
-        """Nominal-state mean error such that the mixture mean is sigma_trk."""
-        pi_b = self.maneuver_stationary()
-        return self.sigma_trk / ((1.0 - pi_b) + pi_b * self.maneuver_error_ratio)
+    The maneuver chain spends MANEUVER_ENTER / (MANEUVER_ENTER + leave) of
+    its time degraded, where leave = 1 - MANEUVER_PERSIST.
+    """
+    pi_b = MANEUVER_ENTER / (MANEUVER_ENTER + (1.0 - MANEUVER_PERSIST))
+    return SIGMA_TRK / ((1.0 - pi_b) + pi_b * MANEUVER_ERROR_RATIO)
 
 
 @dataclass
@@ -197,11 +191,9 @@ class LocalizeResult:
 class HybridLocalizer:
     """Per-vehicle localizer: the mode latch and the local tracks."""
 
-    def __init__(self, cfg: DetectionOracleConfig | None = None,
-                 rle_threshold: float = 0.5):
-        self.cfg = cfg or DetectionOracleConfig()
+    def __init__(self, rle_threshold: float = 0.5):
         self.rle_threshold = rle_threshold
-        self.mode = LocalizerMode.DETECTION  # nothing to track before the first slot
+        self.detecting = True  # the mode latch; nothing to track before the first slot
         self.tracks: dict = {}
 
     def step(self, t: float, truth: dict, rng: np.random.Generator) -> LocalizeResult:
@@ -214,25 +206,24 @@ class HybridLocalizer:
         unpublished for over TRACK_RETIRE_S retire.  Objects with no prior
         track always publish the detector output regardless of mode.
         """
-        cfg, tracks = self.cfg, self.tracks
-        det_axis = cfg.sigma_det * _AXIS_FROM_MEAN
-        base_err = cfg.tracker_base_error()
+        tracks = self.tracks
+        det_axis = SIGMA_DET * _AXIS_FROM_MEAN
+        base_err = tracker_base_error()
 
         det_out: dict = {}
         trk_out: dict = {}
         gaps = []  # detector minus tracker output, per object with both
         for obj_id in sorted(truth):
             pos = np.asarray(truth[obj_id], dtype=np.float64).reshape(2)
-            missed = rng.uniform() < cfg.miss_prob
+            missed = rng.uniform() < MISS_PROB
             noise = rng.normal(scale=det_axis, size=2) if det_axis > 0 else np.zeros(2)
             if not missed:
                 det_out[obj_id] = pos + noise
             entry = tracks.get(obj_id)
             if entry is not None:
                 u = rng.uniform()
-                entry.maneuver = u < (cfg.maneuver_persist if entry.maneuver
-                                      else cfg.maneuver_enter)
-                err_mean = base_err * (cfg.maneuver_error_ratio if entry.maneuver else 1.0)
+                entry.maneuver = u < (MANEUVER_PERSIST if entry.maneuver else MANEUVER_ENTER)
+                err_mean = base_err * (MANEUVER_ERROR_RATIO if entry.maneuver else 1.0)
                 axis = err_mean * _AXIS_FROM_MEAN
                 tnoise = rng.normal(scale=axis, size=2) if axis > 0 else np.zeros(2)
                 trk_out[obj_id] = pos + tnoise
@@ -240,18 +231,18 @@ class HybridLocalizer:
                     gaps.append(det_out[obj_id] - trk_out[obj_id])
         rle_max = float(row_norms(np.reshape(gaps, (-1, 2))).max()) if gaps else 0.0
 
-        if self.mode is LocalizerMode.TRACKING:
+        detection_charged = self.detecting
+        if detection_charged:
+            observations = det_out
+            charge = TruncatedNormal.cached(DET_TIME_MEAN_MS, DET_TIME_SD_MS)
+        else:
             observations = dict(trk_out)
             for obj_id, pos in det_out.items():
                 # no track yet: ride on the detector
                 observations.setdefault(obj_id, pos)
-            charged = TruncatedNormal.cached(cfg.trk_time_mean_ms, cfg.trk_time_sd_ms).sample(rng)
-        else:
-            observations = det_out
-            charged = TruncatedNormal.cached(cfg.det_time_mean_ms, cfg.det_time_sd_ms).sample(rng)
-        detection_charged = self.mode is LocalizerMode.DETECTION
-        self.mode = (LocalizerMode.TRACKING if rle_max < self.rle_threshold
-                     else LocalizerMode.DETECTION)
+            charge = TruncatedNormal.cached(TRK_TIME_MEAN_MS, TRK_TIME_SD_MS)
+        charged = charge.ppf(rng.random())
+        self.detecting = not rle_max < self.rle_threshold
 
         for obj_id in observations:
             tracks.setdefault(obj_id, TrackEntry()).last_seen = t

@@ -6,11 +6,13 @@ The exceptions are the routines that array code replaced, kept as they were:
 the per-pair point-count predictor with its projected_area (it shares Bbox3
 and visible_face_weights), the farthest-point walk with one temporary per
 step, the dict-based predictive match and greedy map dedup, the matrix-form
-Kalman filter (it shares KalmanState and the noise constants), and the
+Kalman filter (it shares KalmanState and the noise constants), the
 per-CAV RF optimizer loop (it shares the dataset, the truncated-normal
 sampler, the random-stream tags, the module-time table, the perturbation
 spread and the result type; it reads the last two at call time, as the
-batch does, so a test that patches one sets both).
+batch does, so a test that patches one sets both), and the scalar upload
+time, baseline and fading draws of a frame (they share the module-time
+table and the truncated-normal sampler).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from coopsim import control
+from coopsim import control, netsim
 from coopsim.codec import DESCRIPTOR_OVERHEAD_BYTES, bucket_index
 from coopsim.control import (
     _TAG_B,
@@ -189,6 +191,33 @@ def min_feasible_suffix_sum(values, threshold) -> float:
 
 
 # ---------------------------------------------------------------------------
+# a frame's upload times, baseline and fading, one CAV at a time
+
+
+def uplink_ms(payload_bytes: float, rate_bps: float) -> float:
+    """One CAV's upload time: nothing to send costs 0, a dead link forever."""
+    if payload_bytes <= 0:
+        return 0.0
+    if rate_bps <= 0:
+        return math.inf
+    return payload_bytes * 8.0 / rate_bps * 1e3
+
+
+def sample_module_times_ms(rng: np.random.Generator) -> float:
+    """One CAV's baseline: a scalar draw per module, in table order, summed."""
+    total = 0.0
+    for mean, sd in netsim.MODULE_TIMES_MS.values():
+        total += float(TruncatedNormal.cached(mean, sd).ppf(rng.random()))
+    return total
+
+
+def draw_fading(rng: np.random.Generator, sigma: float, n: int) -> list:
+    """``n`` log-normal fading factors, one scalar draw each; sigma 0 gives 1."""
+    return [float(np.exp(sigma * rng.standard_normal())) if sigma else 1.0
+            for _ in range(n)]
+
+
+# ---------------------------------------------------------------------------
 # RF optimizer, one CAV at a time
 
 
@@ -219,7 +248,7 @@ class LoopScenarios:
                 self.mean_loss[i, j] = ds.mean_loss(rf, bucket)
                 self.enc_ms[i, j] = _pick(ds.enc_time_samples(rf, bucket), u[0])
                 self.dec_ms[i, j] = _pick(ds.dec_time_samples(rf, bucket), u[1])
-        modules = list(control.MODULE_TIMES_MS.values())
+        modules = list(netsim.MODULE_TIMES_MS.values())
         ub = np.random.default_rng([seed, _TAG_B]).random((len(modules), s))
         self.b_ms = sum(
             TruncatedNormal.cached(m, sd).ppf(ub[i])

@@ -17,7 +17,6 @@ from coopsim.control import thin_edges
 from coopsim.geometry import chamfer_distance, earth_movers_distance
 from coopsim.simpipe import RunConfig, collect_metrics, generate_trace, run_simulation
 from coopsim.tracking import (
-    DetectionOracleConfig,
     HybridLocalizer,
     KalmanState,
     kalman_correct,
@@ -130,9 +129,8 @@ def test_02_kalman_gain_and_noiseless_convergence():
 
 
 def test_03_hybrid_localization_error_and_cost_bands():
-    cfg = DetectionOracleConfig()
     rng = np.random.default_rng(12)
-    loc = HybridLocalizer(cfg)
+    loc = HybridLocalizer()
     errors, charges, detect_slots = [], [], 0
     steps = 10_000
     for k in range(steps):

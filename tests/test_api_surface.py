@@ -2,7 +2,9 @@
 
 Every public top-level function, class or assignment in ``src/coopsim`` must
 be loaded, as a name or an attribute, somewhere in ``src/`` outside its own
-definition.  Import lines do not count as uses.  Every field of a
+definition.  Import lines do not count as uses.  Every defaulted parameter
+must be passed by some call in ``src/`` or ``perfbench/``, bar a listed few
+with their readers.  Every field of a
 ``@dataclass`` there must be loaded as an attribute somewhere in ``src/``;
 the match is by name, so a field shares a read with any attribute of its
 name.  No dataclass but ``RunConfig`` may declare a field named like one of
@@ -208,8 +210,15 @@ def test_guard_sees_a_run_config_copy(tmp_path):
     assert run_config_copies(tmp_path) == ["b.py:RadioCopy.bandwidth_hz"]
 
 
-# callers whose calls count as passing an option: the package, its tests, the benchmark
-CALLERS = (SRC, SRC.parents[1] / "tests", SRC.parents[1] / "perfbench")
+# callers whose calls count as passing an option: the package and the benchmark
+CALLERS = (SRC, SRC.parents[1] / "perfbench")
+
+# options passed only outside CALLERS, each with its reader
+OPTIONS_PASSED_ELSEWHERE = {
+    "tracking.py:kalman_correct(r_obs=)": "acceptance test 02",
+    "codec.py:surrogate_dataset(seed=)": "acceptance test 09",
+    "codec.py:profile(rf_set=)": "tests/test_codec.py, profiles of a partial RF set",
+}
 
 
 def _functions(tree):
@@ -271,7 +280,9 @@ def unpassed_options(src=SRC, callers=CALLERS) -> list:
 
 
 def test_every_option_is_passed_somewhere():
-    assert unpassed_options() == []
+    assert sorted(set(unpassed_options()) - set(OPTIONS_PASSED_ELSEWHERE)) == []
+    # an exception whose option gained a caller in src/ or perfbench/ leaves the list
+    assert sorted(set(OPTIONS_PASSED_ELSEWHERE) - set(unpassed_options())) == []
 
 
 def test_guard_sees_an_option_nobody_passes(tmp_path):

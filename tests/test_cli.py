@@ -123,6 +123,23 @@ def test_profile_refuses_overwrite(tmp_path):
     assert main(args) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("command, owner, attr", [
+    (["gen-trace", "--cavs", "3", "--frames", "2"], cli, "save_trace"),
+    (["profile", "--mode", "surrogate", "--samples", "2"], MeasurementDataset, "save"),
+], ids=["gen-trace", "profile"])
+def test_partial_write_leaves_no_file_at_out(tmp_path, monkeypatch, command, owner, attr):
+    """The main file goes into place only once it is whole."""
+    def full_disk(*args):  # (path, trace) or (dataset, path)
+        with open(next(a for a in args if isinstance(a, str)), "w") as fh:
+            fh.write("half a line")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(owner, attr, full_disk)
+    out = tmp_path / "out"
+    assert main([*command, "--out", str(out)]) == EXIT_INPUT
+    assert os.listdir(tmp_path) == []
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -574,11 +591,17 @@ def test_sweep_unused_cavs_or_frames_exits_2_before_output(tmp_path, trace_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args", [["--values", "0", "3", "--frames", "2"],
-                                  ["--values", "3", "6", "--frames", "0"]])
+@pytest.mark.parametrize("args", [
+    ["--param", "cavs", "--values", "0", "3", "--frames", "2"],
+    ["--param", "cavs", "--values", "3", "6", "--frames", "0"],
+    ["--param", "cavs", "--values", "3", "x"],
+    ["--param", "cavs", "--values", "3", "inf"],
+    ["--param", "cavs", "--values", "nan", "3"],
+    ["--param", "H", "--values", "80", "abc"],
+])
 def test_sweep_cavs_bad_counts_exit_2_before_output(tmp_path, args):
     out = tmp_path / "sw"
-    assert main(["sweep", "--param", "cavs", *args, "--out", str(out)]) == EXIT_INPUT
+    assert main(["sweep", *args, "--out", str(out)]) == EXIT_INPUT
     assert not out.exists()
 
 

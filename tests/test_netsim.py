@@ -3,20 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from coopsim import simpipe
 from coopsim.errors import ConfigError
 from coopsim.netsim import (
     MODULE_TIMES_MS,
-    draw_fading,
+    module_times_ms,
     path_loss_db,
-    sample_module_times_ms,
     sector_index,
     simulate_frame_latency,
     snr_db,
-    uplink_ms,
     uplink_rate,
     _fcfs_waits,
 )
-from coopsim.simpipe import RunConfig
+from coopsim.simpipe import RunConfig, generate_trace, run_simulation
+from oracles import draw_fading, sample_module_times_ms, uplink_ms
 from oracles import fcfs_waits as oracle_fcfs
 
 
@@ -73,13 +73,40 @@ def test_config_validation():
         uplink_rate([1.0, 0.0, 0.0], 0, cell())
 
 
-def test_fading_seeded_and_degenerate():
-    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-    a = [draw_fading(rng_a, 0.2) for _ in range(100)]
-    b = [draw_fading(rng_b, 0.2) for _ in range(100)]
-    assert a == b
-    assert min(a) > 0 and len(set(a)) == 100
-    assert draw_fading(np.random.default_rng(5), 0.0) == 1.0
+def _fading_by_frame(monkeypatch, trace, cfg) -> list:
+    """The fading factor each frame's radio block passes to uplink_rate, per CAV."""
+    seen = []
+
+    def recording(position, sharers, cfg, fading=1.0):
+        seen.append(fading)
+        return uplink_rate(position, sharers, cfg, fading=fading)
+
+    monkeypatch.setattr(simpipe, "uplink_rate", recording)
+    run_simulation(trace, cfg)
+    sizes = np.cumsum([0] + [len(f.cav_ids) for f in trace])
+    return [seen[a:b] for a, b in zip(sizes, sizes[1:])]
+
+
+def test_fading_seeded_and_degenerate(monkeypatch):
+    trace = generate_trace(20, 2, seed=5)
+    cfg = RunConfig(policy="adamap-lite", fading_sigma=0.2)
+    a = _fading_by_frame(monkeypatch, trace, cfg)
+    assert a == _fading_by_frame(monkeypatch, trace, cfg)
+    assert min(map(min, a)) > 0 and len(set(a[0] + a[1])) == 40
+    flat = _fading_by_frame(monkeypatch, trace, RunConfig(policy="adamap-lite",
+                                                          fading_sigma=0.0))
+    assert flat == [[1.0] * 20] * 2
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1, 0.35])
+def test_fading_matches_scalar_oracle(monkeypatch, sigma):
+    # one array draw per frame gives the doubles of one scalar draw per CAV
+    trace = generate_trace(17, 3, seed=11)
+    cfg = RunConfig(policy="adamap-lite", fading_sigma=sigma, seed=4)
+    got = _fading_by_frame(monkeypatch, trace, cfg)
+    want = [draw_fading(np.random.default_rng([cfg.seed, f.index, simpipe._S_NET]), sigma,
+                        len(f.cav_ids)) for f in trace]
+    assert got == want
 
 
 def test_sector_assignment():
@@ -91,9 +118,10 @@ def test_sector_assignment():
 
 
 def test_uplink_ms_edge_cases():
-    assert uplink_ms(0, 0.0) == 0.0
-    assert uplink_ms(1000, 0.0) == math.inf
-    assert uplink_ms(1000, 8e6) == pytest.approx(1.0)
+    _, up, _ = simulate_frame_latency([0, 1000, 1000], [0.0] * 3, [0.0, 0.0, 8e6],
+                                      [0.0] * 3, 1, np.random.default_rng(0),
+                                      extra_b_ms=[0.0] * 3)
+    assert up.tolist() == [0.0, math.inf, pytest.approx(1.0)]
 
 
 def test_fcfs_hand_traces():
@@ -171,8 +199,26 @@ def test_frame_extra_b_charge():
 
 
 def test_module_time_means():
-    rng = np.random.default_rng(9)
-    draws = np.array([sample_module_times_ms(rng) for _ in range(3000)])
+    draws = module_times_ms(np.random.default_rng(9).random((3000, len(MODULE_TIMES_MS))))
     expected = sum(m for m, _ in MODULE_TIMES_MS.values())
+    assert draws.shape == (3000,)
     assert draws.min() >= 0
     assert draws.mean() == pytest.approx(expected, abs=0.01)
+
+
+def test_frame_columns_match_scalar_oracles():
+    """Baseline and uplink columns equal the scalar per-CAV routines bit for bit,
+    zero payloads and zero rates included."""
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        n = int(rng.integers(1, 40))
+        payload = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(1.0, 5e4, n).round())
+        rates = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(1e3, 1e6, n))
+        extra = np.where(rng.random(n) < 0.5, 0.0, rng.normal(26.41, 4.73, n))
+        vehicle, server = rng.uniform(0.0, 5.0, n), rng.uniform(0.0, 3.0, n)
+        b_ms, up, _ = simulate_frame_latency(payload, vehicle, rates, server, 2,
+                                             np.random.default_rng(trial),
+                                             extra_b_ms=extra.tolist())
+        ref_rng = np.random.default_rng(trial)
+        assert b_ms.tolist() == [sample_module_times_ms(ref_rng) + e for e in extra.tolist()]
+        assert up.tolist() == [uplink_ms(b, r) for b, r in zip(payload, rates)]

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
+from coopsim import tracking
 from coopsim.tracking import (
-    DetectionOracleConfig,
     HybridLocalizer,
     KalmanState,
-    LocalizerMode,
     kalman_correct,
     kalman_init,
     kalman_predict,
@@ -184,39 +183,43 @@ def test_row_norms_match_linalg_norm_bit_for_bit():
 # hybrid localization
 
 
-def _noise_free_cfg() -> DetectionOracleConfig:
-    return DetectionOracleConfig(sigma_det=0.0, miss_prob=0.0, sigma_trk=0.0)
+def _oracle(monkeypatch, sigma_det=0.0, miss_prob=0.0, sigma_trk=0.0):
+    """Set the localizer's detector and tracker errors; noise-free by default."""
+    for name, value in (("SIGMA_DET", sigma_det), ("MISS_PROB", miss_prob),
+                        ("SIGMA_TRK", sigma_trk)):
+        monkeypatch.setattr(tracking, name, value)
 
 
 def _run_slots(loc, truths, rng):
-    """Each slot's result, and the mode it latched for the next slot."""
-    results, modes = [], []
+    """Each slot's result, and whether it latched detection for the next slot."""
+    results, detecting = [], []
     for k, truth in enumerate(truths):
         results.append(loc.step(k * 0.1, truth, rng))
-        modes.append(loc.mode)
-    return results, modes
+        detecting.append(loc.detecting)
+    return results, detecting
 
 
-def test_zero_rle_switches_to_tracking_and_charges_tracker_time():
+def test_zero_rle_switches_to_tracking_and_charges_tracker_time(monkeypatch):
+    _oracle(monkeypatch)
     rng = np.random.default_rng(0)
-    loc = HybridLocalizer(_noise_free_cfg())
+    loc = HybridLocalizer()
     truths = [{1: (0.1 * k, 0.0), 2: (5.0, 0.1 * k)} for k in range(400)]
-    results, modes = _run_slots(loc, truths, rng)
+    results, detecting = _run_slots(loc, truths, rng)
     assert results[0].detection_charged  # boots in detection
-    assert all(m is LocalizerMode.TRACKING for m in modes)
+    assert not any(detecting)
     tracked = [r.charged_ms for r in results[1:]]
     assert all(not r.detection_charged for r in results[1:])
     # charged time follows the tracker distribution (mean 0.73 ms)
     assert abs(np.mean(tracked) - 0.73) < 0.12
 
 
-def test_large_gap_forces_detection_next_slot():
-    cfg = DetectionOracleConfig(sigma_det=0.0, miss_prob=0.0, sigma_trk=5.0)
+def test_large_gap_forces_detection_next_slot(monkeypatch):
+    _oracle(monkeypatch, sigma_trk=5.0)
     rng = np.random.default_rng(1)
-    loc = HybridLocalizer(cfg)
+    loc = HybridLocalizer()
     truths = [{1: (0.0, 0.0)} for _ in range(200)]
-    results, modes = _run_slots(loc, truths, rng)
-    flips = [k for k, m in enumerate(modes[:-1]) if m is LocalizerMode.DETECTION]
+    results, detecting = _run_slots(loc, truths, rng)
+    flips = [k for k, d in enumerate(detecting[:-1]) if d]
     # slot 0 has no track, so no gap; the tracker's 5 m error opens one later
     assert flips and flips[0] > 0
     assert all(results[k + 1].detection_charged for k in flips)
@@ -225,11 +228,11 @@ def test_large_gap_forces_detection_next_slot():
                if k > 0 and r.detection_charged)
 
 
-def test_new_object_rides_on_detector_in_tracking_mode():
+def test_new_object_rides_on_detector_in_tracking_mode(monkeypatch):
     # an exact detector and a noisy tracker tell the sources apart by value
-    cfg = DetectionOracleConfig(sigma_det=0.0, miss_prob=0.0, sigma_trk=1e-4)
+    _oracle(monkeypatch, sigma_trk=1e-4)
     rng = np.random.default_rng(2)
-    loc = HybridLocalizer(cfg)
+    loc = HybridLocalizer()
     loc.step(0.0, {1: (0.0, 0.0)}, rng)
     res = loc.step(0.1, {1: (0.0, 0.0), 7: (3.0, 3.0)}, rng)
     assert not res.detection_charged
@@ -238,18 +241,19 @@ def test_new_object_rides_on_detector_in_tracking_mode():
     assert sorted(loc.tracks) == [1, 7]
 
 
-def test_all_missed_detection_mode_publishes_nothing():
-    cfg = DetectionOracleConfig(sigma_det=0.0, miss_prob=1.0, sigma_trk=0.0)
-    loc = HybridLocalizer(cfg)
-    assert loc.mode is LocalizerMode.DETECTION
+def test_all_missed_detection_mode_publishes_nothing(monkeypatch):
+    _oracle(monkeypatch, miss_prob=1.0)
+    loc = HybridLocalizer()
+    assert loc.detecting
     res = loc.step(0.0, {1: (0.0, 0.0)}, np.random.default_rng(3))
     assert res.observations == {}
     assert res.detection_charged
 
 
-def test_tracks_retire_after_silence():
+def test_tracks_retire_after_silence(monkeypatch):
+    _oracle(monkeypatch)
     rng = np.random.default_rng(4)
-    loc = HybridLocalizer(_noise_free_cfg())
+    loc = HybridLocalizer()
     loc.step(0.0, {1: (0.0, 0.0)}, rng)
     assert 1 in loc.tracks
     for k in range(1, 30):
@@ -257,19 +261,22 @@ def test_tracks_retire_after_silence():
     assert 1 not in loc.tracks
 
 
-def test_tracker_error_mixture_mean_matches_sigma():
-    cfg = DetectionOracleConfig()
-    pi_b = cfg.maneuver_stationary()
-    base = cfg.tracker_base_error()
-    mix = (1 - pi_b) * base + pi_b * base * cfg.maneuver_error_ratio
-    assert mix == pytest.approx(cfg.sigma_trk, rel=1e-12)
+def test_tracker_error_mixture_mean_matches_sigma(monkeypatch):
+    # the stationary share of the degraded state, from the two-state chain
+    leave = 1.0 - tracking.MANEUVER_PERSIST
+    pi_b = tracking.MANEUVER_ENTER / (tracking.MANEUVER_ENTER + leave)
+    base = tracking.tracker_base_error()
+    mix = (1 - pi_b) * base + pi_b * base * tracking.MANEUVER_ERROR_RATIO
+    assert mix == pytest.approx(tracking.SIGMA_TRK, rel=1e-12)
+    # computed at the call, so a patched sigma takes effect
+    monkeypatch.setattr(tracking, "SIGMA_TRK", 2.0 * tracking.SIGMA_TRK)
+    assert tracking.tracker_base_error() == pytest.approx(2.0 * base, rel=1e-12)
 
 
 def test_hybrid_error_and_cost_between_pure_modes():
     # lighter rehearsal of the acceptance-scale run
-    cfg = DetectionOracleConfig()
     rng = np.random.default_rng(5)
-    loc = HybridLocalizer(cfg)
+    loc = HybridLocalizer()
     errs, charges, det_slots = [], [], 0
     n = 3000
     for k in range(n):
