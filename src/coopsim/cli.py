@@ -61,11 +61,15 @@ def version_string() -> str:
     return __version__
 
 
-def _write_atomic(path: str, write, *args) -> None:
-    """``write(tmp_path, *args)``, then move the finished file into place."""
+def _write_atomic(path: str, write, *args, sidecar: tuple | None = None) -> None:
+    """``write(tmp_path, *args)``, then move the finished file into place.
+    A ``sidecar`` (path, dict) is written as JSON before that move, so the
+    file at ``path`` never lacks it."""
     tmp = path + ".tmp"
     try:
         write(tmp, *args)
+        if sidecar is not None:
+            _write_atomic(sidecar[0], write_summary, sidecar[1])
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -75,6 +79,19 @@ def _write_atomic(path: str, write, *args) -> None:
 def _require_fresh(path: str, force: bool) -> None:
     if os.path.exists(path) and not force:
         raise ConfigError(f"{path} exists; pass --force to overwrite")
+
+
+@contextmanager
+def _output_file(path: str, force: bool):
+    """Refuse an unusable ``path`` before the body works; an OSError once
+    the body has begun is an internal failure (exit 4), as in ``_output_dir``."""
+    _require_fresh(path, force)
+    if os.path.isdir(path) or not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK):
+        raise ConfigError(f"cannot write {path}: not a file in a writable directory")
+    try:
+        yield
+    except OSError as exc:
+        raise CoopsimError(f"{type(exc).__name__}: {exc}") from exc
 
 
 @contextmanager
@@ -111,22 +128,21 @@ def _load_config(args) -> RunConfig:
 
 
 def cmd_gen_trace(args) -> int:
-    _require_fresh(args.out, args.force)
-    trace = generate_trace(args.cavs, args.frames, seed=args.seed)
-    _write_atomic(args.out, save_trace, trace)
-    per_cav = np.concatenate([np.bincount(f.pair_cav, minlength=len(f.cav_ids))
-                              for f in trace])
-    stats = {
-        "seed": args.seed,
-        "version": version_string(),
-        "cavs": args.cavs,
-        "frames": args.frames,
-        "objects_per_frame": [len(f.obj_ids) for f in trace],
-        "visible_per_cav_hist": {str(i): int(n) for i, n in enumerate(np.bincount(per_cav))
-                                 if n},
-        "visible_per_cav_mean": float(np.mean(per_cav)),
-    }
-    _write_atomic(args.out + ".stats.json", write_summary, stats)
+    with _output_file(args.out, args.force):
+        trace = generate_trace(args.cavs, args.frames, seed=args.seed)
+        per_cav = np.concatenate([np.bincount(f.pair_cav, minlength=len(f.cav_ids))
+                                  for f in trace])
+        stats = {
+            "seed": args.seed,
+            "version": version_string(),
+            "cavs": args.cavs,
+            "frames": args.frames,
+            "objects_per_frame": [len(f.obj_ids) for f in trace],
+            "visible_per_cav_hist": {str(i): int(n) for i, n in enumerate(np.bincount(per_cav))
+                                     if n},
+            "visible_per_cav_mean": float(np.mean(per_cav)),
+        }
+        _write_atomic(args.out, save_trace, trace, sidecar=(args.out + ".stats.json", stats))
     print(f"wrote {args.out} ({args.cavs} cavs x {args.frames} frames, "
           f"mean visible {stats['visible_per_cav_mean']:.1f})")
     return EXIT_OK
@@ -135,19 +151,18 @@ def cmd_gen_trace(args) -> int:
 def cmd_profile(args) -> int:
     if args.samples is not None and args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
-    _require_fresh(args.out, args.force)
-    if args.mode == "surrogate":
-        samples = 120 if args.samples is None else args.samples
-        ds = surrogate_dataset(samples_per_key=samples)
-    else:
-        samples = 30 if args.samples is None else args.samples
-        # collection itself is allowed to finish; validation reports shortfalls
-        ds = profile(default_profile_clouds(seed=0, per_bucket=samples),
-                     min_samples=30)
-    _write_atomic(args.out, ds.save)
-    meta = {"mode": args.mode, "samples": samples, "seed": 0,
-            "version": version_string()}
-    _write_atomic(args.out + ".meta.json", write_summary, meta)
+    with _output_file(args.out, args.force):
+        if args.mode == "surrogate":
+            samples = 120 if args.samples is None else args.samples
+            ds = surrogate_dataset(samples_per_key=samples)
+        else:
+            samples = 30 if args.samples is None else args.samples
+            # collection itself is allowed to finish; validation reports shortfalls
+            ds = profile(default_profile_clouds(seed=0, per_bucket=samples),
+                         min_samples=30)
+        meta = {"mode": args.mode, "samples": samples, "seed": 0,
+                "version": version_string()}
+        _write_atomic(args.out, ds.save, sidecar=(args.out + ".meta.json", meta))
     print(f"wrote {args.out} ({len(ds.keys())} keys, {samples} samples each)")
     return EXIT_OK
 

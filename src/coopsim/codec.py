@@ -165,20 +165,15 @@ class MeasurementDataset:
         cell = self._cells.get((rf, bucket))
         return cell.shape[1] if cell is not None else 0
 
-    def _cell(self, rf: int, bucket: int) -> np.ndarray:
+    def cell(self, rf: int, bucket: int) -> np.ndarray:
+        """The (3, n) losses, encode times and decode times of one key."""
         cell = self._cells.get((rf, bucket))
         if cell is None:
             raise DatasetMissError(f"no samples for rf={rf} bucket={bucket}")
         return cell
 
     def loss_samples(self, rf: int, bucket: int) -> np.ndarray:
-        return self._cell(rf, bucket)[0]
-
-    def enc_time_samples(self, rf: int, bucket: int) -> np.ndarray:
-        return self._cell(rf, bucket)[1]
-
-    def dec_time_samples(self, rf: int, bucket: int) -> np.ndarray:
-        return self._cell(rf, bucket)[2]
+        return self.cell(rf, bucket)[0]
 
     def mean_loss(self, rf: int, bucket: int) -> float:
         return float(self.loss_samples(rf, bucket).mean())

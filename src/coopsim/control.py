@@ -232,12 +232,11 @@ def _sample_tables(dataset: MeasurementDataset, levels, buckets):
     for b in buckets:
         for j, rf in enumerate(levels):
             mean_tab[b, j] = dataset.mean_loss(rf, b)
-            cells[b, j] = (dataset.enc_time_samples(rf, b), dataset.dec_time_samples(rf, b))
-            count_tab[b, j] = len(cells[b, j][0])
+            cells[b, j] = dataset.cell(rf, b)
+            count_tab[b, j] = cells[b, j].shape[1]
     time_tab = np.zeros((N_BUCKETS, nl, 2, int(count_tab.max())))
-    for (b, j), (enc, dec) in cells.items():
-        time_tab[b, j, 0, :len(enc)] = enc
-        time_tab[b, j, 1, :len(dec)] = dec
+    for (b, j), cell in cells.items():
+        time_tab[b, j, :, :cell.shape[1]] = cell[1:]
     return levels, mean_tab, time_tab, count_tab
 
 

@@ -24,6 +24,7 @@ Policies are the rows of ``_POLICY``; each names what it does at each step
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import numbers
@@ -68,8 +69,10 @@ from .netsim import (
 from .tracking import (
     HybridLocalizer,
     kalman_correct,
+    kalman_floats,
     kalman_init,
     kalman_predict,
+    kalman_state,
     nearest_rows,
     row_norms,
 )
@@ -114,6 +117,8 @@ VISIBLE_RANGE_M = 50.0
 REUSE_DELTA_BYTES = 32
 REUSE_POSE_ERROR_M = 0.5
 MATCH_GATE_M = 3.0
+MATCH_CELL_M = 4.0  # the map's match grid: wider than the gate, a power of two
+_AROUND = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
 DEDUP_DISTANCE_M = 0.1
 RETIRE_AFTER_S = 2.0
 
@@ -352,6 +357,19 @@ class MapEntry:
     last_loss: float = 0.0
 
 
+def _place(near: dict, cells: list, row: int, x: float, y: float) -> None:
+    """Bin ``row`` at (x, y): list it, in row order, under each of the 3 x 3
+    cells around its own, and drop it from those of the cell it had."""
+    cell = (math.floor(x / MATCH_CELL_M), math.floor(y / MATCH_CELL_M))
+    old, cells[row] = cells[row], cell
+    if cell != old:
+        for i, j in _AROUND:
+            if old is not None:
+                near[old[0] + i, old[1] + j].remove(row)
+        for i, j in _AROUND:
+            bisect.insort(near.setdefault((cell[0] + i, cell[1] + j), []), row)
+
+
 class GlobalMap:
     """Server-side registry of matched objects, keyed by global id."""
 
@@ -373,53 +391,71 @@ class GlobalMap:
     def commit_frame(self, items, t: float, predicted):
         """Match and fold a frame's uploads, in the given order.
 
-        ``items`` is a list of (observed (2,) position, carries_geometry,
-        loss), one per uploaded object, and ``predicted`` the map's
+        ``items`` is a list of (observed (x, y), carries_geometry, loss), one
+        per uploaded object, and ``predicted`` the map's
         ``predicted_positions(t)``.  Returns the global id assigned to each
-        item.  Matching always runs against the freshest predictions: a
-        matched row takes the corrected position and a new entry appends its
+        item.  Matching always runs against the freshest positions: a
+        matched row takes the corrected position and a new entry adds its
         row, so two CAVs reporting the same new object within one frame land
-        on a single entry.  The nearest row is found as ``nearest_rows``
-        finds it: the first smallest dx*dx + dy*dy strictly within the gate.
+        on a single entry.  Rows step as ``kalman_floats`` tuples, written
+        back when the frame ends.
+
+        An item takes the row ``nearest_rows`` would: the first smallest
+        dx*dx + dy*dy, accepted strictly within the gate.  It scans only the
+        rows ``near`` lists under its grid cell, in row order: those whose
+        cell, kept current by ``_place`` as they move, is one of the 3 x 3
+        around it.  That is exact.  A computed d2 < gate^2 needs |dx| and
+        |dy| < gate before rounding, since squares, sums and rounding are
+        monotone; with MATCH_CELL_M wider than the gate such a row lies in
+        a neighbouring cell, and x / MATCH_CELL_M rounds nothing for a power
+        of two.
         """
         ids, points = predicted
         ids = ids.tolist()
-        rows = len(ids)
-        # coordinate columns with room for one appended row per item
-        px = np.empty(rows + len(items))
-        py = np.empty(rows + len(items))
-        px[:rows], py[:rows] = points[:, 0], points[:, 1]
+        states = [kalman_floats(self.entries[gid].kalman) for gid in ids]
+        px, py = points[:, 0].tolist(), points[:, 1].tolist()
+        near: dict = {}
+        cells = [None] * len(ids)
+        for row in range(len(ids)):
+            _place(near, cells, row, px[row], py[row])
+        stepped = set()
+        side = MATCH_CELL_M
         gate2 = MATCH_GATE_M * MATCH_GATE_M
         gids = []
-        for pos, has_geom, loss in items:
-            x, y = pos
-            row = -1
-            if rows:
-                dx = px[:rows] - x
-                dy = py[:rows] - y
+        for (x, y), has_geom, loss in items:
+            row, best = -1, gate2
+            for r in near.get((math.floor(x / side), math.floor(y / side)), ()):
+                dx = px[r] - x
+                dy = py[r] - y
                 d2 = dx * dx + dy * dy
-                best = int(d2.argmin())
-                if d2[best] < gate2:
-                    row = best
+                if d2 < best:
+                    row, best = r, d2
             if row < 0:
                 gid = self._next_id
                 self._next_id += 1
-                entry = self.entries[gid] = MapEntry(kalman=kalman_init(pos, t), last_seen=t)
-                row, rows = rows, rows + 1
+                entry = self.entries[gid] = MapEntry(kalman=kalman_init((x, y), t), last_seen=t)
+                row, state = len(ids), kalman_floats(entry.kalman)
                 ids.append(gid)
+                states.append(state)
+                cells.append(None)
+                px.append(state[0])
+                py.append(state[1])
             else:
-                gid = ids[row]
-                entry = self.entries[gid]
-                dt = t - entry.kalman.time
+                entry, state = self.entries[ids[row]], states[row]
+                dt = t - state[7]
                 if dt > 0:
-                    entry.kalman = kalman_predict(entry.kalman, dt)
-                entry.kalman = kalman_correct(entry.kalman, pos)
+                    state = kalman_predict(state, dt)
+                state = states[row] = kalman_correct(state, (x, y))
+                px[row], py[row] = state[0], state[1]
                 entry.last_seen = t
+                stepped.add(row)
+            _place(near, cells, row, state[0], state[1])
             if has_geom:
                 entry.has_geometry = True
                 entry.last_loss = loss
-            px[row], py[row] = entry.kalman.position
-            gids.append(gid)
+            gids.append(ids[row])
+        for row in stepped:
+            self.entries[ids[row]].kalman = kalman_state(states[row])
         self._dedup()
         self._retire(t)
         return gids
@@ -798,14 +834,16 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
         if not sent:
             continue
         rng_time = np.random.default_rng([cfg.seed, fidx, cav_id, _S_TIME])
-        # one encode then one decode sample per object, each summed left to right
-        cells = ([dataset.enc_time_samples(codec_rf[r], buckets[r]) for r in sent]
-                 + [dataset.dec_time_samples(codec_rf[r], buckets[r]) for r in sent])
-        draws = _draw_samples(cells, rng_time)
-        for ms in draws[:len(sent)]:
-            vehicle_ms[c] += ms
-        for ms in draws[len(sent):]:
-            server_ms[c] += ms
+        # one encode then one decode pick per object, both from its one cell;
+        # each time sums left to right
+        cells = [dataset.cell(codec_rf[r], buckets[r]) for r in sent]
+        lens = [cell.shape[1] for cell in cells]
+        picks = rng_time.integers(0, lens + lens).tolist()
+        enc_ms = dec_ms = 0.0
+        for cell, i, j in zip(cells, picks, picks[len(sent):]):
+            enc_ms += cell.item(1, i)
+            dec_ms += cell.item(2, j)
+        vehicle_ms[c], server_ms[c] = enc_ms, dec_ms
         if policy.upload_bytes is not None:
             continue
         if cfg.dataset_mode == "codec":
@@ -817,8 +855,8 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
                                       rng_codec)
         else:
             rng_loss = np.random.default_rng([cfg.seed, fidx, cav_id, _S_LOSS])
-            loss[sent] = _draw_samples([dataset.loss_samples(rf_rows[r], buckets[r])
-                                        for r in sent], rng_loss)
+            # codec_rf is rf_rows here, so the cells are the losses' too
+            loss[sent] = _draw_samples([cell[0] for cell in cells], rng_loss)
 
     # --- radio: realized rates with fading, shared per sector ---
     # only CAVs with data on air occupy their sector's band this frame
@@ -841,8 +879,8 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     vehicle_ms = (vehicle_ms + b_ms).tolist()  # encode plus baseline charge
 
     # --- server-side matching into the global map, in table order ---
-    state.global_map.commit_frame(list(zip(observed, (~reused).tolist(), loss.tolist())), t,
-                                  predicted)
+    state.global_map.commit_frame(
+        list(zip(observed.tolist(), (~reused).tolist(), loss.tolist())), t, predicted)
 
     rows = []
     for c, cav_id in enumerate(cav_ids):

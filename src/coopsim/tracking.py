@@ -53,6 +53,8 @@ class KalmanState:
     p[2, 2] = p[3, 3] = c, and every cross-axis entry is 0.  ``kalman_init``,
     the white-acceleration process noise and the isotropic observation noise
     all keep that shape, so the filter steps update (a, b, c) as scalars.
+    Both steps take a state or its ``kalman_floats`` tuple and return the
+    same form; the edge map steps tuples and builds no arrays per report.
     """
 
     x: np.ndarray
@@ -64,60 +66,59 @@ class KalmanState:
         return self.x[:2]
 
 
-def _covariance(a: float, b: float, c: float) -> np.ndarray:
-    """The 4x4 covariance whose per-axis block is [[a, b], [b, c]]."""
-    return np.array([a, 0.0, b, 0.0, 0.0, a, 0.0, b,
-                     b, 0.0, c, 0.0, 0.0, b, 0.0, c]).reshape(4, 4)
+def kalman_floats(state: KalmanState) -> tuple:
+    """The state as the floats (x, y, vx, vy, a, b, c, time)."""
+    p = state.p
+    return (*state.x.tolist(), p.item(0, 0), p.item(0, 2), p.item(2, 2), state.time)
 
 
-def _block(p: np.ndarray) -> tuple:
-    """(a, b, c) of a covariance built by ``_covariance``."""
-    return p.item(0, 0), p.item(0, 2), p.item(2, 2)
+def kalman_state(floats) -> KalmanState:
+    """The KalmanState of a ``kalman_floats`` tuple."""
+    x, y, vx, vy, a, b, c, time = floats
+    p = np.array([a, 0.0, b, 0.0, 0.0, a, 0.0, b, b, 0.0, c, 0.0, 0.0, b, 0.0, c])
+    return KalmanState(x=np.array([x, y, vx, vy]), p=p.reshape(4, 4), time=time)
 
 
 def kalman_init(position, t: float) -> KalmanState:
     """Fresh track: measured position, zero velocity, loose velocity prior."""
     x, y = np.asarray(position, dtype=np.float64).reshape(2).tolist()
-    return KalmanState(x=np.array([x, y, 0.0, 0.0]),
-                       p=_covariance(DEFAULT_OBS_NOISE_VAR, 0.0, INIT_VEL_VAR),
-                       time=float(t))
+    return kalman_state((x, y, 0.0, 0.0, DEFAULT_OBS_NOISE_VAR, 0.0, INIT_VEL_VAR, float(t)))
 
 
-def kalman_predict(state: KalmanState, dt: float) -> KalmanState:
+def kalman_predict(state, dt: float):
     """Constant-velocity step with white-acceleration noise integrated over dt."""
     if dt < 0:
         raise ValueError(f"cannot predict backwards, dt={dt}")
-    x, y, vx, vy = state.x.tolist()
-    a, b, c = _block(state.p)
+    wrapped = isinstance(state, KalmanState)
+    x, y, vx, vy, a, b, c, time = kalman_floats(state) if wrapped else state
     q = DEFAULT_PROCESS_NOISE
-    return KalmanState(
-        x=np.array([x + dt * vx, y + dt * vy, vx, vy]),
-        p=_covariance(a + 2.0 * dt * b + dt * dt * c + q * (dt**3 / 3.0),
-                      b + dt * c + q * (dt**2 / 2.0),
-                      c + q * dt),
-        time=state.time + dt)
+    out = (x + dt * vx, y + dt * vy, vx, vy,
+           a + 2.0 * dt * b + dt * dt * c + q * (dt**3 / 3.0),
+           b + dt * c + q * (dt**2 / 2.0), c + q * dt, time + dt)
+    return kalman_state(out) if wrapped else out
 
 
-def kalman_correct(state: KalmanState, z, r_obs: float = DEFAULT_OBS_NOISE_VAR) -> KalmanState:
+def kalman_correct(state, z, r_obs: float = DEFAULT_OBS_NOISE_VAR):
     """Fold in a position measurement with variance ``r_obs`` on each axis.
 
     Both axes share the gain k = (a, b) / (a + r_obs).  The covariance takes
     the Joseph form (I - kH) P (I - kH)^T + r_obs k k^T per axis, which keeps
     it symmetric positive semi-definite under roundoff.
     """
-    zx, zy = np.asarray(z, dtype=np.float64).reshape(2).tolist()
-    x, y, vx, vy = state.x.tolist()
-    a, b, c = _block(state.p)
+    wrapped = isinstance(state, KalmanState)
+    if wrapped:
+        state, z = kalman_floats(state), np.asarray(z, dtype=np.float64).reshape(2).tolist()
+    x, y, vx, vy, a, b, c, time = state
+    zx, zy = z
     s = a + r_obs
     k1, k2 = a / s, b / s
     ex, ey = zx - x, zy - y
     m = 1.0 - k1
-    return KalmanState(
-        x=np.array([x + k1 * ex, y + k1 * ey, vx + k2 * ex, vy + k2 * ey]),
-        p=_covariance(m * m * a + k1 * k1 * r_obs,
-                      m * (b - k2 * a) + k1 * k2 * r_obs,
-                      k2 * k2 * a - 2.0 * k2 * b + c + k2 * k2 * r_obs),
-        time=state.time)
+    out = (x + k1 * ex, y + k1 * ey, vx + k2 * ex, vy + k2 * ey,
+           m * m * a + k1 * k1 * r_obs,
+           m * (b - k2 * a) + k1 * k2 * r_obs,
+           k2 * k2 * a - 2.0 * k2 * b + c + k2 * k2 * r_obs, time)
+    return kalman_state(out) if wrapped else out
 
 
 def row_norms(d: np.ndarray) -> np.ndarray:

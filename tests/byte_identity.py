@@ -6,7 +6,9 @@ For each scenario of the set it writes the trace with ``coopsim gen-trace``
 (trace seed 0), runs ``coopsim run`` on it with run seed N (default 0), and
 prints the sha256 of ``frames.csv`` and of ``summary.json`` without its
 ``version`` key, which names the commit.  It also prints the sha256 of each
-trace.  Two checkouts give byte-identical outputs when they print the same
+trace, and of each run's final edge map: per entry, in id order, the id,
+the filter state (x, p and time), last_seen, has_geometry and last_loss,
+which ``frames.csv`` reflects only in part.  Two checkouts give byte-identical outputs when they print the same
 lines.  The set: 150 × 10 for each surrogate policy, 40 × 16
 ``adamap-reuse``, and 7 × 2 ``adamap`` in codec mode.  It takes about a
 minute; pytest does not collect it.
@@ -20,6 +22,7 @@ import os
 import sys
 import tempfile
 
+from coopsim import simpipe
 from coopsim.cli import main
 from coopsim.simpipe import POLICIES
 
@@ -36,6 +39,25 @@ def _summary_sha(path) -> str:
         summary = json.load(fh)
     summary.pop("version")
     return _sha(json.dumps(summary, indent=2, sort_keys=True).encode())
+
+
+class _KeptState(simpipe.RunState):
+    """A run state that keeps its edge map for the digest after the run."""
+
+    last_map = None
+
+    def __init__(self, config):
+        super().__init__(config)
+        _KeptState.last_map = self.global_map
+
+
+def _map_sha(gmap) -> str:
+    sha = hashlib.sha256()
+    for gid, entry in gmap.entries.items():
+        k = entry.kalman
+        sha.update(repr((gid, k.x.tolist(), k.p.tolist(), k.time, entry.last_seen,
+                         entry.has_geometry, entry.last_loss)).encode())
+    return sha.hexdigest()
 
 
 def _run(argv) -> None:
@@ -65,6 +87,7 @@ def hashes(workdir: str, seed: int) -> list:
         with open(os.path.join(out, "frames.csv"), "rb") as fh:
             lines.append(f"{name} frames.csv {_sha(fh.read())}")
         lines.append(f"{name} summary.json {_summary_sha(os.path.join(out, 'summary.json'))}")
+        lines.append(f"{name} map {_map_sha(_KeptState.last_map)}")
     return lines
 
 
@@ -72,6 +95,7 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0, help="run seed")
     args = parser.parse_args()
+    simpipe.RunState = _KeptState  # run_simulation builds its state by this name
     with tempfile.TemporaryDirectory() as workdir:
         for line in hashes(workdir, args.seed):
             print(line, flush=True)

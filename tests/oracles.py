@@ -246,8 +246,8 @@ class LoopScenarios:
             bucket = bucket_index(raw_count)
             for j, rf in enumerate(self.levels):
                 self.mean_loss[i, j] = ds.mean_loss(rf, bucket)
-                self.enc_ms[i, j] = _pick(ds.enc_time_samples(rf, bucket), u[0])
-                self.dec_ms[i, j] = _pick(ds.dec_time_samples(rf, bucket), u[1])
+                self.enc_ms[i, j] = _pick(ds.cell(rf, bucket)[1], u[0])
+                self.dec_ms[i, j] = _pick(ds.cell(rf, bucket)[2], u[1])
         modules = list(netsim.MODULE_TIMES_MS.values())
         ub = np.random.default_rng([seed, _TAG_B]).random((len(modules), s))
         self.b_ms = sum(

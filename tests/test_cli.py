@@ -136,8 +136,44 @@ def test_partial_write_leaves_no_file_at_out(tmp_path, monkeypatch, command, own
 
     monkeypatch.setattr(owner, attr, full_disk)
     out = tmp_path / "out"
-    assert main([*command, "--out", str(out)]) == EXIT_INPUT
+    # the location was fine, so a fault once writing has begun is internal
+    assert main([*command, "--out", str(out)]) == EXIT_INTERNAL
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command, sidecar", [
+    (["gen-trace", "--cavs", "3", "--frames", "2"], ".stats.json"),
+    (["profile", "--mode", "surrogate", "--samples", "2"], ".meta.json"),
+], ids=["gen-trace", "profile"])
+def test_failed_sidecar_leaves_no_file_at_out(tmp_path, monkeypatch, command, sidecar):
+    """The main file goes into place only after its sidecar, so a sidecar
+    that cannot be written leaves nothing that blocks the rerun."""
+    write_summary = cli.write_summary
+
+    def full_disk(path, data):
+        with open(path, "w") as fh:
+            fh.write("{")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli, "write_summary", full_disk)
+    assert main([*command, "--out", str(out)]) == EXIT_INTERNAL
+    assert os.listdir(tmp_path) == []
+    monkeypatch.setattr(cli, "write_summary", write_summary)
+    assert main([*command, "--out", str(out)]) == EXIT_OK
+    assert sorted(os.listdir(tmp_path)) == ["out", "out" + sidecar]
+    assert json.loads((tmp_path / ("out" + sidecar)).read_text())["version"] == version_string()
+
+
+@pytest.mark.parametrize("command", [
+    ["gen-trace", "--cavs", "3", "--frames", "1"],
+    ["profile", "--mode", "surrogate", "--samples", "2"],
+], ids=["gen-trace", "profile"])
+def test_out_that_is_a_directory_exits_2_before_work(tmp_path, monkeypatch, command, capsys):
+    monkeypatch.setattr(cli, "generate_trace", None)  # no work may start
+    monkeypatch.setattr(cli, "surrogate_dataset", None)
+    assert main([*command, "--out", str(tmp_path), "--force"]) == EXIT_INPUT
+    assert "cannot write" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

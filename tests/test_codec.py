@@ -193,7 +193,7 @@ def test_dataset_add_and_stats():
     ds = MeasurementDataset.from_rows([(4, 2, 0.2, 1.0, 1.1), (4, 2, 0.4, 1.2, 1.3)])
     assert ds.count(4, 2) == 2
     assert ds.mean_loss(4, 2) == pytest.approx(0.3)
-    assert ds.enc_time_samples(4, 2).tolist() == [1.0, 1.2]
+    assert ds.cell(4, 2)[1].tolist() == [1.0, 1.2]
     with pytest.raises(DatasetMissError):
         ds.loss_samples(8, 2)
     with pytest.raises(DatasetMissError):
@@ -217,7 +217,7 @@ def test_dataset_roundtrip(tmp_path):
     assert back.keys() == ds.keys()
     for rf, b in ds.keys():
         assert np.array_equal(back.loss_samples(rf, b), ds.loss_samples(rf, b))
-        assert np.array_equal(back.dec_time_samples(rf, b), ds.dec_time_samples(rf, b))
+        assert np.array_equal(back.cell(rf, b)[2], ds.cell(rf, b)[2])
 
 
 def test_dataset_load_rejects_bad_header(tmp_path):
@@ -233,7 +233,7 @@ def test_surrogate_calibrated_means():
         pooled = np.concatenate([ds.loss_samples(rf, b) for b in range(N_BUCKETS)])
         assert pooled.min() > 0
         assert pooled.mean() == pytest.approx(mean, abs=0.02)
-    times = np.concatenate([ds.enc_time_samples(4, b) for b in range(N_BUCKETS)])
+    times = np.concatenate([ds.cell(4, b)[1] for b in range(N_BUCKETS)])
     assert times.mean() == pytest.approx(1.72, abs=0.1)
 
 
@@ -243,7 +243,7 @@ def test_profile_covers_all_buckets():
     assert len(ds.keys()) == 2 * N_BUCKETS
     for rf, b in ds.keys():
         assert ds.loss_samples(rf, b).min() >= 0
-        assert ds.enc_time_samples(rf, b).min() > 0
+        assert ds.cell(rf, b)[1].min() > 0
 
 
 def test_profile_incomplete_when_bucket_absent():

@@ -26,6 +26,7 @@ from coopsim.simpipe import (
     CAR_EXTENT,
     FRAME_PERIOD_S,
     LIDAR_Z,
+    MATCH_CELL_M,
     MATCH_GATE_M,
     POLICIES,
     REUSE_DELTA_BYTES,
@@ -305,15 +306,16 @@ def test_map_dedup_chain_matches_oracle():
     assert sorted(set(positions) - greedy_dedup(positions)) == [2, 7]
 
 
-def _random_frames(rng):
-    """30 frames of uploads: 12 moving objects, each seen by a random number
-    of CAVs with small noise, the reports in random order."""
-    objects = rng.uniform(0.0, 20.0, size=(12, 2))
-    velocity = rng.normal(0.0, 5.0, size=(12, 2))
-    visible = rng.uniform(0.1, 0.9, size=12)
+def _random_frames(rng, count=12, low=0.0, high=20.0):
+    """30 frames of uploads: ``count`` moving objects that start in
+    [low, high)^2, each seen by a random number of CAVs with small noise,
+    the reports in random order."""
+    objects = rng.uniform(low, high, size=(count, 2))
+    velocity = rng.normal(0.0, 5.0, size=(count, 2))
+    visible = rng.uniform(0.1, 0.9, size=count)
     for k in range(30):
         t = round(k * FRAME_PERIOD_S, 6)
-        seen = np.flatnonzero(rng.uniform(size=12) < visible)
+        seen = np.flatnonzero(rng.uniform(size=count) < visible)
         reports = [(int(j), objects[j] + velocity[j] * t + rng.normal(0.0, 0.08, 2))
                    for j in seen for _ in range(int(rng.integers(1, 4)))]
         order = rng.permutation(len(reports))
@@ -358,6 +360,144 @@ def test_map_matches_matrix_filter_oracle_over_frames():
         for t, items in _random_frames(rng):
             assert _commit(gmap, items, t) == oracle.commit_frame(items, t)
             _assert_maps_agree(gmap, oracle, t, tol=1e-9)
+
+
+# the match grid: every case against the dict map, whose scan reads all rows
+
+
+def _oracle_pair(positions=()):
+    """A grid map and the dict oracle holding the same entries, one per
+    position, with ids 0, 1, ... and seen at time 0."""
+    maps = GlobalMap(), DictGlobalMap()
+    for m in maps:
+        for gid, pos in enumerate(positions):
+            m.entries[gid] = MapEntry(kalman=kalman_init(_at(*pos), 0.0), last_seen=0.0)
+        m._next_id = len(positions)
+    return maps
+
+
+def _commit_both(gmap, oracle, items, t):
+    """Commit to both maps, check that they agree exactly, return the gids."""
+    gids = _commit(gmap, items, t)
+    assert gids == oracle.commit_frame(items, t)
+    _assert_maps_agree(gmap, oracle, t, tol=0.0)
+    return gids
+
+
+def test_grid_cells_are_wider_than_the_gate():
+    assert MATCH_CELL_M > MATCH_GATE_M
+    assert math.frexp(MATCH_CELL_M)[0] == 0.5  # a power of two: x / side is exact
+
+
+def test_grid_reports_on_cell_edges_match_oracle():
+    """Rows and reports on cell edges and one ulp either side of them, at
+    negative coordinates and at -0.0, across frames."""
+    side = MATCH_CELL_M
+    edges = [k * side for k in range(-4, 5)]
+    coords = sorted({-0.0, *edges, *(math.nextafter(e, math.inf) for e in edges),
+                     *(math.nextafter(e, -math.inf) for e in edges)})
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        gmap, oracle = _oracle_pair()
+        for k in range(4):
+            items = [(_at(*rng.choice(coords, size=2)), bool(rng.uniform() < 0.5),
+                      float(rng.uniform())) for _ in range(25)]
+            _commit_both(gmap, oracle, items, round(k * FRAME_PERIOD_S, 6))
+    # a row just inside the gate in the next cell down, from an edge report
+    gmap, oracle = _oracle_pair([(-side - 2.9, -side)])
+    assert _commit_both(gmap, oracle, [(_at(-side, -side), True, 0.0)], 0.0) == [0]
+    gmap, oracle = _oracle_pair([(-side + 2.9, -0.0)])
+    assert _commit_both(gmap, oracle, [(_at(-side, 0.0), True, 0.0)], 0.0) == [0]
+
+
+def test_grid_report_at_gate_distance_is_not_a_match():
+    g = MATCH_GATE_M
+    for row, report in [((-1.0, 0.5), (-1.0 + g, 0.5)),  # across a cell edge
+                        ((-5.0, -7.0), (-5.0, -7.0 - g)),
+                        ((0.0, 0.0), (0.6 * g, 0.8 * g))]:  # 3-4-5, d2 rounds near g^2
+        gmap, oracle = _oracle_pair([row])
+        gids = _commit_both(gmap, oracle, [(_at(*report), True, 0.0)], 0.0)
+        if report[0] - row[0] in (g, 0.0):  # exactly at the gate on one axis
+            assert gids == [1]
+        gmap, oracle = _oracle_pair([row])
+        inside = (math.nextafter(report[0], row[0]), math.nextafter(report[1], row[1]))
+        _commit_both(gmap, oracle, [(_at(*inside), True, 0.0)], 0.0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_grid_equal_distance_tie_across_cells_goes_to_first_row(sign):
+    side = MATCH_CELL_M
+    a, b = (sign * 0.5 * side, sign * 1.0), (sign * 1.5 * side, sign * 1.0)
+    report = _at(sign * side, sign * 1.0)  # on the edge between a's cell and b's
+    for first, second in ((a, b), (b, a)):
+        gmap, oracle = _oracle_pair([first, second])
+        assert _commit_both(gmap, oracle, [(report, True, 0.0)], 0.0) == [0]
+    # the same tie between two rows the frame itself opens
+    for first, second in ((a, b), (b, a)):
+        gmap, oracle = _oracle_pair()
+        items = [(_at(*first), True, 0.0), (_at(*second), True, 0.0), (report, True, 0.0)]
+        assert _commit_both(gmap, oracle, items, 0.0) == [0, 1, 0]
+
+
+def test_grid_tie_after_a_move_goes_to_first_row():
+    """Row 0 moves next to row 1 within the frame and then ties with it.
+    A fresh row corrected at its own time has gain 0.5 exactly, so the
+    dyadic positions below stay exact and the tie is exact."""
+    side = MATCH_CELL_M
+    gmap, oracle = _oracle_pair([(side - 0.25, 0.0), (2 * side + 2.875, 0.0)])
+    # row 0 moves from cell 0 to 5.125 in cell 1; the query at 2 * side is
+    # 2.875 from both rows, and row 0's first cell is outside its block
+    items = [(_at(side + 2.5, 0.0), True, 0.0), (_at(2 * side, 0.0), True, 0.0)]
+    assert _commit_both(gmap, oracle, items, 0.0) == [0, 0]
+
+
+def test_grid_row_moved_across_cells_is_matched_from_its_new_cell():
+    side = MATCH_CELL_M
+    gmap, oracle = _oracle_pair([(side - 0.1, -0.1)])  # seen at 0: cell (0, -1)
+    # the first report pulls the row up and right, into cell (1, 0); the
+    # second is in cell (2, 0), whose 3 x 3 block the row's first cell is not in
+    items = [(_at(side + 1.9, 1.9), True, 0.0), (_at(2 * side + 0.3, 1.0), True, 0.0)]
+    assert _commit_both(gmap, oracle, items, 0.1) == [0, 0]
+    # a fast mover crosses several cells over frames and stays one row
+    gmap, oracle = _oracle_pair([(-3.0 * side, -3.0 * side)])
+    for k in range(1, 16):
+        t = round(k * FRAME_PERIOD_S, 6)
+        report = _at(-3.0 * side + 22.0 * t, -3.0 * side + 17.0 * t)
+        assert _commit_both(gmap, oracle, [(report, True, 0.0)] * 2, t) == [0, 0]
+    x, y = gmap.entries[0].kalman.position.tolist()
+    assert math.floor(x / side) >= 4 and math.floor(y / side) >= 3
+
+
+def test_grid_dense_cluster_matches_oracle():
+    """Rows packed closer than the gate, as when vehicles driving in
+    opposite directions on one line meet, reported by several CAVs."""
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        # rows at least DEDUP_DISTANCE_M apart in a 2 m disc around an edge
+        rows = []
+        while len(rows) < 12:
+            p = rng.uniform(-1.0, 1.0, size=2) * MATCH_CELL_M / 2
+            if np.hypot(*p) < 2.0 and all(np.hypot(*(p - q)) > 0.15 for q in rows):
+                rows.append(p)
+        gmap, oracle = _oracle_pair([(x - MATCH_CELL_M, y) for x, y in rows])
+        start = rng.uniform(-6.0, 6.0, size=6)
+        speed = np.where(np.arange(6) < 3, 9.0, -9.0)
+        for k in range(1, 12):
+            t = round(k * FRAME_PERIOD_S, 6)
+            items = [(_at(start[j] + speed[j] * t - MATCH_CELL_M, 0.0) + rng.normal(0, 0.1, 2),
+                      bool(rng.uniform() < 0.7), float(rng.uniform()))
+                     for j in range(6) for _ in range(int(rng.integers(1, 5)))]
+            _commit_both(gmap, oracle, [items[i] for i in rng.permutation(len(items))], t)
+
+
+def test_grid_matches_dict_oracle_over_many_cells():
+    """Random frames whose objects span some 30 cells a side, at negative
+    and positive coordinates."""
+    rng = np.random.default_rng(45)
+    for _ in range(8):
+        gmap, oracle = GlobalMap(), DictGlobalMap()
+        for t, items in _random_frames(rng, count=40, low=-60.0, high=60.0):
+            _commit_both(gmap, oracle, items, t)
 
 
 def test_map_retires_stale_entries():
