@@ -86,7 +86,8 @@ def _output_file(path: str, force: bool):
     """Refuse an unusable ``path`` before the body works; an OSError once
     the body has begun is an internal failure (exit 4), as in ``_output_dir``."""
     _require_fresh(path, force)
-    if os.path.isdir(path) or not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK):
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
         raise ConfigError(f"cannot write {path}: not a file in a writable directory")
     try:
         yield

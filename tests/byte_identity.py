@@ -6,12 +6,12 @@ For each scenario of the set it writes the trace with ``coopsim gen-trace``
 (trace seed 0), runs ``coopsim run`` on it with run seed N (default 0), and
 prints the sha256 of ``frames.csv`` and of ``summary.json`` without its
 ``version`` key, which names the commit.  It also prints the sha256 of each
-trace, and of each run's final edge map: per entry, in id order, the id,
-the filter state (x, p and time), last_seen, has_geometry and last_loss,
-which ``frames.csv`` reflects only in part.  Two checkouts give byte-identical outputs when they print the same
-lines.  The set: 150 × 10 for each surrogate policy, 40 × 16
-``adamap-reuse``, and 7 × 2 ``adamap`` in codec mode.  It takes about a
-minute; pytest does not collect it.
+trace, and of each run's final edge map, which ``frames.csv`` shows only in
+part: per entry, in id order, the id, the filter state (x, p and time),
+last_seen, has_geometry and last_loss.  Two checkouts give byte-identical
+outputs when they print the same lines.  The set: 150 × 10 for each
+surrogate policy, 40 × 16 ``adamap-reuse``, and 7 × 2 ``adamap`` in codec
+mode.  It takes about a minute; pytest does not collect it.
 """
 
 import argparse

@@ -169,11 +169,13 @@ def test_failed_sidecar_leaves_no_file_at_out(tmp_path, monkeypatch, command, si
     ["gen-trace", "--cavs", "3", "--frames", "1"],
     ["profile", "--mode", "surrogate", "--samples", "2"],
 ], ids=["gen-trace", "profile"])
-def test_out_that_is_a_directory_exits_2_before_work(tmp_path, monkeypatch, command, capsys):
+def test_unusable_out_exits_2_before_work(tmp_path, monkeypatch, command, capsys):
     monkeypatch.setattr(cli, "generate_trace", None)  # no work may start
     monkeypatch.setattr(cli, "surrogate_dataset", None)
-    assert main([*command, "--out", str(tmp_path), "--force"]) == EXIT_INPUT
-    assert "cannot write" in capsys.readouterr().err
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path, tmp_path / "file" / "out", tmp_path / "missing" / "out"):
+        assert main([*command, "--out", str(out), "--force"]) == EXIT_INPUT
+        assert "cannot write" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

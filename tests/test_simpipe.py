@@ -412,16 +412,17 @@ def test_grid_reports_on_cell_edges_match_oracle():
 
 def test_grid_report_at_gate_distance_is_not_a_match():
     g = MATCH_GATE_M
-    for row, report in [((-1.0, 0.5), (-1.0 + g, 0.5)),  # across a cell edge
-                        ((-5.0, -7.0), (-5.0, -7.0 - g)),
-                        ((0.0, 0.0), (0.6 * g, 0.8 * g))]:  # 3-4-5, d2 rounds near g^2
+    cases = [((-1.0, 0.5), (-1.0 + g, 0.5), True),  # across a cell edge
+             ((-5.0, -7.0), (-5.0, -7.0 - g), True),
+             ((0.0, 0.0), (0.6 * g, 0.8 * g), False)]  # 3-4-5: d2 rounds near g^2
+    for row, report, exact in cases:
         gmap, oracle = _oracle_pair([row])
         gids = _commit_both(gmap, oracle, [(_at(*report), True, 0.0)], 0.0)
-        if report[0] - row[0] in (g, 0.0):  # exactly at the gate on one axis
-            assert gids == [1]
+        assert gids == [1] or not exact
+        # a nanometre nearer is a match
+        inside = _at(*report) + 1e-9 * np.sign(np.subtract(row, report))
         gmap, oracle = _oracle_pair([row])
-        inside = (math.nextafter(report[0], row[0]), math.nextafter(report[1], row[1]))
-        _commit_both(gmap, oracle, [(_at(*inside), True, 0.0)], 0.0)
+        assert _commit_both(gmap, oracle, [(inside, True, 0.0)], 0.0) == [0]
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
