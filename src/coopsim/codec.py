@@ -42,7 +42,8 @@ from .sampling import TruncatedNormal
 RF_SET = (4, 8, 16, 32, 64)
 CODEC_INPUT_POINTS = 1024
 DESCRIPTOR_OVERHEAD_BYTES = 128
-RAW_OBJECT_BYTES = CODEC_INPUT_POINTS * 3 * 4  # uncompressed float32 xyz
+LATENT_SCALAR_BYTES = 4  # float32
+RAW_OBJECT_BYTES = CODEC_INPUT_POINTS * 3 * LATENT_SCALAR_BYTES  # uncompressed float32 xyz
 LOSSLESS_RATIO = 1.91  # entropy-coder ratio applied to raw uploads
 
 # raw point-count bucket boundaries; the last bucket is open-ended
@@ -74,7 +75,7 @@ def anchor_count(rf: int) -> int:
 
 def payload_bytes(rf: int) -> int:
     """Latent wire size; the fixed descriptor overhead is accounted separately."""
-    return latent_dim(rf) * 4
+    return latent_dim(rf) * LATENT_SCALAR_BYTES
 
 
 def lossless_bytes() -> int:

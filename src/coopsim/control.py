@@ -28,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import (
+    CODEC_INPUT_POINTS,
     DESCRIPTOR_OVERHEAD_BYTES,
+    LATENT_SCALAR_BYTES,
     MeasurementDataset,
     N_BUCKETS,
     bucket_index,
@@ -45,6 +47,7 @@ N_SUBSPACES = 4
 # fixed child-seed tags for the common-random-number streams
 _TAG_B = 1 << 20
 _TAG_FADING = (1 << 20) + 1
+_TAG_SEARCH = 1 << 21
 
 # the RF search's primal and dual step sizes and starting multiplier
 PRIMAL_STEP = 0.5
@@ -204,7 +207,8 @@ class _Scenarios:
                      + w * loss[self._first_loss + jn]).sum(axis=-1)
         compute_s = weights.reshape(*x.shape[:2], -1) @ self.compute_s
         del weights  # before the uplink term, for the search's peak memory
-        payload = ((1024.0 / np.exp2(x)) * 4.0 + DESCRIPTOR_OVERHEAD_BYTES) * self.tasks[:, None]
+        payload = ((CODEC_INPUT_POINTS / np.exp2(x)) * LATENT_SCALAR_BYTES
+                   + DESCRIPTOR_OVERHEAD_BYTES) * self.tasks[:, None]
         payload = payload.sum(axis=-1) + self.fixed_bytes[:, None]  # + 0.0 is exact
         # a zero rate divides by zero: latency inf, never within the bound
         compute_s += payload[..., None] * 8.0 / self.rate[:, None, :]
@@ -357,7 +361,7 @@ def _solve_group(problems, sc: _Scenarios, cfg) -> list:
     sc = sc.take(rows)
     m = len(rows)
     # one stream per row at its own task count: drawn per outer iteration as a whole
-    streams = [(np.random.default_rng([problems[r].seed, 1 << 21]), len(problems[r].obj_ids))
+    streams = [(np.random.default_rng([problems[r].seed, _TAG_SEARCH]), len(problems[r].obj_ids))
                for r in rows]
     noise = np.zeros((m, cfg.inner_iters, cfg.deviations, k))
 

@@ -3,9 +3,9 @@
 The radio side is a closed-form street-canyon path-loss plus Shannon capacity
 over equal FDMA slices of the shared band, with optional log-normal fading.
 Its parameters are the radio fields of the run's RunConfig: bandwidth_hz,
-carrier_ghz, tx_power_dbm, noise_figure_db, base_station (x, y, z) and
-sectors, the antenna sectors at the base station, each of which reuses the
-full band for the CAVs it covers.
+carrier_ghz, base_station (x, y, z) and sectors, the antenna sectors at the
+base station, each of which reuses the full band for the CAVs it covers; the
+transmit power and the receiver's noise figure are module constants.
 The server side is an exact first-come-first-serve multi-server queue
 advanced per frame.  Each CAV's server time is the caller's: the decode
 samples it drew from the run's measurement dataset.
@@ -26,6 +26,8 @@ from .errors import ConfigError
 from .sampling import TruncatedNormal
 
 NOISE_DBM_PER_HZ = -174.0  # thermal noise density
+TX_POWER_DBM = 23.0
+NOISE_FIGURE_DB = 9.0
 
 # per-frame vehicle-side module times, ms: (mean, sd), truncated at zero
 MODULE_TIMES_MS = {
@@ -42,8 +44,8 @@ def path_loss_db(distance_m: float, carrier_ghz: float) -> float:
 
 
 def snr_db(distance_m: float, band_hz: float, cfg) -> float:
-    noise_dbm = NOISE_DBM_PER_HZ + 10.0 * math.log10(band_hz) + cfg.noise_figure_db
-    return cfg.tx_power_dbm - path_loss_db(distance_m, cfg.carrier_ghz) - noise_dbm
+    noise_dbm = NOISE_DBM_PER_HZ + 10.0 * math.log10(band_hz) + NOISE_FIGURE_DB
+    return TX_POWER_DBM - path_loss_db(distance_m, cfg.carrier_ghz) - noise_dbm
 
 
 def uplink_rate(position, sharers: int, cfg, fading: float = 1.0) -> float:
@@ -86,10 +88,11 @@ def module_times_ms(u: np.ndarray) -> np.ndarray:
 
     ``u`` holds uniforms, one per module of MODULE_TIMES_MS on the last
     axis in table order; the result drops that axis.  The table is read at
-    the call.
+    the call; an empty table gives zeros.
     """
-    return sum(TruncatedNormal.cached(mean, sd).ppf(u[..., k])
-               for k, (mean, sd) in enumerate(MODULE_TIMES_MS.values()))
+    return sum((TruncatedNormal.cached(mean, sd).ppf(u[..., k])
+                for k, (mean, sd) in enumerate(MODULE_TIMES_MS.values())),
+               np.zeros(u.shape[:-1]))
 
 
 def simulate_frame_latency(payload_bytes, vehicle_ms, rates_bps, server_ms,

@@ -45,16 +45,10 @@ class TruncatedNormal:
         return cls._cache[key]
 
     def __init__(self, mean: float, sd: float):
-        if sd < 0:
-            raise CalibrationError(f"negative sd {sd}")
+        if sd <= 0:
+            raise CalibrationError(f"sd {sd} not above zero")
         self.mean = float(mean)
         self.sd = float(sd)
-        if sd == 0:
-            if mean < 0:
-                raise CalibrationError(f"degenerate mean {mean} below zero")
-            self._loc = float(mean)
-            self._tail0 = None
-            return
         if mean <= 0:
             raise CalibrationError(f"target mean {mean} not above zero")
         hi = float(mean)
@@ -70,9 +64,6 @@ class TruncatedNormal:
 
     def ppf(self, u):
         """Inverse CDF, the only way to draw: pass uniforms in [0, 1)."""
-        if self.sd == 0.0:
-            u = np.asarray(u, dtype=float)
-            return np.full(u.shape, self.mean) if u.shape else float(self.mean)
         q = self._tail0 + np.asarray(u, dtype=float) * (1.0 - self._tail0)
         out = self._loc + self.sd * ndtri(q)
         return out if out.shape else float(out)

@@ -18,8 +18,9 @@ Policies are the rows of ``_POLICY``; each names what it does at each step
                       the map's predicted pose is within 0.5 m; decided before
                       the RF search, which counts the deltas as fixed bytes
   select-all-lossless every detection as an entropy-coded raw cloud, zero loss
-  blindspot-all       full raw cloud for every object missing from at least
-                      one other CAV's view (transmission-size stand-in)
+  blindspot-all       full raw cloud (a transmission-size stand-in) for every
+                      object some CAV does not see: on generated traces, where
+                      no CAV lists itself, every detection
 """
 
 from __future__ import annotations
@@ -136,6 +137,7 @@ _S_LOC = 0
 _S_TIME = 1
 _S_LOSS = 2
 _S_CODEC = 3
+_S_OPT = 7  # the seed of the CAV's RF subproblem
 _S_NET = 10  # per (seed, frame)
 _S_QUEUE = 11  # per (seed, frame)
 
@@ -516,7 +518,6 @@ class RunConfig:
     H_ms: float = 100.0
     p: float = 0.99
     beta: float = 1e-4
-    rle_threshold_m: float = 0.5
     density_threshold: float = 1024.0
     rf_set: tuple = RF_SET
     policy: str = "adamap"
@@ -529,8 +530,6 @@ class RunConfig:
     fading_sigma: float = 0.1
     rate_sigma: float = 0.1
     carrier_ghz: float = 3.5
-    tx_power_dbm: float = 23.0
-    noise_figure_db: float = 9.0
     base_station: tuple = None  # default: frame-0 CAV centroid at 10 m height
     h_margin_ms: float = 25.0  # headroom the optimizer keeps for the queue
     outer_iters: int = 6
@@ -608,17 +607,6 @@ class FrameRow:
 
 
 @dataclass
-class ObjectRecord:
-    frame: int
-    cav_id: int
-    obj_id: int
-    rf: int  # 0 when no latent was sent (lossless, raw, or reuse)
-    bytes: int
-    loss: float
-    reused: bool
-
-
-@dataclass
 class FrameStats:
     frame: int
     detected_pairs: int
@@ -632,9 +620,9 @@ class FrameStats:
 class RunResult:
     config: RunConfig
     rows: list
-    objects: list
+    objects: np.recarray  # one record per sent object, as run_frame returns them
     frame_stats: list
-    loc_errors: list
+    loc_errors: np.ndarray
 
 
 class RunState:
@@ -723,8 +711,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     for c, cav_id in enumerate(cav_ids):
         rows = by_pair[bounds[c]:bounds[c + 1]].tolist()
         truth = dict(zip(frame.obj_ids[rows].tolist(), frame.centers[rows, :2]))
-        loc = state.localizers.setdefault(
-            cav_id, HybridLocalizer(rle_threshold=cfg.rle_threshold_m))
+        loc = state.localizers.setdefault(cav_id, HybridLocalizer())
         rng_loc = np.random.default_rng([cfg.seed, fidx, cav_id, _S_LOC])
         res = loc.step(t, truth, rng_loc)
         charges.append(res.charged_ms)
@@ -738,7 +725,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     src = np.array(src, dtype=np.int64)
     obj = frame.obj_ids[src]
     observed = np.reshape(observed, (-1, 2))
-    loc_errors = row_norms(observed - frame.centers[src, :2]).tolist()
+    loc_errors = row_norms(observed - frame.centers[src, :2])
     detected_pairs = len(cav)
 
     # --- selection over the shared view ---
@@ -800,7 +787,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
             if rate is None:
                 rate = uplink_rate(positions[c], max(1, int(all_counts[sectors[c]])), cfg)
             opt_seed = int(np.random.SeedSequence(
-                (cfg.seed, fidx, cav_id, 7)).generate_state(1)[0])
+                (cfg.seed, fidx, cav_id, _S_OPT)).generate_state(1)[0])
             deltas = by_cav[c].stop - by_cav[c].start - len(sent)
             problems.append(RFProblem(obj_ids=obj[sent].tolist(),
                                       raw_counts=counts[sent].tolist(), rate_bps=rate,
@@ -892,10 +879,10 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
             total_ms=total_ms[c], bytes=int(payloads[c]),
             loss=float(np.mean(loss[mine])) if len(rfs) else 0.0,
             rfs=tuple(rfs[rfs > 0].tolist())))
-    objects = [ObjectRecord(frame=fidx, cav_id=cav_ids[c], obj_id=o, rf=r, bytes=b,
-                            loss=v, reused=u)
-               for c, o, r, b, v, u in zip(cav.tolist(), obj.tolist(), rf.tolist(),
-                                           nbytes.tolist(), loss.tolist(), reused.tolist())]
+    # the sent-pair table as one record per row; rf 0: no latent (lossless, raw or reuse)
+    objects = np.rec.fromarrays(
+        [np.full(len(cav), fidx), np.asarray(cav_ids)[cav], obj, rf, nbytes, loss, reused],
+        names="frame,cav_id,obj_id,rf,bytes,loss,reused")
     stats = FrameStats(
         frame=fidx, detected_pairs=detected_pairs, selected_pairs=len(cav),
         bytes_total=int(payloads.sum()), infeasible_cavs=infeasible_cavs,
@@ -920,11 +907,11 @@ def run_simulation(trace, config: RunConfig,
     for frame in trace:
         r, o, s, e = run_frame(frame, state, dataset)
         rows.extend(r)
-        objects.extend(o)
+        objects.append(o)
         stats.append(s)
-        loc_errors.extend(e)
-    return RunResult(config=config, rows=rows, objects=objects,
-                     frame_stats=stats, loc_errors=loc_errors)
+        loc_errors.append(e)
+    return RunResult(config=config, rows=rows, objects=np.concatenate(objects).view(np.recarray),
+                     frame_stats=stats, loc_errors=np.concatenate(loc_errors))
 
 
 # ---------------------------------------------------------------------------
@@ -934,8 +921,8 @@ def run_simulation(trace, config: RunConfig,
 def nearest_rank(values, pct: float) -> float | None:
     """Nearest-rank percentile: rank = ceil(p/100 * n) on the sorted values;
     None, a null in summary.json, for no values."""
-    ordered = sorted(values)
-    if not ordered:
+    ordered = np.sort(np.asarray(values, dtype=np.float64))
+    if not len(ordered):
         return None
     rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
     return float(ordered[rank - 1])
@@ -945,11 +932,11 @@ def collect_metrics(result: RunResult) -> dict:
     cfg = result.config
     totals = [r.total_ms for r in result.rows]
     finite = [v for v in totals if math.isfinite(v)]
-    losses = [r.loss for r in result.objects]
-    rf_hist = {}
-    for rec in result.objects:
-        if rec.rf > 0:
-            rf_hist[rec.rf] = rf_hist.get(rec.rf, 0) + 1
+    objects = result.objects
+    # contiguous: a strided field view would sum in other chunks, with other roundoff
+    losses = np.ascontiguousarray(objects.loss)
+    rfs = objects.rf[objects.rf > 0]
+    rf_values, rf_counts = np.unique(rfs, return_counts=True)
     detected = sum(s.detected_pairs for s in result.frame_stats)
     selected = sum(s.selected_pairs for s in result.frame_stats)
     frames = len(result.frame_stats)
@@ -968,15 +955,14 @@ def collect_metrics(result: RunResult) -> dict:
         "latency_ms_p99": nearest_rank(totals, 99),
         "frac_within_h": (float(np.mean([v <= cfg.H_ms for v in totals]))
                           if totals else None),
-        "mean_loss": float(np.mean(losses)) if losses else 0.0,
+        "mean_loss": float(np.mean(losses)) if len(losses) else 0.0,
         "selected_fraction": (selected / detected) if detected else 0.0,
-        "mean_rf": (float(np.mean([r.rf for r in result.objects if r.rf > 0]))
-                    if rf_hist else 0.0),
-        "rf_histogram": {str(k): v for k, v in sorted(rf_hist.items())},
+        "mean_rf": float(np.mean(rfs)) if len(rfs) else 0.0,
+        "rf_histogram": {str(k): v for k, v in zip(rf_values.tolist(), rf_counts.tolist())},
         "bytes_total": total_bytes,
         "bytes_per_frame": total_bytes / frames if frames else 0.0,
-        "reused_objects": sum(1 for r in result.objects if r.reused),
-        "objects_sent": len(result.objects),
+        "reused_objects": int(np.count_nonzero(objects.reused)),
+        "objects_sent": len(objects),
         "infeasible_cav_frames": sum(s.infeasible_cavs for s in result.frame_stats),
         "loc_error_p50": nearest_rank(result.loc_errors, 50),
         "loc_error_p95": nearest_rank(result.loc_errors, 95),

@@ -164,6 +164,8 @@ TRK_TIME_SD_MS = 0.71
 MANEUVER_ENTER = 0.0105
 MANEUVER_PERSIST = 0.8
 MANEUVER_ERROR_RATIO = 8.0
+# an RLE at or above this, m, latches the detector for the next slot
+RLE_THRESHOLD_M = 0.5
 
 
 def tracker_base_error() -> float:
@@ -192,8 +194,7 @@ class LocalizeResult:
 class HybridLocalizer:
     """Per-vehicle localizer: the mode latch and the local tracks."""
 
-    def __init__(self, rle_threshold: float = 0.5):
-        self.rle_threshold = rle_threshold
+    def __init__(self):
         self.detecting = True  # the mode latch; nothing to track before the first slot
         self.tracks: dict = {}
 
@@ -243,7 +244,7 @@ class HybridLocalizer:
                 observations.setdefault(obj_id, pos)
             charge = TruncatedNormal.cached(TRK_TIME_MEAN_MS, TRK_TIME_SD_MS)
         charged = charge.ppf(rng.random())
-        self.detecting = not rle_max < self.rle_threshold
+        self.detecting = not rle_max < RLE_THRESHOLD_M
 
         for obj_id in observations:
             tracks.setdefault(obj_id, TrackEntry()).last_seen = t

@@ -251,9 +251,8 @@ class LoopScenarios:
         modules = list(netsim.MODULE_TIMES_MS.values())
         ub = np.random.default_rng([seed, _TAG_B]).random((len(modules), s))
         self.b_ms = sum(
-            TruncatedNormal.cached(m, sd).ppf(ub[i])
-            for i, (m, sd) in enumerate(modules)
-        )
+            (TruncatedNormal.cached(m, sd).ppf(ub[i]) for i, (m, sd) in enumerate(modules)),
+            np.zeros(s))
         z = np.random.default_rng([seed, _TAG_FADING]).standard_normal(s)
         self.rate = problem.rate_bps * np.exp(cfg.rate_sigma * z)
         self.fixed_bytes = problem.fixed_bytes

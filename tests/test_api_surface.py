@@ -95,7 +95,6 @@ FIELDS_READ_ELSEWHERE = {
     "tracking.py:LocalizeResult.detection_charged":
         "acceptance test 03 and perfbench/tracer.py",
     "simpipe.py:FrameStats.map_size": "perfbench/tracer.py",
-    "simpipe.py:ObjectRecord.obj_id": "perfbench/tracer.py",
     # the optimizer's outcome, until a per-CAV control record writes it
     "control.py:OptimizeResult.lam": "tests",
     "control.py:OptimizeResult.prob": "tests",

@@ -500,7 +500,9 @@ def test_out_of_range_config_exits_2_before_output(tmp_path, trace_path, capsys,
 @pytest.mark.parametrize("key, value", [
     ("partitions", 4), ("share_mode", "fdma"),
     # capacity factors that divided only the optimizer's codec-time samples
-    ("r_v", 1.0), ("r_e", 1.0)])
+    ("r_v", 1.0), ("r_e", 1.0),
+    # settings that became module constants
+    ("rle_threshold_m", 0.5), ("tx_power_dbm", 23.0), ("noise_figure_db", 9.0)])
 def test_run_retired_config_key_exits_2(tmp_path, trace_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))

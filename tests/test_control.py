@@ -257,7 +257,7 @@ def latency_prob(tasks, rate, dataset, rf, H_ms, seed=0):
 
 
 def test_latency_prob_deterministic_fast_path(monkeypatch):
-    monkeypatch.setattr(netsim, "MODULE_TIMES_MS", {"baseline": (0.0, 0.0)})
+    monkeypatch.setattr(netsim, "MODULE_TIMES_MS", {})  # no baseline modules
     assert latency_prob([(0, 800), (1, 300)], 1e12, constant_dataset(), 64, 100.0) == 1.0
 
 
@@ -362,7 +362,7 @@ def test_optimizer_lagrangian_monotone_on_deterministic_instance(monkeypatch):
     means = {rf: m for rf, (m, _) in DEFAULT_LOSS_CALIBRATION.items()}
     ds = constant_dataset(loss_by_rf=means, enc_ms=0.5, dec_ms=0.5)
     prob = problem([(i, 800) for i in range(3)], 1e12)
-    monkeypatch.setattr(netsim, "MODULE_TIMES_MS", {"baseline": (0.0, 0.0)})
+    monkeypatch.setattr(netsim, "MODULE_TIMES_MS", {})  # no baseline modules
     cfg = wide_search(H_ms=10000.0, outer_iters=1, inner_iters=80)
     ref = loop_optimize_rf(prob, ds, cfg, record_g=True)
     trace = np.array(ref.g_trace)

@@ -586,7 +586,7 @@ def small_trace():
 
 def test_lossless_policy_bytes_and_loss(small_trace):
     res = run_simulation(small_trace, RunConfig(policy="select-all-lossless", seed=1))
-    assert res.objects, "expected at least one transmitted object"
+    assert len(res.objects), "expected at least one transmitted object"
     per_obj = lossless_bytes() + DESCRIPTOR_OVERHEAD_BYTES
     for rec in res.objects:
         assert rec.rf == 0
@@ -600,7 +600,7 @@ def test_lossless_policy_bytes_and_loss(small_trace):
 def test_lite_policy_max_rf(small_trace):
     res = run_simulation(small_trace, RunConfig(policy="adamap-lite", seed=1))
     per_obj = payload_bytes(max(RF_SET)) + DESCRIPTOR_OVERHEAD_BYTES
-    assert res.objects
+    assert len(res.objects)
     for rec in res.objects:
         assert rec.rf == max(RF_SET)
         assert rec.bytes == per_obj
@@ -625,7 +625,7 @@ def test_blindspot_skips_universally_seen_objects(tmp_path):
     trace = _load_records(tmp_path, [{"frame": 0, "time_s": 0.0, "cavs": [
         _cav(0, 0.0, 0.0, 0.0, [car]), _cav(1, 20.0, 0.0, math.pi, [car])]}])
     res = run_simulation(trace, RunConfig(policy="blindspot-all", seed=0))
-    assert res.objects == []
+    assert len(res.objects) == 0
     assert res.frame_stats[0].selected_pairs == 0
     assert res.frame_stats[0].detected_pairs >= 1
 
@@ -642,7 +642,7 @@ def test_adamap_selection_is_subset(small_trace):
 def test_single_cav_sends_nothing():
     trace = generate_trace(1, 2, seed=0)
     res = run_simulation(trace, RunConfig(policy="adamap", seed=0))
-    assert res.objects == []
+    assert len(res.objects) == 0
     for row in res.rows:
         assert row.bytes == 0
         assert row.uplink_ms == 0.0
@@ -824,6 +824,38 @@ def test_metrics_consistency(small_trace):
     assert sum(s["rf_histogram"].values()) == sum(1 for r in res.objects if r.rf > 0)
     assert s["finite_latency_rows"] == len(res.rows)
     assert 0.0 <= s["selected_fraction"] <= 1.0
+
+
+def test_frame_objects_iterate_as_records():
+    """Each frame's sent objects, read one record at a time by length,
+    ``cav_id``, ``obj_id`` and ``reused`` as a frame hook such as
+    perfbench/tracer.py reads them, add up to the summary's counts."""
+    frames = []
+    inner = simpipe.run_frame
+
+    def hooked(*args):
+        out = inner(*args)
+        frames.append(out[1])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simpipe, "run_frame", hooked)
+        res = run_simulation(generate_trace(6, 6, seed=2), RunConfig(policy="adamap-reuse", seed=2))
+    s = collect_metrics(res)
+    assert len(frames) == s["frames"] == 6
+    sent = reused = 0
+    for f, objects in enumerate(frames):
+        sent += len(objects)
+        by_cav: dict = {}
+        for rec in objects:
+            by_cav.setdefault(rec.cav_id, []).append(rec.obj_id)
+            reused += rec.reused
+        # the table's order: by CAV id, then object id
+        assert list(by_cav) == sorted(by_cav)
+        assert all(ids == sorted(set(ids)) for ids in by_cav.values())
+        assert set(by_cav) <= {r.cav_id for r in res.rows if r.frame == f}
+    assert sent == s["objects_sent"] == len(res.objects)
+    assert reused == s["reused_objects"] > 0
 
 
 def test_nearest_rank_against_counting_oracle():
