@@ -30,6 +30,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -73,7 +74,6 @@ from .tracking import (
     kalman_floats,
     kalman_init,
     kalman_predict,
-    kalman_state,
     nearest_rows,
     row_norms,
 )
@@ -208,18 +208,26 @@ def _record_frame(rec: dict) -> TraceFrame:
     ints = {"frame number": [rec["frame"]], "CAV id": [c["id"] for c in cavs],
             "object id": [o["id"] for o in pairs], "object count": [o["count"] for o in pairs]}
     for name, values in ints.items():  # not int(): it reads 3.7 and "3" as 3, true as 1
-        if any(type(v) is not int for v in values):
+        if not set(map(type, values)) <= {int}:
             raise ValueError(f"{name}s must be integers")
+    poses, yaws = [c["pose"] for c in cavs], [o["yaw"] for o in pairs]
+    centers, extents = [o["center"] for o in pairs], [o["extent"] for o in pairs]
+    reals = {"time_s": [rec["time_s"]], "pose": chain.from_iterable(poses),
+             "center": chain.from_iterable(centers), "extent": chain.from_iterable(extents),
+             "yaw": yaws}
+    for name, values in reals.items():  # not float(): it reads "1.5" as 1.5, true as 1.0
+        if not set(map(type, values)) <= {int, float}:
+            raise ValueError(f"{name} values must be numbers")
     return TraceFrame(
         index=rec["frame"],
         time_s=float(rec["time_s"]),
         cav_ids=np.array(ints["CAV id"], dtype=np.int64),
-        poses=np.array([c["pose"] for c in cavs], dtype=np.float64).reshape(len(cavs), 6),
+        poses=np.array(poses, dtype=np.float64).reshape(len(cavs), 6),
         pair_cav=np.repeat(np.arange(len(cavs)), [len(objs) for objs in objects]),
         obj_ids=np.array(ints["object id"], dtype=np.int64),
-        centers=np.array([o["center"] for o in pairs], dtype=np.float64).reshape(len(pairs), 3),
-        extents=np.array([o["extent"] for o in pairs], dtype=np.float64).reshape(len(pairs), 3),
-        yaws=wrap_yaw(np.array([o["yaw"] for o in pairs], dtype=np.float64).reshape(len(pairs))),
+        centers=np.array(centers, dtype=np.float64).reshape(len(pairs), 3),
+        extents=np.array(extents, dtype=np.float64).reshape(len(pairs), 3),
+        yaws=wrap_yaw(np.array(yaws, dtype=np.float64).reshape(len(pairs))),
         counts=np.array(ints["object count"], dtype=np.int64),
     )
 
@@ -248,13 +256,16 @@ def load_trace(path):
 
 
 def validate_trace(frames) -> None:
-    """Raise FrameError unless every frame keeps the cadence, lists each CAV
-    and each of a CAV's objects once, and holds finite poses and boxes,
-    positive extents and point counts of at least 1."""
+    """Raise FrameError unless frame numbers strictly increase, every frame
+    keeps the cadence, lists each CAV and each of a CAV's objects once, and
+    holds finite poses and boxes, positive extents and point counts of at
+    least 1.  Each frame's random streams are keyed by its number."""
     if not frames:
         raise FrameError("trace is empty")
     for i, frame in enumerate(frames):
         where = f"frame {frame.index}"
+        if i and frame.index <= frames[i - 1].index:
+            raise FrameError(f"{where}: frame numbers must strictly increase")
         if not math.isfinite(frame.time_s):
             raise FrameError(f"{where}: time_s {frame.time_s} is not finite")
         expected = frames[0].time_s + i * FRAME_PERIOD_S
@@ -351,14 +362,6 @@ def generate_trace(cav_count: int, frames: int, seed: int = 0):
 # edge global map
 
 
-@dataclass
-class MapEntry:
-    kalman: object
-    last_seen: float
-    has_geometry: bool = False
-    last_loss: float = 0.0
-
-
 def _place(near: dict, cells: list, row: int, x: float, y: float) -> None:
     """Bin ``row`` at (x, y): list it, in row order, under each of the 3 x 3
     cells around its own, and drop it from those of the cell it had."""
@@ -373,22 +376,26 @@ def _place(near: dict, cells: list, row: int, x: float, y: float) -> None:
 
 
 class GlobalMap:
-    """Server-side registry of matched objects, keyed by global id."""
+    """Server-side registry of matched objects: one row per object, in global
+    id order, held as columns ``gids`` (n,), the filter ``state`` (n, 8) of
+    ``kalman_floats`` rows, and ``last_seen``, ``has_geometry`` and
+    ``last_loss`` (n,)."""
 
     def __init__(self):
-        self.entries: dict = {}
+        self.gids = np.zeros(0, dtype=np.int64)
+        self.state = np.zeros((0, 8))
+        self.last_seen = np.zeros(0)
+        self.has_geometry = np.zeros(0, dtype=bool)
+        self.last_loss = np.zeros(0)
         self._next_id = 0
 
-    def predicted_positions(self, t: float):
-        """Each entry's Kalman-predicted position at ``t``: the global ids
-        (n,) and positions (n, 2), in global id order."""
-        gids = np.fromiter(self.entries, dtype=np.int64, count=len(self.entries))
-        states = [e.kalman for e in self.entries.values()]
-        x = np.reshape([s.x for s in states], (-1, 4))
-        dt = t - np.array([s.time for s in states], dtype=np.float64)
+    def predicted_positions(self, t: float) -> np.ndarray:
+        """Each row's Kalman-predicted position at ``t``, (n, 2)."""
+        s = self.state
+        dt = t - s[:, 7]
         # position + dt * velocity, as kalman_predict computes it
-        moved = x[:, :2] + dt[:, None] * x[:, 2:]
-        return gids, np.where(dt[:, None] > 0, moved, x[:, :2])
+        moved = s[:, :2] + dt[:, None] * s[:, 2:4]
+        return np.where(dt[:, None] > 0, moved, s[:, :2])
 
     def commit_frame(self, items, t: float, predicted):
         """Match and fold a frame's uploads, in the given order.
@@ -397,10 +404,10 @@ class GlobalMap:
         per uploaded object, and ``predicted`` the map's
         ``predicted_positions(t)``.  Returns the global id assigned to each
         item.  Matching always runs against the freshest positions: a
-        matched row takes the corrected position and a new entry adds its
-        row, so two CAVs reporting the same new object within one frame land
-        on a single entry.  Rows step as ``kalman_floats`` tuples, written
-        back when the frame ends.
+        matched row takes the corrected position and a new row is appended,
+        so two CAVs reporting the same new object within one frame land on a
+        single row.  The columns are read into lists once, rows step as
+        ``kalman_floats`` sequences, and the columns are written back once.
 
         An item takes the row ``nearest_rows`` would: the first smallest
         dx*dx + dy*dy, accepted strictly within the gate.  It scans only the
@@ -412,15 +419,14 @@ class GlobalMap:
         a neighbouring cell, and x / MATCH_CELL_M rounds nothing for a power
         of two.
         """
-        ids, points = predicted
-        ids = ids.tolist()
-        states = [kalman_floats(self.entries[gid].kalman) for gid in ids]
-        px, py = points[:, 0].tolist(), points[:, 1].tolist()
+        ids, states = self.gids.tolist(), self.state.tolist()
+        seen, geometry, losses = (self.last_seen.tolist(), self.has_geometry.tolist(),
+                                  self.last_loss.tolist())
+        px, py = predicted[:, 0].tolist(), predicted[:, 1].tolist()
         near: dict = {}
         cells = [None] * len(ids)
         for row in range(len(ids)):
             _place(near, cells, row, px[row], py[row])
-        stepped = set()
         side = MATCH_CELL_M
         gate2 = MATCH_GATE_M * MATCH_GATE_M
         gids = []
@@ -433,60 +439,56 @@ class GlobalMap:
                 if d2 < best:
                     row, best = r, d2
             if row < 0:
-                gid = self._next_id
+                row, state = len(ids), kalman_floats(kalman_init((x, y), t))
+                ids.append(self._next_id)
                 self._next_id += 1
-                entry = self.entries[gid] = MapEntry(kalman=kalman_init((x, y), t), last_seen=t)
-                row, state = len(ids), kalman_floats(entry.kalman)
-                ids.append(gid)
                 states.append(state)
+                seen.append(t)
+                geometry.append(False)
+                losses.append(0.0)
                 cells.append(None)
                 px.append(state[0])
                 py.append(state[1])
             else:
-                entry, state = self.entries[ids[row]], states[row]
+                state = states[row]
                 dt = t - state[7]
                 if dt > 0:
                     state = kalman_predict(state, dt)
                 state = states[row] = kalman_correct(state, (x, y))
                 px[row], py[row] = state[0], state[1]
-                entry.last_seen = t
-                stepped.add(row)
+                seen[row] = t
             _place(near, cells, row, state[0], state[1])
             if has_geom:
-                entry.has_geometry = True
-                entry.last_loss = loss
+                geometry[row] = True
+                losses[row] = loss
             gids.append(ids[row])
-        for row in stepped:
-            self.entries[ids[row]].kalman = kalman_state(states[row])
-        self._dedup()
-        self._retire(t)
+        columns = (np.array(ids, dtype=np.int64), np.reshape(states, (-1, 8)),
+                   np.array(seen, dtype=np.float64), np.array(geometry, dtype=bool),
+                   np.array(losses, dtype=np.float64))
+        keep = _kept_rows(columns[1], columns[2], t)
+        (self.gids, self.state, self.last_seen, self.has_geometry,
+         self.last_loss) = (column[keep] for column in columns)
         return gids
 
-    def _dedup(self):
-        """Drop entries closer than DEDUP_DISTANCE_M to a surviving entry with a
-        smaller id."""
-        if len(self.entries) < 2:
-            return
-        gids = list(self.entries)
-        pos = np.array([e.kalman.position for e in self.entries.values()])
-        dx = pos[:, 0, None] - pos[None, :, 0]
-        dy = pos[:, 1, None] - pos[None, :, 1]
-        close = np.triu(np.sqrt(dx * dx + dy * dy) < DEDUP_DISTANCE_M, k=1)
-        rows_a, rows_b = np.nonzero(close)  # row-major, the greedy scan's order
-        drop = set()
-        for a, b in zip(rows_a.tolist(), rows_b.tolist()):
-            if a not in drop and b not in drop:
-                drop.add(b)
-        for row in drop:
-            del self.entries[gids[row]]
-
-    def _retire(self, t: float):
-        for gid in [g for g, e in self.entries.items()
-                    if t - e.last_seen > RETIRE_AFTER_S]:
-            del self.entries[gid]
-
     def __len__(self):
-        return len(self.entries)
+        return len(self.gids)
+
+
+def _kept_rows(state: np.ndarray, last_seen: np.ndarray, t: float) -> np.ndarray:
+    """The rows that stay: seen within RETIRE_AFTER_S of ``t`` and not closer
+    than DEDUP_DISTANCE_M to a kept row with a smaller id."""
+    keep = ~(t - last_seen > RETIRE_AFTER_S)
+    pos = state[:, :2]
+    dx = pos[:, 0, None] - pos[None, :, 0]
+    dy = pos[:, 1, None] - pos[None, :, 1]
+    close = np.triu(np.sqrt(dx * dx + dy * dy) < DEDUP_DISTANCE_M, k=1)
+    rows_a, rows_b = np.nonzero(close)  # row-major, the greedy scan's order
+    dropped = set()
+    for a, b in zip(rows_a.tolist(), rows_b.tolist()):
+        if a not in dropped and b not in dropped:
+            dropped.add(b)
+    keep[list(dropped)] = False
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -677,11 +679,12 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     The frame works on one table of detection pairs ordered by (CAV id,
     object id), held as columns: the CAV's index in id order, the object id,
     the pair's row in the trace frame and the observed position.  Selection
-    keeps the rows that go out; the reused map gid (-1 if none), rf, bytes
-    and loss are columns of those, decided in that order.  Reuse reads only
-    the map, so the RF search plans only the rows that carry geometry, with
-    a CAV's 32-byte deltas as fixed bytes of its uplink; a CAV with deltas
-    alone has no subproblem, so ``FrameStats.infeasible_cavs`` counts only
+    keeps the rows that go out; the nearest map row within
+    REUSE_POSE_ERROR_M (-1 if none), the reuse flag, rf, bytes and loss are
+    columns of those, decided in that order.  Reuse reads only the map, so
+    the RF search plans only the rows that carry geometry, with a CAV's
+    32-byte deltas as fixed bytes of its uplink; a CAV with deltas alone has
+    no subproblem, so ``FrameStats.infeasible_cavs`` counts only
     CAVs with geometry to send.  Loops whose order fixes a random stream
     or a result stay per object: localization, the left-to-right encode- and
     decode-time sums and the per-object edge thinning.  The accounting draws
@@ -753,19 +756,13 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     by_cav = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
     # --- reuse decisions against the broadcast map; none reads an RF ---
-    gid = np.full(len(cav), -1, dtype=np.int64)
-    entries = state.global_map.entries
-    predicted = state.global_map.predicted_positions(t)  # only the commit changes the map
+    gmap = state.global_map
+    predicted = gmap.predicted_positions(t)  # only the commit changes the map
+    map_row = np.full(len(cav), -1, dtype=np.int64)
     if policy.reuse:
-        gids, points = predicted
-        nearest = nearest_rows(points, observed, MATCH_GATE_M)
-        hit = np.flatnonzero(nearest >= 0)
-        off = points[nearest[hit]] - observed[hit]
-        close = hit[np.sqrt(off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1]) < REUSE_POSE_ERROR_M]
-        matched = gids[nearest[close]]
-        geometry = np.array([entries[g].has_geometry for g in matched.tolist()], dtype=bool)
-        gid[close[geometry]] = matched[geometry]
-    reused = gid >= 0
+        map_row = nearest_rows(predicted, observed, REUSE_POSE_ERROR_M)
+    reused = map_row >= 0
+    reused[reused] = gmap.has_geometry[map_row[reused]]  # a hit reuses only geometry
     reused_rows = reused.tolist()
     # each CAV's rows that carry geometry
     sent_by_cav = [[r for r in range(mine.start, mine.stop) if not reused_rows[r]]
@@ -811,7 +808,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
                            for r in rf[~reused].tolist()]
     payloads = np.bincount(cav, weights=nbytes, minlength=n)
     loss = np.zeros(len(cav))
-    loss[reused] = [entries[g].last_loss for g in gid[reused].tolist()]
+    loss[reused] = gmap.last_loss[map_row[reused]]
     vehicle_ms, server_ms = np.zeros(n), np.zeros(n)  # encode and decode charges
     buckets = bucket_index(counts).tolist()
     rf_rows = rf.tolist()
@@ -866,7 +863,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     vehicle_ms = (vehicle_ms + b_ms).tolist()  # encode plus baseline charge
 
     # --- server-side matching into the global map, in table order ---
-    state.global_map.commit_frame(
+    gmap.commit_frame(
         list(zip(observed.tolist(), (~reused).tolist(), loss.tolist())), t, predicted)
 
     rows = []
@@ -886,7 +883,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     stats = FrameStats(
         frame=fidx, detected_pairs=detected_pairs, selected_pairs=len(cav),
         bytes_total=int(payloads.sum()), infeasible_cavs=infeasible_cavs,
-        map_size=len(state.global_map))
+        map_size=len(gmap))
     return rows, objects, stats, loc_errors
 
 

@@ -218,7 +218,7 @@ class HybridLocalizer:
         for obj_id in sorted(truth):
             pos = np.asarray(truth[obj_id], dtype=np.float64).reshape(2)
             missed = rng.uniform() < MISS_PROB
-            noise = rng.normal(scale=det_axis, size=2) if det_axis > 0 else np.zeros(2)
+            noise = rng.normal(scale=det_axis, size=2)
             if not missed:
                 det_out[obj_id] = pos + noise
             entry = tracks.get(obj_id)
@@ -227,7 +227,7 @@ class HybridLocalizer:
                 entry.maneuver = u < (MANEUVER_PERSIST if entry.maneuver else MANEUVER_ENTER)
                 err_mean = base_err * (MANEUVER_ERROR_RATIO if entry.maneuver else 1.0)
                 axis = err_mean * _AXIS_FROM_MEAN
-                tnoise = rng.normal(scale=axis, size=2) if axis > 0 else np.zeros(2)
+                tnoise = rng.normal(scale=axis, size=2)
                 trk_out[obj_id] = pos + tnoise
                 if obj_id in det_out:
                     gaps.append(det_out[obj_id] - trk_out[obj_id])

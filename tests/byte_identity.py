@@ -7,7 +7,7 @@ For each scenario of the set it writes the trace with ``coopsim gen-trace``
 prints the sha256 of ``frames.csv`` and of ``summary.json`` without its
 ``version`` key, which names the commit.  It also prints the sha256 of each
 trace, and of each run's final edge map, which ``frames.csv`` shows only in
-part: per entry, in id order, the id, the filter state (x, p and time),
+part: per row, in id order, the id, the filter state (x, p and time),
 last_seen, has_geometry and last_loss.  Two checkouts give byte-identical
 outputs when they print the same lines.  The set: 150 × 10 for each
 surrogate policy, 40 × 16 ``adamap-reuse``, and 7 × 2 ``adamap`` in codec
@@ -25,6 +25,7 @@ import tempfile
 from coopsim import simpipe
 from coopsim.cli import main
 from coopsim.simpipe import POLICIES
+from coopsim.tracking import kalman_state
 
 SCENARIOS = ([(150, 10, policy, "surrogate") for policy in POLICIES]
              + [(40, 16, "adamap-reuse", "surrogate"), (7, 2, "adamap", "codec")])
@@ -53,10 +54,12 @@ class _KeptState(simpipe.RunState):
 
 def _map_sha(gmap) -> str:
     sha = hashlib.sha256()
-    for gid, entry in gmap.entries.items():
-        k = entry.kalman
-        sha.update(repr((gid, k.x.tolist(), k.p.tolist(), k.time, entry.last_seen,
-                         entry.has_geometry, entry.last_loss)).encode())
+    for gid, floats, last_seen, has_geometry, last_loss in zip(
+            gmap.gids.tolist(), gmap.state.tolist(), gmap.last_seen.tolist(),
+            gmap.has_geometry.tolist(), gmap.last_loss.tolist()):
+        k = kalman_state(floats)
+        sha.update(repr((gid, k.x.tolist(), k.p.tolist(), k.time, last_seen,
+                         has_geometry, last_loss)).encode())
     return sha.hexdigest()
 
 

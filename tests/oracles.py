@@ -5,8 +5,9 @@ exhaustive enumeration) and does not share code with the package under test.
 The exceptions are the routines that array code replaced, kept as they were:
 the per-pair point-count predictor with its projected_area (it shares Bbox3
 and visible_face_weights), the farthest-point walk with one temporary per
-step, the dict-based predictive match and greedy map dedup, the matrix-form
-Kalman filter (it shares KalmanState and the noise constants), the
+step, the edge map as a dict of entries with its predictive match and
+greedy dedup (it shares the scalar filter steps and the map constants), the
+matrix-form Kalman filter (it shares KalmanState and the noise constants), the
 per-CAV RF optimizer loop (it shares the dataset, the truncated-normal
 sampler, the random-stream tags, the module-time table, the perturbation
 spread and the result type; it reads the last two at call time, as the
@@ -40,7 +41,7 @@ from coopsim.control import (
 from coopsim.errors import ConfigError
 from coopsim.geometry import Bbox3, visible_face_weights
 from coopsim.sampling import TruncatedNormal
-from coopsim.simpipe import DEDUP_DISTANCE_M, MATCH_GATE_M, GlobalMap, MapEntry
+from coopsim.simpipe import DEDUP_DISTANCE_M, MATCH_GATE_M, RETIRE_AFTER_S
 from coopsim.tracking import (
     DEFAULT_OBS_NOISE_VAR,
     DEFAULT_PROCESS_NOISE,
@@ -489,13 +490,26 @@ def greedy_dedup(positions: dict, dedup_m: float = DEDUP_DISTANCE_M) -> set:
     return drop
 
 
-class DictGlobalMap(GlobalMap):
-    """The global map as it matched before: per-entry dict scans, greedy
-    pairwise dedup, one Kalman prediction per entry for the match positions.
-    ``predict`` and ``correct`` are the filter steps it runs."""
+@dataclass
+class MapEntry:
+    kalman: KalmanState
+    last_seen: float
+    has_geometry: bool = False
+    last_loss: float = 0.0
+
+
+class DictGlobalMap:
+    """The global map as it matched before: a dict of entries keyed by global
+    id, per-entry dict scans, greedy pairwise dedup, one Kalman prediction
+    per entry for the match positions.  ``predict`` and ``correct`` are the
+    filter steps it runs."""
 
     predict = staticmethod(kalman_predict)
     correct = staticmethod(kalman_correct)
+
+    def __init__(self):
+        self.entries: dict = {}
+        self._next_id = 0
 
     def _predictions(self, t: float) -> dict:
         out = {}
@@ -506,9 +520,8 @@ class DictGlobalMap(GlobalMap):
         return out
 
     def predicted_positions(self, t: float):
-        preds = self._predictions(t)
-        return (np.array(list(preds), dtype=np.int64),
-                np.reshape(list(preds.values()), (-1, 2)))
+        """Each entry's predicted position at ``t``, (n, 2), in id order."""
+        return np.reshape(list(self._predictions(t).values()), (-1, 2))
 
     def commit_frame(self, items, t: float):
         preds = self._predictions(t)
@@ -535,8 +548,12 @@ class DictGlobalMap(GlobalMap):
         positions = {gid: e.kalman.position for gid, e in self.entries.items()}
         for gid in greedy_dedup(positions):
             del self.entries[gid]
-        self._retire(t)
+        for gid in [g for g, e in self.entries.items() if t - e.last_seen > RETIRE_AFTER_S]:
+            del self.entries[gid]
         return gids
+
+    def __len__(self):
+        return len(self.entries)
 
 
 class MatrixFilterMap(DictGlobalMap):

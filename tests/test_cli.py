@@ -292,8 +292,8 @@ def _set_trace_value(records, field, value):
     obj = next(o for c in records[0]["cavs"] for o in c["objects"])
     if field == "pose":
         records[0]["cavs"][0]["pose"][0] = value
-    elif field == "time_s":
-        records[1]["time_s"] = value
+    elif field in ("time_s", "frame"):
+        records[1][field] = value
     elif field in ("center", "extent"):
         obj[field][1] = value
     else:
@@ -310,6 +310,13 @@ def _set_trace_value(records, field, value):
     ("count", -5, "counts must be at least 1"),
     ("count", 0, "counts must be at least 1"),
     ("count", 2.5, "counts must be integers"),
+    # each frame's random streams are keyed by its number
+    ("frame", 0, "frame numbers must strictly increase"),
+    ("frame", -1, "frame numbers must strictly increase"),
+    # float() would read a numeric string as its number and true as 1.0
+    *[(field, value, f"{field} values must be numbers")
+      for field in ("time_s", "pose", "center", "extent", "yaw")
+      for value in ("0.1" if field == "time_s" else "1.5", True)],
 ])
 def test_run_bad_trace_value_exits_2_before_output(tmp_path, trace_path, capsys,
                                                    field, value, message):

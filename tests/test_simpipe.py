@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from coopsim import simpipe
+from coopsim import simpipe, tracking
 from coopsim.codec import (
     DESCRIPTOR_OVERHEAD_BYTES,
     MeasurementDataset,
@@ -30,22 +30,25 @@ from coopsim.simpipe import (
     MATCH_GATE_M,
     POLICIES,
     REUSE_DELTA_BYTES,
+    REUSE_POSE_ERROR_M,
     GlobalMap,
-    MapEntry,
     RunConfig,
+    RunState,
     _draw_samples,
     _S_CODEC,
     collect_metrics,
     generate_trace,
+    load_dataset,
     load_trace,
     nearest_rank,
+    run_frame,
     run_simulation,
     save_trace,
     validate_trace,
     write_frame_csv,
 )
-from coopsim.tracking import kalman_init
-from oracles import DictGlobalMap, MatrixFilterMap, greedy_dedup
+from coopsim.tracking import kalman_floats, kalman_init, kalman_state
+from oracles import DictGlobalMap, MapEntry, MatrixFilterMap, greedy_dedup
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +220,21 @@ def _commit(gmap, items, t):
     return gmap.commit_frame(items, t, gmap.predicted_positions(t))
 
 
+def _seed(gmap, positions: dict):
+    """Give ``gmap``, a GlobalMap or the dict oracle, one row per
+    {gid: (x, y)}, in id order, seen at time 0 without geometry."""
+    gids = sorted(positions)
+    states = [kalman_init(_at(*positions[gid]), 0.0) for gid in gids]
+    if isinstance(gmap, GlobalMap):
+        gmap.gids = np.array(gids, dtype=np.int64)
+        gmap.state = np.reshape([kalman_floats(k) for k in states], (-1, 8))
+        gmap.last_seen, gmap.last_loss = np.zeros(len(gids)), np.zeros(len(gids))
+        gmap.has_geometry = np.zeros(len(gids), dtype=bool)
+    else:
+        gmap.entries = {gid: MapEntry(kalman=k, last_seen=0.0) for gid, k in zip(gids, states)}
+    gmap._next_id = max(gids, default=-1) + 1
+
+
 def test_map_same_frame_reports_merge():
     gmap = GlobalMap()
     a = _at(10.0, 5.0)
@@ -224,8 +242,8 @@ def test_map_same_frame_reports_merge():
     gids = _commit(gmap, [(a, True, 0.1), (b, True, 0.2)], 0.0)
     assert gids[0] == gids[1]
     assert len(gmap) == 1
-    entry = gmap.entries[gids[0]]
-    assert entry.has_geometry and entry.last_loss == 0.2
+    assert gmap.gids.tolist() == [gids[0]]
+    assert gmap.has_geometry.tolist() == [True] and gmap.last_loss.tolist() == [0.2]
 
 
 def test_map_distinct_objects_get_distinct_ids():
@@ -251,8 +269,8 @@ def test_map_prediction_tracks_motion():
     for k in range(10):
         t = 0.1 * k
         _commit(gmap, [(_at(5.0 * t, 0.0), True, 0.0)], t)
-    gids, points = gmap.predicted_positions(1.0)
-    assert gids.tolist() == [0]
+    points = gmap.predicted_positions(1.0)
+    assert gmap.gids.tolist() == [0]
     pos = points[0]
     assert abs(pos[0] - 5.0) < 0.5
     assert abs(pos[1]) < 0.1
@@ -260,11 +278,9 @@ def test_map_prediction_tracks_motion():
 
 def test_map_dedup_keeps_smaller_gid():
     gmap = GlobalMap()
-    gmap.entries[4] = MapEntry(kalman=kalman_init(np.array([1.0, 1.0]), 0.0), last_seen=0.0)
-    gmap.entries[9] = MapEntry(kalman=kalman_init(np.array([1.05, 1.0]), 0.0), last_seen=0.0)
-    gmap._next_id = 10
+    _seed(gmap, {4: (1.0, 1.0), 9: (1.05, 1.0)})
     _commit(gmap, [], 0.1)
-    assert sorted(gmap.entries) == [4]
+    assert gmap.gids.tolist() == [4]
 
 
 def test_map_gate_distance_is_not_a_match():
@@ -298,11 +314,9 @@ def test_map_dedup_chain_matches_oracle():
     # a-b and b-c are closer than dedup_m, a-c is not: a drops b, so c survives
     gmap = GlobalMap()
     positions = {2: [0.0, 0.0], 5: [0.08, 0.0], 7: [0.16, 0.0], 8: [0.2, 0.05]}
-    for gid, pos in positions.items():
-        gmap.entries[gid] = MapEntry(kalman=kalman_init(np.array(pos), 0.0), last_seen=0.0)
-    gmap._next_id = 9
+    _seed(gmap, positions)
     _commit(gmap, [], 0.1)
-    assert sorted(gmap.entries) == [2, 7]
+    assert gmap.gids.tolist() == [2, 7]
     assert sorted(set(positions) - greedy_dedup(positions)) == [2, 7]
 
 
@@ -327,16 +341,16 @@ def _random_frames(rng, count=12, low=0.0, high=20.0):
 
 
 def _assert_maps_agree(gmap, oracle, t, tol):
-    assert list(gmap.entries) == list(oracle.entries)
-    for gid, entry in gmap.entries.items():
-        want = oracle.entries[gid]
-        for got, ref in ((entry.kalman.x, want.kalman.x), (entry.kalman.p, want.kalman.p)):
-            assert np.abs(got - ref).max() <= tol
-        assert (entry.has_geometry, entry.last_loss, entry.last_seen) == \
-            (want.has_geometry, want.last_loss, want.last_seen)
-    (gids, pred), (want_gids, want) = (gmap.predicted_positions(t + 0.05),
-                                       oracle.predicted_positions(t + 0.05))
-    assert gids.tolist() == want_gids.tolist()
+    """The grid map's columns hold the oracle's entries, row by row."""
+    assert gmap.gids.tolist() == list(oracle.entries)
+    columns = zip(gmap.state.tolist(), gmap.has_geometry.tolist(), gmap.last_loss.tolist(),
+                  gmap.last_seen.tolist())
+    for (floats, *rest), want in zip(columns, oracle.entries.values()):
+        got = kalman_state(floats)
+        for mine, ref in ((got.x, want.kalman.x), (got.p, want.kalman.p)):
+            assert np.abs(mine - ref).max() <= tol
+        assert rest == [want.has_geometry, want.last_loss, want.last_seen]
+    pred, want = gmap.predicted_positions(t + 0.05), oracle.predicted_positions(t + 0.05)
     assert np.abs(pred - want).max(initial=0.0) <= tol
 
 
@@ -370,9 +384,7 @@ def _oracle_pair(positions=()):
     position, with ids 0, 1, ... and seen at time 0."""
     maps = GlobalMap(), DictGlobalMap()
     for m in maps:
-        for gid, pos in enumerate(positions):
-            m.entries[gid] = MapEntry(kalman=kalman_init(_at(*pos), 0.0), last_seen=0.0)
-        m._next_id = len(positions)
+        _seed(m, dict(enumerate(positions)))
     return maps
 
 
@@ -465,7 +477,7 @@ def test_grid_row_moved_across_cells_is_matched_from_its_new_cell():
         t = round(k * FRAME_PERIOD_S, 6)
         report = _at(-3.0 * side + 22.0 * t, -3.0 * side + 17.0 * t)
         assert _commit_both(gmap, oracle, [(report, True, 0.0)] * 2, t) == [0, 0]
-    x, y = gmap.entries[0].kalman.position.tolist()
+    x, y = gmap.state[0, :2].tolist()
     assert math.floor(x / side) >= 4 and math.floor(y / side) >= 3
 
 
@@ -665,6 +677,40 @@ def test_reuse_policy_cuts_bytes():
     total_base = sum(s.bytes_total for s in base.frame_stats)
     total_reuse = sum(s.bytes_total for s in reuse.frame_stats)
     assert total_reuse < total_base
+
+
+@pytest.mark.parametrize("offset, geometry, reused", [
+    (REUSE_POSE_ERROR_M, True, False),
+    (math.nextafter(REUSE_POSE_ERROR_M, 0.0), True, True),
+    (0.0, False, False),
+])
+def test_reuse_boundary_through_run_frame(tmp_path, monkeypatch, offset, geometry, reused):
+    """Two CAVs see a static car at the origin, then ``offset`` m along x.
+    With noise-free localization the second frame's reports lie exactly
+    ``offset`` from the map's row: reuse needs strictly less than
+    REUSE_POSE_ERROR_M, and a row that holds no geometry is never reused,
+    however close."""
+    for name in ("SIGMA_DET", "MISS_PROB", "SIGMA_TRK"):
+        monkeypatch.setattr(tracking, name, 0.0)
+    cars = [_car(5, [0.0, 0.0, 0.75], 0.0), _car(5, [offset, 0.0, 0.75], 0.0)]
+    frames = _load_records(tmp_path, [
+        {"frame": k, "time_s": k * FRAME_PERIOD_S, "cavs": [
+            _cav(0, -20.0, 0.0, 0.0, [car]), _cav(1, 20.0, 0.0, math.pi, [car])]}
+        for k, car in enumerate(cars)])
+    cfg = RunConfig(policy="adamap-reuse", base_station=(0.0, 0.0, 10.0))
+    state, dataset = RunState(cfg), load_dataset(cfg)
+    gmap = state.global_map
+    if geometry:
+        run_frame(frames[0], state, dataset)
+    else:  # the same row, committed from a report that carried no geometry
+        gmap.commit_frame([((0.0, 0.0), False, 0.0)], 0.0, gmap.predicted_positions(0.0))
+    assert gmap.state[:, :4].tolist() == [[0.0, 0.0, 0.0, 0.0]]
+    assert gmap.has_geometry.tolist() == [geometry]
+    last_loss = gmap.last_loss.tolist()
+    _, objects, _, _ = run_frame(frames[1], state, dataset)
+    assert len(objects) and objects.reused.tolist() == [reused] * len(objects)
+    if reused:  # a delta carries the row's loss
+        assert objects.loss.tolist() == last_loss * len(objects)
 
 
 @pytest.mark.parametrize("policy", ["adamap", "adamap-reuse", "select-all-lossless"])
