@@ -203,8 +203,8 @@ class MeasurementDataset:
                 try:
                     rf, bucket, *values = line.strip().split(",")
                     lo, te, td = (float(v) for v in values)
-                    if not all(math.isfinite(v) for v in (lo, te, td)):
-                        raise ValueError("values must be finite")
+                    if not all(math.isfinite(v) and v >= 0 for v in (lo, te, td)):
+                        raise ValueError("values must be finite and non-negative")
                     rows.append((int(rf), int(bucket), lo, te, td))
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{line_no}: bad dataset row "

@@ -71,7 +71,6 @@ from .netsim import (
 from .tracking import (
     HybridLocalizer,
     kalman_correct,
-    kalman_floats,
     kalman_init,
     kalman_predict,
     nearest_rows,
@@ -299,8 +298,8 @@ def generate_trace(cav_count: int, frames: int, seed: int = 0):
     True point counts come from the projected-area predictor with log-normal
     multiplicative noise.  Deterministic per seed.
     """
-    if cav_count < 1 or frames < 1:
-        raise ConfigError("cav_count and frames must be >= 1")
+    if cav_count < 1 or frames < 1 or seed < 0:
+        raise ConfigError("cav_count and frames must be >= 1 and seed >= 0")
     n_lines = max(1, int(EXTENT_M // ROAD_SPACING_M))
     rng = np.random.default_rng(seed)
     axis = rng.integers(0, 2, cav_count)  # 0: travels along x, 1: along y
@@ -378,8 +377,8 @@ def _place(near: dict, cells: list, row: int, x: float, y: float) -> None:
 class GlobalMap:
     """Server-side registry of matched objects: one row per object, in global
     id order, held as columns ``gids`` (n,), the filter ``state`` (n, 8) of
-    ``kalman_floats`` rows, and ``last_seen``, ``has_geometry`` and
-    ``last_loss`` (n,)."""
+    eight-float rows (see ``kalman_init``), and ``last_seen``,
+    ``has_geometry`` and ``last_loss`` (n,)."""
 
     def __init__(self):
         self.gids = np.zeros(0, dtype=np.int64)
@@ -407,7 +406,7 @@ class GlobalMap:
         matched row takes the corrected position and a new row is appended,
         so two CAVs reporting the same new object within one frame land on a
         single row.  The columns are read into lists once, rows step as
-        ``kalman_floats`` sequences, and the columns are written back once.
+        filter tuples, and the columns are written back once.
 
         An item takes the row ``nearest_rows`` would: the first smallest
         dx*dx + dy*dy, accepted strictly within the gate.  It scans only the
@@ -439,7 +438,7 @@ class GlobalMap:
                 if d2 < best:
                     row, best = r, d2
             if row < 0:
-                row, state = len(ids), kalman_floats(kalman_init((x, y), t))
+                row, state = len(ids), kalman_init((x, y), t)
                 ids.append(self._next_id)
                 self._next_id += 1
                 states.append(state)
@@ -510,7 +509,7 @@ _RANGES = (
     (("bandwidth_hz", "carrier_ghz", "density_threshold"), lambda v: v > 0, "positive"),
     (("servers", "sectors", "outer_iters", "inner_iters", "deviations", "mc_samples"),
      lambda v: v >= 1, ">= 1"),
-    (("beta", "fading_sigma", "rate_sigma"), lambda v: v >= 0, ">= 0"),
+    (("seed", "beta", "fading_sigma", "rate_sigma"), lambda v: v >= 0, ">= 0"),
 )
 
 

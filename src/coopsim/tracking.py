@@ -43,82 +43,49 @@ TRACK_RETIRE_S = 2.0  # a vehicle drops a track unpublished for longer
 # constant-velocity Kalman filter
 
 
-@dataclass
-class KalmanState:
-    """Position and velocity [X, Y, dX, dY], their 4x4 covariance, and time.
+def kalman_init(position, t: float) -> tuple:
+    """Fresh track: measured position, zero velocity, loose velocity prior.
 
-    The covariance always has one shape: the two axes never correlate, and
-    each axis holds the same (position, velocity) block [[a, b], [b, c]], so
-    p[0, 0] = p[1, 1] = a, p[0, 2] = p[1, 3] = b (and their mirrors),
-    p[2, 2] = p[3, 3] = c, and every cross-axis entry is 0.  ``kalman_init``,
-    the white-acceleration process noise and the isotropic observation noise
-    all keep that shape, so the filter steps update (a, b, c) as scalars.
-    Both steps take a state or its ``kalman_floats`` tuple and return the
-    same form; the edge map steps tuples and builds no arrays per report.
+    A filter state is the eight floats (x, y, vx, vy, a, b, c, time): the
+    position and velocity [X, Y, dX, dY], the 4x4 covariance as one scalar
+    block, and the time.  The covariance always has one shape: the two axes
+    never correlate, and each axis holds the same (position, velocity) block
+    [[a, b], [b, c]].  This prior, the white-acceleration process noise and
+    the isotropic observation noise all keep that shape, so the filter
+    steps update (a, b, c) as scalars.
     """
-
-    x: np.ndarray
-    p: np.ndarray
-    time: float
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.x[:2]
+    x, y = position
+    return (float(x), float(y), 0.0, 0.0, DEFAULT_OBS_NOISE_VAR, 0.0, INIT_VEL_VAR, float(t))
 
 
-def kalman_floats(state: KalmanState) -> tuple:
-    """The state as the floats (x, y, vx, vy, a, b, c, time)."""
-    p = state.p
-    return (*state.x.tolist(), p.item(0, 0), p.item(0, 2), p.item(2, 2), state.time)
-
-
-def kalman_state(floats) -> KalmanState:
-    """The KalmanState of a ``kalman_floats`` tuple."""
-    x, y, vx, vy, a, b, c, time = floats
-    p = np.array([a, 0.0, b, 0.0, 0.0, a, 0.0, b, b, 0.0, c, 0.0, 0.0, b, 0.0, c])
-    return KalmanState(x=np.array([x, y, vx, vy]), p=p.reshape(4, 4), time=time)
-
-
-def kalman_init(position, t: float) -> KalmanState:
-    """Fresh track: measured position, zero velocity, loose velocity prior."""
-    x, y = np.asarray(position, dtype=np.float64).reshape(2).tolist()
-    return kalman_state((x, y, 0.0, 0.0, DEFAULT_OBS_NOISE_VAR, 0.0, INIT_VEL_VAR, float(t)))
-
-
-def kalman_predict(state, dt: float):
+def kalman_predict(state, dt: float) -> tuple:
     """Constant-velocity step with white-acceleration noise integrated over dt."""
     if dt < 0:
         raise ValueError(f"cannot predict backwards, dt={dt}")
-    wrapped = isinstance(state, KalmanState)
-    x, y, vx, vy, a, b, c, time = kalman_floats(state) if wrapped else state
+    x, y, vx, vy, a, b, c, time = state
     q = DEFAULT_PROCESS_NOISE
-    out = (x + dt * vx, y + dt * vy, vx, vy,
-           a + 2.0 * dt * b + dt * dt * c + q * (dt**3 / 3.0),
-           b + dt * c + q * (dt**2 / 2.0), c + q * dt, time + dt)
-    return kalman_state(out) if wrapped else out
+    return (x + dt * vx, y + dt * vy, vx, vy,
+            a + 2.0 * dt * b + dt * dt * c + q * (dt**3 / 3.0),
+            b + dt * c + q * (dt**2 / 2.0), c + q * dt, time + dt)
 
 
-def kalman_correct(state, z, r_obs: float = DEFAULT_OBS_NOISE_VAR):
+def kalman_correct(state, z, r_obs: float = DEFAULT_OBS_NOISE_VAR) -> tuple:
     """Fold in a position measurement with variance ``r_obs`` on each axis.
 
     Both axes share the gain k = (a, b) / (a + r_obs).  The covariance takes
     the Joseph form (I - kH) P (I - kH)^T + r_obs k k^T per axis, which keeps
     it symmetric positive semi-definite under roundoff.
     """
-    wrapped = isinstance(state, KalmanState)
-    if wrapped:
-        state, z = kalman_floats(state), np.asarray(z, dtype=np.float64).reshape(2).tolist()
     x, y, vx, vy, a, b, c, time = state
     zx, zy = z
     s = a + r_obs
     k1, k2 = a / s, b / s
     ex, ey = zx - x, zy - y
     m = 1.0 - k1
-    out = (x + k1 * ex, y + k1 * ey, vx + k2 * ex, vy + k2 * ey,
-           m * m * a + k1 * k1 * r_obs,
-           m * (b - k2 * a) + k1 * k2 * r_obs,
-           k2 * k2 * a - 2.0 * k2 * b + c + k2 * k2 * r_obs, time)
-    return kalman_state(out) if wrapped else out
+    return (x + k1 * ex, y + k1 * ey, vx + k2 * ex, vy + k2 * ey,
+            m * m * a + k1 * k1 * r_obs,
+            m * (b - k2 * a) + k1 * k2 * r_obs,
+            k2 * k2 * a - 2.0 * k2 * b + c + k2 * k2 * r_obs, time)
 
 
 def row_norms(d: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ import tempfile
 from coopsim import simpipe
 from coopsim.cli import main
 from coopsim.simpipe import POLICIES
-from coopsim.tracking import kalman_state
+from oracles import kalman_state
 
 SCENARIOS = ([(150, 10, policy, "surrogate") for policy in POLICIES]
              + [(40, 16, "adamap-reuse", "surrogate"), (7, 2, "adamap", "codec")])

@@ -7,13 +7,13 @@ the per-pair point-count predictor with its projected_area (it shares Bbox3
 and visible_face_weights), the farthest-point walk with one temporary per
 step, the edge map as a dict of entries with its predictive match and
 greedy dedup (it shares the scalar filter steps and the map constants), the
-matrix-form Kalman filter (it shares KalmanState and the noise constants), the
-per-CAV RF optimizer loop (it shares the dataset, the truncated-normal
-sampler, the random-stream tags, the module-time table, the perturbation
-spread and the result type; it reads the last two at call time, as the
-batch does, so a test that patches one sets both), and the scalar upload
-time, baseline and fading draws of a frame (they share the module-time
-table and the truncated-normal sampler).
+matrix-form Kalman filter with its array state (it shares the noise
+constants), the per-CAV RF optimizer loop (it shares the dataset, the
+truncated-normal sampler, the random-stream tags, the module-time table,
+the perturbation spread and the result type; it reads the last two at call
+time, as the batch does, so a test that patches one sets both), and the
+scalar upload time, baseline and fading draws of a frame (they share the
+module-time table and the truncated-normal sampler).
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from coopsim.simpipe import DEDUP_DISTANCE_M, MATCH_GATE_M, RETIRE_AFTER_S
 from coopsim.tracking import (
     DEFAULT_OBS_NOISE_VAR,
     DEFAULT_PROCESS_NOISE,
-    KalmanState,
     kalman_correct,
     kalman_init,
     kalman_predict,
@@ -375,6 +374,43 @@ def loop_optimize_rf(problem, dataset, cfg, record_g: bool = False) -> LoopResul
 _H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 
 
+@dataclass
+class KalmanState:
+    """Position and velocity [X, Y, dX, dY], their 4x4 covariance, and time."""
+
+    x: np.ndarray
+    p: np.ndarray
+    time: float
+
+    @property
+    def position(self) -> np.ndarray:
+        return self.x[:2]
+
+
+def kalman_floats(state: KalmanState) -> tuple:
+    """The state as the package's filter row (x, y, vx, vy, a, b, c, time)."""
+    p = state.p
+    return (*state.x.tolist(), p.item(0, 0), p.item(0, 2), p.item(2, 2), state.time)
+
+
+def kalman_state(floats) -> KalmanState:
+    """The KalmanState of a filter row."""
+    x, y, vx, vy, a, b, c, time = floats
+    p = np.array([a, 0.0, b, 0.0, 0.0, a, 0.0, b, b, 0.0, c, 0.0, 0.0, b, 0.0, c])
+    return KalmanState(x=np.array([x, y, vx, vy]), p=p.reshape(4, 4), time=time)
+
+
+def float_kalman_predict(state: KalmanState, dt: float) -> KalmanState:
+    """The package's predict step on a KalmanState."""
+    return kalman_state(kalman_predict(kalman_floats(state), dt))
+
+
+def float_kalman_correct(state: KalmanState, z,
+                         r_obs: float = DEFAULT_OBS_NOISE_VAR) -> KalmanState:
+    """The package's correct step on a KalmanState."""
+    return kalman_state(kalman_correct(kalman_floats(state), z, r_obs))
+
+
 def transition_matrix(dt: float) -> np.ndarray:
     f = np.eye(4)
     f[0, 2] = f[1, 3] = dt
@@ -504,8 +540,8 @@ class DictGlobalMap:
     per entry for the match positions.  ``predict`` and ``correct`` are the
     filter steps it runs."""
 
-    predict = staticmethod(kalman_predict)
-    correct = staticmethod(kalman_correct)
+    predict = staticmethod(float_kalman_predict)
+    correct = staticmethod(float_kalman_correct)
 
     def __init__(self):
         self.entries: dict = {}
@@ -531,7 +567,8 @@ class DictGlobalMap:
             if gid is None:
                 gid = self._next_id
                 self._next_id += 1
-                self.entries[gid] = MapEntry(kalman=kalman_init(pos, t), last_seen=t)
+                self.entries[gid] = MapEntry(kalman=kalman_state(kalman_init(pos, t)),
+                                             last_seen=t)
             else:
                 entry = self.entries[gid]
                 dt = t - entry.kalman.time

@@ -18,7 +18,6 @@ from coopsim.geometry import chamfer_distance, earth_movers_distance
 from coopsim.simpipe import RunConfig, collect_metrics, generate_trace, run_simulation
 from coopsim.tracking import (
     HybridLocalizer,
-    KalmanState,
     kalman_correct,
     kalman_init,
     kalman_predict,
@@ -112,11 +111,12 @@ def test_01_distance_metrics_match_bruteforce_oracles():
 
 def test_02_kalman_gain_and_noiseless_convergence():
     # unit prior position variance against unit observation noise: gain 1/2
-    s = KalmanState(x=np.zeros(4), p=np.diag([1.0, 1.0, 10.0, 10.0]), time=0.0)
+    # the filter row (x, y, vx, vy, a, b, c, time) of covariance diag([1, 1, 10, 10])
+    s = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 10.0, 0.0)
     out = kalman_correct(s, [1.0, 0.0], r_obs=1.0)
-    assert abs(out.x[0] - 0.5) < 1e-12
-    assert abs(out.x[1]) < 1e-12
-    assert abs(out.p[0, 0] - 0.5) < 1e-12
+    assert abs(out[0] - 0.5) < 1e-12
+    assert abs(out[1]) < 1e-12
+    assert abs(out[4] - 0.5) < 1e-12
 
     v, dt = 7.3, 0.1
     s = kalman_init([0.0, 0.0], 0.0)
@@ -124,7 +124,7 @@ def test_02_kalman_gain_and_noiseless_convergence():
     for k in range(1, 21):
         s = kalman_predict(s, dt)
         s = kalman_correct(s, [v * k * dt, 0.0], r_obs=1e-12)
-        sq_errors.append((s.x[0] - v * k * dt) ** 2)
+        sq_errors.append((s[0] - v * k * dt) ** 2)
     assert math.sqrt(float(np.mean(sq_errors[10:]))) < 1e-6
 
 

@@ -168,7 +168,6 @@ def test_guard_sees_an_unread_field(tmp_path):
 # fields that share a RunConfig field's name but hold another value, each with its meaning
 SHARED_NAMES = {
     "control.py:RFProblem.seed": "the CAV's optimizer seed, derived from the run seed per frame",
-    "tracking.py:KalmanState.p": "the filter's covariance matrix, not the percentile",
 }
 
 

@@ -440,7 +440,10 @@ def test_run_incomplete_profile_exits_3_before_output(tmp_path, trace_path, caps
     assert run_with_profile(tmp_path, trace_path, profile) == EXIT_OK
 
 
-@pytest.mark.parametrize("row", ["4,0,abc,1,1", "4,0,0.3,1.5"])
+@pytest.mark.parametrize("row", [
+    "4,0,abc,1,1", "4,0,0.3,1.5",
+    # a negative loss or codec time
+    "4,0,-0.3,1.5,1.5", "4,0,0.3,-1000,1.5", "4,0,0.3,1.5,-1e-9"])
 def test_run_malformed_profile_row_exits_2(tmp_path, trace_path, capsys, row):
     profile = tmp_path / "ds.csv"
     write_profile(profile, extra_rows=[row])
@@ -517,6 +520,25 @@ def test_run_retired_config_key_exits_2(tmp_path, trace_path, capsys, key, value
     assert main(["run", "--trace", str(trace_path), "--config", str(cfg),
                  "--out", str(out)]) == EXIT_INPUT
     assert f"unknown keys ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["run", "--trace", "TRACE", "--seed", "-1"], None),
+    (["run", "--trace", "TRACE"], {"seed": -3}),
+    (["gen-trace", "--cavs", "3", "--frames", "1", "--seed", "-1"], None),
+    (["sweep", "--param", "H", "--values", "80", "90", "--trace", "TRACE", "--seed", "-1"],
+     None),
+])
+def test_negative_seed_exits_2_before_output(tmp_path, trace_path, capsys, argv, config):
+    argv = [str(trace_path) if a == "TRACE" else a for a in argv]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_INPUT
+    assert "seed" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -47,8 +47,8 @@ from coopsim.simpipe import (
     validate_trace,
     write_frame_csv,
 )
-from coopsim.tracking import kalman_floats, kalman_init, kalman_state
-from oracles import DictGlobalMap, MapEntry, MatrixFilterMap, greedy_dedup
+from coopsim.tracking import kalman_init
+from oracles import DictGlobalMap, MapEntry, MatrixFilterMap, greedy_dedup, kalman_state
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +227,12 @@ def _seed(gmap, positions: dict):
     states = [kalman_init(_at(*positions[gid]), 0.0) for gid in gids]
     if isinstance(gmap, GlobalMap):
         gmap.gids = np.array(gids, dtype=np.int64)
-        gmap.state = np.reshape([kalman_floats(k) for k in states], (-1, 8))
+        gmap.state = np.reshape(states, (-1, 8))
         gmap.last_seen, gmap.last_loss = np.zeros(len(gids)), np.zeros(len(gids))
         gmap.has_geometry = np.zeros(len(gids), dtype=bool)
     else:
-        gmap.entries = {gid: MapEntry(kalman=k, last_seen=0.0) for gid, k in zip(gids, states)}
+        gmap.entries = {gid: MapEntry(kalman=kalman_state(k), last_seen=0.0)
+                        for gid, k in zip(gids, states)}
     gmap._next_id = max(gids, default=-1) + 1
 
 

@@ -4,7 +4,6 @@ import pytest
 from coopsim import tracking
 from coopsim.tracking import (
     HybridLocalizer,
-    KalmanState,
     kalman_correct,
     kalman_init,
     kalman_predict,
@@ -12,6 +11,7 @@ from coopsim.tracking import (
     row_norms,
 )
 from oracles import (
+    kalman_state,
     matrix_kalman_correct,
     matrix_kalman_predict,
     predictive_match,
@@ -24,10 +24,10 @@ from oracles import (
 
 
 def test_predict_moves_with_velocity():
-    s = KalmanState(x=np.array([0.0, 0.0, 1.0, -2.0]), p=np.eye(4), time=0.0)
+    s = (0.0, 0.0, 1.0, -2.0, 1.0, 0.0, 1.0, 0.0)  # covariance I
     out = kalman_predict(s, 1.0)
-    assert np.allclose(out.x, [1.0, -2.0, 1.0, -2.0])
-    assert out.time == 1.0
+    assert np.allclose(out[:4], [1.0, -2.0, 1.0, -2.0])
+    assert out[7] == 1.0
 
 
 def test_process_noise_hand_matrix():
@@ -41,8 +41,8 @@ def test_process_noise_hand_matrix():
     )
     assert np.allclose(process_noise(1.0, q=1.0), want, atol=1e-15)
     # from a certain state, one unit step adds exactly the process noise
-    s = KalmanState(x=np.array([1.0, 2.0, 3.0, 4.0]), p=np.zeros((4, 4)), time=0.0)
-    assert np.allclose(kalman_predict(s, 1.0).p, want, atol=1e-15)
+    s = (1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0)
+    assert np.allclose(kalman_state(kalman_predict(s, 1.0)).p, want, atol=1e-15)
     # scales linearly in q and keeps PSD
     assert np.allclose(process_noise(0.1, q=2.0), 2.0 * process_noise(0.1, q=1.0))
     assert np.linalg.eigvalsh(process_noise(0.25)).min() >= -1e-15
@@ -53,7 +53,8 @@ def test_closed_form_matches_matrix_form():
     axis = np.array([0, 1, 0, 1])  # the axis of X, Y, dX, dY
     cross = axis[:, None] != axis[None, :]
     for _ in range(500):
-        s = m = kalman_init(rng.normal(size=2), 0.0)
+        s = kalman_init(rng.normal(size=2), 0.0)
+        m = kalman_state(s)
         for _ in range(20):
             if rng.uniform() < 0.5:
                 dt = float(rng.uniform(0.01, 0.5))
@@ -64,19 +65,20 @@ def test_closed_form_matches_matrix_form():
                 s, m = kalman_correct(s, z, r_obs=r_obs), matrix_kalman_correct(m, z, r_obs=r_obs)
             # relative to each array's largest entry: an entry near 0 after
             # cancellation carries the roundoff of its larger terms
-            for got, want in ((s.x, m.x), (s.p, m.p)):
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-            assert s.time == m.time
-            assert not s.p[cross].any()
+            got = kalman_state(s)
+            for mine, want in ((got.x, m.x), (got.p, m.p)):
+                assert np.abs(mine - want).max() <= 1e-12 * np.abs(want).max()
+            assert got.time == m.time
+            assert not got.p[cross].any()
 
 
 def test_scalar_gain_is_half_with_equal_variances():
     # prior position variance 1 and observation variance 1: textbook gain 0.5
-    s = KalmanState(x=np.zeros(4), p=np.diag([1.0, 1.0, 10.0, 10.0]), time=0.0)
+    s = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 10.0, 0.0)  # covariance diag([1, 1, 10, 10])
     out = kalman_correct(s, [1.0, 0.0], r_obs=1.0)
-    assert abs(out.x[0] - 0.5) < 1e-12
-    assert abs(out.x[1]) < 1e-12
-    assert abs(out.p[0, 0] - 0.5) < 1e-12
+    assert abs(out[0] - 0.5) < 1e-12
+    assert abs(out[1]) < 1e-12
+    assert abs(out[4] - 0.5) < 1e-12
 
 
 def test_noiseless_constant_velocity_converges():
@@ -88,9 +90,9 @@ def test_noiseless_constant_velocity_converges():
         t = k * dt
         s = kalman_predict(s, dt)
         s = kalman_correct(s, [v * t, 0.0], r_obs=1e-12)
-        errors.append(abs(s.x[0] - v * t))
+        errors.append(abs(s[0] - v * t))
     assert max(errors[10:]) < 1e-6
-    assert abs(s.x[2] - v) < 1e-3
+    assert abs(s[2] - v) < 1e-3
 
 
 def test_covariance_stays_symmetric_psd():
@@ -103,8 +105,9 @@ def test_covariance_stays_symmetric_psd():
             else:
                 s = kalman_correct(s, rng.normal(scale=5.0, size=2),
                                    r_obs=float(rng.uniform(1e-6, 1.0)))
-            assert np.allclose(s.p, s.p.T, atol=1e-9)
-            assert np.linalg.eigvalsh(s.p).min() >= -1e-9
+            p = kalman_state(s).p
+            assert np.allclose(p, p.T, atol=1e-9)
+            assert np.linalg.eigvalsh(p).min() >= -1e-9
 
 
 def test_predict_rejects_negative_dt():
