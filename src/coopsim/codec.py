@@ -205,7 +205,11 @@ class MeasurementDataset:
                     lo, te, td = (float(v) for v in values)
                     if not all(math.isfinite(v) and v >= 0 for v in (lo, te, td)):
                         raise ValueError("values must be finite and non-negative")
-                    rows.append((int(rf), int(bucket), lo, te, td))
+                    rf, bucket = int(rf), int(bucket)
+                    if not 0 <= bucket < N_BUCKETS:  # no run can look such a key up
+                        raise ValueError(f"bucket must lie in 0 ... {N_BUCKETS - 1}")
+                    latent_dim(rf)
+                    rows.append((rf, bucket, lo, te, td))
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{line_no}: bad dataset row "
                                       f"{line.strip()!r} ({exc})") from exc

@@ -1,6 +1,16 @@
-"""Seeded samplers for non-negative quantities (compute times, losses).
+"""Seeded samplers: keyed uniforms, and non-negative quantities (compute
+times, losses).
 
-All stochastic quantities in the simulator are drawn from normal
+``keyed_uniforms`` draws uniforms as a pure function of integer keys and a
+counter, so a whole table of (vehicle, object) pairs draws in one array
+expression, and each pair's draws do not depend on which other pairs share
+the call or in what order.  It is a counter-based generator (Salmon et al.
+2011, "Parallel random numbers: as easy as 1, 2, 3") built on the SplitMix64
+finalizer (Steele, Lea & Flood 2014): the keys fold into one 64-bit state,
+and counter i gives the finalized state + (i + 1) * golden gamma, as
+SplitMix64 seeded by that state would.
+
+Non-negative stochastic quantities are drawn from normal
 distributions truncated at zero.  Plain truncation shifts the mean upward,
 which would make calibrated tables (for example per-RF loss means) drift away
 from their stated values, so the parent location is solved such that the
@@ -18,7 +28,35 @@ from scipy.stats import norm
 
 from .errors import CalibrationError
 
-__all__ = ["TruncatedNormal"]
+__all__ = ["TruncatedNormal", "keyed_uniforms"]
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's golden-ratio increment
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _finalize(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def keyed_uniforms(*keys, n: int) -> np.ndarray:
+    """``n`` uniforms in the open interval (0, 1) per element of the
+    broadcast keys, shape (*broadcast shape, n).
+
+    Keys are non-negative integers or integer arrays, folded in the order
+    given.  The top 52 bits of each 64-bit output map to (k + 0.5) / 2**52,
+    which float64 holds exactly, so no draw is 0 or 1 and ``ndtri`` of any
+    draw is finite.
+    """
+    with np.errstate(over="ignore"):  # uint64 products wrap by design
+        state = np.uint64(0)
+        for key in keys:
+            state = _finalize((state ^ np.asarray(key).astype(np.uint64)) + _GAMMA)
+        steps = _GAMMA * np.arange(1, n + 1, dtype=np.uint64)
+        z = _finalize(state[..., None] + steps)
+    return ((z >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
 
 
 def _truncated_mean(loc: float, scale: float) -> float:

@@ -68,6 +68,7 @@ from .netsim import (
     simulate_frame_latency,
     uplink_rate,
 )
+from .sampling import keyed_uniforms
 from .tracking import (
     HybridLocalizer,
     kalman_correct,
@@ -258,13 +259,18 @@ def validate_trace(frames) -> None:
     """Raise FrameError unless frame numbers strictly increase, every frame
     keeps the cadence, lists each CAV and each of a CAV's objects once, and
     holds finite poses and boxes, positive extents and point counts of at
-    least 1.  Each frame's random streams are keyed by its number."""
+    least 1.  Frame numbers, CAV ids and object ids key the random streams,
+    so each must be non-negative."""
     if not frames:
         raise FrameError("trace is empty")
     for i, frame in enumerate(frames):
         where = f"frame {frame.index}"
         if i and frame.index <= frames[i - 1].index:
             raise FrameError(f"{where}: frame numbers must strictly increase")
+        for name, ids in (("frame number", [frame.index]), ("CAV id", frame.cav_ids),
+                          ("object id", frame.obj_ids)):
+            if np.any(np.asarray(ids) < 0):
+                raise FrameError(f"{where}: {name}s must be non-negative")
         if not math.isfinite(frame.time_s):
             raise FrameError(f"{where}: time_s {frame.time_s} is not finite")
         expected = frames[0].time_s + i * FRAME_PERIOD_S
@@ -629,7 +635,7 @@ class RunResult:
 class RunState:
     def __init__(self, config: RunConfig):
         self.config = config
-        self.localizers: dict = {}
+        self.localizer = HybridLocalizer()
         self.prev_rates: dict = {}
         self.global_map = GlobalMap()
 
@@ -684,9 +690,11 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     the RF search plans only the rows that carry geometry, with a CAV's
     32-byte deltas as fixed bytes of its uplink; a CAV with deltas alone has
     no subproblem, so ``FrameStats.infeasible_cavs`` counts only
-    CAVs with geometry to send.  Loops whose order fixes a random stream
-    or a result stay per object: localization, the left-to-right encode- and
-    decode-time sums and the per-object edge thinning.  The accounting draws
+    CAVs with geometry to send.  Localization is one pass of array
+    operations over every CAV's pairs, with draws keyed by (seed, frame, CAV
+    id, object id).  Loops whose order fixes a random stream or a result
+    stay per object: the left-to-right encode- and decode-time sums and the
+    per-object edge thinning.  The accounting draws
     take one array-bounded call per CAV and stream, which yields the
     per-object draws' indices.  Each object that carries geometry charges one
     encode sample to its CAV and one decode sample to the server, from the
@@ -697,7 +705,8 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     t = frame.time_s
     fidx = frame.index
     cav_order = np.argsort(frame.cav_ids, kind="stable")
-    cav_ids = frame.cav_ids[cav_order].tolist()
+    ids = frame.cav_ids[cav_order]
+    cav_ids = ids.tolist()
     positions = frame.poses[cav_order, :3]
     n = len(cav_ids)
     # every trace pair, sorted by (CAV index, object id)
@@ -705,28 +714,15 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     rank[cav_order] = np.arange(n)
     pair_rank = rank[frame.pair_cav]
     by_pair = np.lexsort((frame.obj_ids, pair_rank))
-    bounds = np.searchsorted(pair_rank[by_pair], np.arange(n + 1)).tolist()
+    cav, obj = pair_rank[by_pair], frame.obj_ids[by_pair]
 
-    # --- localization (vehicle side) builds the detection table ---
-    cav, src, observed = [], [], []
-    charges = []
-    for c, cav_id in enumerate(cav_ids):
-        rows = by_pair[bounds[c]:bounds[c + 1]].tolist()
-        truth = dict(zip(frame.obj_ids[rows].tolist(), frame.centers[rows, :2]))
-        loc = state.localizers.setdefault(cav_id, HybridLocalizer())
-        rng_loc = np.random.default_rng([cfg.seed, fidx, cav_id, _S_LOC])
-        res = loc.step(t, truth, rng_loc)
-        charges.append(res.charged_ms)
-        for row, obj_id in zip(rows, truth):
-            obs = res.observations.get(obj_id)
-            if obs is not None:
-                cav.append(c)
-                src.append(row)
-                observed.append(obs)
-    cav = np.array(cav, dtype=np.int64)
-    src = np.array(src, dtype=np.int64)
-    obj = frame.obj_ids[src]
-    observed = np.reshape(observed, (-1, 2))
+    # --- localization (vehicle side) keeps the published pairs: the detection table ---
+    loc = state.localizer.localize(
+        t, ids, cav, obj, frame.centers[by_pair, :2],
+        keyed_uniforms(cfg.seed, fidx, ids[cav], obj, _S_LOC, n=6),
+        keyed_uniforms(cfg.seed, fidx, ids, _S_LOC, n=1)[:, 0])
+    cav, obj, src = cav[loc.published], obj[loc.published], by_pair[loc.published]
+    observed = loc.observed[loc.published]
     loc_errors = row_norms(observed - frame.centers[src, :2])
     detected_pairs = len(cav)
 
@@ -855,8 +851,9 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
 
     # --- edge latency ---
     rng_queue = np.random.default_rng([cfg.seed, fidx, _S_QUEUE])
-    b_ms, up_ms, queue_ms = simulate_frame_latency(payloads, vehicle_ms, rates, server_ms,
-                                                   cfg.servers, rng_queue, extra_b_ms=charges)
+    b_ms, up_ms, queue_ms = simulate_frame_latency(
+        payloads, vehicle_ms, rates, server_ms, cfg.servers, rng_queue,
+        extra_b_ms=loc.charged_ms)
     # total: encode, uplink, queue, server, baseline, added in that order
     total_ms = (vehicle_ms + up_ms + queue_ms + server_ms + b_ms).tolist()
     vehicle_ms = (vehicle_ms + b_ms).tolist()  # encode plus baseline charge
@@ -877,7 +874,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
             rfs=tuple(rfs[rfs > 0].tolist())))
     # the sent-pair table as one record per row; rf 0: no latent (lossless, raw or reuse)
     objects = np.rec.fromarrays(
-        [np.full(len(cav), fidx), np.asarray(cav_ids)[cav], obj, rf, nbytes, loss, reused],
+        [np.full(len(cav), fidx), ids[cav], obj, rf, nbytes, loss, reused],
         names="frame,cav_id,obj_id,rf,bytes,loss,reused")
     stats = FrameStats(
         frame=fidx, detected_pairs=detected_pairs, selected_pairs=len(cav),

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .sampling import TruncatedNormal
 
@@ -146,76 +147,86 @@ def tracker_base_error() -> float:
 
 
 @dataclass
-class TrackEntry:
-    maneuver: bool = False
-    last_seen: float = 0.0
-
-
-@dataclass
 class LocalizeResult:
-    observations: dict  # object id -> np.ndarray (2,)
-    charged_ms: float
-    detection_charged: bool
+    """One slot of ``HybridLocalizer.localize``, per pair and per CAV."""
+
+    published: np.ndarray  # (P,) bool
+    observed: np.ndarray  # (P, 2) published positions; unpublished rows hold no meaning
+    charged_ms: np.ndarray  # (C,)
+    detection_charged: np.ndarray  # (C,) bool
 
 
 class HybridLocalizer:
-    """Per-vehicle localizer: the mode latch and the local tracks."""
+    """The fleet's localizers: ``detecting``, each vehicle's mode latch by
+    id, and the tracks as (vehicle, object) rows sorted by both ids:
+    ``track_cav``, ``track_obj``, ``maneuver`` and ``last_seen``."""
 
     def __init__(self):
-        self.detecting = True  # the mode latch; nothing to track before the first slot
-        self.tracks: dict = {}
+        self.detecting: dict = {}
+        self.track_cav = np.zeros(0, dtype=np.int64)
+        self.track_obj = np.zeros(0, dtype=np.int64)
+        self.maneuver = np.zeros(0, dtype=bool)
+        self.last_seen = np.zeros(0)
 
-    def step(self, t: float, truth: dict, rng: np.random.Generator) -> LocalizeResult:
-        """One localization slot over the currently visible objects.
+    def localize(self, t: float, cav_ids, pair_cav, obj_ids, truth, u_pair,
+                 u_cav) -> LocalizeResult:
+        """One localization slot for every CAV of ``cav_ids`` (ascending).
 
-        ``truth`` maps object id to the true ground-plane position.  The
-        slot publishes and charges the module of the current mode, then
-        latches the mode for the next slot from this slot's RLE.  Each
-        published id is marked seen at ``t`` (new ids get a track), and ids
-        unpublished for over TRACK_RETIRE_S retire.  Objects with no prior
-        track always publish the detector output regardless of mode.
+        Pair k, each (CAV, object) once, is CAV row ``pair_cav[k]`` seeing
+        ``obj_ids[k]`` at true position ``truth[k]``, with uniforms
+        ``u_pair[k]`` (miss, maneuver, detector x, y, tracker x, y); CAV c
+        draws its charge from ``u_cav[c]``.  Each CAV publishes and charges
+        the module of its mode, then latches the next mode from its RLE over
+        the objects both detected and tracked.  Untracked objects publish the
+        detector output, and every tracked object steps its maneuver chain.
+        Published pairs are seen at ``t`` (new ones open a track); a stepped
+        CAV's tracks unseen for over TRACK_RETIRE_S retire, an absent CAV's
+        wait.  A vehicle new to the fleet boots in detection.
         """
-        tracks = self.tracks
-        det_axis = SIGMA_DET * _AXIS_FROM_MEAN
-        base_err = tracker_base_error()
+        detecting = np.array([self.detecting.get(c, True) for c in cav_ids.tolist()], dtype=bool)
 
-        det_out: dict = {}
-        trk_out: dict = {}
-        gaps = []  # detector minus tracker output, per object with both
-        for obj_id in sorted(truth):
-            pos = np.asarray(truth[obj_id], dtype=np.float64).reshape(2)
-            missed = rng.uniform() < MISS_PROB
-            noise = rng.normal(scale=det_axis, size=2)
-            if not missed:
-                det_out[obj_id] = pos + noise
-            entry = tracks.get(obj_id)
-            if entry is not None:
-                u = rng.uniform()
-                entry.maneuver = u < (MANEUVER_PERSIST if entry.maneuver else MANEUVER_ENTER)
-                err_mean = base_err * (MANEUVER_ERROR_RATIO if entry.maneuver else 1.0)
-                axis = err_mean * _AXIS_FROM_MEAN
-                tnoise = rng.normal(scale=axis, size=2)
-                trk_out[obj_id] = pos + tnoise
-                if obj_id in det_out:
-                    gaps.append(det_out[obj_id] - trk_out[obj_id])
-        rle_max = float(row_norms(np.reshape(gaps, (-1, 2))).max()) if gaps else 0.0
+        # each pair's track row, or -1: a stable sort puts a track just before its pair
+        n_tracks = len(self.track_cav)
+        every_cav = np.concatenate([self.track_cav, cav_ids[pair_cav]])
+        every_obj = np.concatenate([self.track_obj, obj_ids])
+        order = np.lexsort((every_obj, every_cav))
+        twin = np.flatnonzero((every_cav[order[1:]] == every_cav[order[:-1]])
+                              & (every_obj[order[1:]] == every_obj[order[:-1]]))
+        row = np.full(len(obj_ids), -1)
+        row[order[twin + 1] - n_tracks] = order[twin]
+        at = np.flatnonzero(row >= 0)  # the tracked pairs
+        rows = row[at]
 
-        detection_charged = self.detecting
-        if detection_charged:
-            observations = det_out
-            charge = TruncatedNormal.cached(DET_TIME_MEAN_MS, DET_TIME_SD_MS)
-        else:
-            observations = dict(trk_out)
-            for obj_id, pos in det_out.items():
-                # no track yet: ride on the detector
-                observations.setdefault(obj_id, pos)
-            charge = TruncatedNormal.cached(TRK_TIME_MEAN_MS, TRK_TIME_SD_MS)
-        charged = charge.ppf(rng.random())
-        self.detecting = not rle_max < RLE_THRESHOLD_M
+        detected = ~(u_pair[:, 0] < MISS_PROB)
+        observed = truth + SIGMA_DET * _AXIS_FROM_MEAN * ndtri(u_pair[:, 2:4])
+        maneuver = u_pair[at, 1] < np.where(self.maneuver[rows], MANEUVER_PERSIST, MANEUVER_ENTER)
+        axis = tracker_base_error() * np.where(maneuver, MANEUVER_ERROR_RATIO, 1.0) \
+            * _AXIS_FROM_MEAN
+        trk = truth[at] + axis[:, None] * ndtri(u_pair[at, 4:6])
+        both = detected[at]
+        rle = np.zeros(len(cav_ids))
+        np.maximum.at(rle, pair_cav[at[both]], row_norms(observed[at[both]] - trk[both]))
 
-        for obj_id in observations:
-            tracks.setdefault(obj_id, TrackEntry()).last_seen = t
-        for obj_id in [k for k, e in tracks.items() if t - e.last_seen > TRACK_RETIRE_S]:
-            del tracks[obj_id]
-        return LocalizeResult(observations=observations, charged_ms=float(charged),
-                              detection_charged=detection_charged)
+        # tracking mode publishes the tracker wherever a track exists
+        by_tracker = ~detecting[pair_cav[at]]
+        observed[at[by_tracker]] = trk[by_tracker]
+        published = detected.copy()
+        published[at[by_tracker]] = True
+        charged = np.empty(len(cav_ids))
+        for mode, mean, sd in ((detecting, DET_TIME_MEAN_MS, DET_TIME_SD_MS),
+                               (~detecting, TRK_TIME_MEAN_MS, TRK_TIME_SD_MS)):
+            charged[mode] = TruncatedNormal.cached(mean, sd).ppf(u_cav[mode])
+
+        self.detecting.update(zip(cav_ids.tolist(), (~(rle < RLE_THRESHOLD_M)).tolist()))
+
+        # old tracks and opened pairs in sorted order, less a stepped CAV's stale ones
+        maneuvers = np.concatenate([self.maneuver, np.zeros(len(obj_ids), dtype=bool)])
+        maneuvers[rows] = maneuver
+        seen = np.concatenate([self.last_seen, np.full(len(obj_ids), t)])
+        seen[rows[published[at]]] = t
+        kept = order[np.concatenate([np.ones(n_tracks, dtype=bool), published & (row < 0)])[order]]
+        kept = kept[~(np.isin(every_cav[kept], cav_ids) & (t - seen[kept] > TRACK_RETIRE_S))]
+        self.track_cav, self.track_obj = every_cav[kept], every_obj[kept]
+        self.maneuver, self.last_seen = maneuvers[kept], seen[kept]
+        return LocalizeResult(published=published, observed=observed, charged_ms=charged,
+                              detection_charged=detecting)

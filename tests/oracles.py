@@ -8,12 +8,15 @@ and visible_face_weights), the farthest-point walk with one temporary per
 step, the edge map as a dict of entries with its predictive match and
 greedy dedup (it shares the scalar filter steps and the map constants), the
 matrix-form Kalman filter with its array state (it shares the noise
-constants), the per-CAV RF optimizer loop (it shares the dataset, the
-truncated-normal sampler, the random-stream tags, the module-time table,
-the perturbation spread and the result type; it reads the last two at call
-time, as the batch does, so a test that patches one sets both), and the
-scalar upload time, baseline and fading draws of a frame (they share the
-module-time table and the truncated-normal sampler).
+constants), the per-vehicle localizer loop over its objects (it shares the
+detector, tracker and maneuver constants, read at call time, the charge
+sampler and the row norm, and takes the same keyed uniforms), the per-CAV
+RF optimizer loop (it shares the dataset, the truncated-normal sampler, the
+random-stream tags, the module-time table, the perturbation spread and the
+result type; it reads the last two at call time, as the batch does, so a
+test that patches one sets both), and the scalar upload time, baseline and
+fading draws of a frame (they share the module-time table and the
+truncated-normal sampler).
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtri
 
-from coopsim import control, netsim
+from coopsim import control, netsim, tracking
 from coopsim.codec import DESCRIPTOR_OVERHEAD_BYTES, bucket_index
 from coopsim.control import (
     _TAG_B,
@@ -48,6 +52,7 @@ from coopsim.tracking import (
     kalman_correct,
     kalman_init,
     kalman_predict,
+    row_norms,
 )
 
 
@@ -366,6 +371,70 @@ def loop_optimize_rf(problem, dataset, cfg, record_g: bool = False) -> LoopResul
     return LoopResult(rfs=rfs, lam=lam, prob=prob, fidelity=fid,
                       infeasible=False, lam_trace=lam_trace,
                       prob_trace=prob_trace, g_trace=g_trace)
+
+
+# ---------------------------------------------------------------------------
+# one vehicle's localizer as a loop over its objects, replaced by the fleet pass
+
+
+@dataclass
+class TrackEntry:
+    maneuver: bool = False
+    last_seen: float = 0.0
+
+
+class LoopLocalizer:
+    """One vehicle's mode latch and its tracks, an object id -> TrackEntry dict."""
+
+    def __init__(self):
+        self.detecting = True  # nothing to track before the first slot
+        self.tracks: dict = {}
+
+    def step(self, t: float, truth: dict, u: dict, u_charge: float):
+        """(observations, charged_ms, detection_charged) of one slot.
+
+        ``truth`` maps object id to the true position and ``u`` to its six
+        uniforms (miss, maneuver, two detector axes, two tracker axes);
+        ``observations`` maps each published id to its position.
+        """
+        tracks = self.tracks
+        det_axis = tracking.SIGMA_DET * tracking._AXIS_FROM_MEAN
+        base_err = tracking.tracker_base_error()
+        det_out: dict = {}
+        trk_out: dict = {}
+        gaps = []  # detector minus tracker output, per object with both
+        for obj_id in sorted(truth):
+            pos = np.asarray(truth[obj_id], dtype=np.float64).reshape(2)
+            draws = u[obj_id]
+            if not draws[0] < tracking.MISS_PROB:
+                det_out[obj_id] = pos + det_axis * ndtri(draws[2:4])
+            entry = tracks.get(obj_id)
+            if entry is not None:
+                entry.maneuver = draws[1] < (tracking.MANEUVER_PERSIST if entry.maneuver
+                                             else tracking.MANEUVER_ENTER)
+                err_mean = base_err * (tracking.MANEUVER_ERROR_RATIO if entry.maneuver else 1.0)
+                axis = err_mean * tracking._AXIS_FROM_MEAN
+                trk_out[obj_id] = pos + axis * ndtri(draws[4:6])
+                if obj_id in det_out:
+                    gaps.append(det_out[obj_id] - trk_out[obj_id])
+        rle_max = float(row_norms(np.reshape(gaps, (-1, 2))).max()) if gaps else 0.0
+
+        detection_charged = self.detecting
+        if detection_charged:
+            observations = det_out
+            charge = TruncatedNormal.cached(tracking.DET_TIME_MEAN_MS, tracking.DET_TIME_SD_MS)
+        else:
+            observations = dict(trk_out)
+            for obj_id, pos in det_out.items():
+                observations.setdefault(obj_id, pos)  # no track yet: ride on the detector
+            charge = TruncatedNormal.cached(tracking.TRK_TIME_MEAN_MS, tracking.TRK_TIME_SD_MS)
+        self.detecting = not rle_max < tracking.RLE_THRESHOLD_M
+
+        for obj_id in observations:
+            tracks.setdefault(obj_id, TrackEntry()).last_seen = t
+        for obj_id in [k for k, e in tracks.items() if t - e.last_seen > tracking.TRACK_RETIRE_S]:
+            del tracks[obj_id]
+        return observations, charge.ppf(u_charge), detection_charged
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from coopsim.cli import EXIT_OK, main
 from coopsim.codec import N_BUCKETS, surrogate_dataset
 from coopsim.control import thin_edges
 from coopsim.geometry import chamfer_distance, earth_movers_distance
+from coopsim.sampling import keyed_uniforms
 from coopsim.simpipe import RunConfig, collect_metrics, generate_trace, run_simulation
 from coopsim.tracking import (
     HybridLocalizer,
@@ -129,18 +130,20 @@ def test_02_kalman_gain_and_noiseless_convergence():
 
 
 def test_03_hybrid_localization_error_and_cost_bands():
-    rng = np.random.default_rng(12)
     loc = HybridLocalizer()
+    cav_ids, pair_cav, obj_ids = np.array([0]), np.array([0, 0]), np.array([0, 1])
     errors, charges, detect_slots = [], [], 0
     steps = 10_000
     for k in range(steps):
         t = k * 0.1
-        truth = {i: (10.0 * i + 3.0 * t, 2.0 * i) for i in range(2)}
-        res = loc.step(t, truth, rng)
-        for obj_id, obs in res.observations.items():
-            errors.append(float(np.linalg.norm(obs - np.asarray(truth[obj_id]))))
-        charges.append(res.charged_ms)
-        detect_slots += int(res.detection_charged)
+        truth = np.array([(10.0 * i + 3.0 * t, 2.0 * i) for i in range(2)])
+        res = loc.localize(t, cav_ids, pair_cav, obj_ids, truth,
+                           keyed_uniforms(12, k, 0, obj_ids, 0, n=6),
+                           keyed_uniforms(12, k, 0, 0, n=1))
+        for obs, pos in zip(res.observed[res.published], truth[res.published]):
+            errors.append(float(np.linalg.norm(obs - pos)))
+        charges.append(float(res.charged_ms[0]))
+        detect_slots += int(res.detection_charged[0])
     assert 0.07 <= float(np.mean(errors)) <= 0.12
     assert float(np.mean(charges)) <= 3.0
     assert detect_slots / steps < 0.25

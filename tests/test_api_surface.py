@@ -92,8 +92,7 @@ def test_guard_sees_a_test_only_function(tmp_path):
 
 # fields read only outside src/, each with its reader
 FIELDS_READ_ELSEWHERE = {
-    "tracking.py:LocalizeResult.detection_charged":
-        "acceptance test 03 and perfbench/tracer.py",
+    "tracking.py:LocalizeResult.detection_charged": "acceptance test 03",
     "simpipe.py:FrameStats.map_size": "perfbench/tracer.py",
     # the optimizer's outcome, until a per-CAV control record writes it
     "control.py:OptimizeResult.lam": "tests",

@@ -341,6 +341,23 @@ def test_run_non_integer_trace_id_exits_2_before_output(tmp_path, trace_path, ca
                                                        field, message, value):
     """int() would read 3.7 and "3" as 3 and true as 1, silently merging
     distinct CAVs or objects; such a trace is bad input."""
+    _run_with_trace_id(tmp_path, trace_path, capsys, field, value, message)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("frame", "frame numbers must be non-negative"),
+    ("cav id", "CAV ids must be non-negative"),
+    ("object id", "object ids must be non-negative"),
+])
+def test_run_negative_trace_id_exits_2_before_output(tmp_path, trace_path, capsys,
+                                                    field, message):
+    """The ids key the random streams as unsigned integers."""
+    _run_with_trace_id(tmp_path, trace_path, capsys, field, -1, message)
+
+
+def _run_with_trace_id(tmp_path, trace_path, capsys, field, value, message):
+    """Put ``value`` into one id of the trace's first frame; the run must
+    exit 2 with ``message`` before any output."""
     records = [json.loads(line) for line in trace_path.read_text().splitlines()]
     cav = next(c for c in records[0]["cavs"] if c["objects"])
     if field == "frame":
@@ -443,7 +460,9 @@ def test_run_incomplete_profile_exits_3_before_output(tmp_path, trace_path, caps
 @pytest.mark.parametrize("row", [
     "4,0,abc,1,1", "4,0,0.3,1.5",
     # a negative loss or codec time
-    "4,0,-0.3,1.5,1.5", "4,0,0.3,-1000,1.5", "4,0,0.3,1.5,-1e-9"])
+    "4,0,-0.3,1.5,1.5", "4,0,0.3,-1000,1.5", "4,0,0.3,1.5,-1e-9",
+    # a key no run can look up: a bucket out of range, an RF the codec refuses
+    "4,99,0.3,1.5,1.5", "4,-1,0.3,1.5,1.5", "3,0,0.3,1.5,1.5"])
 def test_run_malformed_profile_row_exits_2(tmp_path, trace_path, capsys, row):
     profile = tmp_path / "ds.csv"
     write_profile(profile, extra_rows=[row])

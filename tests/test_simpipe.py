@@ -630,17 +630,19 @@ def test_blindspot_policy_sends_raw(small_trace):
         assert rec.bytes == per_obj
 
 
-def test_blindspot_skips_universally_seen_objects(tmp_path):
+def test_blindspot_skips_universally_seen_objects(tmp_path, monkeypatch):
     # two CAVs staring at the same third object: each of the two CAVs sees it,
     # but with only those two CAVs in the scene n == 2 and both see it, so the
-    # pair count under blindspot-all drops to zero
+    # pair count under blindspot-all drops to zero; a detector that never
+    # misses keeps both detections whatever the localization draws
+    monkeypatch.setattr(tracking, "MISS_PROB", 0.0)
     car = _car(5, [10.0, 0.0, 0.75], 0.0)
     trace = _load_records(tmp_path, [{"frame": 0, "time_s": 0.0, "cavs": [
         _cav(0, 0.0, 0.0, 0.0, [car]), _cav(1, 20.0, 0.0, math.pi, [car])]}])
     res = run_simulation(trace, RunConfig(policy="blindspot-all", seed=0))
     assert len(res.objects) == 0
     assert res.frame_stats[0].selected_pairs == 0
-    assert res.frame_stats[0].detected_pairs >= 1
+    assert res.frame_stats[0].detected_pairs == 2
 
 
 def test_adamap_selection_is_subset(small_trace):
@@ -774,9 +776,9 @@ def test_reuse_is_decided_before_the_rf_search(reuse_run):
         expected = [(ids, REUSE_DELTA_BYTES * deltas)
                     for (f, _), (ids, deltas) in sorted(sent.items()) if f == frame and ids]
         assert [(p.obj_ids, p.fixed_bytes) for p in problems] == expected
-    assert sum(r.reused for r in res.objects) == 997
+    assert sum(r.reused for r in res.objects) == 1024
     tasks = sum(len(p.obj_ids) for problems, _ in calls for p in problems)
-    assert tasks == sum(not r.reused for r in res.objects) == 427
+    assert tasks == sum(not r.reused for r in res.objects) == 392
 
 
 def test_cav_with_only_deltas_has_no_subproblem(reuse_run):

@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from coopsim import tracking
+from coopsim.sampling import keyed_uniforms
+from coopsim.simpipe import _S_LOC
 from coopsim.tracking import (
     HybridLocalizer,
     kalman_correct,
@@ -11,6 +15,7 @@ from coopsim.tracking import (
     row_norms,
 )
 from oracles import (
+    LoopLocalizer,
     kalman_state,
     matrix_kalman_correct,
     matrix_kalman_predict,
@@ -193,21 +198,45 @@ def _oracle(monkeypatch, sigma_det=0.0, miss_prob=0.0, sigma_trk=0.0):
         monkeypatch.setattr(tracking, name, value)
 
 
-def _run_slots(loc, truths, rng):
+def _slot(loc, t, views, seed, frame):
+    """One ``localize`` call over ``views``, CAV id -> {object id: (x, y)},
+    with the keyed uniforms run_frame draws.  Returns the result, each
+    pair's CAV row and object id, and the uniforms."""
+    cav_ids = np.array(sorted(views), dtype=np.int64)
+    pairs = [(c, o) for c, cav in enumerate(cav_ids.tolist()) for o in sorted(views[cav])]
+    pair_cav = np.array([c for c, _ in pairs], dtype=np.int64)
+    obj_ids = np.array([o for _, o in pairs], dtype=np.int64)
+    truth = np.array([views[int(cav_ids[c])][o] for c, o in pairs],
+                     dtype=np.float64).reshape(-1, 2)
+    u_pair = keyed_uniforms(seed, frame, cav_ids[pair_cav], obj_ids, _S_LOC, n=6)
+    u_cav = keyed_uniforms(seed, frame, cav_ids, _S_LOC, n=1)[:, 0]
+    res = loc.localize(t, cav_ids, pair_cav, obj_ids, truth, u_pair, u_cav)
+    return res, pair_cav, obj_ids, u_pair, u_cav
+
+
+def _step(loc, k, truth, seed):
+    """Slot k, at t = k / 10, of CAV 0 alone seeing ``truth``."""
+    res, _, obj_ids, _, _ = _slot(loc, k * 0.1, {0: truth}, seed, k)
+    observations = {o: pos for o, pos, pub in zip(obj_ids.tolist(), res.observed,
+                                                   res.published.tolist()) if pub}
+    return SimpleNamespace(observations=observations, charged_ms=float(res.charged_ms[0]),
+                           detection_charged=bool(res.detection_charged[0]))
+
+
+def _run_slots(loc, truths, seed):
     """Each slot's result, and whether it latched detection for the next slot."""
     results, detecting = [], []
     for k, truth in enumerate(truths):
-        results.append(loc.step(k * 0.1, truth, rng))
-        detecting.append(loc.detecting)
+        results.append(_step(loc, k, truth, seed))
+        detecting.append(loc.detecting[0])
     return results, detecting
 
 
 def test_zero_rle_switches_to_tracking_and_charges_tracker_time(monkeypatch):
     _oracle(monkeypatch)
-    rng = np.random.default_rng(0)
     loc = HybridLocalizer()
     truths = [{1: (0.1 * k, 0.0), 2: (5.0, 0.1 * k)} for k in range(400)]
-    results, detecting = _run_slots(loc, truths, rng)
+    results, detecting = _run_slots(loc, truths, 0)
     assert results[0].detection_charged  # boots in detection
     assert not any(detecting)
     tracked = [r.charged_ms for r in results[1:]]
@@ -218,10 +247,9 @@ def test_zero_rle_switches_to_tracking_and_charges_tracker_time(monkeypatch):
 
 def test_large_gap_forces_detection_next_slot(monkeypatch):
     _oracle(monkeypatch, sigma_trk=5.0)
-    rng = np.random.default_rng(1)
     loc = HybridLocalizer()
     truths = [{1: (0.0, 0.0)} for _ in range(200)]
-    results, detecting = _run_slots(loc, truths, rng)
+    results, detecting = _run_slots(loc, truths, 1)
     flips = [k for k, d in enumerate(detecting[:-1]) if d]
     # slot 0 has no track, so no gap; the tracker's 5 m error opens one later
     assert flips and flips[0] > 0
@@ -234,34 +262,31 @@ def test_large_gap_forces_detection_next_slot(monkeypatch):
 def test_new_object_rides_on_detector_in_tracking_mode(monkeypatch):
     # an exact detector and a noisy tracker tell the sources apart by value
     _oracle(monkeypatch, sigma_trk=1e-4)
-    rng = np.random.default_rng(2)
     loc = HybridLocalizer()
-    loc.step(0.0, {1: (0.0, 0.0)}, rng)
-    res = loc.step(0.1, {1: (0.0, 0.0), 7: (3.0, 3.0)}, rng)
+    _step(loc, 0, {1: (0.0, 0.0)}, 2)
+    res = _step(loc, 1, {1: (0.0, 0.0), 7: (3.0, 3.0)}, 2)
     assert not res.detection_charged
     assert 0.0 < float(np.linalg.norm(res.observations[1])) < 0.01  # tracker
     assert np.array_equal(res.observations[7], [3.0, 3.0])  # detector
-    assert sorted(loc.tracks) == [1, 7]
+    assert loc.track_obj.tolist() == [1, 7]
 
 
 def test_all_missed_detection_mode_publishes_nothing(monkeypatch):
     _oracle(monkeypatch, miss_prob=1.0)
     loc = HybridLocalizer()
-    assert loc.detecting
-    res = loc.step(0.0, {1: (0.0, 0.0)}, np.random.default_rng(3))
+    res = _step(loc, 0, {1: (0.0, 0.0)}, 3)
     assert res.observations == {}
-    assert res.detection_charged
+    assert res.detection_charged  # a vehicle new to the fleet boots in detection
 
 
 def test_tracks_retire_after_silence(monkeypatch):
     _oracle(monkeypatch)
-    rng = np.random.default_rng(4)
     loc = HybridLocalizer()
-    loc.step(0.0, {1: (0.0, 0.0)}, rng)
-    assert 1 in loc.tracks
+    _step(loc, 0, {1: (0.0, 0.0)}, 4)
+    assert loc.track_obj.tolist() == [1]
     for k in range(1, 30):
-        loc.step(k * 0.1, {}, rng)
-    assert 1 not in loc.tracks
+        _step(loc, k, {}, 4)
+    assert loc.track_obj.tolist() == []
 
 
 def test_tracker_error_mixture_mean_matches_sigma(monkeypatch):
@@ -278,14 +303,13 @@ def test_tracker_error_mixture_mean_matches_sigma(monkeypatch):
 
 def test_hybrid_error_and_cost_between_pure_modes():
     # lighter rehearsal of the acceptance-scale run
-    rng = np.random.default_rng(5)
     loc = HybridLocalizer()
     errs, charges, det_slots = [], [], 0
     n = 3000
     for k in range(n):
         t = k * 0.1
         truth = {i: (10.0 * i + 3.0 * t, 2.0 * i) for i in range(3)}
-        res = loc.step(t, truth, rng)
+        res = _step(loc, k, truth, 5)
         for obj_id, obs in res.observations.items():
             errs.append(float(np.linalg.norm(obs - np.asarray(truth[obj_id]))))
         charges.append(res.charged_ms)
@@ -293,3 +317,43 @@ def test_hybrid_error_and_cost_between_pure_modes():
     assert 0.06 < np.mean(errs) < 0.13
     assert np.mean(charges) < 3.5
     assert det_slots / n < 0.25
+
+
+@pytest.mark.parametrize("seed, sigma_trk, miss_prob", [
+    (0, tracking.SIGMA_TRK, tracking.MISS_PROB),
+    (1, 0.6, tracking.MISS_PROB),  # gaps over the threshold flip modes often
+    (2, 0.3, 0.3),
+    (3, 0.6, 0.0),
+])
+def test_fleet_localizer_matches_loop_oracle(monkeypatch, seed, sigma_trk, miss_prob):
+    """Random fleets over many slots: CAVs skip slots, views change, and
+    gaps of over TRACK_RETIRE_S retire the tracks of the CAVs that step.
+    Ids go beyond 32 bits.  Every output and all state equal the per-vehicle
+    loop's, bit for bit."""
+    _oracle(monkeypatch, tracking.SIGMA_DET, miss_prob, sigma_trk)
+    rng = np.random.default_rng(seed)
+    cav_pool = np.unique(rng.integers(0, 2**40, size=8)).tolist()
+    obj_pool = np.unique(rng.integers(0, 2**62, size=12)).tolist()
+    fleet, loops = HybridLocalizer(), {}
+    t = 0.0
+    for frame in range(60):
+        t += float(rng.choice([0.1, 0.1, 0.1, 0.7, 2.5]))
+        present = [c for c in cav_pool if rng.random() < 0.7] or cav_pool[:1]
+        views = {c: {o: tuple(rng.normal(0.0, 20.0, 2)) for o in obj_pool if rng.random() < 0.5}
+                 for c in present}
+        res, pair_cav, obj_ids, u_pair, u_cav = _slot(fleet, t, views, seed, frame)
+        for c, cav in enumerate(sorted(views)):
+            mine = np.flatnonzero(pair_cav == c)
+            draws = dict(zip(obj_ids[mine].tolist(), u_pair[mine]))
+            obs, charged, detection = loops.setdefault(cav, LoopLocalizer()).step(
+                t, views[cav], draws, u_cav[c])
+            published = mine[res.published[mine]]
+            assert dict(zip(obj_ids[published].tolist(), res.observed[published].tolist())) \
+                == {o: pos.tolist() for o, pos in obs.items()}
+            assert res.charged_ms[c] == charged
+            assert res.detection_charged[c] == detection
+        assert fleet.detecting == {v: loop.detecting for v, loop in loops.items()}
+        tracks = list(zip(fleet.track_cav.tolist(), fleet.track_obj.tolist(),
+                          fleet.maneuver.tolist(), fleet.last_seen.tolist()))
+        assert tracks == [(v, o, e.maneuver, e.last_seen) for v in sorted(loops)
+                          for o, e in sorted(loops[v].tracks.items())]
