@@ -133,7 +133,7 @@ TURN_PROB = 0.3
 COUNT_SIGMA = 0.3
 
 # child-stream tags, per (seed, frame, cav) unless noted
-_S_LOC = 0
+_S_LOC = 0  # keyed uniforms, per (seed, frame, cav, object) and per (seed, frame, cav)
 _S_TIME = 1
 _S_LOSS = 2
 _S_CODEC = 3
@@ -267,9 +267,10 @@ def validate_trace(frames) -> None:
         where = f"frame {frame.index}"
         if i and frame.index <= frames[i - 1].index:
             raise FrameError(f"{where}: frame numbers must strictly increase")
-        for name, ids in (("frame number", [frame.index]), ("CAV id", frame.cav_ids),
-                          ("object id", frame.obj_ids)):
-            if np.any(np.asarray(ids) < 0):
+        if not 0 <= frame.index < 2**63:  # CAV and object ids load as int64 already
+            raise FrameError(f"{where}: frame numbers must be non-negative 64-bit integers")
+        for name, ids in (("CAV id", frame.cav_ids), ("object id", frame.obj_ids)):
+            if (ids < 0).any():
                 raise FrameError(f"{where}: {name}s must be non-negative")
         if not math.isfinite(frame.time_s):
             raise FrameError(f"{where}: time_s {frame.time_s} is not finite")
@@ -516,6 +517,7 @@ _RANGES = (
     (("servers", "sectors", "outer_iters", "inner_iters", "deviations", "mc_samples"),
      lambda v: v >= 1, ">= 1"),
     (("seed", "beta", "fading_sigma", "rate_sigma"), lambda v: v >= 0, ">= 0"),
+    (("seed",), lambda v: v < 2**64, "below 2**64"),  # it keys uint64 draws
 )
 
 

@@ -148,8 +148,6 @@ def tracker_base_error() -> float:
 
 @dataclass
 class LocalizeResult:
-    """One slot of ``HybridLocalizer.localize``, per pair and per CAV."""
-
     published: np.ndarray  # (P,) bool
     observed: np.ndarray  # (P, 2) published positions; unpublished rows hold no meaning
     charged_ms: np.ndarray  # (C,)
@@ -173,15 +171,14 @@ class HybridLocalizer:
         """One localization slot for every CAV of ``cav_ids`` (ascending).
 
         Pair k, each (CAV, object) once, is CAV row ``pair_cav[k]`` seeing
-        ``obj_ids[k]`` at true position ``truth[k]``, with uniforms
-        ``u_pair[k]`` (miss, maneuver, detector x, y, tracker x, y); CAV c
-        draws its charge from ``u_cav[c]``.  Each CAV publishes and charges
-        the module of its mode, then latches the next mode from its RLE over
-        the objects both detected and tracked.  Untracked objects publish the
-        detector output, and every tracked object steps its maneuver chain.
-        Published pairs are seen at ``t`` (new ones open a track); a stepped
-        CAV's tracks unseen for over TRACK_RETIRE_S retire, an absent CAV's
-        wait.  A vehicle new to the fleet boots in detection.
+        ``obj_ids[k]`` at ``truth[k]``, with uniforms ``u_pair[k]`` (miss,
+        maneuver, detector x, y, tracker x, y); CAV c's charge draws
+        ``u_cav[c]``.  A CAV publishes and charges its mode's module, then
+        latches the next mode from its RLE over objects both detected and
+        tracked.  Untracked objects publish the detector output; tracked ones
+        step the maneuver chain.  Published pairs are seen at ``t``, new ones
+        opening a track; only a stepped CAV's tracks unseen for over
+        TRACK_RETIRE_S retire.  A vehicle new to the fleet boots in detection.
         """
         detecting = np.array([self.detecting.get(c, True) for c in cav_ids.tolist()], dtype=bool)
 
@@ -212,10 +209,9 @@ class HybridLocalizer:
         observed[at[by_tracker]] = trk[by_tracker]
         published = detected.copy()
         published[at[by_tracker]] = True
-        charged = np.empty(len(cav_ids))
-        for mode, mean, sd in ((detecting, DET_TIME_MEAN_MS, DET_TIME_SD_MS),
-                               (~detecting, TRK_TIME_MEAN_MS, TRK_TIME_SD_MS)):
-            charged[mode] = TruncatedNormal.cached(mean, sd).ppf(u_cav[mode])
+        charged = np.where(detecting,
+                           TruncatedNormal.cached(DET_TIME_MEAN_MS, DET_TIME_SD_MS).ppf(u_cav),
+                           TruncatedNormal.cached(TRK_TIME_MEAN_MS, TRK_TIME_SD_MS).ppf(u_cav))
 
         self.detecting.update(zip(cav_ids.tolist(), (~(rle < RLE_THRESHOLD_M)).tolist()))
 

@@ -344,15 +344,18 @@ def test_run_non_integer_trace_id_exits_2_before_output(tmp_path, trace_path, ca
     _run_with_trace_id(tmp_path, trace_path, capsys, field, value, message)
 
 
-@pytest.mark.parametrize("field, message", [
-    ("frame", "frame numbers must be non-negative"),
-    ("cav id", "CAV ids must be non-negative"),
-    ("object id", "object ids must be non-negative"),
+@pytest.mark.parametrize("field, value, message", [
+    ("frame", -1, "frame numbers must be non-negative"),
+    ("cav id", -1, "CAV ids must be non-negative"),
+    ("object id", -1, "object ids must be non-negative"),
+    ("frame", 2**63, "frame numbers must be non-negative 64-bit integers"),
+    ("cav id", 2**63, "trace line 0"),
+    ("object id", 2**64, "trace line 0"),
 ])
-def test_run_negative_trace_id_exits_2_before_output(tmp_path, trace_path, capsys,
-                                                    field, message):
-    """The ids key the random streams as unsigned integers."""
-    _run_with_trace_id(tmp_path, trace_path, capsys, field, -1, message)
+def test_run_out_of_range_trace_id_exits_2_before_output(tmp_path, trace_path, capsys,
+                                                        field, value, message):
+    """The ids key the random streams as unsigned 64-bit integers."""
+    _run_with_trace_id(tmp_path, trace_path, capsys, field, value, message)
 
 
 def _run_with_trace_id(tmp_path, trace_path, capsys, field, value, message):
@@ -506,6 +509,7 @@ def test_run_mistyped_config_value_exits_2(tmp_path, trace_path, capsys):
     ("sweep", {}, ["--param", "H", "--values", "100", "-5"]),
     ("sweep", {}, ["--param", "bandwidth", "--values", "200000", "0"]),
     ("sweep", {"beta": -1.0}, ["--param", "H", "--values", "80", "90"]),
+    ("run", {"seed": 2**64}, []),  # seeds key uint64 draws
 ])
 def test_out_of_range_config_exits_2_before_output(tmp_path, trace_path, capsys,
                                                    command, config, extra):
