@@ -216,6 +216,36 @@ class MeasurementDataset:
         return cls.from_rows(rows)
 
 
+def sample_index(u, n):
+    """The sample that a uniform ``u`` in [0, 1) picks from a cell of ``n``:
+    min(floor(u * n), n - 1), over broadcast arrays.  It is the one rule by
+    which a draw selects a dataset sample."""
+    return np.minimum((u * n).astype(np.int64), n - 1)
+
+
+def sample_tables(dataset: MeasurementDataset, levels, buckets):
+    """Per-(bucket, level) mean loss and zero-padded samples of ``dataset``.
+
+    Returns (levels, mean loss (B, L), samples (B, L, 3, N): each cell's
+    losses, encode ms and decode ms, sample counts (B, L)), B = N_BUCKETS.
+    Rows of buckets outside ``buckets`` hold one zero sample; a used key the
+    dataset lacks raises DatasetMissError.
+    """
+    nl = len(levels)
+    mean_tab = np.zeros((N_BUCKETS, nl))
+    count_tab = np.ones((N_BUCKETS, nl), dtype=np.int64)
+    cells = {}
+    for b in buckets:
+        for j, rf in enumerate(levels):
+            mean_tab[b, j] = dataset.mean_loss(rf, b)
+            cells[b, j] = dataset.cell(rf, b)
+            count_tab[b, j] = cells[b, j].shape[1]
+    sample_tab = np.zeros((N_BUCKETS, nl, 3, int(count_tab.max(initial=1))))
+    for (b, j), cell in cells.items():
+        sample_tab[b, j, :, :cell.shape[1]] = cell
+    return levels, mean_tab, sample_tab, count_tab
+
+
 # ---------------------------------------------------------------------------
 # profiling and the synthetic stand-in
 

@@ -32,8 +32,9 @@ from .codec import (
     DESCRIPTOR_OVERHEAD_BYTES,
     LATENT_SCALAR_BYTES,
     MeasurementDataset,
-    N_BUCKETS,
     bucket_index,
+    sample_index,
+    sample_tables,
 )
 from .errors import ConfigError
 from .geometry import box_frame_offsets, facing_quadrant_mask, projected_areas
@@ -149,8 +150,8 @@ class _Scenarios:
         """``cfg.mc_samples`` scenarios for ``problems`` under the run config
         ``cfg``'s rate spread, rows padded with zero tasks.
         Draws and gathers run over the real tasks alone, whose count buckets
-        (T,) ``buckets`` holds row by row; ``tables`` comes from ``_sample_tables``."""
-        levels, mean_tab, time_tab, count_tab = tables
+        (T,) ``buckets`` holds row by row; ``tables`` comes from ``sample_tables``."""
+        levels, mean_tab, sample_tab, count_tab = tables
         s, nl = cfg.mc_samples, len(levels)
         counts = [len(p.obj_ids) for p in problems]
         tasks = np.arange(max(counts)) < np.array(counts)[:, None]
@@ -158,16 +159,16 @@ class _Scenarios:
                       for p in problems for o in p.obj_ids])  # (T, 2, S)
         n = count_tab[buckets][..., None]  # (T, L, 1)
 
-        def ms(e):  # encode (0) or decode (1) times (T, L, S), one at a time to save memory
-            idx = np.minimum((u[:, None, e] * n).astype(np.int64), n - 1)
-            return time_tab[buckets[:, None, None], np.arange(nl)[:, None], e, idx]
+        def ms(e):  # encode (1) or decode (2) times (T, L, S), one at a time to save memory
+            idx = sample_index(u[:, None, e - 1], n)
+            return sample_tab[buckets[:, None, None], np.arange(nl)[:, None], e, idx]
         ub = np.array([np.random.default_rng([p.seed, _TAG_B])
                        .random((len(netsim.MODULE_TIMES_MS), s)) for p in problems])
         base_ms = netsim.module_times_ms(np.moveaxis(ub, 1, -1))  # (C, S)
         z = np.array([np.random.default_rng([p.seed, _TAG_FADING]).standard_normal(s)
                       for p in problems])
         rate_bps = np.array([p.rate_bps for p in problems])[:, None]
-        real = (ms(0) + ms(1)) / 1e3  # before the padded table
+        real = (ms(1) + ms(2)) / 1e3  # before the padded table
         mean_loss, compute_s = np.zeros((*tasks.shape, nl)), np.zeros((*tasks.shape, nl, s))
         mean_loss[tasks] = mean_tab[buckets]
         compute_s[tasks] = real
@@ -222,28 +223,6 @@ class _Scenarios:
         return fid.reshape(x.shape[:-1]), prob.reshape(x.shape[:-1])
 
 
-def _sample_tables(dataset: MeasurementDataset, levels, buckets):
-    """Per-(bucket, level) mean loss and zero-padded encode/decode samples.
-
-    Returns (levels, mean loss (B, L), encode and decode ms (B, L, 2, N),
-    sample counts (B, L)).  Rows of buckets outside ``buckets`` stay empty;
-    a used key the dataset lacks raises DatasetMissError.
-    """
-    nl = len(levels)
-    mean_tab = np.zeros((N_BUCKETS, nl))
-    count_tab = np.ones((N_BUCKETS, nl), dtype=np.int64)
-    cells = {}
-    for b in buckets:
-        for j, rf in enumerate(levels):
-            mean_tab[b, j] = dataset.mean_loss(rf, b)
-            cells[b, j] = dataset.cell(rf, b)
-            count_tab[b, j] = cells[b, j].shape[1]
-    time_tab = np.zeros((N_BUCKETS, nl, 2, int(count_tab.max())))
-    for (b, j), cell in cells.items():
-        time_tab[b, j, :, :cell.shape[1]] = cell[1:]
-    return levels, mean_tab, time_tab, count_tab
-
-
 @dataclass
 class OptimizeResult:
     rfs: np.ndarray
@@ -291,7 +270,7 @@ def optimize_rf_batch(problems, dataset: MeasurementDataset, cfg) -> list:
     if any(not p.obj_ids for p in problems):
         raise ConfigError("every RF subproblem needs at least one task")
     buckets = bucket_index(np.array([n for p in problems for n in p.raw_counts]))
-    tables = _sample_tables(dataset, cfg.rf_set, np.unique(buckets).tolist())
+    tables = sample_tables(dataset, cfg.rf_set, np.unique(buckets).tolist())
     by_problem = np.split(buckets, np.cumsum([len(p.obj_ids) for p in problems])[:-1])
     groups: dict = {}
     for i, p in enumerate(problems):

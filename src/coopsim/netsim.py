@@ -12,7 +12,7 @@ samples it drew from the run's measurement dataset.
 netsim also owns the vehicle's baseline module-time model, MODULE_TIMES_MS,
 which the simulator charges and the RF optimizer samples, both through
 module_times_ms.  Every stochastic quantity here comes from caller-supplied
-uniforms or a caller-supplied generator, so whole runs replay bit-exactly.
+uniforms, so whole runs replay bit-exactly.
 """
 
 from __future__ import annotations
@@ -96,24 +96,26 @@ def module_times_ms(u: np.ndarray) -> np.ndarray:
 
 
 def simulate_frame_latency(payload_bytes, vehicle_ms, rates_bps, server_ms,
-                           servers: int, rng: np.random.Generator, extra_b_ms):
+                           servers: int, u_base, extra_b_ms):
     """Per-CAV latency columns of one frame, for CAVs given in id order.
 
-    Returns (baseline, uplink, queue) arrays in ms.  The baseline is a
-    module-table draw plus ``extra_b_ms``, charges outside the table such as
-    the detector when the hybrid localizer ran detection this frame.
+    Returns (baseline, uplink, queue) arrays in ms.  The baseline is
+    ``module_times_ms`` of ``u_base``, (n, len(MODULE_TIMES_MS)) uniforms,
+    plus ``extra_b_ms``, charges outside the table such as the detector when
+    the hybrid localizer ran detection this frame.
     Arrival at the server is vehicle + uplink completion time; the baseline
     is not part of it.  CAVs are served in ascending arrival order, ties by
     id, over ``servers`` FCFS servers, each for its ``server_ms``.
     A zero rate with a nonzero payload yields an infinite uplink and queue.
     """
     n = len(payload_bytes)
-    if not (len(vehicle_ms) == len(rates_bps) == len(server_ms) == n):
-        raise ConfigError("per-CAV input lengths differ")
+    if not (len(vehicle_ms) == len(rates_bps) == len(server_ms) == n
+            and np.shape(u_base) == (n, len(MODULE_TIMES_MS))):
+        raise ConfigError("per-CAV input lengths differ, or u_base is not (n, modules)")
     payload = np.asarray(payload_bytes, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):  # no payload: 0; a zero rate: inf
         up = np.where(payload > 0, payload * 8.0 / np.asarray(rates_bps, np.float64) * 1e3, 0.0)
-    b_base = module_times_ms(rng.random((n, len(MODULE_TIMES_MS)))) + np.asarray(extra_b_ms)
+    b_base = module_times_ms(np.asarray(u_base)) + np.asarray(extra_b_ms)
     arrival = np.asarray(vehicle_ms, dtype=np.float64) + up
     order = np.argsort(arrival, kind="stable")  # an infinite arrival sorts last
     finite = order[np.isfinite(arrival[order])]

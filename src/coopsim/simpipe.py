@@ -34,7 +34,9 @@ from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.special import ndtri
 
+from . import netsim
 from .codec import (
     DEFAULT_LOSS_CALIBRATION,
     DESCRIPTOR_OVERHEAD_BYTES,
@@ -47,6 +49,8 @@ from .codec import (
     latent_dim,
     lossless_bytes,
     payload_bytes,
+    sample_index,
+    sample_tables,
     surrogate_dataset,
 )
 from .control import (
@@ -132,14 +136,14 @@ SPEED_RANGE = (6.0, 14.0)
 TURN_PROB = 0.3
 COUNT_SIGMA = 0.3
 
-# child-stream tags, per (seed, frame, cav) unless noted
-_S_LOC = 0  # keyed uniforms, per (seed, frame, cav, object) and per (seed, frame, cav)
-_S_TIME = 1
-_S_LOSS = 2
-_S_CODEC = 3
-_S_OPT = 7  # the seed of the CAV's RF subproblem
-_S_NET = 10  # per (seed, frame)
-_S_QUEUE = 11  # per (seed, frame)
+# stream tags: the last key of each keyed_uniforms draw, after (seed, frame,
+# CAV id) and, for a per-object draw, the object id
+_S_LOC = 0  # localization, per object and per CAV
+_S_TIME = 1  # per object: its loss, encode and decode picks
+_S_CODEC = 3  # per object: the codec chain's two seeds
+_S_OPT = 7  # a SeedSequence key, not a draw: the seed of the CAV's RF subproblem
+_S_NET = 10  # per CAV: its fading factor
+_S_QUEUE = 11  # per CAV: its baseline module times
 
 CSV_HEADER = "cav_id,frame,vehicle_ms,uplink_ms,queue_ms,server_ms,total_ms,bytes,loss,rfs"
 
@@ -661,23 +665,14 @@ def load_dataset(config: RunConfig) -> MeasurementDataset:
 
 
 def _codec_loss(bbox: Bbox3, viewer, raw_count: int, rf: int, beta: float,
-                rng: np.random.Generator) -> float:
+                surf_seed: int, dec_seed: int) -> float:
     """Measured chain: sample surface, resample, encode, decode, compare."""
     n_raw = int(np.clip(raw_count, 256, 4096))
-    surf_seed = int(rng.integers(1 << 31))
-    dec_seed = int(rng.integers(1 << 31))
     surf = sample_visible_surface(bbox, viewer, n_raw, seed=surf_seed)
     cloud = resample(surf, 1024)
     lat = encode(cloud, rf)
     recon = decode(lat, seed=dec_seed)
     return reconstruction_loss(cloud.points, recon.points, beta=beta)
-
-
-def _draw_samples(cells: list, rng: np.random.Generator) -> list:
-    """One uniformly drawn sample from each cell, in order.  The single
-    array-bounded draw gives the same indices as one scalar draw per cell."""
-    picks = rng.integers(0, [len(cell) for cell in cells]).tolist()
-    return [float(cell[i]) for cell, i in zip(cells, picks)]
 
 
 def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
@@ -692,15 +687,13 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     the RF search plans only the rows that carry geometry, with a CAV's
     32-byte deltas as fixed bytes of its uplink; a CAV with deltas alone has
     no subproblem, so ``FrameStats.infeasible_cavs`` counts only
-    CAVs with geometry to send.  Localization is one pass of array
-    operations over every CAV's pairs, with draws keyed by (seed, frame, CAV
-    id, object id).  Loops whose order fixes a random stream or a result
-    stay per object: the left-to-right encode- and decode-time sums and the
-    per-object edge thinning.  The accounting draws
-    take one array-bounded call per CAV and stream, which yields the
-    per-object draws' indices.  Each object that carries geometry charges one
-    encode sample to its CAV and one decode sample to the server, from the
-    dataset cells the optimizer samples.
+    CAVs with geometry to send.  Every draw is a keyed uniform: a function
+    of (seed, frame, CAV id, the object id of a per-object draw, stream tag)
+    alone, so a CAV's draws do not depend on the other CAVs of its frame.
+    Each row that carries geometry picks a loss, an encode and a decode
+    sample from its (rf, count bucket) cell by ``sample_index``, as the
+    optimizer does, and each CAV's encode and decode times add in row order.
+    Only the edge thinning and the codec chain stay per object.
     """
     cfg = state.config
     policy = _POLICY[cfg.policy]
@@ -760,10 +753,8 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
         map_row = nearest_rows(predicted, observed, REUSE_POSE_ERROR_M)
     reused = map_row >= 0
     reused[reused] = gmap.has_geometry[map_row[reused]]  # a hit reuses only geometry
-    reused_rows = reused.tolist()
-    # each CAV's rows that carry geometry
-    sent_by_cav = [[r for r in range(mine.start, mine.stop) if not reused_rows[r]]
-                   for mine in by_cav]
+    up = np.flatnonzero(~reused)  # the rows that carry geometry, split by CAV
+    sent_by_cav = np.split(up, np.searchsorted(cav[up], np.arange(1, n)))
 
     # --- per-CAV RF decisions for those rows, solved for the whole frame at once ---
     rf = np.zeros(len(cav), dtype=np.int64)
@@ -775,7 +766,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
         problems, owners = [], []
         for c, cav_id in enumerate(cav_ids):
             sent = sent_by_cav[c]
-            if not sent:
+            if not len(sent):
                 continue
             rate = state.prev_rates.get(cav_id)
             if rate is None:
@@ -799,52 +790,42 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     # --- byte accounting, encode and decode charges, losses ---
     nbytes = np.where(reused, REUSE_DELTA_BYTES, 0)
     if policy.upload_bytes is not None:
-        nbytes[~reused] = policy.upload_bytes + DESCRIPTOR_OVERHEAD_BYTES
+        nbytes[up] = policy.upload_bytes + DESCRIPTOR_OVERHEAD_BYTES
     else:
-        nbytes[~reused] = [payload_bytes(r) + DESCRIPTOR_OVERHEAD_BYTES
-                           for r in rf[~reused].tolist()]
+        nbytes[up] = [payload_bytes(r) + DESCRIPTOR_OVERHEAD_BYTES for r in rf[up].tolist()]
     payloads = np.bincount(cav, weights=nbytes, minlength=n)
     loss = np.zeros(len(cav))
     loss[reused] = gmap.last_loss[map_row[reused]]
-    vehicle_ms, server_ms = np.zeros(n), np.zeros(n)  # encode and decode charges
-    buckets = bucket_index(counts).tolist()
-    rf_rows = rf.tolist()
-    codec_rf = rf_rows if policy.upload_bytes is None else [FULL_UPLOAD_RF] * len(rf_rows)
-    for c, cav_id in enumerate(cav_ids):
-        sent = sent_by_cav[c]
-        if not sent:
-            continue
-        rng_time = np.random.default_rng([cfg.seed, fidx, cav_id, _S_TIME])
-        # one encode then one decode pick per object, both from its one cell;
-        # each time sums left to right
-        cells = [dataset.cell(codec_rf[r], buckets[r]) for r in sent]
-        lens = [cell.shape[1] for cell in cells]
-        picks = rng_time.integers(0, lens + lens).tolist()
-        enc_ms = dec_ms = 0.0
-        for cell, i, j in zip(cells, picks, picks[len(sent):]):
-            enc_ms += cell.item(1, i)
-            dec_ms += cell.item(2, j)
-        vehicle_ms[c], server_ms[c] = enc_ms, dec_ms
-        if policy.upload_bytes is not None:
-            continue
-        if cfg.dataset_mode == "codec":
-            for r in sent:
-                rng_codec = np.random.default_rng([cfg.seed, fidx, cav_id, int(obj[r]), _S_CODEC])
-                box = Bbox3(center=frame.centers[src[r]], extent=frame.extents[src[r]])
-                box.yaw = float(frame.yaws[src[r]])  # wrapped already; a second wrap can move it
-                loss[r] = _codec_loss(box, positions[c], int(counts[r]), rf_rows[r], cfg.beta,
-                                      rng_codec)
-        else:
-            rng_loss = np.random.default_rng([cfg.seed, fidx, cav_id, _S_LOSS])
-            # codec_rf is rf_rows here, so the cells are the losses' too
-            loss[sent] = _draw_samples([cell[0] for cell in cells], rng_loss)
+    # one (loss, encode, decode) pick per row from its (rf, count bucket)
+    # cell; raw and lossless uploads read FULL_UPLOAD_RF's cells
+    codec_rf = rf[up] if policy.upload_bytes is None else np.full(len(up), FULL_UPLOAD_RF)
+    buckets = bucket_index(counts[up])
+    levels, _, samples, sizes = sample_tables(dataset, np.unique(codec_rf).tolist(),
+                                              np.unique(buckets).tolist())
+    level = np.searchsorted(levels, codec_rf)
+    u = keyed_uniforms(cfg.seed, fidx, ids[cav[up]], obj[up], _S_TIME, n=3)
+    picked = samples[buckets[:, None], level[:, None], np.arange(3),
+                     sample_index(u, sizes[buckets, level][:, None])]
+    # bincount adds each CAV's times in row order, from 0.0
+    vehicle_ms = np.bincount(cav[up], weights=picked[:, 1], minlength=n)
+    server_ms = np.bincount(cav[up], weights=picked[:, 2], minlength=n)
+    if policy.upload_bytes is None and cfg.dataset_mode == "codec":
+        seeds = (keyed_uniforms(cfg.seed, fidx, ids[cav[up]], obj[up], _S_CODEC, n=2)
+                 * 2**31).astype(np.int64).tolist()
+        for r, (surf_seed, dec_seed) in zip(up.tolist(), seeds):
+            box = Bbox3(center=frame.centers[src[r]], extent=frame.extents[src[r]])
+            box.yaw = float(frame.yaws[src[r]])  # wrapped already; a second wrap can move it
+            loss[r] = _codec_loss(box, positions[cav[r]], int(counts[r]), int(rf[r]), cfg.beta,
+                                  surf_seed, dec_seed)
+    elif policy.upload_bytes is None:
+        loss[up] = picked[:, 0]
 
     # --- radio: realized rates with fading, shared per sector ---
     # only CAVs with data on air occupy their sector's band this frame
     sector_counts = np.bincount(np.array(sectors)[payloads > 0], minlength=cfg.sectors)
     # log-normal fading, one factor per CAV; sigma 0 gives exp(0) = 1 exactly
-    fading = np.exp(cfg.fading_sigma * np.random.default_rng([cfg.seed, fidx, _S_NET])
-                    .standard_normal(n)).tolist()
+    z = ndtri(keyed_uniforms(cfg.seed, fidx, ids, _S_NET, n=1)[:, 0])
+    fading = np.exp(cfg.fading_sigma * z).tolist()
     rates = np.zeros(n)
     for c, cav_id in enumerate(cav_ids):
         share = max(1, int(sector_counts[sectors[c]]))
@@ -852,9 +833,9 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
         state.prev_rates[cav_id] = float(rates[c])
 
     # --- edge latency ---
-    rng_queue = np.random.default_rng([cfg.seed, fidx, _S_QUEUE])
+    u_base = keyed_uniforms(cfg.seed, fidx, ids, _S_QUEUE, n=len(netsim.MODULE_TIMES_MS))
     b_ms, up_ms, queue_ms = simulate_frame_latency(
-        payloads, vehicle_ms, rates, server_ms, cfg.servers, rng_queue,
+        payloads, vehicle_ms, rates, server_ms, cfg.servers, u_base,
         extra_b_ms=loc.charged_ms)
     # total: encode, uplink, queue, server, baseline, added in that order
     total_ms = (vehicle_ms + up_ms + queue_ms + server_ms + b_ms).tolist()

@@ -14,9 +14,11 @@ sampler and the row norm, and takes the same keyed uniforms), the per-CAV
 RF optimizer loop (it shares the dataset, the truncated-normal sampler, the
 random-stream tags, the module-time table, the perturbation spread and the
 result type; it reads the last two at call time, as the batch does, so a
-test that patches one sets both), and the scalar upload time, baseline and
-fading draws of a frame (they share the module-time table and the
-truncated-normal sampler).
+test that patches one sets both), the scalar upload time, baseline and
+fading of a frame (they share the module-time table and the
+truncated-normal sampler, and take the same keyed uniforms), and the per-CAV
+loop over a frame's encode and decode charges and losses (it shares the
+dataset and the count buckets, and takes the same keyed uniforms).
 """
 
 from __future__ import annotations
@@ -196,7 +198,7 @@ def min_feasible_suffix_sum(values, threshold) -> float:
 
 
 # ---------------------------------------------------------------------------
-# a frame's upload times, baseline and fading, one CAV at a time
+# a frame's upload times, baseline, fading and charges, one CAV at a time
 
 
 def uplink_ms(payload_bytes: float, rate_bps: float) -> float:
@@ -208,18 +210,46 @@ def uplink_ms(payload_bytes: float, rate_bps: float) -> float:
     return payload_bytes * 8.0 / rate_bps * 1e3
 
 
-def sample_module_times_ms(rng: np.random.Generator) -> float:
-    """One CAV's baseline: a scalar draw per module, in table order, summed."""
+def sample_module_times_ms(u) -> float:
+    """One CAV's baseline from its uniforms ``u``, one per module in table
+    order: a scalar inverse-CDF draw per module, summed."""
     total = 0.0
-    for mean, sd in netsim.MODULE_TIMES_MS.values():
-        total += float(TruncatedNormal.cached(mean, sd).ppf(rng.random()))
+    for (mean, sd), x in zip(netsim.MODULE_TIMES_MS.values(), u):
+        total += float(TruncatedNormal.cached(mean, sd).ppf(x))
     return total
 
 
-def draw_fading(rng: np.random.Generator, sigma: float, n: int) -> list:
-    """``n`` log-normal fading factors, one scalar draw each; sigma 0 gives 1."""
-    return [float(np.exp(sigma * rng.standard_normal())) if sigma else 1.0
-            for _ in range(n)]
+def draw_fading(u: float, sigma: float) -> float:
+    """One log-normal fading factor from the uniform ``u``; sigma 0 gives 1."""
+    return float(np.exp(sigma * ndtri(u))) if sigma else 1.0
+
+
+def loop_charges(cav_ids, rows, dataset, u) -> tuple:
+    """Each CAV's encode and decode sums and each row's loss, one CAV and one
+    row at a time, as the accounting loop that the sent table's array
+    operations replaced.
+
+    ``rows`` holds the (CAV id, rf, raw point count) of each row that
+    carries geometry, in table order, and ``u`` its (loss, encode, decode)
+    uniforms; ``cav_ids`` lists the frame's CAVs in id order.  A uniform x
+    picks sample min(int(x * n), n - 1) of its row's cell of n.  Returns
+    (encode ms per CAV, decode ms per CAV, loss per row).
+    """
+    vehicle, server, losses = [], [], [0.0] * len(rows)
+    for cav_id in cav_ids:
+        enc_ms = dec_ms = 0.0
+        for r, ((owner, rf, count), draws) in enumerate(zip(rows, u)):
+            if owner != cav_id:
+                continue
+            cell = dataset.cell(rf, bucket_index(count))
+            n = cell.shape[1]
+            i_loss, i_enc, i_dec = (min(int(x * n), n - 1) for x in draws)
+            losses[r] = cell.item(0, i_loss)
+            enc_ms += cell.item(1, i_enc)
+            dec_ms += cell.item(2, i_dec)
+        vehicle.append(enc_ms)
+        server.append(dec_ms)
+    return vehicle, server, losses
 
 
 # ---------------------------------------------------------------------------

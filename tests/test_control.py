@@ -12,13 +12,13 @@ from coopsim.codec import (
     N_BUCKETS,
     RF_SET,
     bucket_index,
+    sample_tables,
     surrogate_dataset,
 )
 from coopsim.control import (
     POINT_CAP,
     RFProblem,
     _lockstep_group,
-    _sample_tables,
     _Scenarios,
     optimize_rf_batch,
     predict_counts,
@@ -453,7 +453,7 @@ def test_scenario_blend_matches_loop_oracle(surrogate, rf_set):
                 for seed, (rate, fixed) in enumerate(((80e3, 0.0), (300e3, 96.0), (2e6, 480.0)))]
     buckets = bucket_index(np.array([p.raw_counts for p in problems]))
     sc = _Scenarios.draw(problems, buckets.ravel(),
-                         _sample_tables(surrogate, levels, np.unique(buckets)), cfg)
+                         sample_tables(surrogate, levels, np.unique(buckets)), cfg)
     lx = np.log2(levels)
     x = np.concatenate([
         rng.uniform(lx[0], lx[-1], (len(problems), 6, k)),
@@ -480,7 +480,7 @@ def test_fixed_bytes_never_raise_the_latency_probability(surrogate):
     # one row per fixed payload, 0 to 40 deltas, on the same draws
     rows = [replace(base, fixed_bytes=32.0 * d) for d in range(0, 41, 4)]
     buckets = bucket_index(np.array(base.raw_counts))
-    tables = _sample_tables(surrogate, cfg.rf_set, np.unique(buckets).tolist())
+    tables = sample_tables(surrogate, cfg.rf_set, np.unique(buckets).tolist())
     sc = _Scenarios.draw(rows, np.tile(buckets, len(rows)), tables, cfg)
     alone = _Scenarios.draw([base], buckets, tables, cfg)
     lx = np.log2(cfg.rf_set)
@@ -534,7 +534,7 @@ def test_padded_regime_matches_each_row_alone(surrogate, rf_set):
                           float(rng.uniform(80e3, 2e6)), int(rng.integers(1 << 31)), 0.0)
                 for _ in range(2) for k in range(1, 12)]
     buckets = {id(p): bucket_index(np.array(p.raw_counts)) for p in problems}
-    tables = _sample_tables(surrogate, rf_set,
+    tables = sample_tables(surrogate, rf_set,
                             np.unique(np.concatenate(list(buckets.values()))).tolist())
     groups: dict = {}
     for p in problems:

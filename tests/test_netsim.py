@@ -15,7 +15,8 @@ from coopsim.netsim import (
     uplink_rate,
     _fcfs_waits,
 )
-from coopsim.simpipe import RunConfig, generate_trace, run_simulation
+from coopsim.sampling import keyed_uniforms
+from coopsim.simpipe import RunConfig, _frame_record, _record_frame, generate_trace, run_simulation
 from oracles import draw_fading, sample_module_times_ms, uplink_ms
 from oracles import fcfs_waits as oracle_fcfs
 
@@ -73,6 +74,11 @@ def test_config_validation():
         uplink_rate([1.0, 0.0, 0.0], 0, cell())
 
 
+def uniforms(n: int, seed: int) -> np.ndarray:
+    """Baseline uniforms for ``n`` CAVs, one row of MODULE_TIMES_MS's width each."""
+    return np.random.default_rng(seed).random((n, len(MODULE_TIMES_MS)))
+
+
 def _fading_by_frame(monkeypatch, trace, cfg) -> list:
     """The fading factor each frame's radio block passes to uplink_rate, per CAV."""
     seen = []
@@ -100,13 +106,49 @@ def test_fading_seeded_and_degenerate(monkeypatch):
 
 @pytest.mark.parametrize("sigma", [0.0, 0.1, 0.35])
 def test_fading_matches_scalar_oracle(monkeypatch, sigma):
-    # one array draw per frame gives the doubles of one scalar draw per CAV
+    # one keyed array draw per frame gives the doubles of one keyed scalar draw per CAV
     trace = generate_trace(17, 3, seed=11)
     cfg = RunConfig(policy="adamap-lite", fading_sigma=sigma, seed=4)
     got = _fading_by_frame(monkeypatch, trace, cfg)
-    want = [draw_fading(np.random.default_rng([cfg.seed, f.index, simpipe._S_NET]), sigma,
-                        len(f.cav_ids)) for f in trace]
+    want = [[draw_fading(float(keyed_uniforms(cfg.seed, f.index, c, simpipe._S_NET, n=1)[0]),
+                         sigma) for c in sorted(f.cav_ids.tolist())] for f in trace]
     assert got == want
+
+
+def test_a_cavs_draws_are_its_own(monkeypatch):
+    """Dropping one CAV as a viewer from a frame leaves every other CAV's
+    fading factor, baseline draw and object picks as they were: a draw is
+    keyed by the CAV's id, not by its place in the frame."""
+    trace = generate_trace(20, 3, seed=6)
+    rec = _frame_record(trace[1])
+    dropped = rec["cavs"].pop(7)["id"]
+    cut = [trace[0], _record_frame(rec), trace[2]]
+    cfg = RunConfig(policy="adamap-lite", fading_sigma=0.3, base_station=(100.0, 100.0, 10.0))
+
+    def draws(frames) -> dict:
+        """(frame, CAV id) -> (fading, baseline, encode sum, decode sum), and
+        (frame, CAV id, object id) -> loss."""
+        fading, columns = _fading_by_frame(monkeypatch, frames, cfg), []
+
+        def recording(payload, vehicle_ms, rates, server_ms, servers, u, extra_b_ms):
+            out = simulate_frame_latency(payload, vehicle_ms, rates, server_ms, servers, u,
+                                         extra_b_ms)
+            columns.append((out[0].tolist(), list(vehicle_ms), list(server_ms)))
+            return out
+
+        monkeypatch.setattr(simpipe, "simulate_frame_latency", recording)
+        res = run_simulation(frames, cfg)
+        out = {(rec.frame, rec.cav_id, rec.obj_id): rec.loss for rec in res.objects}
+        for f, cols in zip(frames, zip(fading, columns)):
+            for c, cav_id in enumerate(sorted(f.cav_ids.tolist())):
+                out[f.index, cav_id] = (cols[0][c], *(col[c] for col in cols[1]))
+        return out
+
+    whole, without = draws(trace), draws(cut)
+    assert len(without) < len(whole)
+    others = {key: v for key, v in whole.items() if key[:2] != (1, dropped)}
+    assert others == without
+    assert any(len(key) == 3 and key[0] == 1 for key in without)
 
 
 def test_sector_assignment():
@@ -119,8 +161,7 @@ def test_sector_assignment():
 
 def test_uplink_ms_edge_cases():
     _, up, _ = simulate_frame_latency([0, 1000, 1000], [0.0] * 3, [0.0, 0.0, 8e6],
-                                      [0.0] * 3, 1, np.random.default_rng(0),
-                                      extra_b_ms=[0.0] * 3)
+                                      [0.0] * 3, 1, uniforms(3, 0), extra_b_ms=[0.0] * 3)
     assert up.tolist() == [0.0, math.inf, pytest.approx(1.0)]
 
 
@@ -152,8 +193,8 @@ def test_fcfs_matches_brute_force_oracle():
 
 
 def test_frame_single_cav_baseline_only():
-    b_ms, up, queue = simulate_frame_latency([0], [0.0], [1e6], [0.0], 1,
-                                             np.random.default_rng(0), extra_b_ms=[0.0])
+    b_ms, up, queue = simulate_frame_latency([0], [0.0], [1e6], [0.0], 1, uniforms(1, 0),
+                                             extra_b_ms=[0.0])
     assert up.tolist() == [0.0]
     assert queue.tolist() == [0.0]
     assert 0 < b_ms[0] < 1.0
@@ -163,19 +204,19 @@ def test_frame_breakdown_sums_and_orders():
     # one server, tie on arrival broken by id order: the second waits out the first
     b_ms, up, queue = simulate_frame_latency(
         payload_bytes=[1000, 1000], vehicle_ms=[1.0, 1.0], rates_bps=[8e6, 8e6],
-        server_ms=[1.5, 2.0], servers=1, rng=np.random.default_rng(3), extra_b_ms=[0.0, 0.0])
+        server_ms=[1.5, 2.0], servers=1, u_base=uniforms(2, 3), extra_b_ms=[0.0, 0.0])
     assert up.tolist() == [1.0, 1.0]
     assert queue.tolist() == [0.0, 1.5]
     assert (b_ms > 0.0).all()
     # the second arrives first once it uploads faster, and then the first waits
     _, up, queue = simulate_frame_latency([1000, 500], [1.0, 1.0], [8e6, 8e6], [1.5, 2.0], 1,
-                                          np.random.default_rng(3), extra_b_ms=[0.0, 0.0])
+                                          uniforms(2, 3), extra_b_ms=[0.0, 0.0])
     assert queue.tolist() == [1.5, 0.0]
 
 
 def test_frame_zero_rate_is_infeasible_flagged():
     b_ms, up, queue = simulate_frame_latency(
-        [500, 500], [0.5, 0.5], [0.0, 1e6], [1.0, 1.0], 1, np.random.default_rng(1),
+        [500, 500], [0.5, 0.5], [0.0, 1e6], [1.0, 1.0], 1, uniforms(2, 1),
         extra_b_ms=[0.0, 0.0])
     total = 0.5 + up + queue + 1.0 + b_ms
     assert total[0] == math.inf
@@ -187,19 +228,27 @@ def test_frame_bit_exact_replay():
     args = dict(payload_bytes=[100, 400, 900], vehicle_ms=[0.3, 0.2, 0.9],
                 rates_bps=[1e5, 2e5, 3e5], server_ms=[3.1, 0.0, 8.4],
                 servers=1, extra_b_ms=[0.0, 0.0, 0.0])
-    a = simulate_frame_latency(rng=np.random.default_rng(42), **args)
-    b = simulate_frame_latency(rng=np.random.default_rng(42), **args)
+    a = simulate_frame_latency(u_base=uniforms(3, 42), **args)
+    b = simulate_frame_latency(u_base=uniforms(3, 42), **args)
     assert [col.tolist() for col in a] == [col.tolist() for col in b]
 
 
+def test_frame_refuses_misshapen_uniforms():
+    width = len(MODULE_TIMES_MS)
+    for u_base in (np.zeros((2, width)), np.zeros((3, width + 1)), np.zeros(3)):
+        with pytest.raises(ConfigError, match="u_base"):
+            simulate_frame_latency([0] * 3, [0.0] * 3, [1e6] * 3, [0.0] * 3, 1, u_base,
+                                   extra_b_ms=[0.0] * 3)
+
+
 def test_frame_extra_b_charge():
-    b_ms, _, _ = simulate_frame_latency([0], [0.0], [1e6], [0.0], 1, np.random.default_rng(0),
+    b_ms, _, _ = simulate_frame_latency([0], [0.0], [1e6], [0.0], 1, uniforms(1, 0),
                                         extra_b_ms=[26.4])
     assert b_ms[0] > 26.4
 
 
 def test_module_time_means():
-    draws = module_times_ms(np.random.default_rng(9).random((3000, len(MODULE_TIMES_MS))))
+    draws = module_times_ms(uniforms(3000, 9))
     expected = sum(m for m, _ in MODULE_TIMES_MS.values())
     assert draws.shape == (3000,)
     assert draws.min() >= 0
@@ -216,9 +265,9 @@ def test_frame_columns_match_scalar_oracles():
         rates = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(1e3, 1e6, n))
         extra = np.where(rng.random(n) < 0.5, 0.0, rng.normal(26.41, 4.73, n))
         vehicle, server = rng.uniform(0.0, 5.0, n), rng.uniform(0.0, 3.0, n)
-        b_ms, up, _ = simulate_frame_latency(payload, vehicle, rates, server, 2,
-                                             np.random.default_rng(trial),
+        u_base = uniforms(n, trial)
+        b_ms, up, _ = simulate_frame_latency(payload, vehicle, rates, server, 2, u_base,
                                              extra_b_ms=extra.tolist())
-        ref_rng = np.random.default_rng(trial)
-        assert b_ms.tolist() == [sample_module_times_ms(ref_rng) + e for e in extra.tolist()]
+        assert b_ms.tolist() == [sample_module_times_ms(u) + e
+                                 for u, e in zip(u_base.tolist(), extra.tolist())]
         assert up.tolist() == [uplink_ms(b, r) for b, r in zip(payload, rates)]

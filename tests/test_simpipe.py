@@ -19,12 +19,15 @@ from coopsim.codec import (
     lossless_bytes,
     payload_bytes,
     reconstruction_loss,
+    surrogate_dataset,
 )
 from coopsim.errors import ConfigError, FrameError
 from coopsim.geometry import Bbox3, resample, sample_visible_surface
+from coopsim.sampling import keyed_uniforms
 from coopsim.simpipe import (
     CAR_EXTENT,
     FRAME_PERIOD_S,
+    FULL_UPLOAD_RF,
     LIDAR_Z,
     MATCH_CELL_M,
     MATCH_GATE_M,
@@ -34,8 +37,8 @@ from coopsim.simpipe import (
     GlobalMap,
     RunConfig,
     RunState,
-    _draw_samples,
     _S_CODEC,
+    _S_TIME,
     collect_metrics,
     generate_trace,
     load_dataset,
@@ -48,7 +51,8 @@ from coopsim.simpipe import (
     write_frame_csv,
 )
 from coopsim.tracking import kalman_init
-from oracles import DictGlobalMap, MapEntry, MatrixFilterMap, greedy_dedup, kalman_state
+from oracles import (DictGlobalMap, MapEntry, MatrixFilterMap, greedy_dedup, kalman_state,
+                     loop_charges)
 
 
 # ---------------------------------------------------------------------------
@@ -800,22 +804,66 @@ def test_map_size_reported(small_trace):
     assert res.frame_stats[-1].map_size >= 1
 
 
-def test_one_array_draw_equals_a_scalar_draw_per_cell():
-    # cells as ranges: each sample is its own index; sizes mix 1, equal
-    # sizes, small and large bounds, and one past 2**32
-    rng = np.random.default_rng(9)
-    for seed in range(200):
-        sizes = rng.integers(1, 5000, size=int(rng.integers(1, 40))).tolist()
-        if seed % 3 == 0:
-            sizes = [30] * len(sizes)
-        if seed % 5 == 0:
-            sizes = [1, *sizes]
-        if seed % 7 == 0:
-            sizes = [2**33, *sizes]
-        cells = [range(n) for n in sizes]
-        got = _draw_samples(cells, np.random.default_rng([seed, 0, 3, 1]))
-        scalar = np.random.default_rng([seed, 0, 3, 1])
-        assert got == [float(cell[int(scalar.integers(len(cell)))]) for cell in cells]
+@pytest.mark.parametrize("policy", ["adamap", "adamap-lite", "adamap-reuse",
+                                    "select-all-lossless"])
+def test_charges_match_the_loop_oracle(monkeypatch, policy):
+    """Each CAV's encode and decode sums and each row's loss equal the
+    per-CAV loop's, bit for bit, fed the same keyed picks.  The cells have
+    random sizes, so the table pads them; lossless uploads read
+    FULL_UPLOAD_RF's cells and carry no loss."""
+    rng = np.random.default_rng(31)
+    cells = {(rf, b): rng.uniform(0.0, 3.0, (3, int(rng.integers(1, 40))))
+             for rf in RF_SET for b in range(N_BUCKETS)}
+    dataset = MeasurementDataset(cells)
+    charged = []
+    inner = simpipe.simulate_frame_latency
+
+    def recording(payload, vehicle_ms, rates, server_ms, *args, **kwargs):
+        charged.append((vehicle_ms.tolist(), server_ms.tolist()))
+        return inner(payload, vehicle_ms, rates, server_ms, *args, **kwargs)
+
+    monkeypatch.setattr(simpipe, "simulate_frame_latency", recording)
+    idle = reused = 0
+    for seed in (2, 5):
+        trace = generate_trace(14, 5, seed=seed)
+        cfg = RunConfig(policy=policy, seed=seed)
+        charged.clear()
+        res = run_simulation(trace, cfg, dataset)
+        for frame, (vehicle_ms, server_ms) in zip(trace, charged):
+            count = dict(zip(zip(frame.cav_ids[frame.pair_cav].tolist(), frame.obj_ids.tolist()),
+                             frame.counts.tolist()))
+            mine = res.objects[res.objects.frame == frame.index]
+            up = mine[~mine.reused]
+            rows = [(c, FULL_UPLOAD_RF if policy == "select-all-lossless" else r, count[c, o])
+                    for c, o, r in zip(up.cav_id.tolist(), up.obj_id.tolist(), up.rf.tolist())]
+            u = [keyed_uniforms(seed, frame.index, c, o, _S_TIME, n=3).tolist()
+                 for c, o in zip(up.cav_id.tolist(), up.obj_id.tolist())]
+            cav_ids = sorted(frame.cav_ids.tolist())
+            want_vehicle, want_server, want_loss = loop_charges(cav_ids, rows, dataset, u)
+            assert vehicle_ms == want_vehicle
+            assert server_ms == want_server
+            if policy == "select-all-lossless":
+                want_loss = [0.0] * len(rows)
+            assert up.loss.tolist() == want_loss
+            idle += len(cav_ids) - len(set(up.cav_id.tolist()))
+            reused += int(mine.reused.sum())
+    assert idle, "some CAV-frame should send nothing"
+    assert bool(reused) == (policy == "adamap-reuse")
+
+
+@pytest.mark.parametrize("policy", ["adamap-lite", "select-all-lossless"])
+def test_frame_loop_builds_no_generators(monkeypatch, policy):
+    trace, dataset = generate_trace(12, 3, seed=4), surrogate_dataset()
+    built = []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    res = run_simulation(trace, RunConfig(policy=policy), dataset)
+    assert len(res.objects) and built == []
 
 
 # ---------------------------------------------------------------------------
@@ -833,10 +881,9 @@ def test_codec_mode_matches_manual_chain(tmp_path):
     rec = res.objects[0]
     assert rec.rf == 4
 
-    # independent replica of the measured chain with the run's codec stream
-    rng = np.random.default_rng([cfg.seed, 0, 0, 1, _S_CODEC])
-    surf_seed = int(rng.integers(1 << 31))
-    dec_seed = int(rng.integers(1 << 31))
+    # independent replica of the measured chain with the run's keyed codec seeds
+    surf_seed, dec_seed = (int(u * 2**31) for u in keyed_uniforms(cfg.seed, 0, 0, 1, _S_CODEC,
+                                                                   n=2).tolist())
     viewer = np.array([0.0, 0.0, LIDAR_Z])
     surf = sample_visible_surface(bbox_b, viewer, 900, seed=surf_seed)
     cloud = resample(surf, 1024)
