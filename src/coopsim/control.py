@@ -17,8 +17,8 @@ planes), shorter rows padded with zero-weight tasks.  numpy adds fewer than 8
 numbers in order and 8-15 through 8 running sums, so a padded row's sampled
 fidelity and latency are bit-exact; only its plane fit may round differently.
 
-Everything here is a pure function of broadcast state plus a seed, so runs
-replay exactly; through that roundoff a CAV's decision can depend on its group.
+Every draw is a keyed uniform of the subproblem's seed, so runs replay
+exactly; through that roundoff a CAV's decision can depend on its group.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .codec import (
     CODEC_INPUT_POINTS,
@@ -38,6 +39,7 @@ from .codec import (
 )
 from .errors import ConfigError
 from .geometry import box_frame_offsets, facing_quadrant_mask, projected_areas
+from .sampling import keyed_uniforms
 from . import netsim
 
 POINT_DENSITY_K = 60000.0  # points * m^2 at 1 m, calibrated to car faces
@@ -45,10 +47,10 @@ POINT_CAP = 240000
 LIDAR_RANGE_M = 50.0
 N_SUBSPACES = 4
 
-# fixed child-seed tags for the common-random-number streams
-_TAG_B = 1 << 20
-_TAG_FADING = (1 << 20) + 1
-_TAG_SEARCH = 1 << 21
+# tags after (seed, object id), (seed), (seed, iteration, task): unequal lengths, no shared stream
+_TAG_TASK = 0
+_TAG_CAV = 1
+_TAG_SEARCH = 2
 
 # the RF search's primal and dual step sizes and starting multiplier
 PRIMAL_STEP = 0.5
@@ -125,12 +127,12 @@ class _Scenarios:
     """Common-random-number draws for C subproblems of up to K tasks each.
 
     Row c holds CAV c's draws; every array is indexed (row, task, level,
-    sample) in that order.  Per-object streams are keyed by (seed, object
-    id), so adding objects never disturbs the draws of existing ones; that
-    makes the latency probability exactly monotone under superset selections
-    with the same seed.  Fidelity is the dataset's sampled mean per level; only
-    times are drawn per scenario, since the latency tail is what the
-    percentile constraint cares about.
+    sample) in that order.  Each task's encode and decode picks are keyed
+    uniforms of (seed, object id), so adding objects never disturbs the draws
+    of existing ones; that makes the latency probability exactly monotone
+    under superset selections with the same seed.  Fidelity is the dataset's
+    sampled mean per level; only times are drawn per scenario, since the
+    latency tail is what the percentile constraint cares about.
     """
 
     def __init__(self, log_levels, mean_loss, compute_s, base_s, rate, fixed_bytes, tasks):
@@ -155,18 +157,17 @@ class _Scenarios:
         s, nl = cfg.mc_samples, len(levels)
         counts = [len(p.obj_ids) for p in problems]
         tasks = np.arange(max(counts)) < np.array(counts)[:, None]
-        u = np.array([np.random.default_rng([p.seed, o]).random((2, s))
-                      for p in problems for o in p.obj_ids])  # (T, 2, S)
+        seeds, nm = np.array([p.seed for p in problems]), len(netsim.MODULE_TIMES_MS)
+        u = keyed_uniforms(np.repeat(seeds, counts), np.concatenate([p.obj_ids for p in problems]),
+                           _TAG_TASK, n=2 * s).reshape(-1, 2, s)  # (T, 2, S)
         n = count_tab[buckets][..., None]  # (T, L, 1)
 
         def ms(e):  # encode (1) or decode (2) times (T, L, S), one at a time to save memory
             idx = sample_index(u[:, None, e - 1], n)
             return sample_tab[buckets[:, None, None], np.arange(nl)[:, None], e, idx]
-        ub = np.array([np.random.default_rng([p.seed, _TAG_B])
-                       .random((len(netsim.MODULE_TIMES_MS), s)) for p in problems])
-        base_ms = netsim.module_times_ms(np.moveaxis(ub, 1, -1))  # (C, S)
-        z = np.array([np.random.default_rng([p.seed, _TAG_FADING]).standard_normal(s)
-                      for p in problems])
+        ub = keyed_uniforms(seeds, _TAG_CAV, n=(nm + 1) * s).reshape(-1, nm + 1, s)
+        base_ms = netsim.module_times_ms(np.moveaxis(ub[:, :nm], 1, -1))  # (C, S)
+        z = ndtri(ub[:, nm])  # the fading's row follows the modules'
         rate_bps = np.array([p.rate_bps for p in problems])[:, None]
         real = (ms(1) + ms(2)) / 1e3  # before the padded table
         mean_loss, compute_s = np.zeros((*tasks.shape, nl)), np.zeros((*tasks.shape, nl, s))
@@ -262,9 +263,9 @@ def optimize_rf_batch(problems, dataset: MeasurementDataset, cfg) -> list:
     rate; ``cfg`` also sets the RF set, the bound Prob(latency <= H_ms -
     h_margin_ms) >= p and the search's budget.  The subproblems of a
     ``_lockstep_group`` step together, one numpy call per step for all.
-    Each subproblem draws its random streams, seeded by ``RFProblem.seed``, at
-    its own task count, so a result depends on its own subproblem alone, up
-    to last-bit roundoff in a padded row's plane fit.  Results come back in
+    Every draw is a keyed uniform of ``RFProblem.seed`` and, per task, its
+    object id or task index, so a result depends on its own subproblem alone,
+    up to last-bit roundoff in a padded row's plane fit.  Results come back in
     the order of ``problems``.
     """
     if any(not p.obj_ids for p in problems):
@@ -339,9 +340,8 @@ def _solve_group(problems, sc: _Scenarios, cfg) -> list:
         return results
     sc = sc.take(rows)
     m = len(rows)
-    # one stream per row at its own task count: drawn per outer iteration as a whole
-    streams = [(np.random.default_rng([problems[r].seed, _TAG_SEARCH]), len(problems[r].obj_ids))
-               for r in rows]
+    rr, tt = np.nonzero(sc.tasks)  # the real (row, task) pairs; padded tasks get no noise
+    seeds = np.array([problems[r].seed for r in rows])[rr]
     noise = np.zeros((m, cfg.inner_iters, cfg.deviations, k))
 
     # start mid-range: the loss surface is flattest near maximum compression,
@@ -350,9 +350,9 @@ def _solve_group(problems, sc: _Scenarios, cfg) -> list:
     x_best, fid_best = x_max[rows], fid_max[rows]  # feasible incumbents
     lam = np.full(m, LAM0)
     design = np.ones((m, cfg.deviations, k + 1))
-    for _ in range(cfg.outer_iters):
-        for i, (stream, kr) in enumerate(streams):
-            noise[i, ..., :kr] = stream.normal(0.0, DEVIATION_SD, noise[i, ..., :kr].shape)
+    for it in range(cfg.outer_iters):
+        u = keyed_uniforms(seeds, it, tt, _TAG_SEARCH, n=cfg.inner_iters * cfg.deviations)
+        noise[rr, ..., tt] = (DEVIATION_SD * ndtri(u)).reshape(-1, cfg.inner_iters, cfg.deviations)
         for step in range(cfg.inner_iters):
             dev = np.clip(x[:, None, :] + noise[:, step], lo, hi)
             fid, probs = sc.at(dev, h_s)

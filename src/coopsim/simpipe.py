@@ -141,7 +141,7 @@ COUNT_SIGMA = 0.3
 _S_LOC = 0  # localization, per object and per CAV
 _S_TIME = 1  # per object: its loss, encode and decode picks
 _S_CODEC = 3  # per object: the codec chain's two seeds
-_S_OPT = 7  # a SeedSequence key, not a draw: the seed of the CAV's RF subproblem
+_S_OPT = 7  # per CAV: its RF subproblem's seed, 2**52 u, an integer (see keyed_uniforms)
 _S_NET = 10  # per CAV: its fading factor
 _S_QUEUE = 11  # per CAV: its baseline module times
 
@@ -763,6 +763,8 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     if policy.rf == "optimize":
         # frame-0 fallback estimate: assume every CAV shares its sector
         all_counts = np.bincount(sectors, minlength=cfg.sectors)
+        opt_seeds = (keyed_uniforms(cfg.seed, fidx, ids, _S_OPT, n=1)[:, 0]
+                     * 2**52).astype(np.int64).tolist()
         problems, owners = [], []
         for c, cav_id in enumerate(cav_ids):
             sent = sent_by_cav[c]
@@ -771,12 +773,10 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
             rate = state.prev_rates.get(cav_id)
             if rate is None:
                 rate = uplink_rate(positions[c], max(1, int(all_counts[sectors[c]])), cfg)
-            opt_seed = int(np.random.SeedSequence(
-                (cfg.seed, fidx, cav_id, _S_OPT)).generate_state(1)[0])
             deltas = by_cav[c].stop - by_cav[c].start - len(sent)
             problems.append(RFProblem(obj_ids=obj[sent].tolist(),
                                       raw_counts=counts[sent].tolist(), rate_bps=rate,
-                                      seed=opt_seed,
+                                      seed=opt_seeds[c],
                                       fixed_bytes=float(REUSE_DELTA_BYTES * deltas)))
             owners.append(sent)
         results = optimize_rf_batch(problems, dataset, cfg)

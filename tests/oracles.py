@@ -12,13 +12,14 @@ constants), the per-vehicle localizer loop over its objects (it shares the
 detector, tracker and maneuver constants, read at call time, the charge
 sampler and the row norm, and takes the same keyed uniforms), the per-CAV
 RF optimizer loop (it shares the dataset, the truncated-normal sampler, the
-random-stream tags, the module-time table, the perturbation spread and the
-result type; it reads the last two at call time, as the batch does, so a
-test that patches one sets both), the scalar upload time, baseline and
-fading of a frame (they share the module-time table and the
-truncated-normal sampler, and take the same keyed uniforms), and the per-CAV
-loop over a frame's encode and decode charges and losses (it shares the
-dataset and the count buckets, and takes the same keyed uniforms).
+draw tags, the module-time table, the perturbation spread and the result
+type, and takes the same keyed uniforms; it reads the table and the spread
+at call time, as the batch does, so a test that patches one sets both), the
+scalar upload time, baseline and fading of a frame (they share the
+module-time table and the truncated-normal sampler, and take the same keyed
+uniforms), and the per-CAV loop over a frame's encode and decode charges and
+losses (it shares the dataset and the count buckets, and takes the same
+keyed uniforms).
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from scipy.special import ndtri
 from coopsim import control, netsim, tracking
 from coopsim.codec import DESCRIPTOR_OVERHEAD_BYTES, bucket_index
 from coopsim.control import (
-    _TAG_B,
-    _TAG_FADING,
+    _TAG_CAV,
+    _TAG_SEARCH,
+    _TAG_TASK,
     DUAL_STEP,
     LAM0,
     LIDAR_RANGE_M,
@@ -46,7 +48,7 @@ from coopsim.control import (
 )
 from coopsim.errors import ConfigError
 from coopsim.geometry import Bbox3, visible_face_weights
-from coopsim.sampling import TruncatedNormal
+from coopsim.sampling import TruncatedNormal, keyed_uniforms
 from coopsim.simpipe import DEDUP_DISTANCE_M, MATCH_GATE_M, RETIRE_AFTER_S
 from coopsim.tracking import (
     DEFAULT_OBS_NOISE_VAR,
@@ -276,19 +278,18 @@ class LoopScenarios:
         self.enc_ms = np.empty((k, nl, s))
         self.dec_ms = np.empty((k, nl, s))
         for i, (obj_id, raw_count) in enumerate(zip(problem.obj_ids, problem.raw_counts)):
-            rng = np.random.default_rng([seed, obj_id])
-            u = rng.random((2, s))
+            u = keyed_uniforms(seed, obj_id, _TAG_TASK, n=2 * s).reshape(2, s)
             bucket = bucket_index(raw_count)
             for j, rf in enumerate(self.levels):
                 self.mean_loss[i, j] = ds.mean_loss(rf, bucket)
                 self.enc_ms[i, j] = _pick(ds.cell(rf, bucket)[1], u[0])
                 self.dec_ms[i, j] = _pick(ds.cell(rf, bucket)[2], u[1])
         modules = list(netsim.MODULE_TIMES_MS.values())
-        ub = np.random.default_rng([seed, _TAG_B]).random((len(modules), s))
+        ub = keyed_uniforms(seed, _TAG_CAV, n=(len(modules) + 1) * s).reshape(-1, s)
         self.b_ms = sum(
             (TruncatedNormal.cached(m, sd).ppf(ub[i]) for i, (m, sd) in enumerate(modules)),
             np.zeros(s))
-        z = np.random.default_rng([seed, _TAG_FADING]).standard_normal(s)
+        z = ndtri(ub[-1])  # the fading's row follows the modules'
         self.rate = problem.rate_bps * np.exp(cfg.rate_sigma * z)
         self.fixed_bytes = problem.fixed_bytes
         self._task_idx = np.arange(k)
@@ -351,7 +352,6 @@ def loop_optimize_rf(problem, dataset, cfg, record_g: bool = False) -> LoopResul
     lx = sc.log_levels
     lo, hi = lx[0], lx[-1]
     k = len(problem.obj_ids)
-    rng = np.random.default_rng([problem.seed, 1 << 21])
 
     x_max = np.full(k, hi)
     prob_at_max = sc.prob_within(x_max, h_s)
@@ -366,10 +366,14 @@ def loop_optimize_rf(problem, dataset, cfg, record_g: bool = False) -> LoopResul
     lam = LAM0
     lam_trace, prob_trace, g_trace = [], [], []
     design = np.ones((cfg.deviations, k + 1))
-    for _ in range(cfg.outer_iters):
-        for _ in range(cfg.inner_iters):
-            dev = x[None, :] + rng.normal(0.0, control.DEVIATION_SD, size=(cfg.deviations, k))
-            dev = np.clip(dev, lo, hi)
+    for it in range(cfg.outer_iters):
+        # task j's perturbation of deviation d at step i is entry i * deviations + d
+        # of its keyed draw of the iteration
+        u = keyed_uniforms(problem.seed, it, np.arange(k), _TAG_SEARCH,
+                           n=cfg.inner_iters * cfg.deviations)
+        noise = control.DEVIATION_SD * ndtri(u).reshape(k, cfg.inner_iters, cfg.deviations)
+        for step in range(cfg.inner_iters):
+            dev = np.clip(x[None, :] + noise[:, step].T, lo, hi)
             fid, latency = sc.evaluate_batch(dev)
             probs = np.mean(latency <= h_s, axis=1)
             g = fid + lam * (probs - cfg.p)

@@ -8,7 +8,9 @@ with their readers.  Every field of a
 ``@dataclass`` there must be loaded as an attribute somewhere in ``src/``;
 the match is by name, so a field shares a read with any attribute of its
 name.  No dataclass but ``RunConfig`` may declare a field named like one of
-``RunConfig``'s: a run value has one home, and code reads it there.
+``RunConfig``'s: a run value has one home, and code reads it there.  The
+RF optimizer and the frame loop draw only keyed uniforms: neither
+``control.py`` nor ``simpipe.run_frame`` uses ``np.random``.
 """
 
 import ast
@@ -309,3 +311,49 @@ def test_guard_sees_an_option_nobody_passes(tmp_path):
     assert sorted(unpassed_options(src, (callers,))) == [
         "a.py:Box.__init__(unused=)", "a.py:Box.grow(by=)", "a.py:f(kw_never=)",
         "a.py:f(never=)"]
+
+
+def np_random_uses(tree) -> list:
+    """Line numbers of each ``np.random`` or ``numpy.random`` under ``tree``,
+    imports of it included."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "random" and getattr(
+                node.value, "id", None) in ("np", "numpy"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (
+                (node.module or "").startswith("numpy.random")
+                or node.module == "numpy" and any(a.name == "random" for a in node.names)):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(
+                a.name.startswith("numpy.random") for a in node.names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def _function(tree, name):
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_run_loop_draws_only_keyed_uniforms():
+    trees = _parse(SRC)
+    assert np_random_uses(trees["control.py"]) == []
+    assert np_random_uses(_function(trees["simpipe.py"], "run_frame")) == []
+
+
+def test_guard_sees_a_generator(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\n"
+        "import numpy.random\n"
+        "from numpy import random\n"
+        "from numpy.random import default_rng\n"
+        "\n"
+        "def run_frame(seed):\n"
+        "    return np.random.default_rng(seed).random()\n"
+        "\n"
+        "def keyed(rng: np.random.Generator):\n"
+        "    return rng.random()\n")
+    tree = _parse(tmp_path)["a.py"]
+    assert np_random_uses(tree) == [2, 3, 4, 7, 9]
+    assert np_random_uses(_function(tree, "run_frame")) == [7]

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from coopsim import control, netsim
 from coopsim.codec import (
@@ -279,6 +280,42 @@ def test_latency_prob_superset_monotone(surrogate):
         p_small = latency_prob(base, 600e3, surrogate, 16, 60.0, seed=seed)
         p_large = latency_prob(extra, 600e3, surrogate, 16, 60.0, seed=seed)
         assert p_large <= p_small
+
+
+def test_object_draws_share_no_stream_with_the_subproblem_draws(surrogate, monkeypatch):
+    """Object ids are trace ids, any value up to 2**63 - 1, so an id can equal
+    a key of another draw.  Whatever the ids, no uniform behind a task's
+    encode and decode picks may reappear among those behind its
+    subproblem's baseline modules, fading and search perturbations."""
+    ids = [0, 1, 2, 1 << 20, (1 << 20) + 1, 1 << 21]
+    cfg = RunConfig()
+    task_u, other_u = [], []
+    pick, modules = control.sample_index, netsim.module_times_ms
+
+    def picks(u, n):
+        task_u.append(np.array(u))
+        return pick(u, n)
+
+    def baseline(u):
+        other_u.append(np.array(u))
+        return modules(u)
+
+    def normals(u):  # the fading's and the search's uniforms
+        other_u.append(np.array(u))
+        return ndtri(u)
+
+    monkeypatch.setattr(control, "sample_index", picks)
+    monkeypatch.setattr(netsim, "module_times_ms", baseline)
+    monkeypatch.setattr(control, "ndtri", normals, raising=False)
+    assert not solve([(o, 800) for o in ids], 1e9, surrogate, cfg).infeasible
+    task = np.concatenate([u.ravel() for u in task_u])
+    other = np.concatenate([u.ravel() for u in other_u])
+    assert np.intersect1d(task, other).size == 0
+    # and the spies saw every draw: two per object, the subproblem's, the search's
+    s, k = cfg.mc_samples, len(ids)
+    assert task.size == 2 * k * s
+    assert other.size == s * (len(netsim.MODULE_TIMES_MS) + 1) + (
+        cfg.outer_iters * cfg.inner_iters * cfg.deviations * k)
 
 
 # ---------------------------------------------------------------------------

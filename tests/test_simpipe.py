@@ -851,7 +851,7 @@ def test_charges_match_the_loop_oracle(monkeypatch, policy):
     assert bool(reused) == (policy == "adamap-reuse")
 
 
-@pytest.mark.parametrize("policy", ["adamap-lite", "select-all-lossless"])
+@pytest.mark.parametrize("policy", POLICIES)
 def test_frame_loop_builds_no_generators(monkeypatch, policy):
     trace, dataset = generate_trace(12, 3, seed=4), surrogate_dataset()
     built = []
