@@ -9,6 +9,12 @@ percentile constraint.  Gradients come from least-squares planes fitted to
 randomly perturbed RF vectors under common random numbers, in the manner of
 SPSA (Spall 1992, IEEE TAC 37(3)).
 
+Two corners bracket the search.  A subproblem that misses the bound at
+maximum compression is infeasible and returns there.  One that meets it with
+every task at its least mean loss (of equal losses the larger RF) has its
+optimum there, since sampled fidelity is a sum over tasks, and returns it
+with the slack multiplier 0.  Only the rest are searched.
+
 Once each CAV has its rate prediction its RF subproblem is independent of the
 others, so ``optimize_rf_batch`` solves a frame's subproblems in lockstep:
 CAVs with 1-7 tasks, and with 8-15, share every numpy call of every step (one
@@ -256,7 +262,8 @@ def optimize_rf_batch(problems, dataset: MeasurementDataset, cfg) -> list:
     gradient.  The continuous solution is discretized upward (more
     compression) to preserve feasibility.  When the constraint cannot be met
     even at maximum compression the result carries every object at r_max and
-    an infeasible flag.
+    an infeasible flag; when it is met with every object at its least mean
+    loss, no search runs and the result is that corner with lam = 0.
 
     Every subproblem samples one latency model, ``dataset``'s loss, encode
     and decode samples under the run config ``cfg``, at its own predicted
@@ -324,8 +331,8 @@ def _solve_group(problems, sc: _Scenarios, cfg) -> list:
     ``_plane_slopes`` for every row.  With k + 1 > deviations a plane interpolates
     its samples and any solver but lstsq amplifies roundoff into other iterates;
     such rows are rare and keep lstsq, one at a time."""
-    levels, h_s = cfg.rf_set, (cfg.H_ms - cfg.h_margin_ms) / 1e3
-    lx = sc.log_levels
+    h_s = (cfg.H_ms - cfg.h_margin_ms) / 1e3
+    rf_levels, lx = np.asarray(cfg.rf_set, dtype=np.int64), sc.log_levels
     lo, hi = lx[0], lx[-1]
     c, k = sc.tasks.shape
     x_max = np.full((c, k), hi)
@@ -333,9 +340,18 @@ def _solve_group(problems, sc: _Scenarios, cfg) -> list:
     results = [None] * c
     for r in np.flatnonzero(prob_max < cfg.p):
         results[r] = OptimizeResult(
-            rfs=np.full(len(problems[r].obj_ids), levels[-1], dtype=np.int64), lam=LAM0,
+            rfs=np.full(len(problems[r].obj_ids), rf_levels[-1]), lam=LAM0,
             prob=float(prob_max[r]), fidelity=float(fid_max[r]), infeasible=True)
-    rows = np.flatnonzero(prob_max >= cfg.p)
+    # the fidelity-best corner, the optimum where it meets the bound: each task
+    # at its least mean loss, of equal losses the larger RF (fewer bytes), so a
+    # padded task's zero losses sit at r_max like x_max's
+    corner = len(lx) - 1 - np.argmin(sc.mean_loss[..., ::-1], axis=-1)  # (C, K) level indices
+    fid_corner, prob_corner = sc.at(lx[corner], h_s)
+    for r in np.flatnonzero((prob_max >= cfg.p) & (prob_corner >= cfg.p)):
+        results[r] = OptimizeResult(
+            rfs=rf_levels[corner[r, :len(problems[r].obj_ids)]], lam=0.0,
+            prob=float(prob_corner[r]), fidelity=float(fid_corner[r]), infeasible=False)
+    rows = np.flatnonzero((prob_max >= cfg.p) & (prob_corner < cfg.p))
     if not rows.size:
         return results
     sc = sc.take(rows)
@@ -379,7 +395,7 @@ def _solve_group(problems, sc: _Scenarios, cfg) -> list:
 
     # round up to the next discrete level: more compression, never less
     idx = np.searchsorted(lx, x - 1e-9, side="left")
-    rfs = np.asarray(levels, dtype=np.int64)[np.minimum(idx, len(levels) - 1)]
+    rfs = rf_levels[np.minimum(idx, len(lx) - 1)]
     fid, prob = sc.at(np.log2(rfs), h_s)
     for i, r in enumerate(rows):
         results[r] = OptimizeResult(

@@ -328,21 +328,22 @@ class LoopScenarios:
 
 @dataclass
 class LoopResult(OptimizeResult):
-    """The batch's result plus the loop's per-step traces: the multiplier and
-    Prob(latency <= H) after each outer iteration, and the Lagrangian after
-    each inner step (only when asked for)."""
+    """The batch's result plus the Lagrangian after each inner step of the
+    search (only when asked for)."""
 
-    lam_trace: list = field(default_factory=list)
-    prob_trace: list = field(default_factory=list)
     g_trace: list = field(default_factory=list)
 
 
-def loop_optimize_rf(problem, dataset, cfg, record_g: bool = False) -> LoopResult:
+def loop_optimize_rf(problem, dataset, cfg, record_g: bool = False,
+                     corner: bool = True) -> LoopResult:
     """Primal-dual RF search for one CAV, one numpy call per step.
 
     Same method as ``coopsim.control.optimize_rf_batch`` for one RFProblem
     under ``dataset`` and the run config ``cfg``; the plane fit here is
-    ``np.linalg.lstsq`` on one design matrix at a time.
+    ``np.linalg.lstsq`` on one design matrix at a time.  A feasible
+    subproblem first tries its fidelity-best corner (each task at its least
+    mean loss, ties to the larger RF) and returns it with lam = 0 where it
+    meets the bound; ``corner=False`` skips that and always searches.
     """
     if not problem.obj_ids:
         raise ConfigError("optimize_rf needs at least one task")
@@ -358,13 +359,24 @@ def loop_optimize_rf(problem, dataset, cfg, record_g: bool = False) -> LoopResul
     if prob_at_max < cfg.p:
         return LoopResult(
             rfs=np.full(k, levels[-1], dtype=np.int64), lam=LAM0,
-            prob=prob_at_max, fidelity=sc.evaluate(x_max)[0], infeasible=True,
-            lam_trace=[LAM0], prob_trace=[prob_at_max])
+            prob=prob_at_max, fidelity=sc.evaluate(x_max)[0], infeasible=True)
+
+    if corner:
+        best = np.zeros(k, dtype=np.int64)
+        for i in range(k):
+            for j in range(len(levels)):
+                if sc.mean_loss[i, j] <= sc.mean_loss[i, best[i]]:
+                    best[i] = j
+        xc = lx[best]
+        prob_c = sc.prob_within(xc, h_s)
+        if prob_c >= cfg.p:
+            return LoopResult(rfs=np.asarray(levels, dtype=np.int64)[best], lam=0.0,
+                              prob=prob_c, fidelity=sc.evaluate(xc)[0], infeasible=False)
 
     x = np.full(k, 0.5 * (lo + hi))
     x_best, fid_best = x_max, sc.evaluate(x_max)[0]
     lam = LAM0
-    lam_trace, prob_trace, g_trace = [], [], []
+    g_trace = []
     design = np.ones((cfg.deviations, k + 1))
     for it in range(cfg.outer_iters):
         # task j's perturbation of deviation d at step i is entry i * deviations + d
@@ -391,8 +403,6 @@ def loop_optimize_rf(problem, dataset, cfg, record_g: bool = False) -> LoopResul
         else:
             x = 0.5 * (x + x_best)
         lam = max(0.0, lam - DUAL_STEP * (prob - cfg.p))
-        lam_trace.append(lam)
-        prob_trace.append(prob)
 
     if sc.prob_within(x, h_s) < cfg.p:
         x = x_best
@@ -403,8 +413,7 @@ def loop_optimize_rf(problem, dataset, cfg, record_g: bool = False) -> LoopResul
     prob = sc.prob_within(xq, h_s)
     fid = sc.evaluate(xq)[0]
     return LoopResult(rfs=rfs, lam=lam, prob=prob, fidelity=fid,
-                      infeasible=False, lam_trace=lam_trace,
-                      prob_trace=prob_trace, g_trace=g_trace)
+                      infeasible=False, g_trace=g_trace)
 
 
 # ---------------------------------------------------------------------------

@@ -307,7 +307,8 @@ def test_object_draws_share_no_stream_with_the_subproblem_draws(surrogate, monke
     monkeypatch.setattr(control, "sample_index", picks)
     monkeypatch.setattr(netsim, "module_times_ms", baseline)
     monkeypatch.setattr(control, "ndtri", normals, raising=False)
-    assert not solve([(o, 800) for o in ids], 1e9, surrogate, cfg).infeasible
+    # at 1 Mb/s the fidelity-best corner misses the bound, so the search runs
+    assert not solve([(o, 800) for o in ids], 1e6, surrogate, cfg).infeasible
     task = np.concatenate([u.ravel() for u in task_u])
     other = np.concatenate([u.ravel() for u in other_u])
     assert np.intersect1d(task, other).size == 0
@@ -335,10 +336,15 @@ def test_optimizer_unconstrained_goes_to_min_rf(surrogate):
 
 
 def test_optimizer_multiplier_decays_to_zero(surrogate):
-    # slack constraint: each outer iteration bleeds the multiplier down
-    res = solve(five_tasks(), 1e9, surrogate, wide_search(H_ms=10000.0, outer_iters=30))
-    assert res.lam == 0.0
-    assert res.rfs.tolist() == [4] * 5
+    """Slack constraint: the fidelity-best corner meets it, so the batch
+    returns that corner with the slack multiplier 0; the search alone gets
+    there too, each outer iteration bleeding the multiplier down."""
+    cfg = wide_search(H_ms=10000.0, outer_iters=30)
+    res = solve(five_tasks(), 1e9, surrogate, cfg)
+    search = loop_optimize_rf(problem(five_tasks(), 1e9), surrogate, cfg, corner=False)
+    for r in (res, search):
+        assert r.lam == 0.0
+        assert r.rfs.tolist() == [4] * 5
 
 
 def test_optimizer_zero_rate_infeasible(surrogate):
@@ -395,23 +401,102 @@ def test_optimizer_relaxing_deadline_never_raises_rf(surrogate):
 def test_optimizer_lagrangian_monotone_on_deterministic_instance(monkeypatch):
     """With constant samples and no baseline noise the sampled surface is
     exact, so every ascent step must improve the Lagrangian.  The loop
-    oracle records it after each step; the batch must end where it does."""
+    oracle's search, run without the corner shortcut, records it after each
+    step and must end at the fidelity-best corner, which the batch returns."""
     means = {rf: m for rf, (m, _) in DEFAULT_LOSS_CALIBRATION.items()}
     ds = constant_dataset(loss_by_rf=means, enc_ms=0.5, dec_ms=0.5)
     prob = problem([(i, 800) for i in range(3)], 1e12)
     monkeypatch.setattr(netsim, "MODULE_TIMES_MS", {})  # no baseline modules
     cfg = wide_search(H_ms=10000.0, outer_iters=1, inner_iters=80)
-    ref = loop_optimize_rf(prob, ds, cfg, record_g=True)
+    ref = loop_optimize_rf(prob, ds, cfg, record_g=True, corner=False)
     trace = np.array(ref.g_trace)
     assert len(trace) == 80
     assert np.all(np.diff(trace) >= -1e-12)
     assert ref.rfs.tolist() == [4, 4, 4]
-    assert_same_result(optimize_rf_batch([prob], ds, cfg)[0], ref)
+    res = optimize_rf_batch([prob], ds, cfg)[0]
+    assert res.rfs.tolist() == ref.rfs.tolist() and res.lam == 0.0
+    assert_same_result(res, loop_optimize_rf(prob, ds, cfg))
 
 
 def test_optimizer_requires_tasks(surrogate):
     with pytest.raises(ConfigError):
         solve([], 1e6, surrogate, wide_search())
+
+
+# ---------------------------------------------------------------------------
+# the fidelity-best corner
+
+
+def test_corner_feasible_subproblem_skips_the_search(surrogate, monkeypatch):
+    """Where every task at its least mean loss meets the bound, that point is
+    the optimum: the batch returns it with lam = 0 and draws no search
+    perturbation.  At a rate where it misses, the search draws them."""
+    draws = []  # per keyed_uniforms call: is it a search draw (seed, iteration, task, tag)?
+    keyed = control.keyed_uniforms
+
+    def spy(*keys, n):
+        draws.append(len(keys) == 4 and keys[-1] == control._TAG_SEARCH)
+        return keyed(*keys, n=n)
+
+    monkeypatch.setattr(control, "keyed_uniforms", spy)
+    cfg = RunConfig()
+    tasks = five_tasks()
+    least = [min(cfg.rf_set, key=lambda rf: (surrogate.mean_loss(rf, bucket_index(k)), -rf))
+             for _, k in tasks]
+    res = solve(tasks, 1e9, surrogate, cfg)
+    assert res.rfs.tolist() == least == [4] * 5
+    assert res.lam == 0.0 and not res.infeasible and res.prob >= cfg.p
+    assert draws == [False, False]  # the subproblem's (seed, _TAG_CAV), its tasks' _TAG_TASK
+    draws.clear()
+    res = solve(tasks, 1e6, surrogate, cfg)
+    assert res.rfs.tolist() != least and res.lam > 0.0
+    assert draws.count(True) == cfg.outer_iters
+
+
+def test_corner_takes_each_tasks_least_loss_level_ties_to_the_larger_rf():
+    """The corner is per task: the level of least mean loss in the task's
+    count bucket, wherever it sits in the RF set, and of equal least losses
+    the larger RF (equal fidelity, fewer bytes)."""
+    cfg = wide_search(H_ms=10000.0)
+    tasks = [(0, 100), (1, 800), (2, 3000)]  # count buckets 0, 3 and 5
+    cases = [
+        ({4: 0.5, 8: 0.3, 16: 0.2, 32: 0.4, 64: 0.6}, [16, 16, 16]),
+        ({4: 0.5, 8: 0.2, 16: 0.2, 32: 0.2, 64: 0.6}, [32, 32, 32]),
+        (None, [64, 64, 64]),  # one loss everywhere: all levels tie
+    ]
+    for loss_by_rf, want in cases:
+        ds = constant_dataset(loss_by_rf=loss_by_rf)
+        res = solve(tasks, 1e12, ds, cfg)
+        assert res.rfs.tolist() == want and res.lam == 0.0
+        assert_same_result(res, loop_optimize_rf(problem(tasks, 1e12), ds, cfg))
+        search = loop_optimize_rf(problem(tasks, 1e12), ds, cfg, corner=False)
+        assert res.fidelity >= search.fidelity
+    # per bucket: bucket 0's least loss at RF 8, bucket 3's at 32, the rest at 64
+    least = {0: 8, 3: 32}
+    ds = MeasurementDataset.from_rows(
+        (rf, b, 0.1 if rf == least.get(b, 64) else 0.4, 1e-6, 1e-6)
+        for rf in RF_SET for b in range(N_BUCKETS) for _ in range(4))
+    res = solve(tasks, 1e12, ds, cfg)
+    assert res.rfs.tolist() == [8, 32, 64] and res.lam == 0.0
+    assert_same_result(res, loop_optimize_rf(problem(tasks, 1e12), ds, cfg))
+
+
+def test_no_feasible_result_plans_below_the_search(surrogate):
+    """The corner's fidelity bounds every point's, so taking it never plans
+    a lower sampled fidelity than the search alone; feasibility is decided
+    at maximum compression, before either."""
+    cfg = RunConfig()
+    decided = 0
+    for seed in (22, 23):
+        problems = random_problems(56, seed)
+        for prob, res in zip(problems, optimize_rf_batch(problems, surrogate, cfg)):
+            ref = loop_optimize_rf(prob, surrogate, cfg, corner=False)
+            assert res.infeasible == ref.infeasible
+            if not res.infeasible:
+                assert res.prob >= cfg.p
+                assert res.fidelity >= ref.fidelity
+                decided += res.lam == 0.0 and ref.lam > 0.0
+    assert decided
 
 
 # ---------------------------------------------------------------------------

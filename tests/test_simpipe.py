@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from coopsim import simpipe, tracking
+from coopsim import control, simpipe, tracking
 from coopsim.codec import (
     DESCRIPTOR_OVERHEAD_BYTES,
     MeasurementDataset,
@@ -890,6 +890,37 @@ def test_codec_mode_matches_manual_chain(tmp_path):
     recon = decode(encode(cloud, 4), seed=dec_seed)
     want = reconstruction_loss(cloud.points, recon.points, beta=cfg.beta)
     assert rec.loss == pytest.approx(want, rel=1e-12)
+
+
+def test_codec_mode_bound_binds_so_corner_and_search_both_decide(monkeypatch):
+    """At 30 kHz the latency bound binds in the 7 x 2 codec-mode scene: some
+    subproblems meet it at their fidelity-best corner (every task at RF 4,
+    lam 0), the others go through the search, and the measured chain then
+    codes each sent object at the RF its subproblem chose."""
+    searched, solved = [], []
+    take, batch = control._Scenarios.take, simpipe.optimize_rf_batch
+
+    def counted_take(sc, rows):
+        searched.append(len(rows))
+        return take(sc, rows)
+
+    def recorded(problems, dataset, cfg):
+        results = batch(problems, dataset, cfg)
+        solved.extend(zip(problems, results))
+        return results
+
+    monkeypatch.setattr(control._Scenarios, "take", counted_take)
+    monkeypatch.setattr(simpipe, "optimize_rf_batch", recorded)
+    cfg = RunConfig(policy="adamap", dataset_mode="codec", bandwidth_hz=30e3, seed=0)
+    res = run_simulation(generate_trace(7, 2, seed=0), cfg)
+    corner = [r for _, r in solved if not r.infeasible and r.lam == 0.0]
+    assert all(not r.infeasible for _, r in solved)
+    assert sum(searched) >= 1 and len(corner) >= 1
+    assert len(corner) + sum(searched) == len(solved)
+    assert all(r.rfs.tolist() == [4] * len(r.rfs) and r.prob >= cfg.p for r in corner)
+    planned = sorted(rf for _, r in solved for rf in r.rfs.tolist())
+    assert set(planned) > {4}
+    assert sorted(res.objects.rf.tolist()) == planned
 
 
 # ---------------------------------------------------------------------------
