@@ -307,13 +307,15 @@ def surrogate_dataset(samples_per_key: int = 120, seed: int = 0) -> MeasurementD
     Its RFs are those of DEFAULT_LOSS_CALIBRATION.  Loss samples per RF come
     from a lower-truncated normal whose realized mean equals the calibrated
     mean; all count buckets share the per-RF distribution.  Encode and
-    decode times share one distribution, DEFAULT_TIME_MS.
+    decode times share one distribution, DEFAULT_TIME_MS.  The truncated
+    normals come from ``TruncatedNormal.cached``, so a process solves for
+    their locations once.
     """
     rng = np.random.default_rng(seed)
-    time_tn = TruncatedNormal(*DEFAULT_TIME_MS)
+    time_tn = TruncatedNormal.cached(*DEFAULT_TIME_MS)
     cells = {}
     for rf, calibration in DEFAULT_LOSS_CALIBRATION.items():
-        loss_tn = TruncatedNormal(*calibration)
+        loss_tn = TruncatedNormal.cached(*calibration)
         for bucket in range(N_BUCKETS):
             cells[rf, bucket] = np.stack([_stratified(tn, rng, samples_per_key)
                                           for tn in (loss_tn, time_tn, time_tn)])

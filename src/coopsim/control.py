@@ -100,7 +100,9 @@ def thin_edges(edges, threshold: float):
     retained list.
     """
     keep = sorted(edges, key=lambda e: (e[0], -e[1]))
-    total = sum(e[0] for e in keep)
+    total = 0
+    for value, _ in keep:  # left to right: the builtin sum compensates on Python 3.12+
+        total += value
     while keep and total - keep[0][0] >= threshold:
         total -= keep[0][0]
         keep = keep[1:]

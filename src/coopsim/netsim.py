@@ -48,19 +48,20 @@ def snr_db(distance_m: float, band_hz: float, cfg) -> float:
     return TX_POWER_DBM - path_loss_db(distance_m, cfg.carrier_ghz) - noise_dbm
 
 
-def uplink_rate(position, sharers: int, cfg, fading: float = 1.0) -> float:
-    """Shannon rate in bits/s for one CAV sharing its sector with ``sharers``.
+def uplink_rate(distance_m: float, sharers: int, cfg, fading: float = 1.0) -> float:
+    """Shannon rate in bits/s for one CAV ``distance_m`` from the base
+    station, sharing its sector with ``sharers``.
 
     Equal FDMA gives each CAV a band slice with proportionally less noise.
-    The log-normal fading factor is drawn by the caller, run_frame, from the
-    frame's network stream, so frames stay replayable.
+    The caller, run_frame, takes the distance from ``tracking.row_norms``
+    and draws the log-normal fading factor from the frame's network stream,
+    so frames stay replayable.  The arithmetic stays scalar ``math``: numpy's
+    vectorized log and power may round differently.
     """
     if sharers < 1:
         raise ConfigError(f"sharers must be >= 1, got {sharers}")
-    d = float(np.linalg.norm(np.asarray(position, dtype=np.float64).reshape(-1)[:3]
-                             - cfg.base_station))
     band = cfg.bandwidth_hz / sharers
-    return band * math.log2(1.0 + 10.0 ** (snr_db(d, band, cfg) / 10.0)) * float(fading)
+    return band * math.log2(1.0 + 10.0 ** (snr_db(distance_m, band, cfg) / 10.0)) * float(fading)
 
 
 def sector_index(position, cfg) -> int:

@@ -372,17 +372,27 @@ def generate_trace(cav_count: int, frames: int, seed: int = 0):
 # edge global map
 
 
-def _place(near: dict, cells: list, row: int, x: float, y: float) -> None:
-    """Bin ``row`` at (x, y): list it, in row order, under each of the 3 x 3
-    cells around its own, and drop it from those of the cell it had."""
-    cell = (math.floor(x / MATCH_CELL_M), math.floor(y / MATCH_CELL_M))
+def _cells(points: np.ndarray) -> list:
+    """Each row's match-grid cell, math.floor of (x, y) / MATCH_CELL_M, from
+    one np.floor.  Cells are int tuples, which key dicts faster than floats;
+    quotients beyond int64 take math.floor, which is exact."""
+    q = np.floor(points / MATCH_CELL_M)
+    if np.abs(q).max(initial=0.0) < 2.0**63:
+        q = q.astype(np.int64)
+        return list(zip(q[:, 0].tolist(), q[:, 1].tolist()))
+    return [(math.floor(i), math.floor(j)) for i, j in q.tolist()]
+
+
+def _place(near: dict, cells: list, row: int, cell: tuple) -> None:
+    """Move ``row`` to grid ``cell``, a new one: list it, in row order, under
+    each of the 3 x 3 cells around ``cell``, and drop it from those around
+    the cell it had."""
     old, cells[row] = cells[row], cell
-    if cell != old:
+    if old is not None:
         for i, j in _AROUND:
-            if old is not None:
-                near[old[0] + i, old[1] + j].remove(row)
-        for i, j in _AROUND:
-            bisect.insort(near.setdefault((cell[0] + i, cell[1] + j), []), row)
+            near[old[0] + i, old[1] + j].remove(row)
+    for i, j in _AROUND:
+        bisect.insort(near.setdefault((cell[0] + i, cell[1] + j), []), row)
 
 
 class GlobalMap:
@@ -407,55 +417,62 @@ class GlobalMap:
         moved = s[:, :2] + dt[:, None] * s[:, 2:4]
         return np.where(dt[:, None] > 0, moved, s[:, :2])
 
-    def commit_frame(self, items, t: float, predicted):
-        """Match and fold a frame's uploads, in the given order.
+    def commit_frame(self, observed, carries_geometry, loss, t: float, predicted):
+        """Match and fold a frame's uploads, in row order.
 
-        ``items`` is a list of (observed (x, y), carries_geometry, loss), one
-        per uploaded object, and ``predicted`` the map's
-        ``predicted_positions(t)``.  Returns the global id assigned to each
-        item.  Matching always runs against the freshest positions: a
-        matched row takes the corrected position and a new row is appended,
-        so two CAVs reporting the same new object within one frame land on a
-        single row.  The columns are read into lists once, rows step as
-        filter tuples, and the columns are written back once.
+        The uploads come as columns, one row per uploaded object: the
+        ``observed`` (x, y) positions (m, 2), ``carries_geometry`` (m,) and
+        ``loss`` (m,).  ``predicted`` is the map's ``predicted_positions(t)``.
+        Returns the global id assigned to each upload.  Matching always runs
+        against the freshest positions: a matched row takes the corrected
+        position and a new row is appended, so two CAVs reporting the same new
+        object within one frame land on a single row.  Every column is read
+        into a list once, rows step as filter tuples, and the map's columns
+        are written back once.
 
-        An item takes the row ``nearest_rows`` would: the first smallest
+        An upload takes the row ``nearest_rows`` would: the first smallest
         dx*dx + dy*dy, accepted strictly within the gate.  It scans only the
         rows ``near`` lists under its grid cell, in row order: those whose
-        cell, kept current by ``_place`` as they move, is one of the 3 x 3
-        around it.  That is exact.  A computed d2 < gate^2 needs |dx| and
-        |dy| < gate before rounding, since squares, sums and rounding are
-        monotone; with MATCH_CELL_M wider than the gate such a row lies in
-        a neighbouring cell, and x / MATCH_CELL_M rounds nothing for a power
-        of two.
+        cell is one of the 3 x 3 around it.  That is exact.  A computed
+        d2 < gate^2 needs |dx| and |dy| < gate before rounding, since
+        squares, sums and rounding are monotone; with MATCH_CELL_M wider than
+        the gate such a row lies in a neighbouring cell, and x / MATCH_CELL_M
+        rounds nothing for a power of two.  The cells of the predictions and
+        of the uploads come from one ``_cells`` call each, a corrected row's
+        from math.floor of the same quotient, and ``_place`` moves a row only
+        when its cell changed.  The scan and the filter steps stay one upload
+        at a time: an upload's match depends on the corrections before it.
         """
-        ids, states = self.gids.tolist(), self.state.tolist()
-        seen, geometry, losses = (self.last_seen.tolist(), self.has_geometry.tolist(),
-                                  self.last_loss.tolist())
-        px, py = predicted[:, 0].tolist(), predicted[:, 1].tolist()
-        near: dict = {}
-        cells = [None] * len(ids)
-        for row in range(len(ids)):
-            _place(near, cells, row, px[row], py[row])
         side = MATCH_CELL_M
+        ids, states = self.gids.tolist(), self.state.tolist()
+        seen, has_geometry, last_loss = (self.last_seen.tolist(), self.has_geometry.tolist(),
+                                         self.last_loss.tolist())
+        px, py = predicted[:, 0].tolist(), predicted[:, 1].tolist()
+        cells = _cells(predicted)
+        near: dict = {}
+        for row, (ci, cj) in enumerate(cells):  # rows ascend, so appends keep row order
+            for i, j in _AROUND:
+                near.setdefault((ci + i, cj + j), []).append(row)
         gate2 = MATCH_GATE_M * MATCH_GATE_M
         gids = []
-        for (x, y), has_geom, loss in items:
+        for x, y, cell, has_geom, upload_loss in zip(
+                observed[:, 0].tolist(), observed[:, 1].tolist(), _cells(observed),
+                carries_geometry.tolist(), loss.tolist()):
             row, best = -1, gate2
-            for r in near.get((math.floor(x / side), math.floor(y / side)), ()):
+            for r in near.get(cell, ()):
                 dx = px[r] - x
                 dy = py[r] - y
                 d2 = dx * dx + dy * dy
                 if d2 < best:
                     row, best = r, d2
-            if row < 0:
+            if row < 0:  # a new row starts at the report, in the report's cell
                 row, state = len(ids), kalman_init((x, y), t)
                 ids.append(self._next_id)
                 self._next_id += 1
                 states.append(state)
                 seen.append(t)
-                geometry.append(False)
-                losses.append(0.0)
+                has_geometry.append(False)
+                last_loss.append(0.0)
                 cells.append(None)
                 px.append(state[0])
                 py.append(state[1])
@@ -467,14 +484,16 @@ class GlobalMap:
                 state = states[row] = kalman_correct(state, (x, y))
                 px[row], py[row] = state[0], state[1]
                 seen[row] = t
-            _place(near, cells, row, state[0], state[1])
+                cell = (math.floor(state[0] / side), math.floor(state[1] / side))
+            if cell != cells[row]:
+                _place(near, cells, row, cell)
             if has_geom:
-                geometry[row] = True
-                losses[row] = loss
+                has_geometry[row] = True
+                last_loss[row] = upload_loss
             gids.append(ids[row])
         columns = (np.array(ids, dtype=np.int64), np.reshape(states, (-1, 8)),
-                   np.array(seen, dtype=np.float64), np.array(geometry, dtype=bool),
-                   np.array(losses, dtype=np.float64))
+                   np.array(seen, dtype=np.float64), np.array(has_geometry, dtype=bool),
+                   np.array(last_loss, dtype=np.float64))
         keep = _kept_rows(columns[1], columns[2], t)
         (self.gids, self.state, self.last_seen, self.has_geometry,
          self.last_loss) = (column[keep] for column in columns)
@@ -693,7 +712,10 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     Each row that carries geometry picks a loss, an encode and a decode
     sample from its (rf, count bucket) cell by ``sample_index``, as the
     optimizer does, and each CAV's encode and decode times add in row order.
-    Only the edge thinning and the codec chain stay per object.
+    A latent's bytes are looked up per RF level, every CAV's distance to the
+    base station comes from one ``row_norms`` call, and the map commit and
+    the FrameRows read each column as one list.  Only the edge thinning, the
+    map commit's scan and the codec chain stay per object.
     """
     cfg = state.config
     policy = _POLICY[cfg.policy]
@@ -760,6 +782,8 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     rf = np.zeros(len(cav), dtype=np.int64)
     infeasible_cavs = 0
     sectors = [sector_index(p, cfg) for p in positions]
+    # each CAV's distance to the base station, as np.linalg.norm gives it
+    distances = row_norms(positions - np.asarray(cfg.base_station, dtype=np.float64)).tolist()
     if policy.rf == "optimize":
         # frame-0 fallback estimate: assume every CAV shares its sector
         all_counts = np.bincount(sectors, minlength=cfg.sectors)
@@ -772,7 +796,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
                 continue
             rate = state.prev_rates.get(cav_id)
             if rate is None:
-                rate = uplink_rate(positions[c], max(1, int(all_counts[sectors[c]])), cfg)
+                rate = uplink_rate(distances[c], max(1, int(all_counts[sectors[c]])), cfg)
             deltas = by_cav[c].stop - by_cav[c].start - len(sent)
             problems.append(RFProblem(obj_ids=obj[sent].tolist(),
                                       raw_counts=counts[sent].tolist(), rate_bps=rate,
@@ -787,15 +811,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
         rf[:] = max(cfg.rf_set)
     rf[reused] = 0  # as recorded: 0 unless a latent goes out
 
-    # --- byte accounting, encode and decode charges, losses ---
-    nbytes = np.where(reused, REUSE_DELTA_BYTES, 0)
-    if policy.upload_bytes is not None:
-        nbytes[up] = policy.upload_bytes + DESCRIPTOR_OVERHEAD_BYTES
-    else:
-        nbytes[up] = [payload_bytes(r) + DESCRIPTOR_OVERHEAD_BYTES for r in rf[up].tolist()]
-    payloads = np.bincount(cav, weights=nbytes, minlength=n)
-    loss = np.zeros(len(cav))
-    loss[reused] = gmap.last_loss[map_row[reused]]
+    # --- encode and decode charges, byte accounting, losses ---
     # one (loss, encode, decode) pick per row from its (rf, count bucket)
     # cell; raw and lossless uploads read FULL_UPLOAD_RF's cells
     codec_rf = rf[up] if policy.upload_bytes is None else np.full(len(up), FULL_UPLOAD_RF)
@@ -803,6 +819,15 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     levels, _, samples, sizes = sample_tables(dataset, np.unique(codec_rf).tolist(),
                                               np.unique(buckets).tolist())
     level = np.searchsorted(levels, codec_rf)
+    nbytes = np.where(reused, REUSE_DELTA_BYTES, 0)
+    if policy.upload_bytes is not None:
+        nbytes[up] = policy.upload_bytes + DESCRIPTOR_OVERHEAD_BYTES
+    else:  # a latent's size, looked up per RF level
+        level_bytes = [payload_bytes(r) + DESCRIPTOR_OVERHEAD_BYTES for r in levels]
+        nbytes[up] = np.array(level_bytes, dtype=np.int64)[level]
+    payloads = np.bincount(cav, weights=nbytes, minlength=n)
+    loss = np.zeros(len(cav))
+    loss[reused] = gmap.last_loss[map_row[reused]]
     u = keyed_uniforms(cfg.seed, fidx, ids[cav[up]], obj[up], _S_TIME, n=3)
     picked = samples[buckets[:, None], level[:, None], np.arange(3),
                      sample_index(u, sizes[buckets, level][:, None])]
@@ -822,15 +847,13 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
 
     # --- radio: realized rates with fading, shared per sector ---
     # only CAVs with data on air occupy their sector's band this frame
-    sector_counts = np.bincount(np.array(sectors)[payloads > 0], minlength=cfg.sectors)
+    sector_counts = np.bincount(np.array(sectors)[payloads > 0], minlength=cfg.sectors).tolist()
     # log-normal fading, one factor per CAV; sigma 0 gives exp(0) = 1 exactly
     z = ndtri(keyed_uniforms(cfg.seed, fidx, ids, _S_NET, n=1)[:, 0])
     fading = np.exp(cfg.fading_sigma * z).tolist()
-    rates = np.zeros(n)
-    for c, cav_id in enumerate(cav_ids):
-        share = max(1, int(sector_counts[sectors[c]]))
-        rates[c] = uplink_rate(positions[c], share, cfg, fading=fading[c])
-        state.prev_rates[cav_id] = float(rates[c])
+    rates = [uplink_rate(d, max(1, sector_counts[sec]), cfg, fading=f)
+             for d, sec, f in zip(distances, sectors, fading)]
+    state.prev_rates.update(zip(cav_ids, rates))
 
     # --- edge latency ---
     u_base = keyed_uniforms(cfg.seed, fidx, ids, _S_QUEUE, n=len(netsim.MODULE_TIMES_MS))
@@ -842,19 +865,18 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     vehicle_ms = (vehicle_ms + b_ms).tolist()  # encode plus baseline charge
 
     # --- server-side matching into the global map, in table order ---
-    gmap.commit_frame(
-        list(zip(observed.tolist(), (~reused).tolist(), loss.tolist())), t, predicted)
+    gmap.commit_frame(observed, ~reused, loss, t, predicted)
 
-    rows = []
-    for c, cav_id in enumerate(cav_ids):
-        mine = by_cav[c]
-        rfs = rf[mine]
-        rows.append(FrameRow(
-            cav_id=cav_id, frame=fidx, vehicle_ms=vehicle_ms[c], uplink_ms=float(up_ms[c]),
-            queue_ms=float(queue_ms[c]), server_ms=float(server_ms[c]),
-            total_ms=total_ms[c], bytes=int(payloads[c]),
-            loss=float(np.mean(loss[mine])) if len(rfs) else 0.0,
-            rfs=tuple(rfs[rfs > 0].tolist())))
+    # a CAV's mean loss is numpy's sum over its rows by their count, as np.mean
+    rf_list = rf.tolist()
+    rows = [FrameRow(cav_id=cav_id, frame=fidx, vehicle_ms=v_ms, uplink_ms=u_ms,
+                     queue_ms=q_ms, server_ms=s_ms, total_ms=t_ms, bytes=b,
+                     loss=float(loss[mine].sum() / (mine.stop - mine.start))
+                     if mine.stop > mine.start else 0.0,
+                     rfs=tuple(filter(None, rf_list[mine])))  # rf 0: no latent
+            for cav_id, mine, v_ms, u_ms, q_ms, s_ms, t_ms, b in zip(
+                cav_ids, by_cav, vehicle_ms, up_ms.tolist(), queue_ms.tolist(),
+                server_ms.tolist(), total_ms, payloads.astype(np.int64).tolist())]
     # the sent-pair table as one record per row; rf 0: no latent (lossless, raw or reuse)
     objects = np.rec.fromarrays(
         [np.full(len(cav), fidx), ids[cav], obj, rf, nbytes, loss, reused],
@@ -948,10 +970,13 @@ def collect_metrics(result: RunResult) -> dict:
 
 
 def write_frame_csv(path, rows) -> None:
+    joined = {}  # each distinct RF tuple joined once: a fleet's rows repeat them
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in sorted(rows, key=lambda r: (r.frame, r.cav_id)):
-            rfs = ";".join(str(v) for v in r.rfs)
+            rfs = joined.get(r.rfs)
+            if rfs is None:
+                rfs = joined[r.rfs] = ";".join([str(v) for v in r.rfs])
             fh.write(f"{r.cav_id},{r.frame},{r.vehicle_ms:.6f},{r.uplink_ms:.6f},"
                      f"{r.queue_ms:.6f},{r.server_ms:.6f},{r.total_ms:.6f},"
                      f"{r.bytes},{r.loss:.6f},{rfs}\n")

@@ -212,6 +212,18 @@ def uplink_ms(payload_bytes: float, rate_bps: float) -> float:
     return payload_bytes * 8.0 / rate_bps * 1e3
 
 
+def position_uplink_rate(position, sharers: int, cfg, fading: float = 1.0) -> float:
+    """One CAV's rate from its position, as the radio took it before it
+    read the CAV's distance: the 1-d np.linalg.norm of the offset from the
+    base station, then Shannon over the CAV's slice of its sector's band."""
+    if sharers < 1:
+        raise ConfigError(f"sharers must be >= 1, got {sharers}")
+    d = float(np.linalg.norm(np.asarray(position, dtype=np.float64).reshape(-1)[:3]
+                             - cfg.base_station))
+    band = cfg.bandwidth_hz / sharers
+    return band * math.log2(1.0 + 10.0 ** (netsim.snr_db(d, band, cfg) / 10.0)) * float(fading)
+
+
 def sample_module_times_ms(u) -> float:
     """One CAV's baseline from its uniforms ``u``, one per module in table
     order: a scalar inverse-CDF draw per module, summed."""

@@ -36,6 +36,7 @@ from coopsim.geometry import (
     resample,
     sample_visible_surface,
 )
+from coopsim.sampling import TruncatedNormal
 
 
 def box_cloud(seed, n=CODEC_INPUT_POINTS):
@@ -235,6 +236,21 @@ def test_surrogate_calibrated_means():
         assert pooled.mean() == pytest.approx(mean, abs=0.02)
     times = np.concatenate([ds.cell(4, b)[1] for b in range(N_BUCKETS)])
     assert times.mean() == pytest.approx(1.72, abs=0.1)
+
+
+def test_surrogate_builds_its_truncated_normals_once(monkeypatch):
+    """A second call takes its truncated normals from the cache, where each
+    root find ran once, and draws the same cells."""
+    first = surrogate_dataset()
+
+    def constructed(self, mean, sd):
+        raise AssertionError(f"TruncatedNormal({mean}, {sd}) built again")
+
+    monkeypatch.setattr(TruncatedNormal, "__init__", constructed)
+    second = surrogate_dataset()
+    assert second.keys() == first.keys()
+    for key in first.keys():
+        assert np.array_equal(second.cell(*key), first.cell(*key))
 
 
 def test_profile_covers_all_buckets():

@@ -1,5 +1,7 @@
 """Selection graph thinning and the percentile-constrained RF optimizer."""
 
+import builtins
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -192,6 +194,14 @@ def test_thin_edges_tie_removes_larger_cav_id_first():
     assert sorted(c for _, c in kept) == [1, 3]
 
 
+def test_thin_edges_totals_left_to_right_whatever_sum_does(monkeypatch):
+    """The builtin sum is compensated on Python 3.12 and later (0.1 + 0.2 + 0.3
+    gives 0.6, not 0.6000000000000001); thinning must not follow it."""
+    monkeypatch.setattr(builtins, "sum", lambda values, start=0: math.fsum(values) + start)
+    kept = thin_edges([(0.1, 1), (0.2, 2), (0.3, 3)], 0.5000000000000001)
+    assert kept == [(0.2, 2), (0.3, 3)]
+
+
 def test_select_objects_basic():
     counts = {1: [800, 0, 0, 0], 2: [600, 0, 0, 0], 3: [400, 0, 0, 0]}
     assert select_objects(counts, 1024) == {1, 2}
@@ -381,7 +391,7 @@ def test_optimizer_bandwidth_contrast(surrogate):
     tasks = [(i, int(c)) for i, c in enumerate(rng.integers(200, 3000, 20))]
     means = []
     for bw in (200e3, 300e3):
-        rate = uplink_rate([100.0, 0.0, 0.0], 1,
+        rate = uplink_rate(100.0, 1,
                            RunConfig(bandwidth_hz=bw, base_station=(0.0, 0.0, 0.0), sectors=1))
         res = solve(tasks, rate, surrogate, wide_search())
         assert not res.infeasible

@@ -17,7 +17,8 @@ from coopsim.netsim import (
 )
 from coopsim.sampling import keyed_uniforms
 from coopsim.simpipe import RunConfig, _frame_record, _record_frame, generate_trace, run_simulation
-from oracles import draw_fading, sample_module_times_ms, uplink_ms
+from coopsim.tracking import row_norms
+from oracles import draw_fading, position_uplink_rate, sample_module_times_ms, uplink_ms
 from oracles import fcfs_waits as oracle_fcfs
 
 
@@ -42,14 +43,14 @@ def test_reference_rate_chain():
     band = radio.bandwidth_hz / 150
     assert band == pytest.approx(1333.33, abs=0.01)
     assert snr_db(100.0, band, radio) == pytest.approx(71.5, abs=0.1)
-    rate = uplink_rate([100.0, 0.0, 0.0], 150, radio)
+    rate = uplink_rate(100.0, 150, radio)
     assert rate == pytest.approx(31.7e3, rel=5e-3)
 
 
 def test_band_halves_when_sharers_double():
     radio = cell()
-    r1 = uplink_rate([50.0, 0.0, 0.0], 10, radio)
-    r2 = uplink_rate([50.0, 0.0, 0.0], 20, radio)
+    r1 = uplink_rate(50.0, 10, radio)
+    r2 = uplink_rate(50.0, 20, radio)
     # rate is slightly better than half because the narrower slice sees
     # proportionally less noise
     assert r2 < r1
@@ -58,20 +59,36 @@ def test_band_halves_when_sharers_double():
 
 def test_rate_monotone_in_distance_and_bandwidth():
     radio = cell()
-    rates = [uplink_rate([d, 0.0, 0.0], 50, radio) for d in (10, 50, 100, 300, 800)]
+    rates = [uplink_rate(d, 50, radio) for d in (10, 50, 100, 300, 800)]
     assert all(a > b for a, b in zip(rates, rates[1:]))
     wide = cell(bandwidth_hz=400e3)
-    assert uplink_rate([100.0, 0.0, 0.0], 50, wide) > uplink_rate([100.0, 0.0, 0.0], 50, radio)
+    assert uplink_rate(100.0, 50, wide) > uplink_rate(100.0, 50, radio)
 
 
 def test_rate_vanishes_at_extreme_range():
     radio = cell()
-    assert uplink_rate([1e9, 0.0, 0.0], 1, radio) < 1.0
+    assert uplink_rate(1e9, 1, radio) < 1.0
 
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        uplink_rate([1.0, 0.0, 0.0], 0, cell())
+        uplink_rate(1.0, 0, cell())
+
+
+def test_rate_from_row_norm_distances_matches_position_form():
+    """The rate of each CAV's row_norms distance equals, bit for bit, the
+    rate the position form computes with the 1-d np.linalg.norm, over random
+    positions, base stations, sharers and fading, near and far."""
+    rng = np.random.default_rng(25)
+    for scale in (0.5, 30.0, 400.0, 1e5):
+        positions = rng.normal(0.0, scale, size=(200, 3))
+        base = tuple(rng.normal(0.0, scale, size=3).tolist())
+        cfg = RunConfig(base_station=base, bandwidth_hz=float(rng.uniform(1e5, 1e6)))
+        distances = row_norms(positions - np.asarray(base)).tolist()
+        for position, d in zip(positions, distances):
+            sharers, fading = int(rng.integers(1, 40)), float(rng.lognormal(0.0, 0.2))
+            assert uplink_rate(d, sharers, cfg, fading=fading) == position_uplink_rate(
+                position, sharers, cfg, fading=fading)
 
 
 def uniforms(n: int, seed: int) -> np.ndarray:
@@ -83,9 +100,9 @@ def _fading_by_frame(monkeypatch, trace, cfg) -> list:
     """The fading factor each frame's radio block passes to uplink_rate, per CAV."""
     seen = []
 
-    def recording(position, sharers, cfg, fading=1.0):
+    def recording(distance_m, sharers, cfg, fading=1.0):
         seen.append(fading)
-        return uplink_rate(position, sharers, cfg, fading=fading)
+        return uplink_rate(distance_m, sharers, cfg, fading=fading)
 
     monkeypatch.setattr(simpipe, "uplink_rate", recording)
     run_simulation(trace, cfg)

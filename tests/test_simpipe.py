@@ -39,6 +39,7 @@ from coopsim.simpipe import (
     RunState,
     _S_CODEC,
     _S_TIME,
+    _cells,
     collect_metrics,
     generate_trace,
     load_dataset,
@@ -220,8 +221,13 @@ def _at(x, y):
 
 
 def _commit(gmap, items, t):
-    """Commit one frame's uploads against the map's predictions at ``t``."""
-    return gmap.commit_frame(items, t, gmap.predicted_positions(t))
+    """Commit one frame's uploads against the map's predictions at ``t``.
+    ``items`` lists (observed (x, y), carries_geometry, loss), as the oracle
+    maps take them; the map takes them as columns."""
+    observed = np.reshape([pos for pos, _, _ in items], (-1, 2)).astype(np.float64)
+    geometry = np.array([geom for _, geom, _ in items], dtype=bool)
+    loss = np.array([value for _, _, value in items], dtype=np.float64)
+    return gmap.commit_frame(observed, geometry, loss, t, gmap.predicted_positions(t))
 
 
 def _seed(gmap, positions: dict):
@@ -425,6 +431,27 @@ def test_grid_reports_on_cell_edges_match_oracle():
     assert _commit_both(gmap, oracle, [(_at(-side, -side), True, 0.0)], 0.0) == [0]
     gmap, oracle = _oracle_pair([(-side + 2.9, -0.0)])
     assert _commit_both(gmap, oracle, [(_at(-side, 0.0), True, 0.0)], 0.0) == [0]
+
+
+def test_grid_cells_equal_math_floor_of_the_quotients():
+    """One np.floor per column gives math.floor's int cells, also for -0.0,
+    cell edges and quotients beyond int64, which take the exact fallback."""
+    small = [[0.5, -0.5], [-0.0, MATCH_CELL_M], [math.nextafter(-MATCH_CELL_M, 0.0), -1e-300],
+             [123.75, -4097.0]]
+    huge = small + [[1e20, -3e19], [-1e300, 7.9]]
+    for points in (small, huge, []):
+        want = [(math.floor(x / MATCH_CELL_M), math.floor(y / MATCH_CELL_M)) for x, y in points]
+        got = _cells(np.reshape(points, (-1, 2)))
+        assert got == want
+        assert all(type(c) is int for cell in got for c in cell)
+
+
+def test_grid_far_coordinates_match_oracle():
+    """Rows and reports whose cells lie beyond int64 match as the oracle does."""
+    gmap, oracle = _oracle_pair([(1e20, 0.0), (-1e20, 5.0)])
+    items = [(_at(1e20, 1.0), True, 0.2), (_at(-1e20, 4.0), False, 0.0),
+             (_at(3e19, -1e25), True, 0.1), (_at(3e19, -1e25), True, 0.3)]
+    assert _commit_both(gmap, oracle, items, 0.1) == [0, 1, 2, 2]
 
 
 def test_grid_report_at_gate_distance_is_not_a_match():
@@ -710,7 +737,8 @@ def test_reuse_boundary_through_run_frame(tmp_path, monkeypatch, offset, geometr
     if geometry:
         run_frame(frames[0], state, dataset)
     else:  # the same row, committed from a report that carried no geometry
-        gmap.commit_frame([((0.0, 0.0), False, 0.0)], 0.0, gmap.predicted_positions(0.0))
+        gmap.commit_frame(np.zeros((1, 2)), np.zeros(1, dtype=bool), np.zeros(1), 0.0,
+                          gmap.predicted_positions(0.0))
     assert gmap.state[:, :4].tolist() == [[0.0, 0.0, 0.0, 0.0]]
     assert gmap.has_geometry.tolist() == [geometry]
     last_loss = gmap.last_loss.tolist()
