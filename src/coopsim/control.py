@@ -1,7 +1,8 @@
 """Per-CAV control plane: object selection and percentile-constrained RF search.
 
-Selection prunes redundant viewers per object by thinning a star graph of
-predicted point contributions, one ground-plane quadrant at a time.  The RF
+Selection prunes redundant viewers by thinning a star graph of predicted
+point contributions per (object, ground-plane quadrant); ``select_objects``
+thins every star of a frame's pair table at once and returns its mask.  The RF
 optimizer then picks one compression level per kept object by approximated
 gradient ascent on a Lagrangian of expected fidelity and the probability that
 frame latency stays under the bound, with a dual multiplier enforcing the
@@ -51,7 +52,6 @@ from . import netsim
 POINT_DENSITY_K = 60000.0  # points * m^2 at 1 m, calibrated to car faces
 POINT_CAP = 240000
 LIDAR_RANGE_M = 50.0
-N_SUBSPACES = 4
 
 # tags after (seed, object id), (seed), (seed, iteration, task): unequal lengths, no shared stream
 _TAG_TASK = 0
@@ -92,38 +92,29 @@ def predict_counts(centers, extents, yaws, viewers):
     return totals, quadrants
 
 
-def thin_edges(edges, threshold: float):
-    """Drop smallest edges while the remaining sum stays at or above threshold.
+def select_objects(obj_ids, cav_ids, quadrants, threshold: float) -> np.ndarray:
+    """Density thinning of a table of (object, viewer) pairs; returns the keep mask.
 
-    ``edges`` is a list of (value, cav_id).  Equal values are removed larger
-    CAV id first, so the outcome is identical on every CAV.  Returns the
-    retained list.
+    Row i is CAV ``cav_ids[i]`` seeing object ``obj_ids[i]`` with the (N, 4)
+    per-quadrant counts ``quadrants[i]``.  Every positive count is an edge of
+    its (object, quadrant) star.  One sort takes each star's edges smallest
+    first, equal counts larger CAV id first, so the outcome is identical on
+    every CAV; an edge is dropped while its star's total minus the running sum
+    through it stays at or above ``threshold``.  A pair is kept if it keeps an
+    edge in some quadrant.  ``predict_counts``'s quadrant counts are integers
+    over 1, 2 or 4, so every sum is exact and the dropped edges are the
+    prefix that a one-at-a-time removal loop drops.
     """
-    keep = sorted(edges, key=lambda e: (e[0], -e[1]))
-    total = 0
-    for value, _ in keep:  # left to right: the builtin sum compensates on Python 3.12+
-        total += value
-    while keep and total - keep[0][0] >= threshold:
-        total -= keep[0][0]
-        keep = keep[1:]
-    return keep
-
-
-def select_objects(counts_by_cav: dict, threshold: float) -> set:
-    """Viewer CAVs retained for one object.
-
-    ``counts_by_cav`` maps cav_id -> per-quadrant predicted counts (length 4).
-    Each quadrant is thinned independently; a CAV stays selected if it keeps
-    an edge in at least one quadrant.  CAVs predicting zero points contribute
-    no edges.
-    """
-    selected = set()
-    for q in range(N_SUBSPACES):
-        edges = [(float(c[q]), cav) for cav, c in counts_by_cav.items() if c[q] > 0]
-        if not edges:
-            continue
-        for _, cav in thin_edges(edges, threshold):
-            selected.add(cav)
+    pair, quad = np.nonzero(quadrants > 0)
+    value, obj = quadrants[pair, quad], np.asarray(obj_ids)[pair]
+    order = np.lexsort((-np.asarray(cav_ids)[pair], value, quad, obj))
+    pair, quad, value, obj = pair[order], quad[order], value[order], obj[order]
+    ends = np.flatnonzero(np.append((obj[1:] != obj[:-1]) | (quad[1:] != quad[:-1]), True))
+    star_end = ends[np.searchsorted(ends, np.arange(len(value)))]  # each edge's star's last edge
+    running = np.cumsum(value)
+    kept = running[star_end] - running < threshold
+    selected = np.zeros(len(quadrants), dtype=bool)
+    selected[pair[kept]] = True
     return selected
 
 

@@ -64,11 +64,12 @@ def uplink_rate(distance_m: float, sharers: int, cfg, fading: float = 1.0) -> fl
     return band * math.log2(1.0 + 10.0 ** (snr_db(distance_m, band, cfg) / 10.0)) * float(fading)
 
 
-def sector_index(position, cfg) -> int:
-    """Sector id by azimuth around the base station, 0 at +x, counterclockwise."""
-    rel = np.asarray(position, dtype=np.float64).reshape(-1)[:2] - cfg.base_station[:2]
-    az = math.atan2(rel[1], rel[0]) % (2.0 * math.pi)
-    return int(az // (2.0 * math.pi / cfg.sectors)) % cfg.sectors
+def sector_indices(positions, cfg) -> list:
+    """Sector id of each (N, 2+) position by azimuth around the base station,
+    0 at +x, counterclockwise: one array subtraction, then scalar ``math.atan2``."""
+    rel = (np.asarray(positions, dtype=np.float64)[:, :2] - cfg.base_station[:2]).tolist()
+    width = 2.0 * math.pi / cfg.sectors
+    return [int(math.atan2(y, x) % (2.0 * math.pi) // width) % cfg.sectors for x, y in rel]
 
 
 def _fcfs_waits(arrivals: np.ndarray, services: np.ndarray, servers: int) -> np.ndarray:

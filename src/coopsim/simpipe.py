@@ -68,7 +68,7 @@ from .geometry import (
     wrap_yaw,
 )
 from .netsim import (
-    sector_index,
+    sector_indices,
     simulate_frame_latency,
     uplink_rate,
 )
@@ -596,8 +596,10 @@ class RunConfig:
             raise ConfigError("H_ms must be positive and p in (0, 1)")
         if self.h_margin_ms < 0 or self.h_margin_ms >= self.H_ms:
             raise ConfigError("h_margin_ms must lie in [0, H_ms)")
-        if not (_are_numbers(self.rf_set, numbers.Integral) and self.rf_set):
-            raise ConfigError(f"rf_set must be a non-empty list of integers, got {self.rf_set!r}")
+        if not (_are_numbers(self.rf_set, numbers.Integral) and self.rf_set
+                and len(set(self.rf_set)) == len(self.rf_set)):
+            raise ConfigError(f"rf_set must be a non-empty list of distinct integers, "
+                              f"got {self.rf_set!r}")
         self.rf_set = tuple(sorted(int(r) for r in self.rf_set))
         for rf in self.rf_set:
             try:
@@ -714,7 +716,8 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     optimizer does, and each CAV's encode and decode times add in row order.
     A latent's bytes are looked up per RF level, every CAV's distance to the
     base station comes from one ``row_norms`` call, and the map commit and
-    the FrameRows read each column as one list.  Only the edge thinning, the
+    the FrameRows read each column as one list.  Selection is one mask rule
+    over the table, and sectors come from one array subtraction.  Only the
     map commit's scan and the codec chain stay per object.
     """
     cfg = state.config
@@ -749,18 +752,10 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     elif policy.select == "blindspot":  # objects some CAV lacks
         _, inverse, viewers = np.unique(obj, return_inverse=True, return_counts=True)
         selected = viewers[inverse] < n
-    else:  # "thin": each object's viewers, in CAV order, through one count kernel
-        by_obj = np.argsort(obj, kind="stable")
-        boxes = src[by_obj]
-        _, quadrants = predict_counts(frame.centers[boxes], frame.extents[boxes],
-                                      frame.yaws[boxes], positions[cav[by_obj]])
-        selected = np.zeros(len(cav), dtype=bool)
-        viewer_ids = [cav_ids[c] for c in cav[by_obj].tolist()]
-        starts = np.flatnonzero(np.diff(obj[by_obj], prepend=-1, append=-1)).tolist()
-        for lo, hi in zip(starts, starts[1:]):
-            kept = select_objects(dict(zip(viewer_ids[lo:hi], quadrants[lo:hi])),
-                                  cfg.density_threshold)
-            selected[by_obj[lo:hi]] = [v in kept for v in viewer_ids[lo:hi]]
+    else:  # "thin": one count kernel and one mask rule over the whole table
+        _, quadrants = predict_counts(frame.centers[src], frame.extents[src], frame.yaws[src],
+                                      positions[cav])
+        selected = select_objects(obj, ids[cav], quadrants, cfg.density_threshold)
     # from here on the table holds the pairs that go out
     cav, obj, src, observed = cav[selected], obj[selected], src[selected], observed[selected]
     counts = frame.counts[src]
@@ -781,7 +776,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     # --- per-CAV RF decisions for those rows, solved for the whole frame at once ---
     rf = np.zeros(len(cav), dtype=np.int64)
     infeasible_cavs = 0
-    sectors = [sector_index(p, cfg) for p in positions]
+    sectors = sector_indices(positions, cfg)
     # each CAV's distance to the base station, as np.linalg.norm gives it
     distances = row_norms(positions - np.asarray(cfg.base_station, dtype=np.float64)).tolist()
     if policy.rf == "optimize":

@@ -4,11 +4,12 @@ Everything here is deliberately written from first principles (plain loops,
 exhaustive enumeration) and does not share code with the package under test.
 The exceptions are the routines that array code replaced, kept as they were:
 the per-pair point-count predictor with its projected_area (it shares Bbox3
-and visible_face_weights), the farthest-point walk with one temporary per
-step, the edge map as a dict of entries with its predictive match and
-greedy dedup (it shares the scalar filter steps and the map constants), the
-matrix-form Kalman filter with its array state (it shares the noise
-constants), the per-vehicle localizer loop over its objects (it shares the
+and visible_face_weights), the per-object edge thinning with its sorted
+drop loop, the farthest-point walk with one temporary per step, the edge
+map as a dict of entries with its predictive match and greedy dedup (it
+shares the scalar filter steps and the map constants), the matrix-form
+Kalman filter with its array state (it shares the noise constants), the
+per-vehicle localizer loop over its objects (it shares the
 detector, tracker and maneuver constants, read at call time, the charge
 sampler and the row norm, and takes the same keyed uniforms), the per-CAV
 RF optimizer loop (it shares the dataset, the truncated-normal sampler, the
@@ -17,9 +18,9 @@ type, and takes the same keyed uniforms; it reads the table and the spread
 at call time, as the batch does, so a test that patches one sets both), the
 scalar upload time, baseline and fading of a frame (they share the
 module-time table and the truncated-normal sampler, and take the same keyed
-uniforms), and the per-CAV loop over a frame's encode and decode charges and
-losses (it shares the dataset and the count buckets, and takes the same
-keyed uniforms).
+uniforms), the sector lookup one CAV at a time, and the per-CAV loop over
+a frame's encode and decode charges and losses (it shares the dataset and
+the count buckets, and takes the same keyed uniforms).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from coopsim.control import (
     DUAL_STEP,
     LAM0,
     LIDAR_RANGE_M,
-    N_SUBSPACES,
     POINT_CAP,
     POINT_DENSITY_K,
     PRIMAL_STEP,
@@ -183,6 +183,44 @@ def nearest_rank_percentile(values, pct: float) -> float:
     return ordered[max(rank, 1) - 1]
 
 
+N_SUBSPACES = 4
+
+
+def thin_edges(edges, threshold: float):
+    """Drop smallest edges while the remaining sum stays at or above threshold.
+
+    ``edges`` is a list of (value, cav_id).  Equal values are removed larger
+    CAV id first, so the outcome is identical on every CAV.  Returns the
+    retained list.
+    """
+    keep = sorted(edges, key=lambda e: (e[0], -e[1]))
+    total = 0
+    for value, _ in keep:  # left to right: the builtin sum compensates on Python 3.12+
+        total += value
+    while keep and total - keep[0][0] >= threshold:
+        total -= keep[0][0]
+        keep = keep[1:]
+    return keep
+
+
+def loop_select_objects(counts_by_cav: dict, threshold: float) -> set:
+    """Viewer CAVs retained for one object.
+
+    ``counts_by_cav`` maps cav_id -> per-quadrant predicted counts (length 4).
+    Each quadrant is thinned independently; a CAV stays selected if it keeps
+    an edge in at least one quadrant.  CAVs predicting zero points contribute
+    no edges.
+    """
+    selected = set()
+    for q in range(N_SUBSPACES):
+        edges = [(float(c[q]), cav) for cav, c in counts_by_cav.items() if c[q] > 0]
+        if not edges:
+            continue
+        for _, cav in thin_edges(edges, threshold):
+            selected.add(cav)
+    return selected
+
+
 def min_feasible_suffix_sum(values, threshold) -> float:
     """Brute force over every suffix of the ascending sort.
 
@@ -222,6 +260,13 @@ def position_uplink_rate(position, sharers: int, cfg, fading: float = 1.0) -> fl
                              - cfg.base_station))
     band = cfg.bandwidth_hz / sharers
     return band * math.log2(1.0 + 10.0 ** (netsim.snr_db(d, band, cfg) / 10.0)) * float(fading)
+
+
+def sector_index(position, cfg) -> int:
+    """Sector id by azimuth around the base station, 0 at +x, counterclockwise."""
+    rel = np.asarray(position, dtype=np.float64).reshape(-1)[:2] - cfg.base_station[:2]
+    az = math.atan2(rel[1], rel[0]) % (2.0 * math.pi)
+    return int(az // (2.0 * math.pi / cfg.sectors)) % cfg.sectors
 
 
 def sample_module_times_ms(u) -> float:

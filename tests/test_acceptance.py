@@ -13,7 +13,7 @@ import pytest
 
 from coopsim.cli import EXIT_OK, main
 from coopsim.codec import N_BUCKETS, surrogate_dataset
-from coopsim.control import thin_edges
+from coopsim.control import select_objects
 from coopsim.geometry import chamfer_distance, earth_movers_distance
 from coopsim.sampling import keyed_uniforms
 from coopsim.simpipe import RunConfig, collect_metrics, generate_trace, run_simulation
@@ -149,21 +149,31 @@ def test_03_hybrid_localization_error_and_cost_bands():
     assert detect_slots / steps < 0.25
 
 
+def kept_values(values, threshold):
+    """The counts that select_objects keeps when they are one object's edges
+    in one quadrant, CAV i contributing ``values[i]``."""
+    quadrants = np.zeros((len(values), 4))
+    quadrants[:, 0] = values
+    mask = select_objects(np.zeros(len(values), dtype=np.int64), np.arange(len(values)),
+                          quadrants, threshold)
+    return [v for v, keep in zip(values, mask.tolist()) if keep]
+
+
 def test_04_selection_hand_traces_and_suffix_optimality():
-    kept = thin_edges([(500.0, 1), (400.0, 2), (300.0, 3)], 1024.0)
-    assert sorted(v for v, _ in kept) == [300.0, 400.0, 500.0]  # none removable
-    kept = thin_edges([(800.0, 1), (600.0, 2), (400.0, 3)], 1024.0)
-    assert sorted(v for v, _ in kept) == [600.0, 800.0]
-    kept = thin_edges([(2000.0, 1)], 1024.0)
-    assert [v for v, _ in kept] == [2000.0]  # sole edge always survives
+    kept = kept_values([500.0, 400.0, 300.0], 1024.0)
+    assert sorted(kept) == [300.0, 400.0, 500.0]  # none removable
+    kept = kept_values([800.0, 600.0, 400.0], 1024.0)
+    assert sorted(kept) == [600.0, 800.0]
+    kept = kept_values([2000.0], 1024.0)
+    assert kept == [2000.0]  # sole edge always survives
 
     rng = np.random.default_rng(99)
     for _ in range(10_000):
         n = int(rng.integers(1, 7))
         values = [float(v) for v in rng.integers(1, 2049, size=n)]
         threshold = float(rng.integers(1, 2049))
-        kept = thin_edges(list(zip(values, range(n))), threshold)
-        assert sum(v for v, _ in kept) == min_feasible_suffix_sum(values, threshold)
+        kept = kept_values(values, threshold)
+        assert sum(kept) == min_feasible_suffix_sum(values, threshold)
 
 
 def test_05_dense_scenario_meets_deadline_fraction(dense_run):

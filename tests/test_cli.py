@@ -510,6 +510,7 @@ def test_run_mistyped_config_value_exits_2(tmp_path, trace_path, capsys):
     ("sweep", {}, ["--param", "bandwidth", "--values", "200000", "0"]),
     ("sweep", {"beta": -1.0}, ["--param", "H", "--values", "80", "90"]),
     ("run", {"seed": 2**64}, []),  # seeds key uint64 draws
+    ("run", {"rf_set": [64, 64]}, []),  # a repeated level has zero width in the search
 ])
 def test_out_of_range_config_exits_2_before_output(tmp_path, trace_path, capsys,
                                                    command, config, extra):

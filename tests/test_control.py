@@ -1,7 +1,5 @@
 """Selection graph thinning and the percentile-constrained RF optimizer."""
 
-import builtins
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +24,6 @@ from coopsim.control import (
     optimize_rf_batch,
     predict_counts,
     select_objects,
-    thin_edges,
 )
 from coopsim.errors import ConfigError, InvalidViewpointError
 from coopsim.geometry import Bbox3
@@ -35,6 +32,7 @@ from coopsim.simpipe import RunConfig
 from oracles import (
     LoopScenarios,
     loop_optimize_rf,
+    loop_select_objects,
     min_feasible_suffix_sum,
     predict_subspace_counts,
     predict_visible_points,
@@ -175,36 +173,41 @@ def test_counts_match_per_pair_oracle():
 # edge thinning / selection
 
 
+def selected(counts_by_cav: dict, threshold: float, obj_id: int = 5) -> set:
+    """The viewers that one object's table keeps, given cav_id -> quadrant counts."""
+    cav_ids = list(counts_by_cav)
+    mask = select_objects([obj_id] * len(cav_ids), cav_ids,
+                          np.array([counts_by_cav[c] for c in cav_ids], dtype=np.float64),
+                          threshold)
+    assert mask.dtype == bool and mask.shape == (len(cav_ids),)
+    return {c for c, keep in zip(cav_ids, mask.tolist()) if keep}
+
+
+def thin(values, threshold: float) -> set:
+    """The CAV ids whose edges survive when CAV i's count ``values[i]`` is
+    one object's edge in quadrant 0."""
+    return selected({i: [v, 0, 0, 0] for i, v in enumerate(values)}, threshold)
+
+
 def test_thin_edges_keeps_all_when_removal_would_break_threshold():
-    kept = thin_edges([(500, 1), (400, 2), (300, 3)], 1024)
-    assert sorted(c for _, c in kept) == [1, 2, 3]
+    assert thin([500, 400, 300], 1024) == {0, 1, 2}
 
 
 def test_thin_edges_drops_smallest_first():
-    kept = thin_edges([(800, 1), (600, 2), (400, 3)], 1024)
-    assert sorted(c for _, c in kept) == [1, 2]
+    assert thin([800, 600, 400], 1024) == {0, 1}
 
 
 def test_thin_edges_single_large_edge_kept():
-    assert thin_edges([(2000, 7)], 1024) == [(2000, 7)]
+    assert selected({7: [2000, 0, 0, 0]}, 1024) == {7}
 
 
 def test_thin_edges_tie_removes_larger_cav_id_first():
-    kept = thin_edges([(500, 1), (500, 2), (600, 3)], 1000)
-    assert sorted(c for _, c in kept) == [1, 3]
-
-
-def test_thin_edges_totals_left_to_right_whatever_sum_does(monkeypatch):
-    """The builtin sum is compensated on Python 3.12 and later (0.1 + 0.2 + 0.3
-    gives 0.6, not 0.6000000000000001); thinning must not follow it."""
-    monkeypatch.setattr(builtins, "sum", lambda values, start=0: math.fsum(values) + start)
-    kept = thin_edges([(0.1, 1), (0.2, 2), (0.3, 3)], 0.5000000000000001)
-    assert kept == [(0.2, 2), (0.3, 3)]
+    assert selected({1: [500, 0, 0, 0], 2: [500, 0, 0, 0], 3: [600, 0, 0, 0]}, 1000) == {1, 3}
 
 
 def test_select_objects_basic():
     counts = {1: [800, 0, 0, 0], 2: [600, 0, 0, 0], 3: [400, 0, 0, 0]}
-    assert select_objects(counts, 1024) == {1, 2}
+    assert selected(counts, 1024) == {1, 2}
 
 
 def test_select_objects_multi_quadrant_retention():
@@ -215,11 +218,15 @@ def test_select_objects_multi_quadrant_retention():
         3: [400, 2000, 0, 0],
         4: [0, 0, 0, 0],
     }
-    assert select_objects(counts, 1024) == {1, 2, 3}
+    assert selected(counts, 1024) == {1, 2, 3}
 
 
 def test_select_objects_zero_counts_never_selected():
-    assert select_objects({1: [0, 0, 0, 0], 2: [1500, 0, 0, 0]}, 1024) == {2}
+    assert selected({1: [0, 0, 0, 0], 2: [1500, 0, 0, 0]}, 1024) == {2}
+
+
+def test_select_objects_empty_table():
+    assert select_objects([], [], np.empty((0, 4)), 1024).tolist() == []
 
 
 def test_thinning_matches_suffix_oracle():
@@ -229,11 +236,60 @@ def test_thinning_matches_suffix_oracle():
         n = int(rng.integers(1, 7))
         values = rng.integers(1, 2049, size=n).tolist()
         threshold = float(rng.choice([256, 1024, 1500]))
-        kept = thin_edges([(v, i) for i, v in enumerate(values)], threshold)
-        retained = sum(v for v, _ in kept)
+        kept = thin(values, threshold)
+        retained = sum(values[i] for i in kept)
         assert retained == min_feasible_suffix_sum(values, threshold)
         # post-state: nothing removed, or the remainder still meets the bar
         assert len(kept) == n or retained >= threshold
+
+
+# the quadrants that can face a viewer together: one, an adjacent pair, or all four
+_FACING = [(0,), (1,), (2,), (3,), (0, 1), (1, 2), (2, 3), (3, 0), (0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("threshold", [256.0, 1024.0, 1500.5])
+def test_selection_rule_matches_per_object_oracle_on_many_objects(threshold):
+    """One call over 600 objects equals the per-object loop on each.  Counts
+    are split as predict_counts splits them (halves and quarters), drawn
+    from a small pool so that CAVs tie, some out of range (all quadrants
+    zero) and some up to the cap; object and CAV ids are sparse and the rows
+    shuffled."""
+    rng = np.random.default_rng(2601)
+    fleet = rng.choice(2**40, size=40, replace=False)
+    pool = rng.integers(1, 2400, size=12)
+    obj_ids, cav_ids, rows = [], [], []
+    for obj_id in rng.choice(10**9, size=600, replace=False).tolist():
+        for cav_id in rng.choice(fleet, size=int(rng.integers(1, 9)), replace=False).tolist():
+            draw = rng.random()
+            total = (0 if draw < 0.1 else int(rng.choice(pool)) if draw < 0.55
+                     else int(rng.integers(1, 3000)) if draw < 0.95
+                     else int(rng.integers(1, POINT_CAP + 1)))
+            facing = list(_FACING[int(rng.integers(len(_FACING)))])
+            row = np.zeros(4)
+            row[facing] = total / len(facing)
+            obj_ids.append(obj_id)
+            cav_ids.append(cav_id)
+            rows.append(row)
+    shuffle = rng.permutation(len(rows))
+    obj_ids = np.array(obj_ids)[shuffle]
+    cav_ids = np.array(cav_ids)[shuffle]
+    quadrants = np.array(rows)[shuffle]
+    mask = select_objects(obj_ids, cav_ids, quadrants, threshold)
+
+    viewers = {}
+    for obj_id, cav_id, row in zip(obj_ids.tolist(), cav_ids.tolist(), quadrants):
+        viewers.setdefault(obj_id, {})[cav_id] = row
+    kept = {obj_id: loop_select_objects(counts, threshold) for obj_id, counts in viewers.items()}
+    want = [cav_id in kept[obj_id] for obj_id, cav_id in zip(obj_ids.tolist(), cav_ids.tolist())]
+    assert mask.tolist() == want
+    # every case is represented
+    assert 0 < mask.sum() < len(mask)
+    assert sum(len(counts) == 1 for counts in viewers.values()) > 50
+    assert (quadrants.sum(axis=1) == 0).sum() > 10
+    fractions = {float(v % 1) for v in quadrants.ravel()}
+    assert {0.25, 0.5, 0.75} <= fractions
+    ties = sum(len(set(map(tuple, counts.values()))) < len(counts) for counts in viewers.values())
+    assert ties > 50
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from coopsim.netsim import (
     MODULE_TIMES_MS,
     module_times_ms,
     path_loss_db,
-    sector_index,
+    sector_indices,
     simulate_frame_latency,
     snr_db,
     uplink_rate,
@@ -18,7 +18,8 @@ from coopsim.netsim import (
 from coopsim.sampling import keyed_uniforms
 from coopsim.simpipe import RunConfig, _frame_record, _record_frame, generate_trace, run_simulation
 from coopsim.tracking import row_norms
-from oracles import draw_fading, position_uplink_rate, sample_module_times_ms, uplink_ms
+from oracles import (draw_fading, position_uplink_rate, sample_module_times_ms, sector_index,
+                     uplink_ms)
 from oracles import fcfs_waits as oracle_fcfs
 
 
@@ -171,9 +172,23 @@ def test_a_cavs_draws_are_its_own(monkeypatch):
 def test_sector_assignment():
     radio = cell(sectors=4)
     quadrant_points = [[10, 1, 0], [-1, 10, 0], [-10, -1, 0], [1, -10, 0]]
-    assert [sector_index(p, radio) for p in quadrant_points] == [0, 1, 2, 3]
+    assert sector_indices(quadrant_points, radio) == [0, 1, 2, 3]
     single = cell()
-    assert [sector_index(p, single) for p in quadrant_points] == [0, 0, 0, 0]
+    assert sector_indices(quadrant_points, single) == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("sectors", [1, 3, 4, 12])
+def test_sector_indices_match_scalar_form(sectors):
+    """Equal to one sector_index call per position, on random positions and on
+    the boundary azimuths, the axes and the base station itself."""
+    cfg = RunConfig(base_station=(3.5, -2.25, 10.0), sectors=sectors)
+    rng = np.random.default_rng(sectors)
+    width = 2.0 * math.pi / sectors
+    angles = np.r_[np.arange(sectors) * width, np.arange(4) * math.pi / 2]
+    edges = np.c_[3.5 + 40.0 * np.cos(angles), -2.25 + 40.0 * np.sin(angles), np.zeros(len(angles))]
+    positions = np.r_[rng.uniform(-500.0, 500.0, size=(2000, 3)), edges,
+                      [[3.5, -2.25, 0.0], [3.5, -2.25 - 1e-9, 0.0], [-1e6, -2.25, 0.0]]]
+    assert sector_indices(positions, cfg) == [sector_index(p, cfg) for p in positions]
 
 
 def test_uplink_ms_edge_cases():

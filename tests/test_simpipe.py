@@ -53,7 +53,7 @@ from coopsim.simpipe import (
 )
 from coopsim.tracking import kalman_init
 from oracles import (DictGlobalMap, MapEntry, MatrixFilterMap, greedy_dedup, kalman_state,
-                     loop_charges)
+                     loop_charges, loop_select_objects, predict_subspace_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +607,8 @@ def test_config_rejects_bad_values():
         RunConfig(h_margin_ms=100.0, H_ms=100.0)
     with pytest.raises(ConfigError):
         RunConfig(rf_set=(3, 4))
+    with pytest.raises(ConfigError, match="distinct"):  # a level of zero width in the search
+        RunConfig(rf_set=(64, 64))
     # wrongly typed values, as a JSON config can spell them
     for bad in (dict(H_ms="100"), dict(seed=1.5), dict(outer_iters=True),
                 dict(p=float("nan")), dict(rf_set=["4"]), dict(rf_set=[]),
@@ -683,6 +685,39 @@ def test_adamap_selection_is_subset(small_trace):
     for rec in res.objects:
         assert rec.rf in RF_SET
         assert rec.bytes == payload_bytes(rec.rf) + DESCRIPTOR_OVERHEAD_BYTES
+
+
+def test_run_frame_selection_matches_per_object_oracle(monkeypatch):
+    """On every frame of a 150 x 3 trace, run_frame's selection mask is the
+    per-object loop's: each object's viewers in CAV id order, their counts
+    from the per-pair oracle and their thinning by the dict-taking oracle."""
+    trace = generate_trace(150, 3, seed=0)
+    calls, select = [], simpipe.select_objects
+
+    def spy(obj_ids, cav_ids, quadrants, threshold):
+        mask = select(obj_ids, cav_ids, quadrants, threshold)
+        calls.append((obj_ids.tolist(), cav_ids.tolist(), threshold, mask))
+        return mask
+
+    monkeypatch.setattr(simpipe, "select_objects", spy)
+    cfg = RunConfig(policy="adamap", seed=0)
+    res = run_simulation(trace, cfg)
+    assert len(calls) == len(trace)
+    for frame, (obj_ids, cav_ids, threshold, mask), stats in zip(trace, calls, res.frame_stats):
+        assert threshold == cfg.density_threshold
+        frame_cav = frame.cav_ids.tolist()
+        row_of = {(frame_cav[c], o): r for r, (c, o) in
+                  enumerate(zip(frame.pair_cav.tolist(), frame.obj_ids.tolist()))}
+        pose = dict(zip(frame_cav, frame.poses[:, :3]))
+        viewers = {}
+        for obj_id, cav_id in zip(obj_ids, cav_ids):  # the table is in CAV id order
+            r = row_of[cav_id, obj_id]
+            box = Bbox3(center=frame.centers[r], extent=frame.extents[r])
+            box.yaw = float(frame.yaws[r])
+            viewers.setdefault(obj_id, {})[cav_id] = predict_subspace_counts(box, pose[cav_id])
+        kept = {o: loop_select_objects(counts, threshold) for o, counts in viewers.items()}
+        assert mask.tolist() == [c in kept[o] for o, c in zip(obj_ids, cav_ids)]
+        assert stats.selected_pairs == mask.sum() < stats.detected_pairs == len(mask)
 
 
 def test_single_cav_sends_nothing():
