@@ -189,8 +189,9 @@ def run_to_dir(cfg: RunConfig, trace, dataset, out_dir: str, config_name: str,
         result = run_simulation(trace, cfg, dataset)
         summary = collect_metrics(result)
         summary["version"] = manifest["version"]
-        _write_atomic(os.path.join(out_dir, "frames.csv"), write_frame_csv, result.rows)
-        _write_atomic(os.path.join(out_dir, "summary.json"), write_summary, summary)
+        # the strict summary is written, or raises, before frames.csv moves into place
+        _write_atomic(os.path.join(out_dir, "frames.csv"), write_frame_csv, result.rows,
+                      sidecar=(os.path.join(out_dir, "summary.json"), summary))
     except Exception as exc:
         mark("failed", error=f"{type(exc).__name__}: {exc}")
         raise

@@ -330,68 +330,64 @@ def _solve_group(problems, sc: _Scenarios, cfg) -> list:
     c, k = sc.tasks.shape
     x_max = np.full((c, k), hi)
     fid_max, prob_max = sc.at(x_max, h_s)
-    results = [None] * c
-    for r in np.flatnonzero(prob_max < cfg.p):
-        results[r] = OptimizeResult(
-            rfs=np.full(len(problems[r].obj_ids), rf_levels[-1]), lam=LAM0,
-            prob=float(prob_max[r]), fidelity=float(fid_max[r]), infeasible=True)
     # the fidelity-best corner, the optimum where it meets the bound: each task
     # at its least mean loss, of equal losses the larger RF (fewer bytes), so a
     # padded task's zero losses sit at r_max like x_max's
     corner = len(lx) - 1 - np.argmin(sc.mean_loss[..., ::-1], axis=-1)  # (C, K) level indices
     fid_corner, prob_corner = sc.at(lx[corner], h_s)
-    for r in np.flatnonzero((prob_max >= cfg.p) & (prob_corner >= cfg.p)):
-        results[r] = OptimizeResult(
-            rfs=rf_levels[corner[r, :len(problems[r].obj_ids)]], lam=0.0,
-            prob=float(prob_corner[r]), fidelity=float(fid_corner[r]), infeasible=False)
-    rows = np.flatnonzero((prob_max >= cfg.p) & (prob_corner < cfg.p))
-    if not rows.size:
-        return results
-    sc = sc.take(rows)
-    m = len(rows)
-    rr, tt = np.nonzero(sc.tasks)  # the real (row, task) pairs; padded tasks get no noise
-    seeds = np.array([problems[r].seed for r in rows])[rr]
-    noise = np.zeros((m, cfg.inner_iters, cfg.deviations, k))
+    # each row's outcome: infeasible at r_max, the corner with lam 0, or searched
+    infeasible, at_corner = prob_max < cfg.p, (prob_max >= cfg.p) & (prob_corner >= cfg.p)
+    level = np.where(at_corner[:, None], corner, len(lx) - 1)
+    lam_out = np.where(at_corner, 0.0, LAM0)
+    prob_out = np.where(at_corner, prob_corner, prob_max)
+    fid_out = np.where(at_corner, fid_corner, fid_max)
+    rows = np.flatnonzero(~infeasible & ~at_corner)
+    if rows.size:  # the search, over the other rows alone
+        sc = sc.take(rows)
+        m = len(rows)
+        rr, tt = np.nonzero(sc.tasks)  # the real (row, task) pairs; padded tasks get no noise
+        seeds = np.array([problems[r].seed for r in rows])[rr]
+        noise = np.zeros((m, cfg.inner_iters, cfg.deviations, k))
 
-    # start mid-range: the loss surface is flattest near maximum compression,
-    # so starting there wastes most of the budget crawling out of the plateau
-    x = np.full((m, k), 0.5 * (lo + hi))
-    x_best, fid_best = x_max[rows], fid_max[rows]  # feasible incumbents
-    lam = np.full(m, LAM0)
-    design = np.ones((m, cfg.deviations, k + 1))
-    for it in range(cfg.outer_iters):
-        u = keyed_uniforms(seeds, it, tt, _TAG_SEARCH, n=cfg.inner_iters * cfg.deviations)
-        noise[rr, ..., tt] = (DEVIATION_SD * ndtri(u)).reshape(-1, cfg.inner_iters, cfg.deviations)
-        for step in range(cfg.inner_iters):
-            dev = np.clip(x[:, None, :] + noise[:, step], lo, hi)
-            fid, probs = sc.at(dev, h_s)
-            g = fid + lam[:, None] * (probs - cfg.p)
-            design[:, :, 1:] = dev
-            if k + 1 > cfg.deviations:
-                slopes = np.array([np.linalg.lstsq(d, gi, rcond=None)[0][1:]
-                                   for d, gi in zip(design, g)])
-            else:
-                slopes = _plane_slopes(design, g, sc.tasks)
-            x = np.clip(x + PRIMAL_STEP * slopes, lo, hi)
-        f_cur, prob = sc.at(x, h_s)
-        feasible = prob >= cfg.p
-        better = feasible & (f_cur > fid_best)
-        x_best[better], fid_best[better] = x[better], f_cur[better]
-        # where Prob is locally flat at 0 the regression sees only the
-        # fidelity slope and walks away from feasibility; bisect toward
-        # the best feasible point instead of waiting for the dual
-        x[~feasible] = 0.5 * (x[~feasible] + x_best[~feasible])
-        lam = np.maximum(0.0, lam - DUAL_STEP * (prob - cfg.p))
+        # start mid-range: the loss surface is flattest near maximum compression,
+        # so starting there wastes most of the budget crawling out of the plateau
+        x = np.full((m, k), 0.5 * (lo + hi))
+        x_best, fid_best = x_max[rows], fid_max[rows]  # feasible incumbents
+        lam = np.full(m, LAM0)
+        design = np.ones((m, cfg.deviations, k + 1))
+        for it in range(cfg.outer_iters):
+            u = keyed_uniforms(seeds, it, tt, _TAG_SEARCH, n=cfg.inner_iters * cfg.deviations)
+            noise[rr, ..., tt] = (DEVIATION_SD * ndtri(u)).reshape(
+                -1, cfg.inner_iters, cfg.deviations)
+            for step in range(cfg.inner_iters):
+                dev = np.clip(x[:, None, :] + noise[:, step], lo, hi)
+                fid, probs = sc.at(dev, h_s)
+                g = fid + lam[:, None] * (probs - cfg.p)
+                design[:, :, 1:] = dev
+                if k + 1 > cfg.deviations:
+                    slopes = np.array([np.linalg.lstsq(d, gi, rcond=None)[0][1:]
+                                       for d, gi in zip(design, g)])
+                else:
+                    slopes = _plane_slopes(design, g, sc.tasks)
+                x = np.clip(x + PRIMAL_STEP * slopes, lo, hi)
+            f_cur, prob = sc.at(x, h_s)
+            feasible = prob >= cfg.p
+            better = feasible & (f_cur > fid_best)
+            x_best[better], fid_best[better] = x[better], f_cur[better]
+            # where Prob is locally flat at 0 the regression sees only the
+            # fidelity slope and walks away from feasibility; bisect toward
+            # the best feasible point instead of waiting for the dual
+            x[~feasible] = 0.5 * (x[~feasible] + x_best[~feasible])
+            lam = np.maximum(0.0, lam - DUAL_STEP * (prob - cfg.p))
 
-    # never return an infeasible relaxed point when a feasible one is known
-    x = np.where((sc.at(x, h_s)[1] >= cfg.p)[:, None], x, x_best)
-
-    # round up to the next discrete level: more compression, never less
-    idx = np.searchsorted(lx, x - 1e-9, side="left")
-    rfs = rf_levels[np.minimum(idx, len(lx) - 1)]
-    fid, prob = sc.at(np.log2(rfs), h_s)
-    for i, r in enumerate(rows):
-        results[r] = OptimizeResult(
-            rfs=rfs[i, :len(problems[r].obj_ids)], lam=float(lam[i]), prob=float(prob[i]),
-            fidelity=float(fid[i]), infeasible=False)
-    return results
+        # never return an infeasible relaxed point when a feasible one is known
+        x = np.where((sc.at(x, h_s)[1] >= cfg.p)[:, None], x, x_best)
+        # round up to the next discrete level: more compression, never less
+        level[rows] = np.minimum(np.searchsorted(lx, x - 1e-9, side="left"), len(lx) - 1)
+        fid_out[rows], prob_out[rows] = sc.at(np.log2(rf_levels[level[rows]]), h_s)
+        lam_out[rows] = lam
+    rfs = rf_levels[level]
+    return [OptimizeResult(rfs=rfs[r, :len(p.obj_ids)], lam=float(lam_out[r]),
+                           prob=float(prob_out[r]), fidelity=float(fid_out[r]),
+                           infeasible=bool(infeasible[r]))
+            for r, p in enumerate(problems)]

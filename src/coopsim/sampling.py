@@ -85,7 +85,6 @@ class TruncatedNormal:
     def __init__(self, mean: float, sd: float):
         if sd <= 0:
             raise CalibrationError(f"sd {sd} not above zero")
-        self.mean = float(mean)
         self.sd = float(sd)
         if mean <= 0:
             raise CalibrationError(f"target mean {mean} not above zero")

@@ -1,14 +1,14 @@
 """End-to-end frame loop: traces, per-CAV data/control planes, the edge map.
 
 A trace lists, per 0.1 s frame, every vehicle's pose and the other vehicles
-it can see.  For each frame the pipeline runs, per CAV: hybrid localization,
-object selection, the reuse match against the broadcast map and RF
-optimization of the objects that carry geometry (both policy dependent),
-byte accounting and encode and decode time charges; then the shared radio
-and the FCFS edge queue produce a latency breakdown, and each uploaded
-object's observed position is matched into the global map.  Everything
-derives from the run seed through named child streams, so a run is
-reproducible byte for byte.
+it can see.  ``run_frame`` runs a frame as stages over one table of detection
+pairs, every CAV at once: hybrid localization (``_pair_table``), object
+selection (``_selected``), the reuse match against the broadcast map, RF
+optimization of the rows that carry geometry (``_rf_decisions``), bytes,
+losses and encode and decode charges (``_charges``); then the shared radio
+and the FCFS edge queue give a latency breakdown, and each upload's observed
+position is matched into the global map.  Every draw is a keyed uniform of
+the run seed and its keys, so a run is reproducible byte for byte.
 
 Policies are the rows of ``_POLICY``; each names what it does at each step
 (selection, RF choice, reuse, upload size):
@@ -696,141 +696,94 @@ def _codec_loss(bbox: Bbox3, viewer, raw_count: int, rf: int, beta: float,
     return reconstruction_loss(cloud.points, recon.points, beta=beta)
 
 
-def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
-    """Simulate one frame; returns (rows, objects, stats, loc_errors).
-
-    The frame works on one table of detection pairs ordered by (CAV id,
-    object id), held as columns: the CAV's index in id order, the object id,
-    the pair's row in the trace frame and the observed position.  Selection
-    keeps the rows that go out; the nearest map row within
-    REUSE_POSE_ERROR_M (-1 if none), the reuse flag, rf, bytes and loss are
-    columns of those, decided in that order.  Reuse reads only the map, so
-    the RF search plans only the rows that carry geometry, with a CAV's
-    32-byte deltas as fixed bytes of its uplink; a CAV with deltas alone has
-    no subproblem, so ``FrameStats.infeasible_cavs`` counts only
-    CAVs with geometry to send.  Every draw is a keyed uniform: a function
-    of (seed, frame, CAV id, the object id of a per-object draw, stream tag)
-    alone, so a CAV's draws do not depend on the other CAVs of its frame.
-    Each row that carries geometry picks a loss, an encode and a decode
-    sample from its (rf, count bucket) cell by ``sample_index``, as the
-    optimizer does, and each CAV's encode and decode times add in row order.
-    A latent's bytes are looked up per RF level, every CAV's distance to the
-    base station comes from one ``row_norms`` call, and the map commit and
-    the FrameRows read each column as one list.  Selection is one mask rule
-    over the table, and sectors come from one array subtraction.  Only the
-    map commit's scan and the codec chain stay per object.
-    """
-    cfg = state.config
-    policy = _POLICY[cfg.policy]
-    t = frame.time_s
-    fidx = frame.index
+def _pair_table(frame: TraceFrame, state: RunState):
+    """Localization of every trace pair, sorted by (CAV id, object id).  Returns
+    the CAV ids ascending (C,), their positions (C, 3) and detector charges in
+    ms (C,), and the published pairs as columns: the CAV's index in id order,
+    the object id, the pair's row in the trace frame and the observed (x, y)."""
+    cfg, fidx = state.config, frame.index
     cav_order = np.argsort(frame.cav_ids, kind="stable")
     ids = frame.cav_ids[cav_order]
-    cav_ids = ids.tolist()
-    positions = frame.poses[cav_order, :3]
-    n = len(cav_ids)
-    # every trace pair, sorted by (CAV index, object id)
-    rank = np.empty(n, dtype=np.int64)
-    rank[cav_order] = np.arange(n)
-    pair_rank = rank[frame.pair_cav]
+    pair_rank = np.argsort(cav_order)[frame.pair_cav]  # the inverse permutation: id ranks
     by_pair = np.lexsort((frame.obj_ids, pair_rank))
     cav, obj = pair_rank[by_pair], frame.obj_ids[by_pair]
-
-    # --- localization (vehicle side) keeps the published pairs: the detection table ---
     loc = state.localizer.localize(
-        t, ids, cav, obj, frame.centers[by_pair, :2],
+        frame.time_s, ids, cav, obj, frame.centers[by_pair, :2],
         keyed_uniforms(cfg.seed, fidx, ids[cav], obj, _S_LOC, n=6),
         keyed_uniforms(cfg.seed, fidx, ids, _S_LOC, n=1)[:, 0])
-    cav, obj, src = cav[loc.published], obj[loc.published], by_pair[loc.published]
-    observed = loc.observed[loc.published]
-    loc_errors = row_norms(observed - frame.centers[src, :2])
-    detected_pairs = len(cav)
+    kept = loc.published
+    return (ids, frame.poses[cav_order, :3], loc.charged_ms, cav[kept], obj[kept],
+            by_pair[kept], loc.observed[kept])
 
-    # --- selection over the shared view ---
+
+def _selected(policy: Policy, cfg: RunConfig, frame: TraceFrame, ids, positions, cav, obj,
+              src) -> np.ndarray:
+    """The policy's keep mask over the pair table, from the shared view."""
     if policy.select == "all":
-        selected = np.ones(len(cav), dtype=bool)
-    elif policy.select == "blindspot":  # objects some CAV lacks
+        return np.ones(len(cav), dtype=bool)
+    if policy.select == "blindspot":  # objects some CAV lacks
         _, inverse, viewers = np.unique(obj, return_inverse=True, return_counts=True)
-        selected = viewers[inverse] < n
-    else:  # "thin": one count kernel and one mask rule over the whole table
-        _, quadrants = predict_counts(frame.centers[src], frame.extents[src], frame.yaws[src],
-                                      positions[cav])
-        selected = select_objects(obj, ids[cav], quadrants, cfg.density_threshold)
-    # from here on the table holds the pairs that go out
-    cav, obj, src, observed = cav[selected], obj[selected], src[selected], observed[selected]
-    counts = frame.counts[src]
-    bounds = np.searchsorted(cav, np.arange(n + 1)).tolist()
-    by_cav = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        return viewers[inverse] < len(ids)
+    # "thin": one count kernel and one mask rule over the whole table
+    _, quadrants = predict_counts(frame.centers[src], frame.extents[src], frame.yaws[src],
+                                  positions[cav])
+    return select_objects(obj, ids[cav], quadrants, cfg.density_threshold)
 
-    # --- reuse decisions against the broadcast map; none reads an RF ---
-    gmap = state.global_map
-    predicted = gmap.predicted_positions(t)  # only the commit changes the map
-    map_row = np.full(len(cav), -1, dtype=np.int64)
-    if policy.reuse:
-        map_row = nearest_rows(predicted, observed, REUSE_POSE_ERROR_M)
-    reused = map_row >= 0
-    reused[reused] = gmap.has_geometry[map_row[reused]]  # a hit reuses only geometry
-    up = np.flatnonzero(~reused)  # the rows that carry geometry, split by CAV
-    sent_by_cav = np.split(up, np.searchsorted(cav[up], np.arange(1, n)))
 
-    # --- per-CAV RF decisions for those rows, solved for the whole frame at once ---
-    rf = np.zeros(len(cav), dtype=np.int64)
-    infeasible_cavs = 0
-    sectors = sector_indices(positions, cfg)
-    # each CAV's distance to the base station, as np.linalg.norm gives it
-    distances = row_norms(positions - np.asarray(cfg.base_station, dtype=np.float64)).tolist()
-    if policy.rf == "optimize":
-        # frame-0 fallback estimate: assume every CAV shares its sector
-        all_counts = np.bincount(sectors, minlength=cfg.sectors)
-        opt_seeds = (keyed_uniforms(cfg.seed, fidx, ids, _S_OPT, n=1)[:, 0]
-                     * 2**52).astype(np.int64).tolist()
-        problems, owners = [], []
-        for c, cav_id in enumerate(cav_ids):
-            sent = sent_by_cav[c]
-            if not len(sent):
-                continue
-            rate = state.prev_rates.get(cav_id)
-            if rate is None:
-                rate = uplink_rate(distances[c], max(1, int(all_counts[sectors[c]])), cfg)
-            deltas = by_cav[c].stop - by_cav[c].start - len(sent)
-            problems.append(RFProblem(obj_ids=obj[sent].tolist(),
-                                      raw_counts=counts[sent].tolist(), rate_bps=rate,
-                                      seed=opt_seeds[c],
-                                      fixed_bytes=float(REUSE_DELTA_BYTES * deltas)))
-            owners.append(sent)
-        results = optimize_rf_batch(problems, dataset, cfg)
-        for sent, res in zip(owners, results):
-            infeasible_cavs += bool(res.infeasible)
-            rf[sent] = res.rfs
-    elif policy.rf == "max":
-        rf[:] = max(cfg.rf_set)
-    rf[reused] = 0  # as recorded: 0 unless a latent goes out
+def _rf_decisions(rf, state: RunState, dataset, fidx: int, ids, sectors, distances, cav, obj,
+                  counts, reused) -> int:
+    """Each CAV's RF subproblem over its rows that carry geometry, its reuse
+    deltas as fixed bytes, solved for the whole frame at once; a CAV with
+    deltas alone has none, and one without last frame's rate assumes every CAV
+    shares its sector.  Writes ``rf`` and returns the infeasible count."""
+    cfg = state.config
+    up = np.flatnonzero(~reused)
+    sent_by_cav = np.split(up, np.searchsorted(cav[up], np.arange(1, len(ids))))
+    deltas = np.bincount(cav[reused], minlength=len(ids)).tolist()
+    all_counts = np.bincount(sectors, minlength=cfg.sectors)
+    opt_seeds = (keyed_uniforms(cfg.seed, fidx, ids, _S_OPT, n=1)[:, 0]
+                 * 2**52).astype(np.int64).tolist()
+    problems, owners = [], []
+    for c, (cav_id, sent) in enumerate(zip(ids.tolist(), sent_by_cav)):
+        if not len(sent):
+            continue
+        rate = state.prev_rates.get(cav_id)
+        if rate is None:
+            rate = uplink_rate(distances[c], max(1, int(all_counts[sectors[c]])), cfg)
+        problems.append(RFProblem(obj_ids=obj[sent].tolist(), raw_counts=counts[sent].tolist(),
+                                  rate_bps=rate, seed=opt_seeds[c],
+                                  fixed_bytes=float(REUSE_DELTA_BYTES * deltas[c])))
+        owners.append(sent)
+    results = optimize_rf_batch(problems, dataset, cfg)
+    for sent, res in zip(owners, results):
+        rf[sent] = res.rfs
+    return sum(res.infeasible for res in results)
 
-    # --- encode and decode charges, byte accounting, losses ---
-    # one (loss, encode, decode) pick per row from its (rf, count bucket)
-    # cell; raw and lossless uploads read FULL_UPLOAD_RF's cells
+
+def _charges(policy: Policy, cfg: RunConfig, dataset, frame: TraceFrame, ids, positions, cav,
+             obj, src, counts, rf, reused, loss):
+    """Each row's bytes and each CAV's encode and decode ms, and into ``loss``
+    each latent's loss: one pick per row from its (rf, count bucket) cell by
+    ``sample_index``, as the optimizer does, or in codec mode the measured
+    chain's.  Raw and lossless uploads read FULL_UPLOAD_RF's cells, loss 0."""
+    up = np.flatnonzero(~reused)
     codec_rf = rf[up] if policy.upload_bytes is None else np.full(len(up), FULL_UPLOAD_RF)
     buckets = bucket_index(counts[up])
     levels, _, samples, sizes = sample_tables(dataset, np.unique(codec_rf).tolist(),
                                               np.unique(buckets).tolist())
     level = np.searchsorted(levels, codec_rf)
+    level_bytes = [(policy.upload_bytes or payload_bytes(r)) + DESCRIPTOR_OVERHEAD_BYTES
+                   for r in levels]
     nbytes = np.where(reused, REUSE_DELTA_BYTES, 0)
-    if policy.upload_bytes is not None:
-        nbytes[up] = policy.upload_bytes + DESCRIPTOR_OVERHEAD_BYTES
-    else:  # a latent's size, looked up per RF level
-        level_bytes = [payload_bytes(r) + DESCRIPTOR_OVERHEAD_BYTES for r in levels]
-        nbytes[up] = np.array(level_bytes, dtype=np.int64)[level]
-    payloads = np.bincount(cav, weights=nbytes, minlength=n)
-    loss = np.zeros(len(cav))
-    loss[reused] = gmap.last_loss[map_row[reused]]
-    u = keyed_uniforms(cfg.seed, fidx, ids[cav[up]], obj[up], _S_TIME, n=3)
+    nbytes[up] = np.array(level_bytes, dtype=np.int64)[level]
+    u = keyed_uniforms(cfg.seed, frame.index, ids[cav[up]], obj[up], _S_TIME, n=3)
     picked = samples[buckets[:, None], level[:, None], np.arange(3),
                      sample_index(u, sizes[buckets, level][:, None])]
     # bincount adds each CAV's times in row order, from 0.0
-    vehicle_ms = np.bincount(cav[up], weights=picked[:, 1], minlength=n)
-    server_ms = np.bincount(cav[up], weights=picked[:, 2], minlength=n)
+    vehicle_ms = np.bincount(cav[up], weights=picked[:, 1], minlength=len(ids))
+    server_ms = np.bincount(cav[up], weights=picked[:, 2], minlength=len(ids))
     if policy.upload_bytes is None and cfg.dataset_mode == "codec":
-        seeds = (keyed_uniforms(cfg.seed, fidx, ids[cav[up]], obj[up], _S_CODEC, n=2)
+        seeds = (keyed_uniforms(cfg.seed, frame.index, ids[cav[up]], obj[up], _S_CODEC, n=2)
                  * 2**31).astype(np.int64).tolist()
         for r, (surf_seed, dec_seed) in zip(up.tolist(), seeds):
             box = Bbox3(center=frame.centers[src[r]], extent=frame.extents[src[r]])
@@ -839,38 +792,87 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
                                   surf_seed, dec_seed)
     elif policy.upload_bytes is None:
         loss[up] = picked[:, 0]
+    return nbytes, vehicle_ms, server_ms
 
-    # --- radio: realized rates with fading, shared per sector ---
-    # only CAVs with data on air occupy their sector's band this frame
+
+def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
+    """Simulate one frame; returns (rows, objects, stats, loc_errors).
+
+    The frame is one table of detection pairs ordered by (CAV id, object id),
+    held as columns: the CAV's index in id order, the object id, the pair's
+    row in the trace frame and the observed position.  Its stages, each
+    reading its own ``Policy`` field:
+      _pair_table    localization publishes the table
+      _selected      the keep mask; the table then holds the pairs sent
+      reuse          a delta replaces a row the map holds with geometry
+      _rf_decisions  the RF search over the rows that carry geometry
+      _charges       bytes, losses, encode and decode ms
+    then radio, edge latency, the map commit and the rows.  Every draw is a
+    keyed uniform of (seed, frame, CAV id, the object id of a per-object draw,
+    stream tag) alone, so a CAV's draws do not depend on the other CAVs of
+    its frame.  Only the map commit's scan and the codec chain go per object.
+    """
+    cfg = state.config
+    policy = _POLICY[cfg.policy]
+    t, fidx = frame.time_s, frame.index
+    ids, positions, charged_ms, cav, obj, src, observed = _pair_table(frame, state)
+    loc_errors = row_norms(observed - frame.centers[src, :2])
+    detected_pairs, n = len(cav), len(ids)
+    selected = _selected(policy, cfg, frame, ids, positions, cav, obj, src)
+    # from here on the table holds the pairs that go out
+    cav, obj, src, observed = cav[selected], obj[selected], src[selected], observed[selected]
+    counts = frame.counts[src]
+
+    # --- reuse against the broadcast map: a hit reuses only geometry, and no RF is read ---
+    gmap = state.global_map
+    predicted = gmap.predicted_positions(t)  # only the commit changes the map
+    map_row = (nearest_rows(predicted, observed, REUSE_POSE_ERROR_M) if policy.reuse
+               else np.full(len(cav), -1))
+    reused = map_row >= 0
+    reused[reused] = gmap.has_geometry[map_row[reused]]
+    loss = np.zeros(len(cav))
+    loss[reused] = gmap.last_loss[map_row[reused]]
+
+    # --- RF per row, 0 where no latent goes out; then bytes, losses, codec times ---
+    sectors = sector_indices(positions, cfg)
+    # each CAV's distance to the base station, as np.linalg.norm gives it
+    distances = row_norms(positions - np.asarray(cfg.base_station, dtype=np.float64)).tolist()
+    rf = np.full(len(cav), max(cfg.rf_set) if policy.rf == "max" else 0)
+    infeasible_cavs = (_rf_decisions(rf, state, dataset, fidx, ids, sectors, distances, cav, obj,
+                                     counts, reused) if policy.rf == "optimize" else 0)
+    rf[reused] = 0
+    nbytes, vehicle_ms, server_ms = _charges(policy, cfg, dataset, frame, ids, positions, cav,
+                                             obj, src, counts, rf, reused, loss)
+    payloads = np.bincount(cav, weights=nbytes, minlength=n)
+
+    # --- radio: only CAVs with data on air share their sector's band; log-normal
+    # fading, one factor per CAV (sigma 0 gives exp(0) = 1 exactly) ---
     sector_counts = np.bincount(np.array(sectors)[payloads > 0], minlength=cfg.sectors).tolist()
-    # log-normal fading, one factor per CAV; sigma 0 gives exp(0) = 1 exactly
     z = ndtri(keyed_uniforms(cfg.seed, fidx, ids, _S_NET, n=1)[:, 0])
     fading = np.exp(cfg.fading_sigma * z).tolist()
     rates = [uplink_rate(d, max(1, sector_counts[sec]), cfg, fading=f)
              for d, sec, f in zip(distances, sectors, fading)]
-    state.prev_rates.update(zip(cav_ids, rates))
+    state.prev_rates.update(zip(ids.tolist(), rates))
 
-    # --- edge latency ---
+    # --- edge latency; total: encode, uplink, queue, server, baseline, added in that order ---
     u_base = keyed_uniforms(cfg.seed, fidx, ids, _S_QUEUE, n=len(netsim.MODULE_TIMES_MS))
     b_ms, up_ms, queue_ms = simulate_frame_latency(
-        payloads, vehicle_ms, rates, server_ms, cfg.servers, u_base,
-        extra_b_ms=loc.charged_ms)
-    # total: encode, uplink, queue, server, baseline, added in that order
+        payloads, vehicle_ms, rates, server_ms, cfg.servers, u_base, extra_b_ms=charged_ms)
     total_ms = (vehicle_ms + up_ms + queue_ms + server_ms + b_ms).tolist()
     vehicle_ms = (vehicle_ms + b_ms).tolist()  # encode plus baseline charge
 
     # --- server-side matching into the global map, in table order ---
     gmap.commit_frame(observed, ~reused, loss, t, predicted)
 
-    # a CAV's mean loss is numpy's sum over its rows by their count, as np.mean
+    # --- rows: a CAV's mean loss is numpy's sum over its rows by their count, as np.mean ---
+    bounds = np.searchsorted(cav, np.arange(n + 1)).tolist()
     rf_list = rf.tolist()
     rows = [FrameRow(cav_id=cav_id, frame=fidx, vehicle_ms=v_ms, uplink_ms=u_ms,
                      queue_ms=q_ms, server_ms=s_ms, total_ms=t_ms, bytes=b,
-                     loss=float(loss[mine].sum() / (mine.stop - mine.start))
-                     if mine.stop > mine.start else 0.0,
-                     rfs=tuple(filter(None, rf_list[mine])))  # rf 0: no latent
-            for cav_id, mine, v_ms, u_ms, q_ms, s_ms, t_ms, b in zip(
-                cav_ids, by_cav, vehicle_ms, up_ms.tolist(), queue_ms.tolist(),
+                     loss=float(loss[lo:hi].sum() / (hi - lo)) if hi > lo else 0.0,
+                     rfs=tuple(filter(None, rf_list[lo:hi])))  # rf 0: no latent
+            for cav_id, lo, hi, v_ms, u_ms, q_ms, s_ms, t_ms, b in zip(
+                ids.tolist(), bounds, bounds[1:], vehicle_ms, up_ms.tolist(), queue_ms.tolist(),
                 server_ms.tolist(), total_ms, payloads.astype(np.int64).tolist())]
     # the sent-pair table as one record per row; rf 0: no latent (lossless, raw or reuse)
     objects = np.rec.fromarrays(

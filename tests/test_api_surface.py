@@ -10,7 +10,8 @@ the match is by name, so a field shares a read with any attribute of its
 name.  No dataclass but ``RunConfig`` may declare a field named like one of
 ``RunConfig``'s: a run value has one home, and code reads it there.  The
 RF optimizer and the frame loop draw only keyed uniforms: neither
-``control.py`` nor ``simpipe.run_frame`` uses ``np.random``.
+``control.py`` nor any ``simpipe`` function or method that ``run_frame``
+calls, directly or through others, uses ``np.random``.
 """
 
 import ast
@@ -331,15 +332,43 @@ def np_random_uses(tree) -> list:
     return sorted(lines)
 
 
-def _function(tree, name):
-    return next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == name)
+def called_functions(tree, name) -> dict:
+    """Qualified name -> definition, for the top-level function ``name`` of
+    the module ``tree`` and each function or method of that module it calls,
+    directly or through others.  A call of a bare name reaches the top-level
+    function of that name; a call of an attribute reaches every method of
+    that name in a top-level class."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    methods: dict = {}
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    methods.setdefault(node.name, []).append((f"{cls.name}.{node.name}", node))
+    reached, todo = {}, [(name, functions[name])]
+    while todo:
+        qualname, node = todo.pop()
+        if qualname in reached:
+            continue
+        reached[qualname] = node
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            if isinstance(call.func, ast.Name) and call.func.id in functions:
+                todo.append((call.func.id, functions[call.func.id]))
+            elif isinstance(call.func, ast.Attribute):
+                todo.extend(methods.get(call.func.attr, ()))
+    return reached
 
 
 def test_run_loop_draws_only_keyed_uniforms():
     trees = _parse(SRC)
     assert np_random_uses(trees["control.py"]) == []
-    assert np_random_uses(_function(trees["simpipe.py"], "run_frame")) == []
+    reached = called_functions(trees["simpipe.py"], "run_frame")
+    assert {"_pair_table", "_selected", "_rf_decisions", "_charges", "_codec_loss",
+            "GlobalMap.commit_frame", "_place"} <= set(reached)
+    assert {name: np_random_uses(node) for name, node in reached.items()
+            if np_random_uses(node)} == {}
 
 
 def test_guard_sees_a_generator(tmp_path):
@@ -353,7 +382,20 @@ def test_guard_sees_a_generator(tmp_path):
         "    return np.random.default_rng(seed).random()\n"
         "\n"
         "def keyed(rng: np.random.Generator):\n"
-        "    return rng.random()\n")
+        "    return rng.random()\n"
+        "\n"
+        "def _stage(table):\n"
+        "    return table.commit() + _charges(table)\n"
+        "\n"
+        "def _charges(table):\n"
+        "    return np.random.default_rng(0).random()\n"
+        "\n"
+        "class Map:\n"
+        "    def commit(self):\n"
+        "        return numpy.random.random()\n")
     tree = _parse(tmp_path)["a.py"]
-    assert np_random_uses(tree) == [2, 3, 4, 7, 9]
-    assert np_random_uses(_function(tree, "run_frame")) == [7]
+    assert np_random_uses(tree) == [2, 3, 4, 7, 9, 16, 20]
+    assert {name: np_random_uses(node)
+            for name, node in called_functions(tree, "run_frame").items()} == {"run_frame": [7]}
+    assert {name: np_random_uses(node) for name, node in called_functions(tree, "_stage").items()
+            } == {"_stage": [], "_charges": [16], "Map.commit": [20]}

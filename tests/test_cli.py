@@ -414,6 +414,22 @@ def test_run_failure_is_marked_failed(tmp_path, trace_path, monkeypatch, capsys)
     assert sorted(os.listdir(out)) == ["manifest.json"]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_infinite_latency_run_leaves_only_the_manifest(tmp_path, capsys):
+    """Fading this wide sends some rates to 0 and their latency to inf, so
+    summary.json's strict dump raises once frames.csv is written; the failed
+    run leaves neither output file."""
+    trace, cfg, out = tmp_path / "t.jsonl", tmp_path / "cfg.json", tmp_path / "run"
+    assert main(["gen-trace", "--cavs", "20", "--frames", "2", "--seed", "0",
+                 "--out", str(trace)]) == EXIT_OK
+    cfg.write_text(json.dumps({"fading_sigma": 1000}))
+    assert main(["run", "--trace", str(trace), "--policy", "adamap-lite", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_INTERNAL
+    assert "not JSON compliant: inf" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+
+
 @pytest.mark.parametrize("command, extra, out_name", [
     ("run", [], "run"),
     ("sweep", ["--param", "H", "--values", "80", "90"], "sw/H-80"),

@@ -867,13 +867,16 @@ def test_map_size_reported(small_trace):
     assert res.frame_stats[-1].map_size >= 1
 
 
-@pytest.mark.parametrize("policy", ["adamap", "adamap-lite", "adamap-reuse",
-                                    "select-all-lossless"])
-def test_charges_match_the_loop_oracle(monkeypatch, policy):
+@pytest.mark.parametrize("policy, rf_set", [
+    pytest.param(policy, rf_set, id=policy if rf_set == RF_SET else f"{policy}-rf_set-8-32")
+    for rf_set in (RF_SET, (8, 32))
+    for policy in ("adamap", "adamap-lite", "adamap-reuse", "select-all-lossless")])
+def test_charges_match_the_loop_oracle(monkeypatch, policy, rf_set):
     """Each CAV's encode and decode sums and each row's loss equal the
     per-CAV loop's, bit for bit, fed the same keyed picks.  The cells have
     random sizes, so the table pads them; lossless uploads read
-    FULL_UPLOAD_RF's cells and carry no loss."""
+    FULL_UPLOAD_RF's cells and carry no loss.  Under an ``rf_set`` without
+    FULL_UPLOAD_RF, adamap-lite's RF and the lossless uploads' cells differ."""
     rng = np.random.default_rng(31)
     cells = {(rf, b): rng.uniform(0.0, 3.0, (3, int(rng.integers(1, 40))))
              for rf in RF_SET for b in range(N_BUCKETS)}
@@ -889,7 +892,7 @@ def test_charges_match_the_loop_oracle(monkeypatch, policy):
     idle = reused = 0
     for seed in (2, 5):
         trace = generate_trace(14, 5, seed=seed)
-        cfg = RunConfig(policy=policy, seed=seed)
+        cfg = RunConfig(policy=policy, seed=seed, rf_set=rf_set)
         charged.clear()
         res = run_simulation(trace, cfg, dataset)
         for frame, (vehicle_ms, server_ms) in zip(trace, charged):
