@@ -30,7 +30,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
-from itertools import chain
+from itertools import accumulate, chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -182,67 +182,75 @@ class TraceFrame:
         return [SimpleNamespace(cav_id=c) for c in self.cav_ids.tolist()]
 
 
-def _frame_record(frame: TraceFrame) -> dict:
+# a trace line's templates: keys sorted and separators compact, as json.dumps writes them
+_OBJECT_JSON = '{{"center":[{},{},{}],"count":{},"extent":[{},{},{}],"id":{},"yaw":{}}}'
+_CAV_JSON = '{{"id":{},"objects":[{}],"pose":[{}]}}'
+_STRICT_JSON = json.JSONEncoder(allow_nan=False, separators=(",", ":")).encode
+
+
+def _json_texts(*arrays) -> list:
+    """json's strict text of each number in the float64 ``arrays``, a flat list per
+    array; each distinct bit pattern (-0.0 is not 0.0) renders once, a NaN or inf raises."""
+    flat = np.concatenate([a.ravel() for a in arrays])
+    bits, inverse = np.unique(flat.view(f"u{flat.itemsize}"), return_inverse=True)
+    texts = np.array(_STRICT_JSON(bits.view(flat.dtype).tolist())[1:-1].split(","), dtype=object)
+    texts, ends = texts[inverse].tolist(), list(accumulate(a.size for a in arrays))
+    return [texts[lo:hi] for lo, hi in zip([0, *ends], ends)]
+
+
+def _frame_json(frame: TraceFrame) -> str:
     bounds = np.searchsorted(frame.pair_cav, np.arange(len(frame.cav_ids) + 1)).tolist()
-    ids, counts = frame.obj_ids.tolist(), frame.counts.tolist()
-    centers, extents, yaws = frame.centers.tolist(), frame.extents.tolist(), frame.yaws.tolist()
-    return {
-        "frame": frame.index,
-        "time_s": frame.time_s,
-        "cavs": [
-            {
-                "id": cav_id,
-                "pose": pose,
-                "objects": [
-                    {"id": ids[k], "center": centers[k], "extent": extents[k],
-                     "yaw": yaws[k], "count": counts[k]}
-                    for k in range(lo, hi)
-                ],
-            }
-            for cav_id, pose, lo, hi in zip(frame.cav_ids.tolist(), frame.poses.tolist(),
-                                            bounds, bounds[1:])
-        ],
-    }
+    poses, c, e, yaws = _json_texts(frame.poses, frame.centers, frame.extents, frame.yaws)
+    objects = list(map(_OBJECT_JSON.format, c[0::3], c[1::3], c[2::3], frame.counts.tolist(),
+                       e[0::3], e[1::3], e[2::3], frame.obj_ids.tolist(), yaws))
+    cavs = map(_CAV_JSON.format, frame.cav_ids.tolist(),
+               [",".join(objects[lo:hi]) for lo, hi in zip(bounds, bounds[1:])],
+               [",".join(poses[k:k + 6]) for k in range(0, len(poses), 6)])
+    return (f'{{"cavs":[{",".join(cavs)}],"frame":{_STRICT_JSON(frame.index)},'
+            f'"time_s":{_STRICT_JSON(frame.time_s)}}}\n')
+
+
+class _Floats(dict):  # one trace line's parse_float memo: each distinct text is read once
+    def __missing__(self, text: str) -> float:
+        return self.setdefault(text, float(text))
+
+
+def _column(name: str, values: list, width: int = 0, ints: bool = False) -> np.ndarray:
+    """``values`` as a float64 (int64 with ``ints``) array, of ``width`` columns
+    if given.  Not float() or int(): they read "1.5" as 1.5, 3.7 as 3, true as 1."""
+    if width:
+        if not set(map(len, values)) <= {width}:
+            raise ValueError(f"each {name} must hold {width} numbers")
+        values = list(chain.from_iterable(values))
+    if not set(map(type, values)) <= ({int} if ints else {int, float}):
+        raise ValueError(f"{name}s must be integers" if ints else f"{name} values must be numbers")
+    column = np.array(values, dtype=np.int64 if ints else np.float64)
+    return column.reshape(-1, width) if width else column
 
 
 def _record_frame(rec: dict) -> TraceFrame:
     cavs = rec["cavs"]
     objects = [c["objects"] for c in cavs]
-    pairs = [o for objs in objects for o in objs]
-    ints = {"frame number": [rec["frame"]], "CAV id": [c["id"] for c in cavs],
-            "object id": [o["id"] for o in pairs], "object count": [o["count"] for o in pairs]}
-    for name, values in ints.items():  # not int(): it reads 3.7 and "3" as 3, true as 1
-        if not set(map(type, values)) <= {int}:
-            raise ValueError(f"{name}s must be integers")
-    poses, yaws = [c["pose"] for c in cavs], [o["yaw"] for o in pairs]
-    centers, extents = [o["center"] for o in pairs], [o["extent"] for o in pairs]
-    reals = {"time_s": [rec["time_s"]], "pose": chain.from_iterable(poses),
-             "center": chain.from_iterable(centers), "extent": chain.from_iterable(extents),
-             "yaw": yaws}
-    for name, values in reals.items():  # not float(): it reads "1.5" as 1.5, true as 1.0
-        if not set(map(type, values)) <= {int, float}:
-            raise ValueError(f"{name} values must be numbers")
+    pairs = list(chain.from_iterable(objects))
+    if type(rec["frame"]) is not int:  # validate_trace checks its range
+        raise ValueError("frame numbers must be integers")
     return TraceFrame(
-        index=rec["frame"],
-        time_s=float(rec["time_s"]),
-        cav_ids=np.array(ints["CAV id"], dtype=np.int64),
-        poses=np.array(poses, dtype=np.float64).reshape(len(cavs), 6),
-        pair_cav=np.repeat(np.arange(len(cavs)), [len(objs) for objs in objects]),
-        obj_ids=np.array(ints["object id"], dtype=np.int64),
-        centers=np.array(centers, dtype=np.float64).reshape(len(pairs), 3),
-        extents=np.array(extents, dtype=np.float64).reshape(len(pairs), 3),
-        yaws=wrap_yaw(np.array(yaws, dtype=np.float64).reshape(len(pairs))),
-        counts=np.array(ints["object count"], dtype=np.int64),
+        index=rec["frame"], time_s=float(_column("time_s", [rec["time_s"]])[0]),
+        cav_ids=_column("CAV id", [c["id"] for c in cavs], ints=True),
+        poses=_column("pose", [c["pose"] for c in cavs], width=6),
+        pair_cav=np.repeat(np.arange(len(cavs)), list(map(len, objects))),
+        obj_ids=_column("object id", [o["id"] for o in pairs], ints=True),
+        centers=_column("center", [o["center"] for o in pairs], width=3),
+        extents=_column("extent", [o["extent"] for o in pairs], width=3),
+        yaws=wrap_yaw(_column("yaw", [o["yaw"] for o in pairs])),
+        counts=_column("object count", [o["count"] for o in pairs], ints=True),
     )
 
 
 def save_trace(path, frames) -> None:
-    """One JSON record per line; stable key order keeps files diffable."""
+    """One strict JSON line per frame, keys sorted, separators compact."""
     with open(path, "w") as fh:
-        for frame in frames:
-            fh.write(json.dumps(_frame_record(frame), sort_keys=True,
-                                separators=(",", ":")))
-            fh.write("\n")
+        fh.writelines(map(_frame_json, frames))
 
 
 def load_trace(path):
@@ -252,7 +260,7 @@ def load_trace(path):
             if not line.strip():
                 continue
             try:
-                frames.append(_record_frame(json.loads(line)))
+                frames.append(_record_frame(json.loads(line, parse_float=_Floats().__getitem__)))
             except (KeyError, ValueError, TypeError, OverflowError) as exc:
                 raise FrameError(f"trace line {line_no}: {exc}") from exc
     validate_trace(frames)
@@ -541,6 +549,8 @@ _RANGES = (
      lambda v: v >= 1, ">= 1"),
     (("seed", "beta", "fading_sigma", "rate_sigma"), lambda v: v >= 0, ">= 0"),
     (("seed",), lambda v: v < 2**64, "below 2**64"),  # it keys uint64 draws
+    # exp(sigma z) at a keyed draw's |z| <= 8.21 stays in 1e±36: no rate 0, no latency inf
+    (("fading_sigma", "rate_sigma"), lambda v: v <= 10, "at most 10"),
 )
 
 

@@ -20,12 +20,14 @@ scalar upload time, baseline and fading of a frame (they share the
 module-time table and the truncated-normal sampler, and take the same keyed
 uniforms), the sector lookup one CAV at a time, and the per-CAV loop over
 a frame's encode and decode charges and losses (it shares the dataset and
-the count buckets, and takes the same keyed uniforms).
+the count buckets, and takes the same keyed uniforms), and the trace writer
+that built each frame's record as nested dicts and lists for ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -767,3 +769,33 @@ class MatrixFilterMap(DictGlobalMap):
 
     predict = staticmethod(matrix_kalman_predict)
     correct = staticmethod(matrix_kalman_correct)
+
+
+def frame_record(frame) -> dict:
+    """A trace frame as the dict of its JSON line, built from the frame's lists."""
+    bounds = np.searchsorted(frame.pair_cav, np.arange(len(frame.cav_ids) + 1)).tolist()
+    ids, counts = frame.obj_ids.tolist(), frame.counts.tolist()
+    centers, extents, yaws = frame.centers.tolist(), frame.extents.tolist(), frame.yaws.tolist()
+    return {
+        "frame": frame.index,
+        "time_s": frame.time_s,
+        "cavs": [
+            {
+                "id": cav_id,
+                "pose": pose,
+                "objects": [
+                    {"id": ids[k], "center": centers[k], "extent": extents[k],
+                     "yaw": yaws[k], "count": counts[k]}
+                    for k in range(lo, hi)
+                ],
+            }
+            for cav_id, pose, lo, hi in zip(frame.cav_ids.tolist(), frame.poses.tolist(),
+                                            bounds, bounds[1:])
+        ],
+    }
+
+
+def dumps_trace(frames) -> str:
+    """The trace file's text, one ``json.dumps`` of each frame's record per line."""
+    return "".join(json.dumps(frame_record(frame), sort_keys=True, separators=(",", ":"))
+                   + "\n" for frame in frames)

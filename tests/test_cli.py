@@ -1,7 +1,9 @@
 """CLI behavior: artifacts, exit codes, overwrite refusal, sweeps."""
 
+import csv
 import errno
 import json
+import math
 import os
 
 import numpy as np
@@ -56,6 +58,23 @@ def test_gen_trace_single_cav_is_valid(tmp_path):
                  "--out", str(out)]) == EXIT_OK
     from coopsim.simpipe import load_trace
     assert len(load_trace(out)) == 2
+
+
+def test_gen_trace_non_finite_value_leaves_no_file(tmp_path, monkeypatch, capsys):
+    """save_trace writes strict JSON: a NaN in the last frame raises part way
+    through the file, and gen-trace leaves neither the trace nor its sidecar."""
+    generate = cli.generate_trace
+
+    def broken(cavs, frames, seed):
+        trace = generate(cavs, frames, seed=seed)
+        trace[-1].yaws[0] = math.nan
+        return trace
+
+    monkeypatch.setattr(cli, "generate_trace", broken)
+    out = tmp_path / "t.jsonl"
+    assert main(["gen-trace", "--cavs", "6", "--frames", "3", "--out", str(out)]) == EXIT_INTERNAL
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_gen_trace_refuses_overwrite(tmp_path, capsys):
@@ -331,6 +350,20 @@ def test_run_bad_trace_value_exits_2_before_output(tmp_path, trace_path, capsys,
     assert not out.exists()
 
 
+def test_run_ragged_centers_exit_2_before_output(tmp_path, trace_path, capsys):
+    """A 2-value center beside a 4-value one holds six numbers for two boxes:
+    the loader checks each row's width, not only the total."""
+    records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    first, second = [o for c in records[0]["cavs"] for o in c["objects"]][:2]
+    first["center"], second["center"] = first["center"][:2], second["center"] + [0.0]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    out = tmp_path / "run"
+    assert main(["run", "--trace", str(bad), "--out", str(out)]) == EXIT_INPUT
+    assert "each center must hold 3 numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [3.7, "3", True])
 @pytest.mark.parametrize("field, message", [
     ("frame", "frame numbers must be integers"),
@@ -414,20 +447,36 @@ def test_run_failure_is_marked_failed(tmp_path, trace_path, monkeypatch, capsys)
     assert sorted(os.listdir(out)) == ["manifest.json"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
 def test_infinite_latency_run_leaves_only_the_manifest(tmp_path, capsys):
-    """Fading this wide sends some rates to 0 and their latency to inf, so
-    summary.json's strict dump raises once frames.csv is written; the failed
-    run leaves neither output file."""
+    """A base station this far away leaves an SNR whose log2(1 + snr) is 0,
+    so every rate is 0 and every latency inf, and summary.json's strict dump
+    raises once frames.csv is written; the failed run leaves neither output
+    file."""
     trace, cfg, out = tmp_path / "t.jsonl", tmp_path / "cfg.json", tmp_path / "run"
     assert main(["gen-trace", "--cavs", "20", "--frames", "2", "--seed", "0",
                  "--out", str(trace)]) == EXIT_OK
-    cfg.write_text(json.dumps({"fading_sigma": 1000}))
+    cfg.write_text(json.dumps({"base_station": [1e150, 0.0, 10.0]}))
     assert main(["run", "--trace", str(trace), "--policy", "adamap-lite", "--config", str(cfg),
                  "--out", str(out)]) == EXIT_INTERNAL
     assert "not JSON compliant: inf" in capsys.readouterr().err
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
     assert sorted(os.listdir(out)) == ["manifest.json"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("policy", ["adamap", "adamap-lite"])
+def test_widest_accepted_spread_runs_with_finite_latency(tmp_path, policy):
+    """fading_sigma and rate_sigma at their bound of 10: the run completes,
+    no numpy warning raised, with every total_ms finite."""
+    trace, cfg, out = tmp_path / "t.jsonl", tmp_path / "cfg.json", tmp_path / "run"
+    assert main(["gen-trace", "--cavs", "20", "--frames", "2", "--seed", "0",
+                 "--out", str(trace)]) == EXIT_OK
+    cfg.write_text(json.dumps({"fading_sigma": 10, "rate_sigma": 10}))
+    assert main(["run", "--trace", str(trace), "--policy", policy, "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_OK
+    with open(out / "frames.csv") as fh:
+        totals = [float(row["total_ms"]) for row in csv.DictReader(fh)]
+    assert len(totals) == 40 and all(map(math.isfinite, totals))
 
 
 @pytest.mark.parametrize("command, extra, out_name", [
@@ -527,6 +576,9 @@ def test_run_mistyped_config_value_exits_2(tmp_path, trace_path, capsys):
     ("sweep", {"beta": -1.0}, ["--param", "H", "--values", "80", "90"]),
     ("run", {"seed": 2**64}, []),  # seeds key uint64 draws
     ("run", {"rf_set": [64, 64]}, []),  # a repeated level has zero width in the search
+    # a wider log-normal spread could send a rate to 0 or a latency to inf
+    ("run", {"fading_sigma": 10.000001}, []),
+    ("run", {"rate_sigma": 10.000001}, []),
 ])
 def test_out_of_range_config_exits_2_before_output(tmp_path, trace_path, capsys,
                                                    command, config, extra):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from coopsim import simpipe
+from coopsim.codec import RAW_OBJECT_BYTES
 from coopsim.errors import ConfigError
 from coopsim.netsim import (
     MODULE_TIMES_MS,
@@ -16,10 +18,10 @@ from coopsim.netsim import (
     _fcfs_waits,
 )
 from coopsim.sampling import keyed_uniforms
-from coopsim.simpipe import RunConfig, _frame_record, _record_frame, generate_trace, run_simulation
+from coopsim.simpipe import RunConfig, _record_frame, generate_trace, run_simulation
 from coopsim.tracking import row_norms
-from oracles import (draw_fading, position_uplink_rate, sample_module_times_ms, sector_index,
-                     uplink_ms)
+from oracles import (draw_fading, frame_record, position_uplink_rate, sample_module_times_ms,
+                     sector_index, uplink_ms)
 from oracles import fcfs_waits as oracle_fcfs
 
 
@@ -46,6 +48,22 @@ def test_reference_rate_chain():
     assert snr_db(100.0, band, radio) == pytest.approx(71.5, abs=0.1)
     rate = uplink_rate(100.0, 150, radio)
     assert rate == pytest.approx(31.7e3, rel=5e-3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_widest_accepted_fading_keeps_rate_and_uplink_finite():
+    """At the largest fading_sigma RunConfig accepts, the extreme keyed draws
+    (u = 2**-53 and 1 - 2**-53, |z| = 8.21) give a fading factor within
+    1e±36: a non-zero rate and a finite uplink, even for 150 raw objects
+    300 m out on a shared band."""
+    radio = cell(fading_sigma=10.0)
+    for u in (2.0**-53, 1.0 - 2.0**-53):
+        fading = math.exp(radio.fading_sigma * float(ndtri(u)))
+        assert 1e-36 < fading < 1e36
+        rate = uplink_rate(300.0, 150, radio, fading=fading)
+        _, up, queue = simulate_frame_latency([150 * RAW_OBJECT_BYTES], [0.0], [rate], [1.0], 1,
+                                              np.full((1, len(MODULE_TIMES_MS)), 0.5), 0.0)
+        assert 0.0 < rate < math.inf and np.isfinite(up).all() and np.isfinite(queue).all()
 
 
 def test_band_halves_when_sharers_double():
@@ -138,7 +156,7 @@ def test_a_cavs_draws_are_its_own(monkeypatch):
     fading factor, baseline draw and object picks as they were: a draw is
     keyed by the CAV's id, not by its place in the frame."""
     trace = generate_trace(20, 3, seed=6)
-    rec = _frame_record(trace[1])
+    rec = frame_record(trace[1])
     dropped = rec["cavs"].pop(7)["id"]
     cut = [trace[0], _record_frame(rec), trace[2]]
     cfg = RunConfig(policy="adamap-lite", fading_sigma=0.3, base_station=(100.0, 100.0, 10.0))

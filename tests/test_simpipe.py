@@ -22,7 +22,7 @@ from coopsim.codec import (
     surrogate_dataset,
 )
 from coopsim.errors import ConfigError, FrameError
-from coopsim.geometry import Bbox3, resample, sample_visible_surface
+from coopsim.geometry import Bbox3, resample, sample_visible_surface, wrap_yaw
 from coopsim.sampling import keyed_uniforms
 from coopsim.simpipe import (
     CAR_EXTENT,
@@ -37,6 +37,7 @@ from coopsim.simpipe import (
     GlobalMap,
     RunConfig,
     RunState,
+    TraceFrame,
     _S_CODEC,
     _S_TIME,
     _cells,
@@ -52,8 +53,8 @@ from coopsim.simpipe import (
     write_frame_csv,
 )
 from coopsim.tracking import kalman_init
-from oracles import (DictGlobalMap, MapEntry, MatrixFilterMap, greedy_dedup, kalman_state,
-                     loop_charges, loop_select_objects, predict_subspace_counts)
+from oracles import (DictGlobalMap, MapEntry, MatrixFilterMap, dumps_trace, greedy_dedup,
+                     kalman_state, loop_charges, loop_select_objects, predict_subspace_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +140,78 @@ def test_save_load_roundtrip(tmp_path):
             want, got = getattr(fa, name), getattr(fb, name)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+@pytest.mark.parametrize("cavs, frames", [(1, 1), (8, 3), (40, 8), (150, 3)])
+def test_save_trace_matches_json_dumps(tmp_path, cavs, frames, seed):
+    trace = generate_trace(cavs, frames, seed=seed)
+    path = tmp_path / "t.jsonl"
+    save_trace(path, trace)
+    assert path.read_text() == dumps_trace(trace)
+
+
+def _edge_frame(**overrides) -> TraceFrame:
+    """A hand-built frame of numbers whose text json renders with care: -0.0
+    beside 0.0, the least subnormal, 1e16, 0.1 + 0.2, an id past 2**53 and
+    an int time_s; its second CAV sees nothing."""
+    fields = dict(
+        index=4, time_s=0, cav_ids=np.array([3, 0]),
+        poses=np.array([[-0.0, 0.0, 5e-324, 1e16, 0.1 + 0.2, -0.0],
+                        [0.0, -0.0, 1.0, 2.0, 0.3, 1e-7]]),
+        pair_cav=np.array([0, 0]), obj_ids=np.array([2**53 + 1, 0]),
+        centers=np.array([[-0.0, 0.0, 1e16], [0.1 + 0.2, 5e-324, -5e-324]]),
+        extents=np.array([[4.5, 1.8, 1.5], [1.0, 1.0, 1e16]]),
+        yaws=np.array([-0.0, 0.0]), counts=np.array([1, 240000]))
+    return TraceFrame(**{**fields, **overrides})
+
+
+def test_save_trace_matches_json_dumps_on_edge_numbers(tmp_path):
+    frames = [_edge_frame(), _edge_frame(index=5, time_s=0.1 + 0.2)]
+    path = tmp_path / "t.jsonl"
+    save_trace(path, frames)
+    assert path.read_text() == dumps_trace(frames)
+    assert path.read_text().count("-0.0") == dumps_trace(frames).count("-0.0") == 10
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["poses", "centers", "extents", "yaws", "time_s"])
+def test_save_trace_refuses_non_finite(tmp_path, field, value):
+    """Strict JSON, as write_summary writes: json.dumps would write NaN."""
+    frame = _edge_frame()
+    if field == "time_s":
+        frame.time_s = value
+    else:
+        getattr(frame, field).flat[-1] = value
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_trace(tmp_path / "t.jsonl", [frame])
+
+
+_TEXT_FRAME = ('{"cavs":[{"id":0,"objects":[{"center":[1.5,1.50,15e-1],"count":3,'
+               '"extent":[1.50,15e-1,1.5],"id":1,"yaw":-0.0}],'
+               '"pose":[-0.0,1.5,1.50,15e-1,-0.0,0.0]},'
+               '{"id":1,"objects":[{"center":[-0.0,15e-1,1.50],"count":2,'
+               '"extent":[1.5,1.5,1.50],"id":0,"yaw":15e-1}],'
+               '"pose":[1.50,-0.0,1.5,0.0,15e-1,-0.0]}],"frame":0,"time_s":15e-1}')
+
+
+def test_load_reads_float_texts_as_plain_json(tmp_path):
+    """1.5, 1.50 and 15e-1 are one number in three texts, and -0.0 is not
+    0.0: the loader's per-line memo of float texts gives the arrays, bit for
+    bit, that a plain json.loads of the line gives."""
+    path = tmp_path / "t.jsonl"
+    path.write_text(_TEXT_FRAME + "\n")
+    (frame,) = load_trace(path)
+    rec = json.loads(_TEXT_FRAME)
+    pairs = [o for c in rec["cavs"] for o in c["objects"]]
+    want = {"poses": [c["pose"] for c in rec["cavs"]],
+            "centers": [o["center"] for o in pairs], "extents": [o["extent"] for o in pairs],
+            "yaws": wrap_yaw(np.array([o["yaw"] for o in pairs]))}
+    for name, values in want.items():
+        got, plain = getattr(frame, name), np.array(values, dtype=np.float64)
+        assert got.dtype == plain.dtype and got.shape == plain.shape
+        assert got.tobytes() == plain.tobytes(), name
+    assert frame.time_s == 1.5 and math.copysign(1.0, frame.poses[0, 0]) == -1.0
 
 
 def _records(tmp_path, trace):
