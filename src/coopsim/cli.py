@@ -23,6 +23,7 @@ from .codec import default_profile_clouds, profile, surrogate_dataset
 from .errors import CoopsimError, ConfigError, FrameError, ProfileIncompleteError
 from .simpipe import (
     RunConfig,
+    check_radio,
     collect_metrics,
     generate_trace,
     load_dataset,
@@ -203,6 +204,7 @@ def cmd_run(args) -> int:
     # every input is read and checked before the output directory exists
     cfg = _load_config(args)
     trace = load_trace(args.trace)
+    check_radio(trace, cfg)
     dataset = load_dataset(cfg)
     with _output_dir(args.out, args.force):
         summary = run_to_dir(cfg, trace, dataset, args.out,
@@ -218,9 +220,7 @@ def cmd_run(args) -> int:
 
 
 def _sweep_worker(job) -> dict:
-    cfg, trace, trace_name, dataset, out_dir, param, value, frames = job
-    if trace is None:  # a cavs sweep generates each fleet's trace in its own job
-        trace = generate_trace(value, frames, seed=cfg.seed)
+    cfg, trace, trace_name, dataset, out_dir, param, value = job
     os.makedirs(out_dir, exist_ok=True)
     summary = run_to_dir(cfg, trace, dataset, out_dir, config_name="<sweep>",
                          trace_name=trace_name)
@@ -272,8 +272,15 @@ def cmd_sweep(args) -> int:
     configs = [replace(base, **{field: v}) if field else base for v in values]
     # the swept values leave rf_set and dataset_path alone: one check, one load
     dataset = load_dataset(base)
-    # a trace file is read and checked before the sweep directory exists
-    base_trace = load_trace(args.trace) if args.trace else None
+    # every trace is read or generated, and each swept radio checked on its
+    # trace, before the sweep directory exists
+    if args.param == "cavs":
+        traces = [generate_trace(v, frames, seed=base.seed) for v in values]
+    else:
+        traces = [load_trace(args.trace) if args.trace
+                  else generate_trace(cavs, frames, seed=base.seed)] * len(values)
+    for cfg, trace in zip(configs, traces):
+        check_radio(trace, cfg)
 
     env_workers = os.environ.get(WORKERS_ENV, "1")
     workers = int(env_workers) if env_workers.isdecimal() else 0
@@ -282,17 +289,17 @@ def cmd_sweep(args) -> int:
 
     with _output_dir(args.out, args.force):
         trace_name = args.trace
-        if args.param != "cavs" and base_trace is None:
+        if args.param != "cavs" and args.trace is None:
             trace_name = os.path.join(args.out, "base_trace.jsonl")
-            _write_atomic(trace_name, save_trace, generate_trace(cavs, frames, seed=base.seed))
-            base_trace = load_trace(trace_name)
+            _write_atomic(trace_name, save_trace, traces[0])
+            traces = [load_trace(trace_name)] * len(values)
 
         jobs = []
-        for cfg, value in zip(configs, values):
+        for cfg, value, trace in zip(configs, values, traces):
             if args.param == "cavs":
                 trace_name = f"<generated cavs={value} frames={frames} seed={base.seed}>"
             sub = os.path.join(args.out, f"{args.param}-{value:g}")
-            jobs.append((cfg, base_trace, trace_name, dataset, sub, args.param, value, frames))
+            jobs.append((cfg, trace, trace_name, dataset, sub, args.param, value))
 
         if workers == 1:
             rows = [_sweep_worker(j) for j in jobs]

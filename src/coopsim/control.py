@@ -45,7 +45,7 @@ from .codec import (
     sample_tables,
 )
 from .errors import ConfigError
-from .geometry import box_frame_offsets, facing_quadrant_mask, projected_areas
+from .geometry import box_frame_offsets, face_weights, facing_quadrant_mask
 from .sampling import keyed_uniforms
 from . import netsim
 
@@ -82,7 +82,7 @@ def predict_counts(centers, extents, yaws, viewers):
                                  for a in (centers, extents, viewers))
     local, dist = box_frame_offsets(centers, np.asarray(yaws, dtype=np.float64), viewers)
     near = dist <= LIDAR_RANGE_M
-    area = projected_areas(local[near], dist[near], extents[near])
+    area = face_weights(local[near], dist[near], extents[near]).sum(axis=1)
     totals = np.zeros(len(dist), dtype=np.int64)
     d = dist[near]
     totals[near] = np.clip(POINT_DENSITY_K * area / (d * d), 0.0,

@@ -1,9 +1,15 @@
-"""Geometric core: boxes, cloud metrics, surface sampling, box/viewer kernels.
+"""Geometric core: boxes, cloud metrics, and one visibility model.
 
 Conventions used throughout the package:
 
 * Points are float64 arrays of shape (N, 3).
 * Box yaw rotates the length axis away from +X in the ground plane.
+
+What a viewer sees of a box is decided once, by ``face_weights``: per box
+axis, the projected area of the face whose plane the viewer lies beyond,
+from the viewer's offset in the box frame (``box_frame_offsets``).  Count
+prediction sums those weights, and ``sample_visible_surface`` spreads its
+points over the same faces by them.
 """
 
 from __future__ import annotations
@@ -65,14 +71,6 @@ class Bbox3:
         """Rows are the unit length/width/height axes in the parent frame."""
         c, s = math.cos(self.yaw), math.sin(self.yaw)
         return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-
-    def to_box(self, points: np.ndarray) -> np.ndarray:
-        """Express points in the box-aligned frame centered on the box."""
-        return (np.asarray(points, dtype=np.float64) - self.center) @ self.axes().T
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        local = self.to_box(np.atleast_2d(points))
-        return (np.abs(local) <= self.extent / 2.0 + 1e-12).all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -171,84 +169,7 @@ def reconstruction_loss(original, reconstructed, beta: float = 1e-4) -> float:
 
 
 # ---------------------------------------------------------------------------
-# box faces, visibility, surface sampling
-
-# (axis index, sign): length faces, width faces, height faces
-_FACES = [(0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0), (2, 1.0), (2, -1.0)]
-
-
-def face_geometry(bbox: Bbox3):
-    """Per face: (unit outward normal, face center, area), in the parent frame."""
-    axes = bbox.axes()
-    ext = bbox.extent
-    out = []
-    for axis, sign in _FACES:
-        normal = sign * axes[axis]
-        center = bbox.center + normal * (ext[axis] / 2.0)
-        others = [i for i in range(3) if i != axis]
-        area = float(ext[others[0]] * ext[others[1]])
-        out.append((normal, center, area))
-    return out
-
-
-def visible_face_weights(bbox: Bbox3, viewpoint: np.ndarray) -> np.ndarray:
-    """Projected-area weight per face; zero for faces turned away.
-
-    A face counts as visible when the viewpoint lies beyond its plane.  The
-    weight is the face area times the cosine between the outward normal and
-    the direction from the box center to the viewpoint.
-    """
-    vp = np.asarray(viewpoint, dtype=np.float64).reshape(3)
-    if bool(bbox.contains(vp)[0]):
-        raise InvalidViewpointError(f"viewpoint {vp} lies inside the box")
-    view_dir = vp - bbox.center
-    norm = np.linalg.norm(view_dir)
-    view_dir = view_dir / norm
-    weights = np.zeros(len(_FACES))
-    for i, (normal, center, area) in enumerate(face_geometry(bbox)):
-        if float(normal @ (vp - center)) <= 0.0:
-            continue
-        weights[i] = area * max(0.0, float(normal @ view_dir))
-    return weights
-
-
-def sample_visible_surface(bbox: Bbox3, viewpoint, n: int, seed: int) -> PointCloud:
-    """Sample n points on the faces of the box visible from the viewpoint.
-
-    Points are spread over visible faces proportionally to projected area,
-    uniformly within each face.  Deterministic given the seed.
-    """
-    if n <= 0:
-        raise ValueError(f"sample count must be positive, got {n}")
-    weights = visible_face_weights(bbox, np.asarray(viewpoint, dtype=np.float64))
-    total = weights.sum()
-    if total <= 0.0:
-        # viewpoint exactly on a face plane; fall back to plain areas
-        weights = np.array([a for _, _, a in face_geometry(bbox)])
-        total = weights.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(n, weights / total)
-    faces = face_geometry(bbox)
-    axes = bbox.axes()
-    chunks = []
-    for i, cnt in enumerate(counts):
-        if cnt == 0:
-            continue
-        axis, _ = _FACES[i]
-        _, center, _ = faces[i]
-        others = [k for k in range(3) if k != axis]
-        uv = rng.uniform(-0.5, 0.5, size=(cnt, 2))
-        pts = (
-            center
-            + np.outer(uv[:, 0] * bbox.extent[others[0]], axes[others[0]])
-            + np.outer(uv[:, 1] * bbox.extent[others[1]], axes[others[1]])
-        )
-        chunks.append(pts)
-    return PointCloud(np.concatenate(chunks, axis=0))
-
-
-# ---------------------------------------------------------------------------
-# many (box, viewer) pairs at once: projected areas and facing quadrants
+# what a viewer sees of a box: face weights, surface samples, facing quadrants
 
 # ground-plane quadrants of a box, full height: (+l,+w), (+l,-w), (-l,+w), (-l,-w)
 _QUADRANT_SIGNS = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.float64)
@@ -259,7 +180,7 @@ def box_frame_offsets(centers, yaws, viewers):
 
     ``centers`` and ``viewers`` are (N, 3), ``yaws`` is (N,), wrapped by
     wrap_yaw as in Bbox3.  Returns the (N, 3) offsets along each box's
-    length, width and height axes (what Bbox3.to_box gives) and the (N,)
+    length, width and height axes (the rows of Bbox3.axes) and the (N,)
     center-to-viewer distances.
     """
     v = viewers - centers
@@ -269,13 +190,15 @@ def box_frame_offsets(centers, yaws, viewers):
     return local, dist
 
 
-def projected_areas(local, dist, extents) -> np.ndarray:
-    """Viewer-facing projected area of N boxes, in m^2, from their box-frame
-    offsets and ranges (visible_face_weights summed, in closed form).
+def face_weights(local, dist, extents) -> np.ndarray:
+    """Projected area, in m^2, of the face each of N viewers sees per box
+    axis (length, width, height), from box-frame offsets and ranges: (N, 3).
 
     A viewer sees at most one face per axis, the one whose plane it lies
-    beyond; that face weighs its area times the cosine |offset| / range.
-    Raises InvalidViewpointError if any viewer lies inside its box.
+    beyond; that face weighs its area times the cosine |offset| / range, and
+    an axis whose faces are both turned away weighs 0.  Their sum is the
+    box's projected area.  Raises InvalidViewpointError if any viewer lies
+    inside its box.
     """
     half = extents / 2.0
     inside = (np.abs(local) <= half + 1e-12).all(axis=1)
@@ -284,7 +207,33 @@ def projected_areas(local, dist, extents) -> np.ndarray:
             f"viewpoint {local[inside][0]} (box frame) lies inside the box")
     face_area = extents[:, [1, 0, 0]] * extents[:, [2, 2, 1]]
     beyond = np.abs(local) > half
-    return np.where(beyond, face_area * np.abs(local) / dist[:, None], 0.0).sum(axis=1)
+    return np.where(beyond, face_area * np.abs(local) / dist[:, None], 0.0)
+
+
+def sample_visible_surface(bbox: Bbox3, viewpoint, n: int, seed: int) -> PointCloud:
+    """Sample n points on the faces of the box visible from the viewpoint.
+
+    Points are spread over the faces (+l, -l, +w, -w, +h, -h) by their
+    face_weights, uniformly within each face.  Deterministic given the seed.
+    """
+    if n <= 0:
+        raise ValueError(f"sample count must be positive, got {n}")
+    vp = np.asarray(viewpoint, dtype=np.float64).reshape(1, 3)
+    local, dist = box_frame_offsets(bbox.center[None, :], np.array([bbox.yaw]), vp)
+    weights = np.zeros(6)  # the seen face of axis a is 2a, or 2a + 1 if the viewer is behind
+    weights[2 * np.arange(3) + (local[0] < 0)] = face_weights(local, dist, bbox.extent[None, :])[0]
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(n, weights / weights.sum())
+    axes = bbox.axes()
+    chunks = []
+    for face in np.flatnonzero(counts):
+        axis, sign = face // 2, -1.0 if face % 2 else 1.0
+        u, v = (k for k in range(3) if k != axis)
+        center = bbox.center + sign * axes[axis] * (bbox.extent[axis] / 2.0)
+        uv = rng.uniform(-0.5, 0.5, size=(counts[face], 2))
+        chunks.append(center + np.outer(uv[:, 0] * bbox.extent[u], axes[u])
+                      + np.outer(uv[:, 1] * bbox.extent[v], axes[v]))
+    return PointCloud(np.concatenate(chunks, axis=0))
 
 
 def facing_quadrant_mask(local) -> np.ndarray:

@@ -895,16 +895,47 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
     return rows, objects, stats, loc_errors
 
 
+def _placed(trace, config: RunConfig) -> RunConfig:
+    """``config`` with an unset ``base_station`` at the frame-0 CAV centroid,
+    10 m up."""
+    if config.base_station is not None:
+        return config
+    poses = trace[0].poses
+    return replace(config, base_station=(float(poses[:, 0].mean()),
+                                         float(poses[:, 1].mean()), 10.0))
+
+
+def check_radio(trace, config: RunConfig) -> None:
+    """Raise ConfigError unless every uplink rate a run of ``trace`` can draw
+    is positive and computable.  A rate falls with the CAV's distance to the
+    base station and with the CAVs that share its band, and the fading
+    factor is at least exp(sigma * ndtri(2**-53)), at the smallest keyed
+    uniform.  So the farthest CAV, sharing its sector with every CAV of the
+    largest frame, at that fading, draws the lowest rate, and the nearest
+    one so sharing has the highest SNR, which must not overflow."""
+    cfg = _placed(trace, config)
+    distances = row_norms(np.concatenate([f.poses[:, :3] for f in trace])
+                          - np.asarray(cfg.base_station, dtype=np.float64))
+    sharers = max(len(f.cav_ids) for f in trace)
+    try:
+        netsim.uplink_rate(float(distances.min()), sharers, cfg)
+        slowest = netsim.uplink_rate(float(distances.max()), sharers, cfg,
+                                     fading=math.exp(cfg.fading_sigma * ndtri(2.0**-53)))
+    except OverflowError:
+        raise ConfigError("bandwidth_hz, carrier_ghz and base_station give an SNR "
+                          "too large to compute") from None
+    if not slowest > 0.0:
+        raise ConfigError(f"bandwidth_hz, carrier_ghz and base_station give a CAV "
+                          f"{float(distances.max()):.3g} m from the base station a rate of 0")
+
+
 def run_simulation(trace, config: RunConfig,
                    dataset: MeasurementDataset | None = None) -> RunResult:
     """Run every frame of ``trace``, a valid one as ``load_trace`` or
     ``generate_trace`` returns it; ``dataset`` defaults to ``load_dataset``.
     An unset ``base_station`` becomes the frame-0 CAV centroid at 10 m
     height, and the result's config holds it."""
-    if config.base_station is None:
-        poses = trace[0].poses
-        config = replace(config, base_station=(float(poses[:, 0].mean()),
-                                                float(poses[:, 1].mean()), 10.0))
+    config = _placed(trace, config)
     if dataset is None:
         dataset = load_dataset(config)
     state = RunState(config)

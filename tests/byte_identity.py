@@ -11,7 +11,9 @@ part: per row, in id order, the id, the filter state (x, p and time),
 last_seen, has_geometry and last_loss.  Two checkouts give byte-identical
 outputs when they print the same lines.  The set: 150 × 10 for each
 surrogate policy, 40 × 16 ``adamap-reuse``, and 7 × 2 ``adamap`` in codec
-mode.  It takes about a minute; pytest does not collect it.
+mode, once at the default band and once at 30 kHz, where the latency bound
+binds and the RF search runs over measured codec losses.  It takes about a
+minute; pytest does not collect it.
 """
 
 import argparse
@@ -27,8 +29,10 @@ from coopsim.cli import main
 from coopsim.simpipe import POLICIES
 from oracles import kalman_state
 
-SCENARIOS = ([(150, 10, policy, "surrogate") for policy in POLICIES]
-             + [(40, 16, "adamap-reuse", "surrogate"), (7, 2, "adamap", "codec")])
+# (cavs, frames, policy, dataset mode, name suffix, config fields beyond the default)
+SCENARIOS = ([(150, 10, policy, "surrogate", "", {}) for policy in POLICIES]
+             + [(40, 16, "adamap-reuse", "surrogate", "", {}), (7, 2, "adamap", "codec", "", {}),
+                (7, 2, "adamap", "codec", "-30khz", {"bandwidth_hz": 30e3})])
 
 
 def _sha(data: bytes) -> str:
@@ -73,7 +77,7 @@ def _run(argv) -> None:
 def hashes(workdir: str, seed: int) -> list:
     lines = []
     traces = {}
-    for cavs, frames, policy, mode in SCENARIOS:
+    for cavs, frames, policy, mode, suffix, fields in SCENARIOS:
         trace = traces.get((cavs, frames))
         if trace is None:
             trace = traces[cavs, frames] = os.path.join(workdir, f"trace-{cavs}x{frames}.jsonl")
@@ -81,10 +85,10 @@ def hashes(workdir: str, seed: int) -> list:
                   "--seed", "0", "--out", trace])
             with open(trace, "rb") as fh:
                 lines.append(f"trace {cavs}x{frames} {_sha(fh.read())}")
-        name = f"{policy}-{mode}-{cavs}x{frames}"
+        name = f"{policy}-{mode}-{cavs}x{frames}{suffix}"
         config = os.path.join(workdir, f"{name}.json")
         with open(config, "w") as fh:
-            json.dump({"policy": policy, "seed": seed, "dataset_mode": mode}, fh)
+            json.dump({"policy": policy, "seed": seed, "dataset_mode": mode, **fields}, fh)
         out = os.path.join(workdir, name)
         _run(["run", "--trace", trace, "--config", config, "--out", out])
         with open(os.path.join(out, "frames.csv"), "rb") as fh:

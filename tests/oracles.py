@@ -3,8 +3,10 @@
 Everything here is deliberately written from first principles (plain loops,
 exhaustive enumeration) and does not share code with the package under test.
 The exceptions are the routines that array code replaced, kept as they were:
-the per-pair point-count predictor with its projected_area (it shares Bbox3
-and visible_face_weights), the per-object edge thinning with its sorted
+the per-face visibility loop (visible_face_weights over face_geometry, with
+the box-frame transform and inside test) and the surface sampler built on
+it, the per-pair point-count predictor with its projected_area over that
+loop (they share Bbox3), the per-object edge thinning with its sorted
 drop loop, the farthest-point walk with one temporary per step, the edge
 map as a dict of entries with its predictive match and greedy dedup (it
 shares the scalar filter steps and the map constants), the matrix-form
@@ -48,8 +50,8 @@ from coopsim.control import (
     PRIMAL_STEP,
     OptimizeResult,
 )
-from coopsim.errors import ConfigError
-from coopsim.geometry import Bbox3, visible_face_weights
+from coopsim.errors import ConfigError, InvalidViewpointError
+from coopsim.geometry import Bbox3, PointCloud
 from coopsim.sampling import TruncatedNormal, keyed_uniforms
 from coopsim.simpipe import DEDUP_DISTANCE_M, MATCH_GATE_M, RETIRE_AFTER_S
 from coopsim.tracking import (
@@ -625,6 +627,78 @@ def matrix_kalman_correct(state: KalmanState, z,
 
 
 # ---------------------------------------------------------------------------
+# the per-face visibility loop and surface sampler that face_weights replaced
+
+# (axis index, sign): length faces, width faces, height faces
+FACES = [(0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0), (2, 1.0), (2, -1.0)]
+
+
+def to_box(bbox: Bbox3, points) -> np.ndarray:
+    """Points expressed in the box-aligned frame centered on the box."""
+    return (np.asarray(points, dtype=np.float64) - bbox.center) @ bbox.axes().T
+
+
+def contains(bbox: Bbox3, points) -> np.ndarray:
+    local = to_box(bbox, np.atleast_2d(points))
+    return (np.abs(local) <= bbox.extent / 2.0 + 1e-12).all(axis=1)
+
+
+def face_geometry(bbox: Bbox3):
+    """Per face: (unit outward normal, face center, area), in the parent frame."""
+    axes = bbox.axes()
+    ext = bbox.extent
+    out = []
+    for axis, sign in FACES:
+        normal = sign * axes[axis]
+        center = bbox.center + normal * (ext[axis] / 2.0)
+        others = [i for i in range(3) if i != axis]
+        area = float(ext[others[0]] * ext[others[1]])
+        out.append((normal, center, area))
+    return out
+
+
+def visible_face_weights(bbox: Bbox3, viewpoint) -> np.ndarray:
+    """Projected-area weight per face; zero for faces turned away.
+
+    A face counts as visible when the viewpoint lies beyond its plane.  The
+    weight is the face area times the cosine between the outward normal and
+    the direction from the box center to the viewpoint.
+    """
+    vp = np.asarray(viewpoint, dtype=np.float64).reshape(3)
+    if bool(contains(bbox, vp)[0]):
+        raise InvalidViewpointError(f"viewpoint {vp} lies inside the box")
+    view_dir = vp - bbox.center
+    view_dir = view_dir / np.linalg.norm(view_dir)
+    weights = np.zeros(len(FACES))
+    for i, (normal, center, area) in enumerate(face_geometry(bbox)):
+        if float(normal @ (vp - center)) <= 0.0:
+            continue
+        weights[i] = area * max(0.0, float(normal @ view_dir))
+    return weights
+
+
+def loop_sample_visible_surface(bbox: Bbox3, viewpoint, n: int, seed: int) -> PointCloud:
+    """n points on the visible faces, spread by visible_face_weights, one
+    face at a time; with plain areas if no face weighs anything."""
+    weights = visible_face_weights(bbox, viewpoint)
+    if weights.sum() <= 0.0:
+        weights = np.array([a for _, _, a in face_geometry(bbox)])
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(n, weights / weights.sum())
+    axes = bbox.axes()
+    chunks = []
+    for (axis, _), (_, center, _), cnt in zip(FACES, face_geometry(bbox), counts):
+        if cnt == 0:
+            continue
+        others = [k for k in range(3) if k != axis]
+        uv = rng.uniform(-0.5, 0.5, size=(cnt, 2))
+        chunks.append(center
+                      + np.outer(uv[:, 0] * bbox.extent[others[0]], axes[others[0]])
+                      + np.outer(uv[:, 1] * bbox.extent[others[1]], axes[others[1]]))
+    return PointCloud(np.concatenate(chunks, axis=0))
+
+
+# ---------------------------------------------------------------------------
 # per-pair point counts and dict-based map matching, replaced by array code
 
 _QUADRANT_SIGNS = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=np.float64)
@@ -639,7 +713,7 @@ def facing_quadrants(bbox: Bbox3, viewpoint) -> list:
     """Quadrants whose outward corner direction faces the viewer; all four
     when the viewpoint is straight above or below the center."""
     vp = np.asarray(viewpoint, dtype=np.float64).reshape(3)
-    local = bbox.to_box(vp[None, :])[0][:2]
+    local = to_box(bbox, vp[None, :])[0][:2]
     scores = _QUADRANT_SIGNS @ local
     facing = [i for i, s in enumerate(scores) if s > 1e-12]
     return facing if facing else list(range(4))

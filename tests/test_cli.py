@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from coopsim import cli
+from coopsim import cli, simpipe
 from coopsim.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -447,20 +447,63 @@ def test_run_failure_is_marked_failed(tmp_path, trace_path, monkeypatch, capsys)
     assert sorted(os.listdir(out)) == ["manifest.json"]
 
 
-def test_infinite_latency_run_leaves_only_the_manifest(tmp_path, capsys):
-    """A base station this far away leaves an SNR whose log2(1 + snr) is 0,
-    so every rate is 0 and every latency inf, and summary.json's strict dump
-    raises once frames.csv is written; the failed run leaves neither output
-    file."""
-    trace, cfg, out = tmp_path / "t.jsonl", tmp_path / "cfg.json", tmp_path / "run"
+def test_infinite_latency_run_leaves_only_the_manifest(tmp_path, capsys, monkeypatch):
+    """A rate of 0 inside the frame loop, which check_radio keeps any
+    accepted config from giving, makes every latency inf, and summary.json's
+    strict dump raises once frames.csv is written; the failed run leaves
+    neither output file."""
+    trace, out = tmp_path / "t.jsonl", tmp_path / "run"
     assert main(["gen-trace", "--cavs", "20", "--frames", "2", "--seed", "0",
                  "--out", str(trace)]) == EXIT_OK
-    cfg.write_text(json.dumps({"base_station": [1e150, 0.0, 10.0]}))
-    assert main(["run", "--trace", str(trace), "--policy", "adamap-lite", "--config", str(cfg),
+    monkeypatch.setattr(simpipe, "uplink_rate", lambda *args, **kwargs: 0.0)
+    assert main(["run", "--trace", str(trace), "--policy", "adamap-lite",
                  "--out", str(out)]) == EXIT_INTERNAL
     assert "not JSON compliant: inf" in capsys.readouterr().err
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
     assert sorted(os.listdir(out)) == ["manifest.json"]
+
+
+# each gives a rate of 0 (a strict dump of inf) or an SNR that overflows
+UNUSABLE_RADIOS = [{"base_station": [1e150, 0, 10]}, {"carrier_ghz": 1e300},
+                   {"bandwidth_hz": 1e300}, {"bandwidth_hz": 1e-310}]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("radio", UNUSABLE_RADIOS)
+@pytest.mark.parametrize("command, extra, on_trace", [
+    ("run", ["--policy", "adamap-lite"], True),
+    ("sweep", ["--param", "H", "--values", "80", "90"], True),
+    # a generated base trace, checked with each swept band: 1e300 Hz fails whatever the config
+    ("sweep", ["--param", "bandwidth", "--values", "2e5", "1e300", "--cavs", "5",
+               "--frames", "2"], False),
+    ("sweep", ["--param", "cavs", "--values", "3", "20", "--frames", "2"], False),
+])
+def test_unusable_radio_exits_2_before_output(tmp_path, capsys, radio, command, extra,
+                                              on_trace):
+    trace, cfg, out = tmp_path / "t.jsonl", tmp_path / "cfg.json", tmp_path / "out"
+    assert main(["gen-trace", "--cavs", "20", "--frames", "2", "--seed", "0",
+                 "--out", str(trace)]) == EXIT_OK
+    cfg.write_text(json.dumps(radio))
+    trace_arg = ["--trace", str(trace)] if on_trace else []
+    assert main([command, *trace_arg, "--config", str(cfg), *extra,
+                 "--out", str(out)]) == EXIT_INPUT
+    assert "error: bandwidth_hz, carrier_ghz and base_station give" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_distant_base_station_runs_with_finite_latency(tmp_path):
+    """A base station 1e9 m away leaves a tiny rate but a positive one: the
+    run completes with every total_ms finite."""
+    trace, cfg, out = tmp_path / "t.jsonl", tmp_path / "cfg.json", tmp_path / "run"
+    assert main(["gen-trace", "--cavs", "20", "--frames", "2", "--seed", "0",
+                 "--out", str(trace)]) == EXIT_OK
+    cfg.write_text(json.dumps({"base_station": [1e9, 0, 10]}))
+    assert main(["run", "--trace", str(trace), "--policy", "adamap-lite", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_OK
+    with open(out / "frames.csv") as fh:
+        totals = [float(row["total_ms"]) for row in csv.DictReader(fh)]
+    assert len(totals) == 40 and all(map(math.isfinite, totals))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -31,6 +31,7 @@ from coopsim.netsim import uplink_rate
 from coopsim.simpipe import RunConfig
 from oracles import (
     LoopScenarios,
+    contains,
     loop_optimize_rf,
     loop_select_objects,
     min_feasible_suffix_sum,
@@ -145,7 +146,7 @@ def test_counts_match_per_pair_oracle():
                                                      np.zeros(n)]))[kind == 4]
     yaws[kind == 4] = 0.0
     boxes = [Bbox3(center=c, extent=e, yaw=y) for c, e, y in zip(centers, extents, yaws)]
-    outside = np.array([not (b.contains(v)[0]) for b, v in zip(boxes, viewers)])
+    outside = np.array([not (contains(b, v)[0]) for b, v in zip(boxes, viewers)])
     keep = np.flatnonzero(outside)
     assert len(keep) >= 50000
     totals, quadrants = predict_counts(

@@ -7,14 +7,20 @@ from scipy.spatial.distance import cdist
 
 from coopsim import geometry as geo
 from coopsim.codec import RF_SET, anchor_count, decode, default_profile_clouds, encode
+from coopsim.control import predict_counts
 from coopsim.errors import EmptyCloudError, InvalidViewpointError, SizeMismatchError
 
 from oracles import (
+    FACES,
     brute_chamfer,
+    contains,
     enumerate_emd,
     hungarian_emd,
     loop_farthest_point_indices,
+    loop_sample_visible_surface,
     projected_area,
+    to_box,
+    visible_face_weights,
 )
 
 
@@ -264,17 +270,17 @@ def test_sampled_points_lie_on_visible_faces():
     box = _car_box(center=(2.0, -1.0, 0.5), yaw=0.6)
     vp = np.array([20.0, 5.0, 1.5])
     cloud = geo.sample_visible_surface(box, vp, 500, seed=3)
-    local = box.to_box(cloud.points)
+    local = to_box(box, cloud.points)
     half = box.extent / 2.0
     on_face = np.isclose(np.abs(local), half, atol=1e-9).any(axis=1)
     assert on_face.all()
     assert (np.abs(local) <= half + 1e-9).all()
     # every sampled point must sit on a face whose plane the viewpoint is beyond
-    vis = geo.visible_face_weights(box, vp) > 0
+    vis = visible_face_weights(box, vp) > 0
     for p in cloud.points:
-        lp = box.to_box(p[None, :])[0]
+        lp = to_box(box, p[None, :])[0]
         hit = []
-        for f, (axis, sign) in enumerate(geo._FACES):
+        for f, (axis, sign) in enumerate(FACES):
             if math.isclose(lp[axis], sign * half[axis], abs_tol=1e-9):
                 hit.append(vis[f])
         assert any(hit)
@@ -292,6 +298,58 @@ def test_sample_visible_surface_deterministic():
 def test_sample_visible_surface_viewpoint_inside_raises():
     with pytest.raises(InvalidViewpointError):
         geo.sample_visible_surface(_car_box(), [0.1, 0.0, 0.0], 10, seed=0)
+
+
+def test_sampler_matches_loop_oracle_on_random_boxes():
+    """Face weights from the count kernel give the per-face loop's points,
+    bit for bit, on random boxes (yaw across +-2 pi, centers within 100 m)."""
+    rng = np.random.default_rng(21)
+    for _ in range(1000):
+        box = geo.Bbox3(center=rng.uniform(-100, 100, 3), extent=rng.uniform(0.2, 6, 3),
+                        yaw=float(rng.uniform(-2 * math.pi, 2 * math.pi)))
+        vp = box.center + rng.normal(size=3) * rng.uniform(0.5, 40)
+        if contains(box, vp)[0]:
+            continue
+        n, seed = int(rng.integers(1, 3000)), int(rng.integers(2**31))
+        assert np.array_equal(geo.sample_visible_surface(box, vp, n, seed).points,
+                              loop_sample_visible_surface(box, vp, n, seed).points)
+
+
+@pytest.mark.parametrize("yaw, offset", [
+    (0.6, [0.0, 0.0, 30.0]),  # straight above: the top face alone
+    (0.0, [2.25, 10.0, 0.3]),  # exactly on the +l face's plane: that face weighs 0
+    (0.0, [20.0, 20.0, 0.0]),  # on the diagonal: the +l and +w faces
+    (-2.0, [-10.0, -10.0, -4.0]),  # diagonal below: three faces turned to the viewer
+    (0.6, [2.25 + 1e-9, 0.4, 0.2]),  # 1e-9 m outside the +l face: that face alone
+    (2.5, [0.0, -0.9 - 1e-9, 0.0]),  # 1e-9 m outside the -w face
+])
+def test_sampler_matches_loop_oracle_at_edge_viewpoints(yaw, offset):
+    box = _car_box(center=(3.0, -2.0, 0.75), yaw=yaw)
+    vp = box.center + np.asarray(offset) @ box.axes()
+    for seed in range(5):
+        got = geo.sample_visible_surface(box, vp, 777, seed).points
+        assert np.array_equal(got, loop_sample_visible_surface(box, vp, 777, seed).points)
+    # the points cover exactly the faces the per-face loop weighs
+    local = to_box(box, got)
+    seen = [f for f, (axis, sign) in enumerate(FACES)
+            if np.isclose(local[:, axis], sign * box.extent[axis] / 2.0, rtol=0, atol=1e-9).any()]
+    assert seen == np.flatnonzero(visible_face_weights(box, vp)).tolist()
+
+
+@pytest.mark.parametrize("margin, inside", [(1e-13, True), (-0.3, True), (1e-9, False)])
+def test_sampler_and_counts_share_the_inside_rule(margin, inside):
+    """A viewpoint within 1e-12 m of a face counts as inside for the sampler
+    and the count kernel alike: both raise through face_weights."""
+    box = _car_box(center=(3.0, -2.0, 0.75))
+    vp = box.center + np.array([2.25 + margin, 0.2, 0.1])
+    calls = (lambda: geo.sample_visible_surface(box, vp, 10, seed=0),
+             lambda: predict_counts(box.center, box.extent, [box.yaw], vp))
+    for call in calls:
+        if inside:
+            with pytest.raises(InvalidViewpointError, match="lies inside the box"):
+                call()
+        else:
+            call()
 
 
 def test_face_counts_proportional_to_projected_area():
@@ -319,7 +377,7 @@ def test_projected_area_head_on_car_face():
 
 def test_projected_area_zero_weight_for_back_faces():
     box = _car_box()
-    w = geo.visible_face_weights(box, [0.0, 20.0, 0.0])
+    w = visible_face_weights(box, [0.0, 20.0, 0.0])
     assert (w > 0).sum() == 1
 
 
@@ -354,7 +412,7 @@ def test_box_frame_offsets_match_to_box():
     local, dist = geo.box_frame_offsets(np.array([b.center for b in boxes]),
                                         np.array([b.yaw for b in boxes]), viewers)
     for b, v, lo, d in zip(boxes, viewers, local, dist):
-        assert np.allclose(lo, b.to_box(v[None, :])[0], rtol=0, atol=1e-12)
+        assert np.allclose(lo, to_box(b, v[None, :])[0], rtol=0, atol=1e-12)
         assert d == pytest.approx(np.linalg.norm(v - b.center), rel=1e-15)
 
 
@@ -363,12 +421,12 @@ def test_projected_areas_match_per_box_routine():
     boxes = [geo.Bbox3(center=rng.uniform(-10, 10, 3), extent=rng.uniform(0.2, 5, 3),
                        yaw=float(rng.uniform(-4, 4))) for _ in range(300)]
     pairs = [(b, b.center + rng.normal(size=3) * 20) for b in boxes]
-    boxes, viewers = zip(*[(b, v) for b, v in pairs if not b.contains(v)[0]])
+    boxes, viewers = zip(*[(b, v) for b, v in pairs if not contains(b, v)[0]])
     viewers = np.array(viewers)
     centers = np.array([b.center for b in boxes])
     extents = np.array([b.extent for b in boxes])
     local, dist = geo.box_frame_offsets(centers, np.array([b.yaw for b in boxes]), viewers)
-    got = geo.projected_areas(local, dist, extents)
+    got = geo.face_weights(local, dist, extents).sum(axis=1)
     want = [projected_area(b, v) for b, v in zip(boxes, viewers)]
     assert np.allclose(got, want, rtol=1e-12, atol=0)
 
@@ -378,4 +436,4 @@ def test_projected_areas_viewer_inside_raises():
     local, dist = geo.box_frame_offsets(box.center[None, :], np.array([box.yaw]),
                                         np.array([[0.5, 0.2, 0.1]]))
     with pytest.raises(InvalidViewpointError):
-        geo.projected_areas(local, dist, box.extent[None, :])
+        geo.face_weights(local, dist, box.extent[None, :])
