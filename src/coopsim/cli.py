@@ -50,14 +50,17 @@ SWEEP_COLUMNS = (
 
 
 def version_string() -> str:
-    """Package version, suffixed with the git commit when run from a checkout."""
+    """Package version, suffixed with the git commit when this file sits in a
+    checkout (``.git`` three levels up), not merely inside some work tree."""
     root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    if not os.path.exists(os.path.join(root, ".git")):
+        return __version__
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
                              cwd=root, capture_output=True, text=True, timeout=5)
         if out.returncode == 0 and out.stdout.strip():
             return f"{__version__}+g{out.stdout.strip()}"
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         pass
     return __version__
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
-from scipy.stats import norm
 
 from .errors import CalibrationError
 
@@ -33,6 +32,7 @@ __all__ = ["TruncatedNormal", "keyed_uniforms"]
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's golden-ratio increment
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
@@ -64,9 +64,11 @@ def _truncated_mean(loc: float, scale: float) -> float:
     if a > 20.0:
         # asymptotic inverse Mills ratio; the direct form underflows to 0/0
         return scale / a
-    # lambda(a) = phi(a) / (1 - Phi(a)), the inverse Mills ratio
-    lam = norm.pdf(a) / norm.sf(a)
-    return loc + scale * lam
+    # lambda(a) = phi(a) / (1 - Phi(a)), the inverse Mills ratio, on a
+    # one-element array as scipy.stats.norm's pdf and sf evaluate it, bit for bit
+    x = np.array([a])
+    lam = np.exp(-x**2 / 2.0) / _SQRT_2PI / ndtr(-x)
+    return loc + scale * float(lam[0])
 
 
 class TruncatedNormal:

@@ -22,8 +22,9 @@ scalar upload time, baseline and fading of a frame (they share the
 module-time table and the truncated-normal sampler, and take the same keyed
 uniforms), the sector lookup one CAV at a time, and the per-CAV loop over
 a frame's encode and decode charges and losses (it shares the dataset and
-the count buckets, and takes the same keyed uniforms), and the trace writer
-that built each frame's record as nested dicts and lists for ``json.dumps``.
+the count buckets, and takes the same keyed uniforms), the trace writer
+that built each frame's record as nested dicts and lists for ``json.dumps``,
+and the truncated mean on scipy.stats.norm's pdf and sf.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
+from scipy.stats import norm
 
 from coopsim import control, netsim, tracking
 from coopsim.codec import DESCRIPTOR_OVERHEAD_BYTES, bucket_index
@@ -271,6 +273,14 @@ def sector_index(position, cfg) -> int:
     rel = np.asarray(position, dtype=np.float64).reshape(-1)[:2] - cfg.base_station[:2]
     az = math.atan2(rel[1], rel[0]) % (2.0 * math.pi)
     return int(az // (2.0 * math.pi / cfg.sectors)) % cfg.sectors
+
+
+def truncated_mean(loc: float, scale: float) -> float:
+    """Mean of a normal(loc, scale) truncated at zero, on scipy.stats.norm."""
+    a = -loc / scale
+    if a > 20.0:
+        return scale / a
+    return loc + scale * (norm.pdf(a) / norm.sf(a))
 
 
 def sample_module_times_ms(u) -> float:

@@ -5,11 +5,14 @@ import errno
 import json
 import math
 import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from coopsim import cli, simpipe
+from coopsim import __version__, cli, simpipe
 from coopsim.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -24,6 +27,77 @@ from coopsim.codec import DEFAULT_LOSS_CALIBRATION, MeasurementDataset, N_BUCKET
 
 def test_version_string_mentions_package_version():
     assert version_string().startswith("0.1.0")
+
+
+def _git(cwd, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                   cwd=cwd, check=True, capture_output=True)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_version_string_ignores_an_enclosing_work_tree(tmp_path, monkeypatch):
+    """An installed copy under a virtualenv inside another repository reports
+    the bare version, not that repository's commit; a checkout's own copy
+    still reports its commit."""
+    repo = tmp_path / "repo"
+    (repo / "src" / "coopsim").mkdir(parents=True)
+    _git(repo, "init", "-q")
+    (repo / "README").write_text("x\n")
+    _git(repo, "add", "README")
+    _git(repo, "commit", "-q", "-m", "one")
+    site = repo / "venv" / "lib" / "python3.11" / "site-packages" / "coopsim"
+    site.mkdir(parents=True)
+    monkeypatch.setattr(cli, "__file__", str(site / "cli.py"))
+    assert version_string() == __version__
+    monkeypatch.setattr(cli, "__file__", str(repo / "src" / "coopsim" / "cli.py"))
+    assert version_string().startswith(f"{__version__}+g")
+
+
+def test_git_timeout_still_writes_the_run(tmp_path, monkeypatch, trace_path):
+    """A ``git describe`` that times out leaves the bare version, and the run
+    completes with its manifest."""
+    (tmp_path / "checkout" / ".git").mkdir(parents=True)
+    monkeypatch.setattr(cli, "__file__", str(tmp_path / "checkout" / "src" / "coopsim" / "cli.py"))
+
+    def slow(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+    monkeypatch.setattr(cli.subprocess, "run", slow)
+    assert version_string() == __version__
+    out = tmp_path / "run"
+    assert main(["run", "--trace", str(trace_path), "--seed", "1", "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "complete"
+    assert manifest["version"] == __version__
+
+
+_IMPORT_GUARD = """
+import json, sys
+from coopsim.cli import main
+out = sys.argv[1]
+codes = [main(["gen-trace", "--cavs", "4", "--frames", "2", "--seed", "4",
+               "--out", out + "/trace.jsonl"])]
+with open(out + "/codec.json", "w") as f:
+    f.write('{"dataset_mode": "codec"}')
+codes.append(main(["run", "--trace", out + "/trace.jsonl", "--out", out + "/surrogate"]))
+codes.append(main(["run", "--trace", out + "/trace.jsonl", "--config", out + "/codec.json",
+                   "--out", out + "/codec"]))
+print(json.dumps({"codes": codes,
+                  "stats": sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "stats"])}))
+"""
+
+
+def test_cli_runs_never_import_scipy_stats(tmp_path):
+    """A fresh interpreter that generates a trace and runs it with the
+    surrogate and with the codec loads no ``scipy.stats`` (pytest cannot
+    check this in-process: the sampling tests import ``scipy.stats``)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [EXIT_OK] * 3, "stats": []}
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,12 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import kstest
 
+from coopsim import netsim, sampling, tracking
+from coopsim.codec import DEFAULT_LOSS_CALIBRATION, DEFAULT_TIME_MS
 from coopsim.errors import CalibrationError
 from coopsim.sampling import TruncatedNormal, keyed_uniforms
+from coopsim.simpipe import RunConfig, generate_trace, run_simulation
+from oracles import truncated_mean
 
 
 @pytest.mark.parametrize("mean, sd", [
@@ -18,6 +22,49 @@ from coopsim.sampling import TruncatedNormal, keyed_uniforms
 def test_bad_calibration_raises(mean, sd):
     with pytest.raises(CalibrationError):
         TruncatedNormal(mean, sd)
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+def test_truncated_mean_matches_scipy_stats_bit_for_bit():
+    """On both sides of the a > 20 asymptotic branch, down to where the
+    bound is inactive, at scales that are and are not powers of two."""
+    a = np.concatenate([np.linspace(-40.0, 25.0, 6501),
+                        np.nextafter(20.0, [-np.inf, np.inf]), [20.0]])
+    for scale in (1.0, 0.53, 4.73):
+        for loc in (-a * scale).tolist():
+            assert _bits(sampling._truncated_mean(loc, scale)) == _bits(truncated_mean(loc, scale))
+
+
+PACKAGE_TRUNCATED_NORMALS = sorted({
+    *DEFAULT_LOSS_CALIBRATION.values(),
+    DEFAULT_TIME_MS,
+    *netsim.MODULE_TIMES_MS.values(),
+    (tracking.DET_TIME_MEAN_MS, tracking.DET_TIME_SD_MS),
+    (tracking.TRK_TIME_MEAN_MS, tracking.TRK_TIME_SD_MS),
+})
+
+
+@pytest.mark.parametrize("mean, sd", PACKAGE_TRUNCATED_NORMALS)
+def test_package_truncated_normals_match_scipy_stats_calibration(monkeypatch, mean, sd):
+    """Each location and tail mass the package solves for equals, bit for
+    bit, the one solved over the scipy.stats form of the truncated mean."""
+    tn = TruncatedNormal(mean, sd)
+    monkeypatch.setattr(sampling, "_truncated_mean", truncated_mean)
+    ref = TruncatedNormal(mean, sd)
+    assert (_bits(tn._loc), _bits(tn._tail0)) == (_bits(ref._loc), _bits(ref._tail0))
+
+
+def test_runs_build_only_the_listed_truncated_normals(monkeypatch):
+    """The list above is every truncated normal a surrogate or codec run builds."""
+    monkeypatch.setattr(TruncatedNormal, "_cache", {})
+    trace = generate_trace(6, 2, seed=1)
+    run_simulation(trace, RunConfig(policy="adamap", seed=1))
+    run_simulation(trace, RunConfig(policy="adamap", seed=1, dataset_mode="codec"))
+    assert set(TruncatedNormal._cache) <= set(PACKAGE_TRUNCATED_NORMALS)
+    assert len(TruncatedNormal._cache) == len(PACKAGE_TRUNCATED_NORMALS)
 
 
 # ---------------------------------------------------------------------------
