@@ -7,6 +7,7 @@ Exit codes: 0 ok, 2 bad input, 3 incomplete profile, 4 internal failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import shutil
@@ -52,7 +53,12 @@ SWEEP_COLUMNS = (
 def version_string() -> str:
     """Package version, suffixed with the git commit when this file sits in a
     checkout (``.git`` three levels up), not merely inside some work tree."""
-    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    return _checkout_version(os.path.abspath(os.path.join(__file__, "..", "..", "..")))
+
+
+@functools.lru_cache(maxsize=None)
+def _checkout_version(root: str) -> str:
+    """Asks git once per checkout root, so a process reports the commit it imported."""
     if not os.path.exists(os.path.join(root, ".git")):
         return __version__
     try:

@@ -147,6 +147,12 @@ def earth_movers_distance(a, b) -> float:
     error well under 1 m: over the 1,750 codec pairs of a 50-sample
     profile (every RF and count bucket) it was at most 0.22 m off, so at
     beta = 1e-4 a reconstruction loss moves by at most about 2.2e-5.
+
+    The decoded cloud ``b`` (as ``reconstruction_loss`` passes it) gives the
+    rows: the solver's per-row path searches are shorter from it (40% less
+    time over 350 codec profile pairs, scipy 1.17).  The optimum is the
+    same; a tie between duplicate points (a cloud under 1,024 raw points)
+    can move the mean, taken in ``a``'s order, in its last bit.
     """
     pa, pb = _as_points(a), _as_points(b)
     n = pa.shape[0]
@@ -156,9 +162,9 @@ def earth_movers_distance(a, b) -> float:
         rng = np.random.default_rng(n)
         pa = pa[rng.choice(n, size=EMD_SUBSAMPLE, replace=False)]
         pb = pb[rng.choice(n, size=EMD_SUBSAMPLE, replace=False)]
-    d = cdist(pa, pb)
+    d = cdist(pb, pa)
     rows, cols = linear_sum_assignment(d)
-    return float(d[rows, cols].mean())
+    return float(d[rows, cols][np.argsort(cols)].mean())
 
 
 def reconstruction_loss(original, reconstructed, beta: float = 1e-4) -> float:

@@ -24,7 +24,9 @@ uniforms), the sector lookup one CAV at a time, and the per-CAV loop over
 a frame's encode and decode charges and losses (it shares the dataset and
 the count buckets, and takes the same keyed uniforms), the trace writer
 that built each frame's record as nested dicts and lists for ``json.dumps``,
-and the truncated mean on scipy.stats.norm's pdf and sf.
+the truncated mean on scipy.stats.norm's pdf and sf, and the earth mover's
+distance with the first cloud as the assignment's rows (it shares the
+subset size).
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 from scipy.special import ndtri
 from scipy.stats import norm
 
@@ -53,7 +57,7 @@ from coopsim.control import (
     OptimizeResult,
 )
 from coopsim.errors import ConfigError, InvalidViewpointError
-from coopsim.geometry import Bbox3, PointCloud
+from coopsim.geometry import EMD_SUBSAMPLE, Bbox3, PointCloud
 from coopsim.sampling import TruncatedNormal, keyed_uniforms
 from coopsim.simpipe import DEDUP_DISTANCE_M, MATCH_GATE_M, RETIRE_AFTER_S
 from coopsim.tracking import (
@@ -151,6 +155,21 @@ def hungarian_emd(a, b) -> float:
     n = len(a)
     cost = [[math.dist(a[i], b[j]) for j in range(n)] for i in range(n)]
     return hungarian_min_cost(cost) / n
+
+
+def rows_first_emd(a, b) -> float:
+    """EMD as the package computed it with ``a`` as the assignment's rows:
+    the same fixed-seed subsets above EMD_SUBSAMPLE points, and the matched
+    distances averaged in ``a``'s order."""
+    pa, pb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    n = pa.shape[0]
+    if n > EMD_SUBSAMPLE:
+        rng = np.random.default_rng(n)
+        pa = pa[rng.choice(n, size=EMD_SUBSAMPLE, replace=False)]
+        pb = pb[rng.choice(n, size=EMD_SUBSAMPLE, replace=False)]
+    d = cdist(pa, pb)
+    rows, cols = linear_sum_assignment(d)
+    return float(d[rows, cols].mean())
 
 
 def loop_farthest_point_indices(points: np.ndarray, k: int) -> np.ndarray:

@@ -71,6 +71,25 @@ def test_git_timeout_still_writes_the_run(tmp_path, monkeypatch, trace_path):
     assert manifest["version"] == __version__
 
 
+def test_two_runs_in_one_process_ask_git_once(tmp_path, monkeypatch, trace_path):
+    """``git describe`` runs once per checkout and process, not once per run."""
+    (tmp_path / "checkout" / ".git").mkdir(parents=True)
+    monkeypatch.setattr(cli, "__file__", str(tmp_path / "checkout" / "src" / "coopsim" / "cli.py"))
+    calls = []
+
+    def describe(cmd, **kwargs):
+        calls.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout="abc1234\n", stderr="")
+
+    monkeypatch.setattr(cli.subprocess, "run", describe)
+    for name in ("one", "two"):
+        out = str(tmp_path / name)
+        assert main(["run", "--trace", str(trace_path), "--seed", "1", "--out", out]) == EXIT_OK
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["version"] == f"{__version__}+gabc1234"
+    assert len(calls) == 1
+
+
 _IMPORT_GUARD = """
 import json, sys
 from coopsim.cli import main

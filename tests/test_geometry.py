@@ -19,6 +19,7 @@ from oracles import (
     loop_farthest_point_indices,
     loop_sample_visible_surface,
     projected_area,
+    rows_first_emd,
     to_box,
     visible_face_weights,
 )
@@ -143,6 +144,27 @@ def test_emd_subsample_path_close_to_exact_on_codec_clouds():
             assert beta * abs(emd - exact) <= 1e-4
             assert abs(emd - exact) <= 0.25  # at most 0.22 m seen in a codec profile
             assert emd >= lower - 1e-9
+
+
+def test_decoded_rows_match_the_first_cloud_rows_oracle():
+    """With the decoded cloud as the assignment's rows, EMD and the loss
+    equal the first-cloud-rows form up to the last bits that ties between
+    duplicate points can move, on RF 4 and RF 64 pairs of every count
+    bucket."""
+    clouds = list(default_profile_clouds(seed=0, per_bucket=1))
+    n = geo.EMD_SUBSAMPLE
+    subset = np.random.default_rng(2 * n).choice(2 * n, size=n, replace=False)
+    duplicated = [raw for raw, cloud in clouds
+                  if len(np.unique(cloud.points[subset], axis=0)) < n]
+    assert len(duplicated) >= 3 and max(duplicated) < 1024
+    for i, (_, cloud) in enumerate(clouds):
+        for rf in (4, 64):
+            a, b = cloud.points, decode(encode(cloud, rf), seed=i).points
+            assert len(a) == 2 * n
+            want = rows_first_emd(a, b)
+            assert geo.earth_movers_distance(a, b) == pytest.approx(want, rel=1e-12, abs=0)
+            assert geo.reconstruction_loss(a, b) == pytest.approx(
+                geo.chamfer_distance(a, b) + 1e-4 * want, rel=1e-15, abs=0)
 
 
 def test_emd_bounded_by_max_pairwise_distance():
