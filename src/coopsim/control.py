@@ -44,7 +44,6 @@ from .codec import (
     sample_index,
     sample_tables,
 )
-from .errors import ConfigError
 from .geometry import box_frame_offsets, face_weights, facing_quadrant_mask
 from .sampling import keyed_uniforms
 from . import netsim
@@ -63,6 +62,10 @@ PRIMAL_STEP = 0.5
 DUAL_STEP = 5.0
 LAM0 = 1.0
 DEVIATION_SD = 0.25  # spread of the search's perturbations, in log2-RF units
+# its budget: outer (dual) iterations, inner (primal) steps per outer, perturbations per step
+OUTER_ITERS = 6
+INNER_ITERS = 12
+DEVIATIONS = 12
 
 
 def predict_counts(centers, extents, yaws, viewers):
@@ -260,22 +263,23 @@ def optimize_rf_batch(problems, dataset: MeasurementDataset, cfg) -> list:
 
     Every subproblem samples one latency model, ``dataset``'s loss, encode
     and decode samples under the run config ``cfg``, at its own predicted
-    rate; ``cfg`` also sets the RF set, the bound Prob(latency <= H_ms -
-    h_margin_ms) >= p and the search's budget.  The subproblems of a
-    ``_lockstep_group`` step together, one numpy call per step for all.
+    rate; ``cfg`` also sets the RF set and the bound Prob(latency <= H_ms -
+    h_margin_ms) >= p, and OUTER_ITERS, INNER_ITERS and DEVIATIONS set the
+    search's budget.  The subproblems of a ``_lockstep_group`` step
+    together, one numpy call per step for all.
     Every draw is a keyed uniform of ``RFProblem.seed`` and, per task, its
     object id or task index, so a result depends on its own subproblem alone,
     up to last-bit roundoff in a padded row's plane fit.  Results come back in
     the order of ``problems``.
     """
     if any(not p.obj_ids for p in problems):
-        raise ConfigError("every RF subproblem needs at least one task")
+        raise ValueError("every RF subproblem needs at least one task")
     buckets = bucket_index(np.array([n for p in problems for n in p.raw_counts]))
     tables = sample_tables(dataset, cfg.rf_set, np.unique(buckets).tolist())
     by_problem = np.split(buckets, np.cumsum([len(p.obj_ids) for p in problems])[:-1])
     groups: dict = {}
     for i, p in enumerate(problems):
-        groups.setdefault(_lockstep_group(len(p.obj_ids), cfg.deviations), []).append(i)
+        groups.setdefault(_lockstep_group(len(p.obj_ids)), []).append(i)
     results = [None] * len(problems)
     with np.errstate(divide="ignore"):  # a zero-rate row's uplink in _Scenarios.evaluate
         for idx in groups.values():
@@ -287,10 +291,10 @@ def optimize_rf_batch(problems, dataset: MeasurementDataset, cfg) -> list:
     return results
 
 
-def _lockstep_group(k: int, deviations: int):
+def _lockstep_group(k: int):
     """Group of a k-task subproblem: 1-7 or 8-15 tasks, within which zero tasks
-    leave numpy's task sums exact; k + 1 > deviations or k > 15 stays alone."""
-    return k if k + 1 > deviations or k > 15 else "1-7" if k < 8 else "8-15"
+    leave numpy's task sums exact; k + 1 > DEVIATIONS or k > 15 stays alone."""
+    return k if k + 1 > DEVIATIONS or k > 15 else "1-7" if k < 8 else "8-15"
 
 
 def _plane_slopes(design, g, tasks):
@@ -321,7 +325,7 @@ def _plane_slopes(design, g, tasks):
 
 def _solve_group(problems, sc: _Scenarios, cfg) -> list:
     """One group's lockstep search: each step is one ``sc.evaluate`` and one
-    ``_plane_slopes`` for every row.  With k + 1 > deviations a plane interpolates
+    ``_plane_slopes`` for every row.  With k + 1 > DEVIATIONS a plane interpolates
     its samples and any solver but lstsq amplifies roundoff into other iterates;
     such rows are rare and keep lstsq, one at a time."""
     h_s = (cfg.H_ms - cfg.h_margin_ms) / 1e3
@@ -347,24 +351,23 @@ def _solve_group(problems, sc: _Scenarios, cfg) -> list:
         m = len(rows)
         rr, tt = np.nonzero(sc.tasks)  # the real (row, task) pairs; padded tasks get no noise
         seeds = np.array([problems[r].seed for r in rows])[rr]
-        noise = np.zeros((m, cfg.inner_iters, cfg.deviations, k))
+        noise = np.zeros((m, INNER_ITERS, DEVIATIONS, k))
 
         # start mid-range: the loss surface is flattest near maximum compression,
         # so starting there wastes most of the budget crawling out of the plateau
         x = np.full((m, k), 0.5 * (lo + hi))
         x_best, fid_best = x_max[rows], fid_max[rows]  # feasible incumbents
         lam = np.full(m, LAM0)
-        design = np.ones((m, cfg.deviations, k + 1))
-        for it in range(cfg.outer_iters):
-            u = keyed_uniforms(seeds, it, tt, _TAG_SEARCH, n=cfg.inner_iters * cfg.deviations)
-            noise[rr, ..., tt] = (DEVIATION_SD * ndtri(u)).reshape(
-                -1, cfg.inner_iters, cfg.deviations)
-            for step in range(cfg.inner_iters):
+        design = np.ones((m, DEVIATIONS, k + 1))
+        for it in range(OUTER_ITERS):
+            u = keyed_uniforms(seeds, it, tt, _TAG_SEARCH, n=INNER_ITERS * DEVIATIONS)
+            noise[rr, ..., tt] = (DEVIATION_SD * ndtri(u)).reshape(-1, INNER_ITERS, DEVIATIONS)
+            for step in range(INNER_ITERS):
                 dev = np.clip(x[:, None, :] + noise[:, step], lo, hi)
                 fid, probs = sc.at(dev, h_s)
                 g = fid + lam[:, None] * (probs - cfg.p)
                 design[:, :, 1:] = dev
-                if k + 1 > cfg.deviations:
+                if k + 1 > DEVIATIONS:
                     slopes = np.array([np.linalg.lstsq(d, gi, rcond=None)[0][1:]
                                        for d, gi in zip(design, g)])
                 else:

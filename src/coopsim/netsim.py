@@ -22,7 +22,6 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
 from .sampling import TruncatedNormal
 
 NOISE_DBM_PER_HZ = -174.0  # thermal noise density
@@ -59,7 +58,7 @@ def uplink_rate(distance_m: float, sharers: int, cfg, fading: float = 1.0) -> fl
     vectorized log and power may round differently.
     """
     if sharers < 1:
-        raise ConfigError(f"sharers must be >= 1, got {sharers}")
+        raise ValueError(f"sharers must be >= 1, got {sharers}")
     band = cfg.bandwidth_hz / sharers
     return band * math.log2(1.0 + 10.0 ** (snr_db(distance_m, band, cfg) / 10.0)) * float(fading)
 
@@ -113,7 +112,7 @@ def simulate_frame_latency(payload_bytes, vehicle_ms, rates_bps, server_ms,
     n = len(payload_bytes)
     if not (len(vehicle_ms) == len(rates_bps) == len(server_ms) == n
             and np.shape(u_base) == (n, len(MODULE_TIMES_MS))):
-        raise ConfigError("per-CAV input lengths differ, or u_base is not (n, modules)")
+        raise ValueError("per-CAV input lengths differ, or u_base is not (n, modules)")
     payload = np.asarray(payload_bytes, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):  # no payload: 0; a zero rate: inf
         up = np.where(payload > 0, payload * 8.0 / np.asarray(rates_bps, np.float64) * 1e3, 0.0)

@@ -18,9 +18,6 @@ Policies are the rows of ``_POLICY``; each names what it does at each step
                       the map's predicted pose is within 0.5 m; decided before
                       the RF search, which counts the deltas as fixed bytes
   select-all-lossless every detection as an entropy-coded raw cloud, zero loss
-  blindspot-all       full raw cloud (a transmission-size stand-in) for every
-                      object some CAV does not see: on generated traces, where
-                      no CAV lists itself, every detection
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from .codec import (
     DEFAULT_LOSS_CALIBRATION,
     DESCRIPTOR_OVERHEAD_BYTES,
     MeasurementDataset,
-    RAW_OBJECT_BYTES,
     RF_SET,
     bucket_index,
     encode,
@@ -87,12 +83,11 @@ from .tracking import (
 class Policy:
     """What a policy does at each step of ``run_frame``.
 
-    ``select`` is "thin" (density thinning), "all" (every detection) or
-    "blindspot" (every detection that some CAV lacks).  ``rf`` is "optimize"
-    (the per-CAV RF search), "max" (the largest RF of the run) or None (no
-    latent is sent).  ``reuse`` lets a delta replace the upload of an object
-    the map already holds.  ``upload_bytes`` is a fixed per-object payload,
-    or None for a latent at the chosen RF.
+    ``select`` is "thin" (density thinning) or "all" (every detection).
+    ``rf`` is "optimize" (the per-CAV RF search), "max" (the largest RF of
+    the run) or None (no latent is sent).  ``reuse`` lets a delta replace the
+    upload of an object the map already holds.  ``upload_bytes`` is a fixed
+    per-object payload, or None for a latent at the chosen RF.
     """
 
     select: str
@@ -107,11 +102,9 @@ _POLICY = {
     "adamap-reuse": Policy(select="thin", rf="optimize", reuse=True, upload_bytes=None),
     "select-all-lossless": Policy(select="all", rf=None, reuse=False,
                                   upload_bytes=lossless_bytes()),
-    "blindspot-all": Policy(select="blindspot", rf=None, reuse=False,
-                            upload_bytes=RAW_OBJECT_BYTES),
 }
 POLICIES = tuple(_POLICY)
-# raw and lossless uploads are charged the codec times of the largest RF
+# lossless uploads are charged the codec times of the largest RF
 FULL_UPLOAD_RF = max(RF_SET)
 
 FRAME_PERIOD_S = 0.1
@@ -545,8 +538,7 @@ def _are_numbers(values, kind) -> bool:
 # value ranges a run needs, checked before it starts: (fields, test, wording)
 _RANGES = (
     (("bandwidth_hz", "carrier_ghz", "density_threshold"), lambda v: v > 0, "positive"),
-    (("servers", "sectors", "outer_iters", "inner_iters", "deviations", "mc_samples"),
-     lambda v: v >= 1, ">= 1"),
+    (("servers", "sectors", "mc_samples"), lambda v: v >= 1, ">= 1"),
     (("seed", "beta", "fading_sigma", "rate_sigma"), lambda v: v >= 0, ">= 0"),
     (("seed",), lambda v: v < 2**64, "below 2**64"),  # it keys uint64 draws
     # exp(sigma z) at a keyed draw's |z| <= 8.21 stays in 1e±36: no rate 0, no latency inf
@@ -574,9 +566,6 @@ class RunConfig:
     carrier_ghz: float = 3.5
     base_station: tuple = None  # default: frame-0 CAV centroid at 10 m height
     h_margin_ms: float = 25.0  # headroom the optimizer keeps for the queue
-    outer_iters: int = 6
-    inner_iters: int = 12
-    deviations: int = 12
     mc_samples: int = 32
     dataset_path: str = None
 
@@ -731,9 +720,6 @@ def _selected(policy: Policy, cfg: RunConfig, frame: TraceFrame, ids, positions,
     """The policy's keep mask over the pair table, from the shared view."""
     if policy.select == "all":
         return np.ones(len(cav), dtype=bool)
-    if policy.select == "blindspot":  # objects some CAV lacks
-        _, inverse, viewers = np.unique(obj, return_inverse=True, return_counts=True)
-        return viewers[inverse] < len(ids)
     # "thin": one count kernel and one mask rule over the whole table
     _, quadrants = predict_counts(frame.centers[src], frame.extents[src], frame.yaws[src],
                                   positions[cav])
@@ -775,7 +761,7 @@ def _charges(policy: Policy, cfg: RunConfig, dataset, frame: TraceFrame, ids, po
     """Each row's bytes and each CAV's encode and decode ms, and into ``loss``
     each latent's loss: one pick per row from its (rf, count bucket) cell by
     ``sample_index``, as the optimizer does, or in codec mode the measured
-    chain's.  Raw and lossless uploads read FULL_UPLOAD_RF's cells, loss 0."""
+    chain's.  Lossless uploads read FULL_UPLOAD_RF's cells, loss 0."""
     up = np.flatnonzero(~reused)
     codec_rf = rf[up] if policy.upload_bytes is None else np.full(len(up), FULL_UPLOAD_RF)
     buckets = bucket_index(counts[up])
@@ -884,7 +870,7 @@ def run_frame(frame: TraceFrame, state: RunState, dataset: MeasurementDataset):
             for cav_id, lo, hi, v_ms, u_ms, q_ms, s_ms, t_ms, b in zip(
                 ids.tolist(), bounds, bounds[1:], vehicle_ms, up_ms.tolist(), queue_ms.tolist(),
                 server_ms.tolist(), total_ms, payloads.astype(np.int64).tolist())]
-    # the sent-pair table as one record per row; rf 0: no latent (lossless, raw or reuse)
+    # the sent-pair table as one record per row; rf 0: no latent (lossless or reuse)
     objects = np.rec.fromarrays(
         [np.full(len(cav), fidx), ids[cav], obj, rf, nbytes, loss, reused],
         names="frame,cav_id,obj_id,rf,bytes,loss,reused")

@@ -14,8 +14,8 @@ takes about ten seconds; pytest does not collect it.
 Each line ends with how many of the RF set's 1,120 subproblems were decided
 at their fidelity-best corner without a search.  Those report lam = 0; a
 search starts at LAM0 = 1 and lowers lam by at most DUAL_STEP * (1 - p) =
-0.05 per outer iteration, so under ``RunConfig()``'s 6 iterations it ends at
-0.7 or above, and lam = 0 on a feasible result marks a corner row.
+0.05 per outer iteration, so after ``control.OUTER_ITERS`` = 6 of them it ends
+at 0.7 or above, and lam = 0 on a feasible result marks a corner row.
 """
 
 import hashlib

@@ -56,7 +56,7 @@ from coopsim.control import (
     PRIMAL_STEP,
     OptimizeResult,
 )
-from coopsim.errors import ConfigError, InvalidViewpointError
+from coopsim.errors import InvalidViewpointError
 from coopsim.geometry import EMD_SUBSAMPLE, Bbox3, PointCloud
 from coopsim.sampling import TruncatedNormal, keyed_uniforms
 from coopsim.simpipe import DEDUP_DISTANCE_M, MATCH_GATE_M, RETIRE_AFTER_S
@@ -280,7 +280,7 @@ def position_uplink_rate(position, sharers: int, cfg, fading: float = 1.0) -> fl
     read the CAV's distance: the 1-d np.linalg.norm of the offset from the
     base station, then Shannon over the CAV's slice of its sector's band."""
     if sharers < 1:
-        raise ConfigError(f"sharers must be >= 1, got {sharers}")
+        raise ValueError(f"sharers must be >= 1, got {sharers}")
     d = float(np.linalg.norm(np.asarray(position, dtype=np.float64).reshape(-1)[:3]
                              - cfg.base_station))
     band = cfg.bandwidth_hz / sharers
@@ -429,14 +429,15 @@ def loop_optimize_rf(problem, dataset, cfg, record_g: bool = False,
     """Primal-dual RF search for one CAV, one numpy call per step.
 
     Same method as ``coopsim.control.optimize_rf_batch`` for one RFProblem
-    under ``dataset`` and the run config ``cfg``; the plane fit here is
+    under ``dataset``, the run config ``cfg`` and the search budget that
+    control's constants hold when it is called; the plane fit here is
     ``np.linalg.lstsq`` on one design matrix at a time.  A feasible
     subproblem first tries its fidelity-best corner (each task at its least
     mean loss, ties to the larger RF) and returns it with lam = 0 where it
     meets the bound; ``corner=False`` skips that and always searches.
     """
     if not problem.obj_ids:
-        raise ConfigError("optimize_rf needs at least one task")
+        raise ValueError("optimize_rf needs at least one task")
     levels = sorted(cfg.rf_set)
     h_s = (cfg.H_ms - cfg.h_margin_ms) / 1e3
     sc = LoopScenarios(problem, dataset, cfg)
@@ -467,14 +468,14 @@ def loop_optimize_rf(problem, dataset, cfg, record_g: bool = False,
     x_best, fid_best = x_max, sc.evaluate(x_max)[0]
     lam = LAM0
     g_trace = []
-    design = np.ones((cfg.deviations, k + 1))
-    for it in range(cfg.outer_iters):
+    outer, inner, deviations = control.OUTER_ITERS, control.INNER_ITERS, control.DEVIATIONS
+    design = np.ones((deviations, k + 1))
+    for it in range(outer):
         # task j's perturbation of deviation d at step i is entry i * deviations + d
         # of its keyed draw of the iteration
-        u = keyed_uniforms(problem.seed, it, np.arange(k), _TAG_SEARCH,
-                           n=cfg.inner_iters * cfg.deviations)
-        noise = control.DEVIATION_SD * ndtri(u).reshape(k, cfg.inner_iters, cfg.deviations)
-        for step in range(cfg.inner_iters):
+        u = keyed_uniforms(problem.seed, it, np.arange(k), _TAG_SEARCH, n=inner * deviations)
+        noise = control.DEVIATION_SD * ndtri(u).reshape(k, inner, deviations)
+        for step in range(inner):
             dev = np.clip(x[None, :] + noise[:, step].T, lo, hi)
             fid, latency = sc.evaluate_batch(dev)
             probs = np.mean(latency <= h_s, axis=1)

@@ -213,11 +213,13 @@ def test_guard_sees_a_run_config_copy(tmp_path):
 # callers whose calls count as passing an option: the package and the benchmark
 CALLERS = (SRC, SRC.parents[1] / "perfbench")
 
-# options passed only outside CALLERS, each with its reader
+# options passed only outside CALLERS, each with its reader and why it stays
 OPTIONS_PASSED_ELSEWHERE = {
-    "tracking.py:kalman_correct(r_obs=)": "acceptance test 02",
-    "codec.py:surrogate_dataset(seed=)": "acceptance test 09",
-    "codec.py:profile(rf_set=)": "tests/test_codec.py, profiles of a partial RF set",
+    "tracking.py:kalman_correct(r_obs=)":
+        "acceptance test 02 checks the filter at r_obs 1.0 and 1e-12; the contract keeps it",
+    "codec.py:surrogate_dataset(seed=)": "acceptance test 09 draws an independent surrogate",
+    "codec.py:profile(rf_set=)":
+        "tests/test_codec.py profiles one or two RFs instead of five, which keeps it fast",
 }
 
 

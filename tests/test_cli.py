@@ -361,8 +361,12 @@ def test_run_bad_config(tmp_path, trace_path):
 
 
 def test_run_bad_policy(tmp_path, trace_path):
-    assert main(["run", "--trace", str(trace_path), "--policy", "warp",
-                 "--out", str(tmp_path / "run")]) == EXIT_INPUT
+    # an unknown name, and a policy that was removed
+    for policy in ("warp", "blindspot-all"):
+        out = tmp_path / policy
+        assert main(["run", "--trace", str(trace_path), "--policy", policy,
+                     "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
 
 
 def test_run_refuses_overwrite(tmp_path, trace_path):
@@ -705,8 +709,8 @@ def test_run_mistyped_config_value_exits_2(tmp_path, trace_path, capsys):
     *[("run", {key: value}, []) for key, value in (
         ("servers", 0), ("sectors", 0), ("bandwidth_hz", -1.0), ("p", 1.5),
         ("mc_samples", 0), ("density_threshold", 0.0), ("fading_sigma", -0.1),
-        ("rate_sigma", -1.0), ("beta", -1.0), ("outer_iters", 0), ("carrier_ghz", 0.0),
-        ("deviations", 0), ("inner_iters", 0), ("rf_set", [2, 4]))],
+        ("rate_sigma", -1.0), ("beta", -1.0), ("H_ms", 0.0), ("carrier_ghz", 0.0),
+        ("rf_set", []), ("base_station", [0.0, 0.0]), ("rf_set", [2, 4]))],
     ("sweep", {}, ["--param", "H", "--values", "100", "-5"]),
     ("sweep", {}, ["--param", "bandwidth", "--values", "200000", "0"]),
     ("sweep", {"beta": -1.0}, ["--param", "H", "--values", "80", "90"]),
@@ -740,7 +744,8 @@ def test_out_of_range_config_exits_2_before_output(tmp_path, trace_path, capsys,
     # capacity factors that divided only the optimizer's codec-time samples
     ("r_v", 1.0), ("r_e", 1.0),
     # settings that became module constants
-    ("rle_threshold_m", 0.5), ("tx_power_dbm", 23.0), ("noise_figure_db", 9.0)])
+    ("rle_threshold_m", 0.5), ("tx_power_dbm", 23.0), ("noise_figure_db", 9.0),
+    ("outer_iters", 6), ("inner_iters", 12), ("deviations", 12)])
 def test_run_retired_config_key_exits_2(tmp_path, trace_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))

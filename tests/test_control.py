@@ -25,7 +25,7 @@ from coopsim.control import (
     predict_counts,
     select_objects,
 )
-from coopsim.errors import ConfigError, InvalidViewpointError
+from coopsim.errors import InvalidViewpointError
 from coopsim.geometry import Bbox3
 from coopsim.netsim import uplink_rate
 from coopsim.simpipe import RunConfig
@@ -302,13 +302,16 @@ def problem(tasks, rate, seed=0):
     return RFProblem([o for o, _ in tasks], [k for _, k in tasks], rate, seed, 0.0)
 
 
-def wide_search(**overrides) -> RunConfig:
-    """A wider search than a run's: 10 x 20 steps, 16 deviations and 64
+@pytest.fixture
+def wide_search(monkeypatch):
+    """A wider search than a run's: 10 x 20 steps and 16 deviations, set on
+    control's constants for the test.  Returns a RunConfig factory of 64
     samples for Prob(latency <= 100 ms) >= 0.99, with no margin and no rate
-    spread; ``overrides`` set other RunConfig fields."""
-    return RunConfig(**{"H_ms": 100.0, "h_margin_ms": 0.0, "outer_iters": 10,
-                        "inner_iters": 20, "deviations": 16, "mc_samples": 64,
-                        "rate_sigma": 0.0, **overrides})
+    spread, whose ``overrides`` set other RunConfig fields."""
+    for name, value in (("OUTER_ITERS", 10), ("INNER_ITERS", 20), ("DEVIATIONS", 16)):
+        monkeypatch.setattr(control, name, value)
+    return lambda **overrides: RunConfig(**{"H_ms": 100.0, "h_margin_ms": 0.0, "mc_samples": 64,
+                                            "rate_sigma": 0.0, **overrides})
 
 
 def solve(tasks, rate, dataset, cfg, seed=0):
@@ -316,7 +319,7 @@ def solve(tasks, rate, dataset, cfg, seed=0):
     return optimize_rf_batch([problem(tasks, rate, seed)], dataset, cfg)[0]
 
 
-def latency_prob(tasks, rate, dataset, rf, H_ms, seed=0):
+def latency_prob(wide_search, tasks, rate, dataset, rf, H_ms, seed=0):
     """Monte Carlo Prob(latency <= H_ms) with every task at ``rf``: with one
     level the optimizer can only return that decision and its estimate."""
     res = solve(tasks, rate, dataset, wide_search(H_ms=H_ms, rf_set=(rf,)), seed)
@@ -324,28 +327,30 @@ def latency_prob(tasks, rate, dataset, rf, H_ms, seed=0):
     return res.prob
 
 
-def test_latency_prob_deterministic_fast_path(monkeypatch):
+def test_latency_prob_deterministic_fast_path(wide_search, monkeypatch):
     monkeypatch.setattr(netsim, "MODULE_TIMES_MS", {})  # no baseline modules
-    assert latency_prob([(0, 800), (1, 300)], 1e12, constant_dataset(), 64, 100.0) == 1.0
+    assert latency_prob(wide_search, [(0, 800), (1, 300)], 1e12, constant_dataset(), 64,
+                        100.0) == 1.0
 
 
-def test_latency_prob_mid_range(monkeypatch):
+def test_latency_prob_mid_range(wide_search, monkeypatch):
     # everything negligible except one baseline module ~ N(100, 10) ms,
     # so Prob(total <= 100 ms) should sit near one half
     monkeypatch.setattr(netsim, "MODULE_TIMES_MS", {"baseline": (100.0, 10.0)})
     for seed in range(4):
-        prob = latency_prob([(0, 800)], 1e12, constant_dataset(), 64, 100.0, seed=seed)
+        prob = latency_prob(wide_search, [(0, 800)], 1e12, constant_dataset(), 64, 100.0,
+                            seed=seed)
         assert 0.25 <= prob <= 0.75
 
 
-def test_latency_prob_superset_monotone(surrogate):
+def test_latency_prob_superset_monotone(surrogate, wide_search):
     """Adding objects can only hurt: per-object CRN streams keep the shared
     draws identical, so the superset's latency dominates pointwise."""
     base = [(i, 800) for i in range(3)]
     extra = base + [(i, 800) for i in range(10, 13)]
     for seed in range(10):
-        p_small = latency_prob(base, 600e3, surrogate, 16, 60.0, seed=seed)
-        p_large = latency_prob(extra, 600e3, surrogate, 16, 60.0, seed=seed)
+        p_small = latency_prob(wide_search, base, 600e3, surrogate, 16, 60.0, seed=seed)
+        p_large = latency_prob(wide_search, extra, 600e3, surrogate, 16, 60.0, seed=seed)
         assert p_large <= p_small
 
 
@@ -383,7 +388,7 @@ def test_object_draws_share_no_stream_with_the_subproblem_draws(surrogate, monke
     s, k = cfg.mc_samples, len(ids)
     assert task.size == 2 * k * s
     assert other.size == s * (len(netsim.MODULE_TIMES_MS) + 1) + (
-        cfg.outer_iters * cfg.inner_iters * cfg.deviations * k)
+        control.OUTER_ITERS * control.INNER_ITERS * control.DEVIATIONS * k)
 
 
 # ---------------------------------------------------------------------------
@@ -395,18 +400,19 @@ def five_tasks(seed=11):
     return [(i, int(c)) for i, c in enumerate(rng.integers(200, 3000, 5))]
 
 
-def test_optimizer_unconstrained_goes_to_min_rf(surrogate):
+def test_optimizer_unconstrained_goes_to_min_rf(surrogate, wide_search):
     res = solve(five_tasks(), 1e9, surrogate, wide_search(H_ms=10000.0))
     assert res.rfs.tolist() == [4] * 5
     assert not res.infeasible
     assert res.lam >= 0
 
 
-def test_optimizer_multiplier_decays_to_zero(surrogate):
+def test_optimizer_multiplier_decays_to_zero(surrogate, wide_search, monkeypatch):
     """Slack constraint: the fidelity-best corner meets it, so the batch
     returns that corner with the slack multiplier 0; the search alone gets
     there too, each outer iteration bleeding the multiplier down."""
-    cfg = wide_search(H_ms=10000.0, outer_iters=30)
+    monkeypatch.setattr(control, "OUTER_ITERS", 30)
+    cfg = wide_search(H_ms=10000.0)
     res = solve(five_tasks(), 1e9, surrogate, cfg)
     search = loop_optimize_rf(problem(five_tasks(), 1e9), surrogate, cfg, corner=False)
     for r in (res, search):
@@ -414,14 +420,14 @@ def test_optimizer_multiplier_decays_to_zero(surrogate):
         assert r.rfs.tolist() == [4] * 5
 
 
-def test_optimizer_zero_rate_infeasible(surrogate):
+def test_optimizer_zero_rate_infeasible(surrogate, wide_search):
     res = solve(five_tasks(), 0.0, surrogate, wide_search())
     assert res.infeasible
     assert res.rfs.tolist() == [64] * 5
     assert res.prob < 0.99
 
 
-def test_optimizer_output_in_rf_set(surrogate):
+def test_optimizer_output_in_rf_set(surrogate, wide_search):
     for seed, rate in ((0, 150e3), (1, 300e3), (2, 500e3)):
         res = solve(five_tasks(), rate, surrogate, wide_search(), seed=seed)
         assert set(res.rfs.tolist()) <= set(RF_SET)
@@ -429,7 +435,7 @@ def test_optimizer_output_in_rf_set(surrogate):
     assert set(narrowed.rfs.tolist()) <= {8, 32}
 
 
-def test_optimizer_rate_sweep_monotone(surrogate):
+def test_optimizer_rate_sweep_monotone(surrogate, wide_search):
     """More bandwidth, less compression; feasible runs meet the target."""
     prev = None
     for rate in (60e3, 120e3, 240e3, 480e3):
@@ -442,7 +448,7 @@ def test_optimizer_rate_sweep_monotone(surrogate):
         prev = mean_rf
 
 
-def test_optimizer_bandwidth_contrast(surrogate):
+def test_optimizer_bandwidth_contrast(surrogate, wide_search):
     # single-user Shannon rates at 100 m for 200 kHz vs 300 kHz carriers
     rng = np.random.default_rng(7)
     tasks = [(i, int(c)) for i, c in enumerate(rng.integers(200, 3000, 20))]
@@ -456,7 +462,7 @@ def test_optimizer_bandwidth_contrast(surrogate):
     assert means[0] > means[1]
 
 
-def test_optimizer_relaxing_deadline_never_raises_rf(surrogate):
+def test_optimizer_relaxing_deadline_never_raises_rf(surrogate, wide_search):
     prev = None
     for H_ms in (60.0, 100.0, 200.0, 300.0):
         res = solve(five_tasks(), 120e3, surrogate, wide_search(H_ms=H_ms), seed=11)
@@ -465,7 +471,7 @@ def test_optimizer_relaxing_deadline_never_raises_rf(surrogate):
         prev = res.rfs
 
 
-def test_optimizer_lagrangian_monotone_on_deterministic_instance(monkeypatch):
+def test_optimizer_lagrangian_monotone_on_deterministic_instance(wide_search, monkeypatch):
     """With constant samples and no baseline noise the sampled surface is
     exact, so every ascent step must improve the Lagrangian.  The loop
     oracle's search, run without the corner shortcut, records it after each
@@ -474,7 +480,9 @@ def test_optimizer_lagrangian_monotone_on_deterministic_instance(monkeypatch):
     ds = constant_dataset(loss_by_rf=means, enc_ms=0.5, dec_ms=0.5)
     prob = problem([(i, 800) for i in range(3)], 1e12)
     monkeypatch.setattr(netsim, "MODULE_TIMES_MS", {})  # no baseline modules
-    cfg = wide_search(H_ms=10000.0, outer_iters=1, inner_iters=80)
+    monkeypatch.setattr(control, "OUTER_ITERS", 1)
+    monkeypatch.setattr(control, "INNER_ITERS", 80)
+    cfg = wide_search(H_ms=10000.0)
     ref = loop_optimize_rf(prob, ds, cfg, record_g=True, corner=False)
     trace = np.array(ref.g_trace)
     assert len(trace) == 80
@@ -485,8 +493,8 @@ def test_optimizer_lagrangian_monotone_on_deterministic_instance(monkeypatch):
     assert_same_result(res, loop_optimize_rf(prob, ds, cfg))
 
 
-def test_optimizer_requires_tasks(surrogate):
-    with pytest.raises(ConfigError):
+def test_optimizer_requires_tasks(surrogate, wide_search):
+    with pytest.raises(ValueError):
         solve([], 1e6, surrogate, wide_search())
 
 
@@ -517,10 +525,10 @@ def test_corner_feasible_subproblem_skips_the_search(surrogate, monkeypatch):
     draws.clear()
     res = solve(tasks, 1e6, surrogate, cfg)
     assert res.rfs.tolist() != least and res.lam > 0.0
-    assert draws.count(True) == cfg.outer_iters
+    assert draws.count(True) == control.OUTER_ITERS
 
 
-def test_corner_takes_each_tasks_least_loss_level_ties_to_the_larger_rf():
+def test_corner_takes_each_tasks_least_loss_level_ties_to_the_larger_rf(wide_search):
     """The corner is per task: the level of least mean loss in the task's
     count bucket, wherever it sits in the RF set, and of equal least losses
     the larger RF (equal fidelity, fewer bytes)."""
@@ -572,7 +580,7 @@ def test_no_feasible_result_plans_below_the_search(surrogate):
 
 def random_problems(n, seed):
     """Seeded subproblems with k = 1..14 tasks; every seventh has zero rate.
-    With a run's 12 deviations, k >= 12 tasks give an underdetermined plane fit."""
+    With DEVIATIONS = 12, k >= 12 tasks give an underdetermined plane fit."""
     rng = np.random.default_rng(seed)
     problems = []
     for i in range(n):
@@ -623,7 +631,8 @@ def test_batch_rank_deficient_plane_fit_matches_loop_oracle(surrogate, monkeypat
     equations; those rows fall back to lstsq's minimum-norm plane."""
     problems = random_problems(140, seed=15)
     monkeypatch.setattr(control, "DEVIATION_SD", 50.0)
-    cfg = RunConfig(deviations=4)
+    monkeypatch.setattr(control, "DEVIATIONS", 4)
+    cfg = RunConfig()
     for prob, res in zip(problems, optimize_rf_batch(problems, surrogate, cfg)):
         ref = loop_optimize_rf(prob, surrogate, cfg)
         assert res.rfs.tolist() == ref.rfs.tolist()
@@ -727,13 +736,13 @@ def test_padded_regime_matches_each_row_alone(surrogate, rf_set):
                             np.unique(np.concatenate(list(buckets.values()))).tolist())
     groups: dict = {}
     for p in problems:
-        groups.setdefault(_lockstep_group(len(p.obj_ids), cfg.deviations), []).append(p)
+        groups.setdefault(_lockstep_group(len(p.obj_ids)), []).append(p)
     lx = np.log2(rf_set)
     for group in groups.values():
         sc = _Scenarios.draw(group, np.concatenate([buckets[id(p)] for p in group]), tables, cfg)
         width = max(len(p.obj_ids) for p in group)
         # one point per row, as the search's checks take it, and one step's deviations
-        for d in (1, cfg.deviations):
+        for d in (1, control.DEVIATIONS):
             x = rng.uniform(lx[0], lx[-1], (len(group), d, width))
             x[:, 0] = rng.choice(lx, x[:, 0].shape)  # exactly on levels
             fidelity, latency = sc.evaluate(x)
@@ -748,7 +757,7 @@ def test_padded_regime_matches_each_row_alone(surrogate, rf_set):
 def test_padded_groups_fit_two_planes_per_step(surrogate, monkeypatch):
     """Subproblems of 1-7 and of 8-11 tasks step in two padded groups, so a
     step fits planes twice, not once per task count; rows with k + 1 >
-    deviations take lstsq instead."""
+    DEVIATIONS take lstsq instead."""
     calls = []
     fit = control._plane_slopes
 
@@ -759,11 +768,11 @@ def test_padded_groups_fit_two_planes_per_step(surrogate, monkeypatch):
     monkeypatch.setattr(control, "_plane_slopes", counted)
     cfg = RunConfig()
     optimize_rf_batch(random_problems(112, seed=13), surrogate, cfg)
-    assert len(calls) == 2 * cfg.outer_iters * cfg.inner_iters
+    assert len(calls) == 2 * control.OUTER_ITERS * control.INNER_ITERS
 
 
-def test_batch_rejects_empty_subproblem(surrogate):
+def test_batch_rejects_empty_subproblem(surrogate, wide_search):
     problems = random_problems(3, seed=14)
     problems[1] = replace(problems[1], obj_ids=[], raw_counts=[])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         optimize_rf_batch(problems, surrogate, wide_search(rate_sigma=0.1))

@@ -6,7 +6,6 @@ from scipy.special import ndtri
 
 from coopsim import simpipe
 from coopsim.codec import RAW_OBJECT_BYTES
-from coopsim.errors import ConfigError
 from coopsim.netsim import (
     MODULE_TIMES_MS,
     module_times_ms,
@@ -90,7 +89,7 @@ def test_rate_vanishes_at_extreme_range():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         uplink_rate(1.0, 0, cell())
 
 
@@ -286,7 +285,7 @@ def test_frame_bit_exact_replay():
 def test_frame_refuses_misshapen_uniforms():
     width = len(MODULE_TIMES_MS)
     for u_base in (np.zeros((2, width)), np.zeros((3, width + 1)), np.zeros(3)):
-        with pytest.raises(ConfigError, match="u_base"):
+        with pytest.raises(ValueError, match="u_base"):
             simulate_frame_latency([0] * 3, [0.0] * 3, [1e6] * 3, [0.0] * 3, 1, u_base,
                                    extra_b_ms=[0.0] * 3)
 

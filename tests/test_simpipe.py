@@ -11,7 +11,6 @@ from coopsim.codec import (
     DESCRIPTOR_OVERHEAD_BYTES,
     MeasurementDataset,
     N_BUCKETS,
-    RAW_OBJECT_BYTES,
     RF_SET,
     bucket_index,
     decode,
@@ -683,7 +682,7 @@ def test_config_rejects_bad_values():
     with pytest.raises(ConfigError, match="distinct"):  # a level of zero width in the search
         RunConfig(rf_set=(64, 64))
     # wrongly typed values, as a JSON config can spell them
-    for bad in (dict(H_ms="100"), dict(seed=1.5), dict(outer_iters=True),
+    for bad in (dict(H_ms="100"), dict(seed=1.5), dict(servers=True),
                 dict(p=float("nan")), dict(rf_set=["4"]), dict(rf_set=[]),
                 dict(base_station=[0.0, 0.0]), dict(dataset_path=5)):
         with pytest.raises(ConfigError):
@@ -725,30 +724,6 @@ def test_lite_policy_max_rf(small_trace):
         assert rec.bytes == per_obj
     for st in res.frame_stats:
         assert st.selected_pairs == st.detected_pairs
-
-
-def test_blindspot_policy_sends_raw(small_trace):
-    res = run_simulation(small_trace, RunConfig(policy="blindspot-all", seed=1))
-    per_obj = RAW_OBJECT_BYTES + DESCRIPTOR_OVERHEAD_BYTES
-    for rec in res.objects:
-        assert rec.rf == 0
-        assert rec.loss == 0.0
-        assert rec.bytes == per_obj
-
-
-def test_blindspot_skips_universally_seen_objects(tmp_path, monkeypatch):
-    # two CAVs staring at the same third object: each of the two CAVs sees it,
-    # but with only those two CAVs in the scene n == 2 and both see it, so the
-    # pair count under blindspot-all drops to zero; a detector that never
-    # misses keeps both detections whatever the localization draws
-    monkeypatch.setattr(tracking, "MISS_PROB", 0.0)
-    car = _car(5, [10.0, 0.0, 0.75], 0.0)
-    trace = _load_records(tmp_path, [{"frame": 0, "time_s": 0.0, "cavs": [
-        _cav(0, 0.0, 0.0, 0.0, [car]), _cav(1, 20.0, 0.0, math.pi, [car])]}])
-    res = run_simulation(trace, RunConfig(policy="blindspot-all", seed=0))
-    assert len(res.objects) == 0
-    assert res.frame_stats[0].selected_pairs == 0
-    assert res.frame_stats[0].detected_pairs == 2
 
 
 def test_adamap_selection_is_subset(small_trace):
