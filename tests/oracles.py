@@ -24,9 +24,10 @@ uniforms), the sector lookup one CAV at a time, and the per-CAV loop over
 a frame's encode and decode charges and losses (it shares the dataset and
 the count buckets, and takes the same keyed uniforms), the trace writer
 that built each frame's record as nested dicts and lists for ``json.dumps``,
-the truncated mean on scipy.stats.norm's pdf and sf, and the earth mover's
+the truncated mean on scipy.stats.norm's pdf and sf, the earth mover's
 distance with the first cloud as the assignment's rows (it shares the
-subset size).
+subset size), and the earth mover's distance over two independent random
+512-point subsets, the rule the shared subset replaced.
 """
 
 from __future__ import annotations
@@ -158,18 +159,33 @@ def hungarian_emd(a, b) -> float:
 
 
 def rows_first_emd(a, b) -> float:
-    """EMD as the package computed it with ``a`` as the assignment's rows:
-    the same fixed-seed subsets above EMD_SUBSAMPLE points, and the matched
-    distances averaged in ``a``'s order."""
+    """EMD as the package computes it, but with ``a`` as the assignment's
+    rows: the same shared, evenly spread index set above EMD_SUBSAMPLE
+    points, and the matched distances averaged in ``a``'s order."""
     pa, pb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     n = pa.shape[0]
     if n > EMD_SUBSAMPLE:
-        rng = np.random.default_rng(n)
-        pa = pa[rng.choice(n, size=EMD_SUBSAMPLE, replace=False)]
-        pb = pb[rng.choice(n, size=EMD_SUBSAMPLE, replace=False)]
+        idx = (np.arange(EMD_SUBSAMPLE) * n) // EMD_SUBSAMPLE
+        pa, pb = pa[idx], pb[idx]
     d = cdist(pa, pb)
     rows, cols = linear_sum_assignment(d)
     return float(d[rows, cols].mean())
+
+
+def random_subset_emd(a, b) -> float:
+    """EMD as the package computed it before its subsets were shared: above
+    512 points, each cloud draws its own 512-point subset from
+    ``default_rng(n)``, so identical clouds need not score 0.  The decoded
+    cloud ``b`` gives the rows and the mean is taken in ``a``'s order."""
+    pa, pb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    n = pa.shape[0]
+    if n > 512:
+        rng = np.random.default_rng(n)
+        pa = pa[rng.choice(n, size=512, replace=False)]
+        pb = pb[rng.choice(n, size=512, replace=False)]
+    d = cdist(pb, pa)
+    rows, cols = linear_sum_assignment(d)
+    return float(d[rows, cols][np.argsort(cols)].mean())
 
 
 def loop_farthest_point_indices(points: np.ndarray, k: int) -> np.ndarray:
