@@ -313,7 +313,8 @@ def cmd_sweep(args) -> int:
         if workers == 1:
             rows = [_sweep_worker(j) for j in jobs]
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # a fork-started pool forks all of max_workers at its first submit
+            with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
                 rows = list(pool.map(_sweep_worker, jobs))
 
         _write_atomic(os.path.join(args.out, "sweep.csv"), _write_sweep_csv, rows)

@@ -20,7 +20,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import (
     ConfigError,
@@ -97,6 +96,8 @@ class Latent:
 def encode(cloud: PointCloud, rf: int) -> Latent:
     """Compress a 1024-point cloud into a ``1024/rf``-scalar latent,
     deterministically."""
+    from scipy.spatial.distance import cdist  # codec chain only, loaded on first use
+
     dim = latent_dim(rf)
     if len(cloud) != CODEC_INPUT_POINTS:
         raise SizeMismatchError(

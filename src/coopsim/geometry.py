@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .errors import EmptyCloudError, InvalidViewpointError, SizeMismatchError
 
@@ -133,6 +131,8 @@ def _as_points(a) -> np.ndarray:
 
 def chamfer_distance(a, b) -> float:
     """Sum of both directional means of squared nearest-neighbor distances."""
+    from scipy.spatial.distance import cdist  # codec chain only, loaded on first use
+
     pa, pb = _as_points(a), _as_points(b)
     d2 = cdist(pa, pb, "sqeuclidean")
     return float(d2.min(axis=1).mean() + d2.min(axis=0).mean())
@@ -154,6 +154,9 @@ def earth_movers_distance(a, b) -> float:
     Rows come from the decoded cloud ``b`` (shorter path searches); ties
     between duplicates can move the mean, in ``a``'s order, in its last bit.
     """
+    from scipy.optimize import linear_sum_assignment  # codec chain only, as is cdist
+    from scipy.spatial.distance import cdist
+
     pa, pb = _as_points(a), _as_points(b)
     n = pa.shape[0]
     if n != pb.shape[0]:

@@ -21,8 +21,10 @@ bound is active.
 
 from __future__ import annotations
 
+import contextlib
+import math
+
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from .errors import CalibrationError
@@ -33,6 +35,8 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's golden-ratio increment
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _SQRT_2PI = np.sqrt(2 * np.pi)
+# scipy.optimize.brentq's default tolerances and iteration cap
+_XTOL, _RTOL, _MAXITER = 2e-12, 4 * np.finfo(float).eps, 100
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
@@ -71,6 +75,43 @@ def _truncated_mean(loc: float, scale: float) -> float:
     return loc + scale * float(lam[0])
 
 
+def _brentq(f, xpre: float, xcur: float) -> float:
+    """Root of ``f`` between ``xpre`` (f <= 0) and ``xcur`` (f > 0): SciPy's
+    Brent solver (scipy/optimize/Zeros/brentq.c) step for step, so that it
+    returns the float ``scipy.optimize.brentq`` returns."""
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # fails the short-step test below: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            # a zero divisor keeps the inf, as C's inf or NaN bisects there
+            with contextlib.suppress(ZeroDivisionError):
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise CalibrationError(f"no root found in {_MAXITER} iterations, last {xcur}")
+
+
 class TruncatedNormal:
     """Normal truncated at zero whose realized mean equals ``mean``."""
 
@@ -85,19 +126,20 @@ class TruncatedNormal:
         return cls._cache[key]
 
     def __init__(self, mean: float, sd: float):
+        # Python floats: a zero divisor in the root find raises, not warns
+        mean, sd = float(mean), float(sd)
         if sd <= 0:
             raise CalibrationError(f"sd {sd} not above zero")
-        self.sd = float(sd)
+        self.sd = sd
         if mean <= 0:
             raise CalibrationError(f"target mean {mean} not above zero")
-        hi = float(mean)
-        if _truncated_mean(hi, sd) <= mean:
-            self._loc = hi  # bound inactive to machine precision
+        if _truncated_mean(mean, sd) <= mean:
+            self._loc = mean  # bound inactive to machine precision
         else:
             lo = mean - 2.0 * sd
             while _truncated_mean(lo, sd) > mean:
                 lo -= 2.0 * sd
-            self._loc = brentq(lambda m: _truncated_mean(m, sd) - mean, lo, hi)
+            self._loc = _brentq(lambda m: _truncated_mean(m, sd) - mean, lo, mean)
         # CDF mass below zero, for inverse-CDF sampling
         self._tail0 = float(ndtr(-self._loc / sd))
 

@@ -24,10 +24,11 @@ uniforms), the sector lookup one CAV at a time, and the per-CAV loop over
 a frame's encode and decode charges and losses (it shares the dataset and
 the count buckets, and takes the same keyed uniforms), the trace writer
 that built each frame's record as nested dicts and lists for ``json.dumps``,
-the truncated mean on scipy.stats.norm's pdf and sf, the earth mover's
-distance with the first cloud as the assignment's rows (it shares the
-subset size), and the earth mover's distance over two independent random
-512-point subsets, the rule the shared subset replaced.
+the truncated mean on scipy.stats.norm's pdf and sf, the truncated
+normal's location solved by scipy.optimize.brentq (it shares the bracket),
+the earth mover's distance with the first cloud as the assignment's rows
+(it shares the subset size), and the earth mover's distance over two
+independent random 512-point subsets, the rule the shared subset replaced.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import brentq, linear_sum_assignment
 from scipy.spatial.distance import cdist
 from scipy.special import ndtri
 from scipy.stats import norm
@@ -316,6 +317,19 @@ def truncated_mean(loc: float, scale: float) -> float:
     if a > 20.0:
         return scale / a
     return loc + scale * (norm.pdf(a) / norm.sf(a))
+
+
+def brentq_location(mean: float, sd: float) -> float:
+    """Parent location of the normal truncated at zero whose mean is
+    ``mean``: ``mean`` itself where the bound moves the mean by less than
+    its last bit, else scipy.optimize.brentq's root of the truncated mean
+    above, bracketed from ``mean`` down in steps of 2 sd."""
+    if truncated_mean(mean, sd) <= mean:
+        return mean
+    lo = mean - 2.0 * sd
+    while truncated_mean(lo, sd) > mean:
+        lo -= 2.0 * sd
+    return brentq(lambda m: truncated_mean(m, sd) - mean, lo, mean)
 
 
 def sample_module_times_ms(u) -> float:

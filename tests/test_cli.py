@@ -93,30 +93,40 @@ def test_two_runs_in_one_process_ask_git_once(tmp_path, monkeypatch, trace_path)
 _IMPORT_GUARD = """
 import json, sys
 from coopsim.cli import main
+
+def loaded(*subpackages):
+    return sorted(m for m in sys.modules if m.split(".")[:2] in
+                  [["scipy", p] for p in subpackages])
+
 out = sys.argv[1]
 codes = [main(["gen-trace", "--cavs", "4", "--frames", "2", "--seed", "4",
                "--out", out + "/trace.jsonl"])]
 with open(out + "/codec.json", "w") as f:
     f.write('{"dataset_mode": "codec"}')
 codes.append(main(["run", "--trace", out + "/trace.jsonl", "--out", out + "/surrogate"]))
+surrogate = loaded("optimize", "spatial")
 codes.append(main(["run", "--trace", out + "/trace.jsonl", "--config", out + "/codec.json",
                    "--out", out + "/codec"]))
-print(json.dumps({"codes": codes,
-                  "stats": sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "stats"])}))
+print(json.dumps({"codes": codes, "stats": loaded("stats"), "surrogate": surrogate,
+                  "codec": [m for m in ("scipy.optimize", "scipy.spatial.distance")
+                            if m in sys.modules]}))
 """
 
 
 def test_cli_runs_never_import_scipy_stats(tmp_path):
     """A fresh interpreter that generates a trace and runs it with the
-    surrogate and with the codec loads no ``scipy.stats`` (pytest cannot
-    check this in-process: the sampling tests import ``scipy.stats``)."""
+    surrogate and with the codec loads no ``scipy.stats``; up to the end of
+    the surrogate run it loads no ``scipy.optimize`` or ``scipy.spatial``
+    either, which the codec chain then loads on first use (pytest cannot
+    check this in-process: the tests import all three)."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [EXIT_OK] * 3, "stats": []}
+    assert result == {"codes": [EXIT_OK] * 3, "stats": [], "surrogate": [],
+                      "codec": ["scipy.optimize", "scipy.spatial.distance"]}
 
 
 # ---------------------------------------------------------------------------
@@ -705,20 +715,29 @@ def test_run_mistyped_config_value_exits_2(tmp_path, trace_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def _run_case(key, value):
+    """A run with one out-of-range config value, named by it (lists
+    comma-joined), so that each case keeps its id when another goes."""
+    shown = (",".join(map(str, value)) or "empty") if isinstance(value, list) else value
+    return pytest.param("run", {key: value}, [], id=f"run-{key}={shown}")
+
+
 @pytest.mark.parametrize("command, config, extra", [
-    *[("run", {key: value}, []) for key, value in (
+    *[_run_case(key, value) for key, value in (
         ("servers", 0), ("sectors", 0), ("bandwidth_hz", -1.0), ("p", 1.5),
         ("mc_samples", 0), ("density_threshold", 0.0), ("fading_sigma", -0.1),
         ("rate_sigma", -1.0), ("beta", -1.0), ("H_ms", 0.0), ("carrier_ghz", 0.0),
         ("rf_set", []), ("base_station", [0.0, 0.0]), ("rf_set", [2, 4]))],
-    ("sweep", {}, ["--param", "H", "--values", "100", "-5"]),
-    ("sweep", {}, ["--param", "bandwidth", "--values", "200000", "0"]),
-    ("sweep", {"beta": -1.0}, ["--param", "H", "--values", "80", "90"]),
-    ("run", {"seed": 2**64}, []),  # seeds key uint64 draws
-    ("run", {"rf_set": [64, 64]}, []),  # a repeated level has zero width in the search
+    pytest.param("sweep", {}, ["--param", "H", "--values", "100", "-5"], id="sweep-H=-5"),
+    pytest.param("sweep", {}, ["--param", "bandwidth", "--values", "200000", "0"],
+                 id="sweep-bandwidth=0"),
+    pytest.param("sweep", {"beta": -1.0}, ["--param", "H", "--values", "80", "90"],
+                 id="sweep-beta=-1.0"),
+    _run_case("seed", 2**64),  # seeds key uint64 draws
+    _run_case("rf_set", [64, 64]),  # a repeated level has zero width in the search
     # a wider log-normal spread could send a rate to 0 or a latency to inf
-    ("run", {"fading_sigma": 10.000001}, []),
-    ("run", {"rate_sigma": 10.000001}, []),
+    _run_case("fading_sigma", 10.000001),
+    _run_case("rate_sigma", 10.000001),
 ])
 def test_out_of_range_config_exits_2_before_output(tmp_path, trace_path, capsys,
                                                    command, config, extra):
@@ -835,6 +854,39 @@ def test_sweep_worker_pool_matches_serial(tmp_path, trace_path, monkeypatch):
     monkeypatch.setenv("COOPSIM_WORKERS", "2")
     assert main(args + ["--out", str(pooled)]) == EXIT_OK
     assert (serial / "sweep.csv").read_bytes() == (pooled / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers, values, pool", [
+    pytest.param("64", ["80", "90"], 2, id="64-workers-2-values"),
+    pytest.param("2", ["80", "90", "100"], 2, id="2-workers-3-values"),
+])
+def test_sweep_pool_is_no_larger_than_its_values(tmp_path, trace_path, monkeypatch,
+                                                 workers, values, pool):
+    """The pool gets min(COOPSIM_WORKERS, values) workers: a fork-started
+    pool forks all of them at its first submit.  A recorder stands in for
+    the pool and maps in this process, so no worker starts."""
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setenv("COOPSIM_WORKERS", workers)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--param", "H", "--values", *values, "--trace", str(trace_path),
+                 "--out", str(out)]) == EXIT_OK
+    assert sizes == [pool]
+    assert len((out / "sweep.csv").read_text().splitlines()) == 1 + len(values)
 
 
 @pytest.mark.parametrize("workers", ["abc", "0", "-3"])

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import ndtri
 from scipy.stats import kstest
 
@@ -10,7 +11,7 @@ from coopsim.codec import DEFAULT_LOSS_CALIBRATION, DEFAULT_TIME_MS
 from coopsim.errors import CalibrationError
 from coopsim.sampling import TruncatedNormal, keyed_uniforms
 from coopsim.simpipe import RunConfig, generate_trace, run_simulation
-from oracles import truncated_mean
+from oracles import brentq_location, truncated_mean
 
 
 @pytest.mark.parametrize("mean, sd", [
@@ -55,6 +56,32 @@ def test_package_truncated_normals_match_scipy_stats_calibration(monkeypatch, me
     monkeypatch.setattr(sampling, "_truncated_mean", truncated_mean)
     ref = TruncatedNormal(mean, sd)
     assert (_bits(tn._loc), _bits(tn._tail0)) == (_bits(ref._loc), _bits(ref._tail0))
+
+
+def test_locations_match_scipy_brentq_bit_for_bit():
+    """The in-package Brent solve returns scipy.optimize.brentq's root, bit
+    for bit: every package calibration, 300 random (mean, sd) pairs with
+    both from 1e-3 to 1e3, log-uniform, and pairs whose bound is inactive."""
+    rng = np.random.default_rng(0)
+    pairs = [*PACKAGE_TRUNCATED_NORMALS, (10.0, 1.0), (1e3, 1e-3),
+             *(10.0 ** rng.uniform(-3.0, 3.0, (300, 2))).tolist()]
+    inactive = 0
+    for mean, sd in pairs:
+        loc = TruncatedNormal(mean, sd)._loc
+        assert _bits(loc) == _bits(brentq_location(mean, sd)), (mean, sd)
+        inactive += loc == mean
+    assert 2 <= inactive < len(pairs) - len(PACKAGE_TRUNCATED_NORMALS)
+
+
+def test_brent_port_bisects_where_c_divides_by_zero():
+    """On a function of size 1e-160 the extrapolation's divisor, a product
+    of three such differences, underflows to 0.  SciPy's C code divides by
+    it and bisects on the inf or NaN; the port meets ZeroDivisionError and
+    bisects too, so both return the same float."""
+    for c in np.linspace(-3.0, 3.0, 41).tolist():
+        def f(x):
+            return 1e-160 * ((x - c) ** 3 + (x - c))
+        assert _bits(sampling._brentq(f, c - 7.5, c + 2.25)) == _bits(brentq(f, c - 7.5, c + 2.25))
 
 
 def test_runs_build_only_the_listed_truncated_normals(monkeypatch):
