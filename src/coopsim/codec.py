@@ -62,8 +62,11 @@ DEFAULT_TIME_MS = (1.72, 0.53)  # one distribution for encode and decode
 
 
 def latent_dim(rf: int) -> int:
-    if rf < 2 or CODEC_INPUT_POINTS % rf != 0:
-        raise ValueError(f"rf must divide {CODEC_INPUT_POINTS}, got {rf}")
+    """Scalars in an RF's latent.  The RF must divide the budget and leave
+    room for one anchor (3 coordinates) and the spread scalar."""
+    if rf < 2 or CODEC_INPUT_POINTS % rf != 0 or CODEC_INPUT_POINTS // rf < 4:
+        raise ValueError(f"rf must be a divisor of {CODEC_INPUT_POINTS} from 2 to "
+                         f"{CODEC_INPUT_POINTS // 4}, got {rf}")
     return CODEC_INPUT_POINTS // rf
 
 

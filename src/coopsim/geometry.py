@@ -23,6 +23,8 @@ from .errors import EmptyCloudError, InvalidViewpointError, SizeMismatchError
 
 # EMD is exact up to this many points; larger clouds match a subset this size
 EMD_SUBSAMPLE = 342
+# bins per axis by which the farthest-point walk picks its slab axis
+_SLAB_BINS = 32
 
 
 @dataclass
@@ -79,26 +81,52 @@ def farthest_point_indices(points: np.ndarray, k: int) -> np.ndarray:
     """Greedy farthest-point subset of size k.
 
     The walk starts at the point nearest the centroid, which makes the result
-    deterministic without a seed; ties go to the lowest index.  Each step
-    updates the squared distances in place on contiguous coordinate rows,
-    summed x, y, z in that order, so they round as a row sum of the (n, 3)
-    squares would.
+    deterministic without a seed; ties go to the lowest index, since ``best``
+    (each point's squared distance to the subset) stays in input order.
+    Squared distances are summed x, y, z in that order, so they round as a
+    row sum of the (n, 3) squares would.
+
+    After the first step, a step refreshes ``best`` only over a slab: the
+    points whose coordinate along one axis lies within
+    r = sqrt(max best) * (1 + 1e-9) of the new point's, found by
+    ``searchsorted`` on the points sorted along that axis.  This is exact.  A
+    point outside the slab has a rounded offset of at least r along the axis
+    (r is a float and rounding is monotone), and that offset's square is one
+    of the non-negative terms its squared distance sums.  So that distance
+    rounds to at least r**2, which the 1e-9 margin keeps above max best
+    despite the roundings of r, and the point's ``best`` would not change.
+
+    Any axis gives the same result; the walk takes the one along which the
+    fewest pairs of points share one of _SLAB_BINS equal bins spanning the
+    cloud's widest extent, since a slab holds about as many points as its
+    bins do.  That is not always the widest axis: a car face seen head-on
+    puts most of a surface's points at one coordinate of its normal axis.
     """
     n = points.shape[0]
     start = int(np.argmin(((points - points.mean(axis=0)) ** 2).sum(axis=1)))
     coords = np.ascontiguousarray(points.T)  # (3, n)
-    diff = np.empty_like(coords)
-    d = np.empty(n)
+    low = coords.min(axis=1, keepdims=True)
+    # identical points span 0, and any bin width holds them all
+    width = float((coords.max(axis=1, keepdims=True) - low).max()) / _SLAB_BINS or 1.0
+    cells = ((coords - low) / width).astype(np.int64) + np.arange(3)[:, None] * (_SLAB_BINS + 1)
+    counts = np.bincount(cells.ravel(), minlength=3 * (_SLAB_BINS + 1)).reshape(3, -1)
+    axis = int((counts * counts).sum(axis=1).argmin())
+    order = np.argsort(coords[axis])
+    slab = coords[:, order]  # sorted along the slab axis
+    key = slab[axis]
     best = np.full(n, np.inf)
     chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = start
+    chosen[0] = nxt = start
+    lo, hi = 0, n  # the first step refreshes every point
     for i in range(1, k):
-        np.subtract(coords, coords[:, chosen[i - 1], None], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.add(diff[0], diff[1], out=d)
-        np.add(d, diff[2], out=d)
-        np.minimum(best, d, out=best)
-        chosen[i] = best.argmax()
+        diff = slab[:, lo:hi] - coords[:, nxt, None]
+        diff *= diff
+        idx = order[lo:hi]
+        best[idx] = np.minimum(best[idx], diff[0] + diff[1] + diff[2])
+        chosen[i] = nxt = best.argmax()
+        r = math.sqrt(best[nxt]) * (1.0 + 1e-9)
+        lo = key.searchsorted(coords[axis, nxt] - r, "left")
+        hi = key.searchsorted(coords[axis, nxt] + r, "right")
     return chosen
 
 
@@ -130,12 +158,29 @@ def _as_points(a) -> np.ndarray:
 
 
 def chamfer_distance(a, b) -> float:
-    """Sum of both directional means of squared nearest-neighbor distances."""
-    from scipy.spatial.distance import cdist  # codec chain only, loaded on first use
+    """Sum of both directional means of squared nearest-neighbor distances.
+
+    Each point's nearest neighbor in the other cloud comes from a
+    ``scipy.spatial.cKDTree``, an exact search, and its squared distance is
+    recomputed as ``cdist(..., "sqeuclidean")`` sums it, x, y, z in that
+    order.  So each mean adds, in the same order, the values that the minima
+    of the dense distance matrix would hold.  The tree sums its squared
+    distances in that order too, so the neighbor it returns is a dense
+    minimum, and a tie between equal distances gives the same value either
+    way.  (Its pruning bounds also round, so a neighbor within a few ulps of
+    the nearest could in principle stand in for it; the tests check the
+    means bit for bit against the dense form.)
+    """
+    from scipy.spatial import cKDTree  # codec chain only, loaded on first use
+
+    def nearest_sq(src, dst):
+        _, j = cKDTree(dst).query(src)
+        diff = src - dst[j]
+        diff *= diff
+        return diff[:, 0] + diff[:, 1] + diff[:, 2]
 
     pa, pb = _as_points(a), _as_points(b)
-    d2 = cdist(pa, pb, "sqeuclidean")
-    return float(d2.min(axis=1).mean() + d2.min(axis=0).mean())
+    return float(nearest_sq(pa, pb).mean() + nearest_sq(pb, pa).mean())
 
 
 def earth_movers_distance(a, b) -> float:

@@ -27,8 +27,10 @@ that built each frame's record as nested dicts and lists for ``json.dumps``,
 the truncated mean on scipy.stats.norm's pdf and sf, the truncated
 normal's location solved by scipy.optimize.brentq (it shares the bracket),
 the earth mover's distance with the first cloud as the assignment's rows
-(it shares the subset size), and the earth mover's distance over two
-independent random 512-point subsets, the rule the shared subset replaced.
+(it shares the subset size), the earth mover's distance over two
+independent random 512-point subsets, the rule the shared subset replaced,
+and the Chamfer distance over the dense ``cdist`` matrix, which the
+k-d tree search replaced.
 """
 
 from __future__ import annotations
@@ -87,6 +89,14 @@ def brute_chamfer(a, b) -> float:
         return total / len(src)
 
     return mean_min_sq(a, b) + mean_min_sq(b, a)
+
+
+def dense_chamfer(a, b) -> float:
+    """Chamfer distance as the package computed it before its k-d tree
+    search: row and column minima of the dense squared-distance matrix."""
+    pa, pb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    d2 = cdist(pa, pb, "sqeuclidean")
+    return float(d2.min(axis=1).mean() + d2.min(axis=0).mean())
 
 
 def enumerate_emd(a, b) -> float:

@@ -749,6 +749,23 @@ def test_out_of_range_config_exits_2_before_output(tmp_path, trace_path, capsys,
     assert marker.read_text() == "earlier\n"
 
 
+@pytest.mark.parametrize("rf", [512, 1024])
+def test_rf_without_an_anchor_exits_2_before_output(tmp_path, trace_path, capsys, rf):
+    """RF 512 and 1,024 divide 1,024 but their latents hold no anchor: a
+    codec-mode run whose profile holds the RF exits 2 before any output,
+    where its encode once failed with exit 4 after a "failed" manifest."""
+    profile = tmp_path / "ds.csv"
+    write_profile(profile, rf_set=(4, 64, rf))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset_mode": "codec", "policy": "adamap-lite",
+                               "rf_set": [4, rf], "dataset_path": str(profile)}))
+    out = tmp_path / "out"
+    assert main(["run", "--trace", str(trace_path), "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_INPUT
+    assert f"rf must be a divisor of 1024 from 2 to 256, got {rf}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("partitions", 4), ("share_mode", "fdma"),
     # capacity factors that divided only the optimizer's codec-time samples

@@ -62,6 +62,15 @@ def test_latent_dim_rejects_non_divisor():
         latent_dim(1)
 
 
+def test_latent_dim_rejects_an_rf_without_an_anchor():
+    """RF 256's 4 scalars hold one anchor and the spread; RF 512 and 1,024
+    divide 1,024 but leave no room for an anchor."""
+    assert (latent_dim(256), anchor_count(256)) == (4, 1)
+    for rf in (512, 1024):
+        with pytest.raises(ValueError, match="from 2 to 256"):
+            latent_dim(rf)
+
+
 def test_payload_bytes():
     assert [payload_bytes(rf) for rf in RF_SET] == [1024, 512, 256, 128, 64]
     assert RAW_OBJECT_BYTES == 12288
@@ -225,6 +234,13 @@ def test_dataset_load_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("rf,loss\n4,0.3\n")
     with pytest.raises(ConfigError, match=re.escape(f"{path}:1")):
+        MeasurementDataset.load(path)
+
+
+def test_dataset_load_rejects_an_rf_without_an_anchor(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text("rf,bucket,loss,t_enc_ms,t_dec_ms\n4,0,0.3,1.5,1.5\n512,0,0.3,1.5,1.5\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:3")):
         MeasurementDataset.load(path)
 
 

@@ -14,6 +14,7 @@ from oracles import (
     FACES,
     brute_chamfer,
     contains,
+    dense_chamfer,
     enumerate_emd,
     hungarian_emd,
     loop_farthest_point_indices,
@@ -66,6 +67,31 @@ def test_chamfer_symmetric():
     rng = np.random.default_rng(5)
     a, b = rng.normal(size=(30, 3)), rng.normal(size=(20, 3))
     assert geo.chamfer_distance(a, b) == pytest.approx(geo.chamfer_distance(b, a), rel=1e-12)
+
+
+def _lattice(shape=(12, 9, 5)):
+    """Integer lattice points, x varying slowest: every distance is exact
+    and ties are everywhere."""
+    return np.array(list(np.ndindex(*shape)), dtype=np.float64)
+
+
+def test_chamfer_matches_the_dense_oracle_on_the_codec_corpus():
+    """Bit for bit on the 70 codec pairs of 14 profile clouds x RF_SET, which
+    include cyclically duplicated clouds (the raw counts below 1,024)."""
+    clouds = list(default_profile_clouds(seed=0, per_bucket=2))
+    assert sum(len(np.unique(c.points, axis=0)) < len(c) for _, c in clouds) >= 6
+    for i, (_, cloud) in enumerate(clouds):
+        for rf in RF_SET:
+            a, b = cloud.points, decode(encode(cloud, rf), seed=i).points
+            assert geo.chamfer_distance(a, b) == dense_chamfer(a, b)
+
+
+def test_chamfer_matches_the_dense_oracle_on_lattices():
+    lat = _lattice()
+    for b in (lat + 0.5, lat[::-1] * 1.5, lat[100:] - 0.25, lat[:, [2, 0, 1]] + 1e6):
+        for a in (lat, lat + 1e6):
+            assert geo.chamfer_distance(a, b) == dense_chamfer(a, b)
+            assert geo.chamfer_distance(b, a) == dense_chamfer(b, a)
 
 
 def test_chamfer_empty_raises():
@@ -319,6 +345,72 @@ def test_farthest_point_walk_ties_go_to_first_index():
     # every distinct point is taken at its first copy; then all ties are 0
     assert sorted(idx[:40].tolist()) == list(range(40))
     assert idx[40:].tolist() == [0] * 20
+
+
+@pytest.mark.parametrize("axes", [[0, 1, 2], [1, 0, 2], [2, 1, 0]])
+def test_farthest_point_walk_on_a_lattice(axes):
+    """Exact ties everywhere; the widest and slab axis is x, y or z in turn;
+    k runs from 1 to every point."""
+    pts = _lattice()[:, axes]
+    assert np.ptp(pts, axis=0).argmax() == axes.index(0)
+    for k in (1, 2, 60, len(pts)):
+        idx = geo.farthest_point_indices(pts, k)
+        assert np.array_equal(idx, loop_farthest_point_indices(pts, k))
+    assert sorted(idx.tolist()) == list(range(len(pts)))
+
+
+@pytest.mark.parametrize("widest", [1, 2])
+def test_farthest_point_walk_along_y_or_z(widest):
+    pts = _surface_cloud(11, 1500)
+    pts[:, widest] *= 6.0
+    assert np.ptp(pts, axis=0).argmax() == widest
+    assert np.array_equal(geo.farthest_point_indices(pts, 1024),
+                          loop_farthest_point_indices(pts, 1024))
+
+
+@pytest.mark.parametrize("viewpoint", [[20.0, 0.5, 1.8], [20.0, 3.0, 1.8]])
+def test_farthest_point_walk_on_a_car_seen_head_on(viewpoint):
+    """Most points lie on the front face, at one x, so the walk's slab
+    runs along y or z although x is the widest axis."""
+    box = geo.Bbox3(center=[0.0, 0.0, 0.75], extent=(4.5, 1.8, 1.5), yaw=0.0)
+    pts = geo.sample_visible_surface(box, viewpoint, 3000, seed=1).points
+    assert np.ptp(pts, axis=0).argmax() == 0
+    assert np.array_equal(geo.farthest_point_indices(pts, 1024),
+                          loop_farthest_point_indices(pts, 1024))
+
+
+def test_farthest_point_walk_refreshes_a_point_just_inside_the_slab():
+    """Point 2 lies 1e-7 short of the slab's half-width (10 m) along x from
+    point 1, and only that step brings its distance below point 3's; a slab
+    even 1e-6 narrower would take point 2 third instead of point 3."""
+    pts = np.array([[0.0, 0, 0], [-5, 75 ** 0.5, 0], [-5 + 10 * (1 - 1e-7), 75 ** 0.5, 0],
+                    [(100 - 1.5e-5) ** 0.5, 0, 0], [0, -2, 0]])
+    idx = geo.farthest_point_indices(pts, 5)
+    assert np.array_equal(idx, loop_farthest_point_indices(pts, 5))
+    assert idx.tolist() == [0, 1, 3, 2, 4]
+
+
+def test_farthest_point_walk_on_identical_points():
+    """Max best is 0 from the first step on, so each slab is 0 wide (and
+    holds every point, all at the chosen point's coordinate); ties go to
+    index 0."""
+    pts = np.full((50, 3), 3.3)
+    for k in (1, 7, 50):
+        idx = geo.farthest_point_indices(pts, k)
+        assert np.array_equal(idx, loop_farthest_point_indices(pts, k))
+        assert idx.tolist() == [0] * k
+
+
+def test_farthest_point_walk_far_from_the_origin_with_near_duplicates():
+    """1e6 m out, coordinates round to about 1e-10 m; copies nudged by one
+    ulp and exact copies are near and exact duplicates, whose distances
+    round to tiny values or to 0."""
+    base = _surface_cloud(13, 1200) + 1e6
+    near = np.nextafter(base[:400], np.inf)
+    pts = np.concatenate([base, near, base[:100]])
+    for k in (1024, len(pts)):
+        assert np.array_equal(geo.farthest_point_indices(pts, k),
+                              loop_farthest_point_indices(pts, k))
 
 
 # ---------------------------------------------------------------------------
